@@ -9,14 +9,17 @@ normalized forms are equal.
 The facet oracle converts a full-dimensional point set V into its
 irredundant facet list by the double description method on the dual cone
 {y in R^(d+1) : y0 + y . v >= 0 for all v in V}: extreme rays of that cone
-correspond one-to-one to facets of conv(V).
+correspond one-to-one to facets of conv(V).  The constraint rows are scaled
+to integers once, rays are primitive integer vectors, and each ray carries
+its zero set as a bitmask over the rows processed so far, so the
+combinatorial adjacency test of two rays is a handful of integer ANDs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionCap, DimensionMismatch, NotFullDimensional
 
@@ -156,6 +159,24 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
+def _clear_denominators(vec) -> list[int]:
+    """The rational vector scaled by the least common multiple of its denominators."""
+    denom = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (denom // x.denominator) for x in vec]
+
+
+def _adjacent_rays(common: int, zero_sets: list[int]) -> bool:
+    """Combinatorial adjacency test of double description: no ray other than
+    the pair itself is zero on every row where both rays of the pair are."""
+    hits = 0
+    for z in zero_sets:
+        if common & z == common:
+            hits += 1
+            if hits > 2:
+                return False
+    return True
+
+
 def brute_force_facets(points, max_dim: int = MAX_BRUTE_FORCE_DIM) -> RationalPolyhedron:
     """Irredundant facet description of the convex hull of the points.
 
@@ -174,83 +195,68 @@ def brute_force_facets(points, max_dim: int = MAX_BRUTE_FORCE_DIM) -> RationalPo
     if dim > max_dim:
         raise DimensionCap(f"ambient dimension {dim} exceeds cap {max_dim}")
     pts = sorted(set(pts))
-    if affine_rank(pts) != dim:
-        raise NotFullDimensional("points do not affinely span the ambient space")
 
-    # dual-cone constraint rows (1, v); every valid inequality a.x <= b maps
-    # to the cone point y = (b, -a)
-    cons = [(Fraction(1),) + p for p in pts]
-
-    # pick an affinely independent seed whose constraint matrix is invertible
+    # pick an affinely independent seed whose dual constraint matrix, rows
+    # (1, v), is invertible
     seed_idx: list[int] = []
     seed_rows: list[list[Fraction]] = []
-    for i, row in enumerate(cons):
-        trial = seed_rows + [list(row)]
+    for i, p in enumerate(pts):
+        trial = seed_rows + [[Fraction(1), *p]]
         if _echelon_rank([r[:] for r in trial]) == len(trial):
             seed_idx.append(i)
-            seed_rows.append(list(row))
+            seed_rows.append(trial[-1])
         if len(seed_idx) == dim + 1:
             break
+    if len(seed_idx) != dim + 1:
+        raise NotFullDimensional("points do not affinely span the ambient space")
+
+    # dual-cone constraint rows (1, v) scaled to integers; every valid
+    # inequality a.x <= b maps to the cone point y = (b, -a).  Each ray maps
+    # to its zero set: bit k marks a processed row k on which it vanishes.
+    cons = [_clear_denominators((1,) + p) for p in pts]
     inv = _invert(seed_rows)
-    rays: list[tuple[int, ...]] = []
-    for j in range(dim + 1):
+    seed_mask = sum(1 << k for k in seed_idx)
+    rays: dict[tuple[int, ...], int] = {}
+    for j, k in enumerate(seed_idx):
         col = [inv[i][j] for i in range(dim + 1)]
-        denom = 1
-        for x in col:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        rays.append(_primitive([int(x * denom) for x in col]))
+        rays[_primitive(_clear_denominators(col))] = seed_mask & ~(1 << k)
 
-    processed = list(seed_idx)
-
-    def zero_set(ray: tuple[int, ...]) -> frozenset[int]:
-        return frozenset(
-            k for k in processed if sum(c * r for c, r in zip(cons[k], ray)) == 0
-        )
-
+    seeds = set(seed_idx)
     for k, row in enumerate(cons):
-        if k in seed_idx:
+        if k in seeds:
             continue
-        vals = [sum(c * r for c, r in zip(row, ray)) for ray in rays]
-        if all(v >= 0 for v in vals):
-            processed.append(k)
+        bit = 1 << k
+        plus, zero, minus = [], [], []
+        for ray, z in rays.items():
+            v = sum(c * r for c, r in zip(row, ray))
+            (plus if v > 0 else minus if v < 0 else zero).append((ray, z, v))
+        if not minus:
+            for ray, z, _ in zero:
+                rays[ray] = z | bit
             continue
-        zsets = [zero_set(ray) for ray in rays]
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        minus = [i for i, v in enumerate(vals) if v < 0]
-        new_rays: list[tuple[int, ...]] = [rays[i] for i in plus + zero]
-        for i in plus:
-            for j in minus:
-                common = zsets[i] & zsets[j]
-                adjacent = True
-                for t in range(len(rays)):
-                    if t != i and t != j and common <= zsets[t]:
-                        adjacent = False
-                        break
-                if not adjacent:
+        zero_sets = list(rays.values())
+        new_rays = {ray: z for ray, z, _ in plus}
+        new_rays.update((ray, z | bit) for ray, z, _ in zero)
+        for ray_i, z_i, v_i in plus:
+            for ray_j, z_j, v_j in minus:
+                common = z_i & z_j
+                # adjacent rays share dim - 1 independent zero rows
+                if common.bit_count() < dim - 1 or not _adjacent_rays(common, zero_sets):
                     continue
-                combo = [
-                    vals[i] * rays[j][c] - vals[j] * rays[i][c]
-                    for c in range(dim + 1)
-                ]
-                denom = 1
-                for x in combo:
-                    denom = denom * x.denominator // gcd(denom, x.denominator)
-                new_rays.append(_primitive([int(x * denom) for x in combo]))
-        processed.append(k)
-        # dedupe; combinations from different pairs can coincide
-        rays = sorted(set(new_rays))
+                # the positive combination that vanishes on row k; combinations
+                # from different pairs can coincide
+                combo = [v_i * y - v_j * x for x, y in zip(ray_i, ray_j)]
+                new_rays[_primitive(combo)] = common | bit
+        rays = new_rays
 
-    rows = []
-    for ray in rays:
-        b = ray[0]
-        a = tuple(-c for c in ray[1:])
-        rows.append(normalize_row(a, b))
-    rows = sorted(set(rows), key=lambda r: (r[1], r[0]))
+    rows = sorted(
+        {normalize_row(tuple(-c for c in ray[1:]), ray[0]) for ray in rays},
+        key=lambda r: (r[1], r[0]),
+    )
 
     # sanity: every input point satisfies every output row
     for a, b in rows:
-        for p in pts:
-            if sum(c * v for c, v in zip(a, p)) > b:
+        for denom, *q in cons:
+            if sum(c * v for c, v in zip(a, q)) > b * denom:
                 raise AssertionError("facet computation produced a violated row")
     return RationalPolyhedron(dim=dim, rows=tuple(rows))

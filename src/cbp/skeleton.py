@@ -3,9 +3,13 @@
 Two vertices given by nonempty blocksets are adjacent exactly when their
 union induces a disconnected subgraph, or one contains the other and
 exactly one block of the difference touches the smaller set.  The empty
-blockset is adjacent precisely to the singletons.  The geometric test
-(the smallest face containing both vertices is the segment) is kept as an
-independent implementation for cross-checking.
+blockset is adjacent precisely to the singletons.  The geometric test is
+kept as an independent implementation for cross-checking: two vertices
+are adjacent when the smallest face containing both is the segment
+between them.  It runs on integer bitmasks built once per vertex list,
+one mask of tight rows per vertex and one mask of tight vertices per row;
+vertices i and j span an edge exactly when the AND of the row masks over
+the rows tight at both is the mask of {i, j}.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import (
     NotConnectedSubset,
 )
 from .graphs import BlockDecomposition, graph_to_json
-from .hull import RationalPolyhedron
+from .hull import RationalPolyhedron, _clear_denominators
 from .vertices import BlockSubset, enumerate_vertices, is_connected_blockset, to_incidence
 
 MAX_DIAMETER_VERTICES = 2**16
@@ -49,35 +53,53 @@ def adjacent_combinatorial(d: BlockDecomposition, a1, a2) -> bool:
     return len(touching) == 1
 
 
-def adjacent_geometric(h: RationalPolyhedron, verts, i: int, j: int) -> bool:
-    """Edge test via the face spanned by the rows tight at both vertices.
+def _tight_masks(h: RationalPolyhedron, verts) -> tuple[list[int], list[int]]:
+    """Validate a vertex list and return its tight-set masks.
 
-    The vertex list holds rational points of the polyhedron's dimension.
+    Bit r of the k-th vertex mask marks row r tight at vertex k; bit k of
+    the r-th row mask marks the same incidence.
     """
     points = [tuple(Fraction(x) for x in p) for p in verts]
     for p in points:
         if len(p) != h.dim:
             raise DimensionMismatch(f"point has dimension {len(p)}, polyhedron {h.dim}")
-    if not (0 <= i < len(points)) or not (0 <= j < len(points)):
+    if len(set(points)) != len(points):
+        raise NotAVertex("vertex list contains duplicates")
+    vertex_rows = [0] * len(points)
+    row_vertices = [0] * len(h.rows)
+    for k, p in enumerate(points):
+        denom, *q = _clear_denominators((1,) + p)
+        for r, (a, b) in enumerate(h.rows):
+            if sum(c * v for c, v in zip(a, q)) == b * denom:
+                vertex_rows[k] |= 1 << r
+                row_vertices[r] |= 1 << k
+    return vertex_rows, row_vertices
+
+
+def _spans_edge(vertex_rows: list[int], row_vertices: list[int], i: int, j: int) -> bool:
+    """True when the rows tight at vertices i and j cut out just those two."""
+    pair = (1 << i) | (1 << j)
+    face = (1 << len(vertex_rows)) - 1
+    common = vertex_rows[i] & vertex_rows[j]
+    while common and face != pair:
+        low = common & -common
+        face &= row_vertices[low.bit_length() - 1]
+        common ^= low
+    return face == pair
+
+
+def adjacent_geometric(h: RationalPolyhedron, verts, i: int, j: int) -> bool:
+    """Edge test via the face spanned by the rows tight at both vertices.
+
+    The vertex list holds distinct rational points of the polyhedron's
+    dimension.
+    """
+    vertex_rows, row_vertices = _tight_masks(h, verts)
+    if not (0 <= i < len(vertex_rows)) or not (0 <= j < len(vertex_rows)):
         raise NotAVertex(f"vertex index out of range: {i}, {j}")
     if i == j:
         raise ValueError("adjacency needs two distinct vertex indices")
-    if len(set(points)) != len(points):
-        raise NotAVertex("vertex list contains duplicates")
-
-    def value(row, p):
-        a, b = row
-        return sum(c * v for c, v in zip(a, p)) - b
-
-    tight_rows = [
-        row for row in h.rows if value(row, points[i]) == 0 and value(row, points[j]) == 0
-    ]
-    face = [
-        k
-        for k, p in enumerate(points)
-        if all(value(row, p) == 0 for row in tight_rows)
-    ]
-    return sorted(face) == sorted((i, j))
+    return _spans_edge(vertex_rows, row_vertices, i, j)
 
 
 @dataclass(eq=False)
@@ -108,10 +130,10 @@ def build_polytope_graph(
     elif method == "geometric":
         if h is None:
             raise ValueError("geometric method needs the H-description")
-        points = [to_incidence(d, a) for a in verts]
+        vertex_rows, row_vertices = _tight_masks(h, [to_incidence(d, a) for a in verts])
         for i in range(len(verts)):
             for j in range(i + 1, len(verts)):
-                if adjacent_geometric(h, points, i, j):
+                if _spans_edge(vertex_rows, row_vertices, i, j):
                     nb[i].add(j)
                     nb[j].add(i)
     else:
@@ -195,15 +217,8 @@ def simplicity_report(
     """
     dim = len(d.blocks)
     is_simple = all(pg.degree(i) == dim for i in range(len(pg.vertices)))
-    points = [to_incidence(d, a) for a in pg.vertices]
-    is_simplicial = True
-    for a, b in h.rows:
-        tight = sum(
-            1 for p in points if sum(c * v for c, v in zip(a, p)) == b
-        )
-        if tight != dim:
-            is_simplicial = False
-            break
+    _, row_vertices = _tight_masks(h, [to_incidence(d, a) for a in pg.vertices])
+    is_simplicial = all(mask.bit_count() == dim for mask in row_vertices)
     return SimplicityReport(
         is_simple=is_simple,
         is_simplicial=is_simplicial,

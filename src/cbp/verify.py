@@ -38,13 +38,13 @@ from .optimize import (
 )
 from .serialize import jsonable
 from .skeleton import (
-    adjacent_combinatorial,
-    adjacent_geometric,
+    PolytopeGraph,
     build_polytope_graph,
     hirsch_check,
     simplicity_report,
 )
 from .toric import (
+    TermOrder,
     buchberger_verify,
     fiber_reduction_test,
     groebner_candidates,
@@ -150,6 +150,18 @@ class GraphContext:
     @cached_property
     def hstar(self):
         return hstar_profile(self.decomposition, self.hrep)
+
+    @cached_property
+    def skeleton(self) -> PolytopeGraph:
+        return build_polytope_graph(self.decomposition)
+
+    @cached_property
+    def order(self) -> TermOrder:
+        return make_term_order(self.decomposition, self.vertices)
+
+    @cached_property
+    def basis(self):
+        return groebner_candidates(self.decomposition, self.order, self.vertices)
 
 
 def check_blocks(ctx: GraphContext) -> dict | None:
@@ -259,13 +271,15 @@ def check_ibis(ctx: GraphContext) -> dict | None:
 
 def check_adjacency(ctx: GraphContext) -> dict | None:
     """Combinatorial and geometric adjacency agree on every vertex pair."""
-    d = ctx.decomposition
-    verts = ctx.vertices
-    points = ctx.incidence
+    comb = ctx.skeleton
+    geo = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric")
+    verts = comb.vertices
     for i in range(len(verts)):
+        if comb.neighbors[i] == geo.neighbors[i]:
+            continue
         for j in range(i + 1, len(verts)):
-            comb_adj = adjacent_combinatorial(d, verts[i], verts[j])
-            geo_adj = adjacent_geometric(ctx.hrep, points, i, j)
+            comb_adj = j in comb.neighbors[i]
+            geo_adj = j in geo.neighbors[i]
             if comb_adj != geo_adj:
                 return {
                     "pair": [list(verts[i]), list(verts[j])],
@@ -277,15 +291,13 @@ def check_adjacency(ctx: GraphContext) -> dict | None:
 
 def check_diameter(ctx: GraphContext) -> dict | None:
     """Diameter bounded by the dimension and by the Hirsch bound."""
-    pg = build_polytope_graph(ctx.decomposition)
-    hirsch_check(ctx.decomposition, pg, ctx.hrep)
+    hirsch_check(ctx.decomposition, ctx.skeleton, ctx.hrep)
     return None
 
 
 def check_simplicity(ctx: GraphContext) -> dict | None:
     """Measured simplicity flags match the cut-vertex and dimension predictions."""
-    pg = build_polytope_graph(ctx.decomposition)
-    rep = simplicity_report(ctx.decomposition, pg, ctx.hrep)
+    rep = simplicity_report(ctx.decomposition, ctx.skeleton, ctx.hrep)
     if rep.is_simple != rep.predicted_simple or rep.is_simplicial != rep.predicted_simplicial:
         return {
             "is_simple": rep.is_simple,
@@ -304,12 +316,9 @@ def check_hstar(ctx: GraphContext) -> dict | None:
 
 def check_groebner(ctx: GraphContext) -> dict | None:
     """The claimed basis passes Buchberger and the degree-3 fiber test."""
-    d = ctx.decomposition
-    order = make_term_order(d, ctx.vertices)
-    g = groebner_candidates(d, order, ctx.vertices)
-    if not buchberger_verify(g, order):
+    if not buchberger_verify(ctx.basis, ctx.order):
         return {"reason": "an S-pair does not reduce to zero"}
-    if not fiber_reduction_test(d, g, order, maxdeg=3):
+    if not fiber_reduction_test(ctx.decomposition, ctx.basis, ctx.order, maxdeg=3):
         return {"reason": "a fiber difference does not reduce to zero"}
     return None
 
@@ -317,9 +326,7 @@ def check_groebner(ctx: GraphContext) -> dict | None:
 def check_triangulation(ctx: GraphContext) -> dict | None:
     """The initial complex triangulates the polytope with h-vector h*."""
     d = ctx.decomposition
-    order = make_term_order(d, ctx.vertices)
-    g = groebner_candidates(d, order, ctx.vertices)
-    complex_ = triangulation(d, g, order)
+    complex_ = triangulation(d, ctx.basis, ctx.order)
     triangulation_checks(d, complex_, ctx.hstar.hstar)
     return None
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 
 def subgraph_connected(vertices, edges) -> bool:
@@ -136,3 +137,103 @@ def best_blockset(g, blocks, weights) -> tuple[tuple[int, ...], Fraction]:
         if val > best[1]:
             best = (a, val)
     return best
+
+
+def face_adjacent(rows, points, i: int, j: int) -> bool:
+    """Vertices i and j span an edge: the points tight on every row tight at
+    both are exactly i and j.  Rows are (a, b) meaning a . x <= b."""
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+
+    def tight(row, p):
+        a, b = row
+        return sum(c * v for c, v in zip(a, p)) == b
+
+    common = [row for row in rows if tight(row, pts[i]) and tight(row, pts[j])]
+    face = [k for k, p in enumerate(pts) if all(tight(row, p) for row in common)]
+    return face == sorted((i, j))
+
+
+def _rank(rows) -> int:
+    """Rank over the rationals by Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _inverse(rows) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square matrix by Gauss-Jordan elimination."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if aug[i][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def _primitive_ray(vec) -> tuple[int, ...]:
+    """The positive multiple of a nonzero rational vector with coprime integer entries."""
+    denom = 1
+    for x in vec:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in ints)
+
+
+def double_description_facets(points) -> list[tuple[tuple[int, ...], int]]:
+    """Sorted facet rows (a, b), a . x <= b coprime integers, of the hull of a
+    full-dimensional point set, by double description on the dual cone
+    {y : y0 + y . v >= 0 for v in the points}.  Zero sets are frozensets
+    recomputed from scratch for every ray at every step."""
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    dim = len(pts[0])
+    cons = [(Fraction(1),) + p for p in pts]
+    seed: list[int] = []
+    for k, row in enumerate(cons):
+        if _rank([cons[i] for i in seed] + [row]) == len(seed) + 1:
+            seed.append(k)
+        if len(seed) == dim + 1:
+            break
+    assert len(seed) == dim + 1, "points do not affinely span the space"
+    inv = _inverse([cons[i] for i in seed])
+    rays = [_primitive_ray([inv[i][j] for i in range(dim + 1)]) for j in range(dim + 1)]
+    processed = list(seed)
+
+    def value(k, ray):
+        return sum(c * r for c, r in zip(cons[k], ray))
+
+    for k in range(len(cons)):
+        if k in seed:
+            continue
+        vals = [value(k, ray) for ray in rays]
+        zsets = [frozenset(t for t in processed if value(t, ray) == 0) for ray in rays]
+        processed.append(k)
+        new_rays = [ray for ray, v in zip(rays, vals) if v >= 0]
+        for i, vi in enumerate(vals):
+            for j, vj in enumerate(vals):
+                if vi <= 0 or vj >= 0:
+                    continue
+                common = zsets[i] & zsets[j]
+                if any(t not in (i, j) and common <= zsets[t] for t in range(len(rays))):
+                    continue
+                new_rays.append(
+                    _primitive_ray([vi * y - vj * x for x, y in zip(rays[i], rays[j])])
+                )
+        rays = sorted(set(new_rays))
+    return sorted({(tuple(-c for c in ray[1:]), ray[0]) for ray in rays}, key=lambda r: (r[1], r[0]))

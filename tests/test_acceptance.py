@@ -27,7 +27,6 @@ from cbp.optimize import (
 )
 from cbp.skeleton import (
     adjacent_combinatorial,
-    adjacent_geometric,
     build_polytope_graph,
     hirsch_check,
     simplicity_report,
@@ -110,11 +109,14 @@ def test_criterion_03_edge_characterization(battery):
     for case in battery:
         if case.dim > 5:
             continue
+        pg = build_polytope_graph(case.decomposition, case.hrep, method="geometric")
+        if pg.vertices != case.vertices:
+            failures.append((case.name, "vertex order"))
+            continue
         for i, j in combinations(range(len(case.vertices)), 2):
             pairs += 1
             comb = adjacent_combinatorial(case.decomposition, case.vertices[i], case.vertices[j])
-            geom = adjacent_geometric(case.hrep, case.points, i, j)
-            if comb != geom:
+            if comb != (j in pg.neighbors[i]):
                 failures.append((case.name, case.vertices[i], case.vertices[j]))
     conclude(3, 120, start, f"combinatorial and geometric adjacency agree on {pairs} pairs", failures)
 

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from cbp.corpus import corpus, triangle_chain
 from cbp.errors import DimensionCap, DimensionMismatch, NotFullDimensional
+from cbp.graphs import block_decomposition
 from cbp.hull import (
     Certificate,
     RationalPolyhedron,
@@ -15,6 +18,7 @@ from cbp.hull import (
     normalize_row,
     same_hyperplane,
 )
+from cbp.vertices import enumerate_vertices, to_incidence
 
 
 def test_normalize_row():
@@ -85,6 +89,31 @@ def test_brute_force_facets_cube():
     for a, b in h.rows:
         assert sum(1 for c in a if c) == 1
         assert b in (0, 1)
+
+
+def test_brute_force_facets_matches_frozenset_oracle():
+    graphs = [e.graph for e in corpus(5, 7, 26)] + [triangle_chain(7)]
+    for g in graphs:
+        d = block_decomposition(g)
+        points = [to_incidence(d, a) for a in enumerate_vertices(d)]
+        assert list(brute_force_facets(points).rows) == oracles.double_description_facets(points), g
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 3), Fraction(5, 2)])
+def test_brute_force_facets_rational_simplex(scale):
+    points = [tuple(scale * x for x in p) for p in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    h = brute_force_facets(points)
+    top = normalize_row((1, 1, 1), scale)
+    assert set(h.rows) == {((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), top}
+    assert list(h.rows) == oracles.double_description_facets(points)
+
+
+def test_brute_force_facets_duplicate_points():
+    points = list(itertools.product((0, 1), repeat=3))
+    doubled = points + points[::2] + [(Fraction(1), Fraction(0), Fraction(1))]
+    h = brute_force_facets(doubled)
+    assert h == brute_force_facets(points)
+    assert list(h.rows) == oracles.double_description_facets(doubled)
 
 
 def test_brute_force_facets_rejects_flat_input():

@@ -1,11 +1,13 @@
 """Polytope graph: adjacency rules, diameter bounds, simplicity flags."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from cbp.corpus import path_graph, star_graph
-from cbp.errors import AssertionFailure, BudgetExceeded, DimensionMismatch
+import oracles
+from cbp.corpus import flower, path_graph, star_graph, triangle_chain
+from cbp.errors import AssertionFailure, BudgetExceeded, DimensionMismatch, NotAVertex
 from cbp.facets import h_representation
 from cbp.graphs import block_decomposition
 from cbp.skeleton import (
@@ -50,14 +52,27 @@ def test_containment_with_two_touching_blocks_is_no_edge(star3_d):
 def test_geometric_matches_combinatorial_everywhere(small_corpus):
     for name, g in small_corpus:
         d = block_decomposition(g)
-        h = h_representation(d)
+        pg = build_polytope_graph(d, h_representation(d), method="geometric")
         verts = enumerate_vertices(d)
-        points = [to_incidence(d, a) for a in verts]
+        assert pg.vertices == verts, name
         for i in range(len(verts)):
             for j in range(i + 1, len(verts)):
                 comb = adjacent_combinatorial(d, verts[i], verts[j])
-                geo = adjacent_geometric(h, points, i, j)
-                assert comb == geo, (name, verts[i], verts[j])
+                assert comb == (j in pg.neighbors[i]), (name, verts[i], verts[j])
+
+
+def test_geometric_skeleton_matches_face_oracle(small_corpus):
+    graphs = list(small_corpus) + [("triangle-chain-6", triangle_chain(6)), ("flower-4", flower(4))]
+    for name, g in graphs:
+        d = block_decomposition(g)
+        h = h_representation(d)
+        pg = build_polytope_graph(d, h, method="geometric")
+        points = [to_incidence(d, a) for a in pg.vertices]
+        for i, j in itertools.combinations(range(len(points)), 2):
+            expected = oracles.face_adjacent(h.rows, points, i, j)
+            assert (j in pg.neighbors[i]) == expected, (name, i, j)
+            if name == "flower-4":
+                assert adjacent_geometric(h, points, i, j) == expected, (name, i, j)
 
 
 def test_build_polytope_graph_methods_agree(path3_d):
@@ -183,3 +198,12 @@ def test_adjacent_geometric_rejects_bad_points(path3_d):
     h = h_representation(path3_d)
     with pytest.raises(DimensionMismatch):
         adjacent_geometric(h, [(Fraction(0),), (Fraction(1),)], 0, 1)
+    points = [to_incidence(path3_d, a) for a in enumerate_vertices(path3_d)]
+    with pytest.raises(NotAVertex):
+        adjacent_geometric(h, points + [points[2]], 0, 1)
+    with pytest.raises(NotAVertex):
+        adjacent_geometric(h, points, 0, len(points))
+    with pytest.raises(NotAVertex):
+        adjacent_geometric(h, points, -1, 0)
+    with pytest.raises(ValueError):
+        adjacent_geometric(h, points, 1, 1)
