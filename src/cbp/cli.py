@@ -43,7 +43,7 @@ from .optimize import (
     tree_adapter,
 )
 from .serialize import jsonable, parse_rational
-from .skeleton import build_polytope_graph, diameter, hirsch_check, simplicity_report
+from .skeleton import _check_vertex_cap, build_polytope_graph, hirsch_check, simplicity_report
 from .toric import (
     buchberger_verify,
     fiber_reduction_test,
@@ -176,6 +176,8 @@ def cmd_diameter(args) -> int:
     g = _load_graph(args.graph)
     d = block_decomposition(g)
     h = h_representation(d)
+    # refuse before the O(V^2) skeleton build, not after it
+    _check_vertex_cap(len(enumerate_vertices(d)))
     pg = build_polytope_graph(d)
     hirsch = hirsch_check(d, pg, h)
     simplicity = simplicity_report(d, pg, h)

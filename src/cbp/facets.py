@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from .errors import AssertionFailure, CountOverflow, RowInvalid
 from .graphs import BlockDecomposition, blockset_closure, graph_to_json, split_components_at
-from .hull import Certificate, RationalPolyhedron, Row, affine_rank, normalize_row
-from .vertices import enumerate_vertices, to_incidence
+from .hull import Certificate, RationalPolyhedron, Row, _clear_denominators, affine_rank, normalize_row
+from .vertices import _row_masks, enumerate_vertices, to_incidence
 
 MAX_IBI_BLOCKS = 14
 
@@ -317,18 +317,13 @@ def facet_certificate(d: BlockDecomposition, row: Row, verts=None) -> Certificat
     fb = Fraction(b)
     if verts is None:
         verts = enumerate_vertices(d)
-    tight: list[int] = []
-    slack: int | None = None
-    points = []
-    for idx, subset in enumerate(verts):
-        x = to_incidence(d, subset)
-        points.append(x)
-        val = sum(c * v for c, v in zip(fa, x))
-        if val > fb:
-            raise RowInvalid(f"vertex {subset} violates the row: {val} > {fb}")
-        if val == fb:
-            tight.append(idx)
-        elif slack is None:
-            slack = idx
-    rank = affine_rank([points[i] for i in tight]) if tight else -1
-    return Certificate(tight_vertex_indices=tuple(tight), affine_rank=rank, slack_witness=slack)
+    ib, *ia = _clear_denominators([fb, *fa])
+    ((tight, violator),) = _row_masks([(ia, ib)], verts)
+    if violator is not None:
+        subset = verts[violator]
+        val = sum(c * v for c, v in zip(fa, to_incidence(d, subset)))
+        raise RowInvalid(f"vertex {subset} violates the row: {val} > {fb}")
+    indices = tuple(k for k in range(len(verts)) if tight >> k & 1)
+    slack = next((k for k in range(len(verts)) if not tight >> k & 1), None)
+    rank = affine_rank([to_incidence(d, verts[k]) for k in indices]) if indices else -1
+    return Certificate(tight_vertex_indices=indices, affine_rank=rank, slack_witness=slack)

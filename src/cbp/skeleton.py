@@ -3,13 +3,28 @@
 Two vertices given by nonempty blocksets are adjacent exactly when their
 union induces a disconnected subgraph, or one contains the other and
 exactly one block of the difference touches the smaller set.  The empty
-blockset is adjacent precisely to the singletons.  The geometric test is
-kept as an independent implementation for cross-checking: two vertices
-are adjacent when the smallest face containing both is the segment
-between them.  It runs on integer bitmasks built once per vertex list,
-one mask of tight rows per vertex and one mask of tight vertices per row;
-vertices i and j span an edge exactly when the AND of the row masks over
-the rows tight at both is the mask of {i, j}.
+blockset is adjacent precisely to the singletons.  The skeleton applies
+this rule to integer masks built once per vertex: a block mask (bit i for
+block i) and a graph-vertex mask (the union of its blocks' vertices).  The
+union of two connected blocksets is disconnected exactly when their
+graph-vertex masks are disjoint; otherwise the pair is an edge only when
+one block mask contains the other and exactly one block of the difference
+has a graph-vertex mask meeting the smaller set's.  `adjacent_combinatorial`
+keeps the per-pair form of the rule on frozensets.
+
+The geometric test is kept as an independent implementation for
+cross-checking: two vertices are adjacent when the smallest face
+containing both is the segment between them, that is, when no third
+vertex is tight on every row tight at both.  It runs on one integer mask
+of tight rows per vertex, built once per vertex list.  With D_k the rows
+tight at both vertex i and vertex k, the neighbors of i are the vertices
+j whose D_j is inclusion-maximal among the D_k and belongs to j alone.
+
+The diameter is found by a breadth-first search from every vertex at
+once on int masks: each level ORs, for every vertex, the masks of the
+vertices its neighbors reach into the mask of the vertices it reaches,
+so a level costs one OR per edge end and there are as many levels as the
+diameter.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from .errors import (
 )
 from .graphs import BlockDecomposition, graph_to_json
 from .hull import RationalPolyhedron, _clear_denominators
-from .vertices import BlockSubset, enumerate_vertices, is_connected_blockset, to_incidence
+from .vertices import BlockSubset, _row_masks, enumerate_vertices, is_connected_blockset
 
 MAX_DIAMETER_VERTICES = 2**16
 
@@ -53,12 +68,9 @@ def adjacent_combinatorial(d: BlockDecomposition, a1, a2) -> bool:
     return len(touching) == 1
 
 
-def _tight_masks(h: RationalPolyhedron, verts) -> tuple[list[int], list[int]]:
-    """Validate a vertex list and return its tight-set masks.
-
-    Bit r of the k-th vertex mask marks row r tight at vertex k; bit k of
-    the r-th row mask marks the same incidence.
-    """
+def _tight_masks(h: RationalPolyhedron, verts) -> list[int]:
+    """Validate a vertex list of rational points and return its tight-set
+    masks: bit r of the k-th mask marks row r tight at vertex k."""
     points = [tuple(Fraction(x) for x in p) for p in verts]
     for p in points:
         if len(p) != h.dim:
@@ -66,26 +78,40 @@ def _tight_masks(h: RationalPolyhedron, verts) -> tuple[list[int], list[int]]:
     if len(set(points)) != len(points):
         raise NotAVertex("vertex list contains duplicates")
     vertex_rows = [0] * len(points)
-    row_vertices = [0] * len(h.rows)
     for k, p in enumerate(points):
         denom, *q = _clear_denominators((1,) + p)
         for r, (a, b) in enumerate(h.rows):
             if sum(c * v for c, v in zip(a, q)) == b * denom:
                 vertex_rows[k] |= 1 << r
-                row_vertices[r] |= 1 << k
-    return vertex_rows, row_vertices
+    return vertex_rows
 
 
-def _spans_edge(vertex_rows: list[int], row_vertices: list[int], i: int, j: int) -> bool:
-    """True when the rows tight at vertices i and j cut out just those two."""
-    pair = (1 << i) | (1 << j)
-    face = (1 << len(vertex_rows)) - 1
-    common = vertex_rows[i] & vertex_rows[j]
-    while common and face != pair:
-        low = common & -common
-        face &= row_vertices[low.bit_length() - 1]
-        common ^= low
-    return face == pair
+def _face_neighbors(vertex_rows: list[int], i: int) -> int:
+    """Mask of the vertices that span an edge with vertex i.
+
+    With D_k the rows tight at both i and k, vertex j is a neighbor exactly
+    when no other vertex k has D_k containing D_j: D_j is inclusion-maximal
+    among the D_k and belongs to j alone.
+    """
+    rows_i = vertex_rows[i]
+    owner: dict[int, int | None] = {}
+    for k, rows_k in enumerate(vertex_rows):
+        if k != i:
+            shared = rows_k & rows_i
+            owner[shared] = None if shared in owner else k
+    nb = 0
+    maximal: list[int] = []
+    # only a larger set contains another strictly, and whatever lies below
+    # a non-maximal set lies below a maximal one
+    for shared in sorted(owner, key=int.bit_count, reverse=True):
+        for m in maximal:
+            if shared & m == shared:
+                break
+        else:
+            maximal.append(shared)
+            if owner[shared] is not None:
+                nb |= 1 << owner[shared]
+    return nb
 
 
 def adjacent_geometric(h: RationalPolyhedron, verts, i: int, j: int) -> bool:
@@ -94,12 +120,12 @@ def adjacent_geometric(h: RationalPolyhedron, verts, i: int, j: int) -> bool:
     The vertex list holds distinct rational points of the polyhedron's
     dimension.
     """
-    vertex_rows, row_vertices = _tight_masks(h, verts)
+    vertex_rows = _tight_masks(h, verts)
     if not (0 <= i < len(vertex_rows)) or not (0 <= j < len(vertex_rows)):
         raise NotAVertex(f"vertex index out of range: {i}, {j}")
     if i == j:
         raise ValueError("adjacency needs two distinct vertex indices")
-    return _spans_edge(vertex_rows, row_vertices, i, j)
+    return bool(_face_neighbors(vertex_rows, i) >> j & 1)
 
 
 @dataclass(eq=False)
@@ -113,6 +139,57 @@ class PolytopeGraph:
         return len(self.neighbors[i])
 
 
+def _bits(mask: int):
+    """Indices of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _combinatorial_neighbors(d: BlockDecomposition, verts) -> list[int]:
+    """Neighbor mask of every vertex by the block rule on int masks.
+
+    The vertices come in enumerate_vertices order, so for i < j only
+    verts[i] can be empty or a proper subset of the other.
+    """
+    block_span = [sum(1 << v for v in blk.vertices) for blk in d.blocks]
+    sets, spans, touching = [], [], []
+    for a in verts:
+        s = span = 0
+        for i in a:
+            s |= 1 << i
+            span |= block_span[i]
+        sets.append(s)
+        spans.append(span)
+        # blocks with a graph vertex in the set's union
+        touching.append(sum(1 << i for i, bs in enumerate(block_span) if bs & span))
+    nb = [0] * len(verts)
+    for i in range(len(verts)):
+        si, vi, ti = sets[i], spans[i], touching[i]
+        for j in range(i + 1, len(verts)):
+            sj = sets[j]
+            if not si:
+                edge = sj.bit_count() == 1
+            elif not vi & spans[j]:  # the union is disconnected
+                edge = True
+            elif si & sj == si:  # one difference block touches verts[i]
+                edge = (ti & (sj ^ si)).bit_count() == 1
+            else:  # incomparable with a connected union
+                edge = False
+            if edge:
+                nb[i] |= 1 << j
+                nb[j] |= 1 << i
+    return nb
+
+
+def _row_vertex_masks(d: BlockDecomposition, h: RationalPolyhedron, verts) -> list[int]:
+    """Mask of the vertices tight at each row of the H-description."""
+    if h.dim != len(d.blocks):
+        raise DimensionMismatch(f"point has dimension {len(d.blocks)}, polyhedron {h.dim}")
+    return [tight for tight, _ in _row_masks(h.rows, verts)]
+
+
 def build_polytope_graph(
     d: BlockDecomposition,
     h: RationalPolyhedron | None = None,
@@ -120,50 +197,50 @@ def build_polytope_graph(
 ) -> PolytopeGraph:
     """Assemble the full skeleton with either adjacency test."""
     verts = enumerate_vertices(d)
-    nb: list[set[int]] = [set() for _ in verts]
     if method == "combinatorial":
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                if adjacent_combinatorial(d, verts[i], verts[j]):
-                    nb[i].add(j)
-                    nb[j].add(i)
+        nb = _combinatorial_neighbors(d, verts)
     elif method == "geometric":
         if h is None:
             raise ValueError("geometric method needs the H-description")
-        vertex_rows, row_vertices = _tight_masks(h, [to_incidence(d, a) for a in verts])
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                if _spans_edge(vertex_rows, row_vertices, i, j):
-                    nb[i].add(j)
-                    nb[j].add(i)
+        vertex_rows = [0] * len(verts)
+        for r, tight in enumerate(_row_vertex_masks(d, h, verts)):
+            for k in _bits(tight):
+                vertex_rows[k] |= 1 << r
+        nb = [_face_neighbors(vertex_rows, i) for i in range(len(verts))]
     else:
         raise ValueError(f"unknown method {method!r}")
-    return PolytopeGraph(vertices=verts, neighbors=tuple(frozenset(s) for s in nb))
+    return PolytopeGraph(vertices=verts, neighbors=tuple(frozenset(_bits(m)) for m in nb))
+
+
+def _check_vertex_cap(n: int, max_vertices: int = MAX_DIAMETER_VERTICES) -> None:
+    if n > max_vertices:
+        raise BudgetExceeded(f"{n} vertices exceed the diameter cap {max_vertices}")
 
 
 def diameter(pg: PolytopeGraph, max_vertices: int = MAX_DIAMETER_VERTICES) -> int:
-    """Largest breadth-first distance over all vertex pairs."""
+    """Largest breadth-first distance over all vertex pairs.
+
+    The search runs from every vertex at once: level t holds, per vertex,
+    the mask of the vertices within distance t, and the next level ORs the
+    masks of its neighbors into it.  The diameter is the first level at
+    which every mask is full.
+    """
     n = len(pg.vertices)
-    if n > max_vertices:
-        raise BudgetExceeded(f"{n} vertices exceed the diameter cap {max_vertices}")
-    best = 0
-    for src in range(n):
-        dist = {src: 0}
-        frontier = [src]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for v in frontier:
-                for w in pg.neighbors[v]:
-                    if w not in dist:
-                        dist[w] = depth
-                        nxt.append(w)
-            frontier = nxt
-        if len(dist) != n:
+    _check_vertex_cap(n, max_vertices)
+    everything = (1 << n) - 1
+    balls = [1 << v for v in range(n)]
+    depth = 0
+    while any(ball != everything for ball in balls):
+        grown = []
+        for ball, ws in zip(balls, pg.neighbors):
+            for w in ws:
+                ball |= balls[w]
+            grown.append(ball)
+        if grown == balls:
             raise AssertionFailure("polytope graph is disconnected")
-        best = max(best, max(dist.values()))
-    return best
+        balls = grown
+        depth += 1
+    return depth
 
 
 @dataclass(frozen=True)
@@ -217,8 +294,7 @@ def simplicity_report(
     """
     dim = len(d.blocks)
     is_simple = all(pg.degree(i) == dim for i in range(len(pg.vertices)))
-    _, row_vertices = _tight_masks(h, [to_incidence(d, a) for a in pg.vertices])
-    is_simplicial = all(mask.bit_count() == dim for mask in row_vertices)
+    is_simplicial = all(mask.bit_count() == dim for mask in _row_vertex_masks(d, h, pg.vertices))
     return SimplicityReport(
         is_simple=is_simple,
         is_simplicial=is_simplicial,

@@ -192,10 +192,12 @@ def check_dimension(ctx: GraphContext) -> dict | None:
     return None
 
 
-def _cutoff_point(h: RationalPolyhedron, idx: int, incidence) -> tuple | None:
-    """A point violating only row idx, certifying the row irredundant."""
+def _cutoff_point(h: RationalPolyhedron, idx: int, tight) -> tuple | None:
+    """A point violating only row idx, certifying the row irredundant.
+
+    The tight points are the vertices on which row idx holds with equality.
+    """
     a, b = h.rows[idx]
-    tight = [p for p in incidence if sum(c * x for c, x in zip(a, p)) == b]
     if not tight:
         return None
     k = len(tight)
@@ -235,12 +237,15 @@ def check_facets(ctx: GraphContext) -> dict | None:
             "missing_rows": sorted(theirs - ours),
             "extra_rows": sorted(ours - theirs),
         }
+    certs = []
     for row in ctx.hrep.rows:
         cert = facet_certificate(d, row, ctx.vertices)
         if not cert.confirms_facet(n):
             return {"reason": "row is not facet-defining", "row": row}
-    for idx in range(len(ctx.hrep.rows)):
-        if _cutoff_point(ctx.hrep, idx, ctx.incidence) is None:
+        certs.append(cert)
+    for idx, cert in enumerate(certs):
+        tight = [ctx.incidence[k] for k in cert.tight_vertex_indices]
+        if _cutoff_point(ctx.hrep, idx, tight) is None:
             return {"reason": "no cut-off point for row", "row": ctx.hrep.rows[idx]}
     return None
 

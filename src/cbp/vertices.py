@@ -89,6 +89,39 @@ def to_incidence(d: BlockDecomposition, a) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if i in s else 0) for i in range(len(d.blocks)))
 
 
+def _row_masks(rows, verts) -> list[tuple[int, int | None]]:
+    """Tight-vertex mask and first violating vertex of each integer row.
+
+    The value of a row (a, b) at a blockset S is the sum over the distinct
+    coefficients c of c * popcount(S & M_c), where M_c is the mask of the
+    coordinates whose coefficient is c.  Bit k of the tight mask marks
+    value == b at the k-th blockset; the violating vertex is the least k
+    with value > b, or None.
+    """
+    sets = []
+    for a in verts:
+        s = 0
+        for i in a:
+            s |= 1 << i
+        sets.append(s)
+    out = []
+    for a, b in rows:
+        coeff_masks: dict[int, int] = {}
+        for i, c in enumerate(a):
+            if c:
+                coeff_masks[c] = coeff_masks.get(c, 0) | 1 << i
+        values = [0] * len(sets)
+        for c, m in coeff_masks.items():
+            values = [v + c * (s & m).bit_count() for v, s in zip(values, sets)]
+        tight = 0
+        for k, v in enumerate(values):
+            if v == b:
+                tight |= 1 << k
+        violator = next((k for k, v in enumerate(values) if v > b), None)
+        out.append((tight, violator))
+    return out
+
+
 def polytope_dimension_check(d: BlockDecomposition, max_count: int = DEFAULT_VERTEX_CAP) -> int:
     """Affine rank of the vertex set; equals the number of blocks."""
     from .hull import affine_rank

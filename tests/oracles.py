@@ -237,3 +237,37 @@ def double_description_facets(points) -> list[tuple[tuple[int, ...], int]]:
                 )
         rays = sorted(set(new_rays))
     return sorted({(tuple(-c for c in ray[1:]), ray[0]) for ray in rays}, key=lambda r: (r[1], r[0]))
+
+
+def pairwise_neighbors(verts, adjacent) -> tuple[frozenset[int], ...]:
+    """Neighbor sets of a vertex list from one edge test per vertex pair."""
+    nb: list[set[int]] = [set() for _ in verts]
+    for i, j in itertools.combinations(range(len(verts)), 2):
+        if adjacent(verts[i], verts[j]):
+            nb[i].add(j)
+            nb[j].add(i)
+    return tuple(frozenset(s) for s in nb)
+
+
+def bfs_diameter(neighbors) -> int | None:
+    """Largest breadth-first distance over all vertex pairs of an adjacency
+    list, by a dict of distances per source; None when it is disconnected."""
+    n = len(neighbors)
+    best = 0
+    for src in range(n):
+        dist = {src: 0}
+        frontier = [src]
+        depth = 0
+        while frontier:
+            depth += 1
+            nxt = []
+            for v in frontier:
+                for w in neighbors[v]:
+                    if w not in dist:
+                        dist[w] = depth
+                        nxt.append(w)
+            frontier = nxt
+        if len(dist) != n:
+            return None
+        best = max(best, max(dist.values()))
+    return best

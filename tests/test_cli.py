@@ -1,9 +1,12 @@
 """End-to-end CLI runs through main(argv)."""
 
 import json
+import time
+from functools import partial
 
 import pytest
 
+from cbp import cli
 from cbp.cli import main
 
 PATH3 = "0 1\n1 2\n2 3\n"
@@ -87,6 +90,25 @@ def test_diameter(graph_file, capsys):
     assert payload["facet_count"] == 7
     assert payload["hirsch_ok"] is True
     assert payload["is_simple"] is False
+
+
+def test_diameter_checks_vertex_cap_before_building(graph_file, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("skeleton built before the vertex cap was checked")
+
+    monkeypatch.setattr(cli, "build_polytope_graph", no_build)
+    monkeypatch.setattr(cli, "_check_vertex_cap", partial(cli._check_vertex_cap, max_vertices=6))
+    code, _, err = run(capsys, ["diameter", "--graph", graph_file(PATH3)])
+    assert code == 1
+    assert "BudgetExceeded: 7 vertices exceed the diameter cap 6" in err
+
+
+def test_diameter_star17_fails_fast(graph_file, capsys):
+    star = "".join(f"0 {i}\n" for i in range(1, 18))
+    start = time.perf_counter()
+    code, _, _ = run(capsys, ["diameter", "--graph", graph_file(star)])
+    assert code == 1
+    assert time.perf_counter() - start < 10
 
 
 def test_hstar(graph_file, capsys):

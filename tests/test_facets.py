@@ -1,5 +1,7 @@
 """Inequality enumeration and construction against the brute hull oracle."""
 
+from fractions import Fraction
+
 import pytest
 
 import oracles
@@ -142,11 +144,16 @@ def test_facet_certificate(path3_d):
     # x0 - x1 + x2 hits 1 exactly at (0,), (2,), and (0, 1, 2)
     assert cert.tight_vertex_indices == (1, 3, 6)
     assert cert.slack_witness == 0
+    half = Fraction(1, 2)
+    assert facet_certificate(path3_d, ((half, -half, half), half), verts) == cert
 
 
 def test_facet_certificate_rejects_violated_row(path3_d):
-    with pytest.raises(RowInvalid):
+    with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 2 > 1$"):
         facet_certificate(path3_d, ((1, 1, 1), 1))
+    third = Fraction(1, 3)
+    with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 2/3 > 1/3$"):
+        facet_certificate(path3_d, ((third, third, third), third))
 
 
 def test_facet_certificate_on_valid_nonfacet(path3_d):

@@ -1,16 +1,19 @@
 """Polytope graph: adjacency rules, diameter bounds, simplicity flags."""
 
 import itertools
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 import oracles
-from cbp.corpus import flower, path_graph, star_graph, triangle_chain
+from cbp.corpus import flower, path_graph, random_block_tree, star_graph, triangle_chain
 from cbp.errors import AssertionFailure, BudgetExceeded, DimensionMismatch, NotAVertex
 from cbp.facets import h_representation
 from cbp.graphs import block_decomposition
 from cbp.skeleton import (
+    PolytopeGraph,
     adjacent_combinatorial,
     adjacent_geometric,
     build_polytope_graph,
@@ -50,15 +53,40 @@ def test_containment_with_two_touching_blocks_is_no_edge(star3_d):
 
 
 def test_geometric_matches_combinatorial_everywhere(small_corpus):
-    for name, g in small_corpus:
+    graphs = list(small_corpus) + [
+        ("flower-9", flower(9)),
+        ("random-10", random_block_tree(random.Random(7), 10)),
+    ]
+    for name, g in graphs:
         d = block_decomposition(g)
-        pg = build_polytope_graph(d, h_representation(d), method="geometric")
-        verts = enumerate_vertices(d)
-        assert pg.vertices == verts, name
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                comb = adjacent_combinatorial(d, verts[i], verts[j])
-                assert comb == (j in pg.neighbors[i]), (name, verts[i], verts[j])
+        comb = build_polytope_graph(d)
+        geo = build_polytope_graph(d, h_representation(d), method="geometric")
+        assert comb.vertices == geo.vertices == enumerate_vertices(d), name
+        assert comb.neighbors == geo.neighbors, name
+
+
+def test_combinatorial_skeleton_matches_pairwise_oracle(oracle_graphs):
+    for name, d in oracle_graphs:
+        pg = build_polytope_graph(d)
+        expected = oracles.pairwise_neighbors(pg.vertices, partial(adjacent_combinatorial, d))
+        assert pg.neighbors == expected, name
+
+
+def test_diameter_matches_bfs_oracle(oracle_graphs):
+    for name, d in oracle_graphs:
+        pg = build_polytope_graph(d)
+        assert diameter(pg) == oracles.bfs_diameter(pg.neighbors), name
+
+
+def test_diameter_rejects_disconnected_graph():
+    # the pair {(), (0,)} has no path to the isolated (1,)
+    pg = PolytopeGraph(
+        vertices=((), (0,), (1,)),
+        neighbors=(frozenset({1}), frozenset({0}), frozenset()),
+    )
+    assert oracles.bfs_diameter(pg.neighbors) is None
+    with pytest.raises(AssertionFailure):
+        diameter(pg)
 
 
 def test_geometric_skeleton_matches_face_oracle(small_corpus):

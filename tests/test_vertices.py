@@ -1,14 +1,17 @@
 """Connected-blockset enumeration against the exhaustive filter oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from cbp.corpus import path_graph
+from cbp.corpus import path_graph, random_block_tree
 from cbp.errors import CountOverflow
+from cbp.facets import h_representation
 from cbp.graphs import block_decomposition, blockset_closure
 from cbp.vertices import (
+    _row_masks,
     enumerate_vertices,
     is_connected_blockset,
     polytope_dimension_check,
@@ -93,3 +96,30 @@ def test_dimension_equals_block_count(small_corpus):
     for name, g in small_corpus:
         d = block_decomposition(g)
         assert polytope_dimension_check(d) == len(d.blocks), name
+
+
+def test_row_masks_match_dot_products(oracle_graphs):
+    # the seed-7 12-block random tree has a -2 coefficient in its facet rows
+    random12 = block_decomposition(random_block_tree(random.Random(7), 12))
+    for name, d in oracle_graphs + [("random-12", random12)]:
+        verts = enumerate_vertices(d)
+        points = [[int(x) for x in to_incidence(d, a)] for a in verts]
+        rows, expected = [], []
+        for a, b in h_representation(d).rows:
+            values = [sum(c * x for c, x in zip(a, p)) for p in points]
+            # lowering the right-hand side by one makes the row violated
+            for rhs in (b, b - 1):
+                rows.append((a, rhs))
+                tight = sum(1 << k for k, v in enumerate(values) if v == rhs)
+                expected.append((tight, next((k for k, v in enumerate(values) if v > rhs), None)))
+        assert _row_masks(rows, verts) == expected, name
+    assert min(c for a, _ in rows for c in a) == -2
+
+
+def test_row_masks_report_violations(path3_d):
+    verts = enumerate_vertices(path3_d)
+    # values 0, 1, 1, 1, 2, 2, 3 and 0, 1, -2, 1, -1, -1, 0 over the vertices
+    assert _row_masks([((1, 1, 1), 1), ((1, -2, 1), 0)], verts) == [
+        (0b0001110, 4),
+        (0b1000001, 1),
+    ]
