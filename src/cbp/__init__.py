@@ -67,11 +67,9 @@ from .facets import (
 )
 from .graphs import (
     Block,
-    BlockCutTree,
     BlockDecomposition,
     Graph,
     GraphClass,
-    block_cut_tree,
     block_decomposition,
     blockset_closure,
     classify,

@@ -28,7 +28,6 @@ from .errors import (
 from .facets import h_representation
 from .graphs import (
     Graph,
-    block_cut_tree,
     block_decomposition,
     classify,
     graph_to_json,
@@ -43,7 +42,7 @@ from .optimize import (
     tree_adapter,
 )
 from .serialize import jsonable, parse_rational
-from .skeleton import _check_vertex_cap, build_polytope_graph, hirsch_check, simplicity_report
+from .skeleton import build_polytope_graph, hirsch_check, simplicity_report
 from .toric import (
     buchberger_verify,
     fiber_reduction_test,
@@ -94,10 +93,8 @@ def _blockset_key(a) -> str:
 def cmd_blocks(args) -> int:
     g = _load_graph(args.graph)
     d = block_decomposition(g)
-    tree = block_cut_tree(d)
-    tree_edges = sorted(
-        (list(u), list(v)) for u in tree.adjacency for v in tree.adjacency[u] if u < v
-    )
+    tree = d.tree_adjacency
+    tree_edges = sorted((list(u), list(v)) for u in tree for v in tree[u] if u < v)
     _emit(
         {
             "blocks": [
@@ -106,7 +103,7 @@ def cmd_blocks(args) -> int:
             ],
             "cut_vertices": sorted(d.cut_vertices),
             "tree": {
-                "nodes": [list(node) for node in tree.nodes()],
+                "nodes": [list(node) for node in sorted(tree)],
                 "edges": [list(e) for e in tree_edges],
             },
             "class": asdict(classify(g, d)),
@@ -176,8 +173,6 @@ def cmd_diameter(args) -> int:
     g = _load_graph(args.graph)
     d = block_decomposition(g)
     h = h_representation(d)
-    # refuse before the O(V^2) skeleton build, not after it
-    _check_vertex_cap(len(enumerate_vertices(d)))
     pg = build_polytope_graph(d)
     hirsch = hirsch_check(d, pg, h)
     simplicity = simplicity_report(d, pg, h)

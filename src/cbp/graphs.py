@@ -267,6 +267,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
             tree[("C", v)].add(("B", i))
             tree[("B", i)].add(("C", v))
     tree_adjacency = {node: frozenset(ws) for node, ws in tree.items()}
+    if sum(len(ws) for ws in tree_adjacency.values()) // 2 != len(tree_adjacency) - 1:
+        raise AssertionError("block-cut incidences do not form a tree")
 
     return BlockDecomposition(
         graph=g,
@@ -277,32 +279,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         block_neighbors=block_neighbors,
         tree_adjacency=tree_adjacency,
     )
-
-
-@dataclass(eq=False)
-class BlockCutTree:
-    """The bipartite tree of block nodes ("B", i) and cut nodes ("C", v)."""
-
-    block_count: int
-    cut_vertices: tuple[int, ...]
-    adjacency: dict[TreeNode, frozenset[TreeNode]]
-
-    def nodes(self) -> tuple[TreeNode, ...]:
-        return tuple(sorted(self.adjacency))
-
-    def edge_count(self) -> int:
-        return sum(len(ws) for ws in self.adjacency.values()) // 2
-
-
-def block_cut_tree(d: BlockDecomposition) -> BlockCutTree:
-    tree = BlockCutTree(
-        block_count=len(d.blocks),
-        cut_vertices=tuple(sorted(d.cut_vertices)),
-        adjacency=dict(d.tree_adjacency),
-    )
-    if tree.edge_count() != len(tree.adjacency) - 1:
-        raise AssertionError("block-cut incidences do not form a tree")
-    return tree
 
 
 def _check_block_indices(d: BlockDecomposition, a) -> frozenset[int]:

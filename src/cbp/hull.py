@@ -13,6 +13,12 @@ correspond one-to-one to facets of conv(V).  The constraint rows are scaled
 to integers once, rays are primitive integer vectors, and each ray carries
 its zero set as a bitmask over the rows processed so far, so the
 combinatorial adjacency test of two rays is a handful of integer ANDs.
+
+All exact linear algebra of the package runs through one fraction-free
+Gauss-Jordan elimination (Bareiss) on integer rows, whose divisions are
+exact: affine ranks (of the homogenized rows (1, p), scaled to integers),
+the seed and the seed rays of the facet oracle, and the simplex
+determinants of the triangulation check in cbp.toric.
 """
 
 from __future__ import annotations
@@ -74,47 +80,54 @@ def same_hyperplane(r1: Row, r2: Row) -> bool:
     return normalize_row(*r1) == normalize_row(*r2)
 
 
-def _echelon_rank(rows: list[list[Fraction]]) -> int:
-    """Rank by Gaussian elimination over the rationals; consumes its input."""
+def _bareiss(rows: list[list[int]], width: int | None = None) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in place.
+
+    Pivots are taken column by column from the first `width` columns (all by
+    default), and each pivot clears its column in every other row.  After k
+    pivots every entry is a k x k minor of the input, so each division by
+    the previous pivot is exact; every pivot column holds the last pivot p
+    on its own row and zero elsewhere, and each pivot row is zero left of
+    its pivot.  A row swap negates the row moved down, which keeps the sign
+    of every minor: for a square matrix of full rank p is its determinant,
+    and eliminating [M | I] leaves p * M^-1 in the right block.  Returns the
+    rank and p (1 when the rank is 0).
+    """
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    prev = 1
     rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
+    for c in range(width):
+        if rank == len(rows):
+            break
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pv
-                for j in range(c, cols):
-                    rows[i][j] -= f * rows[r][j]
-        r += 1
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], [-x for x in rows[rank]]
+        top = rows[rank]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != rank:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         rank += 1
-        if r == len(rows):
-            break
-    return rank
+    return rank, prev
 
 
 def affine_rank(points) -> int:
-    """Dimension of the affine hull of the points (0 for a single point)."""
-    pts = [tuple(Fraction(x) for x in p) for p in points]
+    """Dimension of the affine hull of points with int or Fraction coordinates
+    (0 for a single point): the rank of the rows (1, p), less one."""
+    pts = list(points)
     if not pts:
         raise ValueError("affine_rank requires at least one point")
     dim = len(pts[0])
     for p in pts:
         if len(p) != dim:
             raise DimensionMismatch("points of different dimensions")
-    base = pts[0]
-    diffs = [[p[j] - base[j] for j in range(dim)] for p in pts[1:]]
-    if not diffs:
-        return 0
-    return _echelon_rank(diffs)
+    rank, _ = _bareiss([_clear_denominators((1, *p)) for p in pts])
+    return rank - 1
 
 
 def contains_point(h: RationalPolyhedron, x) -> bool:
@@ -135,28 +148,6 @@ def _primitive(vec: list[int]) -> tuple[int, ...]:
     if g == 0:
         raise ValueError("zero ray")
     return tuple(x // g for x in vec)
-
-
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Matrix inverse by Gauss-Jordan elimination; raises on singularity."""
-    n = len(matrix)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if aug[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def _clear_denominators(vec) -> list[int]:
@@ -196,30 +187,28 @@ def brute_force_facets(points, max_dim: int = MAX_BRUTE_FORCE_DIM) -> RationalPo
         raise DimensionCap(f"ambient dimension {dim} exceeds cap {max_dim}")
     pts = sorted(set(pts))
 
-    # pick an affinely independent seed whose dual constraint matrix, rows
-    # (1, v), is invertible
-    seed_idx: list[int] = []
-    seed_rows: list[list[Fraction]] = []
-    for i, p in enumerate(pts):
-        trial = seed_rows + [[Fraction(1), *p]]
-        if _echelon_rank([r[:] for r in trial]) == len(trial):
-            seed_idx.append(i)
-            seed_rows.append(trial[-1])
-        if len(seed_idx) == dim + 1:
-            break
-    if len(seed_idx) != dim + 1:
-        raise NotFullDimensional("points do not affinely span the ambient space")
-
     # dual-cone constraint rows (1, v) scaled to integers; every valid
-    # inequality a.x <= b maps to the cone point y = (b, -a).  Each ray maps
-    # to its zero set: bit k marks a processed row k on which it vanishes.
+    # inequality a.x <= b maps to the cone point y = (b, -a).
     cons = [_clear_denominators((1,) + p) for p in pts]
-    inv = _invert(seed_rows)
+    n = len(cons)
+
+    # the seed is the first dim + 1 independent rows: the pivot columns of
+    # [C^T | I].  With M the seed rows, the identity block ends as
+    # p * (M^T)^-1, whose t-th row is, up to the sign of p, the extreme ray of
+    # the seed cone vanishing on every seed row but the t-th.
+    aug = [[row[i] for row in cons] + [int(i == j) for j in range(dim + 1)] for i in range(dim + 1)]
+    rank, p = _bareiss(aug, n)
+    if rank != dim + 1:
+        raise NotFullDimensional("points do not affinely span the ambient space")
+    seed_idx = [next(c for c, x in enumerate(row) if x) for row in aug]
+    sign = 1 if p > 0 else -1
+
+    # each ray maps to its zero set: bit k marks a processed row k on which
+    # it vanishes
     seed_mask = sum(1 << k for k in seed_idx)
     rays: dict[tuple[int, ...], int] = {}
-    for j, k in enumerate(seed_idx):
-        col = [inv[i][j] for i in range(dim + 1)]
-        rays[_primitive(_clear_denominators(col))] = seed_mask & ~(1 << k)
+    for k, row in zip(seed_idx, aug):
+        rays[_primitive([sign * x for x in row[n:]])] = seed_mask & ~(1 << k)
 
     seeds = set(seed_idx)
     for k, row in enumerate(cons):

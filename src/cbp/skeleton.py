@@ -195,8 +195,13 @@ def build_polytope_graph(
     h: RationalPolyhedron | None = None,
     method: str = "combinatorial",
 ) -> PolytopeGraph:
-    """Assemble the full skeleton with either adjacency test."""
+    """Assemble the full skeleton with either adjacency test.
+
+    Raises BudgetExceeded before any neighbor is searched when there are
+    more than MAX_DIAMETER_VERTICES vertices.
+    """
     verts = enumerate_vertices(d)
+    _check_vertex_cap(len(verts))
     if method == "combinatorial":
         nb = _combinatorial_neighbors(d, verts)
     elif method == "geometric":

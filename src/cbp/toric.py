@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     AssertionFailure,
@@ -31,6 +30,7 @@ from .errors import (
     ReductionDiverges,
 )
 from .graphs import BlockDecomposition, graph_to_json
+from .hull import _bareiss
 from .vertices import BlockSubset, enumerate_vertices, is_connected_blockset
 
 MAX_GROEBNER_VARIABLES = 60
@@ -307,33 +307,6 @@ def _compatible(d: BlockDecomposition, a1: BlockSubset, a2: BlockSubset) -> bool
     return not is_connected_blockset(d, s1 | s2)
 
 
-def _det_pm1(rows: list[list[int]]) -> int:
-    """Exact determinant via Gaussian elimination over the rationals."""
-    n = len(rows)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if mat[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det *= mat[c][c]
-        pv = mat[c][c]
-        for r in range(c + 1, n):
-            if mat[r][c] != 0:
-                f = mat[r][c] / pv
-                for k in range(c, n):
-                    mat[r][k] -= f * mat[c][k]
-    assert det.denominator == 1
-    return int(det)
-
-
 def triangulation(
     d: BlockDecomposition,
     g: tuple[Binomial, ...] | None = None,
@@ -417,7 +390,8 @@ def triangulation(
         for i in face[1:]:
             vec = [1 if b in ground[i] else 0 for b in range(dim)]
             rows.append([vec[c] - base_vec[c] for c in range(dim)])
-        det = _det_pm1(rows)
+        rank, pivot = _bareiss(rows)
+        det = pivot if rank == dim else 0
         if det not in (1, -1):
             raise NonUnimodalSimplex(
                 f"simplex {[list(ground[i]) for i in face]} has determinant {det}"

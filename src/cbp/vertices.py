@@ -10,8 +10,6 @@ smallest element, instead of filtering all 2^b subsets.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import CountOverflow
 from .graphs import BlockDecomposition
 
@@ -83,10 +81,10 @@ def enumerate_vertices(d: BlockDecomposition, max_count: int = DEFAULT_VERTEX_CA
     return tuple(out)
 
 
-def to_incidence(d: BlockDecomposition, a) -> tuple[Fraction, ...]:
+def to_incidence(d: BlockDecomposition, a) -> tuple[int, ...]:
     """Indicator vector of a blockset in block-index coordinates."""
     s = frozenset(a)
-    return tuple(Fraction(1 if i in s else 0) for i in range(len(d.blocks)))
+    return tuple(1 if i in s else 0 for i in range(len(d.blocks)))
 
 
 def _row_masks(rows, verts) -> list[tuple[int, int | None]]:
@@ -120,11 +118,3 @@ def _row_masks(rows, verts) -> list[tuple[int, int | None]]:
         violator = next((k for k, v in enumerate(values) if v > b), None)
         out.append((tight, violator))
     return out
-
-
-def polytope_dimension_check(d: BlockDecomposition, max_count: int = DEFAULT_VERTEX_CAP) -> int:
-    """Affine rank of the vertex set; equals the number of blocks."""
-    from .hull import affine_rank
-
-    verts = enumerate_vertices(d, max_count=max_count)
-    return affine_rank([to_incidence(d, a) for a in verts])

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from cbp import cli
+from cbp import skeleton
 from cbp.cli import main
 
 PATH3 = "0 1\n1 2\n2 3\n"
@@ -96,18 +96,28 @@ def test_diameter_checks_vertex_cap_before_building(graph_file, capsys, monkeypa
     def no_build(*args, **kwargs):
         raise AssertionError("skeleton built before the vertex cap was checked")
 
-    monkeypatch.setattr(cli, "build_polytope_graph", no_build)
-    monkeypatch.setattr(cli, "_check_vertex_cap", partial(cli._check_vertex_cap, max_vertices=6))
+    monkeypatch.setattr(skeleton, "_combinatorial_neighbors", no_build)
+    monkeypatch.setattr(skeleton, "_check_vertex_cap", partial(skeleton._check_vertex_cap, max_vertices=6))
     code, _, err = run(capsys, ["diameter", "--graph", graph_file(PATH3)])
     assert code == 1
     assert "BudgetExceeded: 7 vertices exceed the diameter cap 6" in err
 
 
+STAR17 = "".join(f"0 {i}\n" for i in range(1, 18))
+
+
 def test_diameter_star17_fails_fast(graph_file, capsys):
-    star = "".join(f"0 {i}\n" for i in range(1, 18))
     start = time.perf_counter()
-    code, _, _ = run(capsys, ["diameter", "--graph", graph_file(star)])
+    code, _, _ = run(capsys, ["diameter", "--graph", graph_file(STAR17)])
     assert code == 1
+    assert time.perf_counter() - start < 10
+
+
+def test_combinatorial_edges_star17_fails_fast(graph_file, capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["edges", "--graph", graph_file(STAR17), "--method", "combinatorial"])
+    assert code == 1
+    assert "BudgetExceeded: 131072 vertices exceed the diameter cap 65536" in err
     assert time.perf_counter() - start < 10
 
 

@@ -1,15 +1,15 @@
 """Block decomposition against brute-force oracles and pinned examples."""
 
+import networkx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cbp.corpus import flower, path_graph, showcase_graph, spider, star_graph, triangle_chain
+from cbp.corpus import corpus, flower, path_graph, showcase_graph, spider, star_graph, triangle_chain
 from cbp.errors import EmptyGraph, InvalidGraph, NotConnected, NotCutVertex, ParseError
 from cbp.graphs import (
     Graph,
-    block_cut_tree,
     block_decomposition,
     blockset_closure,
     classify,
@@ -134,13 +134,11 @@ def test_blocks_match_brute_force(small_corpus):
 
 
 def test_block_cut_tree_path3(path3_d):
-    tree = block_cut_tree(path3_d)
-    assert tree.block_count == 3
-    assert tree.cut_vertices == (1, 2)
-    assert tree.nodes() == (("B", 0), ("B", 1), ("B", 2), ("C", 1), ("C", 2))
-    assert tree.edge_count() == 4
-    assert tree.adjacency[("C", 1)] == frozenset({("B", 0), ("B", 1)})
-    assert tree.adjacency[("C", 2)] == frozenset({("B", 1), ("B", 2)})
+    tree = path3_d.tree_adjacency
+    assert sorted(tree) == [("B", 0), ("B", 1), ("B", 2), ("C", 1), ("C", 2)]
+    assert sum(len(ws) for ws in tree.values()) // 2 == 4
+    assert tree[("C", 1)] == frozenset({("B", 0), ("B", 1)})
+    assert tree[("C", 2)] == frozenset({("B", 1), ("B", 2)})
 
 
 def test_steiner_nodes_and_closure(path3_d):
@@ -224,8 +222,29 @@ def test_decomposition_properties(g):
             assert len(shared) <= 1
             assert all(v in d.cut_vertices for v in shared)
     assert d.cut_vertices == frozenset(oracles.brute_cut_vertices(g))
-    tree = block_cut_tree(d)
-    assert tree.edge_count() == len(tree.nodes()) - 1
+    tree = d.tree_adjacency
+    assert sum(len(ws) for ws in tree.values()) // 2 == len(tree) - 1
+
+
+def _assert_blocks_match_networkx(g):
+    nxg = networkx.Graph(g.sorted_edges())
+    nx_blocks = sorted(
+        sorted(tuple(sorted(e)) for e in comp) for comp in networkx.biconnected_component_edges(nxg)
+    )
+    d = block_decomposition(g)
+    assert sorted(sorted(b.edges) for b in d.blocks) == nx_blocks, g
+    assert d.cut_vertices == frozenset(networkx.articulation_points(nxg)), g
+
+
+def test_blocks_match_networkx_on_corpus():
+    for entry in corpus(5, 7, 26):
+        _assert_blocks_match_networkx(entry.graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=connected_graphs())
+def test_blocks_match_networkx(g):
+    _assert_blocks_match_networkx(g)
 
 
 @settings(max_examples=40, deadline=None)

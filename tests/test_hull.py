@@ -1,9 +1,11 @@
 """Exact hull primitives on hand-checkable polytopes."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import oracles
 from cbp.corpus import corpus, triangle_chain
@@ -12,6 +14,7 @@ from cbp.graphs import block_decomposition
 from cbp.hull import (
     Certificate,
     RationalPolyhedron,
+    _bareiss,
     affine_rank,
     brute_force_facets,
     contains_point,
@@ -45,6 +48,65 @@ def test_affine_rank():
         affine_rank([])
     with pytest.raises(DimensionMismatch):
         affine_rank([(0, 0), (1,)])
+
+
+def _sympy_affine_rank(points) -> int:
+    base = points[0]
+    diffs = [[sympy.Rational(x - y) for x, y in zip(p, base)] for p in points[1:]]
+    return sympy.Matrix(diffs).rank() if diffs else 0
+
+
+def test_bareiss_matches_oracles():
+    rng = random.Random(20231)
+    entries = (0, 0, 0, 1, -1, 2, -2, 3)
+
+    # determinants of square integer matrices, some made singular by a row
+    # that is a multiple of another; zero entries force row swaps
+    dets = []
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            i, j = rng.sample(range(n), 2)
+            k = rng.randint(-2, 2)
+            m[i] = [k * x for x in m[j]]
+        rank, pivot = _bareiss([row[:] for row in m])
+        det = pivot if rank == n else 0
+        assert det == oracles.determinant(m), m
+        dets.append(det)
+    assert 0 in dets and max(abs(x) for x in dets) > 1
+
+    # affine ranks of rational point sets drawn from affine subspaces of
+    # every dimension, so most sets are affinely dependent
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        span = rng.randint(0, dim)
+        base = [rational() for _ in range(dim)]
+        dirs = [[rational() for _ in range(dim)] for _ in range(span)]
+        points = []
+        for _ in range(rng.randint(1, 7)):
+            lam = [rational() for _ in dirs]
+            points.append(tuple(b + sum(l * v[c] for l, v in zip(lam, dirs)) for c, b in enumerate(base)))
+        assert affine_rank(points) == _sympy_affine_rank(points), points
+
+    # facet descriptions of rational point sets in 1-4 dimensions; a set
+    # pushed into a hyperplane must be refused
+    flat = 0
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        points = [tuple(rational() for _ in range(dim)) for _ in range(rng.randint(dim + 1, dim + 6))]
+        if rng.random() < 0.25:
+            points = [p[:-1] + (sum(p[:-1]) / 2,) for p in points]
+        if _sympy_affine_rank(points) < dim:
+            flat += 1
+            with pytest.raises(NotFullDimensional):
+                brute_force_facets(points)
+        else:
+            assert list(brute_force_facets(points).rows) == oracles.double_description_facets(points), points
+    assert 0 < flat < 150
 
 
 def test_contains_point():

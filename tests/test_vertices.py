@@ -10,11 +10,11 @@ from cbp.corpus import path_graph, random_block_tree
 from cbp.errors import CountOverflow
 from cbp.facets import h_representation
 from cbp.graphs import block_decomposition, blockset_closure
+from cbp.hull import affine_rank
 from cbp.vertices import (
     _row_masks,
     enumerate_vertices,
     is_connected_blockset,
-    polytope_dimension_check,
     to_incidence,
 )
 
@@ -95,7 +95,8 @@ def test_count_overflow(path3_d):
 def test_dimension_equals_block_count(small_corpus):
     for name, g in small_corpus:
         d = block_decomposition(g)
-        assert polytope_dimension_check(d) == len(d.blocks), name
+        points = [to_incidence(d, a) for a in enumerate_vertices(d)]
+        assert affine_rank(points) == len(d.blocks), name
 
 
 def test_row_masks_match_dot_products(oracle_graphs):
@@ -103,7 +104,7 @@ def test_row_masks_match_dot_products(oracle_graphs):
     random12 = block_decomposition(random_block_tree(random.Random(7), 12))
     for name, d in oracle_graphs + [("random-12", random12)]:
         verts = enumerate_vertices(d)
-        points = [[int(x) for x in to_incidence(d, a)] for a in verts]
+        points = [to_incidence(d, a) for a in verts]
         rows, expected = [], []
         for a, b in h_representation(d).rows:
             values = [sum(c * x for c, x in zip(a, p)) for p in points]
