@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from .ehrhart import count_lattice_points, evaluate_polynomial, hstar_checks, hstar_profile
+from .ehrhart import count_lattice_points, evaluate_polynomial, hstar_checks
 from .errors import (
     AssertionFailure,
     CBPError,
@@ -28,7 +28,6 @@ from .errors import (
 from .facets import h_representation
 from .graphs import (
     Graph,
-    block_decomposition,
     classify,
     graph_to_json,
     parse_edge_list,
@@ -46,13 +45,10 @@ from .skeleton import build_polytope_graph, hirsch_check, simplicity_report
 from .toric import (
     buchberger_verify,
     fiber_reduction_test,
-    groebner_candidates,
-    make_term_order,
     triangulation,
     triangulation_checks,
 )
-from .verify import VerifyOptions, run_verification
-from .vertices import enumerate_vertices
+from .verify import GraphContext, VerifyOptions, run_verification
 
 USAGE_ERRORS = (
     ParseError,
@@ -91,8 +87,8 @@ def _blockset_key(a) -> str:
 
 
 def cmd_blocks(args) -> int:
-    g = _load_graph(args.graph)
-    d = block_decomposition(g)
+    ctx = GraphContext(_load_graph(args.graph))
+    d = ctx.decomposition
     tree = d.tree_adjacency
     tree_edges = sorted((list(u), list(v)) for u in tree for v in tree[u] if u < v)
     _emit(
@@ -106,21 +102,19 @@ def cmd_blocks(args) -> int:
                 "nodes": [list(node) for node in sorted(tree)],
                 "edges": [list(e) for e in tree_edges],
             },
-            "class": asdict(classify(g, d)),
+            "class": asdict(classify(ctx.graph, d)),
         }
     )
     return 0
 
 
 def cmd_vertices(args) -> int:
-    g = _load_graph(args.graph)
-    d = block_decomposition(g)
-    verts = enumerate_vertices(d)
+    ctx = GraphContext(_load_graph(args.graph))
     _emit(
         {
-            "dimension": len(d.blocks),
-            "count": len(verts),
-            "vertices": [list(a) for a in verts],
+            "dimension": len(ctx.decomposition.blocks),
+            "count": len(ctx.vertices),
+            "vertices": [list(a) for a in ctx.vertices],
         }
     )
     return 0
@@ -133,9 +127,8 @@ def _row_kind(a, b) -> str:
 
 
 def cmd_facets(args) -> int:
-    g = _load_graph(args.graph)
-    d = block_decomposition(g)
-    h = h_representation(d, max_blocks=args.max_blocks)
+    ctx = GraphContext(_load_graph(args.graph))
+    h = h_representation(ctx.decomposition, max_blocks=args.max_blocks)
     _emit(
         {
             "dimension": h.dim,
@@ -150,10 +143,11 @@ def cmd_facets(args) -> int:
 
 
 def cmd_edges(args) -> int:
-    g = _load_graph(args.graph)
-    d = block_decomposition(g)
-    h = h_representation(d) if args.method == "geometric" else None
-    pg = build_polytope_graph(d, h, method=args.method)
+    ctx = GraphContext(_load_graph(args.graph))
+    if args.method == "geometric":
+        pg = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric")
+    else:
+        pg = ctx.skeleton
     edges = sorted(
         (i, j) for i, nbrs in enumerate(pg.neighbors) for j in nbrs if i < j
     )
@@ -170,27 +164,25 @@ def cmd_edges(args) -> int:
 
 
 def cmd_diameter(args) -> int:
-    g = _load_graph(args.graph)
-    d = block_decomposition(g)
-    h = h_representation(d)
-    pg = build_polytope_graph(d)
-    hirsch = hirsch_check(d, pg, h)
-    simplicity = simplicity_report(d, pg, h)
+    ctx = GraphContext(_load_graph(args.graph))
+    h = ctx.hrep  # before the skeleton: its block cap fires first
+    pg = ctx.skeleton
+    hirsch = hirsch_check(ctx.decomposition, pg, h)
+    simplicity = simplicity_report(ctx.decomposition, pg, h)
     _emit({**asdict(hirsch), **asdict(simplicity)})
     return 0
 
 
 def cmd_hstar(args) -> int:
-    g = _load_graph(args.graph)
-    d = block_decomposition(g)
-    h = h_representation(d)
+    ctx = GraphContext(_load_graph(args.graph))
+    d, h = ctx.decomposition, ctx.hrep
     dim = len(d.blocks)
-    profile = hstar_profile(d, h)
-    report = hstar_checks(profile, d, h)
-    evaluations = dict(profile.evaluations)
     top = args.max_dilation if args.max_dilation is not None else dim
     if top < dim:
         raise ValueError(f"--max-dilation must be at least the dimension {dim}")
+    profile = ctx.hstar
+    report = hstar_checks(profile, d, h)
+    evaluations = dict(profile.evaluations)
     for n in range(dim + 1, top + 1):
         measured = count_lattice_points(h, n)
         predicted = evaluate_polynomial(profile.ehrhart_coeffs, n)
@@ -198,42 +190,50 @@ def cmd_hstar(args) -> int:
             raise AssertionFailure(
                 f"lattice count at dilation {n} disagrees with the polynomial",
                 payload={
-                    "graph": graph_to_json(g),
+                    "graph": graph_to_json(ctx.graph),
                     "dilation": n,
                     "measured": measured,
                     "predicted": str(predicted),
                 },
             )
         evaluations[n] = measured
+    clauses = report.clauses
     _emit(
         {
             "dimension": dim,
             "evaluations": evaluations,
             "ehrhart": list(profile.ehrhart_coeffs),
             "hstar": list(profile.hstar),
-            "flags": asdict(profile.flags),
-            "clauses": report.clauses,
+            "flags": {
+                "symmetric_index2": clauses["top_zero"] and clauses["symmetric"],
+                "unimodal": clauses["unimodal"],
+                "hstar_top_zero": clauses["top_zero"],
+                "h1_formula_ok": clauses["h1_formula"],
+                "gamma1": report.gamma1,
+            },
+            "clauses": clauses,
             "narayana_index": report.narayana_index,
         }
     )
     return 0
 
 
+def _refuse_groebner(ctx: GraphContext, max_blocks: int) -> bool:
+    """Print the refusal and return True when the graph exceeds --groebner-max-blocks."""
+    blocks = len(ctx.decomposition.blocks)
+    if blocks <= max_blocks:
+        return False
+    print(f"refusing: {blocks} blocks exceed --groebner-max-blocks {max_blocks}", file=sys.stderr)
+    return True
+
+
 def cmd_groebner(args) -> int:
-    g = _load_graph(args.graph)
-    d = block_decomposition(g)
-    if len(d.blocks) > args.groebner_max_blocks:
-        print(
-            f"refusing: {len(d.blocks)} blocks exceed --groebner-max-blocks "
-            f"{args.groebner_max_blocks}",
-            file=sys.stderr,
-        )
+    ctx = GraphContext(_load_graph(args.graph))
+    if _refuse_groebner(ctx, args.groebner_max_blocks):
         return 1
-    verts = enumerate_vertices(d)
-    order = make_term_order(d, verts)
-    basis = groebner_candidates(d, order, verts)
+    basis, order = ctx.basis, ctx.order
     is_groebner = buchberger_verify(basis, order)
-    fiber_ok = fiber_reduction_test(d, basis, order, maxdeg=3)
+    fiber_ok = fiber_reduction_test(ctx.decomposition, basis, order, maxdeg=3)
     _emit(
         {
             "variable_count": order.variable_count(),
@@ -254,19 +254,13 @@ def cmd_groebner(args) -> int:
 
 
 def cmd_triangulate(args) -> int:
-    g = _load_graph(args.graph)
-    d = block_decomposition(g)
-    if len(d.blocks) > args.groebner_max_blocks:
-        print(
-            f"refusing: {len(d.blocks)} blocks exceed --groebner-max-blocks "
-            f"{args.groebner_max_blocks}",
-            file=sys.stderr,
-        )
+    ctx = GraphContext(_load_graph(args.graph))
+    if _refuse_groebner(ctx, args.groebner_max_blocks):
         return 1
-    h = h_representation(d)
-    complex_ = triangulation(d)
-    profile = hstar_profile(d, h)
-    report = triangulation_checks(d, complex_, profile.hstar)
+    d = ctx.decomposition
+    ctx.hrep  # before the basis: its block cap fires before the variable cap
+    complex_ = triangulation(d, ctx.basis, ctx.order)
+    report = triangulation_checks(d, complex_, ctx.hstar.hstar)
     _emit(
         {
             "ground": [list(a) for a in complex_.ground],
@@ -281,7 +275,7 @@ def cmd_triangulate(args) -> int:
     return 0
 
 
-def _solution_json(g: Graph, d, sol: Solution | EdgeSolution) -> dict:
+def _solution_json(d, sol: Solution | EdgeSolution) -> dict:
     if isinstance(sol, EdgeSolution):
         blocks, value, edges = sol.blockset, sol.value, sol.edges
     else:
@@ -295,17 +289,17 @@ def _solution_json(g: Graph, d, sol: Solution | EdgeSolution) -> dict:
 
 
 def cmd_optimize(args) -> int:
-    g = _load_graph(args.graph)
+    ctx = GraphContext(_load_graph(args.graph))
     if args.weights:
-        d = block_decomposition(g)
+        d = ctx.decomposition
         sol = max_weight_connected_blockset(d, _load_rationals(args.weights))
-        _emit(_solution_json(g, d, sol))
+        _emit(_solution_json(d, sol))
         return 0
     if not args.mode:
         raise ValueError("--edge-weights requires --mode eulerian|tree")
     weights = _load_rationals(args.edge_weights)
-    sol = eulerian_adapter(g, weights) if args.mode == "eulerian" else tree_adapter(g, weights)
-    _emit(_solution_json(g, None, sol))
+    sol = eulerian_adapter(ctx.graph, weights) if args.mode == "eulerian" else tree_adapter(ctx.graph, weights)
+    _emit(_solution_json(None, sol))
     return 0
 
 
@@ -313,7 +307,7 @@ def cmd_corpus(args) -> int:
     entries = corpus(args.max_blocks, args.seed)
     graphs = []
     for entry in entries:
-        d = block_decomposition(entry.graph)
+        d = GraphContext(entry.graph).decomposition
         graphs.append(
             {"name": entry.name, "blocks": len(d.blocks), **graph_to_json(entry.graph)}
         )

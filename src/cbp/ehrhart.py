@@ -158,20 +158,10 @@ def _is_unimodal(seq) -> bool:
 
 
 @dataclass(frozen=True)
-class HStarFlags:
-    symmetric_index2: bool
-    unimodal: bool
-    hstar_top_zero: bool
-    h1_formula_ok: bool
-    gamma1: int
-
-
-@dataclass(frozen=True)
 class HStarProfile:
     ehrhart_coeffs: tuple[Fraction, ...]
     evaluations: dict[int, int]
     hstar: tuple[int, ...]
-    flags: HStarFlags
 
 
 def hstar_profile(
@@ -179,7 +169,7 @@ def hstar_profile(
     h: RationalPolyhedron | None = None,
     budget: int = DEFAULT_COUNT_BUDGET,
 ) -> HStarProfile:
-    """Counts, Ehrhart coefficients, h*, and the structural flags."""
+    """Counts at dilations 0..dim, Ehrhart coefficients and h*."""
     from .facets import h_representation
 
     if h is None:
@@ -187,29 +177,14 @@ def hstar_profile(
     dim = len(d.blocks)
     counts = {n: count_lattice_points(h, n, budget=budget) for n in range(dim + 1)}
     coeffs = ehrhart_polynomial(h, dim, counts=counts)
-    hs = hstar_vector(coeffs, dim)
-    vertex_count = len(enumerate_vertices(d))
-    symmetric = hs[dim] == 0 and all(hs[i] == hs[dim - 1 - i] for i in range(dim))
-    h1 = hs[1] if dim >= 1 else 0
-    h1_ok = (
-        h1 == vertex_count - (dim + 1)
-        and h1 >= dim - 1
-        and ((h1 == dim - 1) == (dim <= 2))
-    )
-    flags = HStarFlags(
-        symmetric_index2=symmetric,
-        unimodal=_is_unimodal(hs),
-        hstar_top_zero=hs[dim] == 0,
-        h1_formula_ok=h1_ok,
-        gamma1=h1 - (dim - 1),
-    )
-    return HStarProfile(ehrhart_coeffs=coeffs, evaluations=counts, hstar=hs, flags=flags)
+    return HStarProfile(ehrhart_coeffs=coeffs, evaluations=counts, hstar=hstar_vector(coeffs, dim))
 
 
 @dataclass(frozen=True)
 class HStarReport:
     clauses: dict[str, bool]
     narayana_index: int | None
+    gamma1: int
 
 
 def hstar_checks(
@@ -222,18 +197,27 @@ def hstar_checks(
     (each normalized row (a, b) must satisfy 2b - sum(a) = 1); the
     hstar_1 vertex-count formula with its lower bound and equality
     characterization; gamma_1 >= 0; volume consistency; and for block
-    paths the Narayana match, recording which index fits.
+    paths the Narayana match, recording which index fits.  Every clause is
+    read from profile.hstar.  The vertex count comes from an enumeration of
+    its own: hstar_1 = E(1) - (d + 1) holds for every lattice polytope, so a
+    comparison with the profile's E(1) would check nothing.
     """
     dim = len(d.blocks)
     hs = profile.hstar
+    h1 = hs[1] if dim >= 1 else 0
+    gamma1 = h1 - (dim - 1)
     clauses: dict[str, bool] = {}
     clauses["top_zero"] = hs[dim] == 0
     clauses["symmetric"] = all(hs[i] == hs[dim - 1 - i] for i in range(dim))
     clauses["unimodal"] = _is_unimodal(hs)
     clauses["nonnegative"] = all(x >= 0 for x in hs)
     clauses["reflexive_rows"] = all(2 * b - sum(a) == 1 for a, b in h.rows)
-    clauses["h1_formula"] = profile.flags.h1_formula_ok
-    clauses["gamma1_nonneg"] = profile.flags.gamma1 >= 0
+    clauses["h1_formula"] = (
+        h1 == len(enumerate_vertices(d)) - (dim + 1)
+        and h1 >= dim - 1
+        and ((h1 == dim - 1) == (dim <= 2))
+    )
+    clauses["gamma1_nonneg"] = gamma1 >= 0
     lead = profile.ehrhart_coeffs[dim]
     clauses["volume"] = sum(hs) == lead * factorial(dim)
     narayana_index: int | None = None
@@ -257,4 +241,4 @@ def hstar_checks(
                 "failed": failed,
             },
         )
-    return HStarReport(clauses=clauses, narayana_index=narayana_index)
+    return HStarReport(clauses=clauses, narayana_index=narayana_index, gamma1=gamma1)

@@ -51,6 +51,13 @@ class TermOrder:
         return len(self.variables)
 
 
+def _check_variable_cap(order: TermOrder, max_variables: int = MAX_GROEBNER_VARIABLES) -> None:
+    if order.variable_count() > max_variables:
+        raise BudgetExceeded(
+            f"{order.variable_count()} variables exceed the cap {max_variables}"
+        )
+
+
 def make_term_order(d: BlockDecomposition, verts: tuple[BlockSubset, ...] | None = None) -> TermOrder:
     """Cardinality-descending, then lexicographic, over the connected blocksets."""
     if verts is None:
@@ -237,10 +244,7 @@ def buchberger_verify(
     max_steps: int = MAX_REDUCTION_STEPS,
 ) -> bool:
     """True when every leading term is squarefree and every S-pair reduces to zero."""
-    if order.variable_count() > max_variables:
-        raise BudgetExceeded(
-            f"{order.variable_count()} variables exceed the cap {max_variables}"
-        )
+    _check_variable_cap(order, max_variables)
     basis = _rank_basis(g, order)
     for lt, _ in basis:
         if any(e > 1 for e in lt.values()):
@@ -320,13 +324,10 @@ def triangulation(
     maximal simplex is unimodular; a bad determinant raises
     NonUnimodalSimplex.
     """
-    verts = enumerate_vertices(d)
+    verts = None if g is not None and order is not None else enumerate_vertices(d)
     if order is None:
         order = make_term_order(d, verts)
-    if order.variable_count() > max_variables:
-        raise BudgetExceeded(
-            f"{order.variable_count()} variables exceed the cap {max_variables}"
-        )
+    _check_variable_cap(order, max_variables)
     if g is None:
         g = groebner_candidates(d, order, verts)
     ground = order.variables

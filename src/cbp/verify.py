@@ -45,6 +45,7 @@ from .skeleton import (
 )
 from .toric import (
     TermOrder,
+    _check_variable_cap,
     buchberger_verify,
     fiber_reduction_test,
     groebner_candidates,
@@ -126,7 +127,15 @@ class VerificationReport:
 
 
 class GraphContext:
-    """Lazily computed per-graph artifacts shared by the checks."""
+    """The per-graph artifact cache: each artifact is built once, on first use,
+    from the ones it depends on.
+
+    The decomposition feeds the vertices (and their incidence vectors), the
+    H-description, the combinatorial skeleton and the term order; the
+    H-description feeds the h* profile; the order and the vertices feed the
+    basis.  The sweep's checks and the graph commands of the CLI read their
+    artifacts from here.
+    """
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -161,6 +170,9 @@ class GraphContext:
 
     @cached_property
     def basis(self):
+        # the variable cap of buchberger_verify and triangulation, checked
+        # before the quadratic scan over vertex pairs
+        _check_variable_cap(self.order)
         return groebner_candidates(self.decomposition, self.order, self.vertices)
 
 

@@ -7,7 +7,6 @@ enforces the criterion's wall-clock budget.
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,10 +14,9 @@ import pytest
 
 import oracles
 from cbp.corpus import corpus, path_graph
-from cbp.ehrhart import hstar_profile
 from cbp.errors import AssertionFailure
-from cbp.facets import construct_ibis, enumerate_ibis, h_representation
-from cbp.graphs import Graph, block_decomposition, classify
+from cbp.facets import construct_ibis, enumerate_ibis
+from cbp.graphs import classify
 from cbp.hull import RationalPolyhedron, affine_rank, brute_force_facets, same_hyperplane
 from cbp.optimize import (
     brute_force_optimum,
@@ -34,37 +32,22 @@ from cbp.skeleton import (
 from cbp.toric import (
     buchberger_verify,
     fiber_reduction_test,
-    groebner_candidates,
-    make_term_order,
     triangulation,
     triangulation_checks,
 )
-from cbp.vertices import enumerate_vertices, to_incidence
-
-
-@dataclass(frozen=True)
-class Case:
-    name: str
-    graph: Graph
-    decomposition: object
-    vertices: tuple
-    points: list
-    hrep: RationalPolyhedron
-
-    @property
-    def dim(self) -> int:
-        return len(self.decomposition.blocks)
+from cbp.verify import GraphContext
+from cbp.vertices import to_incidence
 
 
 @pytest.fixture(scope="session")
-def battery() -> list[Case]:
-    cases = []
-    for name, g in corpus(max_blocks=6, seed=7):
-        d = block_decomposition(g)
-        verts = enumerate_vertices(d)
-        pts = [to_incidence(d, a) for a in verts]
-        cases.append(Case(name, g, d, verts, pts, h_representation(d)))
-    return cases
+def battery() -> list[tuple[str, GraphContext]]:
+    """(name, context) per corpus graph; criteria that read the same artifact
+    share the one the context built first."""
+    return [(name, GraphContext(g)) for name, g in corpus(max_blocks=6, seed=7)]
+
+
+def dim(ctx: GraphContext) -> int:
+    return len(ctx.decomposition.blocks)
 
 
 def conclude(num: int, budget: float, start: float, detail: str, failures: list):
@@ -85,19 +68,19 @@ def test_criterion_01_facet_completeness(battery):
     start = time.perf_counter()
     failures = []
     assert len(battery) >= 50
-    for case in battery:
-        brute = brute_force_facets(case.points)
-        if not rows_match(case.hrep, brute):
-            failures.append(case.name)
+    for name, ctx in battery:
+        brute = brute_force_facets(ctx.incidence)
+        if not rows_match(ctx.hrep, brute):
+            failures.append(name)
     conclude(1, 300, start, f"facet rows match the hull oracle on {len(battery)} graphs", failures)
 
 
 def test_criterion_02_construction_completeness(battery):
     start = time.perf_counter()
     failures = [
-        case.name
-        for case in battery
-        if construct_ibis(case.decomposition) != enumerate_ibis(case.decomposition)
+        name
+        for name, ctx in battery
+        if construct_ibis(ctx.decomposition) != enumerate_ibis(ctx.decomposition)
     ]
     conclude(2, 120, start, "constructed and enumerated inequality sets agree", failures)
 
@@ -106,45 +89,44 @@ def test_criterion_03_edge_characterization(battery):
     start = time.perf_counter()
     failures = []
     pairs = 0
-    for case in battery:
-        if case.dim > 5:
+    for name, ctx in battery:
+        if dim(ctx) > 5:
             continue
-        pg = build_polytope_graph(case.decomposition, case.hrep, method="geometric")
-        if pg.vertices != case.vertices:
-            failures.append((case.name, "vertex order"))
+        pg = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric")
+        verts = ctx.vertices
+        if pg.vertices != verts:
+            failures.append((name, "vertex order"))
             continue
-        for i, j in combinations(range(len(case.vertices)), 2):
+        for i, j in combinations(range(len(verts)), 2):
             pairs += 1
-            comb = adjacent_combinatorial(case.decomposition, case.vertices[i], case.vertices[j])
+            comb = adjacent_combinatorial(ctx.decomposition, verts[i], verts[j])
             if comb != (j in pg.neighbors[i]):
-                failures.append((case.name, case.vertices[i], case.vertices[j]))
+                failures.append((name, verts[i], verts[j]))
     conclude(3, 120, start, f"combinatorial and geometric adjacency agree on {pairs} pairs", failures)
 
 
 def test_criterion_04_diameter_and_hirsch(battery):
     start = time.perf_counter()
     failures = []
-    for case in battery:
-        pg = build_polytope_graph(case.decomposition)
-        report = hirsch_check(case.decomposition, pg, case.hrep)
+    for name, ctx in battery:
+        report = hirsch_check(ctx.decomposition, ctx.skeleton, ctx.hrep)
         if not (report.diameter_le_dim and report.hirsch_ok):
-            failures.append((case.name, report))
+            failures.append((name, report))
     conclude(4, 60, start, "diameter is at most dim and at most facets minus dim", failures)
 
 
 def test_criterion_05_dimension_and_simplicity(battery):
     start = time.perf_counter()
     failures = []
-    for case in battery:
-        if affine_rank(case.points) != case.dim:
-            failures.append((case.name, "affine rank"))
-        pg = build_polytope_graph(case.decomposition)
-        report = simplicity_report(case.decomposition, pg, case.hrep)
-        cut_count = len(case.decomposition.cut_vertices)
+    for name, ctx in battery:
+        if affine_rank(ctx.incidence) != dim(ctx):
+            failures.append((name, "affine rank"))
+        report = simplicity_report(ctx.decomposition, ctx.skeleton, ctx.hrep)
+        cut_count = len(ctx.decomposition.cut_vertices)
         if report.is_simple != (cut_count <= 1):
-            failures.append((case.name, "simple"))
-        if report.is_simplicial != (case.dim <= 2):
-            failures.append((case.name, "simplicial"))
+            failures.append((name, "simple"))
+        if report.is_simplicial != (dim(ctx) <= 2):
+            failures.append((name, "simplicial"))
     conclude(5, 60, start, "full dimension, simplicity and simpliciality as predicted", failures)
 
 
@@ -162,26 +144,26 @@ def test_criterion_06_hstar_suite(battery):
     start = time.perf_counter()
     failures = []
     checked = 0
-    for case in battery:
-        if case.dim > 5:
+    for name, ctx in battery:
+        if dim(ctx) > 5:
             continue
         checked += 1
-        d = case.dim
-        hs = hstar_profile(case.decomposition, case.hrep).hstar
+        d = dim(ctx)
+        hs = ctx.hstar.hstar
         if hs[d] != 0:
-            failures.append((case.name, "top entry"))
+            failures.append((name, "top entry"))
         if any(hs[i] != hs[d - 1 - i] for i in range(d)):
-            failures.append((case.name, "palindrome"))
+            failures.append((name, "palindrome"))
         if not unimodal(hs):
-            failures.append((case.name, "unimodal"))
+            failures.append((name, "unimodal"))
         h1 = hs[1] if d >= 1 else 0
-        expected_h1 = len(case.vertices) - (d + 1)
+        expected_h1 = len(ctx.vertices) - (d + 1)
         if h1 != expected_h1:
-            failures.append((case.name, "h1 formula"))
+            failures.append((name, "h1 formula"))
         if h1 < d - 1 or (h1 == d - 1) != (d <= 2):
-            failures.append((case.name, "h1 bound"))
-        if any(2 * b - sum(a) != 1 for a, b in case.hrep.rows):
-            failures.append((case.name, "reflexivity"))
+            failures.append((name, "h1 bound"))
+        if any(2 * b - sum(a) != 1 for a, b in ctx.hrep.rows):
+            failures.append((name, "reflexivity"))
     conclude(6, 600, start, f"all lattice-count clauses hold on {checked} graphs", failures)
 
 
@@ -195,8 +177,7 @@ def test_criterion_07_block_path_hstar():
     catalan = {2: 2, 3: 5, 4: 14}
     failures = []
     for k, hs in expected.items():
-        d = block_decomposition(path_graph(k))
-        profile = hstar_profile(d, h_representation(d))
+        profile = GraphContext(path_graph(k)).hstar
         if profile.hstar != hs:
             failures.append((k, profile.hstar))
         if sum(profile.hstar) != catalan[k]:
@@ -208,18 +189,16 @@ def test_criterion_08_groebner_basis(battery):
     start = time.perf_counter()
     failures = []
     checked = 0
-    for case in battery:
-        if case.dim > 4:
+    for name, ctx in battery:
+        if dim(ctx) > 4:
             continue
         checked += 1
-        order = make_term_order(case.decomposition, case.vertices)
-        basis = groebner_candidates(case.decomposition, order, case.vertices)
-        if not all(all(e == 1 for _, e in f.plus) for f in basis):
-            failures.append((case.name, "squarefree"))
-        if not buchberger_verify(basis, order):
-            failures.append((case.name, "buchberger"))
-        if not fiber_reduction_test(case.decomposition, basis, order, maxdeg=3):
-            failures.append((case.name, "fiber"))
+        if not all(all(e == 1 for _, e in f.plus) for f in ctx.basis):
+            failures.append((name, "squarefree"))
+        if not buchberger_verify(ctx.basis, ctx.order):
+            failures.append((name, "buchberger"))
+        if not fiber_reduction_test(ctx.decomposition, ctx.basis, ctx.order, maxdeg=3):
+            failures.append((name, "fiber"))
     conclude(8, 600, start, f"verified bases with squarefree leading terms on {checked} graphs", failures)
 
 
@@ -227,24 +206,23 @@ def test_criterion_09_triangulation(battery):
     start = time.perf_counter()
     failures = []
     checked = 0
-    for case in battery:
-        if case.dim > 4:
+    for name, ctx in battery:
+        if dim(ctx) > 4:
             continue
         checked += 1
-        complex_ = triangulation(case.decomposition)
-        hs = hstar_profile(case.decomposition, case.hrep).hstar
+        complex_ = triangulation(ctx.decomposition, ctx.basis, ctx.order)
         try:
-            triangulation_checks(case.decomposition, complex_, hs)
+            triangulation_checks(ctx.decomposition, complex_, ctx.hstar.hstar)
         except AssertionFailure as exc:
-            failures.append((case.name, str(exc)))
+            failures.append((name, str(exc)))
             continue
         for face in complex_.maximal_faces:
             rows = [
-                (1,) + tuple(to_incidence(case.decomposition, complex_.ground[i]))
+                (1,) + tuple(to_incidence(ctx.decomposition, complex_.ground[i]))
                 for i in face
             ]
             if abs(oracles.determinant(rows)) != 1:
-                failures.append((case.name, "unimodular", face))
+                failures.append((name, "unimodular", face))
     conclude(9, 300, start, f"unimodular triangulations matching h* on {checked} graphs", failures)
 
 
@@ -252,23 +230,23 @@ def test_criterion_10_optimizer(battery):
     start = time.perf_counter()
     failures = []
     trials = 0
-    for case in battery:
-        rng = random.Random(f"10:{case.name}")
+    for name, ctx in battery:
+        rng = random.Random(f"10:{name}")
         for _ in range(500):
             trials += 1
             w = [
                 Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-                for _ in case.decomposition.blocks
+                for _ in ctx.decomposition.blocks
             ]
-            if max_weight_connected_blockset(case.decomposition, w) != brute_force_optimum(
-                case.decomposition, w
+            if max_weight_connected_blockset(ctx.decomposition, w) != brute_force_optimum(
+                ctx.decomposition, w
             ):
-                failures.append((case.name, w))
+                failures.append((name, w))
                 break
-        if classify(case.graph, case.decomposition).is_eulerian_cactus:
+        if classify(ctx.graph, ctx.decomposition).is_eulerian_cactus:
             for _ in range(10):
-                w = [Fraction(rng.randint(-6, 6)) for _ in case.graph.edges]
-                sol = eulerian_adapter(case.graph, w)
+                w = [Fraction(rng.randint(-6, 6)) for _ in ctx.graph.edges]
+                sol = eulerian_adapter(ctx.graph, w)
                 degrees = {}
                 for u, v in sol.edges:
                     degrees[u] = degrees.get(u, 0) + 1
@@ -276,5 +254,5 @@ def test_criterion_10_optimizer(battery):
                 if any(deg % 2 for deg in degrees.values()) or not oracles.subgraph_connected(
                     degrees.keys(), sol.edges
                 ):
-                    failures.append((case.name, "eulerian validity", w))
+                    failures.append((name, "eulerian validity", w))
     conclude(10, 120, start, f"dynamic program matches brute force on {trials} weight vectors", failures)

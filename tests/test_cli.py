@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from cbp import skeleton
+from cbp import ehrhart, skeleton
 from cbp.cli import main
 
 PATH3 = "0 1\n1 2\n2 3\n"
@@ -140,6 +140,18 @@ def test_hstar_rejects_small_dilation(graph_file, capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_hstar_rejects_small_dilation_before_counting(graph_file, capsys, monkeypatch):
+    def no_count(*args, **kwargs):
+        raise AssertionError("lattice points counted before --max-dilation was checked")
+
+    monkeypatch.setattr(ehrhart, "count_lattice_points", no_count)
+    code, _, err = run(
+        capsys, ["hstar", "--graph", graph_file(PATH3), "--max-dilation", "2"]
+    )
+    assert code == 2
+    assert err == "error: --max-dilation must be at least the dimension 3\n"
 
 
 def test_groebner(graph_file, capsys):

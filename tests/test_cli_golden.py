@@ -3,8 +3,11 @@
 The digests were recorded from the per-pair combinatorial skeleton, the
 dict-based diameter search and the Fraction row evaluations that the
 integer mask kernels replaced, so a kernel that changes one output byte of
-these commands fails here.  A path and a triangle chain of six blocks have
-the same block structure and hence the same output.
+these commands fails here.  The digests of `blocks`, `vertices`, `hstar`,
+`groebner` and `triangulate`, and the refusal on seven blocks, were recorded
+while each command still built its own artifacts, before they all read them
+from `verify.GraphContext`.  A path and a triangle chain of six blocks have
+the same block structure and hence the same output (apart from `blocks`).
 """
 
 import hashlib
@@ -21,6 +24,7 @@ GRAPHS = {
     "spider-3-2-1": lambda: spider((3, 2, 1)),
     "flower-9": lambda: flower(9),
     "random-12": lambda: random_block_tree(random.Random(7), 12),
+    "triangle-chain-7": lambda: triangle_chain(7),
 }
 
 COMMANDS = {
@@ -28,6 +32,11 @@ COMMANDS = {
     "edges-combinatorial": ["edges", "--method", "combinatorial"],
     "edges-geometric": ["edges", "--method", "geometric"],
     "diameter": ["diameter"],
+    "blocks": ["blocks"],
+    "vertices": ["vertices"],
+    "hstar": ["hstar"],
+    "groebner": ["groebner"],
+    "triangulate": ["triangulate"],
 }
 
 DIGESTS = {
@@ -51,14 +60,42 @@ DIGESTS = {
     ("random-12", "edges-combinatorial"): "bacbc4d194f4c772e4bf327679a3b09f964f711aa3aa21ea29b89ba263ab4e27",
     ("random-12", "edges-geometric"): "12d52b48bf7f3946d4fc695ccee6bcdabdfdbf1cf011ad9c4f7f6f25ddfe563c",
     ("random-12", "diameter"): "caca779cb02fe995178c6a103f5d5d268e32607149ad4c8af1080e8afce0d5a1",
+    ("path-6", "blocks"): "e8890ecc3ab89c5fde22a1c9ed470473ac469ff73c56a49405074b04df10e8b1",
+    ("path-6", "vertices"): "353847b3b8f2471340a790e541a4b75e2669ab0ecd6d31688de1346e9148efa8",
+    ("triangle-chain-6", "blocks"): "c297f0d8baa95d5b72991f5407a1783d0cb971cd1ac8e92000da5fdc9f5c738d",
+    ("triangle-chain-6", "vertices"): "353847b3b8f2471340a790e541a4b75e2669ab0ecd6d31688de1346e9148efa8",
+    ("spider-3-2-1", "blocks"): "796c989614e559febca0b01f665308bb4053ec29a6aabe963a70447d6c37c871",
+    ("spider-3-2-1", "vertices"): "b03b2f7ae577d61c5349af168387c942a3c832ba542a1fc33ee70ad9ab720caa",
+    ("flower-9", "blocks"): "0171bfac1965a111492e82c695a6d6e43a85e2c993c4c25ed005ad622d422299",
+    ("flower-9", "vertices"): "5ff0855e799a95fb1fe3efef1e05bbf53b2e093f6646863c558b754db0001c49",
+    ("random-12", "blocks"): "8d5517cc68f506eee3611bcdc4e821f03c01f4b95028c94035f09d168ae8a099",
+    ("random-12", "vertices"): "171d231deaf1305a744af2dcc6643bcf9ff9281a8fbc2f3edb26e297f83cfc33",
+    ("path-6", "hstar"): "ae3c11d8e447b8b942a0d4f1961369bcbf1995792de491984fa97790ec272c2d",
+    ("path-6", "groebner"): "ae46cdb08b6102d2f572268f0d0234c1f97386324a11dc771b55dd1d494f7a50",
+    ("path-6", "triangulate"): "7035e4f85164d6389c34e5b18aee8517e4f7b811be043144042516cf0593796a",
+    ("spider-3-2-1", "hstar"): "3be38a705dda207b0f3eccd6e47c5ff608e337560d6453aeec48090f4a36be6c",
+    ("spider-3-2-1", "triangulate"): "569bc9ddcd45cfd740b82c3996954b9ffd4fe1f1c737eb649a5bf50e0a65afa4",
 }
+
+
+def write_graph(name, tmp_path) -> str:
+    g = GRAPHS[name]()
+    path = tmp_path / "graph.txt"
+    path.write_text(f"n {g.vertex_count}\n" + "".join(f"{u} {v}\n" for u, v in g.sorted_edges()))
+    return str(path)
 
 
 @pytest.mark.parametrize("graph, command", sorted(DIGESTS))
 def test_stdout_digest(graph, command, tmp_path, capsys):
-    g = GRAPHS[graph]()
-    path = tmp_path / "graph.txt"
-    path.write_text(f"n {g.vertex_count}\n" + "".join(f"{u} {v}\n" for u, v in g.sorted_edges()))
-    assert main([COMMANDS[command][0], "--graph", str(path), *COMMANDS[command][1:]]) == 0
+    path = write_graph(graph, tmp_path)
+    assert main([COMMANDS[command][0], "--graph", path, *COMMANDS[command][1:]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[graph, command]
+
+
+@pytest.mark.parametrize("command", ["groebner", "triangulate"])
+def test_groebner_refusal_output(command, tmp_path, capsys):
+    assert main([command, "--graph", write_graph("triangle-chain-7", tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refusing: 7 blocks exceed --groebner-max-blocks 6\n"

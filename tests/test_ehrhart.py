@@ -111,13 +111,14 @@ def test_narayana_vector():
 
 
 def test_profile_flags_cube(star3_d):
-    profile = hstar_profile(star3_d)
-    flags = profile.flags
-    assert flags.hstar_top_zero
-    assert flags.symmetric_index2
-    assert flags.unimodal
-    assert flags.h1_formula_ok
-    assert flags.gamma1 == 2
+    h = h_representation(star3_d)
+    profile = hstar_profile(star3_d, h)
+    report = hstar_checks(profile, star3_d, h)
+    assert report.clauses["top_zero"]
+    assert report.clauses["symmetric"]
+    assert report.clauses["unimodal"]
+    assert report.clauses["h1_formula"]
+    assert report.gamma1 == 2
     assert profile.evaluations[3] == 64
 
 
@@ -146,10 +147,24 @@ def test_checks_raise_on_tampered_profile(path3_d):
         ehrhart_coeffs=profile.ehrhart_coeffs,
         evaluations=profile.evaluations,
         hstar=(1, 3, 2, 0),
-        flags=profile.flags,
     )
     with pytest.raises(AssertionFailure):
         hstar_checks(bad, path3_d, h)
+
+
+def test_checks_read_h1_from_the_checked_vector(star3_d):
+    # (0, 6, 0, 0) keeps every clause but the vertex count: the cube has
+    # 8 vertices, so hstar_1 must be 8 - 4 = 4
+    h = h_representation(star3_d)
+    profile = hstar_profile(star3_d, h)
+    bad = type(profile)(
+        ehrhart_coeffs=profile.ehrhart_coeffs,
+        evaluations=profile.evaluations,
+        hstar=(0, 6, 0, 0),
+    )
+    with pytest.raises(AssertionFailure) as exc:
+        hstar_checks(bad, star3_d, h)
+    assert exc.value.payload["failed"] == ["h1_formula"]
 
 
 def test_count_budget(path3_d):
