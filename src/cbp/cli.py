@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from .ehrhart import count_lattice_points, evaluate_polynomial, hstar_checks
+from .ehrhart import count_lattice_points, ehrhart_value, hstar_checks
 from .errors import (
     AssertionFailure,
     CBPError,
@@ -185,7 +185,7 @@ def cmd_hstar(args) -> int:
     evaluations = dict(profile.evaluations)
     for n in range(dim + 1, top + 1):
         measured = count_lattice_points(h, n)
-        predicted = evaluate_polynomial(profile.ehrhart_coeffs, n)
+        predicted = ehrhart_value(profile.hstar, n)
         if measured != predicted:
             raise AssertionFailure(
                 f"lattice count at dilation {n} disagrees with the polynomial",

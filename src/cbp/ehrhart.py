@@ -5,12 +5,14 @@ polynomial, and rewriting E in the binomial basis
 
     E(n) = sum_i hstar_i * C(n + d - i, d)
 
-yields the h* vector.  For this polytope family h* is nonnegative, ends
-in a zero, and the truncation is palindromic: the doubled polytope minus
-the all-ones point is reflexive, which forces hstar_i = hstar_{d-1-i}.
-The first entry past the leading 1 counts vertices: hstar_1 =
-#vertices - (d + 1), at least d - 1 with equality exactly for at most two
-blocks.  Block paths realize Narayana numbers.
+yields the h* vector.  Here h* is read off the counts E(0) .. E(d) with
+integers only, and the Ehrhart coefficients are expanded from h*.  For
+this polytope family h* is nonnegative, ends in a zero, and the
+truncation is palindromic: the doubled polytope minus the all-ones point
+is reflexive, which forces hstar_i = hstar_{d-1-i}.  The first entry past
+the leading 1 counts vertices: hstar_1 = #vertices - (d + 1), at least
+d - 1 with equality exactly for at most two blocks.  Block paths realize
+Narayana numbers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import AssertionFailure, BudgetExceeded, NonIntegerHStar
+from .errors import AssertionFailure, BudgetExceeded
 from .graphs import BlockDecomposition, classify, graph_to_json
 from .hull import RationalPolyhedron
 from .vertices import enumerate_vertices
@@ -27,119 +29,169 @@ from .vertices import enumerate_vertices
 DEFAULT_COUNT_BUDGET = 10**9
 
 
+def _key_packer(widest: int):
+    """bytes when every slack offset of a level fits in a byte, else tuple."""
+    return bytes if widest <= 255 else tuple
+
+
 def count_lattice_points(h: RationalPolyhedron, n: int, budget: int = DEFAULT_COUNT_BUDGET) -> int:
     """Number of integer points in the n-th dilation of the polyhedron.
 
     The polyhedron is assumed to lie in the unit box, so candidates range
-    over {0..n}^d; coordinates are fixed one at a time and a prefix is
-    discarded as soon as no completion can satisfy some row.  The budget
-    caps the number of explored prefixes.
+    over {0..n}^d.  A forward dynamic program fixes one coordinate per
+    level.  A state after coordinate i holds the slacks of the frontier
+    rows, the rows with a nonzero coefficient both at or before i and after
+    i; rows not yet started or already finished are constants and stay out
+    of the key.  Frontier rows whose coefficients after i agree evolve alike
+    from there on, so only the least of their slacks matters, and they
+    share one slot that holds it.  A slack is stored as its offset above
+    tail_min, the least contribution of the coordinates after i, so a row
+    admits a completion exactly when the offset is nonnegative, and it is
+    clamped at the width of that tail, past which the row can no longer
+    bind.  Keys are packed into bytes, or into a tuple when an offset can
+    pass 255.  Equal keys merge with a multiplicity, and only two levels
+    are alive at a time.
+
+    Along the values v of coordinate i the offset of a row falls with v
+    when its coefficient is positive and rises when it is negative, so
+    each state's feasible values form one interval, cut from above by the
+    positive rows and from below by the negative ones.  The budget caps the
+    number of (state, value) transitions.
     """
     if n < 0:
         raise ValueError("dilation must be nonnegative")
     d = h.dim
     if d == 0 or n == 0:
         return 1
-    rows = [(a, b * n) for a, b in h.rows]
-    # tail_min[i][r]: smallest possible contribution of coordinates i.. to row r
-    tail_min = [[0] * len(rows) for _ in range(d + 1)]
-    for i in range(d - 1, -1, -1):
-        for r, (a, _) in enumerate(rows):
-            tail_min[i][r] = tail_min[i + 1][r] + min(0, a[i] * n)
-
+    starting: list[list] = [[] for _ in range(d)]  # rows by their first nonzero coordinate
+    for a, b in h.rows:
+        support = [j for j, c in enumerate(a) if c]
+        if support:
+            starting[support[0]].append((a, b * n))
+        elif b < 0:
+            return 0
+    slots: dict[tuple, int] = {}  # coefficients from the current coordinate on -> key position
+    level: dict = {b"": 1}
     explored = 0
-    state = [0] * len(rows)
-
-    def rec(i: int) -> int:
-        nonlocal explored
-        if i == d:
-            return 1
-        base = state.copy()
-        cnt = 0
-        for val in range(n + 1):
-            explored += 1
+    for i in range(d):
+        # The slots after i, by the coefficients after i.  A member of a slot
+        # is (position in the current key, or -1 for a row that starts at i;
+        # a shift; the coefficient c at i), and its offset after i is
+        # base - c * v, where base is its current offset plus the shift, or
+        # the shift alone for a starting row.
+        groups: dict[tuple, list] = {}
+        finishing = []
+        for rest, k in slots.items():
+            member = (k, min(0, rest[0] * n), rest[0])
+            if any(rest[1:]):
+                groups.setdefault(rest[1:], []).append(member)
+            else:
+                finishing.append(member)
+        # the rows that start at i bound every state's values alike
+        lo0, hi0 = 0, n
+        for a, rhs in starting[i]:
+            c, rest = a[i], a[i + 1 :]
+            base = rhs - n * sum(x for x in rest if x < 0)
+            if any(rest):
+                groups.setdefault(rest, []).append((-1, base, c))
+            elif c > 0:
+                hi0 = min(hi0, base // c)
+            else:
+                lo0 = max(lo0, -(base // -c))
+        widths = [n * sum(map(abs, rest)) for rest in groups]
+        pack = _key_packer(max(widths, default=0))
+        plan = list(zip(widths, groups.values()))
+        nxt: dict = {}
+        get = nxt.get
+        for key, mult in level.items():
+            lo, hi = lo0, hi0
+            for k, shift, c in finishing:
+                base = key[k] + shift
+                if c > 0:
+                    top = base // c
+                    if top < hi:
+                        hi = top
+                else:
+                    bottom = -(base // -c)
+                    if bottom > lo:
+                        lo = bottom
+            # per slot, the least offset of the members that stay put (at
+            # most the clamp) and the members that move with v
+            parts = []
+            for width, members in plan:
+                const, moving = width, []
+                for k, shift, c in members:
+                    base = key[k] + shift if k >= 0 else shift
+                    if c > 0:
+                        top = base // c
+                        if top < hi:
+                            hi = top
+                        moving.append((base, c))
+                    elif c < 0:
+                        bottom = -(base // -c)
+                        if bottom > lo:
+                            lo = bottom
+                        moving.append((base, c))
+                    elif base < const:
+                        const = base
+                parts.append((const, moving))
+            if lo > hi:
+                continue
+            explored += hi - lo + 1
             if explored > budget:
                 raise BudgetExceeded(f"more than {budget} prefixes explored")
-            ok = True
-            for r, (a, rhs) in enumerate(rows):
-                s = base[r] + a[i] * val
-                state[r] = s
-                if s + tail_min[i + 1][r] > rhs:
-                    ok = False
-            if ok:
-                cnt += rec(i + 1)
-        for r in range(len(rows)):
-            state[r] = base[r]
-        return cnt
+            if not any(movers for _, movers in parts):
+                k = pack([const for const, _ in parts])
+                nxt[k] = get(k, 0) + mult * (hi - lo + 1)
+                continue
+            for v in range(lo, hi + 1):
+                offsets = []
+                for x, moving in parts:
+                    for base, c in moving:
+                        if base - c * v < x:
+                            x = base - c * v
+                    offsets.append(x)
+                k = pack(offsets)
+                nxt[k] = get(k, 0) + mult
+        level = nxt
+        slots = {rest: k for k, rest in enumerate(groups)}
+    return sum(level.values())
 
-    return rec(0)
+
+def hstar_vector(counts) -> tuple[int, ...]:
+    """The h* vector from the counts E(0) .. E(d), in integers only.
+
+    Stanley's formula hstar_k = sum_{j <= k} (-1)^j C(d + 1, j) E(k - j)
+    reads h* off the series sum_n E(n) t^n = h*(t) / (1 - t)^(d + 1).
+    """
+    d = len(counts) - 1
+    return tuple(
+        sum((-1) ** j * comb(d + 1, j) * counts[k - j] for j in range(k + 1)) for k in range(d + 1)
+    )
 
 
-def ehrhart_polynomial(
-    h: RationalPolyhedron,
-    d: int,
-    counts: dict[int, int] | None = None,
-    budget: int = DEFAULT_COUNT_BUDGET,
-) -> tuple[Fraction, ...]:
+def ehrhart_value(hstar, n: int) -> int:
+    """E(n) = sum_i hstar_i C(n + d - i, d)."""
+    d = len(hstar) - 1
+    return sum(x * comb(n + d - i, d) for i, x in enumerate(hstar))
+
+
+def ehrhart_coefficients(hstar) -> tuple[Fraction, ...]:
     """Coefficients (c_0 .. c_d) of the Ehrhart polynomial, ascending degree.
 
-    Interpolates exactly through the counts at n = 0..d, computing any
-    missing count directly.
+    Expands sum_i hstar_i C(n + d - i, d) with integer coefficients, where
+    d! C(n + d - i, d) is the product of n + k over k = 1 - i .. d - i, and
+    divides by d! once at the end.
     """
-    counts = dict(counts or {})
-    for n in range(d + 1):
-        if n not in counts:
-            counts[n] = count_lattice_points(h, n, budget=budget)
-    xs = list(range(d + 1))
-    ys = [Fraction(counts[n]) for n in xs]
-    # Newton divided differences, then expansion into monomial coefficients
-    table = ys[:]
-    for level in range(1, d + 1):
-        for i in range(d, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / Fraction(xs[i] - xs[i - level])
-    coeffs = [Fraction(0)] * (d + 1)
-    basis = [Fraction(1)] + [Fraction(0)] * d  # product (x - x_0)...(x - x_{k-1})
-    for k in range(d + 1):
-        for j in range(d + 1):
-            coeffs[j] += table[k] * basis[j]
-        if k < d:
-            new_basis = [Fraction(0)] * (d + 1)
-            for j in range(d + 1):
-                if basis[j] == 0:
-                    continue
-                new_basis[j] -= basis[j] * xs[k]
-                if j + 1 <= d:
-                    new_basis[j + 1] += basis[j]
-            basis = new_basis
-    return tuple(coeffs)
-
-
-def evaluate_polynomial(coeffs, n: int) -> Fraction:
-    acc = Fraction(0)
-    power = Fraction(1)
-    for c in coeffs:
-        acc += Fraction(c) * power
-        power *= n
-    return acc
-
-
-def hstar_vector(ehrhart_coeffs, d: int) -> tuple[int, ...]:
-    """The h* vector (length d + 1) from the Ehrhart coefficients.
-
-    Solves E(n) = sum_i hstar_i C(n + d - i, d) by forward substitution
-    at n = 0..d; raises NonIntegerHStar when an entry is not an integer.
-    """
-    hstar: list[int] = []
-    for n in range(d + 1):
-        value = evaluate_polynomial(ehrhart_coeffs, n)
-        acc = Fraction(0)
-        for i, hi in enumerate(hstar):
-            acc += hi * comb(n + d - i, d)
-        rest = value - acc
-        if rest.denominator != 1:
-            raise NonIntegerHStar(f"hstar_{n} = {rest} is not an integer")
-        hstar.append(int(rest))
-    return tuple(hstar)
+    d = len(hstar) - 1
+    total = [0] * (d + 1)
+    for i, x in enumerate(hstar):
+        poly = [1]  # ascending coefficients in n
+        for k in range(1 - i, d - i + 1):
+            poly = [k * c + low for c, low in zip(poly + [0], [0] + poly)]
+        for j, c in enumerate(poly):
+            total[j] += x * c
+    return tuple(Fraction(c, factorial(d)) for c in total)
 
 
 def narayana_vector(n: int) -> tuple[int, ...]:
@@ -169,15 +221,15 @@ def hstar_profile(
     h: RationalPolyhedron | None = None,
     budget: int = DEFAULT_COUNT_BUDGET,
 ) -> HStarProfile:
-    """Counts at dilations 0..dim, Ehrhart coefficients and h*."""
+    """Counts at dilations 0..dim, h* from them, and the Ehrhart coefficients from h*."""
     from .facets import h_representation
 
     if h is None:
         h = h_representation(d)
     dim = len(d.blocks)
     counts = {n: count_lattice_points(h, n, budget=budget) for n in range(dim + 1)}
-    coeffs = ehrhart_polynomial(h, dim, counts=counts)
-    return HStarProfile(ehrhart_coeffs=coeffs, evaluations=counts, hstar=hstar_vector(coeffs, dim))
+    hstar = hstar_vector([counts[n] for n in range(dim + 1)])
+    return HStarProfile(ehrhart_coeffs=ehrhart_coefficients(hstar), evaluations=counts, hstar=hstar)
 
 
 @dataclass(frozen=True)

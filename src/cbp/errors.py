@@ -63,10 +63,6 @@ class NotAVertex(CBPError):
     """The given point or index is not a vertex of the polytope."""
 
 
-class NonIntegerHStar(CBPError):
-    """The h* transform produced a non-integer entry."""
-
-
 class LeadingTermMismatch(CBPError):
     """A generator's leading term is not the expected incomparable product."""
 

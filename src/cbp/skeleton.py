@@ -194,13 +194,15 @@ def build_polytope_graph(
     d: BlockDecomposition,
     h: RationalPolyhedron | None = None,
     method: str = "combinatorial",
+    vertices: tuple[BlockSubset, ...] | None = None,
 ) -> PolytopeGraph:
     """Assemble the full skeleton with either adjacency test.
 
-    Raises BudgetExceeded before any neighbor is searched when there are
-    more than MAX_DIAMETER_VERTICES vertices.
+    The vertices are the caller's `enumerate_vertices(d)`, enumerated here
+    when not given.  Raises BudgetExceeded before any neighbor is searched
+    when there are more than MAX_DIAMETER_VERTICES vertices.
     """
-    verts = enumerate_vertices(d)
+    verts = enumerate_vertices(d) if vertices is None else vertices
     _check_vertex_cap(len(verts))
     if method == "combinatorial":
         nb = _combinatorial_neighbors(d, verts)

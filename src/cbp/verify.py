@@ -65,7 +65,7 @@ class VerifyOptions:
     random_per_size: int = 8
     facet_max_blocks: int = 7
     adjacency_max_blocks: int = 5
-    hstar_max_blocks: int = 5
+    hstar_max_blocks: int = 6
     max_dilation: int | None = None
     groebner_max_blocks: int = 4
     optimizer_trials: int = 50
@@ -131,9 +131,9 @@ class GraphContext:
     from the ones it depends on.
 
     The decomposition feeds the vertices (and their incidence vectors), the
-    H-description, the combinatorial skeleton and the term order; the
-    H-description feeds the h* profile; the order and the vertices feed the
-    basis.  The sweep's checks and the graph commands of the CLI read their
+    H-description and the term order; the vertices feed the combinatorial
+    skeleton; the H-description feeds the h* profile; the order and the
+    vertices feed the basis.  The sweep's checks and the graph commands of the CLI read their
     artifacts from here.
     """
 
@@ -162,7 +162,7 @@ class GraphContext:
 
     @cached_property
     def skeleton(self) -> PolytopeGraph:
-        return build_polytope_graph(self.decomposition)
+        return build_polytope_graph(self.decomposition, vertices=self.vertices)
 
     @cached_property
     def order(self) -> TermOrder:
@@ -289,7 +289,7 @@ def check_ibis(ctx: GraphContext) -> dict | None:
 def check_adjacency(ctx: GraphContext) -> dict | None:
     """Combinatorial and geometric adjacency agree on every vertex pair."""
     comb = ctx.skeleton
-    geo = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric")
+    geo = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric", vertices=ctx.vertices)
     verts = comb.vertices
     for i in range(len(verts)):
         if comb.neighbors[i] == geo.neighbors[i]:

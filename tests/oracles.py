@@ -106,6 +106,40 @@ def count_dilation_points(rows, dim: int, n: int) -> int:
     return count
 
 
+def count_lattice_prefixes(rows, dim: int, n: int) -> int:
+    """Integer points of the n-th dilation inside the box {0..n}^dim, by a
+    recursion over coordinate prefixes that drops a prefix as soon as no
+    completion can satisfy some row."""
+    if dim == 0 or n == 0:
+        return 1
+    rows = [(a, b * n) for a, b in rows]
+    # tail_min[i][r]: smallest possible contribution of coordinates i.. to row r
+    tail_min = [[0] * len(rows) for _ in range(dim + 1)]
+    for i in range(dim - 1, -1, -1):
+        for r, (a, _) in enumerate(rows):
+            tail_min[i][r] = tail_min[i + 1][r] + min(0, a[i] * n)
+    state = [0] * len(rows)
+
+    def rec(i: int) -> int:
+        if i == dim:
+            return 1
+        base = state.copy()
+        cnt = 0
+        for val in range(n + 1):
+            ok = True
+            for r, (a, rhs) in enumerate(rows):
+                s = base[r] + a[i] * val
+                state[r] = s
+                if s + tail_min[i + 1][r] > rhs:
+                    ok = False
+            if ok:
+                cnt += rec(i + 1)
+        state[:] = base
+        return cnt
+
+    return rec(0)
+
+
 def determinant(rows) -> Fraction:
     """Exact determinant by fraction-free style Gaussian elimination."""
     m = [[Fraction(x) for x in row] for row in rows]

@@ -145,7 +145,7 @@ def test_criterion_06_hstar_suite(battery):
     failures = []
     checked = 0
     for name, ctx in battery:
-        if dim(ctx) > 5:
+        if dim(ctx) > 6:
             continue
         checked += 1
         d = dim(ctx)

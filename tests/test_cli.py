@@ -154,6 +154,27 @@ def test_hstar_rejects_small_dilation_before_counting(graph_file, capsys, monkey
     assert err == "error: --max-dilation must be at least the dimension 3\n"
 
 
+def eulerian_numbers(d: int) -> list[int]:
+    """A(d, 0) .. A(d, d - 1) by the recurrence A(n, k) = (k + 1) A(n - 1, k)
+    + (n - k) A(n - 1, k - 1)."""
+    row = [1]
+    for n in range(2, d + 1):
+        row = [(k + 1) * (row[k] if k < len(row) else 0) + (n - k) * (row[k - 1] if k else 0) for k in range(n)]
+    return row
+
+
+def test_hstar_star14_is_the_cube(graph_file, capsys):
+    # star-14 gives the 14-cube, whose h* holds the Eulerian numbers
+    star = "".join(f"0 {i}\n" for i in range(1, 15))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["hstar", "--graph", graph_file(star)])
+    assert code == 0
+    assert time.perf_counter() - start < 10
+    payload = json.loads(out)
+    assert payload["hstar"] == eulerian_numbers(14) + [0]
+    assert payload["evaluations"]["2"] == 3**14
+
+
 def test_groebner(graph_file, capsys):
     code, out, _ = run(capsys, ["groebner", "--graph", graph_file(PATH3)])
     assert code == 0

@@ -6,8 +6,11 @@ integer mask kernels replaced, so a kernel that changes one output byte of
 these commands fails here.  The digests of `blocks`, `vertices`, `hstar`,
 `groebner` and `triangulate`, and the refusal on seven blocks, were recorded
 while each command still built its own artifacts, before they all read them
-from `verify.GraphContext`.  A path and a triangle chain of six blocks have
-the same block structure and hence the same output (apart from `blocks`).
+from `verify.GraphContext`.  The `hstar` digest of triangle-chain-7 was
+recorded from the prefix recursion and the `Fraction` interpolation that
+the level-by-level count and the integer h* replaced.  A path and a
+triangle chain of six blocks have the same block structure and hence the
+same output (apart from `blocks`).
 """
 
 import hashlib
@@ -75,6 +78,7 @@ DIGESTS = {
     ("path-6", "triangulate"): "7035e4f85164d6389c34e5b18aee8517e4f7b811be043144042516cf0593796a",
     ("spider-3-2-1", "hstar"): "3be38a705dda207b0f3eccd6e47c5ff608e337560d6453aeec48090f4a36be6c",
     ("spider-3-2-1", "triangulate"): "569bc9ddcd45cfd740b82c3996954b9ffd4fe1f1c737eb649a5bf50e0a65afa4",
+    ("triangle-chain-7", "hstar"): "161caeb9b72dde8d95c7dae9a950c0844844c806faaf7deecfa9491473f5f280",
 }
 
 

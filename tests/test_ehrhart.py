@@ -1,17 +1,22 @@
-"""Lattice counting and h* against box-scan and interpolation oracles."""
+"""Lattice counting and h* against box-scan, prefix-recursion and
+interpolation oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from cbp.corpus import path_graph, star_graph, triangle_chain
-from cbp.errors import AssertionFailure, BudgetExceeded, NonIntegerHStar
+from cbp import ehrhart
+from cbp.corpus import corpus, path_graph, star_graph, triangle_chain
+from cbp.errors import AssertionFailure, BudgetExceeded
 from cbp.ehrhart import (
     count_lattice_points,
-    ehrhart_polynomial,
-    evaluate_polynomial,
+    ehrhart_coefficients,
+    ehrhart_value,
     hstar_checks,
     hstar_profile,
     hstar_vector,
@@ -19,6 +24,7 @@ from cbp.ehrhart import (
 )
 from cbp.facets import h_representation
 from cbp.graphs import block_decomposition
+from cbp.hull import RationalPolyhedron
 
 
 def oracle_hstar(counts, dim):
@@ -57,13 +63,15 @@ def test_cube_counts_are_powers(star3_d):
 
 def test_path3_ehrhart_polynomial(path3_d):
     h = h_representation(path3_d)
-    coeffs = ehrhart_polynomial(h, 3)
+    counts = [count_lattice_points(h, k) for k in range(4)]
+    hs = hstar_vector(counts)
+    coeffs = ehrhart_coefficients(hs)
     assert coeffs == (1, Fraction(8, 3), Fraction(5, 2), Fraction(5, 6))
-    assert evaluate_polynomial(coeffs, 4) == 105
-    assert evaluate_polynomial(coeffs, 5) == 181
+    assert ehrhart_value(hs, 4) == 105
+    assert ehrhart_value(hs, 5) == 181
     # independent interpolation through the same counts
     n = sympy.symbols("n")
-    poly = sympy.interpolate([(k, count_lattice_points(h, k)) for k in range(4)], n)
+    poly = sympy.interpolate(list(enumerate(counts)), n)
     expected = [Fraction(*sympy.Rational(c).as_numer_denom()) for c in
                 reversed(sympy.Poly(poly, n).all_coeffs())]
     assert list(coeffs) == expected
@@ -76,13 +84,24 @@ def test_hstar_vectors_frozen():
         4: (1, 6, 6, 1, 0),
     }
     for k, expected in cases.items():
-        d = block_decomposition(path_graph(k))
-        h = h_representation(d)
-        coeffs = ehrhart_polynomial(h, k)
-        assert hstar_vector(coeffs, k) == expected
+        h = h_representation(block_decomposition(path_graph(k)))
         counts = [count_lattice_points(h, n) for n in range(k + 1)]
+        assert hstar_vector(counts) == expected
         assert oracle_hstar(counts, k) == expected
         assert sum(expected) == sympy.catalan(k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=6))
+def test_integer_hstar_matches_interpolation(counts):
+    # any count vector, so the integer route is checked beyond polytopes
+    d = len(counts) - 1
+    hs = hstar_vector(counts)
+    assert hs == oracle_hstar(counts, d)
+    assert [ehrhart_value(hs, k) for k in range(d + 1)] == counts
+    n = sympy.symbols("n")
+    ours = sum(sympy.Rational(c.numerator, c.denominator) * n**j for j, c in enumerate(ehrhart_coefficients(hs)))
+    assert sympy.expand(ours - sympy.interpolate(list(enumerate(counts)), n)) == 0
 
 
 def test_hstar_depends_only_on_block_structure():
@@ -97,11 +116,6 @@ def test_star_hstar_is_eulerian():
     # the unit d-cube's h* entries are the Eulerian numbers
     assert hstar_profile(block_decomposition(star_graph(3))).hstar == (1, 4, 1, 0)
     assert hstar_profile(block_decomposition(star_graph(4))).hstar == (1, 11, 11, 1, 0)
-
-
-def test_hstar_vector_rejects_non_integer():
-    with pytest.raises(NonIntegerHStar):
-        hstar_vector((Fraction(1, 2),), 0)
 
 
 def test_narayana_vector():
@@ -180,3 +194,87 @@ def test_checks_over_corpus(small_corpus):
         profile = hstar_profile(d, h)
         report = hstar_checks(profile, d, h)
         assert all(report.clauses.values()), name
+
+
+@pytest.fixture(scope="module")
+def corpus_counts():
+    """(name, H-description, counts at dilations 0..d+1 by the prefix
+    recursion) per graph of the 102-graph sweep corpus."""
+    out = []
+    for e in corpus(5, 7, 26):
+        h = h_representation(block_decomposition(e.graph))
+        counts = [oracles.count_lattice_prefixes(h.rows, h.dim, n) for n in range(h.dim + 2)]
+        out.append((e.name, h, counts))
+    return out
+
+
+def test_counts_match_prefix_recursion(corpus_counts):
+    for name, h, counts in corpus_counts:
+        assert [count_lattice_points(h, n) for n in range(h.dim + 2)] == counts, name
+
+
+def test_counts_under_coordinate_permutations(corpus_counts):
+    # a counter that skips the lower bound of the negative coefficients
+    # still matches in the identity order, and fails in others
+    rng = random.Random(11)
+    for name, h, counts in corpus_counts:
+        for _ in range(2):
+            perm = list(range(h.dim))
+            rng.shuffle(perm)
+            rows = tuple((tuple(a[p] for p in perm), b) for a, b in h.rows)
+            permuted = RationalPolyhedron(h.dim, rows)
+            assert [count_lattice_points(permuted, n) for n in range(h.dim + 2)] == counts, (name, perm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda dim: st.tuples(
+            st.just(dim),
+            st.lists(
+                st.tuples(st.tuples(*[st.integers(-2, 2)] * dim), st.integers(-2, 3)),
+                min_size=1,
+                max_size=5,
+            ),
+            st.integers(0, 4),
+            st.sampled_from([1, 70]),
+        )
+    )
+)
+def test_counts_match_box_scan_on_random_rows(case):
+    # scaling every row by 70 keeps the polyhedron and pushes the slack
+    # offsets past a byte, onto tuple keys
+    dim, rows, n, scale = case
+    h = RationalPolyhedron(dim, tuple((tuple(c * scale for c in a), b * scale) for a, b in rows))
+    assert count_lattice_points(h, n) == oracles.count_dilation_points(rows, dim, n)
+
+
+def test_tuple_keys_at_large_dilations(monkeypatch):
+    # an offset of path-3 at dilation n reaches 2n, past a byte at n = 130
+    packers = []
+    real = ehrhart._key_packer
+    monkeypatch.setattr(ehrhart, "_key_packer", lambda widest: packers.append(real(widest)) or packers[-1])
+    for g, hs, dilations in (
+        (path_graph(3), (1, 3, 1, 0), (60, 130)),
+        (triangle_chain(4), (1, 6, 6, 1, 0), (60,)),
+    ):
+        h = h_representation(block_decomposition(g))
+        for n in dilations:
+            assert count_lattice_points(h, n) == ehrhart_value(hs, n)
+    assert tuple in packers and bytes in packers
+    h = h_representation(block_decomposition(path_graph(3)))
+    assert count_lattice_points(h, 60) == oracles.count_lattice_prefixes(h.rows, 3, 60)
+
+
+def test_empty_polyhedron_counts_zero():
+    # x0 + x1 <= 1 and x0 + x1 >= 3 meet nowhere, x0 <= -1 misses the box,
+    # and the zero row 0 <= -1 holds nowhere
+    for rows in (
+        (((1, 1), 1), ((-1, -1), -3)),
+        (((1, 0), -1),),
+        (((0, 0), -1), ((1, 1), 2)),
+    ):
+        h = RationalPolyhedron(2, rows)
+        for n in range(1, 5):
+            assert count_lattice_points(h, n) == 0
+            assert oracles.count_dilation_points(rows, 2, n) == 0

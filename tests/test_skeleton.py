@@ -139,6 +139,24 @@ def test_diameter_budget(path3_d):
         diameter(pg, max_vertices=3)
 
 
+def test_given_vertices_build_the_same_skeleton(oracle_graphs):
+    for name, d in oracle_graphs:
+        h = h_representation(d)
+        verts = enumerate_vertices(d)
+        for method in ("combinatorial", "geometric"):
+            own = build_polytope_graph(d, h, method=method)
+            given = build_polytope_graph(d, h, method=method, vertices=verts)
+            assert given.vertices is verts
+            assert given.neighbors == own.neighbors, (name, method)
+
+
+def test_vertex_cap_fires_on_given_vertices(path3_d):
+    # the cap is checked before the first neighbor search, which would
+    # fail on these placeholder vertices
+    with pytest.raises(BudgetExceeded):
+        build_polytope_graph(path3_d, vertices=((),) * (2**16 + 1))
+
+
 def test_hirsch_path3(path3_d):
     h = h_representation(path3_d)
     pg = build_polytope_graph(path3_d)

@@ -2,6 +2,7 @@
 
 import json
 
+import cbp.skeleton as skeleton
 import cbp.verify as verify
 from cbp.corpus import CorpusEntry, path_graph
 from cbp.errors import AssertionFailure
@@ -20,7 +21,7 @@ def test_option_defaults():
     assert opts.seed == 7
     assert opts.facet_max_blocks == 7
     assert opts.adjacency_max_blocks == 5
-    assert opts.hstar_max_blocks == 5
+    assert opts.hstar_max_blocks == 6
     assert opts.groebner_max_blocks == 4
     assert opts.optimizer_trials == 50
     assert opts.workers is None
@@ -41,11 +42,30 @@ def test_block_count_gates_skip_expensive_checks():
     status = {c.name: c.status for c in report.checks}
     assert status["facets"] == "pass"  # 6 blocks is under the facet gate
     assert status["adjacency"] == "skip"
-    assert status["hstar"] == "skip"
+    assert status["hstar"] == "pass"  # and under the h* gate
     assert status["groebner"] == "skip"
     assert status["triangulation"] == "skip"
     assert status["optimizer"] == "pass"
     assert report.passed()
+    report = verify_graph(CorpusEntry("path-7", path_graph(7)), VerifyOptions())
+    status = {c.name: c.status for c in report.checks}
+    assert status["hstar"] == "skip"
+    assert report.passed()
+
+
+def test_verify_graph_enumerates_the_vertices_once(monkeypatch):
+    calls = []
+    real = verify.enumerate_vertices
+    monkeypatch.setattr(verify, "enumerate_vertices", lambda d: calls.append(d) or real(d))
+
+    def refuse(d):
+        raise AssertionError("the skeleton enumerated the vertices again")
+
+    monkeypatch.setattr(skeleton, "enumerate_vertices", refuse)
+    report = verify_graph(CorpusEntry("path-4", path_graph(4)), VerifyOptions())
+    assert {c.name: c.status for c in report.checks}["adjacency"] == "pass"
+    assert report.passed()
+    assert len(calls) == 1
 
 
 def test_sweep_passes_and_reports_deterministically():
