@@ -8,6 +8,7 @@ or a budget was exceeded, 2 means the invocation or its input was bad.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict
@@ -41,7 +42,7 @@ from .optimize import (
     tree_adapter,
 )
 from .serialize import jsonable, parse_rational
-from .skeleton import build_polytope_graph, hirsch_check, simplicity_report
+from .skeleton import _bits, build_polytope_graph, hirsch_check, simplicity_report
 from .toric import (
     buchberger_verify,
     fiber_reduction_test,
@@ -64,7 +65,17 @@ USAGE_ERRORS = (
 
 
 def _emit(payload) -> None:
-    print(json.dumps(jsonable(payload), indent=2, sort_keys=True))
+    """Print the payload as indented JSON with sorted keys.
+
+    The encoder walks the payload itself and hands jsonable only the values
+    it cannot write, Fractions and sets.  Its chunks go out joined in
+    batches, so the text of a large payload is never held as one list of
+    small strings.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, default=jsonable).iterencode(payload)
+    while batch := "".join(itertools.islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _load_graph(path: str) -> Graph:
@@ -148,16 +159,15 @@ def cmd_edges(args) -> int:
         pg = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric")
     else:
         pg = ctx.skeleton
-    edges = sorted(
-        (i, j) for i, nbrs in enumerate(pg.neighbors) for j in nbrs if i < j
-    )
+    # _bits yields ascending indices, so the pairs come out sorted
+    edges = [[i, j] for i, nbrs in enumerate(pg.neighbors) for j in _bits(nbrs) if i < j]
     _emit(
         {
             "method": args.method,
             "vertex_count": len(pg.vertices),
             "vertices": [list(a) for a in pg.vertices],
             "edge_count": len(edges),
-            "edges": [list(e) for e in edges],
+            "edges": edges,
         }
     )
     return 0
@@ -182,7 +192,8 @@ def cmd_hstar(args) -> int:
         raise ValueError(f"--max-dilation must be at least the dimension {dim}")
     profile = ctx.hstar
     report = hstar_checks(profile, d, h)
-    evaluations = dict(profile.evaluations)
+    # string keys, sorted as strings like every other key of the output
+    evaluations = {str(n): count for n, count in profile.evaluations.items()}
     for n in range(dim + 1, top + 1):
         measured = count_lattice_points(h, n)
         predicted = ehrhart_value(profile.hstar, n)
@@ -196,7 +207,7 @@ def cmd_hstar(args) -> int:
                     "predicted": str(predicted),
                 },
             )
-        evaluations[n] = measured
+        evaluations[str(n)] = measured
     clauses = report.clauses
     _emit(
         {

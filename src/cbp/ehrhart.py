@@ -248,11 +248,13 @@ def hstar_checks(
     reflexivity of the doubled polytope shifted by the all-ones point
     (each normalized row (a, b) must satisfy 2b - sum(a) = 1); the
     hstar_1 vertex-count formula with its lower bound and equality
-    characterization; gamma_1 >= 0; volume consistency; and for block
-    paths the Narayana match, recording which index fits.  Every clause is
-    read from profile.hstar.  The vertex count comes from an enumeration of
-    its own: hstar_1 = E(1) - (d + 1) holds for every lattice polytope, so a
-    comparison with the profile's E(1) would check nothing.
+    characterization; gamma_1 >= 0; the polynomial of h* predicting the
+    lattice count at dilation d + 1, one past the counts it was read from
+    (the volume clause); and for block paths the Narayana match, recording
+    which index fits.  Every clause is read from profile.hstar.  The vertex
+    count comes from an enumeration of its own: hstar_1 = E(1) - (d + 1)
+    holds for every lattice polytope, so a comparison with the profile's
+    E(1) would check nothing.
     """
     dim = len(d.blocks)
     hs = profile.hstar
@@ -270,8 +272,8 @@ def hstar_checks(
         and ((h1 == dim - 1) == (dim <= 2))
     )
     clauses["gamma1_nonneg"] = gamma1 >= 0
-    lead = profile.ehrhart_coeffs[dim]
-    clauses["volume"] = sum(hs) == lead * factorial(dim)
+    # the counts at 0..dim fix h*, so the count at dim + 1 is a fresh test of it
+    clauses["volume"] = count_lattice_points(h, dim + 1) == ehrhart_value(hs, dim + 1)
     narayana_index: int | None = None
     if classify(d.graph, d).is_block_path:
         expected = {

@@ -130,13 +130,14 @@ def adjacent_geometric(h: RationalPolyhedron, verts, i: int, j: int) -> bool:
 
 @dataclass(eq=False)
 class PolytopeGraph:
-    """Vertex list plus adjacency sets, indices into the vertex list."""
+    """Vertex list plus adjacency masks: bit j of neighbors[i] marks the edge
+    between vertices i and j of the vertex list."""
 
     vertices: tuple[BlockSubset, ...]
-    neighbors: tuple[frozenset[int], ...]
+    neighbors: tuple[int, ...]
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
+        return self.neighbors[i].bit_count()
 
 
 def _bits(mask: int):
@@ -216,7 +217,7 @@ def build_polytope_graph(
         nb = [_face_neighbors(vertex_rows, i) for i in range(len(verts))]
     else:
         raise ValueError(f"unknown method {method!r}")
-    return PolytopeGraph(vertices=verts, neighbors=tuple(frozenset(_bits(m)) for m in nb))
+    return PolytopeGraph(vertices=verts, neighbors=tuple(nb))
 
 
 def _check_vertex_cap(n: int, max_vertices: int = MAX_DIAMETER_VERTICES) -> None:
@@ -240,7 +241,7 @@ def diameter(pg: PolytopeGraph, max_vertices: int = MAX_DIAMETER_VERTICES) -> in
     while any(ball != everything for ball in balls):
         grown = []
         for ball, ws in zip(balls, pg.neighbors):
-            for w in ws:
+            for w in _bits(ws):
                 ball |= balls[w]
             grown.append(ball)
         if grown == balls:

@@ -291,18 +291,16 @@ def check_adjacency(ctx: GraphContext) -> dict | None:
     comb = ctx.skeleton
     geo = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric", vertices=ctx.vertices)
     verts = comb.vertices
-    for i in range(len(verts)):
-        if comb.neighbors[i] == geo.neighbors[i]:
-            continue
-        for j in range(i + 1, len(verts)):
-            comb_adj = j in comb.neighbors[i]
-            geo_adj = j in geo.neighbors[i]
-            if comb_adj != geo_adj:
-                return {
-                    "pair": [list(verts[i]), list(verts[j])],
-                    "combinatorial": comb_adj,
-                    "geometric": geo_adj,
-                }
+    for i, (comb_nb, geo_nb) in enumerate(zip(comb.neighbors, geo.neighbors)):
+        # a difference below i showed up at the smaller vertex already
+        differ = (comb_nb ^ geo_nb) >> (i + 1)
+        if differ:
+            j = i + (differ & -differ).bit_length()
+            return {
+                "pair": [list(verts[i]), list(verts[j])],
+                "combinatorial": bool(comb_nb >> j & 1),
+                "geometric": bool(geo_nb >> j & 1),
+            }
     return None
 
 

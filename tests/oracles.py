@@ -2,14 +2,20 @@
 
 Everything here recomputes results from first principles (exhaustive
 enumeration, generic brute force) without touching the routines under
-test, so a disagreement always points at the implementation.
+test, so a disagreement always points at the implementation.  The Groebner
+oracles reuse only the monomial primitives of `cbp.toric`, which
+`test_toric.test_mono_primitives` pins on their own.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd
+
+from cbp.errors import ReductionDiverges
+from cbp.toric import mono_cmp, mono_div, mono_divides, mono_lcm, mono_mul
 
 
 def subgraph_connected(vertices, edges) -> bool:
@@ -305,3 +311,76 @@ def bfs_diameter(neighbors) -> int | None:
             return None
         best = max(best, max(dist.values()))
     return best
+
+
+def ranked_basis(g, order) -> list[tuple[dict, dict]]:
+    """(leading, trailing) rank monomials of a binomial list, by leading term."""
+    basis = [
+        ({order.rank[a]: e for a, e in f.plus}, {order.rank[a]: e for a, e in f.minus})
+        for f in g
+    ]
+    basis.sort(key=functools.cmp_to_key(lambda x, y: mono_cmp(x[0], y[0])))
+    return basis
+
+
+def reduce_difference(p_plus, p_minus, basis, max_steps: int = 10**6) -> bool:
+    """True when the difference p_plus - p_minus reduces to zero, stepping
+    whichever side is larger by the dividing element with the smallest
+    leading term."""
+    steps = 0
+    while True:
+        c = mono_cmp(p_plus, p_minus)
+        if c == 0:
+            return True
+        lead = p_plus if c > 0 else p_minus
+        divisor = None
+        for lt, tail in basis:
+            if mono_divides(lt, lead):
+                divisor = (lt, tail)
+                break
+        if divisor is None:
+            return False
+        new_lead = mono_mul(mono_div(lead, divisor[0]), divisor[1])
+        if c > 0:
+            p_plus = new_lead
+        else:
+            p_minus = new_lead
+        steps += 1
+        if steps > max_steps:
+            raise ReductionDiverges(f"no termination after {max_steps} reduction steps")
+
+
+def pairwise_buchberger(g, order) -> bool:
+    """Squarefree leading terms, and every S-pair (coprime ones included)
+    reduced as a difference."""
+    basis = ranked_basis(g, order)
+    if any(e > 1 for lt, _ in basis for e in lt.values()):
+        return False
+    for (lt1, tail1), (lt2, tail2) in itertools.combinations(basis, 2):
+        lcm = mono_lcm(lt1, lt2)
+        s_plus = mono_mul(mono_div(lcm, lt2), tail2)
+        s_minus = mono_mul(mono_div(lcm, lt1), tail1)
+        if not reduce_difference(s_plus, s_minus, basis):
+            return False
+    return True
+
+
+def pairwise_fiber_test(nblocks: int, g, order, maxdeg: int = 3) -> bool:
+    """Every pair of equal-image monomials of degree 2..maxdeg reduced as a
+    difference."""
+    basis = ranked_basis(g, order)
+    for deg in range(2, maxdeg + 1):
+        groups: dict[tuple[int, ...], list[dict]] = {}
+        for combo in itertools.combinations_with_replacement(range(len(order.variables)), deg):
+            image = [0] * nblocks
+            mono: dict[int, int] = {}
+            for r in combo:
+                mono[r] = mono.get(r, 0) + 1
+                for b in order.variables[r]:
+                    image[b] += 1
+            groups.setdefault(tuple(image), []).append(mono)
+        for members in groups.values():
+            for m1, m2 in itertools.combinations(members, 2):
+                if not reduce_difference(dict(m1), dict(m2), basis):
+                    return False
+    return True

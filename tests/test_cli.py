@@ -187,6 +187,21 @@ def test_groebner(graph_file, capsys):
     assert ("0", "1") in plus_keys
 
 
+def test_groebner_random6_within_seconds(graph_file, capsys):
+    # random_block_tree(Random(7), 6): 35 variables, 291 binomials, 42,195
+    # S-pairs, of which 37,095 are coprime
+    edges = "0-1 0-2 0-5 0-6 0-8 0-9 0-10 1-2 2-3 2-4 3-4 3-11 3-13 6-7 7-8 9-10 11-12 12-13"
+    text = "".join(e.replace("-", " ") + "\n" for e in edges.split())
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["groebner", "--graph", graph_file(text)])
+    assert code == 0
+    assert time.perf_counter() - start < 10
+    payload = json.loads(out)
+    assert (payload["variable_count"], payload["binomial_count"]) == (35, 291)
+    assert payload["is_groebner"] is True
+    assert payload["fiber_test"] is True
+
+
 def test_groebner_refusal(graph_file, capsys):
     code, out, err = run(
         capsys,

@@ -8,7 +8,11 @@ these commands fails here.  The digests of `blocks`, `vertices`, `hstar`,
 while each command still built its own artifacts, before they all read them
 from `verify.GraphContext`.  The `hstar` digest of triangle-chain-7 was
 recorded from the prefix recursion and the `Fraction` interpolation that
-the level-by-level count and the integer h* replaced.  A path and a
+the level-by-level count and the integer h* replaced.  The `hstar`
+digests of star-14 and of path-3 with `--max-dilation 12` were recorded
+while the output still went through a deep `jsonable` copy (which turns the
+integer dilation keys into strings before sorting) and while the `volume`
+clause still compared sum(h*) with the leading coefficient.  A path and a
 triangle chain of six blocks have the same block structure and hence the
 same output (apart from `blocks`).
 """
@@ -19,7 +23,7 @@ import random
 import pytest
 
 from cbp.cli import main
-from cbp.corpus import flower, path_graph, random_block_tree, spider, triangle_chain
+from cbp.corpus import flower, path_graph, random_block_tree, spider, star_graph, triangle_chain
 
 GRAPHS = {
     "path-6": lambda: path_graph(6),
@@ -28,6 +32,8 @@ GRAPHS = {
     "flower-9": lambda: flower(9),
     "random-12": lambda: random_block_tree(random.Random(7), 12),
     "triangle-chain-7": lambda: triangle_chain(7),
+    "star-14": lambda: star_graph(14),
+    "path-3": lambda: path_graph(3),
 }
 
 COMMANDS = {
@@ -38,6 +44,7 @@ COMMANDS = {
     "blocks": ["blocks"],
     "vertices": ["vertices"],
     "hstar": ["hstar"],
+    "hstar-12": ["hstar", "--max-dilation", "12"],
     "groebner": ["groebner"],
     "triangulate": ["triangulate"],
 }
@@ -79,6 +86,8 @@ DIGESTS = {
     ("spider-3-2-1", "hstar"): "3be38a705dda207b0f3eccd6e47c5ff608e337560d6453aeec48090f4a36be6c",
     ("spider-3-2-1", "triangulate"): "569bc9ddcd45cfd740b82c3996954b9ffd4fe1f1c737eb649a5bf50e0a65afa4",
     ("triangle-chain-7", "hstar"): "161caeb9b72dde8d95c7dae9a950c0844844c806faaf7deecfa9491473f5f280",
+    ("star-14", "hstar"): "82427917205bd299ea9379c7352e0849ccff5a41c742077d0a1c9336e884eb04",
+    ("path-3", "hstar-12"): "9307e5ce7468c99b0518ee0ff36c94ad6399ef7ce239f482db9769d443822e78",
 }
 
 

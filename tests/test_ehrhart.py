@@ -14,6 +14,7 @@ from cbp import ehrhart
 from cbp.corpus import corpus, path_graph, star_graph, triangle_chain
 from cbp.errors import AssertionFailure, BudgetExceeded
 from cbp.ehrhart import (
+    HStarProfile,
     count_lattice_points,
     ehrhart_coefficients,
     ehrhart_value,
@@ -167,8 +168,9 @@ def test_checks_raise_on_tampered_profile(path3_d):
 
 
 def test_checks_read_h1_from_the_checked_vector(star3_d):
-    # (0, 6, 0, 0) keeps every clause but the vertex count: the cube has
-    # 8 vertices, so hstar_1 must be 8 - 4 = 4
+    # (0, 6, 0, 0) keeps every clause but the vertex count and the volume:
+    # the cube has 8 vertices, so hstar_1 must be 8 - 4 = 4, and it predicts
+    # 6 * C(6, 3) = 120 points in 4 times the cube, which has 5^3
     h = h_representation(star3_d)
     profile = hstar_profile(star3_d, h)
     bad = type(profile)(
@@ -178,7 +180,25 @@ def test_checks_read_h1_from_the_checked_vector(star3_d):
     )
     with pytest.raises(AssertionFailure) as exc:
         hstar_checks(bad, star3_d, h)
-    assert exc.value.payload["failed"] == ["h1_formula"]
+    assert exc.value.payload["failed"] == ["h1_formula", "volume"]
+
+
+def test_volume_clause_counts_one_dilation_past_the_profile(star3_d):
+    # (2, 4, 2, 0) keeps every other clause on the cube, and a profile whose
+    # Ehrhart coefficients are expanded from it agrees with it on sum(h*) =
+    # c_d d!; the count of 4 times the cube, 125, against the 170 it
+    # predicts, is what rejects it
+    h = h_representation(star3_d)
+    bad_hstar = (2, 4, 2, 0)
+    bad = HStarProfile(
+        ehrhart_coeffs=ehrhart_coefficients(bad_hstar),
+        evaluations=hstar_profile(star3_d, h).evaluations,
+        hstar=bad_hstar,
+    )
+    assert ehrhart_value(bad_hstar, 4) == 170
+    with pytest.raises(AssertionFailure) as exc:
+        hstar_checks(bad, star3_d, h)
+    assert exc.value.payload["failed"] == ["volume"]
 
 
 def test_count_budget(path3_d):

@@ -14,6 +14,7 @@ from cbp.facets import h_representation
 from cbp.graphs import block_decomposition
 from cbp.skeleton import (
     PolytopeGraph,
+    _bits,
     adjacent_combinatorial,
     adjacent_geometric,
     build_polytope_graph,
@@ -69,22 +70,23 @@ def test_combinatorial_skeleton_matches_pairwise_oracle(oracle_graphs):
     for name, d in oracle_graphs:
         pg = build_polytope_graph(d)
         expected = oracles.pairwise_neighbors(pg.vertices, partial(adjacent_combinatorial, d))
-        assert pg.neighbors == expected, name
+        assert tuple(frozenset(_bits(m)) for m in pg.neighbors) == expected, name
 
 
 def test_diameter_matches_bfs_oracle(oracle_graphs):
     for name, d in oracle_graphs:
         pg = build_polytope_graph(d)
-        assert diameter(pg) == oracles.bfs_diameter(pg.neighbors), name
+        neighbors = [frozenset(_bits(m)) for m in pg.neighbors]
+        assert diameter(pg) == oracles.bfs_diameter(neighbors), name
 
 
 def test_diameter_rejects_disconnected_graph():
     # the pair {(), (0,)} has no path to the isolated (1,)
     pg = PolytopeGraph(
         vertices=((), (0,), (1,)),
-        neighbors=(frozenset({1}), frozenset({0}), frozenset()),
+        neighbors=(0b010, 0b001, 0b000),
     )
-    assert oracles.bfs_diameter(pg.neighbors) is None
+    assert oracles.bfs_diameter([frozenset(_bits(m)) for m in pg.neighbors]) is None
     with pytest.raises(AssertionFailure):
         diameter(pg)
 
@@ -98,7 +100,7 @@ def test_geometric_skeleton_matches_face_oracle(small_corpus):
         points = [to_incidence(d, a) for a in pg.vertices]
         for i, j in itertools.combinations(range(len(points)), 2):
             expected = oracles.face_adjacent(h.rows, points, i, j)
-            assert (j in pg.neighbors[i]) == expected, (name, i, j)
+            assert (j in frozenset(_bits(pg.neighbors[i]))) == expected, (name, i, j)
             if name == "flower-4":
                 assert adjacent_geometric(h, points, i, j) == expected, (name, i, j)
 
@@ -121,7 +123,7 @@ def test_origin_neighbors_are_singletons(small_corpus):
         pg = build_polytope_graph(d)
         assert pg.vertices[0] == ()
         singles = {i for i, a in enumerate(pg.vertices) if len(a) == 1}
-        assert pg.neighbors[0] == frozenset(singles), name
+        assert frozenset(_bits(pg.neighbors[0])) == frozenset(singles), name
 
 
 def test_diameters():

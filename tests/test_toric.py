@@ -8,14 +8,16 @@ degrevlex basis with the candidate binomials.
 import pytest
 import sympy
 
-from cbp.corpus import path_graph, star_graph
+import oracles
+from cbp.corpus import corpus, path_graph, spider, star_graph, triangle_chain
 from cbp.errors import AssertionFailure, BudgetExceeded, ReductionDiverges
 from cbp.graphs import block_decomposition
 from cbp.ehrhart import hstar_profile
+from cbp.verify import GraphContext
 from cbp.toric import (
     Binomial,
     SimplicialComplex,
-    _reduce_difference,
+    _normal_form,
     binomial_is_homogeneous,
     buchberger_verify,
     fiber_reduction_test,
@@ -133,10 +135,61 @@ def test_budget_guards(path3_d):
         triangulation(path3_d, max_variables=2)
 
 
+def dropped_bases(basis):
+    """The basis with one binomial left out, at the first, middle and last position."""
+    k = len(basis)
+    return [basis[:p] + basis[p + 1 :] for p in sorted({0, k // 2, k - 1})]
+
+
+# The pairwise oracles reduce every S-pair, coprime ones included, and every
+# pair of each image class: 38-48 s per graph on star-5, flower-5 and
+# flower-pendant-5 (285 binomials).  They run on the battery graphs of the
+# 5-block Groebner gate with at most 64 binomials.
+ORACLE_MAX_BINOMIALS = 64
+
+
+@pytest.fixture(scope="module")
+def groebner_battery():
+    """Contexts of the acceptance battery graphs within the 5-block Groebner gate."""
+    contexts = [(name, GraphContext(g)) for name, g in corpus(max_blocks=6, seed=7)]
+    return [(name, ctx) for name, ctx in contexts if len(ctx.decomposition.blocks) <= 5]
+
+
+def test_checks_match_pairwise_oracles(groebner_battery):
+    compared = 0
+    for name, ctx in groebner_battery:
+        d, basis, order = ctx.decomposition, ctx.basis, ctx.order
+        if len(basis) > ORACLE_MAX_BINOMIALS:
+            continue
+        compared += 1
+        for g in [basis] + dropped_bases(basis):
+            assert buchberger_verify(g, order) == oracles.pairwise_buchberger(g, order), name
+            expected = oracles.pairwise_fiber_test(len(d.blocks), g, order, maxdeg=3)
+            assert fiber_reduction_test(d, g, order, maxdeg=3) == expected, name
+    assert compared >= 39
+
+
+def test_dropped_binomial_fails_both_checks(groebner_battery):
+    # on these graphs, leaving out one of two or more binomials also breaks
+    # the Groebner property of the rest; a single binomial leaves the empty
+    # basis, which is trivially one
+    graphs = [(name, ctx) for name, ctx in groebner_battery if len(ctx.basis) >= 2]
+    graphs += [
+        ("path-6", GraphContext(path_graph(6))),
+        ("triangle-chain-6", GraphContext(triangle_chain(6))),
+        ("spider-3-2-1", GraphContext(spider((3, 2, 1)))),
+    ]
+    for name, ctx in graphs:
+        assert buchberger_verify(ctx.basis, ctx.order), name
+        for g in dropped_bases(ctx.basis):
+            assert not buchberger_verify(g, ctx.order), name
+            assert not fiber_reduction_test(ctx.decomposition, g, ctx.order, maxdeg=3), name
+
+
 def test_reduction_divergence_guard():
     basis = [({0: 1}, {1: 1}), ({1: 1}, {0: 1})]
     with pytest.raises(ReductionDiverges):
-        _reduce_difference({0: 1}, {}, basis, max_steps=10)
+        _normal_form(basis, max_steps=10)({0: 1})
 
 
 def sympy_toric_gb(d):

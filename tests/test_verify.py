@@ -37,6 +37,20 @@ def test_checks_pass_on_path3():
     assert verify.check_hstar(ctx) is None
 
 
+def test_adjacency_reports_the_first_differing_pair():
+    ctx = GraphContext(path_graph(3))
+    nb = list(ctx.skeleton.neighbors)
+    for i, j in ((2, 6), (1, 5), (1, 3)):  # toggle three edges, both ends
+        nb[i] ^= 1 << j
+        nb[j] ^= 1 << i
+    ctx.skeleton = skeleton.PolytopeGraph(ctx.vertices, tuple(nb))
+    detail = verify.check_adjacency(ctx)
+    verts = ctx.vertices
+    assert detail["pair"] == [list(verts[1]), list(verts[3])]
+    geometric = bool(skeleton.build_polytope_graph(ctx.decomposition).neighbors[1] >> 3 & 1)
+    assert (detail["combinatorial"], detail["geometric"]) == (not geometric, geometric)
+
+
 def test_block_count_gates_skip_expensive_checks():
     report = verify_graph(CorpusEntry("path-6", path_graph(6)), VerifyOptions())
     status = {c.name: c.status for c in report.checks}
