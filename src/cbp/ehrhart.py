@@ -237,6 +237,7 @@ class HStarReport:
     clauses: dict[str, bool]
     narayana_index: int | None
     gamma1: int
+    volume_count: int  # the lattice count at dilation d + 1, read by the volume clause
 
 
 def hstar_checks(
@@ -273,7 +274,8 @@ def hstar_checks(
     )
     clauses["gamma1_nonneg"] = gamma1 >= 0
     # the counts at 0..dim fix h*, so the count at dim + 1 is a fresh test of it
-    clauses["volume"] = count_lattice_points(h, dim + 1) == ehrhart_value(hs, dim + 1)
+    volume_count = count_lattice_points(h, dim + 1)
+    clauses["volume"] = volume_count == ehrhart_value(hs, dim + 1)
     narayana_index: int | None = None
     if classify(d.graph, d).is_block_path:
         expected = {
@@ -295,4 +297,6 @@ def hstar_checks(
                 "failed": failed,
             },
         )
-    return HStarReport(clauses=clauses, narayana_index=narayana_index, gamma1=gamma1)
+    return HStarReport(
+        clauses=clauses, narayana_index=narayana_index, gamma1=gamma1, volume_count=volume_count
+    )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import AssertionFailure, CountOverflow, NotEulerianCactus, NotTree
@@ -171,20 +172,31 @@ def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> S
 
 
 def brute_force_optimum(
-    d: BlockDecomposition, weights: Sequence, max_blocks: int = MAX_BRUTE_FORCE_BLOCKS
+    d: BlockDecomposition,
+    weights: Sequence,
+    max_blocks: int = MAX_BRUTE_FORCE_BLOCKS,
+    vertices: Sequence[BlockSubset] | None = None,
 ) -> Solution:
-    """Scan every connected blockset; same value and tie-break as the DP."""
+    """Scan every connected blockset; same value and tie-break as the DP.
+
+    vertices, when given, are the connected blocksets of d (as listed by
+    enumerate_vertices), so a caller holding them saves the enumeration.
+    The scan sums integers: the weights scaled by the lcm of their
+    denominators.
+    """
     w = _check_weights(d, weights)
     if len(d.blocks) > max_blocks:
         raise CountOverflow(
             f"{len(d.blocks)} blocks exceed the brute-force cap {max_blocks}"
         )
-    best = Solution(blockset=(), value=Fraction(0))
-    for a in enumerate_vertices(d):
-        val = sum((w[b] for b in a), Fraction(0))
-        if val > best.value or (val == best.value and a < best.blockset):
-            best = Solution(blockset=a, value=val)
-    return best
+    scale = lcm(*(x.denominator for x in w))
+    iw = [x.numerator * (scale // x.denominator) for x in w]
+    best_value, best_set = 0, ()
+    for a in enumerate_vertices(d) if vertices is None else vertices:
+        val = sum(map(iw.__getitem__, a))
+        if val > best_value or (val == best_value and a < best_set):
+            best_value, best_set = val, a
+    return Solution(blockset=best_set, value=Fraction(best_value, scale))
 
 
 def _edge_weight_map(g: Graph, edge_weights: Sequence) -> dict[Edge, Fraction]:

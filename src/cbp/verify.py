@@ -208,13 +208,17 @@ def _cutoff_point(h: RationalPolyhedron, idx: int, tight) -> tuple | None:
     """A point violating only row idx, certifying the row irredundant.
 
     The tight points are the vertices on which row idx holds with equality.
+    The point is centroid + eps * a, with eps half the smallest bound
+    another row puts on the step along a (1 when no row bounds it).  The
+    arithmetic is on integers: the centroid is carried as the sum s of the
+    k tight points, each bound on eps as a numerator/denominator pair, and
+    the point as a vector p over a common denominator.
     """
     a, b = h.rows[idx]
     if not tight:
         return None
     k = len(tight)
-    centroid = tuple(sum(col, Fraction(0)) / k for col in zip(*tight))
-    norm = sum(c * c for c in a)
+    s = [sum(col) for col in zip(*tight)]
     eps = None
     for j, (a2, b2) in enumerate(h.rows):
         if j == idx:
@@ -222,19 +226,23 @@ def _cutoff_point(h: RationalPolyhedron, idx: int, tight) -> tuple | None:
         direction = sum(x * y for x, y in zip(a2, a))
         if direction <= 0:
             continue
-        slack = b2 - sum(c * x for c, x in zip(a2, centroid))
+        # the slack of row j at the centroid, times k
+        slack = k * b2 - sum(c * x for c, x in zip(a2, s))
         if slack <= 0:
             return None
-        bound = Fraction(slack, direction)
-        eps = bound if eps is None else min(eps, bound)
-    eps = Fraction(1) if eps is None else eps / 2
-    point = tuple(c + eps * ai for c, ai in zip(centroid, a))
-    if sum(c * x for c, x in zip(a, point)) <= b:
+        # the bound slack / (k * direction), compared by cross-multiplication
+        if eps is None or slack * eps[1] < eps[0] * k * direction:
+            eps = (slack, k * direction)
+    eps_num, eps_den = (1, 1) if eps is None else (eps[0], 2 * eps[1])
+    # point = s / k + eps * a = p / den
+    den = k * eps_den
+    p = [eps_den * x + k * eps_num * ai for x, ai in zip(s, a)]
+    if sum(c * x for c, x in zip(a, p)) <= b * den:
         return None
     for j, (a2, b2) in enumerate(h.rows):
-        if j != idx and sum(c * x for c, x in zip(a2, point)) > b2:
+        if j != idx and sum(c * x for c, x in zip(a2, p)) > b2 * den:
             return None
-    return point
+    return tuple(Fraction(x, den) for x in p)
 
 
 def check_facets(ctx: GraphContext) -> dict | None:
@@ -354,7 +362,7 @@ def check_optimizer(ctx: GraphContext, trials: int, seed_tag: str) -> dict | Non
     for t in range(trials):
         weights = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(n)]
         dp = max_weight_connected_blockset(d, weights)
-        bf = brute_force_optimum(d, weights)
+        bf = brute_force_optimum(d, weights, vertices=ctx.vertices)
         if dp != bf:
             return {
                 "trial": t,

@@ -246,7 +246,7 @@ def test_criterion_10_optimizer(battery):
                 for _ in ctx.decomposition.blocks
             ]
             if max_weight_connected_blockset(ctx.decomposition, w) != brute_force_optimum(
-                ctx.decomposition, w
+                ctx.decomposition, w, vertices=ctx.vertices
             ):
                 failures.append((name, w))
                 break

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from cbp import ehrhart, skeleton
+from cbp import cli, ehrhart, skeleton
 from cbp.cli import main
 
 PATH3 = "0 1\n1 2\n2 3\n"
@@ -132,6 +132,23 @@ def test_hstar(graph_file, capsys):
     assert payload["evaluations"]["3"] == 54
     assert payload["evaluations"]["5"] == 181
     assert all(payload["clauses"].values())
+
+
+def test_hstar_counts_each_dilation_once(graph_file, capsys, monkeypatch):
+    seen = []
+    real = ehrhart.count_lattice_points
+
+    def spy(h, n, **kwargs):
+        seen.append(n)
+        return real(h, n, **kwargs)
+
+    monkeypatch.setattr(ehrhart, "count_lattice_points", spy)
+    monkeypatch.setattr(cli, "count_lattice_points", spy)
+    code, _, _ = run(
+        capsys, ["hstar", "--graph", graph_file(PATH3), "--max-dilation", "6"]
+    )
+    assert code == 0
+    assert sorted(seen) == list(range(7))
 
 
 def test_hstar_rejects_small_dilation(graph_file, capsys):

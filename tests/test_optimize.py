@@ -43,6 +43,33 @@ def test_brute_force_examples(path3_d, star3_d, triangle_d):
 def test_brute_force_cap(path3_d):
     with pytest.raises(CountOverflow):
         brute_force_optimum(path3_d, (1, 1, 1), max_blocks=2)
+    # the cap holds when the blocksets are handed in, too
+    with pytest.raises(CountOverflow):
+        brute_force_optimum(path3_d, (1, 1, 1), max_blocks=2, vertices=enumerate_vertices(path3_d))
+
+
+def tie_heavy_weights(rng, n):
+    """Weights in -1..1, all zero, or over mixed denominators: many optima tie."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return [rng.randint(-1, 1) for _ in range(n)]
+    if kind == 1:
+        return [0] * n
+    return [Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3, 4, 6))) for _ in range(n)]
+
+
+def test_brute_force_matches_oracle_on_ties(oracle_graphs):
+    # enumerate_vertices lists (cardinality, lex) order, not lex order, so a
+    # scan that kept its first optimum would miss the smallest tuple
+    rng = random.Random(20261018)
+    for name, d in oracle_graphs:
+        vertices = enumerate_vertices(d)
+        for _ in range(8):
+            w = tie_heavy_weights(rng, len(d.blocks))
+            expected = Solution(*oracles.best_blockset(d.graph, d.blocks, w))
+            assert brute_force_optimum(d, w) == expected, (name, w)
+            assert brute_force_optimum(d, w, vertices=vertices) == expected, (name, w)
+            assert max_weight_connected_blockset(d, w) == expected, (name, w)
 
 
 def test_weight_length_checked(path3_d):

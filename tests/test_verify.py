@@ -1,11 +1,15 @@
 """Corpus sweep wiring: gating, report shape, failure plumbing."""
 
 import json
+from fractions import Fraction
 
+import oracles
 import cbp.skeleton as skeleton
 import cbp.verify as verify
-from cbp.corpus import CorpusEntry, path_graph
+from cbp.corpus import CorpusEntry, corpus, path_graph
 from cbp.errors import AssertionFailure
+from cbp.facets import facet_certificate
+from cbp.hull import RationalPolyhedron
 from cbp.verify import (
     GraphContext,
     VerifyOptions,
@@ -49,6 +53,33 @@ def test_adjacency_reports_the_first_differing_pair():
     assert detail["pair"] == [list(verts[1]), list(verts[3])]
     geometric = bool(skeleton.build_polytope_graph(ctx.decomposition).neighbors[1] >> 3 & 1)
     assert (detail["combinatorial"], detail["geometric"]) == (not geometric, geometric)
+
+
+def test_cutoff_point_matches_fraction_oracle():
+    # every row of the sweep corpus and of the seven-block corpus, the facet gate
+    rows = 0
+    for entry in corpus(5, 7, 26) + corpus(7, 7):
+        ctx = GraphContext(entry.graph)
+        for idx, row in enumerate(ctx.hrep.rows):
+            cert = facet_certificate(ctx.decomposition, row, ctx.vertices)
+            tight = [ctx.incidence[k] for k in cert.tight_vertex_indices]
+            point = verify._cutoff_point(ctx.hrep, idx, tight)
+            assert point is not None, (entry.name, row)
+            assert point == oracles.fraction_cutoff_point(ctx.hrep.rows, idx, tight), (entry.name, row)
+            rows += 1
+    assert rows == 1131 + 1973
+
+
+def test_cutoff_point_refuses_a_redundant_row():
+    square = ((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1)
+    h = RationalPolyhedron(dim=2, rows=square + (((1, 1), 2),))
+    tight = [(1, 1)]  # the only point of the square on x1 + x2 = 2
+    assert verify._cutoff_point(h, 4, tight) is None
+    assert oracles.fraction_cutoff_point(h.rows, 4, tight) is None
+    # the facet x1 <= 1 is still cut off, with eps bounded by the redundant row
+    tight = [(1, 0), (1, 1)]
+    point = verify._cutoff_point(h, 2, tight)
+    assert point == oracles.fraction_cutoff_point(h.rows, 2, tight) == (Fraction(5, 4), Fraction(1, 2))
 
 
 def test_block_count_gates_skip_expensive_checks():
