@@ -50,20 +50,23 @@ class EdgeSolution:
     blockset: BlockSubset
 
 
-def _check_weights(d: BlockDecomposition, weights: Sequence) -> tuple[Fraction, ...]:
-    w = tuple(Fraction(x) for x in weights)
+def _scaled_weights(d: BlockDecomposition, weights: Sequence) -> tuple[list[int], int]:
+    """The block weights as integers over one common denominator, and that
+    denominator: the lcm of the weights' denominators."""
+    w = [Fraction(x) for x in weights]
     if len(w) != len(d.blocks):
         raise ValueError(f"expected {len(d.blocks)} weights, got {len(w)}")
-    return w
+    scale = lcm(*(x.denominator for x in w))
+    return [x.numerator * (scale // x.denominator) for x in w], scale
 
 
 def _branch_best(
     d: BlockDecomposition,
-    w: tuple[Fraction, ...],
+    w: Sequence[int],
     banned: frozenset[int],
     root_block: int,
     entry_vertex: int,
-) -> Fraction:
+) -> int:
     """Best value of a connected blockset containing root_block inside the
     branch of the block-cut tree entered from entry_vertex.
 
@@ -85,7 +88,7 @@ def _branch_best(
                     kids.append((b2, v))
         children[key] = kids
         stack.extend(kids)
-    best: dict[tuple[int, int], Fraction] = {}
+    best: dict[tuple[int, int], int] = {}
     for key in reversed(order):
         total = w[key[0]]
         for kid in children[key]:
@@ -97,10 +100,10 @@ def _branch_best(
 
 def _best_containing(
     d: BlockDecomposition,
-    w: tuple[Fraction, ...],
+    w: Sequence[int],
     forced: tuple[int, ...],
     banned: frozenset[int],
-) -> Fraction | None:
+) -> int | None:
     """Best value over connected blocksets containing forced and avoiding
     banned, or None when no such blockset exists.
 
@@ -111,7 +114,7 @@ def _best_containing(
     closure = {i for kind, i in nodes if kind == "B"}
     if closure & banned:
         return None
-    total = sum((w[b] for b in closure), Fraction(0))
+    total = sum(w[b] for b in closure)
     cuts = set()
     for b in closure:
         for _, v in d.tree_adjacency[("B", b)]:
@@ -133,11 +136,12 @@ def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> S
     reconstruction walks block indices left to right, stopping as soon
     as the accumulated prefix is itself a connected optimal set, and
     otherwise commits the smallest next index that keeps the constrained
-    optimum at the global value.
+    optimum at the global value.  Every sum and comparison is on the
+    weights scaled to integers; only the returned value is a Fraction.
     """
-    w = _check_weights(d, weights)
+    w, scale = _scaled_weights(d, weights)
     n = len(d.blocks)
-    best = Fraction(0)
+    best = 0
     for b in range(n):
         cand = _best_containing(d, w, (b,), frozenset())
         if cand is not None and cand > best:
@@ -150,10 +154,10 @@ def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> S
     while True:
         if (
             prefix
-            and sum((w[b] for b in prefix), Fraction(0)) == best
+            and sum(w[b] for b in prefix) == best
             and is_connected_blockset(d, prefix)
         ):
-            return Solution(blockset=tuple(prefix), value=best)
+            return Solution(blockset=tuple(prefix), value=Fraction(best, scale))
         start = prefix[-1] + 1 if prefix else 0
         chosen = None
         for e in range(start, n):
@@ -181,19 +185,16 @@ def brute_force_optimum(
 
     vertices, when given, are the connected blocksets of d (as listed by
     enumerate_vertices), so a caller holding them saves the enumeration.
-    The scan sums integers: the weights scaled by the lcm of their
-    denominators.
+    The scan sums the same scaled integer weights as the DP.
     """
-    w = _check_weights(d, weights)
+    w, scale = _scaled_weights(d, weights)
     if len(d.blocks) > max_blocks:
         raise CountOverflow(
             f"{len(d.blocks)} blocks exceed the brute-force cap {max_blocks}"
         )
-    scale = lcm(*(x.denominator for x in w))
-    iw = [x.numerator * (scale // x.denominator) for x in w]
     best_value, best_set = 0, ()
     for a in enumerate_vertices(d) if vertices is None else vertices:
-        val = sum(map(iw.__getitem__, a))
+        val = sum(map(w.__getitem__, a))
         if val > best_value or (val == best_value and a < best_set):
             best_value, best_set = val, a
     return Solution(blockset=best_set, value=Fraction(best_value, scale))

@@ -16,11 +16,22 @@ def format_rational(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# The interpreter's default digit limit for int strings: a longer integer is
+# already refused, and an exponent past it would make Fraction build a power
+# of ten of that many digits.
+MAX_EXPONENT = 4300
+
+
 def parse_rational(text: str) -> Fraction:
+    body = text.strip()
+    _, e, exponent = body.lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > MAX_EXPONENT):
+        raise ParseError(f"bad rational {body!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text.strip()!r}") from exc
+        raise ParseError(f"bad rational {body!r}") from exc
 
 
 def jsonable(x):

@@ -41,7 +41,13 @@ from .errors import (
 )
 from .graphs import BlockDecomposition, graph_to_json
 from .hull import RationalPolyhedron, _clear_denominators
-from .vertices import BlockSubset, _row_masks, enumerate_vertices, is_connected_blockset
+from .vertices import (
+    BlockSubset,
+    _row_masks,
+    count_connected_blocksets,
+    enumerate_vertices,
+    is_connected_blockset,
+)
 
 MAX_DIAMETER_VERTICES = 2**16
 
@@ -201,8 +207,11 @@ def build_polytope_graph(
 
     The vertices are the caller's `enumerate_vertices(d)`, enumerated here
     when not given.  Raises BudgetExceeded before any neighbor is searched
-    when there are more than MAX_DIAMETER_VERTICES vertices.
+    when there are more than MAX_DIAMETER_VERTICES vertices, and before the
+    enumeration when their predicted count is.
     """
+    if vertices is None:
+        _check_vertex_cap(count_connected_blocksets(d))
     verts = enumerate_vertices(d) if vertices is None else vertices
     _check_vertex_cap(len(verts))
     if method == "combinatorial":

@@ -39,6 +39,7 @@ from .optimize import (
 from .serialize import jsonable
 from .skeleton import (
     PolytopeGraph,
+    _check_vertex_cap,
     build_polytope_graph,
     hirsch_check,
     simplicity_report,
@@ -53,7 +54,7 @@ from .toric import (
     triangulation,
     triangulation_checks,
 )
-from .vertices import enumerate_vertices, to_incidence
+from .vertices import count_connected_blocksets, enumerate_vertices, to_incidence
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,9 @@ class GraphContext:
 
     @cached_property
     def skeleton(self) -> PolytopeGraph:
+        # the vertex cap, checked against the predicted count before the
+        # vertices are enumerated
+        _check_vertex_cap(count_connected_blocksets(self.decomposition))
         return build_polytope_graph(self.decomposition, vertices=self.vertices)
 
     @cached_property

@@ -81,6 +81,43 @@ def enumerate_vertices(d: BlockDecomposition, max_count: int = DEFAULT_VERTEX_CA
     return tuple(out)
 
 
+def count_connected_blocksets(d: BlockDecomposition) -> int:
+    """Number of connected blocksets, the empty one included, in linear time.
+
+    Root the block-cut tree at block 0.  g[b] counts the connected blocksets
+    whose block nearest the root is b: every child block b' of every child
+    cut vertex of b is either left out or joins with one of its g[b'] sets,
+    so g[b] is the product of (1 + g[b']).  A nonempty set whose nearest
+    node to the root is a cut vertex c instead holds two or more child
+    blocks of c and not its parent block: prod(1 + g[b']) - 1 - sum(g[b'])
+    sets.
+    """
+    tree = d.tree_adjacency
+    order = []
+    stack: list[tuple[int, int | None]] = [(0, None)]
+    while stack:
+        b, entry = stack.pop()
+        order.append((b, entry))
+        for _, v in tree[("B", b)]:
+            if v != entry:
+                stack.extend((b2, v) for _, b2 in tree[("C", v)] if b2 != b)
+    g = [0] * len(d.blocks)
+    count = 1
+    for b, entry in reversed(order):
+        g[b] = 1
+        for _, v in tree[("B", b)]:
+            if v == entry:
+                continue
+            kids = [g[b2] for _, b2 in tree[("C", v)] if b2 != b]
+            at_cut = 1
+            for x in kids:
+                at_cut *= 1 + x
+            g[b] *= at_cut
+            count += at_cut - 1 - sum(kids)
+        count += g[b]
+    return count
+
+
 def to_incidence(d: BlockDecomposition, a) -> tuple[int, ...]:
     """Indicator vector of a blockset in block-index coordinates."""
     s = frozenset(a)

@@ -4,7 +4,9 @@ Everything here recomputes results from first principles (exhaustive
 enumeration, generic brute force) without touching the routines under
 test, so a disagreement always points at the implementation.  The Groebner
 oracles reuse only the monomial primitives of `cbp.toric`, which
-`test_toric.test_mono_primitives` pins on their own.
+`test_toric.test_mono_primitives` pins on their own.  The Fraction
+optimizer is the integer DP's predecessor, kept to pin its arithmetic; it
+shares `steiner_nodes` and `is_connected_blockset` with it.
 """
 
 from __future__ import annotations
@@ -13,9 +15,13 @@ import functools
 import itertools
 from fractions import Fraction
 from math import gcd
+from typing import Sequence
 
-from cbp.errors import ReductionDiverges
+from cbp.errors import AssertionFailure, ReductionDiverges
+from cbp.graphs import BlockDecomposition, graph_to_json, steiner_nodes
+from cbp.optimize import Solution
 from cbp.toric import mono_cmp, mono_div, mono_divides, mono_lcm, mono_mul
+from cbp.vertices import is_connected_blockset
 
 
 def subgraph_connected(vertices, edges) -> bool:
@@ -177,6 +183,130 @@ def best_blockset(g, blocks, weights) -> tuple[tuple[int, ...], Fraction]:
         if val > best[1]:
             best = (a, val)
     return best
+
+
+def _fraction_weights(d: BlockDecomposition, weights: Sequence) -> tuple[Fraction, ...]:
+    w = tuple(Fraction(x) for x in weights)
+    if len(w) != len(d.blocks):
+        raise ValueError(f"expected {len(d.blocks)} weights, got {len(w)}")
+    return w
+
+
+def _fraction_branch_best(
+    d: BlockDecomposition,
+    w: tuple[Fraction, ...],
+    banned: frozenset[int],
+    root_block: int,
+    entry_vertex: int,
+) -> Fraction:
+    """Best value of a connected blockset containing root_block inside the
+    branch of the block-cut tree entered from entry_vertex.
+
+    Iterative post-order; banned blocks prune their whole subtrees.
+    """
+    order: list[tuple[int, int]] = []
+    children: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    stack = [(root_block, entry_vertex)]
+    while stack:
+        key = stack.pop()
+        b, entry = key
+        order.append(key)
+        kids = []
+        for _, v in d.tree_adjacency[("B", b)]:
+            if v == entry:
+                continue
+            for _, b2 in d.tree_adjacency[("C", v)]:
+                if b2 != b and b2 not in banned:
+                    kids.append((b2, v))
+        children[key] = kids
+        stack.extend(kids)
+    best: dict[tuple[int, int], Fraction] = {}
+    for key in reversed(order):
+        total = w[key[0]]
+        for kid in children[key]:
+            if best[kid] > 0:
+                total += best[kid]
+        best[key] = total
+    return best[(root_block, entry_vertex)]
+
+
+def _fraction_best_containing(
+    d: BlockDecomposition,
+    w: tuple[Fraction, ...],
+    forced: tuple[int, ...],
+    banned: frozenset[int],
+) -> Fraction | None:
+    """Best value over connected blocksets containing forced and avoiding
+    banned, or None when no such blockset exists.
+
+    Any connected superset of forced contains its closure; everything else
+    is an optional branch hanging off a cut vertex of the closure region.
+    """
+    nodes = steiner_nodes(d, forced)
+    closure = {i for kind, i in nodes if kind == "B"}
+    if closure & banned:
+        return None
+    total = sum((w[b] for b in closure), Fraction(0))
+    cuts = set()
+    for b in closure:
+        for _, v in d.tree_adjacency[("B", b)]:
+            cuts.add(v)
+    for v in sorted(cuts):
+        for _, b2 in d.tree_adjacency[("C", v)]:
+            if b2 in closure or b2 in banned:
+                continue
+            cand = _fraction_branch_best(d, w, banned, b2, v)
+            if cand > 0:
+                total += cand
+    return total
+
+
+def fraction_max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> Solution:
+    """The block-cut DP of `cbp.optimize.max_weight_connected_blockset` in
+    Fraction arithmetic: the same queries and reconstruction, summing and
+    comparing the weights as given.  Exact optimum over all connected
+    blocksets, the empty set included.
+
+    The argmax is the lexicographically smallest optimal blockset: the
+    reconstruction walks block indices left to right, stopping as soon
+    as the accumulated prefix is itself a connected optimal set, and
+    otherwise commits the smallest next index that keeps the constrained
+    optimum at the global value.
+    """
+    w = _fraction_weights(d, weights)
+    n = len(d.blocks)
+    best = Fraction(0)
+    for b in range(n):
+        cand = _fraction_best_containing(d, w, (b,), frozenset())
+        if cand is not None and cand > best:
+            best = cand
+    if best <= 0:
+        return Solution(blockset=(), value=Fraction(0))
+
+    prefix: list[int] = []
+    banned: set[int] = set()
+    while True:
+        if (
+            prefix
+            and sum((w[b] for b in prefix), Fraction(0)) == best
+            and is_connected_blockset(d, prefix)
+        ):
+            return Solution(blockset=tuple(prefix), value=best)
+        start = prefix[-1] + 1 if prefix else 0
+        chosen = None
+        for e in range(start, n):
+            trial_banned = frozenset(banned) | frozenset(range(start, e))
+            cand = _fraction_best_containing(d, w, tuple(prefix) + (e,), trial_banned)
+            if cand is not None and cand == best:
+                chosen = e
+                break
+        if chosen is None:
+            raise AssertionFailure(
+                "optimal prefix admits no extension",
+                payload={"graph": graph_to_json(d.graph), "prefix": prefix},
+            )
+        banned.update(range(start, chosen))
+        prefix.append(chosen)
 
 
 def fraction_cutoff_point(rows, idx: int, tight) -> tuple | None:

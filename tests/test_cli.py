@@ -121,6 +121,15 @@ def test_combinatorial_edges_star17_fails_fast(graph_file, capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_combinatorial_edges_star20_fails_before_enumerating(graph_file, capsys):
+    star20 = "".join(f"0 {i}\n" for i in range(1, 21))
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["edges", "--graph", graph_file(star20), "--method", "combinatorial"])
+    assert code == 1
+    assert err == "failed: BudgetExceeded: 1048576 vertices exceed the diameter cap 65536\n"
+    assert time.perf_counter() - start < 3
+
+
 def test_hstar(graph_file, capsys):
     code, out, _ = run(
         capsys, ["hstar", "--graph", graph_file(PATH3), "--max-dilation", "5"]
@@ -250,6 +259,20 @@ def test_optimize_block_weights(graph_file, tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"blocks": [0], "edges": [[0, 1]], "value": "1/1"}
+
+
+def test_optimize_refuses_a_huge_exponent(graph_file, tmp_path, capsys):
+    weights = tmp_path / "w.txt"
+    weights.write_text("1e999999999\n1\n1\n")
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        ["optimize", "--graph", graph_file(PATH3), "--weights", str(weights)],
+    )
+    assert code == 2
+    assert out == ""
+    assert "bad rational '1e999999999'" in err
+    assert time.perf_counter() - start < 2
 
 
 def test_optimize_tree_mode(graph_file, tmp_path, capsys):

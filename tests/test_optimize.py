@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cbp.corpus import flower, path_graph, spider, star_graph, triangle_chain
+from cbp.corpus import flower, path_graph, random_block_tree, spider, star_graph, triangle_chain
 from cbp.errors import CountOverflow, NotEulerianCactus, NotTree
 from cbp.graphs import Graph, block_decomposition
 from cbp.optimize import (
@@ -70,6 +70,32 @@ def test_brute_force_matches_oracle_on_ties(oracle_graphs):
             assert brute_force_optimum(d, w) == expected, (name, w)
             assert brute_force_optimum(d, w, vertices=vertices) == expected, (name, w)
             assert max_weight_connected_blockset(d, w) == expected, (name, w)
+
+
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+def scaling_weight_vectors(rng, n):
+    """Weights in -1..1, all zero, over prime denominators up to 97 (a large
+    lcm) and with numerators near +-10**40."""
+    return [
+        [rng.randint(-1, 1) for _ in range(n)],
+        [0] * n,
+        [Fraction(rng.randint(-60, 60), rng.choice(PRIMES)) for _ in range(n)],
+        [Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 6)) for _ in range(n)],
+    ]
+
+
+def test_integer_dp_matches_fraction_solver(oracle_graphs):
+    rng = random.Random(20261019)
+    trees = [block_decomposition(random_block_tree(rng, rng.randint(20, 40))) for _ in range(20)]
+    trees += [block_decomposition(random_block_tree(rng, 128)) for _ in range(3)]
+    cases = list(oracle_graphs) + [(f"random-{len(d.blocks)}", d) for d in trees]
+    for name, d in cases:
+        for w in scaling_weight_vectors(rng, len(d.blocks)):
+            sol = max_weight_connected_blockset(d, w)
+            assert sol == oracles.fraction_max_weight_connected_blockset(d, w), (name, w)
+            assert type(sol.value) is Fraction, name
 
 
 def test_weight_length_checked(path3_d):

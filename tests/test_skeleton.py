@@ -8,6 +8,7 @@ from functools import partial
 import pytest
 
 import oracles
+from cbp import skeleton
 from cbp.corpus import flower, path_graph, random_block_tree, star_graph, triangle_chain
 from cbp.errors import AssertionFailure, BudgetExceeded, DimensionMismatch, NotAVertex
 from cbp.facets import h_representation
@@ -157,6 +158,13 @@ def test_vertex_cap_fires_on_given_vertices(path3_d):
     # fail on these placeholder vertices
     with pytest.raises(BudgetExceeded):
         build_polytope_graph(path3_d, vertices=((),) * (2**16 + 1))
+
+
+def test_vertex_cap_fires_before_enumerating(monkeypatch):
+    # star-17 has 2**17 connected blocksets, predicted without listing them
+    monkeypatch.setattr(skeleton, "enumerate_vertices", None)
+    with pytest.raises(BudgetExceeded, match="131072 vertices exceed the diameter cap 65536"):
+        build_polytope_graph(block_decomposition(star_graph(17)))
 
 
 def test_hirsch_path3(path3_d):

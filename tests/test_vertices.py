@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from cbp.corpus import path_graph, random_block_tree
+from cbp.corpus import corpus, path_graph, random_block_tree, star_graph
 from cbp.errors import CountOverflow
 from cbp.facets import h_representation
 from cbp.graphs import block_decomposition, blockset_closure
 from cbp.hull import affine_rank
 from cbp.vertices import (
     _row_masks,
+    count_connected_blocksets,
     enumerate_vertices,
     is_connected_blockset,
     to_incidence,
@@ -41,6 +42,18 @@ def test_block_path_vertex_count_is_intervals():
     for k in range(1, 7):
         d = block_decomposition(path_graph(k))
         assert len(enumerate_vertices(d)) == k * (k + 1) // 2 + 1
+
+
+def test_count_matches_enumeration(oracle_graphs):
+    graphs = [(name, block_decomposition(g)) for name, g in corpus(5, 7, 26)] + list(oracle_graphs)
+    for name, d in graphs:
+        assert count_connected_blocksets(d) == len(enumerate_vertices(d)), name
+
+
+def test_count_closed_forms():
+    for k in range(1, 25):
+        assert count_connected_blocksets(block_decomposition(star_graph(k))) == 2**k
+        assert count_connected_blocksets(block_decomposition(path_graph(k))) == 1 + k * (k + 1) // 2
 
 
 def test_triangle_vertices(triangle_d):
