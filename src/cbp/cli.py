@@ -42,7 +42,7 @@ from .optimize import (
     tree_adapter,
 )
 from .serialize import jsonable, parse_rational
-from .skeleton import _bits, build_polytope_graph, hirsch_check, simplicity_report
+from .skeleton import build_polytope_graph, hirsch_check, simplicity_report
 from .toric import (
     buchberger_verify,
     fiber_reduction_test,
@@ -50,6 +50,7 @@ from .toric import (
     triangulation_checks,
 )
 from .verify import GraphContext, VerifyOptions, run_verification
+from .vertices import _bits
 
 USAGE_ERRORS = (
     ParseError,
@@ -156,7 +157,7 @@ def cmd_facets(args) -> int:
 def cmd_edges(args) -> int:
     ctx = GraphContext(_load_graph(args.graph))
     if args.method == "geometric":
-        pg = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric")
+        pg = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric", vertices=ctx.vertices)
     else:
         pg = ctx.skeleton
     # _bits yields ascending indices, so the pairs come out sorted

@@ -218,14 +218,11 @@ class HStarProfile:
 
 def hstar_profile(
     d: BlockDecomposition,
-    h: RationalPolyhedron | None = None,
+    h: RationalPolyhedron,
     budget: int = DEFAULT_COUNT_BUDGET,
 ) -> HStarProfile:
-    """Counts at dilations 0..dim, h* from them, and the Ehrhart coefficients from h*."""
-    from .facets import h_representation
-
-    if h is None:
-        h = h_representation(d)
+    """Counts at dilations 0..dim of the H-description h, h* from them, and
+    the Ehrhart coefficients from h*."""
     dim = len(d.blocks)
     counts = {n: count_lattice_points(h, n, budget=budget) for n in range(dim + 1)}
     hstar = hstar_vector([counts[n] for n in range(dim + 1)])

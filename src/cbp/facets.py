@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import AssertionFailure, CountOverflow, RowInvalid
 from .graphs import BlockDecomposition, blockset_closure, graph_to_json, split_components_at
 from .hull import Certificate, RationalPolyhedron, Row, _clear_denominators, affine_rank, normalize_row
-from .vertices import _row_masks, enumerate_vertices, to_incidence
+from .vertices import _row_masks, to_incidence
 
 MAX_IBI_BLOCKS = 14
 
@@ -37,9 +37,6 @@ class IndependentBlocksInequality:
 
     independent_set: tuple[int, ...]
     alpha: tuple[int, ...]
-
-    def row(self) -> Row:
-        return (self.alpha, 1)
 
 
 def is_independent(d: BlockDecomposition, blocks) -> bool:
@@ -307,18 +304,17 @@ def h_representation(
     return RationalPolyhedron(dim=n, rows=tuple(sorted(rows, key=lambda r: (r[1], r[0]))))
 
 
-def facet_certificate(d: BlockDecomposition, row: Row, verts=None) -> Certificate:
-    """Tightness certificate of one inequality against the vertex list.
+def facet_certificate(d: BlockDecomposition, row: Row, verts) -> Certificate:
+    """Tightness certificate of one inequality against the vertex list
+    `enumerate_vertices(d)`.
 
     Raises RowInvalid when some vertex violates the row.
     """
     a, b = row
     fa = [Fraction(x) for x in a]
     fb = Fraction(b)
-    if verts is None:
-        verts = enumerate_vertices(d)
     ib, *ia = _clear_denominators([fb, *fa])
-    ((tight, violator),) = _row_masks([(ia, ib)], verts)
+    ((tight, violator),) = _row_masks(d, [(ia, ib)], verts)
     if violator is not None:
         subset = verts[violator]
         val = sum(c * v for c, v in zip(fa, to_incidence(d, subset)))

@@ -161,13 +161,9 @@ class BlockDecomposition:
     graph: Graph
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
-    block_index_of_edge: dict[Edge, int]
     blocks_at_vertex: dict[int, tuple[int, ...]]
     block_neighbors: tuple[frozenset[int], ...]
     tree_adjacency: dict[TreeNode, frozenset[TreeNode]]
-
-    def block_count(self) -> int:
-        return len(self.blocks)
 
 
 def _biconnected_components(n: int, adj: dict[int, tuple[int, ...]]) -> tuple[list[list[Edge]], set[int]]:
@@ -240,11 +236,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     if sum(len(b.edges) for b in blocks) != len(g.edges):
         raise AssertionError("blocks do not partition the edge set")
 
-    index_of_edge: dict[Edge, int] = {}
-    for i, b in enumerate(blocks):
-        for e in b.edges:
-            index_of_edge[e] = i
-
     at_vertex: dict[int, list[int]] = {v: [] for v in range(g.vertex_count)}
     for i, b in enumerate(blocks):
         for v in b.vertices:
@@ -274,7 +265,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         graph=g,
         blocks=blocks,
         cut_vertices=frozenset(cuts),
-        block_index_of_edge=index_of_edge,
         blocks_at_vertex=blocks_at_vertex,
         block_neighbors=block_neighbors,
         tree_adjacency=tree_adjacency,

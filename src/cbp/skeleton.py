@@ -41,13 +41,7 @@ from .errors import (
 )
 from .graphs import BlockDecomposition, graph_to_json
 from .hull import RationalPolyhedron, _clear_denominators
-from .vertices import (
-    BlockSubset,
-    _row_masks,
-    count_connected_blocksets,
-    enumerate_vertices,
-    is_connected_blockset,
-)
+from .vertices import BlockSubset, _bits, _blockset_masks, _row_masks, is_connected_blockset
 
 MAX_DIAMETER_VERTICES = 2**16
 
@@ -146,31 +140,21 @@ class PolytopeGraph:
         return self.neighbors[i].bit_count()
 
 
-def _bits(mask: int):
-    """Indices of the set bits of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _combinatorial_neighbors(d: BlockDecomposition, verts) -> list[int]:
     """Neighbor mask of every vertex by the block rule on int masks.
 
     The vertices come in enumerate_vertices order, so for i < j only
     verts[i] can be empty or a proper subset of the other.
     """
-    block_span = [sum(1 << v for v in blk.vertices) for blk in d.blocks]
-    sets, spans, touching = [], [], []
-    for a in verts:
-        s = span = 0
-        for i in a:
-            s |= 1 << i
-            span |= block_span[i]
-        sets.append(s)
-        spans.append(span)
+    sets, spans = _blockset_masks(d, verts)
+    touching = []
+    for span in spans:
         # blocks with a graph vertex in the set's union
-        touching.append(sum(1 << i for i, bs in enumerate(block_span) if bs & span))
+        t = 0
+        for v in _bits(span):
+            for b in d.blocks_at_vertex[v]:
+                t |= 1 << b
+        touching.append(t)
     nb = [0] * len(verts)
     for i in range(len(verts)):
         si, vi, ti = sets[i], spans[i], touching[i]
@@ -194,39 +178,36 @@ def _row_vertex_masks(d: BlockDecomposition, h: RationalPolyhedron, verts) -> li
     """Mask of the vertices tight at each row of the H-description."""
     if h.dim != len(d.blocks):
         raise DimensionMismatch(f"point has dimension {len(d.blocks)}, polyhedron {h.dim}")
-    return [tight for tight, _ in _row_masks(h.rows, verts)]
+    return [tight for tight, _ in _row_masks(d, h.rows, verts)]
 
 
 def build_polytope_graph(
     d: BlockDecomposition,
     h: RationalPolyhedron | None = None,
     method: str = "combinatorial",
-    vertices: tuple[BlockSubset, ...] | None = None,
+    *,
+    vertices: tuple[BlockSubset, ...],
 ) -> PolytopeGraph:
-    """Assemble the full skeleton with either adjacency test.
+    """Assemble the full skeleton on the vertices `enumerate_vertices(d)`
+    with either adjacency test.
 
-    The vertices are the caller's `enumerate_vertices(d)`, enumerated here
-    when not given.  Raises BudgetExceeded before any neighbor is searched
-    when there are more than MAX_DIAMETER_VERTICES vertices, and before the
-    enumeration when their predicted count is.
+    Raises BudgetExceeded before any neighbor is searched when there are
+    more than MAX_DIAMETER_VERTICES vertices.
     """
-    if vertices is None:
-        _check_vertex_cap(count_connected_blocksets(d))
-    verts = enumerate_vertices(d) if vertices is None else vertices
-    _check_vertex_cap(len(verts))
+    _check_vertex_cap(len(vertices))
     if method == "combinatorial":
-        nb = _combinatorial_neighbors(d, verts)
+        nb = _combinatorial_neighbors(d, vertices)
     elif method == "geometric":
         if h is None:
             raise ValueError("geometric method needs the H-description")
-        vertex_rows = [0] * len(verts)
-        for r, tight in enumerate(_row_vertex_masks(d, h, verts)):
+        vertex_rows = [0] * len(vertices)
+        for r, tight in enumerate(_row_vertex_masks(d, h, vertices)):
             for k in _bits(tight):
                 vertex_rows[k] |= 1 << r
-        nb = [_face_neighbors(vertex_rows, i) for i in range(len(verts))]
+        nb = [_face_neighbors(vertex_rows, i) for i in range(len(vertices))]
     else:
         raise ValueError(f"unknown method {method!r}")
-    return PolytopeGraph(vertices=verts, neighbors=tuple(nb))
+    return PolytopeGraph(vertices=vertices, neighbors=tuple(nb))
 
 
 def _check_vertex_cap(n: int, max_vertices: int = MAX_DIAMETER_VERTICES) -> None:

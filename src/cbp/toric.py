@@ -31,7 +31,7 @@ from .errors import (
 )
 from .graphs import BlockDecomposition, graph_to_json
 from .hull import _bareiss
-from .vertices import BlockSubset, enumerate_vertices, is_connected_blockset
+from .vertices import BlockSubset, _bits, _blockset_masks
 
 MAX_GROEBNER_VARIABLES = 60
 MAX_REDUCTION_STEPS = 10**6
@@ -58,10 +58,8 @@ def _check_variable_cap(order: TermOrder, max_variables: int = MAX_GROEBNER_VARI
         )
 
 
-def make_term_order(d: BlockDecomposition, verts: tuple[BlockSubset, ...] | None = None) -> TermOrder:
+def make_term_order(verts: tuple[BlockSubset, ...]) -> TermOrder:
     """Cardinality-descending, then lexicographic, over the connected blocksets."""
-    if verts is None:
-        verts = enumerate_vertices(d)
     ordered = sorted(verts, key=lambda a: (-len(a), a))
     return TermOrder(variables=tuple(ordered), rank={a: i for i, a in enumerate(ordered)})
 
@@ -159,37 +157,46 @@ def binomial_is_homogeneous(d: BlockDecomposition, f: Binomial) -> bool:
     return image(f.plus) == image(f.minus)
 
 
+def _leading_masks(sets: list[int], spans: list[int]) -> list[int]:
+    """Bit j of the i-th mask marks the blocksets i and j as the leading
+    term of a binomial: incomparable, with a connected union.
+
+    The masks are those of `vertices._blockset_masks`; incomparable sets are
+    nonempty, so their union is connected exactly when their graph-vertex
+    masks meet.
+    """
+    lead = [0] * len(sets)
+    for i, (si, vi) in enumerate(zip(sets, spans)):
+        for j in range(i + 1, len(sets)):
+            sj = sets[j]
+            if vi & spans[j] and si & sj not in (si, sj):
+                lead[i] |= 1 << j
+                lead[j] |= 1 << i
+    return lead
+
+
 def groebner_candidates(
-    d: BlockDecomposition,
-    order: TermOrder | None = None,
-    verts: tuple[BlockSubset, ...] | None = None,
+    d: BlockDecomposition, order: TermOrder, verts: tuple[BlockSubset, ...]
 ) -> tuple[Binomial, ...]:
     """One binomial per unordered incomparable pair with connected union.
 
+    The meet and the join of a pair are looked up by their block masks.
     Raises LeadingTermMismatch if some binomial's leading term is not the
     incomparable product, which would contradict the order analysis.
     """
-    if verts is None:
-        verts = enumerate_vertices(d)
-    if order is None:
-        order = make_term_order(d, verts)
+    sets, spans = _blockset_masks(d, verts)
+    by_mask = dict(zip(sets, verts))
     out = []
-    for a1, a2 in itertools.combinations(verts, 2):
-        s1, s2 = frozenset(a1), frozenset(a2)
-        if s1 <= s2 or s2 <= s1:
-            continue
-        if not is_connected_blockset(d, s1 | s2):
-            continue
-        meet = tuple(sorted(s1 & s2))
-        join = tuple(sorted(s1 | s2))
-        plus = {a1: 1, a2: 1}
-        minus: dict[BlockSubset, int] = {}
-        for a in (meet, join):
-            minus[a] = minus.get(a, 0) + 1
-        f = Binomial.from_maps(plus, minus)
-        if mono_cmp(_to_rank(plus, order), _to_rank(minus, order)) <= 0:
-            raise LeadingTermMismatch(f"pair {a1}, {a2} does not lead with the product")
-        out.append(f)
+    for i, lead in enumerate(_leading_masks(sets, spans)):
+        a1, s1 = verts[i], sets[i]
+        for j in _bits(lead >> (i + 1) << (i + 1)):
+            a2, s2 = verts[j], sets[j]
+            plus = {a1: 1, a2: 1}
+            minus = {by_mask[s1 & s2]: 1, by_mask[s1 | s2]: 1}
+            f = Binomial.from_maps(plus, minus)
+            if mono_cmp(_to_rank(plus, order), _to_rank(minus, order)) <= 0:
+                raise LeadingTermMismatch(f"pair {a1}, {a2} does not lead with the product")
+            out.append(f)
     out.sort(key=lambda f: mono_key(_to_rank(f.plus_map(), order)))
     return tuple(out)
 
@@ -331,32 +338,31 @@ class SimplicialComplex:
     maximal_faces: tuple[tuple[int, ...], ...]
 
 
-def _compatible(d: BlockDecomposition, a1: BlockSubset, a2: BlockSubset) -> bool:
-    s1, s2 = frozenset(a1), frozenset(a2)
-    if s1 <= s2 or s2 <= s1:
-        return True
-    return not is_connected_blockset(d, s1 | s2)
+def _compatibility_masks(m: int, nonfaces) -> list[int]:
+    """Bit j of the i-th mask marks ground vertices i != j that form no nonface."""
+    full = (1 << m) - 1
+    compat = [full ^ (1 << i) for i in range(m)]
+    for i, j in nonfaces:
+        compat[i] &= ~(1 << j)
+        compat[j] &= ~(1 << i)
+    return compat
 
 
 def triangulation(
     d: BlockDecomposition,
-    g: tuple[Binomial, ...] | None = None,
-    order: TermOrder | None = None,
+    g: tuple[Binomial, ...],
+    order: TermOrder,
     max_variables: int = MAX_GROEBNER_VARIABLES,
 ) -> SimplicialComplex:
     """The initial complex of the basis: cliques of the compatibility relation.
 
-    Verifies flagness (every leading term is a squarefree quadratic),
-    that every maximal face has exactly dim+1 vertices, and that each
-    maximal simplex is unimodular; a bad determinant raises
+    Verifies flagness (every leading term is a squarefree quadratic), that
+    the leading terms are exactly the incomparable pairs with connected
+    union, that every maximal face has exactly dim+1 vertices, and that
+    each maximal simplex is unimodular; a bad determinant raises
     NonUnimodalSimplex.
     """
-    verts = None if g is not None and order is not None else enumerate_vertices(d)
-    if order is None:
-        order = make_term_order(d, verts)
     _check_variable_cap(order, max_variables)
-    if g is None:
-        g = groebner_candidates(d, order, verts)
     ground = order.variables
     index = {a: i for i, a in enumerate(ground)}
     dim = len(d.blocks)
@@ -373,37 +379,35 @@ def triangulation(
         nonfaces.add(tuple(sorted(support)))
 
     m = len(ground)
-    compat = [[True] * m for _ in range(m)]
-    for i, j in nonfaces:
-        compat[i][j] = compat[j][i] = False
-    for i in range(m):
-        compat[i][i] = False
-    # consistency: the nonface pairs must match the compatibility predicate
-    for i in range(m):
-        for j in range(i + 1, m):
-            if compat[i][j] != _compatible(d, ground[i], ground[j]):
-                raise AssertionFailure(
-                    "leading terms disagree with the compatibility relation",
-                    payload={"graph": graph_to_json(d.graph), "pair": [list(ground[i]), list(ground[j])]},
-                )
+    compat = _compatibility_masks(m, nonfaces)
+    # consistency: the nonface pairs must be the pairs that lead a binomial;
+    # full ^ compat[i] is the nonface mask of i plus bit i, which the shift
+    # drops along with the pairs below i, found at the smaller vertex already
+    full = (1 << m) - 1
+    for i, lead in enumerate(_leading_masks(*_blockset_masks(d, ground))):
+        differ = (full ^ compat[i] ^ lead) >> (i + 1)
+        if differ:
+            j = i + (differ & -differ).bit_length()
+            raise AssertionFailure(
+                "leading terms disagree with the compatibility relation",
+                payload={"graph": graph_to_json(d.graph), "pair": [list(ground[i]), list(ground[j])]},
+            )
 
     maximal: list[tuple[int, ...]] = []
 
-    def extend(clique: list[int], candidates: list[int], banned: list[int]):
-        if not candidates and not banned:
-            maximal.append(tuple(clique))
+    def extend(clique: list[int], candidates: int, banned: int):
+        if not candidates:
+            if not banned:
+                maximal.append(tuple(clique))
             return
-        pivot_pool = candidates + banned
-        pivot = pivot_pool[0]
-        branch = [v for v in candidates if not compat[pivot][v]]
-        for v in branch:
-            new_cand = [w for w in candidates if compat[v][w]]
-            new_ban = [w for w in banned if compat[v][w]]
-            extend(clique + [v], new_cand, new_ban)
-            candidates = [w for w in candidates if w != v]
-            banned = banned + [v]
+        # branch on the pivot, the lowest candidate, and its non-neighbors
+        pivot = (candidates & -candidates).bit_length() - 1
+        for v in _bits(candidates & ~compat[pivot]):
+            extend(clique + [v], candidates & compat[v], banned & compat[v])
+            candidates ^= 1 << v
+            banned |= 1 << v
 
-    extend([], list(range(m)), [])
+    extend([], full, 0)
     maximal.sort()
 
     for face in maximal:
@@ -451,26 +455,18 @@ def triangulation_checks(
     from math import comb
 
     dim = len(d.blocks)
-    m = len(c.ground)
-    compat = [[True] * m for _ in range(m)]
-    for i, j in c.minimal_nonfaces:
-        compat[i][j] = compat[j][i] = False
-    for i in range(m):
-        compat[i][i] = False
-
+    compat = _compatibility_masks(len(c.ground), c.minimal_nonfaces)
     counts = [0] * (dim + 2)
     counts[0] = 1
 
-    def count_cliques(start: int, size: int, members: list[int]):
-        for v in range(start, m):
-            if all(compat[v][w] for w in members):
-                counts[size + 1] += 1
-                if size + 1 <= dim:
-                    members.append(v)
-                    count_cliques(v + 1, size + 1, members)
-                    members.pop()
+    def count_cliques(allowed: int, size: int):
+        # allowed: the vertices past the last member compatible with every member
+        for v in _bits(allowed):
+            counts[size + 1] += 1
+            if size + 1 <= dim:
+                count_cliques(allowed & (compat[v] >> (v + 1) << (v + 1)), size + 1)
 
-    count_cliques(0, 0, [])
+    count_cliques((1 << len(c.ground)) - 1, 0)
 
     h: list[int] = []
     for k in range(dim + 2):

@@ -57,6 +57,14 @@ from .toric import (
 from .vertices import count_connected_blocksets, enumerate_vertices, to_incidence
 
 
+# Block-count gates of the sweep that no option sets, and the optimizer's
+# trials per graph.
+FACET_MAX_BLOCKS = 7
+ADJACENCY_MAX_BLOCKS = 5
+HSTAR_MAX_BLOCKS = 6
+OPTIMIZER_TRIALS = 50
+
+
 @dataclass(frozen=True)
 class VerifyOptions:
     """Budget gates for the sweep; block-count gates skip oversized graphs."""
@@ -64,12 +72,8 @@ class VerifyOptions:
     max_blocks: int = 5
     seed: int = 7
     random_per_size: int = 8
-    facet_max_blocks: int = 7
-    adjacency_max_blocks: int = 5
-    hstar_max_blocks: int = 6
     max_dilation: int | None = None
     groebner_max_blocks: int = 4
-    optimizer_trials: int = 50
     workers: int | None = None
 
 
@@ -131,11 +135,12 @@ class GraphContext:
     """The per-graph artifact cache: each artifact is built once, on first use,
     from the ones it depends on.
 
-    The decomposition feeds the vertices (and their incidence vectors), the
-    H-description and the term order; the vertices feed the combinatorial
-    skeleton; the H-description feeds the h* profile; the order and the
-    vertices feed the basis.  The sweep's checks and the graph commands of the CLI read their
-    artifacts from here.
+    The decomposition feeds the vertices and the H-description; the vertices
+    feed their incidence vectors, the combinatorial skeleton and the term
+    order; the H-description feeds the h* profile; the order and the
+    vertices feed the basis.  The library functions take these artifacts as
+    arguments and build none of them; the sweep's checks, the graph commands
+    of the CLI and the tests read them from here.
     """
 
     def __init__(self, graph: Graph):
@@ -170,7 +175,7 @@ class GraphContext:
 
     @cached_property
     def order(self) -> TermOrder:
-        return make_term_order(self.decomposition, self.vertices)
+        return make_term_order(self.vertices)
 
     @cached_property
     def basis(self):
@@ -402,13 +407,12 @@ def verify_graph(entry: CorpusEntry, options: VerifyOptions) -> GraphReport:
     ctx = GraphContext(entry.graph)
     n = len(ctx.decomposition.blocks)
     gates = {
-        "facets": n <= options.facet_max_blocks,
-        "adjacency": n <= options.adjacency_max_blocks,
-        "hstar": n <= options.hstar_max_blocks
+        "facets": n <= FACET_MAX_BLOCKS,
+        "adjacency": n <= ADJACENCY_MAX_BLOCKS,
+        "hstar": n <= HSTAR_MAX_BLOCKS
         and (options.max_dilation is None or n <= options.max_dilation),
         "groebner": n <= options.groebner_max_blocks,
-        "triangulation": n <= options.groebner_max_blocks
-        and n <= options.hstar_max_blocks,
+        "triangulation": n <= options.groebner_max_blocks and n <= HSTAR_MAX_BLOCKS,
     }
     battery = [
         ("blocks", lambda: check_blocks(ctx)),
@@ -423,9 +427,7 @@ def verify_graph(entry: CorpusEntry, options: VerifyOptions) -> GraphReport:
         ("triangulation", lambda: check_triangulation(ctx)),
         (
             "optimizer",
-            lambda: check_optimizer(
-                ctx, options.optimizer_trials, f"{options.seed}:{entry.name}"
-            ),
+            lambda: check_optimizer(ctx, OPTIMIZER_TRIALS, f"{options.seed}:{entry.name}"),
         ),
     ]
     results = []

@@ -48,23 +48,16 @@ def is_connected_blockset(d: BlockDecomposition, a) -> bool:
 def enumerate_vertices(d: BlockDecomposition, max_count: int = DEFAULT_VERTEX_CAP) -> tuple[BlockSubset, ...]:
     """All connected blocksets, one tuple each, in (cardinality, lex) order.
 
-    Raises CountOverflow as soon as more than max_count subsets appear.
+    Raises CountOverflow before enumerating when count_connected_blocksets
+    predicts more than max_count of them.
     """
+    if count_connected_blocksets(d) > max_count:
+        raise CountOverflow(f"more than {max_count} connected blocksets")
     nb = d.block_neighbors
-    n = len(d.blocks)
     out: list[BlockSubset] = [()]
-    count = 1
-
-    def record(subset: frozenset[int]):
-        nonlocal count
-        count += 1
-        if count > max_count:
-            raise CountOverflow(f"more than {max_count} connected blocksets")
-        out.append(tuple(sorted(subset)))
-
-    for r in range(n):
+    for r in range(len(d.blocks)):
         base = frozenset([r])
-        record(base)
+        out.append((r,))
         # grow connected supersets whose minimum element is r; each branch
         # bans the candidates already tried so every subset appears once
         stack = [(base, frozenset(w for w in nb[r] if w > r), frozenset())]
@@ -73,7 +66,7 @@ def enumerate_vertices(d: BlockDecomposition, max_count: int = DEFAULT_VERTEX_CA
             local_ban = set(banned)
             for v in sorted(frontier - banned):
                 new = cur | {v}
-                record(new)
+                out.append(tuple(sorted(new)))
                 new_frontier = (frontier | frozenset(w for w in nb[v] if w > r)) - new
                 stack.append((new, new_frontier, frozenset(local_ban)))
                 local_ban.add(v)
@@ -124,7 +117,35 @@ def to_incidence(d: BlockDecomposition, a) -> tuple[int, ...]:
     return tuple(1 if i in s else 0 for i in range(len(d.blocks)))
 
 
-def _row_masks(rows, verts) -> list[tuple[int, int | None]]:
+def _bits(mask: int):
+    """Indices of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _blockset_masks(d: BlockDecomposition, verts) -> tuple[list[int], list[int]]:
+    """Block mask and graph-vertex mask of each blockset.
+
+    Bit i of a block mask marks block i; the graph-vertex mask is the union
+    of the vertex masks of its blocks.  Blocks meet only in cut vertices, so
+    two nonempty connected blocksets have a connected union exactly when
+    their graph-vertex masks meet.
+    """
+    block_span = [sum(1 << v for v in blk.vertices) for blk in d.blocks]
+    sets, spans = [], []
+    for a in verts:
+        s = span = 0
+        for i in a:
+            s |= 1 << i
+            span |= block_span[i]
+        sets.append(s)
+        spans.append(span)
+    return sets, spans
+
+
+def _row_masks(d: BlockDecomposition, rows, verts) -> list[tuple[int, int | None]]:
     """Tight-vertex mask and first violating vertex of each integer row.
 
     The value of a row (a, b) at a blockset S is the sum over the distinct
@@ -133,12 +154,7 @@ def _row_masks(rows, verts) -> list[tuple[int, int | None]]:
     value == b at the k-th blockset; the violating vertex is the least k
     with value > b, or None.
     """
-    sets = []
-    for a in verts:
-        s = 0
-        for i in a:
-            s |= 1 << i
-        sets.append(s)
+    sets, _ = _blockset_masks(d, verts)
     out = []
     for a, b in rows:
         coeff_masks: dict[int, int] = {}

@@ -98,7 +98,7 @@ def test_criterion_03_edge_characterization(battery):
     for name, ctx in battery:
         if dim(ctx) > 5:
             continue
-        pg = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric")
+        pg = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric", vertices=ctx.vertices)
         verts = ctx.vertices
         if pg.vertices != verts:
             failures.append((name, "vertex order"))

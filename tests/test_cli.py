@@ -130,6 +130,15 @@ def test_combinatorial_edges_star20_fails_before_enumerating(graph_file, capsys)
     assert time.perf_counter() - start < 3
 
 
+def test_vertices_star25_fails_before_enumerating(graph_file, capsys):
+    star25 = "".join(f"0 {i}\n" for i in range(1, 26))
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["vertices", "--graph", graph_file(star25)])
+    assert code == 1
+    assert err == "failed: CountOverflow: more than 16777216 connected blocksets\n"
+    assert time.perf_counter() - start < 3
+
+
 def test_hstar(graph_file, capsys):
     code, out, _ = run(
         capsys, ["hstar", "--graph", graph_file(PATH3), "--max-dilation", "5"]

@@ -26,6 +26,7 @@ from cbp.ehrhart import (
 from cbp.facets import h_representation
 from cbp.graphs import block_decomposition
 from cbp.hull import RationalPolyhedron
+from cbp.verify import GraphContext
 
 
 def oracle_hstar(counts, dim):
@@ -107,16 +108,16 @@ def test_integer_hstar_matches_interpolation(counts):
 
 def test_hstar_depends_only_on_block_structure():
     for k in (2, 3):
-        a = hstar_profile(block_decomposition(path_graph(k)))
-        b = hstar_profile(block_decomposition(triangle_chain(k)))
+        a = GraphContext(path_graph(k)).hstar
+        b = GraphContext(triangle_chain(k)).hstar
         assert a.hstar == b.hstar
         assert a.evaluations == b.evaluations
 
 
 def test_star_hstar_is_eulerian():
     # the unit d-cube's h* entries are the Eulerian numbers
-    assert hstar_profile(block_decomposition(star_graph(3))).hstar == (1, 4, 1, 0)
-    assert hstar_profile(block_decomposition(star_graph(4))).hstar == (1, 11, 11, 1, 0)
+    assert GraphContext(star_graph(3)).hstar.hstar == (1, 4, 1, 0)
+    assert GraphContext(star_graph(4)).hstar.hstar == (1, 11, 11, 1, 0)
 
 
 def test_narayana_vector():

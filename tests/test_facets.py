@@ -150,14 +150,14 @@ def test_facet_certificate(path3_d):
 
 def test_facet_certificate_rejects_violated_row(path3_d):
     with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 2 > 1$"):
-        facet_certificate(path3_d, ((1, 1, 1), 1))
+        facet_certificate(path3_d, ((1, 1, 1), 1), enumerate_vertices(path3_d))
     third = Fraction(1, 3)
     with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 2/3 > 1/3$"):
-        facet_certificate(path3_d, ((third, third, third), third))
+        facet_certificate(path3_d, ((third, third, third), third), enumerate_vertices(path3_d))
 
 
 def test_facet_certificate_on_valid_nonfacet(path3_d):
-    cert = facet_certificate(path3_d, ((1, 0, 1), 2))
+    cert = facet_certificate(path3_d, ((1, 0, 1), 2), enumerate_vertices(path3_d))
     assert not cert.confirms_facet(3)
 
 

@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 
 import oracles
-from cbp import skeleton
+from cbp import verify
 from cbp.corpus import flower, path_graph, random_block_tree, star_graph, triangle_chain
 from cbp.errors import AssertionFailure, BudgetExceeded, DimensionMismatch, NotAVertex
 from cbp.facets import h_representation
@@ -23,7 +23,13 @@ from cbp.skeleton import (
     hirsch_check,
     simplicity_report,
 )
+from cbp.verify import GraphContext
 from cbp.vertices import enumerate_vertices, to_incidence
+
+
+def skeleton_of(d):
+    """The combinatorial skeleton of d, from its context."""
+    return GraphContext(d.graph).skeleton
 
 
 def test_empty_set_is_adjacent_to_singletons_only(path3_d):
@@ -60,23 +66,24 @@ def test_geometric_matches_combinatorial_everywhere(small_corpus):
         ("random-10", random_block_tree(random.Random(7), 10)),
     ]
     for name, g in graphs:
-        d = block_decomposition(g)
-        comb = build_polytope_graph(d)
-        geo = build_polytope_graph(d, h_representation(d), method="geometric")
+        ctx = GraphContext(g)
+        d = ctx.decomposition
+        comb = ctx.skeleton
+        geo = build_polytope_graph(d, ctx.hrep, method="geometric", vertices=ctx.vertices)
         assert comb.vertices == geo.vertices == enumerate_vertices(d), name
         assert comb.neighbors == geo.neighbors, name
 
 
 def test_combinatorial_skeleton_matches_pairwise_oracle(oracle_graphs):
     for name, d in oracle_graphs:
-        pg = build_polytope_graph(d)
+        pg = skeleton_of(d)
         expected = oracles.pairwise_neighbors(pg.vertices, partial(adjacent_combinatorial, d))
         assert tuple(frozenset(_bits(m)) for m in pg.neighbors) == expected, name
 
 
 def test_diameter_matches_bfs_oracle(oracle_graphs):
     for name, d in oracle_graphs:
-        pg = build_polytope_graph(d)
+        pg = skeleton_of(d)
         neighbors = [frozenset(_bits(m)) for m in pg.neighbors]
         assert diameter(pg) == oracles.bfs_diameter(neighbors), name
 
@@ -97,7 +104,7 @@ def test_geometric_skeleton_matches_face_oracle(small_corpus):
     for name, g in graphs:
         d = block_decomposition(g)
         h = h_representation(d)
-        pg = build_polytope_graph(d, h, method="geometric")
+        pg = build_polytope_graph(d, h, method="geometric", vertices=enumerate_vertices(d))
         points = [to_incidence(d, a) for a in pg.vertices]
         for i, j in itertools.combinations(range(len(points)), 2):
             expected = oracles.face_adjacent(h.rows, points, i, j)
@@ -108,20 +115,20 @@ def test_geometric_skeleton_matches_face_oracle(small_corpus):
 
 def test_build_polytope_graph_methods_agree(path3_d):
     h = h_representation(path3_d)
-    a = build_polytope_graph(path3_d, method="combinatorial")
-    b = build_polytope_graph(path3_d, h, method="geometric")
+    verts = enumerate_vertices(path3_d)
+    a = build_polytope_graph(path3_d, method="combinatorial", vertices=verts)
+    b = build_polytope_graph(path3_d, h, method="geometric", vertices=verts)
     assert a.vertices == b.vertices
     assert a.neighbors == b.neighbors
     with pytest.raises(ValueError):
-        build_polytope_graph(path3_d, method="nonsense")
+        build_polytope_graph(path3_d, method="nonsense", vertices=verts)
     with pytest.raises(ValueError):
-        build_polytope_graph(path3_d, method="geometric")
+        build_polytope_graph(path3_d, method="geometric", vertices=verts)
 
 
 def test_origin_neighbors_are_singletons(small_corpus):
     for name, g in small_corpus:
-        d = block_decomposition(g)
-        pg = build_polytope_graph(d)
+        pg = GraphContext(g).skeleton
         assert pg.vertices[0] == ()
         singles = {i for i, a in enumerate(pg.vertices) if len(a) == 1}
         assert frozenset(_bits(pg.neighbors[0])) == frozenset(singles), name
@@ -129,25 +136,27 @@ def test_origin_neighbors_are_singletons(small_corpus):
 
 def test_diameters():
     # single block: a segment
-    assert diameter(build_polytope_graph(block_decomposition(path_graph(1)))) == 1
+    assert diameter(GraphContext(path_graph(1)).skeleton) == 1
     # three blocks at a hub: the 3-cube
-    assert diameter(build_polytope_graph(block_decomposition(star_graph(3)))) == 3
+    assert diameter(GraphContext(star_graph(3)).skeleton) == 3
     # block path of three: squashed to 2 by the long diagonal edges
-    assert diameter(build_polytope_graph(block_decomposition(path_graph(3)))) == 2
+    assert diameter(GraphContext(path_graph(3)).skeleton) == 2
 
 
 def test_diameter_budget(path3_d):
-    pg = build_polytope_graph(path3_d)
+    pg = skeleton_of(path3_d)
     with pytest.raises(BudgetExceeded):
         diameter(pg, max_vertices=3)
 
 
 def test_given_vertices_build_the_same_skeleton(oracle_graphs):
+    # a vertex list and decomposition built apart from the context give the
+    # context's skeleton with either method, and the list is kept as given
     for name, d in oracle_graphs:
         h = h_representation(d)
         verts = enumerate_vertices(d)
+        own = skeleton_of(d)
         for method in ("combinatorial", "geometric"):
-            own = build_polytope_graph(d, h, method=method)
             given = build_polytope_graph(d, h, method=method, vertices=verts)
             assert given.vertices is verts
             assert given.neighbors == own.neighbors, (name, method)
@@ -162,14 +171,14 @@ def test_vertex_cap_fires_on_given_vertices(path3_d):
 
 def test_vertex_cap_fires_before_enumerating(monkeypatch):
     # star-17 has 2**17 connected blocksets, predicted without listing them
-    monkeypatch.setattr(skeleton, "enumerate_vertices", None)
+    monkeypatch.setattr(verify, "enumerate_vertices", None)
     with pytest.raises(BudgetExceeded, match="131072 vertices exceed the diameter cap 65536"):
-        build_polytope_graph(block_decomposition(star_graph(17)))
+        GraphContext(star_graph(17)).skeleton
 
 
 def test_hirsch_path3(path3_d):
     h = h_representation(path3_d)
-    pg = build_polytope_graph(path3_d)
+    pg = skeleton_of(path3_d)
     report = hirsch_check(path3_d, pg, h)
     assert report.diameter == 2
     assert report.dim == 3
@@ -180,21 +189,21 @@ def test_hirsch_path3(path3_d):
 
 def test_hirsch_cube(star3_d):
     h = h_representation(star3_d)
-    pg = build_polytope_graph(star3_d)
+    pg = skeleton_of(star3_d)
     report = hirsch_check(star3_d, pg, h)
     assert (report.diameter, report.facet_count, report.hirsch_bound) == (3, 6, 3)
 
 
 def test_hirsch_over_corpus(small_corpus):
     for name, g in small_corpus:
-        d = block_decomposition(g)
-        report = hirsch_check(d, build_polytope_graph(d), h_representation(d))
+        ctx = GraphContext(g)
+        report = hirsch_check(ctx.decomposition, ctx.skeleton, ctx.hrep)
         assert report.diameter <= report.dim, name
 
 
 def test_simplicity_square(path2_d):
     report = simplicity_report(
-        path2_d, build_polytope_graph(path2_d), h_representation(path2_d)
+        path2_d, skeleton_of(path2_d), h_representation(path2_d)
     )
     assert report.is_simple and report.is_simplicial
     assert report.predicted_simple and report.predicted_simplicial
@@ -202,7 +211,7 @@ def test_simplicity_square(path2_d):
 
 def test_simplicity_cube(star3_d):
     report = simplicity_report(
-        star3_d, build_polytope_graph(star3_d), h_representation(star3_d)
+        star3_d, skeleton_of(star3_d), h_representation(star3_d)
     )
     assert report.is_simple and not report.is_simplicial
     assert report.predicted_simple and not report.predicted_simplicial
@@ -210,15 +219,15 @@ def test_simplicity_cube(star3_d):
 
 def test_simplicity_path3(path3_d):
     report = simplicity_report(
-        path3_d, build_polytope_graph(path3_d), h_representation(path3_d)
+        path3_d, skeleton_of(path3_d), h_representation(path3_d)
     )
     assert not report.is_simple and not report.is_simplicial
 
 
 def test_predictions_match_measurements(small_corpus):
     for name, g in small_corpus:
-        d = block_decomposition(g)
-        report = simplicity_report(d, build_polytope_graph(d), h_representation(d))
+        ctx = GraphContext(g)
+        report = simplicity_report(ctx.decomposition, ctx.skeleton, ctx.hrep)
         assert report.is_simple == report.predicted_simple, name
         assert report.is_simplicial == report.predicted_simplicial, name
 

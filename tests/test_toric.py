@@ -5,6 +5,8 @@ The cross-check oracle builds the toric ideal by elimination in sympy
 degrevlex basis with the candidate binomials.
 """
 
+import itertools
+
 import pytest
 import sympy
 
@@ -12,8 +14,8 @@ import oracles
 from cbp.corpus import corpus, path_graph, spider, star_graph, triangle_chain
 from cbp.errors import AssertionFailure, BudgetExceeded, ReductionDiverges
 from cbp.graphs import block_decomposition
-from cbp.ehrhart import hstar_profile
 from cbp.verify import GraphContext
+from cbp.vertices import enumerate_vertices, is_connected_blockset
 from cbp.toric import (
     Binomial,
     SimplicialComplex,
@@ -33,8 +35,14 @@ from cbp.toric import (
 )
 
 
+def initial_complex(d):
+    """The triangulation of d from the basis and order of its context."""
+    ctx = GraphContext(d.graph)
+    return triangulation(ctx.decomposition, ctx.basis, ctx.order)
+
+
 def test_term_order_variables(path3_d):
-    order = make_term_order(path3_d)
+    order = make_term_order(enumerate_vertices(path3_d))
     assert order.variables == (
         (0, 1, 2),
         (0, 1),
@@ -65,7 +73,7 @@ def test_mono_primitives():
 
 
 def test_path3_candidates(path3_d):
-    basis = groebner_candidates(path3_d)
+    basis = GraphContext(path3_d.graph).basis
     expected = {
         Binomial.from_maps({(0,): 1, (1,): 1}, {(): 1, (0, 1): 1}),
         Binomial.from_maps({(1,): 1, (2,): 1}, {(): 1, (1, 2): 1}),
@@ -78,25 +86,25 @@ def test_path3_candidates(path3_d):
 
 
 def test_star3_candidates(star3_d):
-    basis = groebner_candidates(star3_d)
+    basis = GraphContext(star3_d.graph).basis
     assert len(basis) == 9
     assert Binomial.from_maps({(1,): 1, (2,): 1}, {(): 1, (1, 2): 1}) in basis
     assert Binomial.from_maps({(0, 1): 1, (0, 2): 1}, {(0,): 1, (0, 1, 2): 1}) in basis
 
 
 def test_single_block_has_no_candidates(triangle_d):
-    assert groebner_candidates(triangle_d) == ()
-    order = make_term_order(triangle_d)
-    assert buchberger_verify((), order)
+    ctx = GraphContext(triangle_d.graph)
+    assert ctx.basis == ()
+    assert buchberger_verify((), ctx.order)
 
 
 def test_candidates_are_homogeneous(small_corpus):
     for name, g in small_corpus:
-        d = block_decomposition(g)
-        if len(d.blocks) > 4:
+        ctx = GraphContext(g)
+        if len(ctx.decomposition.blocks) > 4:
             continue
-        for f in groebner_candidates(d):
-            assert binomial_is_homogeneous(d, f), name
+        for f in ctx.basis:
+            assert binomial_is_homogeneous(ctx.decomposition, f), name
     assert not binomial_is_homogeneous(
         block_decomposition(path_graph(2)),
         Binomial.from_maps({(0,): 1}, {(1,): 1}),
@@ -105,18 +113,16 @@ def test_candidates_are_homogeneous(small_corpus):
 
 def test_buchberger_and_fiber_pass(small_corpus):
     for name, g in small_corpus:
-        d = block_decomposition(g)
-        if len(d.blocks) > 4:
+        ctx = GraphContext(g)
+        if len(ctx.decomposition.blocks) > 4:
             continue
-        order = make_term_order(d)
-        basis = groebner_candidates(d, order)
-        assert buchberger_verify(basis, order), name
-        assert fiber_reduction_test(d, basis, order, maxdeg=3), name
+        assert buchberger_verify(ctx.basis, ctx.order), name
+        assert fiber_reduction_test(ctx.decomposition, ctx.basis, ctx.order, maxdeg=3), name
 
 
 def test_dropping_a_binomial_breaks_both_checks(path3_d):
-    order = make_term_order(path3_d)
-    basis = groebner_candidates(path3_d, order)
+    ctx = GraphContext(path3_d.graph)
+    basis, order = ctx.basis, ctx.order
     drop = Binomial.from_maps({(0, 1): 1, (1, 2): 1}, {(1,): 1, (0, 1, 2): 1})
     rest = tuple(f for f in basis if f != drop)
     assert len(rest) == len(basis) - 1
@@ -125,14 +131,14 @@ def test_dropping_a_binomial_breaks_both_checks(path3_d):
 
 
 def test_budget_guards(path3_d):
-    order = make_term_order(path3_d)
-    basis = groebner_candidates(path3_d, order)
+    ctx = GraphContext(path3_d.graph)
+    basis, order = ctx.basis, ctx.order
     with pytest.raises(BudgetExceeded):
         buchberger_verify(basis, order, max_variables=2)
     with pytest.raises(BudgetExceeded):
         fiber_reduction_test(path3_d, basis, order, maxdeg=3, max_monomials=5)
     with pytest.raises(BudgetExceeded):
-        triangulation(path3_d, max_variables=2)
+        triangulation(path3_d, basis, order, max_variables=2)
 
 
 def dropped_bases(basis):
@@ -192,9 +198,8 @@ def test_reduction_divergence_guard():
         _normal_form(basis, max_steps=10)({0: 1})
 
 
-def sympy_toric_gb(d):
+def sympy_toric_gb(d, order):
     """Reduced degrevlex basis of the toric ideal via sympy elimination."""
-    order = make_term_order(d)
     nb = len(d.blocks)
     z = sympy.Symbol("z")
     ts = sympy.symbols(f"t0:{nb}")
@@ -215,10 +220,10 @@ def sympy_toric_gb(d):
 
 @pytest.mark.parametrize("graph", [path_graph(3), star_graph(3)])
 def test_candidates_equal_sympy_reduced_basis(graph):
-    d = block_decomposition(graph)
-    expected, ys, desc = sympy_toric_gb(d)
+    ctx = GraphContext(graph)
+    expected, ys, desc = sympy_toric_gb(ctx.decomposition, ctx.order)
     got = set()
-    for f in groebner_candidates(d):
+    for f in ctx.basis:
         plus = sympy.Mul(*[ys[a] ** e for a, e in f.plus])
         minus = sympy.Mul(*[ys[a] ** e for a, e in f.minus])
         got.add(sympy.Poly(plus - minus, *desc))
@@ -226,7 +231,7 @@ def test_candidates_equal_sympy_reduced_basis(graph):
 
 
 def test_triangulation_path2(path2_d):
-    c = triangulation(path2_d)
+    c = initial_complex(path2_d)
     assert c.ground == ((0, 1), (0,), (1,), ())
     assert c.minimal_nonfaces == ((1, 2),)
     assert len(c.maximal_faces) == 2
@@ -236,10 +241,10 @@ def test_triangulation_path2(path2_d):
 
 
 def test_triangulation_path3(path3_d):
-    c = triangulation(path3_d)
+    c = initial_complex(path3_d)
     assert len(c.maximal_faces) == 5
     assert all(len(f) == 4 for f in c.maximal_faces)
-    hstar = hstar_profile(path3_d).hstar
+    hstar = GraphContext(path3_d.graph).hstar.hstar
     report = triangulation_checks(path3_d, c, hstar)
     assert report.f_vector == (1, 7, 16, 15, 5)
     assert report.h_vector == (1, 3, 1, 0, 0)
@@ -247,7 +252,7 @@ def test_triangulation_path3(path3_d):
 
 
 def test_triangulation_cube(star3_d):
-    c = triangulation(star3_d)
+    c = initial_complex(star3_d)
     assert len(c.minimal_nonfaces) == 9
     assert len(c.maximal_faces) == 6
     report = triangulation_checks(star3_d, c, (1, 4, 1, 0))
@@ -255,7 +260,7 @@ def test_triangulation_cube(star3_d):
 
 
 def test_triangulation_single_block(triangle_d):
-    c = triangulation(triangle_d)
+    c = initial_complex(triangle_d)
     assert c.minimal_nonfaces == ()
     assert c.maximal_faces == ((0, 1),)
     report = triangulation_checks(triangle_d, c, (1, 0))
@@ -265,21 +270,46 @@ def test_triangulation_single_block(triangle_d):
 def test_triangulation_rejects_non_quadratic_basis(path2_d):
     bad = (Binomial.from_maps({(0,): 1}, {(): 1}),)
     with pytest.raises(AssertionFailure):
-        triangulation(path2_d, g=bad)
+        triangulation(path2_d, bad, GraphContext(path2_d.graph).order)
+
+
+def test_triangulation_rejects_a_missing_leading_pair(path3_d):
+    ctx = GraphContext(path3_d.graph)
+    drop = Binomial.from_maps({(0, 1): 1, (1, 2): 1}, {(1,): 1, (0, 1, 2): 1})
+    rest = tuple(f for f in ctx.basis if f != drop)
+    assert len(rest) == len(ctx.basis) - 1
+    with pytest.raises(AssertionFailure, match="disagree with the compatibility relation") as info:
+        triangulation(ctx.decomposition, rest, ctx.order)
+    assert info.value.payload["pair"] == [[0, 1], [1, 2]]
 
 
 def test_triangulation_checks_reject_wrong_hstar(path2_d):
-    c = triangulation(path2_d)
+    c = initial_complex(path2_d)
     with pytest.raises(AssertionFailure):
         triangulation_checks(path2_d, c, (1, 2, 0))
 
 
 def test_triangulation_over_corpus(small_corpus):
     for name, g in small_corpus:
-        d = block_decomposition(g)
+        ctx = GraphContext(g)
+        d = ctx.decomposition
         if len(d.blocks) > 4:
             continue
-        c = triangulation(d)
-        hstar = hstar_profile(d).hstar
+        c = triangulation(d, ctx.basis, ctx.order)
+        hstar = ctx.hstar.hstar
         report = triangulation_checks(d, c, hstar)
         assert report.maximal_face_count == sum(hstar), name
+
+
+def test_leading_pairs_match_the_blockset_relation(oracle_graphs):
+    # the mask rule against the per-pair definition: a pair leads a binomial
+    # exactly when it is incomparable and its union is a connected blockset
+    graphs = [(e.name, block_decomposition(e.graph)) for e in corpus(5, 7, 26)] + oracle_graphs
+    for name, d in graphs:
+        verts = enumerate_vertices(d)
+        order = make_term_order(verts)
+        leading = {frozenset(a for a, _ in f.plus) for f in groebner_candidates(d, order, verts)}
+        for a1, a2 in itertools.combinations(verts, 2):
+            s1, s2 = frozenset(a1), frozenset(a2)
+            expected = not (s1 <= s2 or s2 <= s1) and is_connected_blockset(d, s1 | s2)
+            assert (frozenset((a1, a2)) in leading) == expected, (name, a1, a2)

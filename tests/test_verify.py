@@ -4,7 +4,9 @@ import json
 from fractions import Fraction
 
 import oracles
+import cbp.facets as facets
 import cbp.skeleton as skeleton
+import cbp.toric as toric
 import cbp.verify as verify
 from cbp.corpus import CorpusEntry, corpus, path_graph
 from cbp.errors import AssertionFailure
@@ -23,12 +25,12 @@ def test_option_defaults():
     opts = VerifyOptions()
     assert opts.max_blocks == 5
     assert opts.seed == 7
-    assert opts.facet_max_blocks == 7
-    assert opts.adjacency_max_blocks == 5
-    assert opts.hstar_max_blocks == 6
     assert opts.groebner_max_blocks == 4
-    assert opts.optimizer_trials == 50
     assert opts.workers is None
+    assert verify.FACET_MAX_BLOCKS == 7
+    assert verify.ADJACENCY_MAX_BLOCKS == 5
+    assert verify.HSTAR_MAX_BLOCKS == 6
+    assert verify.OPTIMIZER_TRIALS == 50
 
 
 def test_checks_pass_on_path3():
@@ -51,7 +53,7 @@ def test_adjacency_reports_the_first_differing_pair():
     detail = verify.check_adjacency(ctx)
     verts = ctx.vertices
     assert detail["pair"] == [list(verts[1]), list(verts[3])]
-    geometric = bool(skeleton.build_polytope_graph(ctx.decomposition).neighbors[1] >> 3 & 1)
+    geometric = bool(GraphContext(path_graph(3)).skeleton.neighbors[1] >> 3 & 1)
     assert (detail["combinatorial"], detail["geometric"]) == (not geometric, geometric)
 
 
@@ -102,11 +104,10 @@ def test_verify_graph_enumerates_the_vertices_once(monkeypatch):
     calls = []
     real = verify.enumerate_vertices
     monkeypatch.setattr(verify, "enumerate_vertices", lambda d: calls.append(d) or real(d))
-
-    def refuse(d):
-        raise AssertionError("the skeleton enumerated the vertices again")
-
-    monkeypatch.setattr(skeleton, "enumerate_vertices", refuse)
+    # the skeleton, the facet certificates and the Groebner basis take the
+    # vertices from the context; none of their modules can enumerate them
+    for module in (skeleton, facets, toric):
+        assert not hasattr(module, "enumerate_vertices"), module.__name__
     report = verify_graph(CorpusEntry("path-4", path_graph(4)), VerifyOptions())
     assert {c.name: c.status for c in report.checks}["adjacency"] == "pass"
     assert report.passed()

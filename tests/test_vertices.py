@@ -1,6 +1,7 @@
 """Connected-blockset enumeration against the exhaustive filter oracle."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,15 @@ def test_count_overflow(path3_d):
     assert len(enumerate_vertices(path3_d, max_count=7)) == 7
 
 
+def test_count_overflow_fires_before_enumerating():
+    # star-25 has 2**25 connected blocksets, twice the default cap
+    d = block_decomposition(star_graph(25))
+    start = time.perf_counter()
+    with pytest.raises(CountOverflow, match="more than 16777216 connected blocksets"):
+        enumerate_vertices(d)
+    assert time.perf_counter() - start < 1
+
+
 def test_dimension_equals_block_count(small_corpus):
     for name, g in small_corpus:
         d = block_decomposition(g)
@@ -126,14 +136,14 @@ def test_row_masks_match_dot_products(oracle_graphs):
                 rows.append((a, rhs))
                 tight = sum(1 << k for k, v in enumerate(values) if v == rhs)
                 expected.append((tight, next((k for k, v in enumerate(values) if v > rhs), None)))
-        assert _row_masks(rows, verts) == expected, name
+        assert _row_masks(d, rows, verts) == expected, name
     assert min(c for a, _ in rows for c in a) == -2
 
 
 def test_row_masks_report_violations(path3_d):
     verts = enumerate_vertices(path3_d)
     # values 0, 1, 1, 1, 2, 2, 3 and 0, 1, -2, 1, -1, -1, 0 over the vertices
-    assert _row_masks([((1, 1, 1), 1), ((1, -2, 1), 0)], verts) == [
+    assert _row_masks(path3_d, [((1, 1, 1), 1), ((1, -2, 1), 0)], verts) == [
         (0b0001110, 4),
         (0b1000001, 1),
     ]
