@@ -26,7 +26,7 @@ from .errors import (
     NotTree,
     ParseError,
 )
-from .facets import h_representation
+from .facets import enumerate_ibis, h_representation
 from .graphs import (
     Graph,
     classify,
@@ -140,7 +140,8 @@ def _row_kind(a, b) -> str:
 
 def cmd_facets(args) -> int:
     ctx = GraphContext(_load_graph(args.graph))
-    h = h_representation(ctx.decomposition, max_blocks=args.max_blocks)
+    d = ctx.decomposition
+    h = h_representation(d, enumerate_ibis(d, max_blocks=args.max_blocks))
     _emit(
         {
             "dimension": h.dim,

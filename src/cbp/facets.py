@@ -288,14 +288,10 @@ def construct_ibis(d: BlockDecomposition, max_blocks: int = MAX_IBI_BLOCKS) -> t
 
 
 def h_representation(
-    d: BlockDecomposition,
-    ibis: tuple[IndependentBlocksInequality, ...] | None = None,
-    max_blocks: int = MAX_IBI_BLOCKS,
+    d: BlockDecomposition, ibis: tuple[IndependentBlocksInequality, ...]
 ) -> RationalPolyhedron:
     """Nonnegativity rows plus one row per inequality, normalized and sorted."""
     n = len(d.blocks)
-    if ibis is None:
-        ibis = enumerate_ibis(d, max_blocks=max_blocks)
     rows = set()
     for b in range(n):
         rows.add(normalize_row(tuple(-1 if i == b else 0 for i in range(n)), 0))
@@ -304,22 +300,34 @@ def h_representation(
     return RationalPolyhedron(dim=n, rows=tuple(sorted(rows, key=lambda r: (r[1], r[0]))))
 
 
+def facet_certificates(d: BlockDecomposition, rows, verts) -> tuple[Certificate, ...]:
+    """Tightness certificates of the rows against the vertex list
+    `enumerate_vertices(d)`, from one pass over the vertices' block masks.
+
+    Raises RowInvalid at the first row that some vertex violates.
+    """
+    scaled = []
+    for a, b in rows:
+        ib, *ia = _clear_denominators([Fraction(b), *map(Fraction, a)])
+        scaled.append((ia, ib))
+    out = []
+    for (a, b), (tight, violator) in zip(rows, _row_masks(d, scaled, verts)):
+        if violator is not None:
+            subset = verts[violator]
+            val = sum(Fraction(c) * v for c, v in zip(a, to_incidence(d, subset)))
+            raise RowInvalid(f"vertex {subset} violates the row: {val} > {Fraction(b)}")
+        indices = tuple(k for k in range(len(verts)) if tight >> k & 1)
+        slack = next((k for k in range(len(verts)) if not tight >> k & 1), None)
+        rank = affine_rank([to_incidence(d, verts[k]) for k in indices]) if indices else -1
+        out.append(Certificate(tight_vertex_indices=indices, affine_rank=rank, slack_witness=slack))
+    return tuple(out)
+
+
 def facet_certificate(d: BlockDecomposition, row: Row, verts) -> Certificate:
     """Tightness certificate of one inequality against the vertex list
     `enumerate_vertices(d)`.
 
     Raises RowInvalid when some vertex violates the row.
     """
-    a, b = row
-    fa = [Fraction(x) for x in a]
-    fb = Fraction(b)
-    ib, *ia = _clear_denominators([fb, *fa])
-    ((tight, violator),) = _row_masks(d, [(ia, ib)], verts)
-    if violator is not None:
-        subset = verts[violator]
-        val = sum(c * v for c, v in zip(fa, to_incidence(d, subset)))
-        raise RowInvalid(f"vertex {subset} violates the row: {val} > {fb}")
-    indices = tuple(k for k in range(len(verts)) if tight >> k & 1)
-    slack = next((k for k in range(len(verts)) if not tight >> k & 1), None)
-    rank = affine_rank([to_incidence(d, verts[k]) for k in indices]) if indices else -1
-    return Certificate(tight_vertex_indices=indices, affine_rank=rank, slack_witness=slack)
+    (cert,) = facet_certificates(d, [row], verts)
+    return cert

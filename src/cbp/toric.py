@@ -18,9 +18,9 @@ reproduce the h* vector.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 from .errors import (
     AssertionFailure,
@@ -37,7 +37,9 @@ MAX_GROEBNER_VARIABLES = 60
 MAX_REDUCTION_STEPS = 10**6
 DEFAULT_FIBER_CAP = 200000
 
-Mono = dict[int, int]  # variable rank -> positive exponent
+# A monomial as the ascending tuple of its variable ranks, each repeated by
+# its exponent: x_0^2 * x_3 is (0, 0, 3).
+Term = tuple[int, ...]
 
 
 @dataclass(eq=False)
@@ -64,59 +66,16 @@ def make_term_order(verts: tuple[BlockSubset, ...]) -> TermOrder:
     return TermOrder(variables=tuple(ordered), rank={a: i for i, a in enumerate(ordered)})
 
 
-def mono_degree(m: Mono) -> int:
-    return sum(m.values())
+def _term_key(t: Term) -> tuple[int, Term]:
+    """Sort key of the term order: degree, then the rank tuple itself.
 
-
-def mono_cmp(m1: Mono, m2: Mono) -> int:
-    """-1, 0, or 1 as m1 is smaller, equal, or larger in the term order.
-
-    Degree first; on ties scan ranks upward from the smallest variable,
-    and the monomial with the larger exponent at the first difference is
-    the smaller one (reverse lexicographic).
+    Degree reverse lexicographic scans ranks upward from the smallest
+    variable, and the monomial with the larger exponent at the first
+    difference is the smaller one.  Two rank tuples of one degree first
+    differ where one of them holds more copies of the smaller rank, so the
+    lexicographically smaller tuple is the smaller monomial.
     """
-    d1, d2 = mono_degree(m1), mono_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    for r in sorted(set(m1) | set(m2)):
-        e1, e2 = m1.get(r, 0), m2.get(r, 0)
-        if e1 != e2:
-            return 1 if e1 < e2 else -1
-    return 0
-
-
-def mono_mul(m1: Mono, m2: Mono) -> Mono:
-    out = dict(m1)
-    for r, e in m2.items():
-        out[r] = out.get(r, 0) + e
-    return out
-
-
-def mono_divides(m1: Mono, m2: Mono) -> bool:
-    return all(m2.get(r, 0) >= e for r, e in m1.items())
-
-
-def mono_div(m1: Mono, m2: Mono) -> Mono:
-    out = {}
-    for r, e in m1.items():
-        rest = e - m2.get(r, 0)
-        if rest < 0:
-            raise ValueError("not divisible")
-        if rest:
-            out[r] = rest
-    return out
-
-
-def mono_lcm(m1: Mono, m2: Mono) -> Mono:
-    out = dict(m1)
-    for r, e in m2.items():
-        if out.get(r, 0) < e:
-            out[r] = e
-    return out
-
-
-def mono_key(m: Mono) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(m.items()))
+    return len(t), t
 
 
 @dataclass(frozen=True)
@@ -130,15 +89,10 @@ class Binomial:
     def from_maps(plus: dict[BlockSubset, int], minus: dict[BlockSubset, int]) -> "Binomial":
         return Binomial(tuple(sorted(plus.items())), tuple(sorted(minus.items())))
 
-    def plus_map(self) -> dict[BlockSubset, int]:
-        return dict(self.plus)
 
-    def minus_map(self) -> dict[BlockSubset, int]:
-        return dict(self.minus)
-
-
-def _to_rank(m: dict[BlockSubset, int], order: TermOrder) -> Mono:
-    return {order.rank[a]: e for a, e in m.items() if e}
+def _to_term(side, order: TermOrder) -> Term:
+    """The term of one side of a binomial, given as (blockset, exponent) pairs."""
+    return tuple(sorted(r for a, e in side for r in (order.rank[a],) * e))
 
 
 def binomial_is_homogeneous(d: BlockDecomposition, f: Binomial) -> bool:
@@ -191,72 +145,77 @@ def groebner_candidates(
         a1, s1 = verts[i], sets[i]
         for j in _bits(lead >> (i + 1) << (i + 1)):
             a2, s2 = verts[j], sets[j]
-            plus = {a1: 1, a2: 1}
-            minus = {by_mask[s1 & s2]: 1, by_mask[s1 | s2]: 1}
-            f = Binomial.from_maps(plus, minus)
-            if mono_cmp(_to_rank(plus, order), _to_rank(minus, order)) <= 0:
+            f = Binomial.from_maps({a1: 1, a2: 1}, {by_mask[s1 & s2]: 1, by_mask[s1 | s2]: 1})
+            lt = _to_term(f.plus, order)
+            if _term_key(lt) <= _term_key(_to_term(f.minus, order)):
                 raise LeadingTermMismatch(f"pair {a1}, {a2} does not lead with the product")
-            out.append(f)
-    out.sort(key=lambda f: mono_key(_to_rank(f.plus_map(), order)))
-    return tuple(out)
+            out.append((lt, f))
+    out.sort(key=lambda p: p[0])
+    return tuple(f for _, f in out)
 
 
-def _rank_basis(g: tuple[Binomial, ...], order: TermOrder) -> list[tuple[Mono, Mono]]:
-    basis = [(_to_rank(f.plus_map(), order), _to_rank(f.minus_map(), order)) for f in g]
+def _rank_basis(g: tuple[Binomial, ...], order: TermOrder) -> list[tuple[Term, Term]]:
+    basis = [(_to_term(f.plus, order), _to_term(f.minus, order)) for f in g]
     # smallest leading term first makes the reduction strategy deterministic
-    basis.sort(key=functools.cmp_to_key(lambda x, y: mono_cmp(x[0], y[0])))
+    basis.sort(key=lambda p: _term_key(p[0]))
     return basis
 
 
-def _normal_form(basis: list[tuple[Mono, Mono]], max_steps: int = MAX_REDUCTION_STEPS):
-    """A memoized normal form of monomials modulo (leading, trailing) pairs.
+class _NormalForms(dict):
+    """Normal forms of terms modulo (leading, trailing) pairs, memoized: the
+    normal form of a term m is `self[m]`, computed on its first lookup.
 
-    Each step replaces the monomial m by q * trailing, where leading * q = m
+    Each step replaces the term m by q * trailing, where leading * q = m
     and the leading term is the smallest one dividing m: the first in basis
     order, which `_rank_basis` sorts by leading term.  The divisor depends
-    on m alone, so every monomial has one reduction chain, and a difference
-    of two monomials reduces to zero under this strategy exactly when their
-    normal forms agree.  Divisors are looked up through an index from each
-    variable to the positions whose leading term contains it; with
-    squarefree quadratic leading terms that leaves a few candidates per
-    variable.  A constant leading term, which no term order gives to a
-    nonzero binomial, is never used.  The returned function maps a
-    monomial to the `mono_key` of its normal form, and raises
-    ReductionDiverges when one chain takes more than max_steps steps.
+    on m alone, so every term has one reduction chain, and a difference of
+    two terms reduces to zero under this strategy exactly when their normal
+    forms agree.  A leading term divides m exactly when it is one of the
+    sub-tuples of m of its own degree, so the divisor is found by looking
+    up those sub-tuples in an index from each leading term to its first
+    position: at most 7 lookups for a term of degree 3.  A constant leading
+    term, which no term order gives to a nonzero binomial, is never used.
+    A lookup raises ReductionDiverges when one chain takes more than
+    max_steps steps.
     """
-    index: dict[int, list[int]] = {}
-    for pos, (lt, _) in enumerate(basis):
-        for r in lt:
-            index.setdefault(r, []).append(pos)
-    memo: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
 
-    def normal_form(m: Mono) -> tuple[tuple[int, int], ...]:
-        key = mono_key(m)
+    def __init__(self, basis: list[tuple[Term, Term]], max_steps: int = MAX_REDUCTION_STEPS):
+        super().__init__()
+        self.basis = basis
+        self.max_steps = max_steps
+        self.first: dict[Term, int] = {}
+        for pos, (lt, _) in enumerate(basis):
+            if lt:
+                self.first.setdefault(lt, pos)
+        self.degrees = sorted({len(lt) for lt in self.first})
+
+    def __missing__(self, m: Term) -> Term:
+        first = self.first
         chain = []
-        while key not in memo:
+        while m not in self:
             best = None
-            for r in m:
-                for pos in index.get(r, ()):
-                    if best is not None and pos >= best:
-                        break
-                    if mono_divides(basis[pos][0], m):
+            for k in self.degrees:
+                for sub in itertools.combinations(m, k):
+                    pos = first.get(sub)
+                    if pos is not None and (best is None or pos < best):
                         best = pos
-                        break
             if best is None:
-                memo[key] = key
+                self[m] = m
                 break
-            if len(chain) == max_steps:
-                raise ReductionDiverges(f"no termination after {max_steps} reduction steps")
-            chain.append(key)
-            lt, tail = basis[best]
-            m = mono_mul(mono_div(m, lt), tail)
-            key = mono_key(m)
-        result = memo[key]
+            if len(chain) == self.max_steps:
+                raise ReductionDiverges(f"no termination after {self.max_steps} reduction steps")
+            chain.append(m)
+            lt, tail = self.basis[best]
+            rest = list(m)
+            for r in lt:
+                rest.remove(r)
+            rest.extend(tail)
+            rest.sort()
+            m = tuple(rest)
+        result = self[m]
         for seen in chain:
-            memo[seen] = result
+            self[seen] = result
         return result
-
-    return normal_form
 
 
 def buchberger_verify(
@@ -268,24 +227,38 @@ def buchberger_verify(
     """True when every leading term is squarefree and every S-pair reduces to zero.
 
     An S-pair whose leading terms are coprime reduces to zero by
-    Buchberger's product criterion and is skipped; the two sides of every
-    other S-pair must have the same normal form.
+    Buchberger's product criterion, so only pairs whose leading terms share
+    a variable are formed: per variable r, the pairs of basis elements whose
+    leading term holds r, each pair at its smallest shared variable.  The
+    two sides of every such S-pair must have the same normal form.
     """
     _check_variable_cap(order, max_variables)
     basis = _rank_basis(g, order)
-    for lt, _ in basis:
-        if any(e > 1 for e in lt.values()):
-            return False
-    normal_form = _normal_form(basis, max_steps)
-    supports = [sum(1 << r for r in lt) for lt, _ in basis]
-    for (i, (lt1, tail1)), (j, (lt2, tail2)) in itertools.combinations(enumerate(basis), 2):
-        if not supports[i] & supports[j]:
-            continue
-        lcm = mono_lcm(lt1, lt2)
-        s_plus = mono_mul(mono_div(lcm, lt2), tail2)
-        s_minus = mono_mul(mono_div(lcm, lt1), tail1)
-        if normal_form(s_plus) != normal_form(s_minus):
-            return False
+    if any(len(set(lt)) < len(lt) for lt, _ in basis):
+        return False
+    normal_form = _NormalForms(basis, max_steps)
+    # per variable r: (support mask, leading term without r, tail) of each holder
+    holders: list[list[tuple[int, Term, Term]]] = [[] for _ in range(order.variable_count())]
+    for lt, tail in basis:
+        support = sum(1 << r for r in lt)
+        for r in lt:
+            holders[r].append((support, tuple(v for v in lt if v != r), tail))
+    for r, members in enumerate(holders):
+        bit = 1 << r
+        for at, (sup1, rest1, tail1) in enumerate(members):
+            for sup2, rest2, tail2 in members[at + 1 :]:
+                shared = sup1 & sup2
+                if shared & (bit - 1):
+                    continue  # formed at a smaller shared variable
+                # lcm / lt2 is the part of lt1 outside lt2, and vice versa
+                out1, out2 = rest1, rest2
+                if shared != bit:
+                    out1 = tuple(v for v in rest1 if not shared >> v & 1)
+                    out2 = tuple(v for v in rest2 if not shared >> v & 1)
+                s_plus = tuple(sorted(out1 + tail2))
+                s_minus = tuple(sorted(out2 + tail1))
+                if normal_form[s_plus] != normal_form[s_minus]:
+                    return False
     return True
 
 
@@ -302,29 +275,26 @@ def fiber_reduction_test(
     vectors agree; every such difference lies in the toric ideal, so a
     correct basis must reduce it away.  A difference reduces to zero
     exactly when its two monomials have the same normal form, so each
-    image class is checked with one normal form per monomial.
+    image class is checked with one normal form per monomial.  The image
+    is keyed by a packed int, one field per block, wide enough to hold a
+    count up to maxdeg, so the key of a monomial is the sum of its
+    variables' packed indicator vectors.  The monomial count is predicted
+    and checked against max_monomials before any is enumerated.
     """
-    normal_form = _normal_form(_rank_basis(g, order))
-    n = len(d.blocks)
     nvars = order.variable_count()
-    total = 0
+    if sum(comb(nvars + k - 1, k) for k in range(2, maxdeg + 1)) > max_monomials:
+        raise BudgetExceeded(f"more than {max_monomials} fiber monomials")
+    normal_form = _NormalForms(_rank_basis(g, order))
+    width = maxdeg.bit_length()
+    packed = [sum(1 << (width * b) for b in a) for a in order.variables]
     for deg in range(2, maxdeg + 1):
-        groups: dict[tuple[int, ...], list[Mono]] = {}
-        for combo in itertools.combinations_with_replacement(range(nvars), deg):
-            total += 1
-            if total > max_monomials:
-                raise BudgetExceeded(f"more than {max_monomials} fiber monomials")
-            image = [0] * n
-            mono: Mono = {}
-            for r in combo:
-                mono[r] = mono.get(r, 0) + 1
-                for b in order.variables[r]:
-                    image[b] += 1
-            groups.setdefault(tuple(image), []).append(mono)
+        groups: dict[int, list[Term]] = {}
+        for m in itertools.combinations_with_replacement(range(nvars), deg):
+            groups.setdefault(sum(map(packed.__getitem__, m)), []).append(m)
         for first, *rest in groups.values():
             if rest:
-                target = normal_form(first)
-                if any(normal_form(m) != target for m in rest):
+                target = normal_form[first]
+                if any(normal_form[m] != target for m in rest):
                     return False
     return True
 

@@ -21,7 +21,7 @@ from itertools import repeat
 from .corpus import CorpusEntry, corpus
 from .ehrhart import hstar_checks, hstar_profile
 from .errors import AssertionFailure, CBPError
-from .facets import construct_ibis, enumerate_ibis, facet_certificate, h_representation
+from .facets import construct_ibis, enumerate_ibis, facet_certificates, h_representation
 from .graphs import (
     Graph,
     block_decomposition,
@@ -135,9 +135,10 @@ class GraphContext:
     """The per-graph artifact cache: each artifact is built once, on first use,
     from the ones it depends on.
 
-    The decomposition feeds the vertices and the H-description; the vertices
-    feed their incidence vectors, the combinatorial skeleton and the term
-    order; the H-description feeds the h* profile; the order and the
+    The decomposition feeds the vertices and the independent-blocks
+    inequalities, which feed the H-description; the vertices feed their
+    incidence vectors, the combinatorial skeleton and the term order; the
+    H-description feeds the h* profile; the order and the
     vertices feed the basis.  The library functions take these artifacts as
     arguments and build none of them; the sweep's checks, the graph commands
     of the CLI and the tests read them from here.
@@ -159,8 +160,12 @@ class GraphContext:
         return [to_incidence(self.decomposition, a) for a in self.vertices]
 
     @cached_property
+    def ibis(self):
+        return enumerate_ibis(self.decomposition)
+
+    @cached_property
     def hrep(self) -> RationalPolyhedron:
-        return h_representation(self.decomposition)
+        return h_representation(self.decomposition, self.ibis)
 
     @cached_property
     def hstar(self):
@@ -266,12 +271,10 @@ def check_facets(ctx: GraphContext) -> dict | None:
             "missing_rows": sorted(theirs - ours),
             "extra_rows": sorted(ours - theirs),
         }
-    certs = []
-    for row in ctx.hrep.rows:
-        cert = facet_certificate(d, row, ctx.vertices)
+    certs = facet_certificates(d, ctx.hrep.rows, ctx.vertices)
+    for row, cert in zip(ctx.hrep.rows, certs):
         if not cert.confirms_facet(n):
             return {"reason": "row is not facet-defining", "row": row}
-        certs.append(cert)
     for idx, cert in enumerate(certs):
         tight = [ctx.incidence[k] for k in cert.tight_vertex_indices]
         if _cutoff_point(ctx.hrep, idx, tight) is None:
@@ -282,7 +285,7 @@ def check_facets(ctx: GraphContext) -> dict | None:
 def check_ibis(ctx: GraphContext) -> dict | None:
     """Inductive construction reaches exactly the enumerated inequalities."""
     d = ctx.decomposition
-    enumerated = set(enumerate_ibis(d))
+    enumerated = set(ctx.ibis)
     constructed = set(construct_ibis(d))
     if enumerated != constructed:
         return {

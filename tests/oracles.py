@@ -3,8 +3,9 @@
 Everything here recomputes results from first principles (exhaustive
 enumeration, generic brute force) without touching the routines under
 test, so a disagreement always points at the implementation.  The Groebner
-oracles reuse only the monomial primitives of `cbp.toric`, which
-`test_toric.test_mono_primitives` pins on their own.  The Fraction
+oracles work on dict monomials with their own primitives, which
+`test_toric.test_mono_primitives` pins on their own; the memoized route
+over dict monomials is the tuple normal form's predecessor.  The Fraction
 optimizer is the integer DP's predecessor, kept to pin its arithmetic; it
 shares `steiner_nodes` and `is_connected_blockset` with it.
 """
@@ -20,7 +21,6 @@ from typing import Sequence
 from cbp.errors import AssertionFailure, ReductionDiverges
 from cbp.graphs import BlockDecomposition, graph_to_json, steiner_nodes
 from cbp.optimize import Solution
-from cbp.toric import mono_cmp, mono_div, mono_divides, mono_lcm, mono_mul
 from cbp.vertices import is_connected_blockset
 
 
@@ -475,6 +475,60 @@ def bfs_diameter(neighbors) -> int | None:
     return best
 
 
+Mono = dict[int, int]  # variable rank -> positive exponent
+
+
+def mono_cmp(m1: Mono, m2: Mono) -> int:
+    """-1, 0, or 1 as m1 is smaller, equal, or larger in the term order.
+
+    Degree first; on ties scan ranks upward from the smallest variable,
+    and the monomial with the larger exponent at the first difference is
+    the smaller one (reverse lexicographic).
+    """
+    d1, d2 = sum(m1.values()), sum(m2.values())
+    if d1 != d2:
+        return -1 if d1 < d2 else 1
+    for r in sorted(set(m1) | set(m2)):
+        e1, e2 = m1.get(r, 0), m2.get(r, 0)
+        if e1 != e2:
+            return 1 if e1 < e2 else -1
+    return 0
+
+
+def mono_mul(m1: Mono, m2: Mono) -> Mono:
+    out = dict(m1)
+    for r, e in m2.items():
+        out[r] = out.get(r, 0) + e
+    return out
+
+
+def mono_divides(m1: Mono, m2: Mono) -> bool:
+    return all(m2.get(r, 0) >= e for r, e in m1.items())
+
+
+def mono_div(m1: Mono, m2: Mono) -> Mono:
+    out = {}
+    for r, e in m1.items():
+        rest = e - m2.get(r, 0)
+        if rest < 0:
+            raise ValueError("not divisible")
+        if rest:
+            out[r] = rest
+    return out
+
+
+def mono_lcm(m1: Mono, m2: Mono) -> Mono:
+    out = dict(m1)
+    for r, e in m2.items():
+        if out.get(r, 0) < e:
+            out[r] = e
+    return out
+
+
+def mono_key(m: Mono) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(m.items()))
+
+
 def ranked_basis(g, order) -> list[tuple[dict, dict]]:
     """(leading, trailing) rank monomials of a binomial list, by leading term."""
     basis = [
@@ -544,5 +598,88 @@ def pairwise_fiber_test(nblocks: int, g, order, maxdeg: int = 3) -> bool:
         for members in groups.values():
             for m1, m2 in itertools.combinations(members, 2):
                 if not reduce_difference(dict(m1), dict(m2), basis):
+                    return False
+    return True
+
+
+def memo_normal_form(basis, max_steps: int = 10**6):
+    """A memoized normal form of dict monomials modulo a ranked basis.
+
+    Each step divides by the first leading term in basis order that
+    divides the monomial, found through an index from each variable to the
+    positions whose leading term contains it.  The returned function maps
+    a monomial to the `mono_key` of its normal form.
+    """
+    index: dict[int, list[int]] = {}
+    for pos, (lt, _) in enumerate(basis):
+        for r in lt:
+            index.setdefault(r, []).append(pos)
+    memo: dict = {}
+
+    def normal_form(m: Mono):
+        key = mono_key(m)
+        chain = []
+        while key not in memo:
+            best = None
+            for r in m:
+                for pos in index.get(r, ()):
+                    if best is not None and pos >= best:
+                        break
+                    if mono_divides(basis[pos][0], m):
+                        best = pos
+                        break
+            if best is None:
+                memo[key] = key
+                break
+            if len(chain) == max_steps:
+                raise ReductionDiverges(f"no termination after {max_steps} reduction steps")
+            chain.append(key)
+            lt, tail = basis[best]
+            m = mono_mul(mono_div(m, lt), tail)
+            key = mono_key(m)
+        result = memo[key]
+        for seen in chain:
+            memo[seen] = result
+        return result
+
+    return normal_form
+
+
+def memo_buchberger(g, order) -> bool:
+    """Squarefree leading terms, and equal normal forms for the two sides of
+    every S-pair over all C(B, 2) pairs, the coprime ones skipped."""
+    basis = ranked_basis(g, order)
+    if any(e > 1 for lt, _ in basis for e in lt.values()):
+        return False
+    normal_form = memo_normal_form(basis)
+    for (lt1, tail1), (lt2, tail2) in itertools.combinations(basis, 2):
+        if not set(lt1) & set(lt2):
+            continue
+        lcm = mono_lcm(lt1, lt2)
+        s_plus = mono_mul(mono_div(lcm, lt2), tail2)
+        s_minus = mono_mul(mono_div(lcm, lt1), tail1)
+        if normal_form(s_plus) != normal_form(s_minus):
+            return False
+    return True
+
+
+def memo_fiber_test(nblocks: int, g, order, maxdeg: int = 3) -> bool:
+    """Equal normal forms within every image class of degree 2..maxdeg,
+    images as tuples of per-block counts."""
+    normal_form = memo_normal_form(ranked_basis(g, order))
+    for deg in range(2, maxdeg + 1):
+        groups: dict[tuple[int, ...], list[Mono]] = {}
+        for combo in itertools.combinations_with_replacement(range(len(order.variables)), deg):
+            image = [0] * nblocks
+            mono: Mono = {}
+            for r in combo:
+                mono[r] = mono.get(r, 0) + 1
+                for b in order.variables[r]:
+                    image[b] += 1
+            groups.setdefault(tuple(image), []).append(mono)
+        for first, *rest in groups.values():
+            if rest:
+                target = normal_form(first)
+                if any(normal_form(m) != target for m in rest):
                     return False
     return True

@@ -23,7 +23,6 @@ from cbp.ehrhart import (
     hstar_vector,
     narayana_vector,
 )
-from cbp.facets import h_representation
 from cbp.graphs import block_decomposition
 from cbp.hull import RationalPolyhedron
 from cbp.verify import GraphContext
@@ -45,26 +44,26 @@ def oracle_hstar(counts, dim):
 
 def test_counts_match_box_scan(path3_d, star3_d, path2_d):
     for d in (path3_d, star3_d, path2_d):
-        h = h_representation(d)
+        h = GraphContext(d.graph).hrep
         for n in range(5):
             expected = oracles.count_dilation_points(h.rows, h.dim, n)
             assert count_lattice_points(h, n) == expected
 
 
 def test_path3_counts_frozen(path3_d):
-    h = h_representation(path3_d)
+    h = GraphContext(path3_d.graph).hrep
     assert [count_lattice_points(h, n) for n in range(6)] == [1, 7, 23, 54, 105, 181]
 
 
 def test_cube_counts_are_powers(star3_d):
-    h = h_representation(star3_d)
+    h = GraphContext(star3_d.graph).hrep
     assert [count_lattice_points(h, n) for n in range(5)] == [
         (n + 1) ** 3 for n in range(5)
     ]
 
 
 def test_path3_ehrhart_polynomial(path3_d):
-    h = h_representation(path3_d)
+    h = GraphContext(path3_d.graph).hrep
     counts = [count_lattice_points(h, k) for k in range(4)]
     hs = hstar_vector(counts)
     coeffs = ehrhart_coefficients(hs)
@@ -86,7 +85,7 @@ def test_hstar_vectors_frozen():
         4: (1, 6, 6, 1, 0),
     }
     for k, expected in cases.items():
-        h = h_representation(block_decomposition(path_graph(k)))
+        h = GraphContext(path_graph(k)).hrep
         counts = [count_lattice_points(h, n) for n in range(k + 1)]
         assert hstar_vector(counts) == expected
         assert oracle_hstar(counts, k) == expected
@@ -127,7 +126,7 @@ def test_narayana_vector():
 
 
 def test_profile_flags_cube(star3_d):
-    h = h_representation(star3_d)
+    h = GraphContext(star3_d.graph).hrep
     profile = hstar_profile(star3_d, h)
     report = hstar_checks(profile, star3_d, h)
     assert report.clauses["top_zero"]
@@ -139,7 +138,7 @@ def test_profile_flags_cube(star3_d):
 
 
 def test_checks_pass_and_record_narayana(path3_d):
-    h = h_representation(path3_d)
+    h = GraphContext(path3_d.graph).hrep
     profile = hstar_profile(path3_d, h)
     report = hstar_checks(profile, path3_d, h)
     assert all(report.clauses.values())
@@ -148,7 +147,7 @@ def test_checks_pass_and_record_narayana(path3_d):
 
 
 def test_checks_skip_narayana_off_block_paths(star3_d):
-    h = h_representation(star3_d)
+    h = GraphContext(star3_d.graph).hrep
     profile = hstar_profile(star3_d, h)
     report = hstar_checks(profile, star3_d, h)
     assert all(report.clauses.values())
@@ -157,7 +156,7 @@ def test_checks_skip_narayana_off_block_paths(star3_d):
 
 
 def test_checks_raise_on_tampered_profile(path3_d):
-    h = h_representation(path3_d)
+    h = GraphContext(path3_d.graph).hrep
     profile = hstar_profile(path3_d, h)
     bad = type(profile)(
         ehrhart_coeffs=profile.ehrhart_coeffs,
@@ -172,7 +171,7 @@ def test_checks_read_h1_from_the_checked_vector(star3_d):
     # (0, 6, 0, 0) keeps every clause but the vertex count and the volume:
     # the cube has 8 vertices, so hstar_1 must be 8 - 4 = 4, and it predicts
     # 6 * C(6, 3) = 120 points in 4 times the cube, which has 5^3
-    h = h_representation(star3_d)
+    h = GraphContext(star3_d.graph).hrep
     profile = hstar_profile(star3_d, h)
     bad = type(profile)(
         ehrhart_coeffs=profile.ehrhart_coeffs,
@@ -189,7 +188,7 @@ def test_volume_clause_counts_one_dilation_past_the_profile(star3_d):
     # Ehrhart coefficients are expanded from it agrees with it on sum(h*) =
     # c_d d!; the count of 4 times the cube, 125, against the 170 it
     # predicts, is what rejects it
-    h = h_representation(star3_d)
+    h = GraphContext(star3_d.graph).hrep
     bad_hstar = (2, 4, 2, 0)
     bad = HStarProfile(
         ehrhart_coeffs=ehrhart_coefficients(bad_hstar),
@@ -203,7 +202,7 @@ def test_volume_clause_counts_one_dilation_past_the_profile(star3_d):
 
 
 def test_count_budget(path3_d):
-    h = h_representation(path3_d)
+    h = GraphContext(path3_d.graph).hrep
     with pytest.raises(BudgetExceeded):
         count_lattice_points(h, 2, budget=3)
 
@@ -211,7 +210,7 @@ def test_count_budget(path3_d):
 def test_checks_over_corpus(small_corpus):
     for name, g in small_corpus:
         d = block_decomposition(g)
-        h = h_representation(d)
+        h = GraphContext(d.graph).hrep
         profile = hstar_profile(d, h)
         report = hstar_checks(profile, d, h)
         assert all(report.clauses.values()), name
@@ -223,7 +222,7 @@ def corpus_counts():
     recursion) per graph of the 102-graph sweep corpus."""
     out = []
     for e in corpus(5, 7, 26):
-        h = h_representation(block_decomposition(e.graph))
+        h = GraphContext(e.graph).hrep
         counts = [oracles.count_lattice_prefixes(h.rows, h.dim, n) for n in range(h.dim + 2)]
         out.append((e.name, h, counts))
     return out
@@ -279,11 +278,11 @@ def test_tuple_keys_at_large_dilations(monkeypatch):
         (path_graph(3), (1, 3, 1, 0), (60, 130)),
         (triangle_chain(4), (1, 6, 6, 1, 0), (60,)),
     ):
-        h = h_representation(block_decomposition(g))
+        h = GraphContext(g).hrep
         for n in dilations:
             assert count_lattice_points(h, n) == ehrhart_value(hs, n)
     assert tuple in packers and bytes in packers
-    h = h_representation(block_decomposition(path_graph(3)))
+    h = GraphContext(path_graph(3)).hrep
     assert count_lattice_points(h, 60) == oracles.count_lattice_prefixes(h.rows, 3, 60)
 
 

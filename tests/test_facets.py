@@ -12,6 +12,7 @@ from cbp.facets import (
     construct_ibis,
     enumerate_ibis,
     facet_certificate,
+    facet_certificates,
     h_representation,
     ibi_violations,
     is_independent,
@@ -79,7 +80,7 @@ def test_ibi_violations_clauses(path3_d):
 
 
 def test_path3_h_representation(path3_d):
-    h = h_representation(path3_d)
+    h = h_representation(path3_d, enumerate_ibis(path3_d))
     assert h.dim == 3
     assert h.rows == (
         ((-1, 0, 0), 0),
@@ -93,7 +94,7 @@ def test_path3_h_representation(path3_d):
 
 
 def test_single_block_h_representation(triangle_d):
-    assert h_representation(triangle_d).rows == (((-1,), 0), ((1,), 1))
+    assert h_representation(triangle_d, enumerate_ibis(triangle_d)).rows == (((-1,), 0), ((1,), 1))
 
 
 def test_h_representation_matches_brute_hull():
@@ -105,7 +106,7 @@ def test_h_representation_matches_brute_hull():
         expected = oracles.connected_blocksets(d.graph, d.blocks)
         points = [to_incidence(d, a) for a in expected]
         brute = brute_force_facets(points)
-        assert set(h_representation(d).rows) == set(brute.rows)
+        assert set(h_representation(d, enumerate_ibis(d)).rows) == set(brute.rows)
 
 
 def test_construction_matches_enumeration(small_corpus):
@@ -117,7 +118,8 @@ def test_construction_matches_enumeration(small_corpus):
 def test_every_row_is_reflexively_shifted(small_corpus):
     # each normalized row (a, b) of the description satisfies 2b - sum(a) = 1
     for name, g in small_corpus:
-        h = h_representation(block_decomposition(g))
+        d = block_decomposition(g)
+        h = h_representation(d, enumerate_ibis(d))
         assert all(2 * b - sum(a) == 1 for a, b in h.rows), name
 
 
@@ -161,10 +163,24 @@ def test_facet_certificate_on_valid_nonfacet(path3_d):
     assert not cert.confirms_facet(3)
 
 
+def test_facet_certificates_match_one_row_at_a_time(small_corpus, path3_d):
+    for name, g in small_corpus:
+        d = block_decomposition(g)
+        rows = h_representation(d, enumerate_ibis(d)).rows
+        verts = enumerate_vertices(d)
+        expected = tuple(facet_certificate(d, row, verts) for row in rows)
+        assert facet_certificates(d, rows, verts) == expected, name
+    # the first violated row is the one reported
+    third = Fraction(1, 3)
+    rows = [((1, -1, 1), 1), ((third, third, third), third), ((1, 1, 1), 1)]
+    with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 2/3 > 1/3$"):
+        facet_certificates(path3_d, rows, enumerate_vertices(path3_d))
+
+
 def test_all_rows_certified(small_corpus):
     for name, g in small_corpus:
         d = block_decomposition(g)
-        h = h_representation(d)
+        h = h_representation(d, enumerate_ibis(d))
         verts = enumerate_vertices(d)
         for row in h.rows:
             assert facet_certificate(d, row, verts).confirms_facet(h.dim), (name, row)

@@ -11,7 +11,6 @@ import oracles
 from cbp import verify
 from cbp.corpus import flower, path_graph, random_block_tree, star_graph, triangle_chain
 from cbp.errors import AssertionFailure, BudgetExceeded, DimensionMismatch, NotAVertex
-from cbp.facets import h_representation
 from cbp.graphs import block_decomposition
 from cbp.skeleton import (
     PolytopeGraph,
@@ -103,7 +102,7 @@ def test_geometric_skeleton_matches_face_oracle(small_corpus):
     graphs = list(small_corpus) + [("triangle-chain-6", triangle_chain(6)), ("flower-4", flower(4))]
     for name, g in graphs:
         d = block_decomposition(g)
-        h = h_representation(d)
+        h = GraphContext(d.graph).hrep
         pg = build_polytope_graph(d, h, method="geometric", vertices=enumerate_vertices(d))
         points = [to_incidence(d, a) for a in pg.vertices]
         for i, j in itertools.combinations(range(len(points)), 2):
@@ -114,7 +113,7 @@ def test_geometric_skeleton_matches_face_oracle(small_corpus):
 
 
 def test_build_polytope_graph_methods_agree(path3_d):
-    h = h_representation(path3_d)
+    h = GraphContext(path3_d.graph).hrep
     verts = enumerate_vertices(path3_d)
     a = build_polytope_graph(path3_d, method="combinatorial", vertices=verts)
     b = build_polytope_graph(path3_d, h, method="geometric", vertices=verts)
@@ -153,7 +152,7 @@ def test_given_vertices_build_the_same_skeleton(oracle_graphs):
     # a vertex list and decomposition built apart from the context give the
     # context's skeleton with either method, and the list is kept as given
     for name, d in oracle_graphs:
-        h = h_representation(d)
+        h = GraphContext(d.graph).hrep
         verts = enumerate_vertices(d)
         own = skeleton_of(d)
         for method in ("combinatorial", "geometric"):
@@ -177,7 +176,7 @@ def test_vertex_cap_fires_before_enumerating(monkeypatch):
 
 
 def test_hirsch_path3(path3_d):
-    h = h_representation(path3_d)
+    h = GraphContext(path3_d.graph).hrep
     pg = skeleton_of(path3_d)
     report = hirsch_check(path3_d, pg, h)
     assert report.diameter == 2
@@ -188,7 +187,7 @@ def test_hirsch_path3(path3_d):
 
 
 def test_hirsch_cube(star3_d):
-    h = h_representation(star3_d)
+    h = GraphContext(star3_d.graph).hrep
     pg = skeleton_of(star3_d)
     report = hirsch_check(star3_d, pg, h)
     assert (report.diameter, report.facet_count, report.hirsch_bound) == (3, 6, 3)
@@ -203,7 +202,7 @@ def test_hirsch_over_corpus(small_corpus):
 
 def test_simplicity_square(path2_d):
     report = simplicity_report(
-        path2_d, skeleton_of(path2_d), h_representation(path2_d)
+        path2_d, skeleton_of(path2_d), GraphContext(path2_d.graph).hrep
     )
     assert report.is_simple and report.is_simplicial
     assert report.predicted_simple and report.predicted_simplicial
@@ -211,7 +210,7 @@ def test_simplicity_square(path2_d):
 
 def test_simplicity_cube(star3_d):
     report = simplicity_report(
-        star3_d, skeleton_of(star3_d), h_representation(star3_d)
+        star3_d, skeleton_of(star3_d), GraphContext(star3_d.graph).hrep
     )
     assert report.is_simple and not report.is_simplicial
     assert report.predicted_simple and not report.predicted_simplicial
@@ -219,7 +218,7 @@ def test_simplicity_cube(star3_d):
 
 def test_simplicity_path3(path3_d):
     report = simplicity_report(
-        path3_d, skeleton_of(path3_d), h_representation(path3_d)
+        path3_d, skeleton_of(path3_d), GraphContext(path3_d.graph).hrep
     )
     assert not report.is_simple and not report.is_simplicial
 
@@ -260,7 +259,7 @@ def test_nonadjacency_midpoint_witness(small_corpus):
 
 
 def test_adjacent_geometric_rejects_bad_points(path3_d):
-    h = h_representation(path3_d)
+    h = GraphContext(path3_d.graph).hrep
     with pytest.raises(DimensionMismatch):
         adjacent_geometric(h, [(Fraction(0),), (Fraction(1),)], 0, 1)
     points = [to_incidence(path3_d, a) for a in enumerate_vertices(path3_d)]

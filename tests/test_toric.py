@@ -5,7 +5,9 @@ The cross-check oracle builds the toric ideal by elimination in sympy
 degrevlex basis with the candidate binomials.
 """
 
+import collections
 import itertools
+import random
 
 import pytest
 import sympy
@@ -19,17 +21,14 @@ from cbp.vertices import enumerate_vertices, is_connected_blockset
 from cbp.toric import (
     Binomial,
     SimplicialComplex,
-    _normal_form,
+    TermOrder,
+    _NormalForms,
+    _term_key,
     binomial_is_homogeneous,
     buchberger_verify,
     fiber_reduction_test,
     groebner_candidates,
     make_term_order,
-    mono_cmp,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
     triangulation,
     triangulation_checks,
 )
@@ -58,18 +57,27 @@ def test_term_order_variables(path3_d):
 
 def test_mono_primitives():
     # degree dominates
-    assert mono_cmp({0: 1}, {1: 1, 2: 1}) == -1
+    assert oracles.mono_cmp({0: 1}, {1: 1, 2: 1}) == -1
     # on ties the larger exponent at the lowest rank loses
-    assert mono_cmp({0: 1}, {1: 1}) == -1
-    assert mono_cmp({1: 1}, {0: 1}) == 1
-    assert mono_cmp({0: 2, 1: 1}, {0: 2, 1: 1}) == 0
-    assert mono_mul({0: 1}, {0: 2, 1: 1}) == {0: 3, 1: 1}
-    assert mono_divides({0: 1}, {0: 2, 1: 1})
-    assert not mono_divides({2: 1}, {0: 2})
-    assert mono_div({0: 2, 1: 1}, {0: 2}) == {1: 1}
-    assert mono_lcm({0: 2}, {0: 1, 1: 1}) == {0: 2, 1: 1}
+    assert oracles.mono_cmp({0: 1}, {1: 1}) == -1
+    assert oracles.mono_cmp({1: 1}, {0: 1}) == 1
+    assert oracles.mono_cmp({0: 2, 1: 1}, {0: 2, 1: 1}) == 0
+    assert oracles.mono_mul({0: 1}, {0: 2, 1: 1}) == {0: 3, 1: 1}
+    assert oracles.mono_divides({0: 1}, {0: 2, 1: 1})
+    assert not oracles.mono_divides({2: 1}, {0: 2})
+    assert oracles.mono_div({0: 2, 1: 1}, {0: 2}) == {1: 1}
+    assert oracles.mono_lcm({0: 2}, {0: 1, 1: 1}) == {0: 2, 1: 1}
     with pytest.raises(ValueError):
-        mono_div({0: 1}, {0: 2})
+        oracles.mono_div({0: 1}, {0: 2})
+
+
+def test_term_key_is_the_term_order():
+    # every pair of monomials of degree 0..3 in 4 variables, as rank tuples
+    terms = [t for k in range(4) for t in itertools.combinations_with_replacement(range(4), k)]
+    for t1, t2 in itertools.product(terms, repeat=2):
+        expected = oracles.mono_cmp(collections.Counter(t1), collections.Counter(t2))
+        k1, k2 = _term_key(t1), _term_key(t2)
+        assert (k1 > k2) - (k1 < k2) == expected, (t1, t2)
 
 
 def test_path3_candidates(path3_d):
@@ -192,10 +200,71 @@ def test_dropped_binomial_fails_both_checks(groebner_battery):
             assert not fiber_reduction_test(ctx.decomposition, g, ctx.order, maxdeg=3), name
 
 
+def test_fiber_budget_fires_before_enumerating(path3_d, monkeypatch):
+    ctx = GraphContext(path3_d.graph)
+    # 7 variables: C(8, 2) + C(9, 3) = 28 + 84 monomials of degree 2 and 3
+    assert fiber_reduction_test(path3_d, ctx.basis, ctx.order, maxdeg=3, max_monomials=112)
+
+    def refuse(*args):
+        raise AssertionError("fiber monomials enumerated past the budget")
+
+    monkeypatch.setattr(itertools, "combinations_with_replacement", refuse)
+    with pytest.raises(BudgetExceeded, match="^more than 111 fiber monomials$"):
+        fiber_reduction_test(path3_d, ctx.basis, ctx.order, maxdeg=3, max_monomials=111)
+    star = GraphContext(star_graph(7))
+    with pytest.raises(BudgetExceeded, match="^more than 200000 fiber monomials$"):
+        fiber_reduction_test(star.decomposition, (), star.order, maxdeg=3)
+
+
+def test_checks_match_memoized_route(groebner_battery):
+    # the memoized dict-monomial route that the leading-term index replaced,
+    # on every basis of the Groebner gate and on three 6-block graphs, each
+    # also with one binomial dropped at three positions
+    graphs = groebner_battery + [
+        ("path-6", GraphContext(path_graph(6))),
+        ("triangle-chain-6", GraphContext(triangle_chain(6))),
+        ("spider-3-2-1", GraphContext(spider((3, 2, 1)))),
+    ]
+    for name, ctx in graphs:
+        d, order = ctx.decomposition, ctx.order
+        for g in [ctx.basis] + dropped_bases(ctx.basis):
+            assert buchberger_verify(g, order) == oracles.memo_buchberger(g, order), name
+            expected = oracles.memo_fiber_test(len(d.blocks), g, order, maxdeg=3)
+            assert fiber_reduction_test(d, g, order, maxdeg=3) == expected, name
+
+
+def test_buchberger_matches_memoized_route_on_random_bases():
+    # squarefree leading terms of degree 2 and 3 over five variables, so
+    # that two leading terms can share two variables; each tail is a
+    # smaller term of the same degree, so every reduction terminates
+    rng = random.Random(1)
+    variables = tuple((i,) for i in range(5))
+    order = TermOrder(variables=variables, rank={a: i for i, a in enumerate(variables)})
+    verdicts = collections.Counter()
+    for _ in range(1500):
+        g = []
+        for _ in range(rng.randint(2, 4)):
+            k = rng.choice((2, 3))
+            lt = tuple(sorted(rng.sample(range(5), k)))
+            tails = [t for t in itertools.combinations_with_replacement(range(5), k) if t < lt]
+            if tails:
+                tail = collections.Counter(variables[r] for r in rng.choice(tails))
+                g.append(Binomial.from_maps({variables[r]: 1 for r in lt}, dict(tail)))
+        g = tuple(g)
+        verdict = buchberger_verify(g, order)
+        assert verdict == oracles.memo_buchberger(g, order), g
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+    # a leading term that is not squarefree fails the check at once
+    square = (Binomial.from_maps({variables[1]: 2}, {variables[0]: 2}),)
+    assert not buchberger_verify(square, order)
+    assert not oracles.memo_buchberger(square, order)
+
+
 def test_reduction_divergence_guard():
-    basis = [({0: 1}, {1: 1}), ({1: 1}, {0: 1})]
+    basis = [((0,), (1,)), ((1,), (0,))]
     with pytest.raises(ReductionDiverges):
-        _normal_form(basis, max_steps=10)({0: 1})
+        _NormalForms(basis, max_steps=10)[(0,)]
 
 
 def sympy_toric_gb(d, order):

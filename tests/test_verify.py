@@ -10,7 +10,7 @@ import cbp.toric as toric
 import cbp.verify as verify
 from cbp.corpus import CorpusEntry, corpus, path_graph
 from cbp.errors import AssertionFailure
-from cbp.facets import facet_certificate
+from cbp.facets import facet_certificates
 from cbp.hull import RationalPolyhedron
 from cbp.verify import (
     GraphContext,
@@ -62,8 +62,8 @@ def test_cutoff_point_matches_fraction_oracle():
     rows = 0
     for entry in corpus(5, 7, 26) + corpus(7, 7):
         ctx = GraphContext(entry.graph)
-        for idx, row in enumerate(ctx.hrep.rows):
-            cert = facet_certificate(ctx.decomposition, row, ctx.vertices)
+        certs = facet_certificates(ctx.decomposition, ctx.hrep.rows, ctx.vertices)
+        for idx, (row, cert) in enumerate(zip(ctx.hrep.rows, certs)):
             tight = [ctx.incidence[k] for k in cert.tight_vertex_indices]
             point = verify._cutoff_point(ctx.hrep, idx, tight)
             assert point is not None, (entry.name, row)
@@ -111,6 +111,16 @@ def test_verify_graph_enumerates_the_vertices_once(monkeypatch):
     report = verify_graph(CorpusEntry("path-4", path_graph(4)), VerifyOptions())
     assert {c.name: c.status for c in report.checks}["adjacency"] == "pass"
     assert report.passed()
+    assert len(calls) == 1
+
+
+def test_verify_graph_enumerates_the_ibis_once(monkeypatch):
+    calls = []
+    real = verify.enumerate_ibis
+    monkeypatch.setattr(verify, "enumerate_ibis", lambda d: calls.append(d) or real(d))
+    report = verify_graph(CorpusEntry("path-4", path_graph(4)), VerifyOptions())
+    checks = {c.name: c.status for c in report.checks}
+    assert checks["facets"] == checks["ibis"] == "pass"
     assert len(calls) == 1
 
 

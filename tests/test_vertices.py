@@ -9,7 +9,7 @@ import pytest
 import oracles
 from cbp.corpus import corpus, path_graph, random_block_tree, star_graph
 from cbp.errors import CountOverflow
-from cbp.facets import h_representation
+from cbp.facets import enumerate_ibis, h_representation
 from cbp.graphs import block_decomposition, blockset_closure
 from cbp.hull import affine_rank
 from cbp.vertices import (
@@ -129,7 +129,7 @@ def test_row_masks_match_dot_products(oracle_graphs):
         verts = enumerate_vertices(d)
         points = [to_incidence(d, a) for a in verts]
         rows, expected = [], []
-        for a, b in h_representation(d).rows:
+        for a, b in h_representation(d, enumerate_ibis(d)).rows:
             values = [sum(c * x for c, x in zip(a, p)) for p in points]
             # lowering the right-hand side by one makes the row violated
             for rhs in (b, b - 1):
