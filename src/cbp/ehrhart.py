@@ -34,7 +34,7 @@ def _key_packer(widest: int):
     return bytes if widest <= 255 else tuple
 
 
-def count_lattice_points(h: RationalPolyhedron, n: int, budget: int = DEFAULT_COUNT_BUDGET) -> int:
+def count_lattice_points(h: RationalPolyhedron, n: int) -> int:
     """Number of integer points in the n-th dilation of the polyhedron.
 
     The polyhedron is assumed to lie in the unit box, so candidates range
@@ -55,8 +55,8 @@ def count_lattice_points(h: RationalPolyhedron, n: int, budget: int = DEFAULT_CO
     Along the values v of coordinate i the offset of a row falls with v
     when its coefficient is positive and rises when it is negative, so
     each state's feasible values form one interval, cut from above by the
-    positive rows and from below by the negative ones.  The budget caps the
-    number of (state, value) transitions.
+    positive rows and from below by the negative ones.  DEFAULT_COUNT_BUDGET
+    caps the number of (state, value) transitions.
     """
     if n < 0:
         raise ValueError("dilation must be nonnegative")
@@ -138,8 +138,8 @@ def count_lattice_points(h: RationalPolyhedron, n: int, budget: int = DEFAULT_CO
             if lo > hi:
                 continue
             explored += hi - lo + 1
-            if explored > budget:
-                raise BudgetExceeded(f"more than {budget} prefixes explored")
+            if explored > DEFAULT_COUNT_BUDGET:
+                raise BudgetExceeded(f"more than {DEFAULT_COUNT_BUDGET} prefixes explored")
             if not any(movers for _, movers in parts):
                 k = pack([const for const, _ in parts])
                 nxt[k] = get(k, 0) + mult * (hi - lo + 1)
@@ -216,15 +216,11 @@ class HStarProfile:
     hstar: tuple[int, ...]
 
 
-def hstar_profile(
-    d: BlockDecomposition,
-    h: RationalPolyhedron,
-    budget: int = DEFAULT_COUNT_BUDGET,
-) -> HStarProfile:
+def hstar_profile(d: BlockDecomposition, h: RationalPolyhedron) -> HStarProfile:
     """Counts at dilations 0..dim of the H-description h, h* from them, and
     the Ehrhart coefficients from h*."""
     dim = len(d.blocks)
-    counts = {n: count_lattice_points(h, n, budget=budget) for n in range(dim + 1)}
+    counts = {n: count_lattice_points(h, n) for n in range(dim + 1)}
     hstar = hstar_vector([counts[n] for n in range(dim + 1)])
     return HStarProfile(ehrhart_coeffs=ehrhart_coefficients(hstar), evaluations=counts, hstar=hstar)
 

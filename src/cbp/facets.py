@@ -19,7 +19,6 @@ verification targets of the package.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,18 +137,6 @@ def _sorted_ibis(ibis) -> tuple[IndependentBlocksInequality, ...]:
     return tuple(sorted(ibis, key=lambda q: (len(q.independent_set), q.independent_set, q.alpha)))
 
 
-def _register(by_alpha: dict, cand: IndependentBlocksInequality):
-    prev = by_alpha.get(cand.alpha)
-    if prev is None:
-        by_alpha[cand.alpha] = cand
-    elif prev.independent_set != cand.independent_set:
-        warnings.warn(
-            f"alpha collision between independent sets {prev.independent_set} "
-            f"and {cand.independent_set}",
-            stacklevel=3,
-        )
-
-
 def enumerate_ibis(d: BlockDecomposition, max_blocks: int = MAX_IBI_BLOCKS) -> tuple[IndependentBlocksInequality, ...]:
     """Every valid inequality, by exhausting coefficient distributions.
 
@@ -165,7 +152,7 @@ def enumerate_ibis(d: BlockDecomposition, max_blocks: int = MAX_IBI_BLOCKS) -> t
         k = len(iset)
         if k == 1:
             alpha = tuple(1 if b == iset[0] else 0 for b in range(n))
-            _register(by_alpha, IndependentBlocksInequality(iset, alpha))
+            by_alpha.setdefault(alpha, IndependentBlocksInequality(iset, alpha))
             continue
         closure = blockset_closure(d, iset)
         inner = sorted(closure - set(iset))
@@ -177,11 +164,11 @@ def enumerate_ibis(d: BlockDecomposition, max_blocks: int = MAX_IBI_BLOCKS) -> t
                 alpha[b] = val
             cand = IndependentBlocksInequality(iset, tuple(alpha))
             if validate_ibi(d, cand):
-                _register(by_alpha, cand)
+                by_alpha.setdefault(cand.alpha, cand)
     return _sorted_ibis(by_alpha.values())
 
 
-def construct_ibis(d: BlockDecomposition, max_blocks: int = MAX_IBI_BLOCKS) -> tuple[IndependentBlocksInequality, ...]:
+def construct_ibis(d: BlockDecomposition) -> tuple[IndependentBlocksInequality, ...]:
     """Every valid inequality, by closing the inductive construction.
 
     States are (independent set, alpha) pairs.  Starting from the
@@ -195,8 +182,8 @@ def construct_ibis(d: BlockDecomposition, max_blocks: int = MAX_IBI_BLOCKS) -> t
     is supposed to preserve validity.
     """
     n = len(d.blocks)
-    if n > max_blocks:
-        raise CountOverflow(f"{n} blocks exceed the construction cap {max_blocks}")
+    if n > MAX_IBI_BLOCKS:
+        raise CountOverflow(f"{n} blocks exceed the construction cap {MAX_IBI_BLOCKS}")
 
     def block_vertices(ix) -> frozenset[int]:
         out: set[int] = set()
@@ -230,7 +217,7 @@ def construct_ibis(d: BlockDecomposition, max_blocks: int = MAX_IBI_BLOCKS) -> t
     for s in seeds:
         seen.add((s.independent_set, s.alpha))
         queue.append(s)
-        _register(by_alpha, s)
+        by_alpha.setdefault(s.alpha, s)
 
     head = 0
     while head < len(queue):
@@ -283,7 +270,7 @@ def construct_ibis(d: BlockDecomposition, max_blocks: int = MAX_IBI_BLOCKS) -> t
                 check(cand, f"expansion by block {bn} branch {a}")
                 seen.add(key)
                 queue.append(cand)
-                _register(by_alpha, cand)
+                by_alpha.setdefault(cand.alpha, cand)
     return _sorted_ibis(by_alpha.values())
 
 

@@ -360,10 +360,8 @@ class GraphClass:
     cut_vertex_count: int
 
 
-def classify(g: Graph, d: BlockDecomposition | None = None) -> GraphClass:
-    """Classify a connected graph with at least one edge."""
-    if d is None:
-        d = block_decomposition(g)
+def classify(g: Graph, d: BlockDecomposition) -> GraphClass:
+    """Classify a connected graph with at least one edge, given its decomposition."""
     is_tree = len(g.edges) == g.vertex_count - 1
     cactus = all(len(b.edges) == 1 or len(b.edges) == len(b.vertices) for b in d.blocks)
     eulerian = cactus and all(len(b.edges) >= 3 for b in d.blocks)

@@ -75,11 +75,6 @@ def normalize_row(a, b) -> Row:
     return tuple(x // g for x in ia), ib // g
 
 
-def same_hyperplane(r1: Row, r2: Row) -> bool:
-    """True when the rows are positive multiples of each other."""
-    return normalize_row(*r1) == normalize_row(*r2)
-
-
 def _bareiss(rows: list[list[int]], width: int | None = None) -> tuple[int, int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in place.
 
@@ -130,17 +125,6 @@ def affine_rank(points) -> int:
     return rank - 1
 
 
-def contains_point(h: RationalPolyhedron, x) -> bool:
-    """Exact membership test of a rational point."""
-    p = tuple(Fraction(v) for v in x)
-    if len(p) != h.dim:
-        raise DimensionMismatch(f"point has dimension {len(p)}, polyhedron {h.dim}")
-    for a, b in h.rows:
-        if sum(c * v for c, v in zip(a, p)) > b:
-            return False
-    return True
-
-
 def _primitive(vec: list[int]) -> tuple[int, ...]:
     g = 0
     for x in vec:
@@ -168,7 +152,7 @@ def _adjacent_rays(common: int, zero_sets: list[int]) -> bool:
     return True
 
 
-def brute_force_facets(points, max_dim: int = MAX_BRUTE_FORCE_DIM) -> RationalPolyhedron:
+def brute_force_facets(points) -> RationalPolyhedron:
     """Irredundant facet description of the convex hull of the points.
 
     The points must affinely span the ambient space.  Intended as the
@@ -183,8 +167,8 @@ def brute_force_facets(points, max_dim: int = MAX_BRUTE_FORCE_DIM) -> RationalPo
             raise DimensionMismatch("points of different dimensions")
     if dim < 1:
         raise NotFullDimensional("ambient dimension must be at least 1")
-    if dim > max_dim:
-        raise DimensionCap(f"ambient dimension {dim} exceeds cap {max_dim}")
+    if dim > MAX_BRUTE_FORCE_DIM:
+        raise DimensionCap(f"ambient dimension {dim} exceeds cap {MAX_BRUTE_FORCE_DIM}")
     pts = sorted(set(pts))
 
     # dual-cone constraint rows (1, v) scaled to integers; every valid

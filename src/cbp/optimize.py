@@ -178,7 +178,6 @@ def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> S
 def brute_force_optimum(
     d: BlockDecomposition,
     weights: Sequence,
-    max_blocks: int = MAX_BRUTE_FORCE_BLOCKS,
     vertices: Sequence[BlockSubset] | None = None,
 ) -> Solution:
     """Scan every connected blockset; same value and tie-break as the DP.
@@ -188,9 +187,9 @@ def brute_force_optimum(
     The scan sums the same scaled integer weights as the DP.
     """
     w, scale = _scaled_weights(d, weights)
-    if len(d.blocks) > max_blocks:
+    if len(d.blocks) > MAX_BRUTE_FORCE_BLOCKS:
         raise CountOverflow(
-            f"{len(d.blocks)} blocks exceed the brute-force cap {max_blocks}"
+            f"{len(d.blocks)} blocks exceed the brute-force cap {MAX_BRUTE_FORCE_BLOCKS}"
         )
     best_value, best_set = 0, ()
     for a in enumerate_vertices(d) if vertices is None else vertices:

@@ -190,11 +190,7 @@ def build_polytope_graph(
 ) -> PolytopeGraph:
     """Assemble the full skeleton on the vertices `enumerate_vertices(d)`
     with either adjacency test.
-
-    Raises BudgetExceeded before any neighbor is searched when there are
-    more than MAX_DIAMETER_VERTICES vertices.
     """
-    _check_vertex_cap(len(vertices))
     if method == "combinatorial":
         nb = _combinatorial_neighbors(d, vertices)
     elif method == "geometric":
@@ -210,12 +206,12 @@ def build_polytope_graph(
     return PolytopeGraph(vertices=vertices, neighbors=tuple(nb))
 
 
-def _check_vertex_cap(n: int, max_vertices: int = MAX_DIAMETER_VERTICES) -> None:
-    if n > max_vertices:
-        raise BudgetExceeded(f"{n} vertices exceed the diameter cap {max_vertices}")
+def _check_vertex_cap(n: int) -> None:
+    if n > MAX_DIAMETER_VERTICES:
+        raise BudgetExceeded(f"{n} vertices exceed the diameter cap {MAX_DIAMETER_VERTICES}")
 
 
-def diameter(pg: PolytopeGraph, max_vertices: int = MAX_DIAMETER_VERTICES) -> int:
+def diameter(pg: PolytopeGraph) -> int:
     """Largest breadth-first distance over all vertex pairs.
 
     The search runs from every vertex at once: level t holds, per vertex,
@@ -224,7 +220,6 @@ def diameter(pg: PolytopeGraph, max_vertices: int = MAX_DIAMETER_VERTICES) -> in
     which every mask is full.
     """
     n = len(pg.vertices)
-    _check_vertex_cap(n, max_vertices)
     everything = (1 << n) - 1
     balls = [1 << v for v in range(n)]
     depth = 0

@@ -53,11 +53,9 @@ class TermOrder:
         return len(self.variables)
 
 
-def _check_variable_cap(order: TermOrder, max_variables: int = MAX_GROEBNER_VARIABLES) -> None:
-    if order.variable_count() > max_variables:
-        raise BudgetExceeded(
-            f"{order.variable_count()} variables exceed the cap {max_variables}"
-        )
+def _check_variable_cap(n: int) -> None:
+    if n > MAX_GROEBNER_VARIABLES:
+        raise BudgetExceeded(f"{n} variables exceed the cap {MAX_GROEBNER_VARIABLES}")
 
 
 def make_term_order(verts: tuple[BlockSubset, ...]) -> TermOrder:
@@ -93,22 +91,6 @@ class Binomial:
 def _to_term(side, order: TermOrder) -> Term:
     """The term of one side of a binomial, given as (blockset, exponent) pairs."""
     return tuple(sorted(r for a, e in side for r in (order.rank[a],) * e))
-
-
-def binomial_is_homogeneous(d: BlockDecomposition, f: Binomial) -> bool:
-    """Degrees match and the summed indicator vectors agree on both sides."""
-    n = len(d.blocks)
-
-    def image(side):
-        deg = 0
-        total = [0] * n
-        for a, e in side:
-            deg += e
-            for b in a:
-                total[b] += e
-        return deg, tuple(total)
-
-    return image(f.plus) == image(f.minus)
 
 
 def _leading_masks(sets: list[int], spans: list[int]) -> list[int]:
@@ -176,13 +158,12 @@ class _NormalForms(dict):
     position: at most 7 lookups for a term of degree 3.  A constant leading
     term, which no term order gives to a nonzero binomial, is never used.
     A lookup raises ReductionDiverges when one chain takes more than
-    max_steps steps.
+    MAX_REDUCTION_STEPS steps.
     """
 
-    def __init__(self, basis: list[tuple[Term, Term]], max_steps: int = MAX_REDUCTION_STEPS):
+    def __init__(self, basis: list[tuple[Term, Term]]):
         super().__init__()
         self.basis = basis
-        self.max_steps = max_steps
         self.first: dict[Term, int] = {}
         for pos, (lt, _) in enumerate(basis):
             if lt:
@@ -202,8 +183,8 @@ class _NormalForms(dict):
             if best is None:
                 self[m] = m
                 break
-            if len(chain) == self.max_steps:
-                raise ReductionDiverges(f"no termination after {self.max_steps} reduction steps")
+            if len(chain) == MAX_REDUCTION_STEPS:
+                raise ReductionDiverges(f"no termination after {MAX_REDUCTION_STEPS} reduction steps")
             chain.append(m)
             lt, tail = self.basis[best]
             rest = list(m)
@@ -218,12 +199,7 @@ class _NormalForms(dict):
         return result
 
 
-def buchberger_verify(
-    g: tuple[Binomial, ...],
-    order: TermOrder,
-    max_variables: int = MAX_GROEBNER_VARIABLES,
-    max_steps: int = MAX_REDUCTION_STEPS,
-) -> bool:
+def buchberger_verify(g: tuple[Binomial, ...], order: TermOrder) -> bool:
     """True when every leading term is squarefree and every S-pair reduces to zero.
 
     An S-pair whose leading terms are coprime reduces to zero by
@@ -232,11 +208,10 @@ def buchberger_verify(
     leading term holds r, each pair at its smallest shared variable.  The
     two sides of every such S-pair must have the same normal form.
     """
-    _check_variable_cap(order, max_variables)
     basis = _rank_basis(g, order)
     if any(len(set(lt)) < len(lt) for lt, _ in basis):
         return False
-    normal_form = _NormalForms(basis, max_steps)
+    normal_form = _NormalForms(basis)
     # per variable r: (support mask, leading term without r, tail) of each holder
     holders: list[list[tuple[int, Term, Term]]] = [[] for _ in range(order.variable_count())]
     for lt, tail in basis:
@@ -267,7 +242,6 @@ def fiber_reduction_test(
     g: tuple[Binomial, ...],
     order: TermOrder,
     maxdeg: int = 3,
-    max_monomials: int = DEFAULT_FIBER_CAP,
 ) -> bool:
     """Differences of equal-image monomials up to maxdeg all reduce to zero.
 
@@ -279,11 +253,11 @@ def fiber_reduction_test(
     is keyed by a packed int, one field per block, wide enough to hold a
     count up to maxdeg, so the key of a monomial is the sum of its
     variables' packed indicator vectors.  The monomial count is predicted
-    and checked against max_monomials before any is enumerated.
+    and checked against DEFAULT_FIBER_CAP before any is enumerated.
     """
     nvars = order.variable_count()
-    if sum(comb(nvars + k - 1, k) for k in range(2, maxdeg + 1)) > max_monomials:
-        raise BudgetExceeded(f"more than {max_monomials} fiber monomials")
+    if sum(comb(nvars + k - 1, k) for k in range(2, maxdeg + 1)) > DEFAULT_FIBER_CAP:
+        raise BudgetExceeded(f"more than {DEFAULT_FIBER_CAP} fiber monomials")
     normal_form = _NormalForms(_rank_basis(g, order))
     width = maxdeg.bit_length()
     packed = [sum(1 << (width * b) for b in a) for a in order.variables]
@@ -318,12 +292,7 @@ def _compatibility_masks(m: int, nonfaces) -> list[int]:
     return compat
 
 
-def triangulation(
-    d: BlockDecomposition,
-    g: tuple[Binomial, ...],
-    order: TermOrder,
-    max_variables: int = MAX_GROEBNER_VARIABLES,
-) -> SimplicialComplex:
+def triangulation(d: BlockDecomposition, g: tuple[Binomial, ...], order: TermOrder) -> SimplicialComplex:
     """The initial complex of the basis: cliques of the compatibility relation.
 
     Verifies flagness (every leading term is a squarefree quadratic), that
@@ -332,7 +301,6 @@ def triangulation(
     each maximal simplex is unimodular; a bad determinant raises
     NonUnimodalSimplex.
     """
-    _check_variable_cap(order, max_variables)
     ground = order.variables
     index = {a: i for i, a in enumerate(ground)}
     dim = len(d.blocks)
@@ -422,8 +390,6 @@ def triangulation_checks(
     The f-vector counts cliques of every size (the empty face included);
     the h-vector solves f(t) = sum_i h_i t^i (t+1)^(dim+1-i).
     """
-    from math import comb
-
     dim = len(d.blocks)
     compat = _compatibility_masks(len(c.ground), c.minimal_nonfaces)
     counts = [0] * (dim + 2)

@@ -185,8 +185,8 @@ class GraphContext:
     @cached_property
     def basis(self):
         # the variable cap of buchberger_verify and triangulation, checked
-        # before the quadratic scan over vertex pairs
-        _check_variable_cap(self.order)
+        # against the predicted count before the vertices are enumerated
+        _check_variable_cap(count_connected_blocksets(self.decomposition))
         return groebner_candidates(self.decomposition, self.order, self.vertices)
 
 

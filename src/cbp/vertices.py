@@ -45,14 +45,14 @@ def is_connected_blockset(d: BlockDecomposition, a) -> bool:
     return len(seen) == len(s)
 
 
-def enumerate_vertices(d: BlockDecomposition, max_count: int = DEFAULT_VERTEX_CAP) -> tuple[BlockSubset, ...]:
+def enumerate_vertices(d: BlockDecomposition) -> tuple[BlockSubset, ...]:
     """All connected blocksets, one tuple each, in (cardinality, lex) order.
 
     Raises CountOverflow before enumerating when count_connected_blocksets
-    predicts more than max_count of them.
+    predicts more than DEFAULT_VERTEX_CAP of them.
     """
-    if count_connected_blocksets(d) > max_count:
-        raise CountOverflow(f"more than {max_count} connected blocksets")
+    if count_connected_blocksets(d) > DEFAULT_VERTEX_CAP:
+        raise CountOverflow(f"more than {DEFAULT_VERTEX_CAP} connected blocksets")
     nb = d.block_neighbors
     out: list[BlockSubset] = [()]
     for r in range(len(d.blocks)):

@@ -355,6 +355,17 @@ def face_adjacent(rows, points, i: int, j: int) -> bool:
     return face == sorted((i, j))
 
 
+def same_hyperplane(r1, r2) -> bool:
+    """True when the rows (a, b) are positive multiples of each other."""
+    v1 = [Fraction(x) for x in (*r1[0], r1[1])]
+    v2 = [Fraction(x) for x in (*r2[0], r2[1])]
+    if len(v1) != len(v2):
+        return False
+    k = next(k for k, x in enumerate(v1) if x)
+    ratio = v2[k] / v1[k]
+    return ratio > 0 and all(x * ratio == y for x, y in zip(v1, v2))
+
+
 def _rank(rows) -> int:
     """Rank over the rationals by Gaussian elimination."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -527,6 +538,22 @@ def mono_lcm(m1: Mono, m2: Mono) -> Mono:
 
 def mono_key(m: Mono) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(m.items()))
+
+
+def binomial_is_homogeneous(d: BlockDecomposition, f) -> bool:
+    """Degrees match and the summed indicator vectors agree on both sides."""
+    n = len(d.blocks)
+
+    def image(side):
+        deg = 0
+        total = [0] * n
+        for a, e in side:
+            deg += e
+            for b in a:
+                total[b] += e
+        return deg, tuple(total)
+
+    return image(f.plus) == image(f.minus)
 
 
 def ranked_basis(g, order) -> list[tuple[dict, dict]]:

@@ -17,7 +17,7 @@ from cbp.corpus import corpus, path_graph
 from cbp.errors import AssertionFailure
 from cbp.facets import construct_ibis, enumerate_ibis
 from cbp.graphs import classify
-from cbp.hull import RationalPolyhedron, affine_rank, brute_force_facets, same_hyperplane
+from cbp.hull import RationalPolyhedron, affine_rank, brute_force_facets
 from cbp.optimize import (
     brute_force_optimum,
     eulerian_adapter,
@@ -67,7 +67,7 @@ def conclude(num: int, budget: float, start: float, detail: str, failures: list)
 def rows_match(a: RationalPolyhedron, b: RationalPolyhedron) -> bool:
     if len(a.rows) != len(b.rows):
         return False
-    return all(same_hyperplane(r, s) for r, s in zip(sorted(a.rows), sorted(b.rows)))
+    return all(oracles.same_hyperplane(r, s) for r, s in zip(sorted(a.rows), sorted(b.rows)))
 
 
 def test_criterion_01_facet_completeness(battery):

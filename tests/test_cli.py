@@ -2,7 +2,6 @@
 
 import json
 import time
-from functools import partial
 
 import pytest
 
@@ -97,7 +96,7 @@ def test_diameter_checks_vertex_cap_before_building(graph_file, capsys, monkeypa
         raise AssertionError("skeleton built before the vertex cap was checked")
 
     monkeypatch.setattr(skeleton, "_combinatorial_neighbors", no_build)
-    monkeypatch.setattr(skeleton, "_check_vertex_cap", partial(skeleton._check_vertex_cap, max_vertices=6))
+    monkeypatch.setattr(skeleton, "MAX_DIAMETER_VERTICES", 6)
     code, _, err = run(capsys, ["diameter", "--graph", graph_file(PATH3)])
     assert code == 1
     assert "BudgetExceeded: 7 vertices exceed the diameter cap 6" in err
@@ -235,6 +234,15 @@ def test_groebner_random6_within_seconds(graph_file, capsys):
     assert (payload["variable_count"], payload["binomial_count"]) == (35, 291)
     assert payload["is_groebner"] is True
     assert payload["fiber_test"] is True
+
+
+def test_groebner_star20_fails_before_enumerating(graph_file, capsys):
+    star20 = "".join(f"0 {i}\n" for i in range(1, 21))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["groebner", "--graph", graph_file(star20), "--groebner-max-blocks", "30"])
+    assert (code, out) == (1, "")
+    assert err == "failed: BudgetExceeded: 1048576 variables exceed the cap 60\n"
+    assert time.perf_counter() - start < 3
 
 
 def test_groebner_refusal(graph_file, capsys):

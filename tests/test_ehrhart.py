@@ -201,10 +201,11 @@ def test_volume_clause_counts_one_dilation_past_the_profile(star3_d):
     assert exc.value.payload["failed"] == ["volume"]
 
 
-def test_count_budget(path3_d):
+def test_count_budget(path3_d, monkeypatch):
     h = GraphContext(path3_d.graph).hrep
-    with pytest.raises(BudgetExceeded):
-        count_lattice_points(h, 2, budget=3)
+    monkeypatch.setattr(ehrhart, "DEFAULT_COUNT_BUDGET", 3)
+    with pytest.raises(BudgetExceeded, match="^more than 3 prefixes explored$"):
+        count_lattice_points(h, 2)
 
 
 def test_checks_over_corpus(small_corpus):

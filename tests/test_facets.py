@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from cbp.corpus import path_graph, star_graph
+from cbp import facets
+from cbp.corpus import corpus, path_graph, star_graph
 from cbp.errors import RowInvalid
 from cbp.facets import (
     IndependentBlocksInequality,
@@ -137,6 +138,31 @@ def test_ibi_alpha_invariants(small_corpus):
                 assert sorted(sums)[-1] in (0, 1), (name, v)
                 assert all(s in (0, 1) for s in sums), (name, v)
                 assert sums.count(1) <= 1, (name, v)
+
+
+def test_alpha_determines_the_independent_set(monkeypatch):
+    # a valid inequality's independent set is the set of blocks with
+    # alpha_b = 1, so both routes can key the inequalities by alpha alone
+    valid = []
+
+    def record(d, cand):
+        problems = ibi_violations(d, cand)
+        if not problems:
+            valid.append(cand)
+        return problems
+
+    monkeypatch.setattr(facets, "ibi_violations", record)
+    checked = {enumerate_ibis: 0, construct_ibis: 0}
+    for name, g in corpus(5, 7, 26):
+        d = block_decomposition(g)
+        for route in checked:
+            valid.clear()
+            found = route(d)
+            checked[route] += len(valid)
+            for q in valid + list(found):
+                ones = tuple(b for b, x in enumerate(q.alpha) if x == 1)
+                assert q.independent_set == ones, (name, route.__name__, q)
+    assert min(checked.values()) > 300, checked
 
 
 def test_facet_certificate(path3_d):

@@ -170,28 +170,32 @@ def test_split_components_showcase():
     )
 
 
+def classify_graph(g):
+    return classify(g, block_decomposition(g))
+
+
 def test_classify():
-    assert classify(path_graph(3)) == classify(path_graph(3))
-    c = classify(path_graph(3))
+    assert classify_graph(path_graph(3)) == classify_graph(path_graph(3))
+    c = classify_graph(path_graph(3))
     assert c.is_tree and c.is_cactus and c.is_block_path
     assert not c.is_eulerian_cactus
     assert c.cut_vertex_count == 2
 
-    c = classify(triangle_chain(2))
+    c = classify_graph(triangle_chain(2))
     assert c.is_eulerian_cactus and c.is_block_path and not c.is_tree
 
-    c = classify(star_graph(3))
+    c = classify_graph(star_graph(3))
     assert c.is_tree and not c.is_block_path
 
-    c = classify(flower(2))
+    c = classify_graph(flower(2))
     assert c.is_eulerian_cactus and c.is_block_path
 
-    c = classify(showcase_graph())
+    c = classify_graph(showcase_graph())
     assert c.is_cactus and not c.is_eulerian_cactus and not c.is_tree
     assert not c.is_block_path
     assert c.cut_vertex_count == 5
 
-    assert not classify(spider((2, 1, 1))).is_block_path
+    assert not classify_graph(spider((2, 1, 1))).is_block_path
 
 
 def connected_graphs(max_n=7):

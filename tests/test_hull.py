@@ -8,18 +8,16 @@ import pytest
 import sympy
 
 import oracles
+from cbp import hull
 from cbp.corpus import corpus, triangle_chain
 from cbp.errors import DimensionCap, DimensionMismatch, NotFullDimensional
 from cbp.graphs import block_decomposition
 from cbp.hull import (
     Certificate,
-    RationalPolyhedron,
     _bareiss,
     affine_rank,
     brute_force_facets,
-    contains_point,
     normalize_row,
-    same_hyperplane,
 )
 from cbp.vertices import enumerate_vertices, to_incidence
 
@@ -34,9 +32,11 @@ def test_normalize_row():
 
 
 def test_same_hyperplane():
-    assert same_hyperplane(((1, 1), 2), ((2, 2), 4))
-    assert not same_hyperplane(((1, 1), 2), ((-1, -1), -2))
-    assert not same_hyperplane(((1, 1), 2), ((1, 1), 3))
+    assert oracles.same_hyperplane(((1, 1), 2), ((2, 2), 4))
+    assert oracles.same_hyperplane(((Fraction(1, 2), 0), 1), ((1, 0), 2))
+    assert not oracles.same_hyperplane(((1, 1), 2), ((-1, -1), -2))
+    assert not oracles.same_hyperplane(((1, 1), 2), ((1, 1), 3))
+    assert not oracles.same_hyperplane(((1, 0), 0), ((1, 0, 0), 0))
 
 
 def test_affine_rank():
@@ -109,17 +109,6 @@ def test_bareiss_matches_oracles():
     assert 0 < flat < 150
 
 
-def test_contains_point():
-    square = RationalPolyhedron(
-        dim=2,
-        rows=(((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1)),
-    )
-    assert contains_point(square, (Fraction(1, 2), 1))
-    assert not contains_point(square, (Fraction(3, 2), 0))
-    with pytest.raises(DimensionMismatch):
-        contains_point(square, (0,))
-
-
 def test_brute_force_facets_square():
     points = [(0, 0), (1, 0), (0, 1), (1, 1)]
     h = brute_force_facets(points)
@@ -183,10 +172,13 @@ def test_brute_force_facets_rejects_flat_input():
         brute_force_facets([(0, 0), (1, 1)])
 
 
-def test_brute_force_facets_dimension_cap():
+def test_brute_force_facets_dimension_cap(monkeypatch):
     points = list(itertools.product((0, 1), repeat=3))
-    with pytest.raises(DimensionCap):
-        brute_force_facets(points, max_dim=2)
+    monkeypatch.setattr(hull, "MAX_BRUTE_FORCE_DIM", 3)
+    assert len(brute_force_facets(points).rows) == 6
+    monkeypatch.setattr(hull, "MAX_BRUTE_FORCE_DIM", 2)
+    with pytest.raises(DimensionCap, match="^ambient dimension 3 exceeds cap 2$"):
+        brute_force_facets(points)
 
 
 def test_certificate_confirms_facet():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cbp import optimize
 from cbp.corpus import flower, path_graph, random_block_tree, spider, star_graph, triangle_chain
 from cbp.errors import CountOverflow, NotEulerianCactus, NotTree
 from cbp.graphs import Graph, block_decomposition
@@ -40,12 +41,15 @@ def test_brute_force_examples(path3_d, star3_d, triangle_d):
     assert brute_force_optimum(star3_d, (1, 1, 1)) == Solution((0, 1, 2), 3)
 
 
-def test_brute_force_cap(path3_d):
-    with pytest.raises(CountOverflow):
-        brute_force_optimum(path3_d, (1, 1, 1), max_blocks=2)
+def test_brute_force_cap(path3_d, monkeypatch):
+    monkeypatch.setattr(optimize, "MAX_BRUTE_FORCE_BLOCKS", 3)
+    assert brute_force_optimum(path3_d, (1, 1, 1)) == Solution((0, 1, 2), 3)
+    monkeypatch.setattr(optimize, "MAX_BRUTE_FORCE_BLOCKS", 2)
+    with pytest.raises(CountOverflow, match="^3 blocks exceed the brute-force cap 2$"):
+        brute_force_optimum(path3_d, (1, 1, 1))
     # the cap holds when the blocksets are handed in, too
     with pytest.raises(CountOverflow):
-        brute_force_optimum(path3_d, (1, 1, 1), max_blocks=2, vertices=enumerate_vertices(path3_d))
+        brute_force_optimum(path3_d, (1, 1, 1), vertices=enumerate_vertices(path3_d))
 
 
 def tie_heavy_weights(rng, n):

@@ -13,6 +13,7 @@ import pytest
 import sympy
 
 import oracles
+from cbp import toric, verify
 from cbp.corpus import corpus, path_graph, spider, star_graph, triangle_chain
 from cbp.errors import AssertionFailure, BudgetExceeded, ReductionDiverges
 from cbp.graphs import block_decomposition
@@ -24,7 +25,6 @@ from cbp.toric import (
     TermOrder,
     _NormalForms,
     _term_key,
-    binomial_is_homogeneous,
     buchberger_verify,
     fiber_reduction_test,
     groebner_candidates,
@@ -112,8 +112,8 @@ def test_candidates_are_homogeneous(small_corpus):
         if len(ctx.decomposition.blocks) > 4:
             continue
         for f in ctx.basis:
-            assert binomial_is_homogeneous(ctx.decomposition, f), name
-    assert not binomial_is_homogeneous(
+            assert oracles.binomial_is_homogeneous(ctx.decomposition, f), name
+    assert not oracles.binomial_is_homogeneous(
         block_decomposition(path_graph(2)),
         Binomial.from_maps({(0,): 1}, {(1,): 1}),
     )
@@ -138,15 +138,25 @@ def test_dropping_a_binomial_breaks_both_checks(path3_d):
     assert not fiber_reduction_test(path3_d, rest, order, maxdeg=2)
 
 
-def test_budget_guards(path3_d):
+def test_budget_guards(path3_d, monkeypatch):
     ctx = GraphContext(path3_d.graph)
     basis, order = ctx.basis, ctx.order
-    with pytest.raises(BudgetExceeded):
-        buchberger_verify(basis, order, max_variables=2)
-    with pytest.raises(BudgetExceeded):
-        fiber_reduction_test(path3_d, basis, order, maxdeg=3, max_monomials=5)
-    with pytest.raises(BudgetExceeded):
-        triangulation(path3_d, basis, order, max_variables=2)
+    monkeypatch.setattr(toric, "DEFAULT_FIBER_CAP", 5)
+    with pytest.raises(BudgetExceeded, match="^more than 5 fiber monomials$"):
+        fiber_reduction_test(path3_d, basis, order, maxdeg=3)
+    # the variable cap of buchberger_verify and triangulation is the basis's
+    monkeypatch.setattr(toric, "MAX_GROEBNER_VARIABLES", 7)
+    assert GraphContext(path3_d.graph).basis == basis
+    monkeypatch.setattr(toric, "MAX_GROEBNER_VARIABLES", 6)
+    with pytest.raises(BudgetExceeded, match="^7 variables exceed the cap 6$"):
+        GraphContext(path3_d.graph).basis
+
+
+def test_variable_cap_fires_before_enumerating(monkeypatch):
+    # star-6 has 2**6 connected blocksets, predicted without listing them
+    monkeypatch.setattr(verify, "enumerate_vertices", None)
+    with pytest.raises(BudgetExceeded, match="^64 variables exceed the cap 60$"):
+        GraphContext(star_graph(6)).basis
 
 
 def dropped_bases(basis):
@@ -202,18 +212,21 @@ def test_dropped_binomial_fails_both_checks(groebner_battery):
 
 def test_fiber_budget_fires_before_enumerating(path3_d, monkeypatch):
     ctx = GraphContext(path3_d.graph)
+    star = GraphContext(star_graph(7))
     # 7 variables: C(8, 2) + C(9, 3) = 28 + 84 monomials of degree 2 and 3
-    assert fiber_reduction_test(path3_d, ctx.basis, ctx.order, maxdeg=3, max_monomials=112)
+    with monkeypatch.context() as m:
+        m.setattr(toric, "DEFAULT_FIBER_CAP", 112)
+        assert fiber_reduction_test(path3_d, ctx.basis, ctx.order, maxdeg=3)
 
     def refuse(*args):
         raise AssertionError("fiber monomials enumerated past the budget")
 
     monkeypatch.setattr(itertools, "combinations_with_replacement", refuse)
-    with pytest.raises(BudgetExceeded, match="^more than 111 fiber monomials$"):
-        fiber_reduction_test(path3_d, ctx.basis, ctx.order, maxdeg=3, max_monomials=111)
-    star = GraphContext(star_graph(7))
     with pytest.raises(BudgetExceeded, match="^more than 200000 fiber monomials$"):
         fiber_reduction_test(star.decomposition, (), star.order, maxdeg=3)
+    monkeypatch.setattr(toric, "DEFAULT_FIBER_CAP", 111)
+    with pytest.raises(BudgetExceeded, match="^more than 111 fiber monomials$"):
+        fiber_reduction_test(path3_d, ctx.basis, ctx.order, maxdeg=3)
 
 
 def test_checks_match_memoized_route(groebner_battery):
@@ -261,10 +274,11 @@ def test_buchberger_matches_memoized_route_on_random_bases():
     assert not oracles.memo_buchberger(square, order)
 
 
-def test_reduction_divergence_guard():
+def test_reduction_divergence_guard(monkeypatch):
     basis = [((0,), (1,)), ((1,), (0,))]
-    with pytest.raises(ReductionDiverges):
-        _NormalForms(basis, max_steps=10)[(0,)]
+    monkeypatch.setattr(toric, "MAX_REDUCTION_STEPS", 10)
+    with pytest.raises(ReductionDiverges, match="^no termination after 10 reduction steps$"):
+        _NormalForms(basis)[(0,)]
 
 
 def sympy_toric_gb(d, order):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from cbp import vertices
 from cbp.corpus import corpus, path_graph, random_block_tree, star_graph
 from cbp.errors import CountOverflow
 from cbp.facets import enumerate_ibis, h_representation
@@ -100,10 +101,12 @@ def test_to_incidence(path3_d):
     assert to_incidence(path3_d, ()) == (0, 0, 0)
 
 
-def test_count_overflow(path3_d):
-    with pytest.raises(CountOverflow):
-        enumerate_vertices(path3_d, max_count=5)
-    assert len(enumerate_vertices(path3_d, max_count=7)) == 7
+def test_count_overflow(path3_d, monkeypatch):
+    monkeypatch.setattr(vertices, "DEFAULT_VERTEX_CAP", 7)
+    assert len(enumerate_vertices(path3_d)) == 7
+    monkeypatch.setattr(vertices, "DEFAULT_VERTEX_CAP", 6)
+    with pytest.raises(CountOverflow, match="^more than 6 connected blocksets$"):
+        enumerate_vertices(path3_d)
 
 
 def test_count_overflow_fires_before_enumerating():
