@@ -24,7 +24,7 @@ from math import comb, factorial
 from .errors import AssertionFailure, BudgetExceeded
 from .graphs import BlockDecomposition, classify, graph_to_json
 from .hull import RationalPolyhedron
-from .vertices import enumerate_vertices
+from .vertices import count_connected_blocksets
 
 DEFAULT_COUNT_BUDGET = 10**9
 
@@ -246,9 +246,9 @@ def hstar_checks(
     lattice count at dilation d + 1, one past the counts it was read from
     (the volume clause); and for block paths the Narayana match, recording
     which index fits.  Every clause is read from profile.hstar.  The vertex
-    count comes from an enumeration of its own: hstar_1 = E(1) - (d + 1)
-    holds for every lattice polytope, so a comparison with the profile's
-    E(1) would check nothing.
+    count comes from count_connected_blocksets, a route of its own:
+    hstar_1 = E(1) - (d + 1) holds for every lattice polytope, so a
+    comparison with the profile's E(1) would check nothing.
     """
     dim = len(d.blocks)
     hs = profile.hstar
@@ -261,7 +261,7 @@ def hstar_checks(
     clauses["nonnegative"] = all(x >= 0 for x in hs)
     clauses["reflexive_rows"] = all(2 * b - sum(a) == 1 for a, b in h.rows)
     clauses["h1_formula"] = (
-        h1 == len(enumerate_vertices(d)) - (dim + 1)
+        h1 == count_connected_blocksets(d) - (dim + 1)
         and h1 >= dim - 1
         and ((h1 == dim - 1) == (dim <= 2))
     )

@@ -279,31 +279,46 @@ def _check_block_indices(d: BlockDecomposition, a) -> frozenset[int]:
     return s
 
 
+def _walk(
+    d: BlockDecomposition, root: int, banned: frozenset[int] = frozenset()
+) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    """Breadth-first walk of the block-cut tree from block root, never
+    entering a banned block (root itself is not checked).
+
+    Returns the reached blocks in walk order, the cut vertex through which
+    each block but the root was entered, and the block that owns each
+    reached cut vertex: the block the walk reached it from.  The parent of
+    block b is owner[entry[b]], and every block comes after its parent.
+    """
+    order = [root]
+    entry: dict[int, int] = {}
+    owner: dict[int, int] = {}
+    cuts, at_vertex = d.cut_vertices, d.blocks_at_vertex
+    for b in order:
+        for v in d.blocks[b].vertices:
+            if v in cuts and v not in owner:
+                owner[v] = b
+                for b2 in at_vertex[v]:
+                    if b2 != b and b2 not in banned:
+                        entry[b2] = v
+                        order.append(b2)
+    return order, entry, owner
+
+
 def steiner_nodes(d: BlockDecomposition, a) -> frozenset[TreeNode]:
     """All block-cut tree nodes on paths between the given block nodes."""
     s = _check_block_indices(d, a)
-    if not s:
-        return frozenset()
-    targets = [("B", i) for i in sorted(s)]
-    if len(targets) == 1:
-        return frozenset(targets)
-    root = targets[0]
-    parent: dict[TreeNode, TreeNode] = {root: root}
-    order = [root]
-    k = 0
-    while k < len(order):
-        x = order[k]
-        k += 1
-        for y in d.tree_adjacency[x]:
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-    marked = {root}
-    for t in targets[1:]:
-        x = t
-        while x not in marked:
-            marked.add(x)
-            x = parent[x]
+    if len(s) <= 1:
+        return frozenset(("B", i) for i in s)
+    root, *rest = sorted(s)
+    _, entry, owner = _walk(d, root)
+    marked = {("B", root)}
+    for b in rest:
+        while ("B", b) not in marked:
+            marked.add(("B", b))
+            v = entry[b]
+            marked.add(("C", v))
+            b = owner[v]
     return frozenset(marked)
 
 
@@ -322,29 +337,13 @@ def split_components_at(d: BlockDecomposition, v: int) -> tuple[frozenset[int], 
 
     Two blocks fall in the same part exactly when they stay connected after
     the cut vertex is removed; equivalently the parts are the components of
-    the block-cut tree minus the cut node.  Parts are sorted by smallest
-    block index.
+    the block-cut tree minus the cut node, one per block at v.  Parts are
+    sorted by smallest block index.
     """
     if v not in d.cut_vertices:
         raise NotCutVertex(f"vertex {v} is not a cut vertex")
-    removed = ("C", v)
-    seen: set[TreeNode] = {removed}
-    parts: list[frozenset[int]] = []
-    for start in sorted(d.tree_adjacency[removed]):
-        if start in seen:
-            continue
-        comp_blocks: set[int] = set()
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            if x[0] == "B":
-                comp_blocks.add(x[1])
-            for y in d.tree_adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        parts.append(frozenset(comp_blocks))
+    at_v = frozenset(d.blocks_at_vertex[v])
+    parts = [frozenset(_walk(d, b, at_v)[0]) for b in at_v]
     parts.sort(key=min)
     return tuple(parts)
 

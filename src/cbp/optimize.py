@@ -4,7 +4,10 @@ The empty blockset (value 0) is always admissible.  Ties are broken by
 the lexicographically smallest blockset under sorted-tuple comparison,
 where a prefix precedes its extensions; the solver realizes this with a
 constrained value query (best value containing a forced set, avoiding a
-banned set) and a greedy left-to-right reconstruction.
+banned set) and a greedy left-to-right reconstruction.  Each query is one
+walk of the block-cut tree from a forced block (the walk behind closures
+and connectivity tests too) and one pass back up it.  Decompositions of
+more than MAX_OPTIMIZE_BLOCKS blocks are refused before any query.
 
 Two adapters specialize the solver: trees (blocks are edges, so the
 optimum is a max-weight subtree) and Eulerian cacti (blocks are cycles,
@@ -18,19 +21,20 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .errors import AssertionFailure, CountOverflow, NotEulerianCactus, NotTree
+from .errors import AssertionFailure, BudgetExceeded, CountOverflow, NotEulerianCactus, NotTree
 from .graphs import (
     BlockDecomposition,
     Edge,
     Graph,
+    _walk,
     block_decomposition,
     classify,
     graph_to_json,
-    steiner_nodes,
 )
 from .vertices import BlockSubset, enumerate_vertices, is_connected_blockset
 
 MAX_BRUTE_FORCE_BLOCKS = 20
+MAX_OPTIMIZE_BLOCKS = 1024
 
 
 @dataclass(frozen=True)
@@ -60,44 +64,6 @@ def _scaled_weights(d: BlockDecomposition, weights: Sequence) -> tuple[list[int]
     return [x.numerator * (scale // x.denominator) for x in w], scale
 
 
-def _branch_best(
-    d: BlockDecomposition,
-    w: Sequence[int],
-    banned: frozenset[int],
-    root_block: int,
-    entry_vertex: int,
-) -> int:
-    """Best value of a connected blockset containing root_block inside the
-    branch of the block-cut tree entered from entry_vertex.
-
-    Iterative post-order; banned blocks prune their whole subtrees.
-    """
-    order: list[tuple[int, int]] = []
-    children: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    stack = [(root_block, entry_vertex)]
-    while stack:
-        key = stack.pop()
-        b, entry = key
-        order.append(key)
-        kids = []
-        for _, v in d.tree_adjacency[("B", b)]:
-            if v == entry:
-                continue
-            for _, b2 in d.tree_adjacency[("C", v)]:
-                if b2 != b and b2 not in banned:
-                    kids.append((b2, v))
-        children[key] = kids
-        stack.extend(kids)
-    best: dict[tuple[int, int], int] = {}
-    for key in reversed(order):
-        total = w[key[0]]
-        for kid in children[key]:
-            if best[kid] > 0:
-                total += best[kid]
-        best[key] = total
-    return best[(root_block, entry_vertex)]
-
-
 def _best_containing(
     d: BlockDecomposition,
     w: Sequence[int],
@@ -107,26 +73,27 @@ def _best_containing(
     """Best value over connected blocksets containing forced and avoiding
     banned, or None when no such blockset exists.
 
-    Any connected superset of forced contains its closure; everything else
-    is an optional branch hanging off a cut vertex of the closure region.
+    One walk of the block-cut tree from forced[0] around the banned blocks,
+    then one pass back up it: a block takes a child's best value whenever
+    the child's subtree holds a forced block (the path to it is needed),
+    and otherwise only when that value is positive.
     """
-    nodes = steiner_nodes(d, forced)
-    closure = {i for kind, i in nodes if kind == "B"}
-    if closure & banned:
+    root = forced[0]
+    if root in banned:
         return None
-    total = sum(w[b] for b in closure)
-    cuts = set()
-    for b in closure:
-        for _, v in d.tree_adjacency[("B", b)]:
-            cuts.add(v)
-    for v in sorted(cuts):
-        for _, b2 in d.tree_adjacency[("C", v)]:
-            if b2 in closure or b2 in banned:
-                continue
-            cand = _branch_best(d, w, banned, b2, v)
-            if cand > 0:
-                total += cand
-    return total
+    order, entry, owner = _walk(d, root, banned)
+    best = {b: w[b] for b in order}
+    if any(f not in best for f in forced):
+        return None
+    needed = set(forced)
+    for b in reversed(order[1:]):
+        parent = owner[entry[b]]
+        if b in needed:
+            needed.add(parent)
+            best[parent] += best[b]
+        elif best[b] > 0:
+            best[parent] += best[b]
+    return best[root]
 
 
 def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> Solution:
@@ -138,7 +105,12 @@ def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> S
     otherwise commits the smallest next index that keeps the constrained
     optimum at the global value.  Every sum and comparison is on the
     weights scaled to integers; only the returned value is a Fraction.
+    Raises BudgetExceeded above MAX_OPTIMIZE_BLOCKS blocks, before any query.
     """
+    if len(d.blocks) > MAX_OPTIMIZE_BLOCKS:
+        raise BudgetExceeded(
+            f"{len(d.blocks)} blocks exceed the optimizer cap {MAX_OPTIMIZE_BLOCKS}"
+        )
     w, scale = _scaled_weights(d, weights)
     n = len(d.blocks)
     best = 0

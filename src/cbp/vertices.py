@@ -11,7 +11,7 @@ smallest element, instead of filtering all 2^b subsets.
 from __future__ import annotations
 
 from .errors import CountOverflow
-from .graphs import BlockDecomposition
+from .graphs import BlockDecomposition, _check_block_indices, _walk
 
 BlockSubset = tuple[int, ...]
 
@@ -21,28 +21,16 @@ DEFAULT_VERTEX_CAP = 2**24
 def is_connected_blockset(d: BlockDecomposition, a) -> bool:
     """True when the union of the given blocks induces a connected subgraph.
 
-    The empty blockset counts as connected.  Connectivity is equivalent to
-    connectivity inside the block adjacency graph, because two blocks meet
-    only in single (cut) vertices.
+    The empty blockset counts as connected.  The union is connected exactly
+    when a walk of the block-cut tree from one chosen block, never entering
+    a block outside the set, reaches them all, because two blocks meet only
+    in single (cut) vertices.
     """
-    s = frozenset(a)
+    s = _check_block_indices(d, a)
     if len(s) <= 1:
-        if s and not (0 <= min(s) < len(d.blocks)):
-            raise IndexError(f"block index {min(s)} out of range")
         return True
-    for i in s:
-        if not (0 <= i < len(d.blocks)):
-            raise IndexError(f"block index {i} out of range")
-    start = min(s)
-    seen = {start}
-    stack = [start]
-    while stack:
-        b = stack.pop()
-        for j in d.block_neighbors[b]:
-            if j in s and j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(s)
+    outside = frozenset(range(len(d.blocks))) - s
+    return len(_walk(d, min(s), outside)[0]) == len(s)
 
 
 def enumerate_vertices(d: BlockDecomposition) -> tuple[BlockSubset, ...]:
@@ -82,33 +70,19 @@ def count_connected_blocksets(d: BlockDecomposition) -> int:
     cut vertex of b is either left out or joins with one of its g[b'] sets,
     so g[b] is the product of (1 + g[b']).  A nonempty set whose nearest
     node to the root is a cut vertex c instead holds two or more child
-    blocks of c and not its parent block: prod(1 + g[b']) - 1 - sum(g[b'])
-    sets.
+    blocks of c and not its parent block: P_c - 1 - sum(g[b']) sets, where
+    P_c is the product of (1 + g[b']) over the child blocks of c.  Every
+    block but the root is a child of exactly one cut vertex, so the total
+    is 1 + g[root] + the sum over the cut vertices of (P_c - 1).
     """
-    tree = d.tree_adjacency
-    order = []
-    stack: list[tuple[int, int | None]] = [(0, None)]
-    while stack:
-        b, entry = stack.pop()
-        order.append((b, entry))
-        for _, v in tree[("B", b)]:
-            if v != entry:
-                stack.extend((b2, v) for _, b2 in tree[("C", v)] if b2 != b)
-    g = [0] * len(d.blocks)
-    count = 1
-    for b, entry in reversed(order):
-        g[b] = 1
-        for _, v in tree[("B", b)]:
-            if v == entry:
-                continue
-            kids = [g[b2] for _, b2 in tree[("C", v)] if b2 != b]
-            at_cut = 1
-            for x in kids:
-                at_cut *= 1 + x
-            g[b] *= at_cut
-            count += at_cut - 1 - sum(kids)
-        count += g[b]
-    return count
+    order, entry, owner = _walk(d, 0)
+    g = [1] * len(d.blocks)
+    at_cut = dict.fromkeys(owner, 1)
+    for b in reversed(order[1:]):
+        v = entry[b]
+        at_cut[v] *= 1 + g[b]
+        g[owner[v]] *= 1 + g[b]
+    return 1 + g[0] + sum(at_cut.values()) - len(at_cut)
 
 
 def to_incidence(d: BlockDecomposition, a) -> tuple[int, ...]:

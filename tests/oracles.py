@@ -7,7 +7,8 @@ oracles work on dict monomials with their own primitives, which
 `test_toric.test_mono_primitives` pins on their own; the memoized route
 over dict monomials is the tuple normal form's predecessor.  The Fraction
 optimizer is the integer DP's predecessor, kept to pin its arithmetic; it
-shares `steiner_nodes` and `is_connected_blockset` with it.
+finds closures by its own search of `tree_adjacency` and tests
+connectivity by a flood fill, so it shares no tree walk with the DP.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from math import gcd
 from typing import Sequence
 
 from cbp.errors import AssertionFailure, ReductionDiverges
-from cbp.graphs import BlockDecomposition, graph_to_json, steiner_nodes
+from cbp.graphs import BlockDecomposition, graph_to_json
 from cbp.optimize import Solution
-from cbp.vertices import is_connected_blockset
 
 
 def subgraph_connected(vertices, edges) -> bool:
@@ -192,6 +192,27 @@ def _fraction_weights(d: BlockDecomposition, weights: Sequence) -> tuple[Fractio
     return w
 
 
+def _tree_closure(d: BlockDecomposition, forced: Sequence[int]) -> set[int]:
+    """Blocks of the smallest block-cut subtree holding the forced blocks:
+    a breadth-first search of tree_adjacency from the first of them, then
+    a parent chase from each of the others."""
+    root = ("B", forced[0])
+    parent = {root: root}
+    queue = [root]
+    for x in queue:
+        for y in d.tree_adjacency[x]:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    marked = {root}
+    for b in forced[1:]:
+        x = ("B", b)
+        while x not in marked:
+            marked.add(x)
+            x = parent[x]
+    return {i for kind, i in marked if kind == "B"}
+
+
 def _fraction_branch_best(
     d: BlockDecomposition,
     w: tuple[Fraction, ...],
@@ -242,8 +263,7 @@ def _fraction_best_containing(
     Any connected superset of forced contains its closure; everything else
     is an optional branch hanging off a cut vertex of the closure region.
     """
-    nodes = steiner_nodes(d, forced)
-    closure = {i for kind, i in nodes if kind == "B"}
+    closure = _tree_closure(d, forced)
     if closure & banned:
         return None
     total = sum((w[b] for b in closure), Fraction(0))
@@ -289,7 +309,10 @@ def fraction_max_weight_connected_blockset(d: BlockDecomposition, weights: Seque
         if (
             prefix
             and sum((w[b] for b in prefix), Fraction(0)) == best
-            and is_connected_blockset(d, prefix)
+            and subgraph_connected(
+                {v for b in prefix for v in d.blocks[b].vertices},
+                [e for b in prefix for e in d.blocks[b].edges],
+            )
         ):
             return Solution(blockset=tuple(prefix), value=best)
         start = prefix[-1] + 1 if prefix else 0

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(argv)."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -168,6 +169,18 @@ def test_hstar_counts_each_dilation_once(graph_file, capsys, monkeypatch):
     assert sorted(seen) == list(range(7))
 
 
+def test_hstar_lists_no_blocksets(graph_file, capsys, monkeypatch):
+    # the h1 clause reads the vertex count from count_connected_blocksets
+    def no_listing(d):
+        raise AssertionError("blocksets listed")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cbp") and hasattr(module, "enumerate_vertices"):
+            monkeypatch.setattr(module, "enumerate_vertices", no_listing)
+    code, _, _ = run(capsys, ["hstar", "--graph", graph_file(PATH3)])
+    assert code == 0
+
+
 def test_hstar_rejects_small_dilation(graph_file, capsys):
     code, _, err = run(
         capsys, ["hstar", "--graph", graph_file(PATH3), "--max-dilation", "2"]
@@ -290,6 +303,20 @@ def test_optimize_refuses_a_huge_exponent(graph_file, tmp_path, capsys):
     assert out == ""
     assert "bad rational '1e999999999'" in err
     assert time.perf_counter() - start < 2
+
+
+def test_optimize_refuses_over_the_block_cap(graph_file, tmp_path, capsys):
+    path = "".join(f"{i} {i + 1}\n" for i in range(1025))
+    weights = tmp_path / "w.txt"
+    weights.write_text("1\n" * 1025)
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, ["optimize", "--graph", graph_file(path), "--weights", str(weights)]
+    )
+    assert time.perf_counter() - start < 3
+    assert code == 1
+    assert out == ""
+    assert err == "failed: BudgetExceeded: 1025 blocks exceed the optimizer cap 1024\n"
 
 
 def test_optimize_tree_mode(graph_file, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Block decomposition against brute-force oracles and pinned examples."""
 
+import itertools
+
 import networkx
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from cbp.graphs import (
     split_components_at,
     steiner_nodes,
 )
+from cbp.vertices import is_connected_blockset
 
 
 def test_graph_normalizes_and_deduplicates_edges():
@@ -251,11 +254,68 @@ def test_blocks_match_networkx(g):
     _assert_blocks_match_networkx(g)
 
 
+@pytest.fixture(scope="module")
+def walk_cases(oracle_graphs):
+    """The corpus of at most 5 blocks and the oracle graphs (up to 8 blocks)."""
+    return [(e.name, block_decomposition(e.graph)) for e in corpus(5, 7, 26)] + list(oracle_graphs)
+
+
+def networkx_block_cut_tree(d):
+    """The graph in networkx and the block-cut tree networkx finds for it,
+    its block nodes numbered by matching edge sets with d's blocks."""
+    nxg = networkx.Graph(d.graph.sorted_edges())
+    cuts = set(networkx.articulation_points(nxg))
+    index = {b.edges: i for i, b in enumerate(d.blocks)}
+    tree = networkx.Graph()
+    for comp in networkx.biconnected_component_edges(nxg):
+        edges = frozenset(tuple(sorted(e)) for e in comp)
+        node = ("B", index[edges])
+        tree.add_node(node)
+        for v in cuts & {w for e in edges for w in e}:
+            tree.add_edge(node, ("C", v))
+    return nxg, tree
+
+
+def test_steiner_nodes_match_networkx_paths(walk_cases):
+    # every blockset, as the union of the tree paths from its smallest block
+    for name, d in walk_cases:
+        _, tree = networkx_block_cut_tree(d)
+        n = len(d.blocks)
+        for root in range(n):
+            paths = networkx.single_source_shortest_path(tree, ("B", root))
+            for k in range(n - root):
+                for rest in itertools.combinations(range(root + 1, n), k):
+                    expected = {("B", root)}.union(*(paths[("B", b)] for b in rest))
+                    assert steiner_nodes(d, (root, *rest)) == expected, (name, root, rest)
+
+
+def test_split_components_match_networkx(walk_cases):
+    for name, d in walk_cases:
+        nxg, _ = networkx_block_cut_tree(d)
+        for v in networkx.articulation_points(nxg):
+            rest = nxg.copy()
+            rest.remove_node(v)
+            expected = [
+                frozenset(i for i, b in enumerate(d.blocks) if b.vertices & comp)
+                for comp in networkx.connected_components(rest)
+            ]
+            assert split_components_at(d, v) == tuple(sorted(expected, key=min)), (name, v)
+
+
+def test_is_connected_blockset_matches_networkx(walk_cases):
+    for name, d in walk_cases:
+        assert is_connected_blockset(d, ())
+        n = len(d.blocks)
+        for k in range(1, n + 1):
+            for a in itertools.combinations(range(n), k):
+                union = networkx.Graph([e for i in a for e in d.blocks[i].edges])
+                assert is_connected_blockset(d, a) == networkx.is_connected(union), (name, a)
+
+
 @settings(max_examples=40, deadline=None)
 @given(g=connected_graphs(max_n=6))
 def test_closure_is_idempotent_and_minimal(g):
     d = block_decomposition(g)
-    import itertools
 
     for k in range(len(d.blocks) + 1):
         for a in itertools.combinations(range(len(d.blocks)), k):

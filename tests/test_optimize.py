@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from cbp import optimize
 from cbp.corpus import flower, path_graph, random_block_tree, spider, star_graph, triangle_chain
-from cbp.errors import CountOverflow, NotEulerianCactus, NotTree
+from cbp.errors import BudgetExceeded, CountOverflow, NotEulerianCactus, NotTree
 from cbp.graphs import Graph, block_decomposition
 from cbp.optimize import (
     Solution,
@@ -50,6 +50,45 @@ def test_brute_force_cap(path3_d, monkeypatch):
     # the cap holds when the blocksets are handed in, too
     with pytest.raises(CountOverflow):
         brute_force_optimum(path3_d, (1, 1, 1), vertices=enumerate_vertices(path3_d))
+
+
+def test_optimizer_cap(path3_d, monkeypatch):
+    monkeypatch.setattr(optimize, "MAX_OPTIMIZE_BLOCKS", 3)
+    assert max_weight_connected_blockset(path3_d, (1, 1, 1)) == Solution((0, 1, 2), 3)
+
+    def no_query(*args):
+        raise AssertionError("value query before the block cap was checked")
+
+    monkeypatch.setattr(optimize, "MAX_OPTIMIZE_BLOCKS", 2)
+    monkeypatch.setattr(optimize, "_best_containing", no_query)
+    with pytest.raises(BudgetExceeded, match="^3 blocks exceed the optimizer cap 2$"):
+        max_weight_connected_blockset(path3_d, (1, 1, 1))
+    with pytest.raises(BudgetExceeded):
+        tree_adapter(path_graph(3), (1, 1, 1))
+    with pytest.raises(BudgetExceeded):
+        eulerian_adapter(triangle_chain(3), [1] * 9)
+
+
+def test_best_containing_matches_fraction_oracle(oracle_graphs):
+    # seeded (forced, banned) queries, in any order of the forced blocks,
+    # against the oracle's own closure search and branch walks
+    rng = random.Random(20261021)
+    trees = [block_decomposition(random_block_tree(rng, rng.randint(10, 40))) for _ in range(10)]
+    cases = list(oracle_graphs) + [(f"random-{len(d.blocks)}", d) for d in trees]
+    seen = set()
+    for name, d in cases:
+        n = len(d.blocks)
+        for _ in range(30):
+            w = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+            ints, scale = optimize._scaled_weights(d, w)
+            forced = tuple(rng.sample(range(n), rng.randint(1, min(3, n))))
+            pool = range(n) if rng.random() < 0.3 else [b for b in range(n) if b not in forced]
+            banned = frozenset(rng.sample(pool, rng.randint(0, len(pool) // 2)))
+            got = optimize._best_containing(d, ints, forced, banned)
+            expected = oracles._fraction_best_containing(d, tuple(w), forced, banned)
+            assert (None if got is None else Fraction(got, scale)) == expected, (name, forced, banned, w)
+            seen.add("value" if got is not None else "banned" if banned & set(forced) else "cut off")
+    assert seen == {"value", "banned", "cut off"}
 
 
 def tie_heavy_weights(rng, n):

@@ -94,6 +94,11 @@ def test_is_connected_blockset_index_error(path3_d):
         is_connected_blockset(path3_d, (5,))
     with pytest.raises(IndexError):
         is_connected_blockset(path3_d, (0, 5))
+    # the same index check as blockset_closure: no float passes
+    with pytest.raises(IndexError):
+        is_connected_blockset(path3_d, (0.5,))
+    with pytest.raises(IndexError):
+        is_connected_blockset(path3_d, (0, 1.0))
 
 
 def test_to_incidence(path3_d):
