@@ -226,9 +226,10 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     if not is_connected(g):
         raise NotConnected("graph must be connected")
     comps, cuts = _biconnected_components(g.vertex_count, g.adjacency())
+    own = {e: e for e in g.edges}  # blocks hold the graph's own edge tuples
     raw = []
     for comp in comps:
-        edges = frozenset(_norm_edge(u, v) for u, v in comp)
+        edges = frozenset(own[_norm_edge(u, v)] for u, v in comp)
         vertices = frozenset(w for e in edges for w in e)
         raw.append(Block(vertices, edges))
     raw.sort(key=lambda b: (min(b.vertices), tuple(sorted(b.vertices))))

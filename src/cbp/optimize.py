@@ -1,13 +1,15 @@
 """Max-weight connected blockset via dynamic programming on the block-cut tree.
 
-The empty blockset (value 0) is always admissible.  Ties are broken by
-the lexicographically smallest blockset under sorted-tuple comparison,
-where a prefix precedes its extensions; the solver realizes this with a
-constrained value query (best value containing a forced set, avoiding a
-banned set) and a greedy left-to-right reconstruction.  Each query is one
-walk of the block-cut tree from a forced block (the walk behind closures
-and connectivity tests too) and one pass back up it.  Decompositions of
-more than MAX_OPTIMIZE_BLOCKS blocks are refused before any query.
+The empty blockset (value 0) is always admissible.  The optimum comes
+from one rerooting pass: one walk of the block-cut tree from block 0, an
+up pass for the best value inside each block's subtree and a down pass
+for the best value over blocksets containing each block.  Ties are
+broken by the lexicographically smallest blockset under sorted-tuple
+comparison, where a prefix precedes its extensions; only this greedy
+left-to-right reconstruction uses constrained value queries (best value
+containing a forced set, avoiding a banned set), each one walk of the
+tree from a forced block and one pass back up it.  Decompositions of more
+than MAX_OPTIMIZE_BLOCKS blocks are refused before any work.
 
 Two adapters specialize the solver: trees (blocks are edges, so the
 optimum is a max-weight subtree) and Eulerian cacti (blocks are cycles,
@@ -96,16 +98,43 @@ def _best_containing(
     return best[root]
 
 
+def _rerooted_values(d: BlockDecomposition, w: Sequence[int]) -> list[int]:
+    """For every block b, the best value over connected blocksets containing b.
+
+    One walk from block 0, then two passes.  Up: down[b] is w[b] plus the
+    positive down values of b's children, and downc[v] sums the positive
+    down values of the blocks entered through cut vertex v.  Down: a block
+    b entered through v adds to down[b] its positive siblings at v and,
+    when positive, the best value at v's owner without the blocks below v.
+    """
+    order, entry, owner = _walk(d, 0)
+    down = list(w)
+    downc = dict.fromkeys(owner, 0)
+    for b in reversed(order[1:]):
+        if down[b] > 0:
+            v = entry[b]
+            downc[v] += down[b]
+            down[owner[v]] += down[b]
+    full = down[:]
+    for b in order[1:]:
+        v = entry[b]
+        full[b] += downc[v] - max(0, down[b]) + max(0, full[owner[v]] - downc[v])
+    return full
+
+
 def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> Solution:
     """Exact optimum over all connected blocksets, the empty set included.
 
-    The argmax is the lexicographically smallest optimal blockset: the
-    reconstruction walks block indices left to right, stopping as soon
-    as the accumulated prefix is itself a connected optimal set, and
-    otherwise commits the smallest next index that keeps the constrained
-    optimum at the global value.  Every sum and comparison is on the
-    weights scaled to integers; only the returned value is a Fraction.
-    Raises BudgetExceeded above MAX_OPTIMIZE_BLOCKS blocks, before any query.
+    The value is the largest rerooted value.  The argmax is the
+    lexicographically smallest optimal blockset: every block of an optimal
+    set has the optimal rerooted value, so the reconstruction starts at
+    the first such block m with the blocks before m banned.  It then walks
+    block indices left to right, stopping as soon as the accumulated prefix
+    is itself a connected optimal set, and otherwise commits the smallest
+    next index that keeps the constrained optimum at the global value.
+    Every sum and comparison is on the weights scaled to integers; only
+    the returned value is a Fraction.  Raises BudgetExceeded above
+    MAX_OPTIMIZE_BLOCKS blocks, before any other work.
     """
     if len(d.blocks) > MAX_OPTIMIZE_BLOCKS:
         raise BudgetExceeded(
@@ -113,24 +142,18 @@ def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> S
         )
     w, scale = _scaled_weights(d, weights)
     n = len(d.blocks)
-    best = 0
-    for b in range(n):
-        cand = _best_containing(d, w, (b,), frozenset())
-        if cand is not None and cand > best:
-            best = cand
+    full = _rerooted_values(d, w)
+    best = max(full)
     if best <= 0:
         return Solution(blockset=(), value=Fraction(0))
 
-    prefix: list[int] = []
-    banned: set[int] = set()
+    first = full.index(best)
+    prefix = [first]
+    banned = set(range(first))
     while True:
-        if (
-            prefix
-            and sum(w[b] for b in prefix) == best
-            and is_connected_blockset(d, prefix)
-        ):
+        if sum(w[b] for b in prefix) == best and is_connected_blockset(d, prefix):
             return Solution(blockset=tuple(prefix), value=Fraction(best, scale))
-        start = prefix[-1] + 1 if prefix else 0
+        start = prefix[-1] + 1
         chosen = None
         for e in range(start, n):
             trial_banned = frozenset(banned) | frozenset(range(start, e))

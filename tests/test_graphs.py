@@ -136,6 +136,14 @@ def test_blocks_match_brute_force(small_corpus):
         assert d.cut_vertices == frozenset(oracles.brute_cut_vertices(g)), name
 
 
+def test_blocks_hold_the_graphs_edge_tuples():
+    # no block keeps a copy of an edge: each one is the graph's own tuple
+    for name, g in corpus(5, 7, 26):
+        own = {e: e for e in g.edges}
+        for blk in block_decomposition(g).blocks:
+            assert all(own[e] is e for e in blk.edges), name
+
+
 def test_block_cut_tree_path3(path3_d):
     tree = path3_d.tree_adjacency
     assert sorted(tree) == [("B", 0), ("B", 1), ("B", 2), ("C", 1), ("C", 2)]

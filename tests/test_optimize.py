@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cbp import optimize
-from cbp.corpus import flower, path_graph, random_block_tree, spider, star_graph, triangle_chain
+from cbp.corpus import corpus, flower, path_graph, random_block_tree, spider, star_graph, triangle_chain
 from cbp.errors import BudgetExceeded, CountOverflow, NotEulerianCactus, NotTree
 from cbp.graphs import Graph, block_decomposition
 from cbp.optimize import (
@@ -89,6 +89,59 @@ def test_best_containing_matches_fraction_oracle(oracle_graphs):
             assert (None if got is None else Fraction(got, scale)) == expected, (name, forced, banned, w)
             seen.add("value" if got is not None else "banned" if banned & set(forced) else "cut off")
     assert seen == {"value", "banned", "cut off"}
+
+
+def test_rerooted_values_match_best_containing(oracle_graphs):
+    # the rerooting pass against one forced-block query per block
+    rng = random.Random(20261022)
+    trees = [block_decomposition(random_block_tree(rng, rng.randint(10, 200))) for _ in range(12)]
+    cases = [(name, block_decomposition(g)) for name, g in corpus(7, 7, 8)]
+    cases += list(oracle_graphs) + [(f"random-{len(d.blocks)}", d) for d in trees]
+    for name, d in cases:
+        n = len(d.blocks)
+        for w in (
+            [rng.randint(-1, 1) for _ in range(n)],
+            [rng.randint(-2, 2) for _ in range(n)],
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)],
+        ):
+            ints, _ = optimize._scaled_weights(d, w)
+            expected = [optimize._best_containing(d, ints, (b,), frozenset()) for b in range(n)]
+            assert optimize._rerooted_values(d, ints) == expected, (name, w)
+
+
+def test_tie_breaks_match_brute_force_and_oracle(path3_d):
+    # blocks {0,3}, {1,2}, {1,3}: the walk from block 0 enters block 2
+    # first, so block 1 hangs below block 2
+    hook = block_decomposition(Graph(4, ((0, 3), (1, 2), (1, 3))))
+    spider_d = block_decomposition(spider((2, 1, 1)))  # blocks 0-1, 0-3 and 0-4 at vertex 0
+    pinned = [
+        (path3_d, (-1, 0, -2), ()),  # all nonpositive: the empty set
+        (path3_d, (0, 0, 0), ()),
+        (path3_d, (-1, 2, 0), (1,)),  # smallest optimal block 1, a zero branch at it
+        (path3_d, (-3, 2, -1), (1,)),
+        (hook, (-5, 1, 1), (1, 2)),  # block 1 needs its owner, block 2
+        (hook, (-5, 1, 0), (1,)),
+        (hook, (-5, 0, 1), (1, 2)),  # the zero block 1 sorts first
+        (spider_d, (-4, 1, 1, 0), (1, 2)),  # siblings at vertex 0 join block 1
+        (spider_d, (-4, 0, 1, 0), (1, 2)),
+    ]
+    for d, w, blockset in pinned:
+        sol = max_weight_connected_blockset(d, w)
+        assert sol == Solution(blockset, sum(w[b] for b in blockset)), (w, sol)
+        assert sol == brute_force_optimum(d, w), w
+        assert sol == oracles.fraction_max_weight_connected_blockset(d, w), w
+
+    rng = random.Random(20261023)
+    seen = set()
+    for _ in range(60):
+        d = block_decomposition(random_block_tree(rng, rng.randint(3, 20)))
+        n = len(d.blocks)
+        for weights in ([rng.randint(-1, 1) for _ in range(n)], [rng.randint(-2, 2) for _ in range(n)]):
+            sol = max_weight_connected_blockset(d, weights)
+            assert sol == brute_force_optimum(d, weights), weights
+            assert sol == oracles.fraction_max_weight_connected_blockset(d, weights), weights
+            seen.add("empty" if not sol.blockset else "m > 0" if sol.blockset[0] else "m = 0")
+    assert seen == {"empty", "m > 0", "m = 0"}
 
 
 def tie_heavy_weights(rng, n):
@@ -272,6 +325,22 @@ def test_tree_adapter_all_negative():
     assert sol.value == 0
     assert sol.edges == ()
     assert sol.blockset == ()
+
+
+def test_adapter_edges_are_the_graphs_own():
+    # a result holds no copies of edges: each is the graph's own tuple
+    rng = random.Random(20261024)
+    for g, adapter in (
+        (path_graph(6), tree_adapter),
+        (star_graph(5), tree_adapter),
+        (flower(3), eulerian_adapter),
+        (triangle_chain(4), eulerian_adapter),
+    ):
+        own = {e: e for e in g.edges}
+        for _ in range(5):
+            sol = adapter(g, [rng.randint(-1, 3) for _ in g.edges])
+            assert sol.edges, sol
+            assert all(own[e] is e for e in sol.edges), sol
 
 
 def test_tree_adapter_rejects_non_tree():
