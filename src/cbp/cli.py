@@ -101,18 +101,17 @@ def _blockset_key(a) -> str:
 def cmd_blocks(args) -> int:
     ctx = GraphContext(_load_graph(args.graph))
     d = ctx.decomposition
-    tree = d.tree_adjacency
-    tree_edges = sorted((list(u), list(v)) for u in tree for v in tree[u] if u < v)
+    cuts = sorted(d.cut_vertices)
     _emit(
         {
             "blocks": [
                 {"vertices": sorted(b.vertices), "edges": [list(e) for e in sorted(b.edges)]}
                 for b in d.blocks
             ],
-            "cut_vertices": sorted(d.cut_vertices),
+            "cut_vertices": cuts,
             "tree": {
-                "nodes": [list(node) for node in sorted(tree)],
-                "edges": [list(e) for e in tree_edges],
+                "nodes": [["B", i] for i in range(len(d.blocks))] + [["C", v] for v in cuts],
+                "edges": sorted([["B", i], ["C", v]] for v in cuts for i in d.blocks_at_vertex[v]),
             },
             "class": asdict(classify(ctx.graph, d)),
         }

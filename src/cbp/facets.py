@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import AssertionFailure, CountOverflow, RowInvalid
 from .graphs import BlockDecomposition, blockset_closure, graph_to_json, split_components_at
-from .hull import Certificate, RationalPolyhedron, Row, _clear_denominators, affine_rank, normalize_row
+from .hull import Certificate, RationalPolyhedron, _clear_denominators, affine_rank, normalize_row
 from .vertices import _row_masks, to_incidence
 
 MAX_IBI_BLOCKS = 14
@@ -309,12 +309,3 @@ def facet_certificates(d: BlockDecomposition, rows, verts) -> tuple[Certificate,
         out.append(Certificate(tight_vertex_indices=indices, affine_rank=rank, slack_witness=slack))
     return tuple(out)
 
-
-def facet_certificate(d: BlockDecomposition, row: Row, verts) -> Certificate:
-    """Tightness certificate of one inequality against the vertex list
-    `enumerate_vertices(d)`.
-
-    Raises RowInvalid when some vertex violates the row.
-    """
-    (cert,) = facet_certificates(d, [row], verts)
-    return cert

@@ -5,7 +5,10 @@ either a maximal 2-connected subgraph or a bridge together with its two
 endpoints.  Two distinct blocks share at most one vertex, and every shared
 vertex is a cut vertex of the graph.  The block-cut tree has one node per
 block and one node per cut vertex, with a block node adjacent to a cut
-node exactly when the cut vertex lies in the block.  Everything downstream
+node exactly when the cut vertex lies in the block.  The decomposition
+stores that tree once, as the blocks at each vertex, and `_walk` is its one
+traversal: closures, connectivity tests, the components at a cut vertex and
+the optimizer's passes all read the tree through it.  Everything downstream
 (vertex enumeration, facets, the optimizer) works on this decomposition.
 """
 
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from .errors import EmptyGraph, InvalidGraph, NotConnected, NotCutVertex, ParseError
 
 Edge = tuple[int, int]
-TreeNode = tuple[str, int]  # ("B", block index) or ("C", vertex id)
 
 
 def _norm_edge(u: int, v: int) -> Edge:
@@ -125,21 +127,6 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def is_connected(g: Graph) -> bool:
-    if g.vertex_count == 0:
-        return False
-    adj = g.adjacency()
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.vertex_count
-
-
 @dataclass(frozen=True)
 class Block:
     """One block: its vertex set and its edge set."""
@@ -153,21 +140,23 @@ class BlockDecomposition:
     """A connected graph together with its canonically ordered blocks.
 
     Blocks are sorted by (smallest vertex id, then the sorted vertex id
-    sequence), so block indices are reproducible across runs.  The derived
-    maps (blocks at a vertex, block adjacency, block-cut tree adjacency)
-    are precomputed because nearly every downstream routine walks them.
+    sequence), so block indices are reproducible across runs.  The
+    block-cut tree is stored once, as blocks_at_vertex: the sorted indices
+    of the blocks holding each vertex.  A cut vertex v is adjacent in the
+    tree to exactly the blocks blocks_at_vertex[v].
     """
 
     graph: Graph
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
     blocks_at_vertex: dict[int, tuple[int, ...]]
-    block_neighbors: tuple[frozenset[int], ...]
-    tree_adjacency: dict[TreeNode, frozenset[TreeNode]]
 
 
-def _biconnected_components(n: int, adj: dict[int, tuple[int, ...]]) -> tuple[list[list[Edge]], set[int]]:
-    """Iterative lowpoint DFS returning block edge lists and cut vertices."""
+def _biconnected_components(
+    n: int, adj: dict[int, tuple[int, ...]]
+) -> tuple[list[list[Edge]], set[int], int]:
+    """Iterative lowpoint DFS returning block edge lists, cut vertices and
+    the number of DFS roots, which is the number of connected components."""
     disc = [0] * n  # 0 means unvisited, otherwise discovery time
     low = [0] * n
     parent = [-1] * n
@@ -175,9 +164,11 @@ def _biconnected_components(n: int, adj: dict[int, tuple[int, ...]]) -> tuple[li
     cuts: set[int] = set()
     estack: list[Edge] = []
     timer = 1
+    roots = 0
     for root in range(n):
         if disc[root]:
             continue
+        roots += 1
         disc[root] = low[root] = timer
         timer += 1
         stack: list[tuple[int, int]] = [(root, 0)]
@@ -216,16 +207,16 @@ def _biconnected_components(n: int, adj: dict[int, tuple[int, ...]]) -> tuple[li
                     comps.append(comp)
                     if u != root or root_children > 1:
                         cuts.add(u)
-    return comps, cuts
+    return comps, cuts, roots
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Decompose a connected graph with at least one edge into blocks."""
     if g.vertex_count == 0 or not g.edges:
         raise EmptyGraph("graph must have at least one edge")
-    if not is_connected(g):
+    comps, cuts, roots = _biconnected_components(g.vertex_count, g.adjacency())
+    if roots != 1:
         raise NotConnected("graph must be connected")
-    comps, cuts = _biconnected_components(g.vertex_count, g.adjacency())
     own = {e: e for e in g.edges}  # blocks hold the graph's own edge tuples
     raw = []
     for comp in comps:
@@ -243,23 +234,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
             at_vertex[v].append(i)
     blocks_at_vertex = {v: tuple(sorted(ix)) for v, ix in at_vertex.items()}
 
-    neighbors: list[set[int]] = [set() for _ in blocks]
-    for v, ix in blocks_at_vertex.items():
-        if len(ix) > 1:
-            for i in ix:
-                for j in ix:
-                    if i != j:
-                        neighbors[i].add(j)
-    block_neighbors = tuple(frozenset(s) for s in neighbors)
-
-    tree: dict[TreeNode, set[TreeNode]] = {("B", i): set() for i in range(len(blocks))}
-    for v in sorted(cuts):
-        tree[("C", v)] = set()
-        for i in blocks_at_vertex[v]:
-            tree[("C", v)].add(("B", i))
-            tree[("B", i)].add(("C", v))
-    tree_adjacency = {node: frozenset(ws) for node, ws in tree.items()}
-    if sum(len(ws) for ws in tree_adjacency.values()) // 2 != len(tree_adjacency) - 1:
+    # the tree has one edge per (cut vertex, block holding it) incidence
+    if sum(len(blocks_at_vertex[v]) for v in cuts) != len(blocks) + len(cuts) - 1:
         raise AssertionError("block-cut incidences do not form a tree")
 
     return BlockDecomposition(
@@ -267,8 +243,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         blocks=blocks,
         cut_vertices=frozenset(cuts),
         blocks_at_vertex=blocks_at_vertex,
-        block_neighbors=block_neighbors,
-        tree_adjacency=tree_adjacency,
     )
 
 
@@ -306,31 +280,25 @@ def _walk(
     return order, entry, owner
 
 
-def steiner_nodes(d: BlockDecomposition, a) -> frozenset[TreeNode]:
-    """All block-cut tree nodes on paths between the given block nodes."""
-    s = _check_block_indices(d, a)
-    if len(s) <= 1:
-        return frozenset(("B", i) for i in s)
-    root, *rest = sorted(s)
-    _, entry, owner = _walk(d, root)
-    marked = {("B", root)}
-    for b in rest:
-        while ("B", b) not in marked:
-            marked.add(("B", b))
-            v = entry[b]
-            marked.add(("C", v))
-            b = owner[v]
-    return frozenset(marked)
-
-
 def blockset_closure(d: BlockDecomposition, a) -> frozenset[int]:
     """Block nodes of the smallest block-cut subtree containing the given blocks.
 
     The closure of a blockset is the unique smallest connected blockset
     containing it; a blockset induces a connected subgraph exactly when it
-    equals its own closure.
+    equals its own closure.  It is found by a walk from the smallest given
+    block and a chase up the parent blocks from each of the others.
     """
-    return frozenset(i for kind, i in steiner_nodes(d, a) if kind == "B")
+    s = _check_block_indices(d, a)
+    if len(s) <= 1:
+        return s
+    root = min(s)
+    _, entry, owner = _walk(d, root)
+    marked = {root}
+    for b in s:
+        while b not in marked:
+            marked.add(b)
+            b = owner[entry[b]]
+    return frozenset(marked)
 
 
 def split_components_at(d: BlockDecomposition, v: int) -> tuple[frozenset[int], ...]:
@@ -365,11 +333,14 @@ def classify(g: Graph, d: BlockDecomposition) -> GraphClass:
     is_tree = len(g.edges) == g.vertex_count - 1
     cactus = all(len(b.edges) == 1 or len(b.edges) == len(b.vertices) for b in d.blocks)
     eulerian = cactus and all(len(b.edges) >= 3 for b in d.blocks)
-    block_path = all(len(ws) <= 2 for ws in d.tree_adjacency.values())
+    cuts = d.cut_vertices
+    block_path = all(len(d.blocks_at_vertex[v]) <= 2 for v in cuts) and all(
+        len(b.vertices & cuts) <= 2 for b in d.blocks
+    )
     return GraphClass(
         is_tree=is_tree,
         is_cactus=cactus,
         is_eulerian_cactus=eulerian,
         is_block_path=block_path,
-        cut_vertex_count=len(d.cut_vertices),
+        cut_vertex_count=len(cuts),
     )

@@ -292,11 +292,12 @@ def check_ibis(ctx: GraphContext) -> dict | None:
             "enumerated_only": [list(x.alpha) for x in sorted(enumerated - constructed, key=lambda i: i.alpha)],
             "constructed_only": [list(x.alpha) for x in sorted(constructed - enumerated, key=lambda i: i.alpha)],
         }
+    parts_at = [(v, split_components_at(d, v)) for v in sorted(d.cut_vertices)]
     for ibi in enumerated:
         if sum(ibi.alpha) != 1:
             return {"reason": "alpha sum is not 1", "alpha": list(ibi.alpha)}
-        for v in sorted(d.cut_vertices):
-            sums = [sum(ibi.alpha[b] for b in part) for part in split_components_at(d, v)]
+        for v, parts in parts_at:
+            sums = [sum(ibi.alpha[b] for b in part) for part in parts]
             if sorted(sums) != [0] * (len(sums) - 1) + [1]:
                 return {
                     "reason": "component weights are not one 1 and rest 0",

@@ -41,7 +41,11 @@ def enumerate_vertices(d: BlockDecomposition) -> tuple[BlockSubset, ...]:
     """
     if count_connected_blocksets(d) > DEFAULT_VERTEX_CAP:
         raise CountOverflow(f"more than {DEFAULT_VERTEX_CAP} connected blocksets")
-    nb = d.block_neighbors
+    nb: list[set[int]] = [set() for _ in d.blocks]
+    for v in d.cut_vertices:
+        ix = d.blocks_at_vertex[v]
+        for i in ix:
+            nb[i].update(j for j in ix if j != i)
     out: list[BlockSubset] = [()]
     for r in range(len(d.blocks)):
         base = frozenset([r])

@@ -7,8 +7,9 @@ oracles work on dict monomials with their own primitives, which
 `test_toric.test_mono_primitives` pins on their own; the memoized route
 over dict monomials is the tuple normal form's predecessor.  The Fraction
 optimizer is the integer DP's predecessor, kept to pin its arithmetic; it
-finds closures by its own search of `tree_adjacency` and tests
-connectivity by a flood fill, so it shares no tree walk with the DP.
+rebuilds the block-cut tree from the blocks' vertex sets, finds closures
+by its own search of that tree and tests connectivity by a flood fill, so
+it reads neither the decomposition's stored tree nor its walk.
 """
 
 from __future__ import annotations
@@ -192,15 +193,32 @@ def _fraction_weights(d: BlockDecomposition, weights: Sequence) -> tuple[Fractio
     return w
 
 
-def _tree_closure(d: BlockDecomposition, forced: Sequence[int]) -> set[int]:
+def _block_cut_adjacency(d: BlockDecomposition) -> dict[tuple[str, int], set[tuple[str, int]]]:
+    """The block-cut tree rebuilt from the blocks' vertex sets alone: a
+    vertex lying in two or more blocks is a cut node ("C", v), adjacent to
+    the block node ("B", i) of each block i that holds it."""
+    holders: dict[int, list[int]] = {}
+    for i, blk in enumerate(d.blocks):
+        for v in blk.vertices:
+            holders.setdefault(v, []).append(i)
+    tree: dict[tuple[str, int], set[tuple[str, int]]] = {("B", i): set() for i in range(len(d.blocks))}
+    for v, ix in holders.items():
+        if len(ix) > 1:
+            tree[("C", v)] = {("B", i) for i in ix}
+            for i in ix:
+                tree[("B", i)].add(("C", v))
+    return tree
+
+
+def _tree_closure(tree, forced: Sequence[int]) -> set[int]:
     """Blocks of the smallest block-cut subtree holding the forced blocks:
-    a breadth-first search of tree_adjacency from the first of them, then
-    a parent chase from each of the others."""
+    a breadth-first search of the tree from the first of them, then a
+    parent chase from each of the others."""
     root = ("B", forced[0])
     parent = {root: root}
     queue = [root]
     for x in queue:
-        for y in d.tree_adjacency[x]:
+        for y in tree[x]:
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
@@ -214,7 +232,7 @@ def _tree_closure(d: BlockDecomposition, forced: Sequence[int]) -> set[int]:
 
 
 def _fraction_branch_best(
-    d: BlockDecomposition,
+    tree,
     w: tuple[Fraction, ...],
     banned: frozenset[int],
     root_block: int,
@@ -233,10 +251,10 @@ def _fraction_branch_best(
         b, entry = key
         order.append(key)
         kids = []
-        for _, v in d.tree_adjacency[("B", b)]:
+        for _, v in tree[("B", b)]:
             if v == entry:
                 continue
-            for _, b2 in d.tree_adjacency[("C", v)]:
+            for _, b2 in tree[("C", v)]:
                 if b2 != b and b2 not in banned:
                     kids.append((b2, v))
         children[key] = kids
@@ -263,19 +281,20 @@ def _fraction_best_containing(
     Any connected superset of forced contains its closure; everything else
     is an optional branch hanging off a cut vertex of the closure region.
     """
-    closure = _tree_closure(d, forced)
+    tree = _block_cut_adjacency(d)
+    closure = _tree_closure(tree, forced)
     if closure & banned:
         return None
     total = sum((w[b] for b in closure), Fraction(0))
     cuts = set()
     for b in closure:
-        for _, v in d.tree_adjacency[("B", b)]:
+        for _, v in tree[("B", b)]:
             cuts.add(v)
     for v in sorted(cuts):
-        for _, b2 in d.tree_adjacency[("C", v)]:
+        for _, b2 in tree[("C", v)]:
             if b2 in closure or b2 in banned:
                 continue
-            cand = _fraction_branch_best(d, w, banned, b2, v)
+            cand = _fraction_branch_best(tree, w, banned, b2, v)
             if cand > 0:
                 total += cand
     return total

@@ -40,6 +40,15 @@ def test_blocks(graph_file, capsys):
     assert len(payload["tree"]["edges"]) == 4
 
 
+def test_blocks_rejects_disconnected_graph(graph_file, capsys):
+    # vertex 4 is dropped as isolated; the edges 0-1 and 2-3 stay apart
+    with pytest.warns(UserWarning, match="isolated"):
+        code, out, err = run(capsys, ["blocks", "--graph", graph_file("n 5\n0 1\n2 3\n")])
+    assert code == 2
+    assert out == ""
+    assert err == "error: graph must be connected\n"
+
+
 def test_vertices(graph_file, capsys):
     code, out, _ = run(capsys, ["vertices", "--graph", graph_file(PATH3)])
     assert code == 0

@@ -12,7 +12,6 @@ from cbp.facets import (
     IndependentBlocksInequality,
     construct_ibis,
     enumerate_ibis,
-    facet_certificate,
     facet_certificates,
     h_representation,
     ibi_violations,
@@ -167,25 +166,25 @@ def test_alpha_determines_the_independent_set(monkeypatch):
 
 def test_facet_certificate(path3_d):
     verts = enumerate_vertices(path3_d)
-    cert = facet_certificate(path3_d, ((1, -1, 1), 1), verts)
+    (cert,) = facet_certificates(path3_d, [((1, -1, 1), 1)], verts)
     assert cert.confirms_facet(3)
     # x0 - x1 + x2 hits 1 exactly at (0,), (2,), and (0, 1, 2)
     assert cert.tight_vertex_indices == (1, 3, 6)
     assert cert.slack_witness == 0
     half = Fraction(1, 2)
-    assert facet_certificate(path3_d, ((half, -half, half), half), verts) == cert
+    assert facet_certificates(path3_d, [((half, -half, half), half)], verts) == (cert,)
 
 
 def test_facet_certificate_rejects_violated_row(path3_d):
     with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 2 > 1$"):
-        facet_certificate(path3_d, ((1, 1, 1), 1), enumerate_vertices(path3_d))
+        facet_certificates(path3_d, [((1, 1, 1), 1)], enumerate_vertices(path3_d))
     third = Fraction(1, 3)
     with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 2/3 > 1/3$"):
-        facet_certificate(path3_d, ((third, third, third), third), enumerate_vertices(path3_d))
+        facet_certificates(path3_d, [((third, third, third), third)], enumerate_vertices(path3_d))
 
 
 def test_facet_certificate_on_valid_nonfacet(path3_d):
-    cert = facet_certificate(path3_d, ((1, 0, 1), 2), enumerate_vertices(path3_d))
+    (cert,) = facet_certificates(path3_d, [((1, 0, 1), 2)], enumerate_vertices(path3_d))
     assert not cert.confirms_facet(3)
 
 
@@ -194,7 +193,7 @@ def test_facet_certificates_match_one_row_at_a_time(small_corpus, path3_d):
         d = block_decomposition(g)
         rows = h_representation(d, enumerate_ibis(d)).rows
         verts = enumerate_vertices(d)
-        expected = tuple(facet_certificate(d, row, verts) for row in rows)
+        expected = tuple(cert for row in rows for cert in facet_certificates(d, [row], verts))
         assert facet_certificates(d, rows, verts) == expected, name
     # the first violated row is the one reported
     third = Fraction(1, 3)
@@ -208,5 +207,5 @@ def test_all_rows_certified(small_corpus):
         d = block_decomposition(g)
         h = h_representation(d, enumerate_ibis(d))
         verts = enumerate_vertices(d)
-        for row in h.rows:
-            assert facet_certificate(d, row, verts).confirms_facet(h.dim), (name, row)
+        for row, cert in zip(h.rows, facet_certificates(d, h.rows, verts)):
+            assert cert.confirms_facet(h.dim), (name, row)

@@ -1,6 +1,7 @@
 """Block decomposition against brute-force oracles and pinned examples."""
 
 import itertools
+import json
 
 import networkx
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from cbp.cli import main
 from cbp.corpus import corpus, flower, path_graph, showcase_graph, spider, star_graph, triangle_chain
 from cbp.errors import EmptyGraph, InvalidGraph, NotConnected, NotCutVertex, ParseError
 from cbp.graphs import (
@@ -17,10 +19,8 @@ from cbp.graphs import (
     classify,
     graph_from_json,
     graph_to_json,
-    is_connected,
     parse_edge_list,
     split_components_at,
-    steiner_nodes,
 )
 from cbp.vertices import is_connected_blockset
 
@@ -81,23 +81,28 @@ def test_parse_edge_list_errors():
 
 
 def test_is_connected():
-    assert is_connected(path_graph(2))
-    assert not is_connected(Graph(4, ((0, 1), (2, 3))))
-    assert not is_connected(Graph(0, ()))
+    # block_decomposition accepts exactly the connected, non-empty graphs
+    assert len(block_decomposition(path_graph(2)).blocks) == 2
+    with pytest.raises(NotConnected):
+        block_decomposition(Graph(4, ((0, 1), (2, 3))))
+    with pytest.raises(EmptyGraph):
+        block_decomposition(Graph(0, ()))
 
 
 def test_block_decomposition_requires_connected_nonempty():
     with pytest.raises(EmptyGraph):
         block_decomposition(Graph(1, ()))
-    with pytest.raises(NotConnected):
+    with pytest.raises(NotConnected, match="^graph must be connected$"):
         block_decomposition(Graph(4, ((0, 1), (2, 3))))
+    # an isolated vertex is a component of its own
+    with pytest.raises(NotConnected, match="^graph must be connected$"):
+        block_decomposition(Graph(3, ((0, 1),)))
 
 
 def test_path3_blocks(path3_d):
     assert [sorted(b.vertices) for b in path3_d.blocks] == [[0, 1], [1, 2], [2, 3]]
     assert path3_d.cut_vertices == frozenset({1, 2})
-    assert path3_d.blocks_at_vertex[1] == (0, 1)
-    assert path3_d.block_neighbors == (frozenset({1}), frozenset({0, 2}), frozenset({1}))
+    assert path3_d.blocks_at_vertex == {0: (0,), 1: (0, 1), 2: (1, 2), 3: (2,)}
 
 
 def test_star3_blocks(star3_d):
@@ -144,20 +149,25 @@ def test_blocks_hold_the_graphs_edge_tuples():
             assert all(own[e] is e for e in blk.edges), name
 
 
+def block_cut_tree(d):
+    """The block-cut tree as a networkx graph, read off blocks_at_vertex."""
+    tree = networkx.Graph()
+    tree.add_nodes_from(("B", i) for i in range(len(d.blocks)))
+    tree.add_edges_from((("B", i), ("C", v)) for v in d.cut_vertices for i in d.blocks_at_vertex[v])
+    return tree
+
+
 def test_block_cut_tree_path3(path3_d):
-    tree = path3_d.tree_adjacency
+    tree = block_cut_tree(path3_d)
     assert sorted(tree) == [("B", 0), ("B", 1), ("B", 2), ("C", 1), ("C", 2)]
-    assert sum(len(ws) for ws in tree.values()) // 2 == 4
-    assert tree[("C", 1)] == frozenset({("B", 0), ("B", 1)})
-    assert tree[("C", 2)] == frozenset({("B", 1), ("B", 2)})
+    assert tree.number_of_edges() == 4
+    assert networkx.is_tree(tree)
+    assert set(tree[("C", 1)]) == {("B", 0), ("B", 1)}
+    assert set(tree[("C", 2)]) == {("B", 1), ("B", 2)}
 
 
-def test_steiner_nodes_and_closure(path3_d):
-    assert steiner_nodes(path3_d, ()) == frozenset()
-    assert steiner_nodes(path3_d, (1,)) == frozenset({("B", 1)})
-    assert steiner_nodes(path3_d, (0, 2)) == frozenset(
-        {("B", 0), ("C", 1), ("B", 1), ("C", 2), ("B", 2)}
-    )
+def test_blockset_closure_path3(path3_d):
+    assert blockset_closure(path3_d, (1,)) == frozenset({1})
     assert blockset_closure(path3_d, (0, 2)) == frozenset({0, 1, 2})
     assert blockset_closure(path3_d, (0, 1)) == frozenset({0, 1})
     assert blockset_closure(path3_d, ()) == frozenset()
@@ -237,8 +247,9 @@ def test_decomposition_properties(g):
             assert len(shared) <= 1
             assert all(v in d.cut_vertices for v in shared)
     assert d.cut_vertices == frozenset(oracles.brute_cut_vertices(g))
-    tree = d.tree_adjacency
-    assert sum(len(ws) for ws in tree.values()) // 2 == len(tree) - 1
+    for v in range(g.vertex_count):
+        assert d.blocks_at_vertex[v] == tuple(i for i, b in enumerate(d.blocks) if v in b.vertices)
+    assert networkx.is_tree(block_cut_tree(d))
 
 
 def _assert_blocks_match_networkx(g):
@@ -284,8 +295,8 @@ def networkx_block_cut_tree(d):
     return nxg, tree
 
 
-def test_steiner_nodes_match_networkx_paths(walk_cases):
-    # every blockset, as the union of the tree paths from its smallest block
+def test_closure_matches_networkx_paths(walk_cases):
+    # every blockset, as the block nodes of the tree paths from its smallest block
     for name, d in walk_cases:
         _, tree = networkx_block_cut_tree(d)
         n = len(d.blocks)
@@ -293,8 +304,28 @@ def test_steiner_nodes_match_networkx_paths(walk_cases):
             paths = networkx.single_source_shortest_path(tree, ("B", root))
             for k in range(n - root):
                 for rest in itertools.combinations(range(root + 1, n), k):
-                    expected = {("B", root)}.union(*(paths[("B", b)] for b in rest))
-                    assert steiner_nodes(d, (root, *rest)) == expected, (name, root, rest)
+                    nodes = {("B", root)}.union(*(paths[("B", b)] for b in rest))
+                    expected = {i for kind, i in nodes if kind == "B"}
+                    assert blockset_closure(d, (root, *rest)) == expected, (name, root, rest)
+
+
+def test_blocks_command_tree_matches_networkx(walk_cases, tmp_path, capsys):
+    # the `cbp blocks` tree JSON and the block-path flag, against networkx
+    path = tmp_path / "graph.txt"
+    for name, d in walk_cases:
+        path.write_text("".join(f"{u} {v}\n" for u, v in d.graph.sorted_edges()))
+        assert main(["blocks", "--graph", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        _, tree = networkx_block_cut_tree(d)
+        nodes = sorted(tree)
+        edges = sorted(sorted(e) for e in tree.edges)
+        assert payload["tree"] == {
+            "nodes": [list(x) for x in nodes],
+            "edges": [[list(u), list(v)] for u, v in edges],
+        }, name
+        block_path = all(deg <= 2 for _, deg in tree.degree)
+        assert classify(d.graph, d).is_block_path == block_path, name
+        assert payload["class"]["is_block_path"] == block_path, name
 
 
 def test_split_components_match_networkx(walk_cases):
