@@ -42,7 +42,7 @@ from .optimize import (
     tree_adapter,
 )
 from .serialize import jsonable, parse_rational
-from .skeleton import build_polytope_graph, hirsch_check, simplicity_report
+from .skeleton import hirsch_check, simplicity_report
 from .toric import (
     buchberger_verify,
     fiber_reduction_test,
@@ -156,10 +156,7 @@ def cmd_facets(args) -> int:
 
 def cmd_edges(args) -> int:
     ctx = GraphContext(_load_graph(args.graph))
-    if args.method == "geometric":
-        pg = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric", vertices=ctx.vertices)
-    else:
-        pg = ctx.skeleton
+    pg = ctx.geometric_skeleton if args.method == "geometric" else ctx.skeleton
     # _bits yields ascending indices, so the pairs come out sorted
     edges = [[i, j] for i, nbrs in enumerate(pg.neighbors) for j in _bits(nbrs) if i < j]
     _emit(
@@ -186,12 +183,13 @@ def cmd_diameter(args) -> int:
 
 def cmd_hstar(args) -> int:
     ctx = GraphContext(_load_graph(args.graph))
-    d, h = ctx.decomposition, ctx.hrep
+    d = ctx.decomposition
     dim = len(d.blocks)
     top = args.max_dilation if args.max_dilation is not None else dim
+    # checked first: building the H-description can take minutes
     if top < dim:
         raise ValueError(f"--max-dilation must be at least the dimension {dim}")
-    profile = ctx.hstar
+    h, profile = ctx.hrep, ctx.hstar
     report = hstar_checks(profile, d, h)
     # string keys, sorted as strings like every other key of the output
     evaluations = {str(n): count for n, count in profile.evaluations.items()}
@@ -246,7 +244,7 @@ def cmd_groebner(args) -> int:
         return 1
     basis, order = ctx.basis, ctx.order
     is_groebner = buchberger_verify(basis, order)
-    fiber_ok = fiber_reduction_test(ctx.decomposition, basis, order, maxdeg=3)
+    fiber_ok = fiber_reduction_test(ctx.decomposition, basis, order)
     _emit(
         {
             "variable_count": order.variable_count(),
@@ -336,13 +334,7 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    options = VerifyOptions(
-        max_blocks=args.max_blocks,
-        seed=args.seed,
-        max_dilation=args.max_dilation,
-        groebner_max_blocks=args.groebner_max_blocks,
-    )
-    report = run_verification(options)
+    report = run_verification(VerifyOptions(max_blocks=args.max_blocks, seed=args.seed))
     _emit(report.to_json())
     return 0 if report.passed() else 1
 
@@ -403,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every check over the corpus")
     p.add_argument("--max-blocks", type=int, default=5)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--max-dilation", type=int, default=None)
-    p.add_argument("--groebner-max-blocks", type=int, default=4)
 
     return parser
 

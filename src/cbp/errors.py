@@ -55,10 +55,6 @@ class RowInvalid(CBPError):
     """The inequality is violated by some polytope vertex."""
 
 
-class NotConnectedSubset(CBPError):
-    """The blockset does not induce a connected subgraph."""
-
-
 class NotAVertex(CBPError):
     """The given point or index is not a vertex of the polytope."""
 

@@ -9,8 +9,8 @@ block i) and a graph-vertex mask (the union of its blocks' vertices).  The
 union of two connected blocksets is disconnected exactly when their
 graph-vertex masks are disjoint; otherwise the pair is an edge only when
 one block mask contains the other and exactly one block of the difference
-has a graph-vertex mask meeting the smaller set's.  `adjacent_combinatorial`
-keeps the per-pair form of the rule on frozensets.
+has a graph-vertex mask meeting the smaller set's.  The per-pair form of
+the rule on frozensets is the reference in `tests/oracles.py`.
 
 The geometric test is kept as an independent implementation for
 cross-checking: two vertices are adjacent when the smallest face
@@ -32,40 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    AssertionFailure,
-    BudgetExceeded,
-    DimensionMismatch,
-    NotAVertex,
-    NotConnectedSubset,
-)
+from .errors import AssertionFailure, BudgetExceeded, DimensionMismatch, NotAVertex
 from .graphs import BlockDecomposition, graph_to_json
 from .hull import RationalPolyhedron, _clear_denominators
-from .vertices import BlockSubset, _bits, _blockset_masks, _row_masks, is_connected_blockset
+from .vertices import BlockSubset, _bits, _blockset_masks, _row_masks
 
 MAX_DIAMETER_VERTICES = 2**16
-
-
-def adjacent_combinatorial(d: BlockDecomposition, a1, a2) -> bool:
-    """Edge test on two distinct connected blocksets, by the block criterion."""
-    s1, s2 = frozenset(a1), frozenset(a2)
-    if s1 == s2:
-        raise ValueError("adjacency needs two distinct blocksets")
-    for s in (s1, s2):
-        if not is_connected_blockset(d, s):
-            raise NotConnectedSubset(f"blockset {tuple(sorted(s))} is not connected")
-    if not s1 or not s2:
-        return len(s1 | s2) == 1
-    if not is_connected_blockset(d, s1 | s2):
-        return True
-    if not (s1 < s2 or s2 < s1):
-        return False
-    small, big = (s1, s2) if s1 < s2 else (s2, s1)
-    small_vertices = set()
-    for i in small:
-        small_vertices |= d.blocks[i].vertices
-    touching = [b for b in big - small if d.blocks[b].vertices & small_vertices]
-    return len(touching) == 1
 
 
 def _tight_masks(h: RationalPolyhedron, verts) -> list[int]:

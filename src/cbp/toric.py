@@ -36,6 +36,7 @@ from .vertices import BlockSubset, _bits, _blockset_masks
 MAX_GROEBNER_VARIABLES = 60
 MAX_REDUCTION_STEPS = 10**6
 DEFAULT_FIBER_CAP = 200000
+FIBER_MAX_DEGREE = 3
 
 # A monomial as the ascending tuple of its variable ranks, each repeated by
 # its exponent: x_0^2 * x_3 is (0, 0, 3).
@@ -237,13 +238,9 @@ def buchberger_verify(g: tuple[Binomial, ...], order: TermOrder) -> bool:
     return True
 
 
-def fiber_reduction_test(
-    d: BlockDecomposition,
-    g: tuple[Binomial, ...],
-    order: TermOrder,
-    maxdeg: int = 3,
-) -> bool:
-    """Differences of equal-image monomials up to maxdeg all reduce to zero.
+def fiber_reduction_test(d: BlockDecomposition, g: tuple[Binomial, ...], order: TermOrder) -> bool:
+    """Differences of equal-image monomials of degree 2 up to
+    FIBER_MAX_DEGREE all reduce to zero.
 
     Two monomials have equal image when their degrees and summed indicator
     vectors agree; every such difference lies in the toric ideal, so a
@@ -251,11 +248,11 @@ def fiber_reduction_test(
     exactly when its two monomials have the same normal form, so each
     image class is checked with one normal form per monomial.  The image
     is keyed by a packed int, one field per block, wide enough to hold a
-    count up to maxdeg, so the key of a monomial is the sum of its
+    count up to FIBER_MAX_DEGREE, so the key of a monomial is the sum of its
     variables' packed indicator vectors.  The monomial count is predicted
     and checked against DEFAULT_FIBER_CAP before any is enumerated.
     """
-    nvars = order.variable_count()
+    nvars, maxdeg = order.variable_count(), FIBER_MAX_DEGREE
     if sum(comb(nvars + k - 1, k) for k in range(2, maxdeg + 1)) > DEFAULT_FIBER_CAP:
         raise BudgetExceeded(f"more than {DEFAULT_FIBER_CAP} fiber monomials")
     normal_form = _NormalForms(_rank_basis(g, order))
@@ -302,12 +299,11 @@ def triangulation(d: BlockDecomposition, g: tuple[Binomial, ...], order: TermOrd
     NonUnimodalSimplex.
     """
     ground = order.variables
-    index = {a: i for i, a in enumerate(ground)}
     dim = len(d.blocks)
 
     nonfaces: set[tuple[int, int]] = set()
     for f in g:
-        support = [index[a] for a, _ in f.plus]
+        support = [order.rank[a] for a, _ in f.plus]
         exps = [e for _, e in f.plus]
         if sum(exps) != 2 or len(support) != 2:
             raise AssertionFailure(

@@ -57,23 +57,24 @@ from .toric import (
 from .vertices import count_connected_blocksets, enumerate_vertices, to_incidence
 
 
-# Block-count gates of the sweep that no option sets, and the optimizer's
-# trials per graph.
+# Block-count gates of the sweep, read at call time: a graph with more
+# blocks skips the check, and the triangulation check needs both the
+# Groebner and the h* gate.  Last, the optimizer's trials per graph.
 FACET_MAX_BLOCKS = 7
 ADJACENCY_MAX_BLOCKS = 5
 HSTAR_MAX_BLOCKS = 6
+GROEBNER_MAX_BLOCKS = 4
 OPTIMIZER_TRIALS = 50
 
 
 @dataclass(frozen=True)
 class VerifyOptions:
-    """Budget gates for the sweep; block-count gates skip oversized graphs."""
+    """The swept corpus (blocks up to max_blocks, seed, random graphs per
+    size) and the worker count; the check gates are module constants."""
 
     max_blocks: int = 5
     seed: int = 7
     random_per_size: int = 8
-    max_dilation: int | None = None
-    groebner_max_blocks: int = 4
     workers: int | None = None
 
 
@@ -138,10 +139,11 @@ class GraphContext:
     The decomposition feeds the vertices and the independent-blocks
     inequalities, which feed the H-description; the vertices feed their
     incidence vectors, the combinatorial skeleton and the term order; the
-    H-description feeds the h* profile; the order and the
-    vertices feed the basis.  The library functions take these artifacts as
-    arguments and build none of them; the sweep's checks, the graph commands
-    of the CLI and the tests read them from here.
+    H-description feeds the h* profile and, with the vertices, the
+    geometric skeleton; the order and the vertices feed the basis.  The
+    library functions take these artifacts as arguments and build none of
+    them; the sweep's checks, the graph commands of the CLI and the tests
+    read them from here.
     """
 
     def __init__(self, graph: Graph):
@@ -177,6 +179,10 @@ class GraphContext:
         # vertices are enumerated
         _check_vertex_cap(count_connected_blocksets(self.decomposition))
         return build_polytope_graph(self.decomposition, vertices=self.vertices)
+
+    @cached_property
+    def geometric_skeleton(self) -> PolytopeGraph:
+        return build_polytope_graph(self.decomposition, self.hrep, method="geometric", vertices=self.vertices)
 
     @cached_property
     def order(self) -> TermOrder:
@@ -309,8 +315,7 @@ def check_ibis(ctx: GraphContext) -> dict | None:
 
 def check_adjacency(ctx: GraphContext) -> dict | None:
     """Combinatorial and geometric adjacency agree on every vertex pair."""
-    comb = ctx.skeleton
-    geo = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric", vertices=ctx.vertices)
+    comb, geo = ctx.skeleton, ctx.geometric_skeleton
     verts = comb.vertices
     for i, (comb_nb, geo_nb) in enumerate(zip(comb.neighbors, geo.neighbors)):
         # a difference below i showed up at the smaller vertex already
@@ -354,7 +359,7 @@ def check_groebner(ctx: GraphContext) -> dict | None:
     """The claimed basis passes Buchberger and the degree-3 fiber test."""
     if not buchberger_verify(ctx.basis, ctx.order):
         return {"reason": "an S-pair does not reduce to zero"}
-    if not fiber_reduction_test(ctx.decomposition, ctx.basis, ctx.order, maxdeg=3):
+    if not fiber_reduction_test(ctx.decomposition, ctx.basis, ctx.order):
         return {"reason": "a fiber difference does not reduce to zero"}
     return None
 
@@ -367,12 +372,12 @@ def check_triangulation(ctx: GraphContext) -> dict | None:
     return None
 
 
-def check_optimizer(ctx: GraphContext, trials: int, seed_tag: str) -> dict | None:
+def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
     """DP equals brute force, with tie-break, on random rational weights."""
     d = ctx.decomposition
     n = len(d.blocks)
     rng = random.Random(seed_tag)
-    for t in range(trials):
+    for t in range(OPTIMIZER_TRIALS):
         weights = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(n)]
         dp = max_weight_connected_blockset(d, weights)
         bf = brute_force_optimum(d, weights, vertices=ctx.vertices)
@@ -390,11 +395,11 @@ def check_optimizer(ctx: GraphContext, trials: int, seed_tag: str) -> dict | Non
     cls = classify(ctx.graph, d)
     m = len(ctx.graph.edges)
     if cls.is_eulerian_cactus:
-        for t in range(min(trials, 20)):
+        for t in range(min(OPTIMIZER_TRIALS, 20)):
             ew = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
             eulerian_adapter(ctx.graph, ew)
     if cls.is_tree:
-        for t in range(min(trials, 20)):
+        for t in range(min(OPTIMIZER_TRIALS, 20)):
             ew = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
             sol = tree_adapter(ctx.graph, ew)
             wmap = dict(zip(ctx.graph.sorted_edges(), ew))
@@ -413,10 +418,9 @@ def verify_graph(entry: CorpusEntry, options: VerifyOptions) -> GraphReport:
     gates = {
         "facets": n <= FACET_MAX_BLOCKS,
         "adjacency": n <= ADJACENCY_MAX_BLOCKS,
-        "hstar": n <= HSTAR_MAX_BLOCKS
-        and (options.max_dilation is None or n <= options.max_dilation),
-        "groebner": n <= options.groebner_max_blocks,
-        "triangulation": n <= options.groebner_max_blocks and n <= HSTAR_MAX_BLOCKS,
+        "hstar": n <= HSTAR_MAX_BLOCKS,
+        "groebner": n <= GROEBNER_MAX_BLOCKS,
+        "triangulation": n <= GROEBNER_MAX_BLOCKS and n <= HSTAR_MAX_BLOCKS,
     }
     battery = [
         ("blocks", lambda: check_blocks(ctx)),
@@ -429,10 +433,7 @@ def verify_graph(entry: CorpusEntry, options: VerifyOptions) -> GraphReport:
         ("hstar", lambda: check_hstar(ctx)),
         ("groebner", lambda: check_groebner(ctx)),
         ("triangulation", lambda: check_triangulation(ctx)),
-        (
-            "optimizer",
-            lambda: check_optimizer(ctx, OPTIMIZER_TRIALS, f"{options.seed}:{entry.name}"),
-        ),
+        ("optimizer", lambda: check_optimizer(ctx, f"{options.seed}:{entry.name}")),
     ]
     results = []
     for name, fn in battery:

@@ -494,6 +494,35 @@ def double_description_facets(points) -> list[tuple[tuple[int, ...], int]]:
     return sorted({(tuple(-c for c in ray[1:]), ray[0]) for ray in rays}, key=lambda r: (r[1], r[0]))
 
 
+def _blockset_connected(d: BlockDecomposition, s) -> bool:
+    return subgraph_connected(
+        {v for b in s for v in d.blocks[b].vertices}, [e for b in s for e in d.blocks[b].edges]
+    )
+
+
+def adjacent_combinatorial(d: BlockDecomposition, a1, a2) -> bool:
+    """Edge test on two distinct connected blocksets, by the block criterion
+    on frozensets, with connectivity by flood fill."""
+    s1, s2 = frozenset(a1), frozenset(a2)
+    if s1 == s2:
+        raise ValueError("adjacency needs two distinct blocksets")
+    for s in (s1, s2):
+        if not _blockset_connected(d, s):
+            raise ValueError(f"blockset {tuple(sorted(s))} is not connected")
+    if not s1 or not s2:
+        return len(s1 | s2) == 1
+    if not _blockset_connected(d, s1 | s2):
+        return True
+    if not (s1 < s2 or s2 < s1):
+        return False
+    small, big = (s1, s2) if s1 < s2 else (s2, s1)
+    small_vertices = set()
+    for i in small:
+        small_vertices |= d.blocks[i].vertices
+    touching = [b for b in big - small if d.blocks[b].vertices & small_vertices]
+    return len(touching) == 1
+
+
 def pairwise_neighbors(verts, adjacent) -> tuple[frozenset[int], ...]:
     """Neighbor sets of a vertex list from one edge test per vertex pair."""
     nb: list[set[int]] = [set() for _ in verts]

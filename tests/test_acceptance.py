@@ -25,8 +25,6 @@ from cbp.optimize import (
 )
 from cbp.skeleton import (
     _bits,
-    adjacent_combinatorial,
-    build_polytope_graph,
     hirsch_check,
     simplicity_report,
 )
@@ -98,7 +96,7 @@ def test_criterion_03_edge_characterization(battery):
     for name, ctx in battery:
         if dim(ctx) > 5:
             continue
-        pg = build_polytope_graph(ctx.decomposition, ctx.hrep, method="geometric", vertices=ctx.vertices)
+        pg = ctx.geometric_skeleton
         verts = ctx.vertices
         if pg.vertices != verts:
             failures.append((name, "vertex order"))
@@ -106,7 +104,7 @@ def test_criterion_03_edge_characterization(battery):
         neighbors = [frozenset(_bits(m)) for m in pg.neighbors]
         for i, j in combinations(range(len(verts)), 2):
             pairs += 1
-            comb = adjacent_combinatorial(ctx.decomposition, verts[i], verts[j])
+            comb = oracles.adjacent_combinatorial(ctx.decomposition, verts[i], verts[j])
             if comb != (j in neighbors[i]):
                 failures.append((name, verts[i], verts[j]))
     conclude(3, 120, start, f"combinatorial and geometric adjacency agree on {pairs} pairs", failures)
@@ -204,7 +202,7 @@ def test_criterion_08_groebner_basis(battery):
             failures.append((name, "squarefree"))
         if not buchberger_verify(ctx.basis, ctx.order):
             failures.append((name, "buchberger"))
-        if not fiber_reduction_test(ctx.decomposition, ctx.basis, ctx.order, maxdeg=3):
+        if not fiber_reduction_test(ctx.decomposition, ctx.basis, ctx.order):
             failures.append((name, "fiber"))
     conclude(8, 600, start, f"verified bases with squarefree leading terms on {checked} graphs", failures)
 

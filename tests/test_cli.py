@@ -1,12 +1,13 @@
 """End-to-end CLI runs through main(argv)."""
 
 import json
+import re
 import sys
 import time
 
 import pytest
 
-from cbp import cli, ehrhart, skeleton
+from cbp import cli, ehrhart, skeleton, verify
 from cbp.cli import main
 
 PATH3 = "0 1\n1 2\n2 3\n"
@@ -202,12 +203,27 @@ def test_hstar_rejects_small_dilation_before_counting(graph_file, capsys, monkey
     def no_count(*args, **kwargs):
         raise AssertionError("lattice points counted before --max-dilation was checked")
 
+    def no_hrep(*args, **kwargs):
+        raise AssertionError("H-description built before --max-dilation was checked")
+
     monkeypatch.setattr(ehrhart, "count_lattice_points", no_count)
+    monkeypatch.setattr(verify, "enumerate_ibis", no_hrep)
+    monkeypatch.setattr(verify, "h_representation", no_hrep)
     code, _, err = run(
         capsys, ["hstar", "--graph", graph_file(PATH3), "--max-dilation", "2"]
     )
     assert code == 2
     assert err == "error: --max-dilation must be at least the dimension 3\n"
+
+
+def test_hstar_small_dilation_is_bad_usage_above_the_ibi_cap(graph_file, capsys):
+    # path-15 passes the 14-block cap of the H-description, which is never built
+    path15 = "".join(f"{i} {i + 1}\n" for i in range(15))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["hstar", "--graph", graph_file(path15), "--max-dilation", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: --max-dilation must be at least the dimension 15\n"
+    assert time.perf_counter() - start < 3
 
 
 def eulerian_numbers(d: int) -> list[int]:
@@ -411,6 +427,22 @@ def test_verify_small_corpus(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["all_passed"] is True
     assert payload["graph_count"] == 18
+
+
+@pytest.mark.parametrize("flag, value", [("--max-dilation", "3"), ("--groebner-max-blocks", "5")])
+def test_verify_refuses_the_removed_gate_flags(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_verify_help_lists_only_the_corpus_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert sorted(set(re.findall(r"--[a-z-]+", out))) == ["--help", "--max-blocks", "--seed"]
 
 
 def test_missing_file_is_usage_error(capsys):

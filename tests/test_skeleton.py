@@ -8,6 +8,7 @@ from functools import partial
 import pytest
 
 import oracles
+from oracles import adjacent_combinatorial
 from cbp import verify
 from cbp.corpus import flower, path_graph, random_block_tree, star_graph, triangle_chain
 from cbp.errors import AssertionFailure, BudgetExceeded, DimensionMismatch, NotAVertex
@@ -15,7 +16,6 @@ from cbp.graphs import block_decomposition
 from cbp.skeleton import (
     PolytopeGraph,
     _bits,
-    adjacent_combinatorial,
     adjacent_geometric,
     build_polytope_graph,
     diameter,
@@ -67,8 +67,7 @@ def test_geometric_matches_combinatorial_everywhere(small_corpus):
     for name, g in graphs:
         ctx = GraphContext(g)
         d = ctx.decomposition
-        comb = ctx.skeleton
-        geo = build_polytope_graph(d, ctx.hrep, method="geometric", vertices=ctx.vertices)
+        comb, geo = ctx.skeleton, ctx.geometric_skeleton
         assert comb.vertices == geo.vertices == enumerate_vertices(d), name
         assert comb.neighbors == geo.neighbors, name
 

@@ -125,7 +125,7 @@ def test_buchberger_and_fiber_pass(small_corpus):
         if len(ctx.decomposition.blocks) > 4:
             continue
         assert buchberger_verify(ctx.basis, ctx.order), name
-        assert fiber_reduction_test(ctx.decomposition, ctx.basis, ctx.order, maxdeg=3), name
+        assert fiber_reduction_test(ctx.decomposition, ctx.basis, ctx.order), name
 
 
 def test_dropping_a_binomial_breaks_both_checks(path3_d):
@@ -135,7 +135,11 @@ def test_dropping_a_binomial_breaks_both_checks(path3_d):
     rest = tuple(f for f in basis if f != drop)
     assert len(rest) == len(basis) - 1
     assert not buchberger_verify(rest, order)
-    assert not fiber_reduction_test(path3_d, rest, order, maxdeg=2)
+    # the fixed degree 3 checks the degree-2 classes first, and one of
+    # those already breaks
+    assert toric.FIBER_MAX_DEGREE == 3
+    assert not fiber_reduction_test(path3_d, rest, order)
+    assert not oracles.pairwise_fiber_test(len(path3_d.blocks), rest, order, maxdeg=2)
 
 
 def test_budget_guards(path3_d, monkeypatch):
@@ -143,7 +147,7 @@ def test_budget_guards(path3_d, monkeypatch):
     basis, order = ctx.basis, ctx.order
     monkeypatch.setattr(toric, "DEFAULT_FIBER_CAP", 5)
     with pytest.raises(BudgetExceeded, match="^more than 5 fiber monomials$"):
-        fiber_reduction_test(path3_d, basis, order, maxdeg=3)
+        fiber_reduction_test(path3_d, basis, order)
     # the variable cap of buchberger_verify and triangulation is the basis's
     monkeypatch.setattr(toric, "MAX_GROEBNER_VARIABLES", 7)
     assert GraphContext(path3_d.graph).basis == basis
@@ -189,7 +193,7 @@ def test_checks_match_pairwise_oracles(groebner_battery):
         for g in [basis] + dropped_bases(basis):
             assert buchberger_verify(g, order) == oracles.pairwise_buchberger(g, order), name
             expected = oracles.pairwise_fiber_test(len(d.blocks), g, order, maxdeg=3)
-            assert fiber_reduction_test(d, g, order, maxdeg=3) == expected, name
+            assert fiber_reduction_test(d, g, order) == expected, name
     assert compared >= 39
 
 
@@ -207,7 +211,7 @@ def test_dropped_binomial_fails_both_checks(groebner_battery):
         assert buchberger_verify(ctx.basis, ctx.order), name
         for g in dropped_bases(ctx.basis):
             assert not buchberger_verify(g, ctx.order), name
-            assert not fiber_reduction_test(ctx.decomposition, g, ctx.order, maxdeg=3), name
+            assert not fiber_reduction_test(ctx.decomposition, g, ctx.order), name
 
 
 def test_fiber_budget_fires_before_enumerating(path3_d, monkeypatch):
@@ -216,17 +220,17 @@ def test_fiber_budget_fires_before_enumerating(path3_d, monkeypatch):
     # 7 variables: C(8, 2) + C(9, 3) = 28 + 84 monomials of degree 2 and 3
     with monkeypatch.context() as m:
         m.setattr(toric, "DEFAULT_FIBER_CAP", 112)
-        assert fiber_reduction_test(path3_d, ctx.basis, ctx.order, maxdeg=3)
+        assert fiber_reduction_test(path3_d, ctx.basis, ctx.order)
 
     def refuse(*args):
         raise AssertionError("fiber monomials enumerated past the budget")
 
     monkeypatch.setattr(itertools, "combinations_with_replacement", refuse)
     with pytest.raises(BudgetExceeded, match="^more than 200000 fiber monomials$"):
-        fiber_reduction_test(star.decomposition, (), star.order, maxdeg=3)
+        fiber_reduction_test(star.decomposition, (), star.order)
     monkeypatch.setattr(toric, "DEFAULT_FIBER_CAP", 111)
     with pytest.raises(BudgetExceeded, match="^more than 111 fiber monomials$"):
-        fiber_reduction_test(path3_d, ctx.basis, ctx.order, maxdeg=3)
+        fiber_reduction_test(path3_d, ctx.basis, ctx.order)
 
 
 def test_checks_match_memoized_route(groebner_battery):
@@ -243,7 +247,7 @@ def test_checks_match_memoized_route(groebner_battery):
         for g in [ctx.basis] + dropped_bases(ctx.basis):
             assert buchberger_verify(g, order) == oracles.memo_buchberger(g, order), name
             expected = oracles.memo_fiber_test(len(d.blocks), g, order, maxdeg=3)
-            assert fiber_reduction_test(d, g, order, maxdeg=3) == expected, name
+            assert fiber_reduction_test(d, g, order) == expected, name
 
 
 def test_buchberger_matches_memoized_route_on_random_bases():

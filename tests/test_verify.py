@@ -1,5 +1,6 @@
 """Corpus sweep wiring: gating, report shape, failure plumbing."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -25,11 +26,18 @@ def test_option_defaults():
     opts = VerifyOptions()
     assert opts.max_blocks == 5
     assert opts.seed == 7
-    assert opts.groebner_max_blocks == 4
+    assert opts.random_per_size == 8
     assert opts.workers is None
+    assert [f.name for f in dataclasses.fields(VerifyOptions)] == [
+        "max_blocks",
+        "seed",
+        "random_per_size",
+        "workers",
+    ]
     assert verify.FACET_MAX_BLOCKS == 7
     assert verify.ADJACENCY_MAX_BLOCKS == 5
     assert verify.HSTAR_MAX_BLOCKS == 6
+    assert verify.GROEBNER_MAX_BLOCKS == 4
     assert verify.OPTIMIZER_TRIALS == 50
 
 
@@ -98,6 +106,30 @@ def test_block_count_gates_skip_expensive_checks():
     status = {c.name: c.status for c in report.checks}
     assert status["hstar"] == "skip"
     assert report.passed()
+
+
+def test_gates_are_read_at_call_time(monkeypatch):
+    entry = CorpusEntry("path-4", path_graph(4))
+
+    def statuses():
+        report = verify_graph(entry, VerifyOptions())
+        assert report.passed()
+        status = {c.name: c.status for c in report.checks}
+        return status["hstar"], status["groebner"], status["triangulation"]
+
+    assert statuses() == ("pass", "pass", "pass")
+    with monkeypatch.context() as m:
+        m.setattr(verify, "GROEBNER_MAX_BLOCKS", 3)
+        assert statuses() == ("pass", "skip", "skip")
+    with monkeypatch.context() as m:
+        m.setattr(verify, "HSTAR_MAX_BLOCKS", 3)
+
+        def no_profile(*args):
+            raise AssertionError("h* profile computed behind a closed h* gate")
+
+        # the triangulation check, the other reader of the profile, skips too
+        m.setattr(verify, "hstar_profile", no_profile)
+        assert statuses() == ("skip", "pass", "skip")
 
 
 def test_verify_graph_enumerates_the_vertices_once(monkeypatch):
