@@ -11,9 +11,16 @@ containing a forced set, avoiding a banned set), each one walk of the
 tree from a forced block and one pass back up it.  Decompositions of more
 than MAX_OPTIMIZE_BLOCKS blocks are refused before any work.
 
+Each public solver is a front over a private core on integer weights: the
+front checks its cap, then scales the weights once to integers over their
+least common denominator.  A caller holding integer weights and the walk
+from block 0 can run the cores itself, sharing the walk across solves.
+
 Two adapters specialize the solver: trees (blocks are edges, so the
 optimum is a max-weight subtree) and Eulerian cacti (blocks are cycles,
-so the lifted edge set is a max-weight Eulerian subgraph).
+so the lifted edge set is a max-weight Eulerian subgraph).  Each checks
+the graph's class and the block cap, then lifts the DP's answer on
+the decomposition.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import AssertionFailure, BudgetExceeded, CountOverflow, NotEulerianCactus, NotTree
 from .graphs import (
@@ -56,14 +63,29 @@ class EdgeSolution:
     blockset: BlockSubset
 
 
-def _scaled_weights(d: BlockDecomposition, weights: Sequence) -> tuple[list[int], int]:
-    """The block weights as integers over one common denominator, and that
-    denominator: the lcm of the weights' denominators."""
-    w = [Fraction(x) for x in weights]
-    if len(w) != len(d.blocks):
-        raise ValueError(f"expected {len(d.blocks)} weights, got {len(w)}")
+def _integers(values: Sequence) -> tuple[list[int], int]:
+    """Rational values as integers over one common denominator, and that
+    denominator: the lcm of the values' denominators.  int and Fraction
+    entries are read as they are; any other entry goes through Fraction."""
+    w = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in values]
     scale = lcm(*(x.denominator for x in w))
     return [x.numerator * (scale // x.denominator) for x in w], scale
+
+
+def _scaled_weights(d: BlockDecomposition, weights: Sequence) -> tuple[list[int], int]:
+    """The block weights as integers over one common denominator, and that
+    denominator."""
+    w, scale = _integers(weights)
+    if len(w) != len(d.blocks):
+        raise ValueError(f"expected {len(d.blocks)} weights, got {len(w)}")
+    return w, scale
+
+
+def _check_optimize_cap(d: BlockDecomposition) -> None:
+    if len(d.blocks) > MAX_OPTIMIZE_BLOCKS:
+        raise BudgetExceeded(
+            f"{len(d.blocks)} blocks exceed the optimizer cap {MAX_OPTIMIZE_BLOCKS}"
+        )
 
 
 def _best_containing(
@@ -98,16 +120,17 @@ def _best_containing(
     return best[root]
 
 
-def _rerooted_values(d: BlockDecomposition, w: Sequence[int]) -> list[int]:
+def _rerooted_values(w: Sequence[int], walk: tuple) -> list[int]:
     """For every block b, the best value over connected blocksets containing b.
 
-    One walk from block 0, then two passes.  Up: down[b] is w[b] plus the
-    positive down values of b's children, and downc[v] sums the positive
-    down values of the blocks entered through cut vertex v.  Down: a block
-    b entered through v adds to down[b] its positive siblings at v and,
-    when positive, the best value at v's owner without the blocks below v.
+    walk is the walk of the block-cut tree from block 0; two passes over
+    it.  Up: down[b] is w[b] plus the positive down values of b's
+    children, and downc[v] sums the positive down values of the blocks
+    entered through cut vertex v.  Down: a block b entered through v adds
+    to down[b] its positive siblings at v and, when positive, the best
+    value at v's owner without the blocks below v.
     """
-    order, entry, owner = _walk(d, 0)
+    order, entry, owner = walk
     down = list(w)
     downc = dict.fromkeys(owner, 0)
     for b in reversed(order[1:]):
@@ -122,37 +145,22 @@ def _rerooted_values(d: BlockDecomposition, w: Sequence[int]) -> list[int]:
     return full
 
 
-def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> Solution:
-    """Exact optimum over all connected blocksets, the empty set included.
-
-    The value is the largest rerooted value.  The argmax is the
-    lexicographically smallest optimal blockset: every block of an optimal
-    set has the optimal rerooted value, so the reconstruction starts at
-    the first such block m with the blocks before m banned.  It then walks
-    block indices left to right, stopping as soon as the accumulated prefix
-    is itself a connected optimal set, and otherwise commits the smallest
-    next index that keeps the constrained optimum at the global value.
-    Every sum and comparison is on the weights scaled to integers; only
-    the returned value is a Fraction.  Raises BudgetExceeded above
-    MAX_OPTIMIZE_BLOCKS blocks, before any other work.
-    """
-    if len(d.blocks) > MAX_OPTIMIZE_BLOCKS:
-        raise BudgetExceeded(
-            f"{len(d.blocks)} blocks exceed the optimizer cap {MAX_OPTIMIZE_BLOCKS}"
-        )
-    w, scale = _scaled_weights(d, weights)
+def _optimum(d: BlockDecomposition, w: list[int], walk: tuple) -> tuple[BlockSubset, int]:
+    """The DP on integer block weights w, given the walk from block 0 (one
+    walk serves every weight vector of d): the lexicographically smallest
+    optimal blockset and its value."""
     n = len(d.blocks)
-    full = _rerooted_values(d, w)
+    full = _rerooted_values(w, walk)
     best = max(full)
     if best <= 0:
-        return Solution(blockset=(), value=Fraction(0))
+        return (), 0
 
     first = full.index(best)
     prefix = [first]
     banned = set(range(first))
     while True:
         if sum(w[b] for b in prefix) == best and is_connected_blockset(d, prefix):
-            return Solution(blockset=tuple(prefix), value=Fraction(best, scale))
+            return tuple(prefix), best
         start = prefix[-1] + 1
         chosen = None
         for e in range(start, n):
@@ -170,6 +178,44 @@ def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> S
         prefix.append(chosen)
 
 
+def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> Solution:
+    """Exact optimum over all connected blocksets, the empty set included.
+
+    The value is the largest rerooted value.  The argmax is the
+    lexicographically smallest optimal blockset: every block of an optimal
+    set has the optimal rerooted value, so the reconstruction starts at
+    the first such block m with the blocks before m banned.  It then walks
+    block indices left to right, stopping as soon as the accumulated prefix
+    is itself a connected optimal set, and otherwise commits the smallest
+    next index that keeps the constrained optimum at the global value.
+    Every sum and comparison is on the weights scaled to integers; only
+    the returned value is a Fraction.  Raises BudgetExceeded above
+    MAX_OPTIMIZE_BLOCKS blocks, before any other work.
+    """
+    _check_optimize_cap(d)
+    w, scale = _scaled_weights(d, weights)
+    blockset, best = _optimum(d, w, _walk(d, 0))
+    return Solution(blockset=blockset, value=Fraction(best, scale))
+
+
+def _brute_force(w: list[int], vertices: Iterable[BlockSubset]) -> tuple[BlockSubset, int]:
+    """The lexicographically smallest blockset of largest integer weight
+    among the given ones, the empty set included, and its weight."""
+    best_value, best_set = 0, ()
+    for a in vertices:
+        val = sum(map(w.__getitem__, a))
+        if val > best_value or (val == best_value and a < best_set):
+            best_value, best_set = val, a
+    return best_set, best_value
+
+
+def _check_brute_force_cap(d: BlockDecomposition) -> None:
+    if len(d.blocks) > MAX_BRUTE_FORCE_BLOCKS:
+        raise CountOverflow(
+            f"{len(d.blocks)} blocks exceed the brute-force cap {MAX_BRUTE_FORCE_BLOCKS}"
+        )
+
+
 def brute_force_optimum(
     d: BlockDecomposition,
     weights: Sequence,
@@ -179,27 +225,24 @@ def brute_force_optimum(
 
     vertices, when given, are the connected blocksets of d (as listed by
     enumerate_vertices), so a caller holding them saves the enumeration.
-    The scan sums the same scaled integer weights as the DP.
+    The scan sums the same scaled integer weights as the DP.  Raises
+    CountOverflow above MAX_BRUTE_FORCE_BLOCKS blocks, before any other
+    work.
     """
+    _check_brute_force_cap(d)
     w, scale = _scaled_weights(d, weights)
-    if len(d.blocks) > MAX_BRUTE_FORCE_BLOCKS:
-        raise CountOverflow(
-            f"{len(d.blocks)} blocks exceed the brute-force cap {MAX_BRUTE_FORCE_BLOCKS}"
-        )
-    best_value, best_set = 0, ()
-    for a in enumerate_vertices(d) if vertices is None else vertices:
-        val = sum(map(w.__getitem__, a))
-        if val > best_value or (val == best_value and a < best_set):
-            best_value, best_set = val, a
-    return Solution(blockset=best_set, value=Fraction(best_value, scale))
+    blockset, best = _brute_force(w, enumerate_vertices(d) if vertices is None else vertices)
+    return Solution(blockset=blockset, value=Fraction(best, scale))
 
 
-def _edge_weight_map(g: Graph, edge_weights: Sequence) -> dict[Edge, Fraction]:
+def _edge_weight_map(g: Graph, edge_weights: Sequence) -> tuple[dict[Edge, int], int]:
+    """The edge weights as integers over one common denominator, keyed by
+    edge, and that denominator."""
     edges = g.sorted_edges()
-    w = tuple(Fraction(x) for x in edge_weights)
+    w, scale = _integers(edge_weights)
     if len(w) != len(edges):
         raise ValueError(f"expected {len(edges)} edge weights, got {len(w)}")
-    return dict(zip(edges, w))
+    return dict(zip(edges, w)), scale
 
 
 def _check_eulerian_edges(g: Graph, edges: tuple[Edge, ...]) -> None:
@@ -239,14 +282,19 @@ def eulerian_adapter(g: Graph, edge_weights: Sequence) -> EdgeSolution:
     d = block_decomposition(g)
     if not classify(g, d).is_eulerian_cactus:
         raise NotEulerianCactus("graph is not a cactus with all blocks cycles")
-    wmap = _edge_weight_map(g, edge_weights)
-    block_weights = [
-        sum((wmap[e] for e in blk.edges), Fraction(0)) for blk in d.blocks
-    ]
-    sol = max_weight_connected_blockset(d, block_weights)
-    edges = tuple(sorted(e for b in sol.blockset for e in d.blocks[b].edges))
+    _check_optimize_cap(d)
+    return _eulerian_lift(g, d, edge_weights)
+
+
+def _eulerian_lift(g: Graph, d: BlockDecomposition, edge_weights: Sequence) -> EdgeSolution:
+    """eulerian_adapter on the decomposition d of the Eulerian cactus g,
+    within the block cap."""
+    wmap, scale = _edge_weight_map(g, edge_weights)
+    block_weights = [sum(wmap[e] for e in blk.edges) for blk in d.blocks]
+    blockset, best = _optimum(d, block_weights, _walk(d, 0))
+    edges = tuple(sorted(e for b in blockset for e in d.blocks[b].edges))
     _check_eulerian_edges(g, edges)
-    return EdgeSolution(edges=edges, value=sol.value, blockset=sol.blockset)
+    return EdgeSolution(edges=edges, value=Fraction(best, scale), blockset=blockset)
 
 
 def tree_adapter(t: Graph, edge_weights: Sequence) -> EdgeSolution:
@@ -254,8 +302,15 @@ def tree_adapter(t: Graph, edge_weights: Sequence) -> EdgeSolution:
     d = block_decomposition(t)
     if not classify(t, d).is_tree:
         raise NotTree("graph is not a tree")
-    wmap = _edge_weight_map(t, edge_weights)
+    _check_optimize_cap(d)
+    return _tree_lift(t, d, edge_weights)
+
+
+def _tree_lift(t: Graph, d: BlockDecomposition, edge_weights: Sequence) -> EdgeSolution:
+    """tree_adapter on the decomposition d of the tree t, within the block
+    cap."""
+    wmap, scale = _edge_weight_map(t, edge_weights)
     block_edge = [next(iter(blk.edges)) for blk in d.blocks]
-    sol = max_weight_connected_blockset(d, [wmap[e] for e in block_edge])
-    edges = tuple(sorted(block_edge[b] for b in sol.blockset))
-    return EdgeSolution(edges=edges, value=sol.value, blockset=sol.blockset)
+    blockset, best = _optimum(d, [wmap[e] for e in block_edge], _walk(d, 0))
+    edges = tuple(sorted(block_edge[b] for b in blockset))
+    return EdgeSolution(edges=edges, value=Fraction(best, scale), blockset=blockset)

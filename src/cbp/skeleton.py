@@ -37,7 +37,7 @@ from .graphs import BlockDecomposition, graph_to_json
 from .hull import RationalPolyhedron, _clear_denominators
 from .vertices import BlockSubset, _bits, _blockset_masks, _row_masks
 
-MAX_DIAMETER_VERTICES = 2**16
+MAX_DIAMETER_VERTICES = 2**14
 
 
 def _tight_masks(h: RationalPolyhedron, verts) -> list[int]:

@@ -175,6 +175,15 @@ def determinant(rows) -> Fraction:
     return det
 
 
+def eulerian_numbers(d: int) -> list[int]:
+    """A(d, 0) .. A(d, d - 1) by the recurrence A(n, k) = (k + 1) A(n - 1, k)
+    + (n - k) A(n - 1, k - 1)."""
+    row = [1]
+    for n in range(2, d + 1):
+        row = [(k + 1) * (row[k] if k < len(row) else 0) + (n - k) * (row[k - 1] if k else 0) for k in range(n)]
+    return row
+
+
 def best_blockset(g, blocks, weights) -> tuple[tuple[int, ...], Fraction]:
     """Exhaustive optimum over connected blocksets, smallest-tuple tie-break."""
     w = [Fraction(x) for x in weights]

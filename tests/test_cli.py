@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import oracles
 from cbp import cli, ehrhart, skeleton, verify
 from cbp.cli import main
 
@@ -127,7 +128,17 @@ def test_combinatorial_edges_star17_fails_fast(graph_file, capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, ["edges", "--graph", graph_file(STAR17), "--method", "combinatorial"])
     assert code == 1
-    assert "BudgetExceeded: 131072 vertices exceed the diameter cap 65536" in err
+    assert "BudgetExceeded: 131072 vertices exceed the diameter cap 16384" in err
+    assert time.perf_counter() - start < 10
+
+
+def test_combinatorial_edges_star15_fails_fast(graph_file, capsys):
+    # star-14 (16,384 vertices) is the largest star under the cap
+    star15 = "".join(f"0 {i}\n" for i in range(1, 16))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["edges", "--graph", graph_file(star15), "--method", "combinatorial"])
+    assert (code, out) == (1, "")
+    assert err == "failed: BudgetExceeded: 32768 vertices exceed the diameter cap 16384\n"
     assert time.perf_counter() - start < 10
 
 
@@ -136,7 +147,7 @@ def test_combinatorial_edges_star20_fails_before_enumerating(graph_file, capsys)
     start = time.perf_counter()
     code, _, err = run(capsys, ["edges", "--graph", graph_file(star20), "--method", "combinatorial"])
     assert code == 1
-    assert err == "failed: BudgetExceeded: 1048576 vertices exceed the diameter cap 65536\n"
+    assert err == "failed: BudgetExceeded: 1048576 vertices exceed the diameter cap 16384\n"
     assert time.perf_counter() - start < 3
 
 
@@ -226,15 +237,6 @@ def test_hstar_small_dilation_is_bad_usage_above_the_ibi_cap(graph_file, capsys)
     assert time.perf_counter() - start < 3
 
 
-def eulerian_numbers(d: int) -> list[int]:
-    """A(d, 0) .. A(d, d - 1) by the recurrence A(n, k) = (k + 1) A(n - 1, k)
-    + (n - k) A(n - 1, k - 1)."""
-    row = [1]
-    for n in range(2, d + 1):
-        row = [(k + 1) * (row[k] if k < len(row) else 0) + (n - k) * (row[k - 1] if k else 0) for k in range(n)]
-    return row
-
-
 def test_hstar_star14_is_the_cube(graph_file, capsys):
     # star-14 gives the 14-cube, whose h* holds the Eulerian numbers
     star = "".join(f"0 {i}\n" for i in range(1, 15))
@@ -243,7 +245,7 @@ def test_hstar_star14_is_the_cube(graph_file, capsys):
     assert code == 0
     assert time.perf_counter() - start < 10
     payload = json.loads(out)
-    assert payload["hstar"] == eulerian_numbers(14) + [0]
+    assert payload["hstar"] == oracles.eulerian_numbers(14) + [0]
     assert payload["evaluations"]["2"] == 3**14
 
 

@@ -117,6 +117,13 @@ def test_star_hstar_is_eulerian():
     # the unit d-cube's h* entries are the Eulerian numbers
     assert GraphContext(star_graph(3)).hstar.hstar == (1, 4, 1, 0)
     assert GraphContext(star_graph(4)).hstar.hstar == (1, 11, 11, 1, 0)
+    # every block of star-k holds the center, so every blockset is
+    # connected and the polytope is the unit k-cube: 2**k vertices and
+    # h* = A(k, 0) .. A(k, k - 1) by the Eulerian recurrence
+    for k in range(2, 13):
+        ctx = GraphContext(star_graph(k))
+        assert len(ctx.vertices) == 2**k
+        assert ctx.hstar.hstar == tuple(oracles.eulerian_numbers(k)) + (0,), k
 
 
 def test_narayana_vector():

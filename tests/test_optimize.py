@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ import oracles
 from cbp import optimize
 from cbp.corpus import corpus, flower, path_graph, random_block_tree, spider, star_graph, triangle_chain
 from cbp.errors import BudgetExceeded, CountOverflow, NotEulerianCactus, NotTree
-from cbp.graphs import Graph, block_decomposition
+from cbp.graphs import Graph, _walk, block_decomposition
 from cbp.optimize import (
     Solution,
     brute_force_optimum,
@@ -50,6 +51,9 @@ def test_brute_force_cap(path3_d, monkeypatch):
     # the cap holds when the blocksets are handed in, too
     with pytest.raises(CountOverflow):
         brute_force_optimum(path3_d, (1, 1, 1), vertices=enumerate_vertices(path3_d))
+    # and it is checked before the weights are read
+    with pytest.raises(CountOverflow):
+        brute_force_optimum(path3_d, (1, 1))
 
 
 def test_optimizer_cap(path3_d, monkeypatch):
@@ -106,7 +110,7 @@ def test_rerooted_values_match_best_containing(oracle_graphs):
         ):
             ints, _ = optimize._scaled_weights(d, w)
             expected = [optimize._best_containing(d, ints, (b,), frozenset()) for b in range(n)]
-            assert optimize._rerooted_values(d, ints) == expected, (name, w)
+            assert optimize._rerooted_values(ints, _walk(d, 0)) == expected, (name, w)
 
 
 def test_tie_breaks_match_brute_force_and_oracle(path3_d):
@@ -192,6 +196,28 @@ def test_integer_dp_matches_fraction_solver(oracle_graphs):
             sol = max_weight_connected_blockset(d, w)
             assert sol == oracles.fraction_max_weight_connected_blockset(d, w), (name, w)
             assert type(sol.value) is Fraction, name
+
+
+def test_scaled_weights_match_the_fraction_conversion():
+    # int and Fraction entries are read as they are, others go through
+    # Fraction; the result is the all-Fraction conversion's, in plain ints
+    def all_fractions(weights):
+        w = [Fraction(x) for x in weights]
+        scale = lcm(*(x.denominator for x in w))
+        return [x.numerator * (scale // x.denominator) for x in w], scale
+
+    d = block_decomposition(path_graph(6))
+    for weights in (
+        [3, -2, 0, 7, 1, 10**40],
+        [Fraction(1, 2), Fraction(-2, 3), Fraction(6, 4), Fraction(0), Fraction(5), Fraction(-7, 12)],
+        ["1/2", "-3", "0.25", " 5/6 ", "1e2", "-7/14"],
+        [0.5, -1.25, 3.0, 0.1, -0.0, 1e-3],
+        [True, False, True, True, False, False],
+        [1, Fraction(1, 3), "2/5", 0.75, True, -4],
+    ):
+        ints, scale = optimize._scaled_weights(d, weights)
+        assert (ints, scale) == all_fractions(weights), weights
+        assert all(type(x) is int for x in ints + [scale]), weights
 
 
 def test_weight_length_checked(path3_d):

@@ -157,7 +157,7 @@ def test_given_vertices_build_the_same_skeleton(oracle_graphs):
 def test_vertex_cap_fires_before_enumerating(monkeypatch):
     # star-17 has 2**17 connected blocksets, predicted without listing them
     monkeypatch.setattr(verify, "enumerate_vertices", None)
-    with pytest.raises(BudgetExceeded, match="131072 vertices exceed the diameter cap 65536"):
+    with pytest.raises(BudgetExceeded, match="131072 vertices exceed the diameter cap 16384"):
         GraphContext(star_graph(17)).skeleton
 
 

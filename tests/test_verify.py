@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import oracles
 import cbp.facets as facets
+import cbp.optimize as optimize
 import cbp.skeleton as skeleton
 import cbp.toric as toric
 import cbp.verify as verify
@@ -204,3 +206,91 @@ def test_failure_is_reported_with_context(monkeypatch):
     assert detail["clause"] == "unit-test"
     assert "graph" in detail
     assert detail["seed"] == 7
+
+
+def fraction_trials(ctx, seed_tag):
+    """The optimizer check's trial weights drawn as Fractions: per trial,
+    numerator and denominator per block, then the scaling trial's two
+    draws."""
+    rng = random.Random(seed_tag)
+    trials = []
+    for _ in range(verify.OPTIMIZER_TRIALS):
+        trials.append([Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in ctx.decomposition.blocks])
+        rng.randint(1, 9), rng.randint(1, 9)
+    return trials
+
+
+def test_optimizer_trials_scale_the_fraction_draws(monkeypatch):
+    # every trial's integer vector and scale are _scaled_weights of the
+    # same weights drawn as Fractions, and both cores get that vector
+    scaled, cores = [], []
+    real_pairs, real_optimum, real_brute = verify._scaled_pairs, verify._optimum, verify._brute_force
+
+    def record_pairs(pairs):
+        scaled.append(real_pairs(pairs))
+        return scaled[-1]
+
+    def record_optimum(d, w, walk):
+        cores.append(("dp", w))
+        return real_optimum(d, w, walk)
+
+    def record_brute(w, vertices):
+        cores.append(("brute", w))
+        return real_brute(w, vertices)
+
+    monkeypatch.setattr(verify, "_scaled_pairs", record_pairs)
+    monkeypatch.setattr(verify, "_optimum", record_optimum)
+    monkeypatch.setattr(verify, "_brute_force", record_brute)
+    for name, g in corpus(5, 7, 26):
+        ctx = GraphContext(g)
+        scaled.clear()
+        cores.clear()
+        assert verify.check_optimizer(ctx, f"77:{name}") is None
+        expected = [optimize._scaled_weights(ctx.decomposition, w) for w in fraction_trials(ctx, f"77:{name}")]
+        assert scaled == expected, name
+        assert cores == [(core, w) for w, _ in expected for core in ("dp", "brute")], name
+
+
+PATH4_TAG = "7:path-4"
+
+
+def test_optimizer_reports_a_wrong_blockset(monkeypatch):
+    # trial 6 on path-4: optimum 47/15 at (1, 2, 3); the DP core claims
+    # the full set at the same value
+    ctx = GraphContext(path_graph(4))
+    weights = fraction_trials(ctx, PATH4_TAG)[6]
+    right = optimize.brute_force_optimum(ctx.decomposition, weights)
+    assert right == optimize.Solution((1, 2, 3), Fraction(47, 15))
+    real, calls = verify._optimum, []
+
+    def wrong_at_trial_6(d, w, walk):
+        calls.append(w)
+        blockset, value = real(d, w, walk)
+        return ((0, 1, 2, 3), value) if len(calls) == 7 else (blockset, value)
+
+    monkeypatch.setattr(verify, "_optimum", wrong_at_trial_6)
+    payload = verify.check_optimizer(ctx, PATH4_TAG)
+    assert payload == {
+        "trial": 6,
+        "weights": weights,
+        "dp": {"blockset": (0, 1, 2, 3), "value": Fraction(47, 15)},
+        "brute": {"blockset": (1, 2, 3), "value": Fraction(47, 15)},
+    }
+    assert all(type(x) is Fraction for x in payload["weights"])
+    assert type(payload["dp"]["value"]) is type(payload["brute"]["value"]) is Fraction
+
+
+def test_optimizer_reports_broken_scaling(monkeypatch):
+    # the scaling trial's public solve is the only call of optimize's own
+    # core; at trial 2 it moves the argmax
+    ctx = GraphContext(path_graph(4))
+    real, calls = optimize._optimum, []
+
+    def moved_at_trial_2(d, w, walk):
+        calls.append(w)
+        blockset, value = real(d, w, walk)
+        return ((0, 1, 2, 3), value) if len(calls) == 3 else (blockset, value)
+
+    monkeypatch.setattr(optimize, "_optimum", moved_at_trial_2)
+    assert verify.check_optimizer(ctx, PATH4_TAG) == {"trial": 2, "reason": "positive scaling moved the argmax"}
+
