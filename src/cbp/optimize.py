@@ -13,14 +13,13 @@ than MAX_OPTIMIZE_BLOCKS blocks are refused before any work.
 
 Each public solver is a front over a private core on integer weights: the
 front checks its cap, then scales the weights once to integers over their
-least common denominator.  A caller holding integer weights and the walk
-from block 0 can run the cores itself, sharing the walk across solves.
+least common denominator.  _dp_and_brute_force runs both cores on one
+scaling of a weight vector, for checks that compare them.
 
 Two adapters specialize the solver: trees (blocks are edges, so the
 optimum is a max-weight subtree) and Eulerian cacti (blocks are cycles,
 so the lifted edge set is a max-weight Eulerian subgraph).  Each checks
-the graph's class and the block cap, then lifts the DP's answer on
-the decomposition.
+the graph's class, then lifts the DP's answer on the decomposition.
 """
 
 from __future__ import annotations
@@ -120,17 +119,16 @@ def _best_containing(
     return best[root]
 
 
-def _rerooted_values(w: Sequence[int], walk: tuple) -> list[int]:
+def _rerooted_values(d: BlockDecomposition, w: Sequence[int]) -> list[int]:
     """For every block b, the best value over connected blocksets containing b.
 
-    walk is the walk of the block-cut tree from block 0; two passes over
-    it.  Up: down[b] is w[b] plus the positive down values of b's
-    children, and downc[v] sums the positive down values of the blocks
-    entered through cut vertex v.  Down: a block b entered through v adds
-    to down[b] its positive siblings at v and, when positive, the best
-    value at v's owner without the blocks below v.
+    One walk from block 0, then two passes.  Up: down[b] is w[b] plus the
+    positive down values of b's children, and downc[v] sums the positive
+    down values of the blocks entered through cut vertex v.  Down: a block
+    b entered through v adds to down[b] its positive siblings at v and,
+    when positive, the best value at v's owner without the blocks below v.
     """
-    order, entry, owner = walk
+    order, entry, owner = _walk(d, 0)
     down = list(w)
     downc = dict.fromkeys(owner, 0)
     for b in reversed(order[1:]):
@@ -145,12 +143,11 @@ def _rerooted_values(w: Sequence[int], walk: tuple) -> list[int]:
     return full
 
 
-def _optimum(d: BlockDecomposition, w: list[int], walk: tuple) -> tuple[BlockSubset, int]:
-    """The DP on integer block weights w, given the walk from block 0 (one
-    walk serves every weight vector of d): the lexicographically smallest
+def _optimum(d: BlockDecomposition, w: list[int]) -> tuple[BlockSubset, int]:
+    """The DP on integer block weights w: the lexicographically smallest
     optimal blockset and its value."""
     n = len(d.blocks)
-    full = _rerooted_values(w, walk)
+    full = _rerooted_values(d, w)
     best = max(full)
     if best <= 0:
         return (), 0
@@ -194,7 +191,7 @@ def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> S
     """
     _check_optimize_cap(d)
     w, scale = _scaled_weights(d, weights)
-    blockset, best = _optimum(d, w, _walk(d, 0))
+    blockset, best = _optimum(d, w)
     return Solution(blockset=blockset, value=Fraction(best, scale))
 
 
@@ -233,6 +230,19 @@ def brute_force_optimum(
     w, scale = _scaled_weights(d, weights)
     blockset, best = _brute_force(w, enumerate_vertices(d) if vertices is None else vertices)
     return Solution(blockset=blockset, value=Fraction(best, scale))
+
+
+def _dp_and_brute_force(
+    d: BlockDecomposition, weights: Sequence, vertices: Iterable[BlockSubset]
+) -> tuple[Solution, Solution]:
+    """max_weight_connected_blockset and brute_force_optimum of weights,
+    with vertices the connected blocksets of d: both caps are checked
+    first, and the two cores share one scaling of the weights."""
+    _check_optimize_cap(d)
+    _check_brute_force_cap(d)
+    w, scale = _scaled_weights(d, weights)
+    (dp, dp_value), (bf, bf_value) = _optimum(d, w), _brute_force(w, vertices)
+    return Solution(dp, Fraction(dp_value, scale)), Solution(bf, Fraction(bf_value, scale))
 
 
 def _edge_weight_map(g: Graph, edge_weights: Sequence) -> tuple[dict[Edge, int], int]:
@@ -282,19 +292,17 @@ def eulerian_adapter(g: Graph, edge_weights: Sequence) -> EdgeSolution:
     d = block_decomposition(g)
     if not classify(g, d).is_eulerian_cactus:
         raise NotEulerianCactus("graph is not a cactus with all blocks cycles")
-    _check_optimize_cap(d)
     return _eulerian_lift(g, d, edge_weights)
 
 
 def _eulerian_lift(g: Graph, d: BlockDecomposition, edge_weights: Sequence) -> EdgeSolution:
-    """eulerian_adapter on the decomposition d of the Eulerian cactus g,
-    within the block cap."""
+    """eulerian_adapter on the decomposition d of the Eulerian cactus g."""
     wmap, scale = _edge_weight_map(g, edge_weights)
     block_weights = [sum(wmap[e] for e in blk.edges) for blk in d.blocks]
-    blockset, best = _optimum(d, block_weights, _walk(d, 0))
-    edges = tuple(sorted(e for b in blockset for e in d.blocks[b].edges))
+    sol = max_weight_connected_blockset(d, block_weights)
+    edges = tuple(sorted(e for b in sol.blockset for e in d.blocks[b].edges))
     _check_eulerian_edges(g, edges)
-    return EdgeSolution(edges=edges, value=Fraction(best, scale), blockset=blockset)
+    return EdgeSolution(edges=edges, value=sol.value / scale, blockset=sol.blockset)
 
 
 def tree_adapter(t: Graph, edge_weights: Sequence) -> EdgeSolution:
@@ -302,15 +310,13 @@ def tree_adapter(t: Graph, edge_weights: Sequence) -> EdgeSolution:
     d = block_decomposition(t)
     if not classify(t, d).is_tree:
         raise NotTree("graph is not a tree")
-    _check_optimize_cap(d)
     return _tree_lift(t, d, edge_weights)
 
 
 def _tree_lift(t: Graph, d: BlockDecomposition, edge_weights: Sequence) -> EdgeSolution:
-    """tree_adapter on the decomposition d of the tree t, within the block
-    cap."""
+    """tree_adapter on the decomposition d of the tree t."""
     wmap, scale = _edge_weight_map(t, edge_weights)
     block_edge = [next(iter(blk.edges)) for blk in d.blocks]
-    blockset, best = _optimum(d, [wmap[e] for e in block_edge], _walk(d, 0))
-    edges = tuple(sorted(block_edge[b] for b in blockset))
-    return EdgeSolution(edges=edges, value=Fraction(best, scale), blockset=blockset)
+    sol = max_weight_connected_blockset(d, [wmap[e] for e in block_edge])
+    edges = tuple(sorted(block_edge[b] for b in sol.blockset))
+    return EdgeSolution(edges=edges, value=sol.value / scale, blockset=sol.blockset)

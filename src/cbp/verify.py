@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import gcd, lcm
 
 from .corpus import CorpusEntry, corpus
 from .ehrhart import hstar_checks, hstar_profile
@@ -25,7 +24,6 @@ from .errors import AssertionFailure, CBPError
 from .facets import construct_ibis, enumerate_ibis, facet_certificates, h_representation
 from .graphs import (
     Graph,
-    _walk,
     block_decomposition,
     classify,
     graph_to_json,
@@ -33,11 +31,8 @@ from .graphs import (
 )
 from .hull import RationalPolyhedron, affine_rank, brute_force_facets
 from .optimize import (
-    _brute_force,
-    _check_brute_force_cap,
-    _check_optimize_cap,
+    _dp_and_brute_force,
     _eulerian_lift,
-    _optimum,
     _tree_lift,
     max_weight_connected_blockset,
 )
@@ -380,35 +375,27 @@ def check_triangulation(ctx: GraphContext) -> dict | None:
 def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
     """DP equals brute force, with tie-break, on random rational weights.
 
-    Each trial's weights are drawn as (numerator, denominator) pairs and
-    scaled once to integers over their least common denominator; the DP
-    and the brute force both run on that one integer vector, and the DP
-    on one walk of the block-cut tree.  The scaling trial passes Fraction
-    weights through max_weight_connected_blockset, so the rational scaling
-    is still checked on every trial.  The adapter trials run the lift
-    steps on ctx.decomposition.
+    The DP and the brute force of a trial share one scaling of its
+    weights to integers; the scaling trial goes through
+    max_weight_connected_blockset.  The adapter trials run the lift steps
+    on ctx.decomposition.
     """
     d = ctx.decomposition
     n = len(d.blocks)
     rng = random.Random(seed_tag)
-    _check_optimize_cap(d)
-    _check_brute_force_cap(d)
-    walk = _walk(d, 0)
     for t in range(OPTIMIZER_TRIALS):
-        pairs = [(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(n)]
-        w, scale = _scaled_pairs(pairs)
-        dp, dp_value = _optimum(d, w, walk)
-        bf, bf_value = _brute_force(w, ctx.vertices)
-        if (dp, dp_value) != (bf, bf_value):
+        weights = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(n)]
+        dp, bf = _dp_and_brute_force(d, weights, ctx.vertices)
+        if dp != bf:
             return {
                 "trial": t,
-                "weights": [Fraction(p, q) for p, q in pairs],
-                "dp": {"blockset": dp, "value": Fraction(dp_value, scale)},
-                "brute": {"blockset": bf, "value": Fraction(bf_value, scale)},
+                "weights": weights,
+                "dp": {"blockset": dp.blockset, "value": dp.value},
+                "brute": {"blockset": bf.blockset, "value": bf.value},
             }
-        sp, sq = rng.randint(1, 9), rng.randint(1, 9)
-        scaled = max_weight_connected_blockset(d, [Fraction(p * sp, q * sq) for p, q in pairs])
-        if scaled.blockset != dp or scaled.value != Fraction(dp_value * sp, scale * sq):
+        scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        scaled = max_weight_connected_blockset(d, [w * scale for w in weights])
+        if scaled.blockset != dp.blockset or scaled.value != dp.value * scale:
             return {"trial": t, "reason": "positive scaling moved the argmax"}
     cls = classify(ctx.graph, d)
     m = len(ctx.graph.edges)
@@ -427,15 +414,6 @@ def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
             if sol.value != direct.value or sol.blockset != direct.blockset:
                 return {"trial": t, "reason": "tree adapter disagrees with the DP"}
     return None
-
-
-def _scaled_pairs(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """The fractions p/q (q > 0) as integers over their least common
-    denominator, and that denominator: optimize._scaled_weights of the
-    same values as Fractions."""
-    lowest = [(p // g, q // g) for p, q in pairs for g in (gcd(p, q),)]
-    scale = lcm(*(q for _, q in lowest))
-    return [p * (scale // q) for p, q in lowest], scale
 
 
 def verify_graph(entry: CorpusEntry, options: VerifyOptions) -> GraphReport:

@@ -12,7 +12,7 @@ import oracles
 from cbp import optimize
 from cbp.corpus import corpus, flower, path_graph, random_block_tree, spider, star_graph, triangle_chain
 from cbp.errors import BudgetExceeded, CountOverflow, NotEulerianCactus, NotTree
-from cbp.graphs import Graph, _walk, block_decomposition
+from cbp.graphs import Graph, block_decomposition
 from cbp.optimize import (
     Solution,
     brute_force_optimum,
@@ -71,6 +71,26 @@ def test_optimizer_cap(path3_d, monkeypatch):
         tree_adapter(path_graph(3), (1, 1, 1))
     with pytest.raises(BudgetExceeded):
         eulerian_adapter(triangle_chain(3), [1] * 9)
+    # the adapters read the edge weights before the solver checks the cap
+    with pytest.raises(ValueError):
+        tree_adapter(path_graph(3), (1, 1))
+    with pytest.raises(ValueError):
+        eulerian_adapter(triangle_chain(3), [1] * 8)
+
+
+def test_dp_and_brute_force_checks_both_caps(path3_d, monkeypatch):
+    verts = enumerate_vertices(path3_d)
+    weights = (Fraction(1, 2), Fraction(-1, 3), 1)
+    assert optimize._dp_and_brute_force(path3_d, weights, verts) == (
+        max_weight_connected_blockset(path3_d, weights),
+        brute_force_optimum(path3_d, weights),
+    )
+    monkeypatch.setattr(optimize, "MAX_BRUTE_FORCE_BLOCKS", 2)
+    with pytest.raises(CountOverflow):
+        optimize._dp_and_brute_force(path3_d, (1, 1), verts)
+    monkeypatch.setattr(optimize, "MAX_OPTIMIZE_BLOCKS", 2)
+    with pytest.raises(BudgetExceeded):
+        optimize._dp_and_brute_force(path3_d, (1, 1), verts)
 
 
 def test_best_containing_matches_fraction_oracle(oracle_graphs):
@@ -110,7 +130,7 @@ def test_rerooted_values_match_best_containing(oracle_graphs):
         ):
             ints, _ = optimize._scaled_weights(d, w)
             expected = [optimize._best_containing(d, ints, (b,), frozenset()) for b in range(n)]
-            assert optimize._rerooted_values(ints, _walk(d, 0)) == expected, (name, w)
+            assert optimize._rerooted_values(d, ints) == expected, (name, w)
 
 
 def test_tie_breaks_match_brute_force_and_oracle(path3_d):

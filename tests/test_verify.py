@@ -208,67 +208,66 @@ def test_failure_is_reported_with_context(monkeypatch):
     assert detail["seed"] == 7
 
 
-def fraction_trials(ctx, seed_tag):
-    """The optimizer check's trial weights drawn as Fractions: per trial,
-    numerator and denominator per block, then the scaling trial's two
-    draws."""
+def optimizer_draws(ctx, seed_tag):
+    """The optimizer check's draws: per trial, the block weights and the
+    positive scale of the scaling trial."""
     rng = random.Random(seed_tag)
-    trials = []
+    draws = []
     for _ in range(verify.OPTIMIZER_TRIALS):
-        trials.append([Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in ctx.decomposition.blocks])
-        rng.randint(1, 9), rng.randint(1, 9)
-    return trials
+        weights = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in ctx.decomposition.blocks]
+        draws.append((weights, Fraction(rng.randint(1, 9), rng.randint(1, 9))))
+    return draws
 
 
-def test_optimizer_trials_scale_the_fraction_draws(monkeypatch):
-    # every trial's integer vector and scale are _scaled_weights of the
-    # same weights drawn as Fractions, and both cores get that vector
-    scaled, cores = [], []
-    real_pairs, real_optimum, real_brute = verify._scaled_pairs, verify._optimum, verify._brute_force
+def test_optimizer_trials_share_one_scaling(monkeypatch):
+    # per trial, the brute-force core runs on the very integer vector the
+    # DP core just ran on: _scaled_weights of that trial's weights
+    calls = []
+    real_optimum, real_brute = optimize._optimum, optimize._brute_force
 
-    def record_pairs(pairs):
-        scaled.append(real_pairs(pairs))
-        return scaled[-1]
-
-    def record_optimum(d, w, walk):
-        cores.append(("dp", w))
-        return real_optimum(d, w, walk)
+    def record_optimum(d, w):
+        calls.append(("dp", w))
+        return real_optimum(d, w)
 
     def record_brute(w, vertices):
-        cores.append(("brute", w))
+        calls.append(("brute", w))
         return real_brute(w, vertices)
 
-    monkeypatch.setattr(verify, "_scaled_pairs", record_pairs)
-    monkeypatch.setattr(verify, "_optimum", record_optimum)
-    monkeypatch.setattr(verify, "_brute_force", record_brute)
+    monkeypatch.setattr(optimize, "_optimum", record_optimum)
+    monkeypatch.setattr(optimize, "_brute_force", record_brute)
     for name, g in corpus(5, 7, 26):
         ctx = GraphContext(g)
-        scaled.clear()
-        cores.clear()
+        calls.clear()
         assert verify.check_optimizer(ctx, f"77:{name}") is None
-        expected = [optimize._scaled_weights(ctx.decomposition, w) for w in fraction_trials(ctx, f"77:{name}")]
-        assert scaled == expected, name
-        assert cores == [(core, w) for w, _ in expected for core in ("dp", "brute")], name
+        brute = [i for i, (core, _) in enumerate(calls) if core == "brute"]
+        assert all(calls[i - 1][0] == "dp" and calls[i - 1][1] is calls[i][1] for i in brute), name
+        expected = [optimize._scaled_weights(ctx.decomposition, w)[0] for w, _ in optimizer_draws(ctx, f"77:{name}")]
+        assert [calls[i][1] for i in brute] == expected, name
 
 
 PATH4_TAG = "7:path-4"
+
+
+def wrong_on(monkeypatch, target):
+    """Make the DP core return the full blockset of path-4, at the right
+    value, when it runs on the integer vector target."""
+    real = optimize._optimum
+
+    def wrong(d, w):
+        blockset, value = real(d, w)
+        return ((0, 1, 2, 3), value) if w == target else (blockset, value)
+
+    monkeypatch.setattr(optimize, "_optimum", wrong)
 
 
 def test_optimizer_reports_a_wrong_blockset(monkeypatch):
     # trial 6 on path-4: optimum 47/15 at (1, 2, 3); the DP core claims
     # the full set at the same value
     ctx = GraphContext(path_graph(4))
-    weights = fraction_trials(ctx, PATH4_TAG)[6]
+    weights, _ = optimizer_draws(ctx, PATH4_TAG)[6]
     right = optimize.brute_force_optimum(ctx.decomposition, weights)
     assert right == optimize.Solution((1, 2, 3), Fraction(47, 15))
-    real, calls = verify._optimum, []
-
-    def wrong_at_trial_6(d, w, walk):
-        calls.append(w)
-        blockset, value = real(d, w, walk)
-        return ((0, 1, 2, 3), value) if len(calls) == 7 else (blockset, value)
-
-    monkeypatch.setattr(verify, "_optimum", wrong_at_trial_6)
+    wrong_on(monkeypatch, optimize._scaled_weights(ctx.decomposition, weights)[0])
     payload = verify.check_optimizer(ctx, PATH4_TAG)
     assert payload == {
         "trial": 6,
@@ -281,16 +280,13 @@ def test_optimizer_reports_a_wrong_blockset(monkeypatch):
 
 
 def test_optimizer_reports_broken_scaling(monkeypatch):
-    # the scaling trial's public solve is the only call of optimize's own
-    # core; at trial 2 it moves the argmax
+    # at trial 1 on path-4 (scale 2) the DP core moves the argmax on the
+    # scaled weights only
     ctx = GraphContext(path_graph(4))
-    real, calls = optimize._optimum, []
-
-    def moved_at_trial_2(d, w, walk):
-        calls.append(w)
-        blockset, value = real(d, w, walk)
-        return ((0, 1, 2, 3), value) if len(calls) == 3 else (blockset, value)
-
-    monkeypatch.setattr(optimize, "_optimum", moved_at_trial_2)
-    assert verify.check_optimizer(ctx, PATH4_TAG) == {"trial": 2, "reason": "positive scaling moved the argmax"}
-
+    draws = optimizer_draws(ctx, PATH4_TAG)
+    weights, scale = draws[1]
+    target = optimize._scaled_weights(ctx.decomposition, [w * scale for w in weights])[0]
+    assert all(optimize._scaled_weights(ctx.decomposition, w)[0] != target for w, _ in draws)
+    assert optimize.max_weight_connected_blockset(ctx.decomposition, weights).blockset != (0, 1, 2, 3)
+    wrong_on(monkeypatch, target)
+    assert verify.check_optimizer(ctx, PATH4_TAG) == {"trial": 1, "reason": "positive scaling moved the argmax"}
