@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AssertionFailure, CountOverflow, RowInvalid
 from .graphs import BlockDecomposition, blockset_closure, graph_to_json, split_components_at
-from .hull import Certificate, RationalPolyhedron, _clear_denominators, affine_rank, normalize_row
+from .hull import Certificate, RationalPolyhedron, _clear_denominators, affine_rank
 from .vertices import _row_masks, to_incidence
 
 MAX_IBI_BLOCKS = 14
@@ -94,11 +93,6 @@ def ibi_violations(d: BlockDecomposition, cand: IndependentBlocksInequality) -> 
     return tuple(problems)
 
 
-def validate_ibi(d: BlockDecomposition, cand: IndependentBlocksInequality) -> bool:
-    """True when every clause of the inequality definition holds."""
-    return not ibi_violations(d, cand)
-
-
 def _independent_sets(d: BlockDecomposition):
     """All nonempty pairwise vertex-disjoint block sets, ascending indices."""
     n = len(d.blocks)
@@ -142,7 +136,7 @@ def enumerate_ibis(d: BlockDecomposition, max_blocks: int = MAX_IBI_BLOCKS) -> t
 
     For each independent set I the nonpositive coefficients live on the
     closure interior, are bounded below by -(|I| - 1), and sum to
-    -(|I| - 1); every distribution is screened through validate_ibi.
+    -(|I| - 1); every distribution is screened through ibi_violations.
     """
     n = len(d.blocks)
     if n > max_blocks:
@@ -163,7 +157,7 @@ def enumerate_ibis(d: BlockDecomposition, max_blocks: int = MAX_IBI_BLOCKS) -> t
             for b, val in zip(inner, dist):
                 alpha[b] = val
             cand = IndependentBlocksInequality(iset, tuple(alpha))
-            if validate_ibi(d, cand):
+            if not ibi_violations(d, cand):
                 by_alpha.setdefault(cand.alpha, cand)
     return _sorted_ibis(by_alpha.values())
 
@@ -277,13 +271,14 @@ def construct_ibis(d: BlockDecomposition) -> tuple[IndependentBlocksInequality, 
 def h_representation(
     d: BlockDecomposition, ibis: tuple[IndependentBlocksInequality, ...]
 ) -> RationalPolyhedron:
-    """Nonnegativity rows plus one row per inequality, normalized and sorted."""
+    """Nonnegativity rows plus one row per inequality, sorted.
+
+    Every row is primitive as built: a unit row has one entry -1, and an
+    inequality row has rhs 1.
+    """
     n = len(d.blocks)
-    rows = set()
-    for b in range(n):
-        rows.add(normalize_row(tuple(-1 if i == b else 0 for i in range(n)), 0))
-    for q in ibis:
-        rows.add(normalize_row(q.alpha, 1))
+    rows = {(tuple(-1 if i == b else 0 for i in range(n)), 0) for b in range(n)}
+    rows.update((q.alpha, 1) for q in ibis)
     return RationalPolyhedron(dim=n, rows=tuple(sorted(rows, key=lambda r: (r[1], r[0]))))
 
 
@@ -295,14 +290,14 @@ def facet_certificates(d: BlockDecomposition, rows, verts) -> tuple[Certificate,
     """
     scaled = []
     for a, b in rows:
-        ib, *ia = _clear_denominators([Fraction(b), *map(Fraction, a)])
+        ib, *ia = _clear_denominators([b, *a])
         scaled.append((ia, ib))
     out = []
     for (a, b), (tight, violator) in zip(rows, _row_masks(d, scaled, verts)):
         if violator is not None:
             subset = verts[violator]
-            val = sum(Fraction(c) * v for c, v in zip(a, to_incidence(d, subset)))
-            raise RowInvalid(f"vertex {subset} violates the row: {val} > {Fraction(b)}")
+            val = sum(c * v for c, v in zip(a, to_incidence(d, subset)))
+            raise RowInvalid(f"vertex {subset} violates the row: {val} > {b}")
         indices = tuple(k for k in range(len(verts)) if tight >> k & 1)
         slack = next((k for k in range(len(verts)) if not tight >> k & 1), None)
         rank = affine_rank([to_incidence(d, verts[k]) for k in indices]) if indices else -1

@@ -2,9 +2,10 @@
 
 Everything here runs on fractions.Fraction or int; no floats ever enter
 the geometry.  Inequality rows are stored as (a, b) meaning a . x <= b,
-scaled by the unique positive rational that makes the entries coprime
-integers, so two rows describe the same halfspace exactly when their
-normalized forms are equal.
+with coprime integer entries, so two rows describe the same halfspace
+exactly when they are equal.  The rows are built that way: the
+independent-blocks rows have rhs 1 and the unit rows -x_B <= 0 one entry
+-1, and every row of the facet oracle is read off a primitive ray.
 
 The facet oracle converts a full-dimensional point set V into its
 irredundant facet list by the double description method on the dual cone
@@ -36,7 +37,7 @@ MAX_BRUTE_FORCE_DIM = 10
 
 @dataclass(frozen=True)
 class RationalPolyhedron:
-    """An intersection of halfspaces a . x <= b with normalized integer rows."""
+    """An intersection of halfspaces a . x <= b with coprime integer rows."""
 
     dim: int
     rows: tuple[Row, ...]
@@ -56,23 +57,6 @@ class Certificate:
 
     def confirms_facet(self, ambient_dim: int) -> bool:
         return self.affine_rank == ambient_dim - 1 and self.slack_witness is not None
-
-
-def normalize_row(a, b) -> Row:
-    """Scale (a, b) by a positive rational to coprime integers."""
-    fa = [Fraction(x) for x in a]
-    fb = Fraction(b)
-    denom = fb.denominator
-    for x in fa:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ia = [int(x * denom) for x in fa]
-    ib = int(fb * denom)
-    g = abs(ib)
-    for x in ia:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero row cannot be normalized")
-    return tuple(x // g for x in ia), ib // g
 
 
 def _bareiss(rows: list[list[int]], width: int | None = None) -> tuple[int, int]:
@@ -222,10 +206,8 @@ def brute_force_facets(points) -> RationalPolyhedron:
                 new_rays[_primitive(combo)] = common | bit
         rays = new_rays
 
-    rows = sorted(
-        {normalize_row(tuple(-c for c in ray[1:]), ray[0]) for ray in rays},
-        key=lambda r: (r[1], r[0]),
-    )
+    rows = [(tuple(-c for c in ray[1:]), ray[0]) for ray in rays]
+    rows.sort(key=lambda r: (r[1], r[0]))
 
     # sanity: every input point satisfies every output row
     for a, b in rows:

@@ -19,7 +19,8 @@ scaling of a weight vector, for checks that compare them.
 Two adapters specialize the solver: trees (blocks are edges, so the
 optimum is a max-weight subtree) and Eulerian cacti (blocks are cycles,
 so the lifted edge set is a max-weight Eulerian subgraph).  Each checks
-the graph's class, then lifts the DP's answer on the decomposition.
+the graph's class; then one lift, shared by both, weighs each block by the
+sum of its edges and lifts the DP's answer to its edges.
 """
 
 from __future__ import annotations
@@ -292,17 +293,7 @@ def eulerian_adapter(g: Graph, edge_weights: Sequence) -> EdgeSolution:
     d = block_decomposition(g)
     if not classify(g, d).is_eulerian_cactus:
         raise NotEulerianCactus("graph is not a cactus with all blocks cycles")
-    return _eulerian_lift(g, d, edge_weights)
-
-
-def _eulerian_lift(g: Graph, d: BlockDecomposition, edge_weights: Sequence) -> EdgeSolution:
-    """eulerian_adapter on the decomposition d of the Eulerian cactus g."""
-    wmap, scale = _edge_weight_map(g, edge_weights)
-    block_weights = [sum(wmap[e] for e in blk.edges) for blk in d.blocks]
-    sol = max_weight_connected_blockset(d, block_weights)
-    edges = tuple(sorted(e for b in sol.blockset for e in d.blocks[b].edges))
-    _check_eulerian_edges(g, edges)
-    return EdgeSolution(edges=edges, value=sol.value / scale, blockset=sol.blockset)
+    return _lift(g, d, edge_weights, eulerian=True)
 
 
 def tree_adapter(t: Graph, edge_weights: Sequence) -> EdgeSolution:
@@ -310,13 +301,19 @@ def tree_adapter(t: Graph, edge_weights: Sequence) -> EdgeSolution:
     d = block_decomposition(t)
     if not classify(t, d).is_tree:
         raise NotTree("graph is not a tree")
-    return _tree_lift(t, d, edge_weights)
+    return _lift(t, d, edge_weights)
 
 
-def _tree_lift(t: Graph, d: BlockDecomposition, edge_weights: Sequence) -> EdgeSolution:
-    """tree_adapter on the decomposition d of the tree t."""
-    wmap, scale = _edge_weight_map(t, edge_weights)
-    block_edge = [next(iter(blk.edges)) for blk in d.blocks]
-    sol = max_weight_connected_blockset(d, [wmap[e] for e in block_edge])
-    edges = tuple(sorted(block_edge[b] for b in sol.blockset))
+def _lift(
+    g: Graph, d: BlockDecomposition, edge_weights: Sequence, eulerian: bool = False
+) -> EdgeSolution:
+    """The adapters' solve on the decomposition d of g: each block weighs
+    the sum of its edges' scaled weights (a tree block has one edge), and
+    the DP's blockset lifts to its edges.  With eulerian, the lifted edge
+    set is checked to be Eulerian."""
+    wmap, scale = _edge_weight_map(g, edge_weights)
+    sol = max_weight_connected_blockset(d, [sum(wmap[e] for e in blk.edges) for blk in d.blocks])
+    edges = tuple(sorted(e for b in sol.blockset for e in d.blocks[b].edges))
+    if eulerian:
+        _check_eulerian_edges(g, edges)
     return EdgeSolution(edges=edges, value=sol.value / scale, blockset=sol.blockset)

@@ -32,8 +32,7 @@ from .graphs import (
 from .hull import RationalPolyhedron, affine_rank, brute_force_facets
 from .optimize import (
     _dp_and_brute_force,
-    _eulerian_lift,
-    _tree_lift,
+    _lift,
     max_weight_connected_blockset,
 )
 from .serialize import jsonable
@@ -377,8 +376,8 @@ def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
 
     The DP and the brute force of a trial share one scaling of its
     weights to integers; the scaling trial goes through
-    max_weight_connected_blockset.  The adapter trials run the lift steps
-    on ctx.decomposition.
+    max_weight_connected_blockset.  The adapter trials run the adapters'
+    shared lift on ctx.decomposition.
     """
     d = ctx.decomposition
     n = len(d.blocks)
@@ -402,11 +401,11 @@ def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
     if cls.is_eulerian_cactus:
         for t in range(min(OPTIMIZER_TRIALS, 20)):
             ew = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
-            _eulerian_lift(ctx.graph, d, ew)
+            _lift(ctx.graph, d, ew, eulerian=True)
     if cls.is_tree:
         for t in range(min(OPTIMIZER_TRIALS, 20)):
             ew = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
-            sol = _tree_lift(ctx.graph, d, ew)
+            sol = _lift(ctx.graph, d, ew)
             wmap = dict(zip(ctx.graph.sorted_edges(), ew))
             direct = max_weight_connected_blockset(
                 d, [wmap[next(iter(blk.edges))] for blk in d.blocks]

@@ -16,7 +16,6 @@ from cbp.facets import (
     h_representation,
     ibi_violations,
     is_independent,
-    validate_ibi,
 )
 from cbp.graphs import Graph, block_decomposition, split_components_at
 from cbp.hull import brute_force_facets
@@ -56,7 +55,7 @@ def test_star3_ibis_are_box_only(star3_d):
 def test_tripod_ibi_reaches_minus_two():
     d = tripod_d()
     target = IndependentBlocksInequality((1, 2, 3), (-2, 1, 1, 1))
-    assert validate_ibi(d, target)
+    assert not ibi_violations(d, target)
     assert target in enumerate_ibis(d)
     assert target in construct_ibis(d)
 
@@ -66,9 +65,8 @@ def test_subset_condition_rejects_skewed_alpha():
     bad = IndependentBlocksInequality((0, 2, 4), (1, -2, 1, 0, 1))
     problems = ibi_violations(d, bad)
     assert any("subset" in p for p in problems)
-    assert not validate_ibi(d, bad)
     good = IndependentBlocksInequality((0, 2, 4), (1, -1, 1, -1, 1))
-    assert validate_ibi(d, good)
+    assert not ibi_violations(d, good)
 
 
 def test_ibi_violations_clauses(path3_d):

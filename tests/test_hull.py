@@ -17,18 +17,8 @@ from cbp.hull import (
     _bareiss,
     affine_rank,
     brute_force_facets,
-    normalize_row,
 )
 from cbp.vertices import enumerate_vertices, to_incidence
-
-
-def test_normalize_row():
-    assert normalize_row((2, -4), 6) == ((1, -2), 3)
-    assert normalize_row((Fraction(1, 2), 0), Fraction(3, 4)) == ((2, 0), 3)
-    # scaling is positive only: the orientation of the halfspace survives
-    assert normalize_row((-2, 0), -4) == ((-1, 0), -2)
-    with pytest.raises(ValueError):
-        normalize_row((0, 0), 0)
 
 
 def test_same_hyperplane():
@@ -154,7 +144,7 @@ def test_brute_force_facets_matches_frozenset_oracle():
 def test_brute_force_facets_rational_simplex(scale):
     points = [tuple(scale * x for x in p) for p in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]]
     h = brute_force_facets(points)
-    top = normalize_row((1, 1, 1), scale)
+    top = {Fraction(1, 3): ((3, 3, 3), 1), Fraction(5, 2): ((2, 2, 2), 5)}[scale]
     assert set(h.rows) == {((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), top}
     assert list(h.rows) == oracles.double_description_facets(points)
 
