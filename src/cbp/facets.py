@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import AssertionFailure, CountOverflow, RowInvalid
 from .graphs import BlockDecomposition, blockset_closure, graph_to_json, split_components_at
 from .hull import Certificate, RationalPolyhedron, _clear_denominators, affine_rank
-from .vertices import _row_masks, to_incidence
+from .vertices import _bits, _row_masks, to_incidence
 
 MAX_IBI_BLOCKS = 14
 
@@ -298,8 +298,10 @@ def facet_certificates(d: BlockDecomposition, rows, verts) -> tuple[Certificate,
             subset = verts[violator]
             val = sum(c * v for c, v in zip(a, to_incidence(d, subset)))
             raise RowInvalid(f"vertex {subset} violates the row: {val} > {b}")
-        indices = tuple(k for k in range(len(verts)) if tight >> k & 1)
-        slack = next((k for k in range(len(verts)) if not tight >> k & 1), None)
+        indices = tuple(_bits(tight))
+        # the lowest clear bit of the tight mask, if it is a vertex
+        slack = ((tight + 1) & ~tight).bit_length() - 1
+        slack = slack if slack < len(verts) else None
         rank = affine_rank([to_incidence(d, verts[k]) for k in indices]) if indices else -1
         out.append(Certificate(tight_vertex_indices=indices, affine_rank=rank, slack_witness=slack))
     return tuple(out)

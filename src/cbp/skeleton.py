@@ -4,13 +4,17 @@ Two vertices given by nonempty blocksets are adjacent exactly when their
 union induces a disconnected subgraph, or one contains the other and
 exactly one block of the difference touches the smaller set.  The empty
 blockset is adjacent precisely to the singletons.  The skeleton applies
-this rule to integer masks built once per vertex: a block mask (bit i for
-block i) and a graph-vertex mask (the union of its blocks' vertices).  The
-union of two connected blocksets is disconnected exactly when their
-graph-vertex masks are disjoint; otherwise the pair is an edge only when
-one block mask contains the other and exactly one block of the difference
-has a graph-vertex mask meeting the smaller set's.  The per-pair form of
-the rule on frozensets is the reference in `tests/oracles.py`.
+this rule to the whole vertex list at once, on the block columns of
+`vertices._columns` (bit k of column b marks that vertex k contains block
+b).  For each nonempty vertex S, with near(S) the blocks sharing a graph
+vertex with S, `vertices._pair_masks` gives the vertices whose union meets
+S's (meet), those containing S (sup) and those contained in S (sub), each
+from O(blocks) big-int operations.  The neighbors of S are every nonempty
+vertex outside meet, the supersets with exactly one block in
+near(S) minus S, and the subsets T for which exactly one block b of S is
+missing from T and touches it; both "exactly one" masks are ones/twos
+counters over the columns.  The per-pair form of the rule on frozensets
+is the reference in `tests/oracles.py`.
 
 The geometric test is kept as an independent implementation for
 cross-checking: two vertices are adjacent when the smallest face
@@ -35,9 +39,10 @@ from fractions import Fraction
 from .errors import AssertionFailure, BudgetExceeded, DimensionMismatch, NotAVertex
 from .graphs import BlockDecomposition, graph_to_json
 from .hull import RationalPolyhedron, _clear_denominators
-from .vertices import BlockSubset, _bits, _blockset_masks, _row_masks
+from .vertices import BlockSubset, _bits, _columns, _near_blocks, _pair_masks, _row_masks
 
 MAX_DIAMETER_VERTICES = 2**14
+MAX_GEOMETRIC_VERTICES = 2**12
 
 
 def _tight_masks(h: RationalPolyhedron, verts) -> list[int]:
@@ -112,37 +117,44 @@ class PolytopeGraph:
         return self.neighbors[i].bit_count()
 
 
-def _combinatorial_neighbors(d: BlockDecomposition, verts) -> list[int]:
-    """Neighbor mask of every vertex by the block rule on int masks.
+def _exactly_one(masks) -> int:
+    """Bits set in exactly one of the masks: a ones/twos counter."""
+    ones = twos = 0
+    for m in masks:
+        twos |= ones & m
+        ones |= m
+    return ones & ~twos
 
-    The vertices come in enumerate_vertices order, so for i < j only
-    verts[i] can be empty or a proper subset of the other.
+
+def _combinatorial_neighbors(d: BlockDecomposition, verts) -> list[int]:
+    """Neighbor mask of every vertex by the block rule on block columns.
+
+    A block b of S is missing from a subset T and touches it exactly when
+    T's bit is set in touch[b] & ~cols[b], touch[b] being the OR of the
+    columns of the blocks sharing a graph vertex with b.
     """
-    sets, spans = _blockset_masks(d, verts)
-    touching = []
-    for span in spans:
-        # blocks with a graph vertex in the set's union
-        t = 0
-        for v in _bits(span):
-            for b in d.blocks_at_vertex[v]:
-                t |= 1 << b
-        touching.append(t)
-    nb = [0] * len(verts)
-    for i in range(len(verts)):
-        si, vi, ti = sets[i], spans[i], touching[i]
-        for j in range(i + 1, len(verts)):
-            sj = sets[j]
-            if not si:
-                edge = sj.bit_count() == 1
-            elif not vi & spans[j]:  # the union is disconnected
-                edge = True
-            elif si & sj == si:  # one difference block touches verts[i]
-                edge = (ti & (sj ^ si)).bit_count() == 1
-            else:  # incomparable with a connected union
-                edge = False
-            if edge:
-                nb[i] |= 1 << j
-                nb[j] |= 1 << i
+    cols = _columns(d, verts)
+    near = _near_blocks(d)
+    missing = []
+    for b, col in enumerate(cols):
+        touch = 0
+        for c in _bits(near[b]):
+            touch |= cols[c]
+        missing.append(touch & ~col)
+    full = (1 << len(verts)) - 1
+    empty = full
+    for col in cols:
+        empty &= ~col
+    singletons = _exactly_one(cols)
+    nb = []
+    for a, (s, reach, meet, sup, sub) in zip(verts, _pair_masks(d, verts, cols)):
+        if not a:
+            nb.append(singletons)
+            continue
+        supersets = sup & _exactly_one(cols[b] for b in _bits(reach & ~s))
+        subsets = sub & _exactly_one(missing[b] for b in a)
+        mask = full & ~(meet | empty) | supersets | subsets
+        nb.append(mask | empty if len(a) == 1 else mask)
     return nb
 
 
@@ -181,6 +193,11 @@ def build_polytope_graph(
 def _check_vertex_cap(n: int) -> None:
     if n > MAX_DIAMETER_VERTICES:
         raise BudgetExceeded(f"{n} vertices exceed the diameter cap {MAX_DIAMETER_VERTICES}")
+
+
+def _check_geometric_cap(n: int) -> None:
+    if n > MAX_GEOMETRIC_VERTICES:
+        raise BudgetExceeded(f"{n} vertices exceed the geometric skeleton cap {MAX_GEOMETRIC_VERTICES}")
 
 
 def diameter(pg: PolytopeGraph) -> int:

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .graphs import BlockDecomposition, graph_to_json
 from .hull import _bareiss
-from .vertices import BlockSubset, _bits, _blockset_masks
+from .vertices import BlockSubset, _bits, _columns, _pair_masks
 
 MAX_GROEBNER_VARIABLES = 60
 MAX_REDUCTION_STEPS = 10**6
@@ -94,22 +94,16 @@ def _to_term(side, order: TermOrder) -> Term:
     return tuple(sorted(r for a, e in side for r in (order.rank[a],) * e))
 
 
-def _leading_masks(sets: list[int], spans: list[int]) -> list[int]:
+def _leading_masks(d: BlockDecomposition, verts) -> list[int]:
     """Bit j of the i-th mask marks the blocksets i and j as the leading
     term of a binomial: incomparable, with a connected union.
 
-    The masks are those of `vertices._blockset_masks`; incomparable sets are
-    nonempty, so their union is connected exactly when their graph-vertex
-    masks meet.
+    Incomparable sets are nonempty, so their union is connected exactly
+    when their unions meet: the mask is meet & ~(sup | sub) of
+    `vertices._pair_masks`, O(blocks) big-int operations per blockset.
+    The empty set is comparable to every set, and its meet is empty.
     """
-    lead = [0] * len(sets)
-    for i, (si, vi) in enumerate(zip(sets, spans)):
-        for j in range(i + 1, len(sets)):
-            sj = sets[j]
-            if vi & spans[j] and si & sj not in (si, sj):
-                lead[i] |= 1 << j
-                lead[j] |= 1 << i
-    return lead
+    return [meet & ~(sup | sub) for _, _, meet, sup, sub in _pair_masks(d, verts, _columns(d, verts))]
 
 
 def groebner_candidates(
@@ -117,18 +111,18 @@ def groebner_candidates(
 ) -> tuple[Binomial, ...]:
     """One binomial per unordered incomparable pair with connected union.
 
-    The meet and the join of a pair are looked up by their block masks.
+    The meet and the join of a pair are looked up by their block sets.
     Raises LeadingTermMismatch if some binomial's leading term is not the
     incomparable product, which would contradict the order analysis.
     """
-    sets, spans = _blockset_masks(d, verts)
-    by_mask = dict(zip(sets, verts))
+    sets = [frozenset(a) for a in verts]
+    by_set = dict(zip(sets, verts))
     out = []
-    for i, lead in enumerate(_leading_masks(sets, spans)):
+    for i, lead in enumerate(_leading_masks(d, verts)):
         a1, s1 = verts[i], sets[i]
         for j in _bits(lead >> (i + 1) << (i + 1)):
             a2, s2 = verts[j], sets[j]
-            f = Binomial.from_maps({a1: 1, a2: 1}, {by_mask[s1 & s2]: 1, by_mask[s1 | s2]: 1})
+            f = Binomial.from_maps({a1: 1, a2: 1}, {by_set[s1 & s2]: 1, by_set[s1 | s2]: 1})
             lt = _to_term(f.plus, order)
             if _term_key(lt) <= _term_key(_to_term(f.minus, order)):
                 raise LeadingTermMismatch(f"pair {a1}, {a2} does not lead with the product")
@@ -318,7 +312,7 @@ def triangulation(d: BlockDecomposition, g: tuple[Binomial, ...], order: TermOrd
     # full ^ compat[i] is the nonface mask of i plus bit i, which the shift
     # drops along with the pairs below i, found at the smaller vertex already
     full = (1 << m) - 1
-    for i, lead in enumerate(_leading_masks(*_blockset_masks(d, ground))):
+    for i, lead in enumerate(_leading_masks(d, ground)):
         differ = (full ^ compat[i] ^ lead) >> (i + 1)
         if differ:
             j = i + (differ & -differ).bit_length()

@@ -38,6 +38,7 @@ from .optimize import (
 from .serialize import jsonable
 from .skeleton import (
     PolytopeGraph,
+    _check_geometric_cap,
     _check_vertex_cap,
     build_polytope_graph,
     hirsch_check,
@@ -181,6 +182,8 @@ class GraphContext:
 
     @cached_property
     def geometric_skeleton(self) -> PolytopeGraph:
+        # the face test's cap, checked before the H-description is built
+        _check_geometric_cap(count_connected_blocksets(self.decomposition))
         return build_polytope_graph(self.decomposition, self.hrep, method="geometric", vertices=self.vertices)
 
     @cached_property

@@ -103,49 +103,115 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _blockset_masks(d: BlockDecomposition, verts) -> tuple[list[int], list[int]]:
-    """Block mask and graph-vertex mask of each blockset.
+def _columns(d: BlockDecomposition, verts) -> list[int]:
+    """The vertex list transposed into block columns: bit k of the b-th
+    column marks that the k-th blockset contains block b.
 
-    Bit i of a block mask marks block i; the graph-vertex mask is the union
-    of the vertex masks of its blocks.  Blocks meet only in cut vertices, so
-    two nonempty connected blocksets have a connected union exactly when
-    their graph-vertex masks meet.
+    Each column is written as a string of binary digits, which int()
+    reads in linear time, so the transpose costs one step per (blockset,
+    block) incidence rather than one big-int OR.
     """
-    block_span = [sum(1 << v for v in blk.vertices) for blk in d.blocks]
-    sets, spans = [], []
+    last = len(verts)
+    digits = [bytearray(b"0" * (last + 1)) for _ in d.blocks]
+    for k, a in enumerate(verts):
+        for b in a:
+            digits[b][last - k] = 49  # ord("1")
+    return [int(col, 2) for col in digits]
+
+
+def _near_blocks(d: BlockDecomposition) -> list[int]:
+    """Bit c of the b-th mask marks that blocks b and c share a graph vertex,
+    b itself included."""
+    near = [1 << b for b in range(len(d.blocks))]
+    for v in d.cut_vertices:
+        at = sum(1 << b for b in d.blocks_at_vertex[v])
+        for b in d.blocks_at_vertex[v]:
+            near[b] |= at
+    return near
+
+
+def _pair_masks(d: BlockDecomposition, verts, cols: list[int]):
+    """For each blockset S of the list, in order, yield the block mask of
+    S, the mask near(S) of the blocks sharing a graph vertex with S, and
+    three vertex masks over the columns `cols = _columns(d, verts)`:
+
+    - meet: the blocksets T whose union meets the union of S, the OR of the
+      columns of near(S).  Two nonempty connected blocksets have a
+      connected union exactly when their unions meet, because blocks meet
+      only in cut vertices;
+    - sup: the blocksets that contain S, the AND of the columns of S;
+    - sub: the blocksets contained in S, the complement of the OR of the
+      columns of the blocks outside S.
+
+    Each costs O(blocks) big-int operations per blockset, not a pass over
+    the other blocksets.
+    """
+    full = (1 << len(verts)) - 1
+    near = _near_blocks(d)
     for a in verts:
-        s = span = 0
-        for i in a:
-            s |= 1 << i
-            span |= block_span[i]
-        sets.append(s)
-        spans.append(span)
-    return sets, spans
+        s = reach = 0
+        sup = full
+        for b in a:
+            s |= 1 << b
+            reach |= near[b]
+            sup &= cols[b]
+        meet = outside = 0
+        for b, col in enumerate(cols):
+            if reach >> b & 1:
+                meet |= col
+            if not s >> b & 1:
+                outside |= col
+        yield s, reach, meet, sup, full & ~outside
+
+
+def _add_shifted(planes: list[int], x: int, j: int) -> None:
+    """Add x * 2**j to a bit-sliced counter: planes[i] holds bit i of every
+    count, one count per bit position of x."""
+    planes.extend([0] * (j - len(planes)))
+    while x:
+        if j == len(planes):
+            planes.append(x)
+            return
+        planes[j], x = planes[j] ^ x, planes[j] & x
+        j += 1
 
 
 def _row_masks(d: BlockDecomposition, rows, verts) -> list[tuple[int, int | None]]:
     """Tight-vertex mask and first violating vertex of each integer row.
 
-    The value of a row (a, b) at a blockset S is the sum over the distinct
-    coefficients c of c * popcount(S & M_c), where M_c is the mask of the
-    coordinates whose coefficient is c.  Bit k of the tight mask marks
-    value == b at the k-th blockset; the violating vertex is the least k
-    with value > b, or None.
+    The values of a row (a, b) at all blocksets at once are a bit-sliced
+    counter over the block columns of `_columns`: a coefficient c > 0 adds
+    c times the column of its block, and c < 0 adds |c| times the
+    complement column and |c| to the right-hand side, since
+    c * x = |c| * (1 - x) - |c|.  The counts are then compared with the
+    shifted right-hand side plane by plane from the top.  Bit k of the
+    tight mask marks value == b at the k-th blockset; the violating vertex
+    is the least k with value > b, or None.  A row costs O(nonzeros *
+    counter width) big-int operations instead of one step per vertex.
     """
-    sets, _ = _blockset_masks(d, verts)
+    cols = _columns(d, verts)
+    full = (1 << len(verts)) - 1
     out = []
     for a, b in rows:
-        coeff_masks: dict[int, int] = {}
-        for i, c in enumerate(a):
-            if c:
-                coeff_masks[c] = coeff_masks.get(c, 0) | 1 << i
-        values = [0] * len(sets)
-        for c, m in coeff_masks.items():
-            values = [v + c * (s & m).bit_count() for v, s in zip(values, sets)]
-        tight = 0
-        for k, v in enumerate(values):
-            if v == b:
-                tight |= 1 << k
-        violator = next((k for k, v in enumerate(values) if v > b), None)
-        out.append((tight, violator))
+        planes: list[int] = []
+        for c, col in zip(a, cols):
+            if c < 0:
+                c, col, b = -c, full ^ col, b - c
+            if c == 1:
+                _add_shifted(planes, col, 0)
+            elif c:
+                for j in _bits(c):
+                    _add_shifted(planes, col, j)
+        if b < 0:
+            tight, above = 0, full
+        else:
+            tight, above = full, 0
+            for i in range(max(len(planes), b.bit_length()) - 1, -1, -1):
+                p = planes[i] if i < len(planes) else 0
+                if b >> i & 1:
+                    tight &= p
+                else:
+                    above |= tight & p
+                    tight &= ~p
+        out.append((tight, (above & -above).bit_length() - 1 if above else None))
     return out

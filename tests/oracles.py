@@ -509,18 +509,39 @@ def _blockset_connected(d: BlockDecomposition, s) -> bool:
     )
 
 
-def adjacent_combinatorial(d: BlockDecomposition, a1, a2) -> bool:
-    """Edge test on two distinct connected blocksets, by the block criterion
-    on frozensets, with connectivity by flood fill."""
+def blockset_connectivity(d: BlockDecomposition):
+    """The flood-fill connectivity test of d's blocksets, memoized per set,
+    so that the pairwise oracles below reach graphs with a thousand
+    vertices."""
+    memo: dict[frozenset, bool] = {}
+
+    def connected(s: frozenset) -> bool:
+        if s not in memo:
+            memo[s] = _blockset_connected(d, s)
+        return memo[s]
+
+    return connected
+
+
+def _distinct_connected(a1, a2, connected) -> tuple[frozenset, frozenset]:
     s1, s2 = frozenset(a1), frozenset(a2)
     if s1 == s2:
         raise ValueError("adjacency needs two distinct blocksets")
     for s in (s1, s2):
-        if not _blockset_connected(d, s):
+        if not connected(s):
             raise ValueError(f"blockset {tuple(sorted(s))} is not connected")
+    return s1, s2
+
+
+def adjacent_combinatorial(d: BlockDecomposition, a1, a2, connected=None) -> bool:
+    """Edge test on two distinct connected blocksets, by the block criterion
+    on frozensets, with connectivity by flood fill (or by `connected`, a
+    memo from blockset_connectivity)."""
+    connected = connected or blockset_connectivity(d)
+    s1, s2 = _distinct_connected(a1, a2, connected)
     if not s1 or not s2:
         return len(s1 | s2) == 1
-    if not _blockset_connected(d, s1 | s2):
+    if not connected(s1 | s2):
         return True
     if not (s1 < s2 or s2 < s1):
         return False
@@ -530,6 +551,14 @@ def adjacent_combinatorial(d: BlockDecomposition, a1, a2) -> bool:
         small_vertices |= d.blocks[i].vertices
     touching = [b for b in big - small if d.blocks[b].vertices & small_vertices]
     return len(touching) == 1
+
+
+def leading_pair(d: BlockDecomposition, a1, a2, connected=None) -> bool:
+    """True when two distinct connected blocksets lead a binomial of the
+    quadratic basis: incomparable, with a connected union by flood fill."""
+    connected = connected or blockset_connectivity(d)
+    s1, s2 = _distinct_connected(a1, a2, connected)
+    return not (s1 <= s2 or s2 <= s1) and connected(s1 | s2)
 
 
 def pairwise_neighbors(verts, adjacent) -> tuple[frozenset[int], ...]:

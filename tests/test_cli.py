@@ -142,6 +142,19 @@ def test_combinatorial_edges_star15_fails_fast(graph_file, capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_geometric_edges_star13_fails_before_building(graph_file, capsys, monkeypatch):
+    # star-12 (4,096 vertices) is the largest star under the cap; the count
+    # is predicted before the vertices or the H-description are built
+    monkeypatch.setattr(verify, "enumerate_vertices", None)
+    monkeypatch.setattr(verify, "enumerate_ibis", None)
+    star13 = "".join(f"0 {i}\n" for i in range(1, 14))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["edges", "--graph", graph_file(star13), "--method", "geometric"])
+    assert (code, out) == (1, "")
+    assert err == "failed: BudgetExceeded: 8192 vertices exceed the geometric skeleton cap 4096\n"
+    assert time.perf_counter() - start < 3
+
+
 def test_combinatorial_edges_star20_fails_before_enumerating(graph_file, capsys):
     star20 = "".join(f"0 {i}\n" for i in range(1, 21))
     start = time.perf_counter()

@@ -12,7 +12,7 @@ from oracles import adjacent_combinatorial
 from cbp import verify
 from cbp.corpus import flower, path_graph, random_block_tree, star_graph, triangle_chain
 from cbp.errors import AssertionFailure, BudgetExceeded, DimensionMismatch, NotAVertex
-from cbp.graphs import block_decomposition
+from cbp.graphs import Graph, block_decomposition
 from cbp.skeleton import (
     PolytopeGraph,
     _bits,
@@ -22,6 +22,7 @@ from cbp.skeleton import (
     hirsch_check,
     simplicity_report,
 )
+from cbp.toric import _leading_masks
 from cbp.verify import GraphContext
 from cbp.vertices import enumerate_vertices, to_incidence
 
@@ -73,10 +74,20 @@ def test_geometric_matches_combinatorial_everywhere(small_corpus):
 
 
 def test_combinatorial_skeleton_matches_pairwise_oracle(oracle_graphs):
-    for name, d in oracle_graphs:
+    # the column kernels of the skeleton and of the leading terms against
+    # their per-pair references, up to a thousand vertices
+    extra = [
+        ("flower-9", flower(9)),
+        ("star-10", star_graph(10)),
+        ("random-10", random_block_tree(random.Random(5), 10)),
+    ]
+    for name, d in oracle_graphs + [(name, block_decomposition(g)) for name, g in extra]:
         pg = skeleton_of(d)
-        expected = oracles.pairwise_neighbors(pg.vertices, partial(adjacent_combinatorial, d))
+        connected = oracles.blockset_connectivity(d)
+        expected = oracles.pairwise_neighbors(pg.vertices, partial(adjacent_combinatorial, d, connected=connected))
         assert tuple(frozenset(_bits(m)) for m in pg.neighbors) == expected, name
+        expected = oracles.pairwise_neighbors(pg.vertices, partial(oracles.leading_pair, d, connected=connected))
+        assert tuple(frozenset(_bits(m)) for m in _leading_masks(d, pg.vertices)) == expected, name
 
 
 def test_diameter_matches_bfs_oracle(oracle_graphs):
@@ -84,6 +95,42 @@ def test_diameter_matches_bfs_oracle(oracle_graphs):
         pg = skeleton_of(d)
         neighbors = [frozenset(_bits(m)) for m in pg.neighbors]
         assert diameter(pg) == oracles.bfs_diameter(neighbors), name
+
+
+def bouquet(rng: random.Random, k: int) -> Graph:
+    """k blocks glued at vertex 0, each an edge or a cycle of 3 to 5 vertices."""
+    edges, n = [], 1
+    for _ in range(k):
+        ring = [0] + list(range(n, n + rng.randint(1, 4)))
+        n += len(ring) - 1
+        pairs = zip(ring, ring[1:] + ring[:1]) if len(ring) > 2 else [ring]
+        edges += [tuple(sorted(e)) for e in pairs]
+    return Graph(n, tuple(sorted(edges)))
+
+
+def test_one_cut_vertex_polytope_is_the_cube():
+    # every block holds the one cut vertex, so every blockset is connected
+    # and the polytope is the unit n-cube: the skeleton joins exactly the
+    # blocksets that differ in one block, every degree and the diameter are
+    # n, and the H-description is the 2n box rows
+    rng = random.Random(11)
+    graphs = [(f"star-{k}", star_graph(k)) for k in range(1, 11)]
+    graphs += [(f"bouquet-{k}", bouquet(rng, k)) for k in (2, 4, 6, 8)]
+    for name, g in graphs:
+        ctx = GraphContext(g)
+        n = len(ctx.decomposition.blocks)
+        assert len(ctx.decomposition.cut_vertices) <= 1, name
+        pg = ctx.skeleton
+        index = {frozenset(a): k for k, a in enumerate(pg.vertices)}
+        assert len(index) == 2**n, name
+        for k, a in enumerate(pg.vertices):
+            flips = frozenset(index[frozenset(a) ^ {b}] for b in range(n))
+            assert frozenset(_bits(pg.neighbors[k])) == flips, (name, a)
+            assert pg.degree(k) == n, (name, a)
+        assert diameter(pg) == n, name
+        unit = [tuple(int(i == b) for i in range(n)) for b in range(n)]
+        box = {(tuple(-c for c in e), 0) for e in unit} | {(e, 1) for e in unit}
+        assert len(ctx.hrep.rows) == 2 * n and set(ctx.hrep.rows) == box, name
 
 
 def test_diameter_rejects_disconnected_graph():

@@ -133,11 +133,29 @@ def test_dimension_equals_block_count(small_corpus):
 def test_row_masks_match_dot_products(oracle_graphs):
     # the seed-7 12-block random tree has a -2 coefficient in its facet rows
     random12 = block_decomposition(random_block_tree(random.Random(7), 12))
+    rng = random.Random(5)
     for name, d in oracle_graphs + [("random-12", random12)]:
         verts = enumerate_vertices(d)
         points = [to_incidence(d, a) for a in verts]
+        n = len(d.blocks)
+        facet_rows = h_representation(d, enumerate_ibis(d)).rows
+        # synthetic rows for the counter's carry and complement paths:
+        # coefficients up to 3 in size, all-negative rows that every vertex
+        # violates, and rows that no vertex makes tight (even values against
+        # an odd right-hand side, a right-hand side past every count)
+        synthetic = [
+            (tuple(rng.choice((-3, -2, 2, 3, 0, 1, -1)) for _ in range(n)), rng.randint(-2 * n, 2 * n))
+            for _ in range(6)
+        ]
+        synthetic += [
+            ((-2,) * n, -2 * n - 1),
+            (tuple(-1 - i % 3 for i in range(n)), -3 * n - 1),
+            ((2,) * n, 1),
+            ((1,) * n, n + 5),
+            (((3, -3) * n)[:n], 0),
+        ]
         rows, expected = [], []
-        for a, b in h_representation(d, enumerate_ibis(d)).rows:
+        for a, b in facet_rows + tuple(synthetic):
             values = [sum(c * x for c, x in zip(a, p)) for p in points]
             # lowering the right-hand side by one makes the row violated
             for rhs in (b, b - 1):
@@ -145,7 +163,7 @@ def test_row_masks_match_dot_products(oracle_graphs):
                 tight = sum(1 << k for k, v in enumerate(values) if v == rhs)
                 expected.append((tight, next((k for k, v in enumerate(values) if v > rhs), None)))
         assert _row_masks(d, rows, verts) == expected, name
-    assert min(c for a, _ in rows for c in a) == -2
+    assert min(c for a, _ in facet_rows for c in a) == -2
 
 
 def test_row_masks_report_violations(path3_d):
