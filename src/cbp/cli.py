@@ -14,9 +14,10 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from .ehrhart import count_lattice_points, ehrhart_value, hstar_checks
+from .ehrhart import MAX_DILATION, count_lattice_points, ehrhart_value, hstar_checks
 from .errors import (
     AssertionFailure,
+    BudgetExceeded,
     CBPError,
     EmptyGraph,
     InvalidGraph,
@@ -26,7 +27,6 @@ from .errors import (
     NotTree,
     ParseError,
 )
-from .facets import enumerate_ibis, h_representation
 from .graphs import (
     Graph,
     classify,
@@ -138,9 +138,7 @@ def _row_kind(a, b) -> str:
 
 
 def cmd_facets(args) -> int:
-    ctx = GraphContext(_load_graph(args.graph))
-    d = ctx.decomposition
-    h = h_representation(d, enumerate_ibis(d, max_blocks=args.max_blocks))
+    h = GraphContext(_load_graph(args.graph)).hrep
     _emit(
         {
             "dimension": h.dim,
@@ -189,6 +187,9 @@ def cmd_hstar(args) -> int:
     # checked first: building the H-description can take minutes
     if top < dim:
         raise ValueError(f"--max-dilation must be at least the dimension {dim}")
+    # each extra dilation is one more lattice count, costlier than the last
+    if top > max(dim, MAX_DILATION):
+        raise BudgetExceeded(f"--max-dilation {top} exceeds the cap {MAX_DILATION}")
     h, profile = ctx.hrep, ctx.hstar
     report = hstar_checks(profile, d, h)
     # string keys, sorted as strings like every other key of the output
@@ -229,19 +230,8 @@ def cmd_hstar(args) -> int:
     return 0
 
 
-def _refuse_groebner(ctx: GraphContext, max_blocks: int) -> bool:
-    """Print the refusal and return True when the graph exceeds --groebner-max-blocks."""
-    blocks = len(ctx.decomposition.blocks)
-    if blocks <= max_blocks:
-        return False
-    print(f"refusing: {blocks} blocks exceed --groebner-max-blocks {max_blocks}", file=sys.stderr)
-    return True
-
-
 def cmd_groebner(args) -> int:
     ctx = GraphContext(_load_graph(args.graph))
-    if _refuse_groebner(ctx, args.groebner_max_blocks):
-        return 1
     basis, order = ctx.basis, ctx.order
     is_groebner = buchberger_verify(basis, order)
     fiber_ok = fiber_reduction_test(ctx.decomposition, basis, order)
@@ -266,8 +256,6 @@ def cmd_groebner(args) -> int:
 
 def cmd_triangulate(args) -> int:
     ctx = GraphContext(_load_graph(args.graph))
-    if _refuse_groebner(ctx, args.groebner_max_blocks):
-        return 1
     d = ctx.decomposition
     ctx.hrep  # before the basis: its block cap fires before the variable cap
     complex_ = triangulation(d, ctx.basis, ctx.order)
@@ -356,8 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     graph_command("vertices", "all connected blocksets (polytope vertices)")
 
-    p = graph_command("facets", "complete irredundant facet description")
-    p.add_argument("--max-blocks", type=int, default=14, help="cap on the block count")
+    graph_command("facets", "complete irredundant facet description")
 
     p = graph_command("edges", "polytope graph edges")
     p.add_argument(
@@ -373,14 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-dilation",
         type=int,
         default=None,
-        help="also count and cross-check dilations beyond the dimension",
+        help=f"also count and cross-check dilations beyond the dimension, up to {MAX_DILATION}",
     )
 
-    p = graph_command("groebner", "toric Groebner basis with Buchberger verification")
-    p.add_argument("--groebner-max-blocks", type=int, default=6)
+    graph_command("groebner", "toric Groebner basis with Buchberger verification")
 
-    p = graph_command("triangulate", "unimodular triangulation from the basis")
-    p.add_argument("--groebner-max-blocks", type=int, default=6)
+    graph_command("triangulate", "unimodular triangulation from the basis")
 
     p = graph_command("optimize", "max-weight connected blockset")
     group = p.add_mutually_exclusive_group(required=True)

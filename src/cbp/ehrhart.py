@@ -27,6 +27,8 @@ from .hull import RationalPolyhedron
 from .vertices import count_connected_blocksets
 
 DEFAULT_COUNT_BUDGET = 10**9
+# the largest dilation `cbp hstar --max-dilation` counts
+MAX_DILATION = 32
 
 
 def _key_packer(widest: int):

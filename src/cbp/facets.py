@@ -1,11 +1,13 @@
 """Facet machinery: independent-blocks inequalities and the H-description.
 
-An independent-blocks inequality is built from a set I of pairwise
-vertex-disjoint blocks.  Its coefficient vector alpha has alpha_B = 1 on I,
-alpha_B = 0 outside the closure of I, and nonpositive integers on the
-closure minus I summing to -(|I| - 1), subject to one condition per subset
-J of I: the alpha-sum over closure(J) minus I is at most -(|J| - 1).  The
-right-hand side is always 1.  Singletons give the box rows x_B <= 1.
+An independent-blocks inequality alpha . x <= 1 is fixed by its integer
+coefficient vector alpha alone.  Its independent set I, the blocks with
+alpha_B = 1, is a set of pairwise vertex-disjoint blocks; alpha_B = 0
+outside the closure of I, and alpha is nonpositive on the closure minus I
+with sum -(|I| - 1), subject to one condition per subset J of I: the
+alpha-sum over closure(J) minus I is at most -(|J| - 1).  The right-hand
+side is always 1.  Singletons give the box rows x_B <= 1.  Inequalities
+are passed around as their alpha tuples.
 
 Together with the nonnegativity rows -x_B <= 0 these inequalities are the
 complete and irredundant facet description of the polytope.  Two
@@ -19,22 +21,13 @@ verification targets of the package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import AssertionFailure, CountOverflow, RowInvalid
 from .graphs import BlockDecomposition, blockset_closure, graph_to_json, split_components_at
-from .hull import Certificate, RationalPolyhedron, _clear_denominators, affine_rank
+from .hull import Certificate, RationalPolyhedron, affine_rank
 from .vertices import _bits, _row_masks, to_incidence
 
 MAX_IBI_BLOCKS = 14
-
-
-@dataclass(frozen=True)
-class IndependentBlocksInequality:
-    """One inequality alpha . x <= 1 with its independent block set."""
-
-    independent_set: tuple[int, ...]
-    alpha: tuple[int, ...]
 
 
 def is_independent(d: BlockDecomposition, blocks) -> bool:
@@ -46,32 +39,24 @@ def is_independent(d: BlockDecomposition, blocks) -> bool:
     return True
 
 
-def ibi_violations(d: BlockDecomposition, cand: IndependentBlocksInequality) -> tuple[str, ...]:
-    """All violated clauses of the candidate, empty when it is valid."""
+def ibi_violations(d: BlockDecomposition, alpha) -> tuple[str, ...]:
+    """All violated clauses of the coefficient vector, empty when it is valid.
+
+    The independent set is read off alpha: the blocks with alpha_b = 1.
+    """
     n = len(d.blocks)
-    problems: list[str] = []
-    iset = cand.independent_set
-    alpha = cand.alpha
     if len(alpha) != n:
         return (f"alpha has length {len(alpha)}, expected {n}",)
     if any(int(x) != x for x in alpha):
         return ("alpha entries must be integers",)
+    iset = tuple(b for b, x in enumerate(alpha) if x == 1)
     if not iset:
-        problems.append("independent set is empty")
-        return tuple(problems)
-    if list(iset) != sorted(set(iset)):
-        problems.append("independent set must be a sorted tuple of distinct indices")
-        return tuple(problems)
-    if iset[0] < 0 or iset[-1] >= n:
-        problems.append("independent set has out-of-range block index")
-        return tuple(problems)
+        return ("no entry of alpha equals 1",)
+    problems: list[str] = []
     if not is_independent(d, iset):
         problems.append("blocks are not pairwise vertex-disjoint")
     closure = blockset_closure(d, iset)
     inner = closure - set(iset)
-    for b in iset:
-        if alpha[b] != 1:
-            problems.append(f"alpha[{b}] = {alpha[b]} but block {b} is in the independent set")
     for b in range(n):
         if b not in closure and alpha[b] != 0:
             problems.append(f"alpha[{b}] = {alpha[b]} outside the closure")
@@ -127,53 +112,42 @@ def _distributions(slots: int, total: int, bound: int):
     yield from rec(0, total)
 
 
-def _sorted_ibis(ibis) -> tuple[IndependentBlocksInequality, ...]:
-    return tuple(sorted(ibis, key=lambda q: (len(q.independent_set), q.independent_set, q.alpha)))
-
-
-def enumerate_ibis(d: BlockDecomposition, max_blocks: int = MAX_IBI_BLOCKS) -> tuple[IndependentBlocksInequality, ...]:
-    """Every valid inequality, by exhausting coefficient distributions.
+def enumerate_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
+    """Every valid inequality's alpha, by exhausting coefficient distributions.
 
     For each independent set I the nonpositive coefficients live on the
     closure interior, are bounded below by -(|I| - 1), and sum to
     -(|I| - 1); every distribution is screened through ibi_violations.
     """
     n = len(d.blocks)
-    if n > max_blocks:
-        raise CountOverflow(f"{n} blocks exceed the enumeration cap {max_blocks}")
-    by_alpha: dict[tuple[int, ...], IndependentBlocksInequality] = {}
+    if n > MAX_IBI_BLOCKS:
+        raise CountOverflow(f"{n} blocks exceed the enumeration cap {MAX_IBI_BLOCKS}")
+    found = []
     for iset in _independent_sets(d):
         k = len(iset)
-        if k == 1:
-            alpha = tuple(1 if b == iset[0] else 0 for b in range(n))
-            by_alpha.setdefault(alpha, IndependentBlocksInequality(iset, alpha))
-            continue
-        closure = blockset_closure(d, iset)
-        inner = sorted(closure - set(iset))
+        inner = sorted(blockset_closure(d, iset) - set(iset))
         for dist in _distributions(len(inner), k - 1, k - 1):
             alpha = [0] * n
             for b in iset:
                 alpha[b] = 1
             for b, val in zip(inner, dist):
                 alpha[b] = val
-            cand = IndependentBlocksInequality(iset, tuple(alpha))
-            if not ibi_violations(d, cand):
-                by_alpha.setdefault(cand.alpha, cand)
-    return _sorted_ibis(by_alpha.values())
+            if not ibi_violations(d, alpha):
+                found.append(tuple(alpha))
+    return tuple(sorted(found))
 
 
-def construct_ibis(d: BlockDecomposition) -> tuple[IndependentBlocksInequality, ...]:
-    """Every valid inequality, by closing the inductive construction.
+def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
+    """Every valid inequality's alpha, by closing the inductive construction.
 
-    States are (independent set, alpha) pairs.  Starting from the
-    singletons, a step picks a block that is disjoint from the current
-    independent set and outside its closure, finds the attachment cut
-    vertex v of the new branch, the unique alpha-weight-1 component H of
-    the graph minus v, and the block of H at v; it then decrements one
-    branch choice among the connecting-path blocks and that block.  All
-    orderings are explored via memoized breadth-first closure.  A state
-    failing validation raises AssertionFailure, because the construction
-    is supposed to preserve validity.
+    Starting from the singletons, a step picks a block that is disjoint
+    from the current independent set and outside its closure, finds the
+    attachment cut vertex v of the new branch, the unique alpha-weight-1
+    component H of the graph minus v, and the block of H at v; it then
+    decrements one branch choice among the connecting-path blocks and that
+    block.  All orderings are explored via memoized breadth-first closure.
+    A state failing validation raises AssertionFailure, because the
+    construction is supposed to preserve validity.
     """
     n = len(d.blocks)
     if n > MAX_IBI_BLOCKS:
@@ -185,40 +159,26 @@ def construct_ibis(d: BlockDecomposition) -> tuple[IndependentBlocksInequality, 
             out |= d.blocks[i].vertices
         return frozenset(out)
 
-    def check(state: IndependentBlocksInequality, context: str):
-        problems = ibi_violations(d, state)
+    def check(alpha: tuple[int, ...], context: str):
+        problems = ibi_violations(d, alpha)
         if problems:
             raise AssertionFailure(
                 f"construction produced an invalid inequality ({context})",
                 payload={
                     "graph": graph_to_json(d.graph),
-                    "independent_set": list(state.independent_set),
-                    "alpha": list(state.alpha),
+                    "alpha": list(alpha),
                     "violations": list(problems),
                 },
             )
 
-    seeds = []
-    for b in range(n):
-        alpha = tuple(1 if i == b else 0 for i in range(n))
-        seeds.append(IndependentBlocksInequality((b,), alpha))
-    for s in seeds:
-        check(s, "seed")
+    queue = [tuple(1 if i == b else 0 for i in range(n)) for b in range(n)]
+    for alpha in queue:
+        check(alpha, "seed")
+    seen = set(queue)
 
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    queue: list[IndependentBlocksInequality] = []
-    by_alpha: dict[tuple[int, ...], IndependentBlocksInequality] = {}
-    for s in seeds:
-        seen.add((s.independent_set, s.alpha))
-        queue.append(s)
-        by_alpha.setdefault(s.alpha, s)
-
-    head = 0
-    while head < len(queue):
-        state = queue[head]
-        head += 1
-        iset = set(state.independent_set)
-        alpha = state.alpha
+    # the loop also visits the states appended to the queue as it runs
+    for alpha in queue:
+        iset = {b for b, x in enumerate(alpha) if x == 1}
         closure = blockset_closure(d, iset)
         for bn in range(n):
             if bn in closure:
@@ -254,46 +214,35 @@ def construct_ibis(d: BlockDecomposition) -> tuple[IndependentBlocksInequality, 
                 new_alpha = list(alpha)
                 new_alpha[bn] += 1
                 new_alpha[a] -= 1
-                new_iset = set(iset) | {bn}
-                if a == bprime and bprime in iset:
-                    new_iset.discard(bprime)
-                cand = IndependentBlocksInequality(tuple(sorted(new_iset)), tuple(new_alpha))
-                key = (cand.independent_set, cand.alpha)
-                if key in seen:
+                cand = tuple(new_alpha)
+                if cand in seen:
                     continue
                 check(cand, f"expansion by block {bn} branch {a}")
-                seen.add(key)
+                seen.add(cand)
                 queue.append(cand)
-                by_alpha.setdefault(cand.alpha, cand)
-    return _sorted_ibis(by_alpha.values())
+    return tuple(sorted(seen))
 
 
-def h_representation(
-    d: BlockDecomposition, ibis: tuple[IndependentBlocksInequality, ...]
-) -> RationalPolyhedron:
-    """Nonnegativity rows plus one row per inequality, sorted.
+def h_representation(d: BlockDecomposition, ibis: tuple[tuple[int, ...], ...]) -> RationalPolyhedron:
+    """Nonnegativity rows plus one row alpha . x <= 1 per inequality, sorted.
 
     Every row is primitive as built: a unit row has one entry -1, and an
     inequality row has rhs 1.
     """
     n = len(d.blocks)
     rows = {(tuple(-1 if i == b else 0 for i in range(n)), 0) for b in range(n)}
-    rows.update((q.alpha, 1) for q in ibis)
+    rows.update((alpha, 1) for alpha in ibis)
     return RationalPolyhedron(dim=n, rows=tuple(sorted(rows, key=lambda r: (r[1], r[0]))))
 
 
 def facet_certificates(d: BlockDecomposition, rows, verts) -> tuple[Certificate, ...]:
-    """Tightness certificates of the rows against the vertex list
+    """Tightness certificates of the integer rows against the vertex list
     `enumerate_vertices(d)`, from one pass over the vertices' block masks.
 
     Raises RowInvalid at the first row that some vertex violates.
     """
-    scaled = []
-    for a, b in rows:
-        ib, *ia = _clear_denominators([b, *a])
-        scaled.append((ia, ib))
     out = []
-    for (a, b), (tight, violator) in zip(rows, _row_masks(d, scaled, verts)):
+    for (a, b), (tight, violator) in zip(rows, _row_masks(d, rows, verts)):
         if violator is not None:
             subset = verts[violator]
             val = sum(c * v for c, v in zip(a, to_incidence(d, subset)))

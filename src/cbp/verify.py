@@ -297,19 +297,19 @@ def check_ibis(ctx: GraphContext) -> dict | None:
     constructed = set(construct_ibis(d))
     if enumerated != constructed:
         return {
-            "enumerated_only": [list(x.alpha) for x in sorted(enumerated - constructed, key=lambda i: i.alpha)],
-            "constructed_only": [list(x.alpha) for x in sorted(constructed - enumerated, key=lambda i: i.alpha)],
+            "enumerated_only": sorted(enumerated - constructed),
+            "constructed_only": sorted(constructed - enumerated),
         }
     parts_at = [(v, split_components_at(d, v)) for v in sorted(d.cut_vertices)]
-    for ibi in enumerated:
-        if sum(ibi.alpha) != 1:
-            return {"reason": "alpha sum is not 1", "alpha": list(ibi.alpha)}
+    for alpha in enumerated:
+        if sum(alpha) != 1:
+            return {"reason": "alpha sum is not 1", "alpha": list(alpha)}
         for v, parts in parts_at:
-            sums = [sum(ibi.alpha[b] for b in part) for part in parts]
+            sums = [sum(alpha[b] for b in part) for part in parts]
             if sorted(sums) != [0] * (len(sums) - 1) + [1]:
                 return {
                     "reason": "component weights are not one 1 and rest 0",
-                    "alpha": list(ibi.alpha),
+                    "alpha": list(alpha),
                     "vertex": v,
                 }
     return None

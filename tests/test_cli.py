@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import time
+from math import comb
 
 import pytest
 
@@ -74,11 +75,24 @@ def test_facets(graph_file, capsys):
 
 
 def test_facets_cap(graph_file, capsys):
-    code, _, err = run(
-        capsys, ["facets", "--graph", graph_file(PATH3), "--max-blocks", "2"]
-    )
-    assert code == 1
-    assert "CountOverflow" in err
+    path15 = "".join(f"{i} {i + 1}\n" for i in range(15))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["facets", "--graph", graph_file(path15)])
+    assert (code, out) == (1, "")
+    assert err == "failed: CountOverflow: 15 blocks exceed the enumeration cap 14\n"
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("facets", "--max-blocks", "30"), ("groebner", "--groebner-max-blocks", "30"), ("triangulate", "--groebner-max-blocks", "30")],
+)
+def test_graph_commands_refuse_the_removed_cap_flags(graph_file, command, flag, value, capsys):
+    # the caps are module constants; no flag raises them
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--graph", graph_file(PATH3), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_edges_both_methods_agree(graph_file, capsys):
@@ -250,6 +264,23 @@ def test_hstar_small_dilation_is_bad_usage_above_the_ibi_cap(graph_file, capsys)
     assert time.perf_counter() - start < 3
 
 
+def test_hstar_refuses_dilations_above_the_cap_before_building(graph_file, capsys, monkeypatch):
+    def no_hrep(*args, **kwargs):
+        raise AssertionError("H-description built before --max-dilation was checked")
+
+    monkeypatch.setattr(verify, "enumerate_ibis", no_hrep)
+    code, out, err = run(capsys, ["hstar", "--graph", graph_file(PATH3), "--max-dilation", "33"])
+    assert (code, out) == (1, "")
+    assert err == "failed: BudgetExceeded: --max-dilation 33 exceeds the cap 32\n"
+
+
+def test_hstar_admits_the_dilation_cap(graph_file, capsys):
+    code, out, _ = run(capsys, ["hstar", "--graph", graph_file(PATH3), "--max-dilation", "32"])
+    assert code == 0
+    # path-3's Ehrhart polynomial at 32, from h* = (1, 3, 1, 0)
+    assert json.loads(out)["evaluations"]["32"] == comb(35, 3) + 3 * comb(34, 3) + comb(33, 3)
+
+
 def test_hstar_star14_is_the_cube(graph_file, capsys):
     # star-14 gives the 14-cube, whose h* holds the Eulerian numbers
     star = "".join(f"0 {i}\n" for i in range(1, 15))
@@ -292,20 +323,18 @@ def test_groebner_random6_within_seconds(graph_file, capsys):
 def test_groebner_star20_fails_before_enumerating(graph_file, capsys):
     star20 = "".join(f"0 {i}\n" for i in range(1, 21))
     start = time.perf_counter()
-    code, out, err = run(capsys, ["groebner", "--graph", graph_file(star20), "--groebner-max-blocks", "30"])
+    code, out, err = run(capsys, ["groebner", "--graph", graph_file(star20)])
     assert (code, out) == (1, "")
     assert err == "failed: BudgetExceeded: 1048576 variables exceed the cap 60\n"
     assert time.perf_counter() - start < 3
 
 
 def test_groebner_refusal(graph_file, capsys):
-    code, out, err = run(
-        capsys,
-        ["groebner", "--graph", graph_file(PATH3), "--groebner-max-blocks", "2"],
-    )
-    assert code == 1
-    assert out == ""
-    assert "refusing" in err
+    # star-6 has 64 vertices, the first star above the 60-variable cap
+    star6 = "".join(f"0 {i}\n" for i in range(1, 7))
+    code, out, err = run(capsys, ["groebner", "--graph", graph_file(star6)])
+    assert (code, out) == (1, "")
+    assert err == "failed: BudgetExceeded: 64 variables exceed the cap 60\n"
 
 
 def test_triangulate(graph_file, capsys):

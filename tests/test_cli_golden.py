@@ -4,9 +4,8 @@ The digests were recorded from the per-pair combinatorial skeleton, the
 dict-based diameter search and the Fraction row evaluations that the
 integer mask kernels replaced, so a kernel that changes one output byte of
 these commands fails here.  The digests of `blocks`, `vertices`, `hstar`,
-`groebner` and `triangulate`, and the refusal on seven blocks, were recorded
-while each command still built its own artifacts, before they all read them
-from `verify.GraphContext`.  The `hstar` digest of triangle-chain-7 was
+`groebner` and `triangulate` were recorded while each command still built
+its own artifacts, before they all read them from `verify.GraphContext`.  The `hstar` digest of triangle-chain-7 was
 recorded from the prefix recursion and the `Fraction` interpolation that
 the level-by-level count and the integer h* replaced.  The `hstar`
 digests of star-14 and of path-3 with `--max-dilation 12` were recorded
@@ -14,7 +13,9 @@ while the output still went through a deep `jsonable` copy (which turns the
 integer dilation keys into strings before sorting) and while the `volume`
 clause still compared sum(h*) with the leading coefficient.  A path and a
 triangle chain of six blocks have the same block structure and hence the
-same output (apart from `blocks`).
+same output (apart from `blocks`).  The refusal of `groebner` and
+`triangulate` on star-6 is the variable cap's, checked on the predicted
+vertex count.
 """
 
 import hashlib
@@ -34,6 +35,7 @@ GRAPHS = {
     "triangle-chain-7": lambda: triangle_chain(7),
     "star-14": lambda: star_graph(14),
     "path-3": lambda: path_graph(3),
+    "star-6": lambda: star_graph(6),
 }
 
 COMMANDS = {
@@ -108,7 +110,8 @@ def test_stdout_digest(graph, command, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["groebner", "triangulate"])
 def test_groebner_refusal_output(command, tmp_path, capsys):
-    assert main([command, "--graph", write_graph("triangle-chain-7", tmp_path)]) == 1
+    # star-6 has 64 vertices, over the 60-variable cap
+    assert main([command, "--graph", write_graph("star-6", tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "refusing: 7 blocks exceed --groebner-max-blocks 6\n"
+    assert captured.err == "failed: BudgetExceeded: 64 variables exceed the cap 60\n"

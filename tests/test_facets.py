@@ -5,11 +5,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from cbp import facets
-from cbp.corpus import corpus, path_graph, star_graph
+from cbp.corpus import path_graph, star_graph
 from cbp.errors import RowInvalid
 from cbp.facets import (
-    IndependentBlocksInequality,
     construct_ibis,
     enumerate_ibis,
     facet_certificates,
@@ -36,25 +34,20 @@ def test_is_independent(path3_d):
 
 def test_path3_ibis(path3_d):
     got = enumerate_ibis(path3_d)
-    assert got == (
-        IndependentBlocksInequality((0,), (1, 0, 0)),
-        IndependentBlocksInequality((1,), (0, 1, 0)),
-        IndependentBlocksInequality((2,), (0, 0, 1)),
-        IndependentBlocksInequality((0, 2), (1, -1, 1)),
-    )
+    assert got == ((0, 0, 1), (0, 1, 0), (1, -1, 1), (1, 0, 0))
     assert construct_ibis(path3_d) == got
 
 
 def test_star3_ibis_are_box_only(star3_d):
     # all blocks share the hub, so only singleton independent sets exist
     got = enumerate_ibis(star3_d)
-    assert [q.independent_set for q in got] == [(0,), (1,), (2,)]
+    assert got == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert construct_ibis(star3_d) == got
 
 
 def test_tripod_ibi_reaches_minus_two():
     d = tripod_d()
-    target = IndependentBlocksInequality((1, 2, 3), (-2, 1, 1, 1))
+    target = (-2, 1, 1, 1)
     assert not ibi_violations(d, target)
     assert target in enumerate_ibis(d)
     assert target in construct_ibis(d)
@@ -62,19 +55,26 @@ def test_tripod_ibi_reaches_minus_two():
 
 def test_subset_condition_rejects_skewed_alpha():
     d = block_decomposition(path_graph(5))
-    bad = IndependentBlocksInequality((0, 2, 4), (1, -2, 1, 0, 1))
-    problems = ibi_violations(d, bad)
-    assert any("subset" in p for p in problems)
-    good = IndependentBlocksInequality((0, 2, 4), (1, -1, 1, -1, 1))
-    assert not ibi_violations(d, good)
+    assert ibi_violations(d, (1, -2, 1, 0, 1)) == ("subset (2, 4) has interior alpha sum 0 > -1",)
+    assert not ibi_violations(d, (1, -1, 1, -1, 1))
 
 
 def test_ibi_violations_clauses(path3_d):
-    assert ibi_violations(path3_d, IndependentBlocksInequality((), (0, 0, 0)))
-    assert ibi_violations(path3_d, IndependentBlocksInequality((0,), (1, 0)))
-    assert ibi_violations(path3_d, IndependentBlocksInequality((0, 1), (1, 1, 0)))
-    assert ibi_violations(path3_d, IndependentBlocksInequality((0,), (1, 1, 0)))
-    assert ibi_violations(path3_d, IndependentBlocksInequality((0, 2), (1, 0, 1)))
+    # one case per clause; the independent set is read off alpha as the
+    # blocks with alpha_b = 1
+    cases = [
+        ((1, 0), ("alpha has length 2, expected 3",)),
+        ((1, Fraction(-1, 2), 1), ("alpha entries must be integers",)),
+        ((0, 0, 0), ("no entry of alpha equals 1",)),
+        ((0, -1, 0), ("no entry of alpha equals 1",)),
+        ((1, 1, 0), ("blocks are not pairwise vertex-disjoint", "closure-interior alpha sum 0 != -1")),
+        ((1, 2, 1), ("alpha[1] = 2 must be nonpositive on the closure interior", "closure-interior alpha sum 2 != -1")),
+        ((1, -1, 0), ("alpha[1] = -1 outside the closure",)),
+        ((1, 0, 1), ("closure-interior alpha sum 0 != -1",)),
+        ((1, -2, 1), ("closure-interior alpha sum -2 != -1",)),
+    ]
+    for alpha, problems in cases:
+        assert ibi_violations(path3_d, alpha) == problems, alpha
 
 
 def test_path3_h_representation(path3_d):
@@ -124,42 +124,17 @@ def test_every_row_is_reflexively_shifted(small_corpus):
 def test_ibi_alpha_invariants(small_corpus):
     for name, g in small_corpus:
         d = block_decomposition(g)
-        for q in enumerate_ibis(d):
-            assert sum(q.alpha) == 1, name
-            assert all(x >= -(len(q.independent_set) - 1) for x in q.alpha), name
+        for alpha in enumerate_ibis(d):
+            assert sum(alpha) == 1, name
+            assert all(x >= -(alpha.count(1) - 1) for x in alpha), name
             for v in sorted(d.cut_vertices):
                 sums = [
-                    sum(q.alpha[b] for b in part)
+                    sum(alpha[b] for b in part)
                     for part in split_components_at(d, v)
                 ]
                 assert sorted(sums)[-1] in (0, 1), (name, v)
                 assert all(s in (0, 1) for s in sums), (name, v)
                 assert sums.count(1) <= 1, (name, v)
-
-
-def test_alpha_determines_the_independent_set(monkeypatch):
-    # a valid inequality's independent set is the set of blocks with
-    # alpha_b = 1, so both routes can key the inequalities by alpha alone
-    valid = []
-
-    def record(d, cand):
-        problems = ibi_violations(d, cand)
-        if not problems:
-            valid.append(cand)
-        return problems
-
-    monkeypatch.setattr(facets, "ibi_violations", record)
-    checked = {enumerate_ibis: 0, construct_ibis: 0}
-    for name, g in corpus(5, 7, 26):
-        d = block_decomposition(g)
-        for route in checked:
-            valid.clear()
-            found = route(d)
-            checked[route] += len(valid)
-            for q in valid + list(found):
-                ones = tuple(b for b, x in enumerate(q.alpha) if x == 1)
-                assert q.independent_set == ones, (name, route.__name__, q)
-    assert min(checked.values()) > 300, checked
 
 
 def test_facet_certificate(path3_d):
@@ -169,16 +144,14 @@ def test_facet_certificate(path3_d):
     # x0 - x1 + x2 hits 1 exactly at (0,), (2,), and (0, 1, 2)
     assert cert.tight_vertex_indices == (1, 3, 6)
     assert cert.slack_witness == 0
-    half = Fraction(1, 2)
-    assert facet_certificates(path3_d, [((half, -half, half), half)], verts) == (cert,)
+    assert facet_certificates(path3_d, [((2, -2, 2), 2)], verts) == (cert,)
 
 
 def test_facet_certificate_rejects_violated_row(path3_d):
     with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 2 > 1$"):
         facet_certificates(path3_d, [((1, 1, 1), 1)], enumerate_vertices(path3_d))
-    third = Fraction(1, 3)
-    with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 2/3 > 1/3$"):
-        facet_certificates(path3_d, [((third, third, third), third)], enumerate_vertices(path3_d))
+    with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 4 > 2$"):
+        facet_certificates(path3_d, [((2, 2, 2), 2)], enumerate_vertices(path3_d))
 
 
 def test_facet_certificate_on_valid_nonfacet(path3_d):
@@ -194,9 +167,8 @@ def test_facet_certificates_match_one_row_at_a_time(small_corpus, path3_d):
         expected = tuple(cert for row in rows for cert in facet_certificates(d, [row], verts))
         assert facet_certificates(d, rows, verts) == expected, name
     # the first violated row is the one reported
-    third = Fraction(1, 3)
-    rows = [((1, -1, 1), 1), ((third, third, third), third), ((1, 1, 1), 1)]
-    with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 2/3 > 1/3$"):
+    rows = [((1, -1, 1), 1), ((2, 2, 2), 2), ((1, 1, 1), 1)]
+    with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 4 > 2$"):
         facet_certificates(path3_d, rows, enumerate_vertices(path3_d))
 
 
