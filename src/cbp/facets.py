@@ -24,8 +24,8 @@ import itertools
 
 from .errors import AssertionFailure, CountOverflow, RowInvalid
 from .graphs import BlockDecomposition, blockset_closure, graph_to_json, split_components_at
-from .hull import Certificate, RationalPolyhedron, affine_rank
-from .vertices import _bits, _row_masks, to_incidence
+from .hull import Certificate, RationalPolyhedron, _bareiss
+from .vertices import _bits, _row_masks
 
 MAX_IBI_BLOCKS = 14
 
@@ -235,23 +235,25 @@ def h_representation(d: BlockDecomposition, ibis: tuple[tuple[int, ...], ...]) -
     return RationalPolyhedron(dim=n, rows=tuple(sorted(rows, key=lambda r: (r[1], r[0]))))
 
 
-def facet_certificates(d: BlockDecomposition, rows, verts) -> tuple[Certificate, ...]:
+def facet_certificates(d: BlockDecomposition, rows, verts, incidence) -> tuple[Certificate, ...]:
     """Tightness certificates of the integer rows against the vertex list
     `enumerate_vertices(d)`, from one pass over the vertices' block masks.
 
-    Raises RowInvalid at the first row that some vertex violates.
+    incidence holds the vertices' 0/1 incidence vectors, in the same order,
+    as GraphContext.incidence does.  The affine rank of a row's tight
+    vertices is the rank of their integer rows (1, x), by the fraction-free
+    elimination hull._bareiss, less one.  Raises RowInvalid at the first
+    row that some vertex violates.
     """
     out = []
     for (a, b), (tight, violator) in zip(rows, _row_masks(d, rows, verts)):
         if violator is not None:
             subset = verts[violator]
-            val = sum(c * v for c, v in zip(a, to_incidence(d, subset)))
-            raise RowInvalid(f"vertex {subset} violates the row: {val} > {b}")
+            raise RowInvalid(f"vertex {subset} violates the row: {sum(a[k] for k in subset)} > {b}")
         indices = tuple(_bits(tight))
         # the lowest clear bit of the tight mask, if it is a vertex
         slack = ((tight + 1) & ~tight).bit_length() - 1
         slack = slack if slack < len(verts) else None
-        rank = affine_rank([to_incidence(d, verts[k]) for k in indices]) if indices else -1
+        rank = _bareiss([[1, *incidence[k]] for k in indices])[0] - 1 if indices else -1
         out.append(Certificate(tight_vertex_indices=indices, affine_rank=rank, slack_witness=slack))
     return tuple(out)
-

@@ -119,7 +119,10 @@ def _primitive(vec: list[int]) -> tuple[int, ...]:
 
 
 def _clear_denominators(vec) -> list[int]:
-    """The rational vector scaled by the least common multiple of its denominators."""
+    """The rational vector scaled by the least common multiple of its
+    denominators; an all-int vector is returned as it is, as a list."""
+    if all(type(x) is int for x in vec):
+        return list(vec)
     denom = lcm(*(x.denominator for x in vec))
     return [x.numerator * (denom // x.denominator) for x in vec]
 
@@ -141,8 +144,10 @@ def brute_force_facets(points) -> RationalPolyhedron:
 
     The points must affinely span the ambient space.  Intended as the
     trusted oracle for small dimensions; the cap keeps runtimes sane.
+    int coordinates, such as those of 0/1 vertices, are kept as they are;
+    any other coordinate goes through Fraction.
     """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
+    pts = [tuple(x if type(x) is int else Fraction(x) for x in p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
     dim = len(pts[0])

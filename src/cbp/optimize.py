@@ -13,8 +13,9 @@ than MAX_OPTIMIZE_BLOCKS blocks are refused before any work.
 
 Each public solver is a front over a private core on integer weights: the
 front checks its cap, then scales the weights once to integers over their
-least common denominator.  _dp_and_brute_force runs both cores on one
-scaling of a weight vector, for checks that compare them.
+least common denominator.  Checks that compare the DP with the brute
+force call the two cores, _optimum and _brute_force, on one integer
+vector, after checking both caps once.
 
 Two adapters specialize the solver: trees (blocks are edges, so the
 optimum is a max-weight subtree) and Eulerian cacti (blocks are cycles,
@@ -231,19 +232,6 @@ def brute_force_optimum(
     w, scale = _scaled_weights(d, weights)
     blockset, best = _brute_force(w, enumerate_vertices(d) if vertices is None else vertices)
     return Solution(blockset=blockset, value=Fraction(best, scale))
-
-
-def _dp_and_brute_force(
-    d: BlockDecomposition, weights: Sequence, vertices: Iterable[BlockSubset]
-) -> tuple[Solution, Solution]:
-    """max_weight_connected_blockset and brute_force_optimum of weights,
-    with vertices the connected blocksets of d: both caps are checked
-    first, and the two cores share one scaling of the weights."""
-    _check_optimize_cap(d)
-    _check_brute_force_cap(d)
-    w, scale = _scaled_weights(d, weights)
-    (dp, dp_value), (bf, bf_value) = _optimum(d, w), _brute_force(w, vertices)
-    return Solution(dp, Fraction(dp_value, scale)), Solution(bf, Fraction(bf_value, scale))
 
 
 def _edge_weight_map(g: Graph, edge_weights: Sequence) -> tuple[dict[Edge, int], int]:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
+from math import gcd, lcm
 
 from .corpus import CorpusEntry, corpus
 from .ehrhart import hstar_checks, hstar_profile
@@ -30,11 +31,8 @@ from .graphs import (
     split_components_at,
 )
 from .hull import RationalPolyhedron, affine_rank, brute_force_facets
-from .optimize import (
-    _dp_and_brute_force,
-    _lift,
-    max_weight_connected_blockset,
-)
+from . import optimize
+from .optimize import _lift, max_weight_connected_blockset
 from .serialize import jsonable
 from .skeleton import (
     PolytopeGraph,
@@ -54,7 +52,7 @@ from .toric import (
     triangulation,
     triangulation_checks,
 )
-from .vertices import count_connected_blocksets, enumerate_vertices, to_incidence
+from .vertices import _bits, count_connected_blocksets, enumerate_vertices, to_incidence
 
 
 # Block-count gates of the sweep, read at call time: a graph with more
@@ -279,7 +277,7 @@ def check_facets(ctx: GraphContext) -> dict | None:
             "missing_rows": sorted(theirs - ours),
             "extra_rows": sorted(ours - theirs),
         }
-    certs = facet_certificates(d, ctx.hrep.rows, ctx.vertices)
+    certs = facet_certificates(d, ctx.hrep.rows, ctx.vertices, ctx.incidence)
     for row, cert in zip(ctx.hrep.rows, certs):
         if not cert.confirms_facet(n):
             return {"reason": "row is not facet-defining", "row": row}
@@ -332,9 +330,37 @@ def check_adjacency(ctx: GraphContext) -> dict | None:
     return None
 
 
+def _bfs_diameter(neighbors) -> int | None:
+    """Largest eccentricity of the graph given by neighbor masks, by one
+    breadth-first search per source, level by level; None when the graph
+    is disconnected."""
+    full = (1 << len(neighbors)) - 1
+    best = 0
+    for source in range(len(neighbors)):
+        seen = frontier = 1 << source
+        depth = -1
+        while frontier:
+            depth += 1
+            reached = 0
+            for u in _bits(frontier):
+                reached |= neighbors[u]
+            frontier = reached & ~seen
+            seen |= frontier
+        if seen != full:
+            return None
+        best = max(best, depth)
+    return best
+
+
 def check_diameter(ctx: GraphContext) -> dict | None:
-    """Diameter bounded by the dimension and by the Hirsch bound."""
-    hirsch_check(ctx.decomposition, ctx.skeleton, ctx.hrep)
+    """Diameter bounded by the dimension and by the Hirsch bound; under the
+    adjacency gate it also equals the largest eccentricity found by a
+    per-source breadth-first search of the skeleton."""
+    report = hirsch_check(ctx.decomposition, ctx.skeleton, ctx.hrep)
+    if len(ctx.decomposition.blocks) <= ADJACENCY_MAX_BLOCKS:
+        bfs = _bfs_diameter(ctx.skeleton.neighbors)
+        if bfs != report.diameter:
+            return {"diameter": report.diameter, "bfs_diameter": bfs}
     return None
 
 
@@ -374,47 +400,60 @@ def check_triangulation(ctx: GraphContext) -> dict | None:
     return None
 
 
+def _integer_pairs(pairs) -> tuple[list[int], int]:
+    """The rationals p/q of the (p, q) pairs, q > 0, as integers over their
+    least common denominator, and that denominator: the vector that
+    optimize._scaled_weights gives for the pairs' Fractions."""
+    reduced = [(p // g, q // g) for p, q in pairs for g in (gcd(p, q),)]
+    scale = lcm(*(q for _, q in reduced))
+    return [p * (scale // q) for p, q in reduced], scale
+
+
 def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
     """DP equals brute force, with tie-break, on random rational weights.
 
-    The DP and the brute force of a trial share one scaling of its
-    weights to integers; the scaling trial goes through
-    max_weight_connected_blockset.  The adapter trials run the adapters'
-    shared lift on ctx.decomposition.
+    Both caps are checked once, before the first draw.  Each trial draws
+    its weights as (numerator, denominator) pairs, and the DP core and the
+    brute-force core run on one integer vector, the pairs over their least
+    common denominator.  The scaling trial multiplies the weights by a
+    positive rational and goes through max_weight_connected_blockset.  The
+    adapter trials run the adapters' shared lift on ctx.decomposition and
+    compare its blockset and value with the DP core on the blocks' edge
+    sums.  Fractions are built only for the public solver, the lift's input
+    and failure payloads.
     """
     d = ctx.decomposition
-    n = len(d.blocks)
+    optimize._check_optimize_cap(d)
+    optimize._check_brute_force_cap(d)
     rng = random.Random(seed_tag)
     for t in range(OPTIMIZER_TRIALS):
-        weights = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(n)]
-        dp, bf = _dp_and_brute_force(d, weights, ctx.vertices)
+        pairs = [(rng.randint(-12, 12), rng.randint(1, 6)) for _ in d.blocks]
+        w, den = _integer_pairs(pairs)
+        dp, bf = optimize._optimum(d, w), optimize._brute_force(w, ctx.vertices)
         if dp != bf:
             return {
                 "trial": t,
-                "weights": weights,
-                "dp": {"blockset": dp.blockset, "value": dp.value},
-                "brute": {"blockset": bf.blockset, "value": bf.value},
+                "weights": [Fraction(p, q) for p, q in pairs],
+                "dp": {"blockset": dp[0], "value": Fraction(dp[1], den)},
+                "brute": {"blockset": bf[0], "value": Fraction(bf[1], den)},
             }
-        scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        scaled = max_weight_connected_blockset(d, [w * scale for w in weights])
-        if scaled.blockset != dp.blockset or scaled.value != dp.value * scale:
+        a, b = rng.randint(1, 9), rng.randint(1, 9)
+        scaled = max_weight_connected_blockset(d, [Fraction(p * a, q * b) for p, q in pairs])
+        if scaled.blockset != dp[0] or scaled.value != Fraction(dp[1] * a, den * b):
             return {"trial": t, "reason": "positive scaling moved the argmax"}
     cls = classify(ctx.graph, d)
-    m = len(ctx.graph.edges)
-    if cls.is_eulerian_cactus:
+    edges = ctx.graph.sorted_edges()
+    for applies, eulerian, name in ((cls.is_eulerian_cactus, True, "Eulerian"), (cls.is_tree, False, "tree")):
+        if not applies:
+            continue
         for t in range(min(OPTIMIZER_TRIALS, 20)):
-            ew = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
-            _lift(ctx.graph, d, ew, eulerian=True)
-    if cls.is_tree:
-        for t in range(min(OPTIMIZER_TRIALS, 20)):
-            ew = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
-            sol = _lift(ctx.graph, d, ew)
-            wmap = dict(zip(ctx.graph.sorted_edges(), ew))
-            direct = max_weight_connected_blockset(
-                d, [wmap[next(iter(blk.edges))] for blk in d.blocks]
-            )
-            if sol.value != direct.value or sol.blockset != direct.blockset:
-                return {"trial": t, "reason": "tree adapter disagrees with the DP"}
+            pairs = [(rng.randint(-6, 6), rng.randint(1, 4)) for _ in edges]
+            ew, den = _integer_pairs(pairs)
+            wmap = dict(zip(edges, ew))
+            blockset, value = optimize._optimum(d, [sum(wmap[e] for e in blk.edges) for blk in d.blocks])
+            sol = _lift(ctx.graph, d, [Fraction(p, q) for p, q in pairs], eulerian=eulerian)
+            if sol.blockset != blockset or sol.value != Fraction(value, den):
+                return {"trial": t, "reason": f"{name} adapter disagrees with the DP"}
     return None
 
 

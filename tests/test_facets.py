@@ -20,6 +20,11 @@ from cbp.hull import brute_force_facets
 from cbp.vertices import enumerate_vertices, to_incidence
 
 
+def certificates(d, rows, verts):
+    """facet_certificates with the vertices' incidence vectors built here."""
+    return facet_certificates(d, rows, verts, [to_incidence(d, a) for a in verts])
+
+
 def tripod_d():
     """Triangle with a pendant edge at each corner; blocks: triangle first."""
     g = Graph(6, ((0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)))
@@ -139,23 +144,23 @@ def test_ibi_alpha_invariants(small_corpus):
 
 def test_facet_certificate(path3_d):
     verts = enumerate_vertices(path3_d)
-    (cert,) = facet_certificates(path3_d, [((1, -1, 1), 1)], verts)
+    (cert,) = certificates(path3_d, [((1, -1, 1), 1)], verts)
     assert cert.confirms_facet(3)
     # x0 - x1 + x2 hits 1 exactly at (0,), (2,), and (0, 1, 2)
     assert cert.tight_vertex_indices == (1, 3, 6)
     assert cert.slack_witness == 0
-    assert facet_certificates(path3_d, [((2, -2, 2), 2)], verts) == (cert,)
+    assert certificates(path3_d, [((2, -2, 2), 2)], verts) == (cert,)
 
 
 def test_facet_certificate_rejects_violated_row(path3_d):
     with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 2 > 1$"):
-        facet_certificates(path3_d, [((1, 1, 1), 1)], enumerate_vertices(path3_d))
+        certificates(path3_d, [((1, 1, 1), 1)], enumerate_vertices(path3_d))
     with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 4 > 2$"):
-        facet_certificates(path3_d, [((2, 2, 2), 2)], enumerate_vertices(path3_d))
+        certificates(path3_d, [((2, 2, 2), 2)], enumerate_vertices(path3_d))
 
 
 def test_facet_certificate_on_valid_nonfacet(path3_d):
-    (cert,) = facet_certificates(path3_d, [((1, 0, 1), 2)], enumerate_vertices(path3_d))
+    (cert,) = certificates(path3_d, [((1, 0, 1), 2)], enumerate_vertices(path3_d))
     assert not cert.confirms_facet(3)
 
 
@@ -164,12 +169,12 @@ def test_facet_certificates_match_one_row_at_a_time(small_corpus, path3_d):
         d = block_decomposition(g)
         rows = h_representation(d, enumerate_ibis(d)).rows
         verts = enumerate_vertices(d)
-        expected = tuple(cert for row in rows for cert in facet_certificates(d, [row], verts))
-        assert facet_certificates(d, rows, verts) == expected, name
+        expected = tuple(cert for row in rows for cert in certificates(d, [row], verts))
+        assert certificates(d, rows, verts) == expected, name
     # the first violated row is the one reported
     rows = [((1, -1, 1), 1), ((2, 2, 2), 2), ((1, 1, 1), 1)]
     with pytest.raises(RowInvalid, match=r"^vertex \(0, 1\) violates the row: 4 > 2$"):
-        facet_certificates(path3_d, rows, enumerate_vertices(path3_d))
+        certificates(path3_d, rows, enumerate_vertices(path3_d))
 
 
 def test_all_rows_certified(small_corpus):
@@ -177,5 +182,5 @@ def test_all_rows_certified(small_corpus):
         d = block_decomposition(g)
         h = h_representation(d, enumerate_ibis(d))
         verts = enumerate_vertices(d)
-        for row, cert in zip(h.rows, facet_certificates(d, h.rows, verts)):
+        for row, cert in zip(h.rows, certificates(d, h.rows, verts)):
             assert cert.confirms_facet(h.dim), (name, row)

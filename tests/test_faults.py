@@ -1,0 +1,183 @@
+"""Planted faults: every sweep check must catch at least one of them.
+
+Each fault is monkeypatched on its own over a small fixed corpus.  A
+fault counts as caught when some check fails on some graph; every check
+of the battery must be the one that fails under at least one fault, so
+no check passes whatever the program computes.  Each caught failure is
+then replayed from its report entry alone: the graph from `graph`, the
+name from `id` (the optimizer's draws depend on it) and the seed from
+the payload's `seed`.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+import cbp.ehrhart as ehrhart
+import cbp.optimize as optimize
+import cbp.skeleton as skeleton
+import cbp.verify as verify
+from cbp.corpus import CorpusEntry
+from cbp.graphs import graph_from_json
+from cbp.hull import RationalPolyhedron
+from cbp.verify import VerificationReport, VerifyOptions, run_verification, verify_graph
+
+OPTIONS = VerifyOptions(max_blocks=4, seed=7, random_per_size=8, workers=1)
+
+CHECKS = (
+    "blocks",
+    "dimension",
+    "facets",
+    "ibis",
+    "adjacency",
+    "diameter",
+    "simplicity",
+    "hstar",
+    "groebner",
+    "triangulation",
+    "optimizer",
+)
+
+
+def wrapped(module, name, after):
+    """A patch replacing module.name by the real function whose result r,
+    for arguments args, is replaced by after(r, *args)."""
+    real = getattr(module, name)
+
+    def patch(m):
+        m.setattr(module, name, lambda *args, **kwargs: after(real(*args, **kwargs), *args))
+
+    return patch
+
+
+def dp_wrong_argmax(result, d, w):
+    # the optimal blockset loses its last block; the value stays
+    blockset, value = result
+    return blockset[:-1], value
+
+
+def integers_drop_denominators(m):
+    m.setattr(optimize, "_integers", lambda values: ([Fraction(x).numerator for x in values], 1))
+
+
+def lift_first_edge(m):
+    # each block weighs its first edge only, which is right on trees
+    def lift(g, d, edge_weights, eulerian=False):
+        wmap, scale = optimize._edge_weight_map(g, edge_weights)
+        sol = optimize.max_weight_connected_blockset(d, [wmap[min(blk.edges)] for blk in d.blocks])
+        edges = tuple(sorted(e for b in sol.blockset for e in d.blocks[b].edges))
+        return optimize.EdgeSolution(edges=edges, value=sol.value / scale, blockset=sol.blockset)
+
+    m.setattr(verify, "_lift", lift)
+
+
+def rank_n_minus_2(certs, d, *args):
+    # the last row's tight vertices claim affine rank n - 2
+    last = dataclasses.replace(certs[-1], affine_rank=len(d.blocks) - 2)
+    return certs[:-1] + (last,)
+
+
+def block_loses_an_edge(d, *args):
+    # the last block of a decomposition with two or more edges in it drops one
+    last = d.blocks[-1]
+    if len(last.edges) < 2:
+        return d
+    lost = dataclasses.replace(last, edges=last.edges - {min(last.edges)})
+    return dataclasses.replace(d, blocks=d.blocks[:-1] + (lost,))
+
+
+def skeleton_drops_an_edge(nb, *args):
+    # the empty vertex and the first singleton are always adjacent
+    nb = list(nb)
+    nb[0] &= ~2
+    nb[1] &= ~1
+    return nb
+
+
+def ibis_drop_last(m):
+    wrapped(verify, "enumerate_ibis", lambda ibis, d: ibis[:-1])(m)
+    wrapped(verify, "construct_ibis", lambda ibis, d: ibis[:-1])(m)
+
+
+# name, patch, the checks that must fail
+FAULTS = [
+    ("dp-wrong-argmax", wrapped(optimize, "_optimum", dp_wrong_argmax), {"optimizer"}),
+    ("integers-drop-denominators", integers_drop_denominators, {"optimizer"}),
+    ("lift-first-edge", lift_first_edge, {"optimizer"}),
+    ("certificate-rank-n-2", wrapped(verify, "facet_certificates", rank_n_minus_2), {"facets"}),
+    (
+        "dd-oracle-drops-a-row",
+        wrapped(verify, "brute_force_facets", lambda h, *a: RationalPolyhedron(h.dim, h.rows[:-1])),
+        {"facets"},
+    ),
+    ("construction-drops-its-last-row", wrapped(verify, "construct_ibis", lambda ibis, d: ibis[:-1]), {"ibis"}),
+    ("both-ibi-generators-drop-their-last-row", ibis_drop_last, {"facets"}),
+    ("block-loses-an-edge", wrapped(verify, "block_decomposition", block_loses_an_edge), {"blocks"}),
+    (
+        "incidence-loses-the-last-block",
+        wrapped(verify, "to_incidence", lambda x, d, a: x[:-1] + (0,)),
+        {"dimension"},
+    ),
+    (
+        "skeleton-drops-an-edge",
+        wrapped(skeleton, "_combinatorial_neighbors", skeleton_drops_an_edge),
+        {"adjacency", "simplicity"},
+    ),
+    ("lattice-count-off-by-one", wrapped(ehrhart, "count_lattice_points", lambda c, *a: c + 1), {"hstar"}),
+    ("vertex-count-off-by-one", wrapped(ehrhart, "count_connected_blocksets", lambda c, d: c + 1), {"hstar"}),
+    (
+        "last-binomial-dropped",
+        wrapped(verify, "groebner_candidates", lambda basis, *a: basis[:-1]),
+        {"groebner", "triangulation"},
+    ),
+    ("diameter-minus-one", wrapped(skeleton, "diameter", lambda diam, pg: diam - 1), {"diameter"}),
+    ("diameter-is-zero", wrapped(skeleton, "diameter", lambda diam, pg: 0), {"diameter"}),
+]
+
+
+def failing_checks(payload):
+    return {c["name"] for g in payload["graphs"] for c in g["checks"] if c["status"] == "fail"}
+
+
+def strip_seconds(entry):
+    return {**entry, "checks": [{**c, "seconds": 0} for c in entry["checks"]]}
+
+
+@pytest.fixture(scope="module")
+def caught():
+    """The report JSON of the sweep under each fault."""
+    clean = run_verification(OPTIONS)
+    assert clean.passed()
+    assert all(tuple(c.name for c in r.checks) == CHECKS for r in clean.reports)
+    out = {}
+    with pytest.MonkeyPatch.context() as m:
+        for name, patch, _ in FAULTS:
+            with m.context() as inner:
+                patch(inner)
+                out[name] = run_verification(OPTIONS).to_json()
+    return out
+
+
+@pytest.mark.parametrize("name, expected", [(name, expected) for name, _, expected in FAULTS])
+def test_fault_is_caught(caught, name, expected):
+    failed = failing_checks(caught[name])
+    assert expected <= failed, (name, failed)
+
+
+def test_every_check_catches_some_fault(caught):
+    assert {check for _, _, expected in FAULTS for check in expected} == set(CHECKS)
+    assert set().union(*map(failing_checks, caught.values())) == set(CHECKS)
+
+
+@pytest.mark.parametrize("name, patch", [(name, patch) for name, patch, _ in FAULTS])
+def test_failure_replays_from_its_payload(caught, monkeypatch, name, patch):
+    payload = caught[name]
+    entry = next(g for g in payload["graphs"] if not g["passed"])
+    seeds = {c["detail"]["seed"] for c in entry["checks"] if c["status"] == "fail"}
+    assert seeds == {payload["seed"]}
+    patch(monkeypatch)
+    options = dataclasses.replace(OPTIONS, seed=seeds.pop())
+    report = verify_graph(CorpusEntry(entry["id"], graph_from_json(entry["graph"])), options)
+    replayed = VerificationReport(options, (report,)).to_json()["graphs"][0]
+    assert strip_seconds(replayed) == strip_seconds(entry)

@@ -78,21 +78,6 @@ def test_optimizer_cap(path3_d, monkeypatch):
         eulerian_adapter(triangle_chain(3), [1] * 8)
 
 
-def test_dp_and_brute_force_checks_both_caps(path3_d, monkeypatch):
-    verts = enumerate_vertices(path3_d)
-    weights = (Fraction(1, 2), Fraction(-1, 3), 1)
-    assert optimize._dp_and_brute_force(path3_d, weights, verts) == (
-        max_weight_connected_blockset(path3_d, weights),
-        brute_force_optimum(path3_d, weights),
-    )
-    monkeypatch.setattr(optimize, "MAX_BRUTE_FORCE_BLOCKS", 2)
-    with pytest.raises(CountOverflow):
-        optimize._dp_and_brute_force(path3_d, (1, 1), verts)
-    monkeypatch.setattr(optimize, "MAX_OPTIMIZE_BLOCKS", 2)
-    with pytest.raises(BudgetExceeded):
-        optimize._dp_and_brute_force(path3_d, (1, 1), verts)
-
-
 def test_best_containing_matches_fraction_oracle(oracle_graphs):
     # seeded (forced, banned) queries, in any order of the forced blocks,
     # against the oracle's own closure search and branch walks

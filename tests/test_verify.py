@@ -3,9 +3,13 @@
 import dataclasses
 import json
 import random
+import types
 from fractions import Fraction
 
+import pytest
+
 import oracles
+import cbp.errors as errors
 import cbp.facets as facets
 import cbp.optimize as optimize
 import cbp.skeleton as skeleton
@@ -72,7 +76,7 @@ def test_cutoff_point_matches_fraction_oracle():
     rows = 0
     for entry in corpus(5, 7, 26) + corpus(7, 7):
         ctx = GraphContext(entry.graph)
-        certs = facet_certificates(ctx.decomposition, ctx.hrep.rows, ctx.vertices)
+        certs = facet_certificates(ctx.decomposition, ctx.hrep.rows, ctx.vertices, ctx.incidence)
         for idx, (row, cert) in enumerate(zip(ctx.hrep.rows, certs)):
             tight = [ctx.incidence[k] for k in cert.tight_vertex_indices]
             point = verify._cutoff_point(ctx.hrep, idx, tight)
@@ -243,6 +247,25 @@ def test_optimizer_trials_share_one_scaling(monkeypatch):
         assert all(calls[i - 1][0] == "dp" and calls[i - 1][1] is calls[i][1] for i in brute), name
         expected = [optimize._scaled_weights(ctx.decomposition, w)[0] for w, _ in optimizer_draws(ctx, f"77:{name}")]
         assert [calls[i][1] for i in brute] == expected, name
+
+
+@pytest.mark.parametrize(
+    "cap, error",
+    [("MAX_BRUTE_FORCE_BLOCKS", "CountOverflow"), ("MAX_OPTIMIZE_BLOCKS", "BudgetExceeded")],
+)
+def test_optimizer_checks_both_caps_before_any_draw(monkeypatch, cap, error):
+    def no_draws(seed_tag):
+        raise AssertionError("a trial was drawn before the caps were checked")
+
+    entry = CorpusEntry("path-4", path_graph(4))
+    monkeypatch.setattr(optimize, cap, 3)
+    monkeypatch.setattr(verify, "random", types.SimpleNamespace(Random=no_draws))
+    ctx = GraphContext(entry.graph)
+    with pytest.raises(getattr(errors, error)):
+        verify.check_optimizer(ctx, PATH4_TAG)
+    assert "vertices" not in ctx.__dict__  # nor were the blocksets enumerated
+    detail = {c.name: c.detail for c in verify_graph(entry, VerifyOptions()).checks}["optimizer"]
+    assert detail["error"] == error
 
 
 PATH4_TAG = "7:path-4"
