@@ -242,10 +242,10 @@ def cmd_groebner(args) -> int:
             "binomial_count": len(basis),
             "binomials": [
                 {
-                    "plus": {_blockset_key(a): e for a, e in f.plus},
-                    "minus": {_blockset_key(a): e for a, e in f.minus},
+                    "plus": {_blockset_key(order.variables[r]): lt.count(r) for r in lt},
+                    "minus": {_blockset_key(order.variables[r]): tail.count(r) for r in tail},
                 }
-                for f in basis
+                for lt, tail in basis
             ],
             "is_groebner": is_groebner,
             "fiber_test": fiber_ok,
@@ -265,10 +265,10 @@ def cmd_triangulate(args) -> int:
             "ground": [list(a) for a in complex_.ground],
             "minimal_nonfaces": [list(p) for p in complex_.minimal_nonfaces],
             "maximal_faces": [list(f) for f in complex_.maximal_faces],
-            "face_count": report.maximal_face_count,
+            "face_count": len(complex_.maximal_faces),
             "f_vector": list(report.f_vector),
             "h_vector": list(report.h_vector),
-            "hstar": list(report.hstar),
+            "hstar": list(ctx.hstar.hstar),
         }
     )
     return 0

@@ -215,22 +215,16 @@ def _check_brute_force_cap(d: BlockDecomposition) -> None:
         )
 
 
-def brute_force_optimum(
-    d: BlockDecomposition,
-    weights: Sequence,
-    vertices: Sequence[BlockSubset] | None = None,
-) -> Solution:
+def brute_force_optimum(d: BlockDecomposition, weights: Sequence) -> Solution:
     """Scan every connected blockset; same value and tie-break as the DP.
 
-    vertices, when given, are the connected blocksets of d (as listed by
-    enumerate_vertices), so a caller holding them saves the enumeration.
     The scan sums the same scaled integer weights as the DP.  Raises
     CountOverflow above MAX_BRUTE_FORCE_BLOCKS blocks, before any other
     work.
     """
     _check_brute_force_cap(d)
     w, scale = _scaled_weights(d, weights)
-    blockset, best = _brute_force(w, enumerate_vertices(d) if vertices is None else vertices)
+    blockset, best = _brute_force(w, enumerate_vertices(d))
     return Solution(blockset=blockset, value=Fraction(best, scale))
 
 

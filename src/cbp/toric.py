@@ -9,11 +9,12 @@ connected union:
 
     x_A1 * x_A2  -  x_(A1 intersect A2) * x_(A1 union A2)
 
-whose leading term is the incomparable product.  All leading terms being
-squarefree quadratics, the initial complex is the flag complex of the
-compatibility relation (comparable, or union disconnected), and it is a
-regular unimodular triangulation of the polytope whose h-polynomial must
-reproduce the h* vector.
+whose leading term is the incomparable product; every function here
+carries a binomial as its (leading, trailing) pair of rank terms.  All
+leading terms being squarefree quadratics, the initial complex is the
+flag complex of the compatibility relation (comparable, or union
+disconnected), and it is a regular unimodular triangulation of the
+polytope whose h-polynomial must reproduce the h* vector.
 """
 
 from __future__ import annotations
@@ -77,23 +78,6 @@ def _term_key(t: Term) -> tuple[int, Term]:
     return len(t), t
 
 
-@dataclass(frozen=True)
-class Binomial:
-    """A difference of two monomials with disjoint supports, keyed by blockset."""
-
-    plus: tuple[tuple[BlockSubset, int], ...]
-    minus: tuple[tuple[BlockSubset, int], ...]
-
-    @staticmethod
-    def from_maps(plus: dict[BlockSubset, int], minus: dict[BlockSubset, int]) -> "Binomial":
-        return Binomial(tuple(sorted(plus.items())), tuple(sorted(minus.items())))
-
-
-def _to_term(side, order: TermOrder) -> Term:
-    """The term of one side of a binomial, given as (blockset, exponent) pairs."""
-    return tuple(sorted(r for a, e in side for r in (order.rank[a],) * e))
-
-
 def _leading_masks(d: BlockDecomposition, verts) -> list[int]:
     """Bit j of the i-th mask marks the blocksets i and j as the leading
     term of a binomial: incomparable, with a connected union.
@@ -108,59 +92,55 @@ def _leading_masks(d: BlockDecomposition, verts) -> list[int]:
 
 def groebner_candidates(
     d: BlockDecomposition, order: TermOrder, verts: tuple[BlockSubset, ...]
-) -> tuple[Binomial, ...]:
-    """One binomial per unordered incomparable pair with connected union.
+) -> tuple[tuple[Term, Term], ...]:
+    """One (leading, trailing) pair of rank terms per unordered incomparable
+    pair with connected union, sorted by leading term.
 
-    The meet and the join of a pair are looked up by their block sets.
-    Raises LeadingTermMismatch if some binomial's leading term is not the
-    incomparable product, which would contradict the order analysis.
+    The leading term is the pair's product, the trailing term the product
+    of its meet and join, looked up by their block masks.  Raises
+    LeadingTermMismatch if some trailing term is not smaller than its
+    leading term, which would contradict the order analysis.
     """
-    sets = [frozenset(a) for a in verts]
-    by_set = dict(zip(sets, verts))
+    masks = [sum(1 << b for b in a) for a in verts]
+    rank = {m: order.rank[a] for m, a in zip(masks, verts)}
     out = []
     for i, lead in enumerate(_leading_masks(d, verts)):
-        a1, s1 = verts[i], sets[i]
+        m1 = masks[i]
         for j in _bits(lead >> (i + 1) << (i + 1)):
-            a2, s2 = verts[j], sets[j]
-            f = Binomial.from_maps({a1: 1, a2: 1}, {by_set[s1 & s2]: 1, by_set[s1 | s2]: 1})
-            lt = _to_term(f.plus, order)
-            if _term_key(lt) <= _term_key(_to_term(f.minus, order)):
-                raise LeadingTermMismatch(f"pair {a1}, {a2} does not lead with the product")
-            out.append((lt, f))
-    out.sort(key=lambda p: p[0])
-    return tuple(f for _, f in out)
-
-
-def _rank_basis(g: tuple[Binomial, ...], order: TermOrder) -> list[tuple[Term, Term]]:
-    basis = [(_to_term(f.plus, order), _to_term(f.minus, order)) for f in g]
-    # smallest leading term first makes the reduction strategy deterministic
-    basis.sort(key=lambda p: _term_key(p[0]))
-    return basis
+            m2 = masks[j]
+            lt = tuple(sorted((rank[m1], rank[m2])))
+            tail = tuple(sorted((rank[m1 & m2], rank[m1 | m2])))
+            if _term_key(lt) <= _term_key(tail):
+                raise LeadingTermMismatch(f"pair {verts[i]}, {verts[j]} does not lead with the product")
+            out.append((lt, tail))
+    out.sort()
+    return tuple(out)
 
 
 class _NormalForms(dict):
     """Normal forms of terms modulo (leading, trailing) pairs, memoized: the
     normal form of a term m is `self[m]`, computed on its first lookup.
 
+    The basis is sorted by leading term first, so that a dropped or
+    hand-built basis reduces like the one `groebner_candidates` returns.
     Each step replaces the term m by q * trailing, where leading * q = m
-    and the leading term is the smallest one dividing m: the first in basis
-    order, which `_rank_basis` sorts by leading term.  The divisor depends
-    on m alone, so every term has one reduction chain, and a difference of
-    two terms reduces to zero under this strategy exactly when their normal
-    forms agree.  A leading term divides m exactly when it is one of the
-    sub-tuples of m of its own degree, so the divisor is found by looking
-    up those sub-tuples in an index from each leading term to its first
-    position: at most 7 lookups for a term of degree 3.  A constant leading
-    term, which no term order gives to a nonzero binomial, is never used.
-    A lookup raises ReductionDiverges when one chain takes more than
-    MAX_REDUCTION_STEPS steps.
+    and the leading term is the smallest one dividing m: the first in that
+    order.  The divisor depends on m alone, so every term has one reduction
+    chain, and a difference of two terms reduces to zero under this
+    strategy exactly when their normal forms agree.  A leading term divides
+    m exactly when it is one of the sub-tuples of m of its own degree, so
+    the divisor is found by looking up those sub-tuples in an index from
+    each leading term to its first position: at most 7 lookups for a term
+    of degree 3.  A constant leading term, which no term order gives to a
+    nonzero binomial, is never used.  A lookup raises ReductionDiverges
+    when one chain takes more than MAX_REDUCTION_STEPS steps.
     """
 
-    def __init__(self, basis: list[tuple[Term, Term]]):
+    def __init__(self, basis):
         super().__init__()
-        self.basis = basis
+        self.basis = sorted(basis, key=lambda p: _term_key(p[0]))
         self.first: dict[Term, int] = {}
-        for pos, (lt, _) in enumerate(basis):
+        for pos, (lt, _) in enumerate(self.basis):
             if lt:
                 self.first.setdefault(lt, pos)
         self.degrees = sorted({len(lt) for lt in self.first})
@@ -194,7 +174,7 @@ class _NormalForms(dict):
         return result
 
 
-def buchberger_verify(g: tuple[Binomial, ...], order: TermOrder) -> bool:
+def buchberger_verify(g: tuple[tuple[Term, Term], ...], order: TermOrder) -> bool:
     """True when every leading term is squarefree and every S-pair reduces to zero.
 
     An S-pair whose leading terms are coprime reduces to zero by
@@ -203,13 +183,12 @@ def buchberger_verify(g: tuple[Binomial, ...], order: TermOrder) -> bool:
     leading term holds r, each pair at its smallest shared variable.  The
     two sides of every such S-pair must have the same normal form.
     """
-    basis = _rank_basis(g, order)
-    if any(len(set(lt)) < len(lt) for lt, _ in basis):
+    if any(len(set(lt)) < len(lt) for lt, _ in g):
         return False
-    normal_form = _NormalForms(basis)
+    normal_form = _NormalForms(g)
     # per variable r: (support mask, leading term without r, tail) of each holder
     holders: list[list[tuple[int, Term, Term]]] = [[] for _ in range(order.variable_count())]
-    for lt, tail in basis:
+    for lt, tail in normal_form.basis:
         support = sum(1 << r for r in lt)
         for r in lt:
             holders[r].append((support, tuple(v for v in lt if v != r), tail))
@@ -232,7 +211,9 @@ def buchberger_verify(g: tuple[Binomial, ...], order: TermOrder) -> bool:
     return True
 
 
-def fiber_reduction_test(d: BlockDecomposition, g: tuple[Binomial, ...], order: TermOrder) -> bool:
+def fiber_reduction_test(
+    d: BlockDecomposition, g: tuple[tuple[Term, Term], ...], order: TermOrder
+) -> bool:
     """Differences of equal-image monomials of degree 2 up to
     FIBER_MAX_DEGREE all reduce to zero.
 
@@ -249,7 +230,7 @@ def fiber_reduction_test(d: BlockDecomposition, g: tuple[Binomial, ...], order: 
     nvars, maxdeg = order.variable_count(), FIBER_MAX_DEGREE
     if sum(comb(nvars + k - 1, k) for k in range(2, maxdeg + 1)) > DEFAULT_FIBER_CAP:
         raise BudgetExceeded(f"more than {DEFAULT_FIBER_CAP} fiber monomials")
-    normal_form = _NormalForms(_rank_basis(g, order))
+    normal_form = _NormalForms(g)
     width = maxdeg.bit_length()
     packed = [sum(1 << (width * b) for b in a) for a in order.variables]
     for deg in range(2, maxdeg + 1):
@@ -283,7 +264,9 @@ def _compatibility_masks(m: int, nonfaces) -> list[int]:
     return compat
 
 
-def triangulation(d: BlockDecomposition, g: tuple[Binomial, ...], order: TermOrder) -> SimplicialComplex:
+def triangulation(
+    d: BlockDecomposition, g: tuple[tuple[Term, Term], ...], order: TermOrder
+) -> SimplicialComplex:
     """The initial complex of the basis: cliques of the compatibility relation.
 
     Verifies flagness (every leading term is a squarefree quadratic), that
@@ -296,15 +279,13 @@ def triangulation(d: BlockDecomposition, g: tuple[Binomial, ...], order: TermOrd
     dim = len(d.blocks)
 
     nonfaces: set[tuple[int, int]] = set()
-    for f in g:
-        support = [order.rank[a] for a, _ in f.plus]
-        exps = [e for _, e in f.plus]
-        if sum(exps) != 2 or len(support) != 2:
+    for lt, tail in g:
+        if len(lt) != 2 or lt[0] == lt[1]:
             raise AssertionFailure(
                 "leading term is not a squarefree quadratic",
-                payload={"graph": graph_to_json(d.graph), "binomial": str(f)},
+                payload={"graph": graph_to_json(d.graph), "binomial": [list(lt), list(tail)]},
             )
-        nonfaces.add(tuple(sorted(support)))
+        nonfaces.add(lt)
 
     m = len(ground)
     compat = _compatibility_masks(m, nonfaces)
@@ -368,8 +349,6 @@ def triangulation(d: BlockDecomposition, g: tuple[Binomial, ...], order: TermOrd
 class TriangulationReport:
     f_vector: tuple[int, ...]
     h_vector: tuple[int, ...]
-    hstar: tuple[int, ...]
-    maximal_face_count: int
 
 
 def triangulation_checks(
@@ -401,12 +380,7 @@ def triangulation_checks(
             acc -= hi * comb(dim + 1 - i, k - i)
         h.append(acc)
     padded_hstar = tuple(hstar) + (0,) * (dim + 2 - len(hstar))
-    report = TriangulationReport(
-        f_vector=tuple(counts),
-        h_vector=tuple(h),
-        hstar=tuple(hstar),
-        maximal_face_count=len(c.maximal_faces),
-    )
+    report = TriangulationReport(f_vector=tuple(counts), h_vector=tuple(h))
     if tuple(h) != padded_hstar:
         raise AssertionFailure(
             "triangulation h-vector does not match hstar",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -649,28 +650,35 @@ def mono_key(m: Mono) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(m.items()))
 
 
-def binomial_is_homogeneous(d: BlockDecomposition, f) -> bool:
-    """Degrees match and the summed indicator vectors agree on both sides."""
+def binomial(order, plus: dict, minus: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (leading, trailing) rank terms of the binomial x^plus - x^minus,
+    each side given as a blockset -> exponent map."""
+
+    def term(side):
+        return tuple(sorted(r for a, e in side.items() for r in [order.rank[a]] * e))
+
+    return term(plus), term(minus)
+
+
+def binomial_is_homogeneous(d: BlockDecomposition, order, f) -> bool:
+    """Degrees match and the summed indicator vectors agree on both rank
+    terms of the pair f."""
     n = len(d.blocks)
 
-    def image(side):
-        deg = 0
+    def image(term):
         total = [0] * n
-        for a, e in side:
-            deg += e
-            for b in a:
-                total[b] += e
-        return deg, tuple(total)
+        for r in term:
+            for b in order.variables[r]:
+                total[b] += 1
+        return len(term), tuple(total)
 
-    return image(f.plus) == image(f.minus)
+    lt, tail = f
+    return image(lt) == image(tail)
 
 
-def ranked_basis(g, order) -> list[tuple[dict, dict]]:
-    """(leading, trailing) rank monomials of a binomial list, by leading term."""
-    basis = [
-        ({order.rank[a]: e for a, e in f.plus}, {order.rank[a]: e for a, e in f.minus})
-        for f in g
-    ]
+def ranked_basis(g) -> list[tuple[Mono, Mono]]:
+    """(leading, trailing) dict monomials of rank-term pairs, by leading term."""
+    basis = [(dict(Counter(lt)), dict(Counter(tail))) for lt, tail in g]
     basis.sort(key=functools.cmp_to_key(lambda x, y: mono_cmp(x[0], y[0])))
     return basis
 
@@ -702,10 +710,10 @@ def reduce_difference(p_plus, p_minus, basis, max_steps: int = 10**6) -> bool:
             raise ReductionDiverges(f"no termination after {max_steps} reduction steps")
 
 
-def pairwise_buchberger(g, order) -> bool:
+def pairwise_buchberger(g) -> bool:
     """Squarefree leading terms, and every S-pair (coprime ones included)
     reduced as a difference."""
-    basis = ranked_basis(g, order)
+    basis = ranked_basis(g)
     if any(e > 1 for lt, _ in basis for e in lt.values()):
         return False
     for (lt1, tail1), (lt2, tail2) in itertools.combinations(basis, 2):
@@ -720,7 +728,7 @@ def pairwise_buchberger(g, order) -> bool:
 def pairwise_fiber_test(nblocks: int, g, order, maxdeg: int = 3) -> bool:
     """Every pair of equal-image monomials of degree 2..maxdeg reduced as a
     difference."""
-    basis = ranked_basis(g, order)
+    basis = ranked_basis(g)
     for deg in range(2, maxdeg + 1):
         groups: dict[tuple[int, ...], list[dict]] = {}
         for combo in itertools.combinations_with_replacement(range(len(order.variables)), deg):
@@ -781,10 +789,10 @@ def memo_normal_form(basis, max_steps: int = 10**6):
     return normal_form
 
 
-def memo_buchberger(g, order) -> bool:
+def memo_buchberger(g) -> bool:
     """Squarefree leading terms, and equal normal forms for the two sides of
     every S-pair over all C(B, 2) pairs, the coprime ones skipped."""
-    basis = ranked_basis(g, order)
+    basis = ranked_basis(g)
     if any(e > 1 for lt, _ in basis for e in lt.values()):
         return False
     normal_form = memo_normal_form(basis)
@@ -802,7 +810,7 @@ def memo_buchberger(g, order) -> bool:
 def memo_fiber_test(nblocks: int, g, order, maxdeg: int = 3) -> bool:
     """Equal normal forms within every image class of degree 2..maxdeg,
     images as tuples of per-block counts."""
-    normal_form = memo_normal_form(ranked_basis(g, order))
+    normal_form = memo_normal_form(ranked_basis(g))
     for deg in range(2, maxdeg + 1):
         groups: dict[tuple[int, ...], list[Mono]] = {}
         for combo in itertools.combinations_with_replacement(range(len(order.variables)), deg):

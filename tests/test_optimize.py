@@ -48,10 +48,7 @@ def test_brute_force_cap(path3_d, monkeypatch):
     monkeypatch.setattr(optimize, "MAX_BRUTE_FORCE_BLOCKS", 2)
     with pytest.raises(CountOverflow, match="^3 blocks exceed the brute-force cap 2$"):
         brute_force_optimum(path3_d, (1, 1, 1))
-    # the cap holds when the blocksets are handed in, too
-    with pytest.raises(CountOverflow):
-        brute_force_optimum(path3_d, (1, 1, 1), vertices=enumerate_vertices(path3_d))
-    # and it is checked before the weights are read
+    # it is checked before the weights are read
     with pytest.raises(CountOverflow):
         brute_force_optimum(path3_d, (1, 1))
 
@@ -168,12 +165,10 @@ def test_brute_force_matches_oracle_on_ties(oracle_graphs):
     # scan that kept its first optimum would miss the smallest tuple
     rng = random.Random(20261018)
     for name, d in oracle_graphs:
-        vertices = enumerate_vertices(d)
         for _ in range(8):
             w = tie_heavy_weights(rng, len(d.blocks))
             expected = Solution(*oracles.best_blockset(d.graph, d.blocks, w))
             assert brute_force_optimum(d, w) == expected, (name, w)
-            assert brute_force_optimum(d, w, vertices=vertices) == expected, (name, w)
             assert max_weight_connected_blockset(d, w) == expected, (name, w)
 
 

@@ -15,12 +15,17 @@ import sympy
 import oracles
 from cbp import toric, verify
 from cbp.corpus import corpus, path_graph, spider, star_graph, triangle_chain
-from cbp.errors import AssertionFailure, BudgetExceeded, ReductionDiverges
+from cbp.errors import (
+    AssertionFailure,
+    BudgetExceeded,
+    LeadingTermMismatch,
+    NonUnimodalSimplex,
+    ReductionDiverges,
+)
 from cbp.graphs import block_decomposition
 from cbp.verify import GraphContext
 from cbp.vertices import enumerate_vertices
 from cbp.toric import (
-    Binomial,
     SimplicialComplex,
     TermOrder,
     _NormalForms,
@@ -81,23 +86,26 @@ def test_term_key_is_the_term_order():
 
 
 def test_path3_candidates(path3_d):
-    basis = GraphContext(path3_d.graph).basis
+    ctx = GraphContext(path3_d.graph)
+    basis, order = ctx.basis, ctx.order
     expected = {
-        Binomial.from_maps({(0,): 1, (1,): 1}, {(): 1, (0, 1): 1}),
-        Binomial.from_maps({(1,): 1, (2,): 1}, {(): 1, (1, 2): 1}),
-        Binomial.from_maps({(0,): 1, (1, 2): 1}, {(): 1, (0, 1, 2): 1}),
-        Binomial.from_maps({(2,): 1, (0, 1): 1}, {(): 1, (0, 1, 2): 1}),
-        Binomial.from_maps({(0, 1): 1, (1, 2): 1}, {(1,): 1, (0, 1, 2): 1}),
+        oracles.binomial(order, {(0,): 1, (1,): 1}, {(): 1, (0, 1): 1}),
+        oracles.binomial(order, {(1,): 1, (2,): 1}, {(): 1, (1, 2): 1}),
+        oracles.binomial(order, {(0,): 1, (1, 2): 1}, {(): 1, (0, 1, 2): 1}),
+        oracles.binomial(order, {(2,): 1, (0, 1): 1}, {(): 1, (0, 1, 2): 1}),
+        oracles.binomial(order, {(0, 1): 1, (1, 2): 1}, {(1,): 1, (0, 1, 2): 1}),
     }
     assert set(basis) == expected
     assert len(basis) == 5
+    assert list(basis) == sorted(basis, key=lambda f: _term_key(f[0]))
 
 
 def test_star3_candidates(star3_d):
-    basis = GraphContext(star3_d.graph).basis
+    ctx = GraphContext(star3_d.graph)
+    basis, order = ctx.basis, ctx.order
     assert len(basis) == 9
-    assert Binomial.from_maps({(1,): 1, (2,): 1}, {(): 1, (1, 2): 1}) in basis
-    assert Binomial.from_maps({(0, 1): 1, (0, 2): 1}, {(0,): 1, (0, 1, 2): 1}) in basis
+    assert oracles.binomial(order, {(1,): 1, (2,): 1}, {(): 1, (1, 2): 1}) in basis
+    assert oracles.binomial(order, {(0, 1): 1, (0, 2): 1}, {(0,): 1, (0, 1, 2): 1}) in basis
 
 
 def test_single_block_has_no_candidates(triangle_d):
@@ -112,10 +120,12 @@ def test_candidates_are_homogeneous(small_corpus):
         if len(ctx.decomposition.blocks) > 4:
             continue
         for f in ctx.basis:
-            assert oracles.binomial_is_homogeneous(ctx.decomposition, f), name
+            assert oracles.binomial_is_homogeneous(ctx.decomposition, ctx.order, f), name
+    path2 = GraphContext(path_graph(2))
     assert not oracles.binomial_is_homogeneous(
-        block_decomposition(path_graph(2)),
-        Binomial.from_maps({(0,): 1}, {(1,): 1}),
+        path2.decomposition,
+        path2.order,
+        oracles.binomial(path2.order, {(0,): 1}, {(1,): 1}),
     )
 
 
@@ -131,7 +141,7 @@ def test_buchberger_and_fiber_pass(small_corpus):
 def test_dropping_a_binomial_breaks_both_checks(path3_d):
     ctx = GraphContext(path3_d.graph)
     basis, order = ctx.basis, ctx.order
-    drop = Binomial.from_maps({(0, 1): 1, (1, 2): 1}, {(1,): 1, (0, 1, 2): 1})
+    drop = oracles.binomial(order, {(0, 1): 1, (1, 2): 1}, {(1,): 1, (0, 1, 2): 1})
     rest = tuple(f for f in basis if f != drop)
     assert len(rest) == len(basis) - 1
     assert not buchberger_verify(rest, order)
@@ -191,7 +201,7 @@ def test_checks_match_pairwise_oracles(groebner_battery):
             continue
         compared += 1
         for g in [basis] + dropped_bases(basis):
-            assert buchberger_verify(g, order) == oracles.pairwise_buchberger(g, order), name
+            assert buchberger_verify(g, order) == oracles.pairwise_buchberger(g), name
             expected = oracles.pairwise_fiber_test(len(d.blocks), g, order, maxdeg=3)
             assert fiber_reduction_test(d, g, order) == expected, name
     assert compared >= 39
@@ -245,7 +255,7 @@ def test_checks_match_memoized_route(groebner_battery):
     for name, ctx in graphs:
         d, order = ctx.decomposition, ctx.order
         for g in [ctx.basis] + dropped_bases(ctx.basis):
-            assert buchberger_verify(g, order) == oracles.memo_buchberger(g, order), name
+            assert buchberger_verify(g, order) == oracles.memo_buchberger(g), name
             expected = oracles.memo_fiber_test(len(d.blocks), g, order, maxdeg=3)
             assert fiber_reduction_test(d, g, order) == expected, name
 
@@ -265,17 +275,16 @@ def test_buchberger_matches_memoized_route_on_random_bases():
             lt = tuple(sorted(rng.sample(range(5), k)))
             tails = [t for t in itertools.combinations_with_replacement(range(5), k) if t < lt]
             if tails:
-                tail = collections.Counter(variables[r] for r in rng.choice(tails))
-                g.append(Binomial.from_maps({variables[r]: 1 for r in lt}, dict(tail)))
+                g.append((lt, rng.choice(tails)))
         g = tuple(g)
         verdict = buchberger_verify(g, order)
-        assert verdict == oracles.memo_buchberger(g, order), g
+        assert verdict == oracles.memo_buchberger(g), g
         verdicts[verdict] += 1
     assert min(verdicts.values()) >= 100, verdicts
     # a leading term that is not squarefree fails the check at once
-    square = (Binomial.from_maps({variables[1]: 2}, {variables[0]: 2}),)
+    square = (((1, 1), (0, 0)),)
     assert not buchberger_verify(square, order)
-    assert not oracles.memo_buchberger(square, order)
+    assert not oracles.memo_buchberger(square)
 
 
 def test_reduction_divergence_guard(monkeypatch):
@@ -310,9 +319,9 @@ def test_candidates_equal_sympy_reduced_basis(graph):
     ctx = GraphContext(graph)
     expected, ys, desc = sympy_toric_gb(ctx.decomposition, ctx.order)
     got = set()
-    for f in ctx.basis:
-        plus = sympy.Mul(*[ys[a] ** e for a, e in f.plus])
-        minus = sympy.Mul(*[ys[a] ** e for a, e in f.minus])
+    for lt, tail in ctx.basis:
+        plus = sympy.Mul(*[ys[ctx.order.variables[r]] for r in lt])
+        minus = sympy.Mul(*[ys[ctx.order.variables[r]] for r in tail])
         got.add(sympy.Poly(plus - minus, *desc))
     assert got == expected
 
@@ -335,7 +344,7 @@ def test_triangulation_path3(path3_d):
     report = triangulation_checks(path3_d, c, hstar)
     assert report.f_vector == (1, 7, 16, 15, 5)
     assert report.h_vector == (1, 3, 1, 0, 0)
-    assert report.maximal_face_count == sum(hstar)
+    assert len(c.maximal_faces) == sum(hstar)
 
 
 def test_triangulation_cube(star3_d):
@@ -355,19 +364,51 @@ def test_triangulation_single_block(triangle_d):
 
 
 def test_triangulation_rejects_non_quadratic_basis(path2_d):
-    bad = (Binomial.from_maps({(0,): 1}, {(): 1}),)
-    with pytest.raises(AssertionFailure):
-        triangulation(path2_d, bad, GraphContext(path2_d.graph).order)
+    order = GraphContext(path2_d.graph).order
+    bad = (oracles.binomial(order, {(0,): 1}, {(): 1}),)
+    with pytest.raises(AssertionFailure, match="not a squarefree quadratic") as info:
+        triangulation(path2_d, bad, order)
+    assert info.value.payload["binomial"] == [[1], [3]]
 
 
 def test_triangulation_rejects_a_missing_leading_pair(path3_d):
     ctx = GraphContext(path3_d.graph)
-    drop = Binomial.from_maps({(0, 1): 1, (1, 2): 1}, {(1,): 1, (0, 1, 2): 1})
+    drop = oracles.binomial(ctx.order, {(0, 1): 1, (1, 2): 1}, {(1,): 1, (0, 1, 2): 1})
     rest = tuple(f for f in ctx.basis if f != drop)
     assert len(rest) == len(ctx.basis) - 1
     with pytest.raises(AssertionFailure, match="disagree with the compatibility relation") as info:
         triangulation(ctx.decomposition, rest, ctx.order)
     assert info.value.payload["pair"] == [[0, 1], [1, 2]]
+
+
+def test_candidates_refuse_an_order_that_ranks_the_product_below(path2_d):
+    # the empty set and the full set ranked above both singletons, so the
+    # trailing term x_() * x_(0,1) is larger than x_(0,) * x_(1,)
+    variables = ((0,), (1,), (), (0, 1))
+    order = TermOrder(variables=variables, rank={a: i for i, a in enumerate(variables)})
+    with pytest.raises(LeadingTermMismatch, match=r"^pair \(0,\), \(1,\) does not lead with the product$"):
+        groebner_candidates(path2_d, order, enumerate_vertices(path2_d))
+
+
+def test_triangulation_rejects_a_non_unimodular_simplex(path2_d, monkeypatch):
+    ctx = GraphContext(path2_d.graph)
+    bareiss = toric._bareiss
+
+    def doubled(rows):
+        rank, pivot = bareiss(rows)
+        return rank, 2 * pivot
+
+    monkeypatch.setattr(toric, "_bareiss", doubled)
+    with pytest.raises(NonUnimodalSimplex, match="has determinant -2$"):
+        triangulation(path2_d, ctx.basis, ctx.order)
+
+
+def test_triangulation_rejects_an_oversized_maximal_face(path2_d, monkeypatch):
+    # no leading pair and no binomial: the whole ground is one clique
+    order = GraphContext(path2_d.graph).order
+    monkeypatch.setattr(toric, "_leading_masks", lambda d, verts: [0] * len(verts))
+    with pytest.raises(AssertionFailure, match="^maximal face has 4 vertices, expected 3$"):
+        triangulation(path2_d, (), order)
 
 
 def test_triangulation_checks_reject_wrong_hstar(path2_d):
@@ -384,8 +425,8 @@ def test_triangulation_over_corpus(small_corpus):
             continue
         c = triangulation(d, ctx.basis, ctx.order)
         hstar = ctx.hstar.hstar
-        report = triangulation_checks(d, c, hstar)
-        assert report.maximal_face_count == sum(hstar), name
+        triangulation_checks(d, c, hstar)
+        assert len(c.maximal_faces) == sum(hstar), name
 
 
 def test_leading_pairs_match_the_blockset_relation(oracle_graphs):
@@ -395,7 +436,9 @@ def test_leading_pairs_match_the_blockset_relation(oracle_graphs):
     for name, d in graphs:
         verts = enumerate_vertices(d)
         order = make_term_order(verts)
-        leading = {frozenset(a for a, _ in f.plus) for f in groebner_candidates(d, order, verts)}
+        leading = {
+            frozenset(order.variables[r] for r in lt) for lt, _ in groebner_candidates(d, order, verts)
+        }
         connected = oracles.blockset_connectivity(d)
         for a1, a2 in itertools.combinations(verts, 2):
             expected = oracles.leading_pair(d, a1, a2, connected)
