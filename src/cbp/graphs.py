@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import AbstractSet
 
 from .errors import EmptyGraph, InvalidGraph, NotConnected, NotCutVertex, ParseError
 
@@ -255,7 +256,7 @@ def _check_block_indices(d: BlockDecomposition, a) -> frozenset[int]:
 
 
 def _walk(
-    d: BlockDecomposition, root: int, banned: frozenset[int] = frozenset()
+    d: BlockDecomposition, root: int, banned: AbstractSet[int] = frozenset()
 ) -> tuple[list[int], dict[int, int], dict[int, int]]:
     """Breadth-first walk of the block-cut tree from block root, never
     entering a banned block (root itself is not checked).

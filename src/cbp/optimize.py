@@ -8,8 +8,10 @@ broken by the lexicographically smallest blockset under sorted-tuple
 comparison, where a prefix precedes its extensions; only this greedy
 left-to-right reconstruction uses constrained value queries (best value
 containing a forced set, avoiding a banned set), each one walk of the
-tree from a forced block and one pass back up it.  Decompositions of more
-than MAX_OPTIMIZE_BLOCKS blocks are refused before any work.
+tree from a forced block and one pass back up it.  A query with block e
+forced is at most e's rerooted value, so only blocks whose rerooted value
+is the optimum are queried, each at most once per solve.  Decompositions
+of more than MAX_OPTIMIZE_BLOCKS blocks are refused before any work.
 
 Each public solver is a front over a private core on integer weights: the
 front checks its cap, then scales the weights once to integers over their
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import AssertionFailure, BudgetExceeded, CountOverflow, NotEulerianCactus, NotTree
 from .graphs import (
@@ -93,7 +95,7 @@ def _best_containing(
     d: BlockDecomposition,
     w: Sequence[int],
     forced: tuple[int, ...],
-    banned: frozenset[int],
+    banned: AbstractSet[int],
 ) -> int | None:
     """Best value over connected blocksets containing forced and avoiding
     banned, or None when no such blockset exists.
@@ -155,26 +157,21 @@ def _optimum(d: BlockDecomposition, w: list[int]) -> tuple[BlockSubset, int]:
         return (), 0
 
     first = full.index(best)
-    prefix = [first]
+    prefix, weight = [first], w[first]
     banned = set(range(first))
-    while True:
-        if sum(w[b] for b in prefix) == best and is_connected_blockset(d, prefix):
-            return tuple(prefix), best
-        start = prefix[-1] + 1
-        chosen = None
-        for e in range(start, n):
-            trial_banned = frozenset(banned) | frozenset(range(start, e))
-            cand = _best_containing(d, w, tuple(prefix) + (e,), trial_banned)
-            if cand is not None and cand == best:
-                chosen = e
+    while not (weight == best and is_connected_blockset(d, prefix)):
+        for e in range(prefix[-1] + 1, n):
+            if full[e] == best and _best_containing(d, w, (*prefix, e), banned) == best:
                 break
-        if chosen is None:
+            banned.add(e)
+        else:
             raise AssertionFailure(
                 "optimal prefix admits no extension",
                 payload={"graph": graph_to_json(d.graph), "prefix": prefix},
             )
-        banned.update(range(start, chosen))
-        prefix.append(chosen)
+        prefix.append(e)
+        weight += w[e]
+    return tuple(prefix), best
 
 
 def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> Solution:
@@ -187,6 +184,8 @@ def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> S
     block indices left to right, stopping as soon as the accumulated prefix
     is itself a connected optimal set, and otherwise commits the smallest
     next index that keeps the constrained optimum at the global value.
+    Only blocks of optimal rerooted value are tried, and a block passed
+    over is banned from then on, so each block is queried at most once.
     Every sum and comparison is on the weights scaled to integers; only
     the returned value is a Fraction.  Raises BudgetExceeded above
     MAX_OPTIMIZE_BLOCKS blocks, before any other work.

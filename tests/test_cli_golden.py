@@ -15,16 +15,20 @@ clause still compared sum(h*) with the leading coefficient.  A path and a
 triangle chain of six blocks have the same block structure and hence the
 same output (apart from `blocks`).  The refusal of `groebner` and
 `triangulate` on star-6 is the variable cap's, checked on the predicted
-vertex count.
+vertex count.  The `optimize` digests were recorded while the tie-break
+reconstruction still queried every block after the prefix, whatever its
+rerooted value, and rebuilt the banned set for each query.
 """
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from cbp.cli import main
 from cbp.corpus import flower, path_graph, random_block_tree, spider, star_graph, triangle_chain
+from cbp.graphs import Graph, block_decomposition
 
 GRAPHS = {
     "path-6": lambda: path_graph(6),
@@ -36,6 +40,9 @@ GRAPHS = {
     "star-14": lambda: star_graph(14),
     "path-3": lambda: path_graph(3),
     "star-6": lambda: star_graph(6),
+    "random-128": lambda: random_block_tree(random.Random(23), 128),
+    "tree-96": lambda: random_tree(random.Random(29), 96),
+    "cactus-40": lambda: random_cactus(random.Random(31), 40),
 }
 
 COMMANDS = {
@@ -93,6 +100,39 @@ DIGESTS = {
 }
 
 
+def random_tree(rng, n):
+    """A tree on n + 1 vertices: vertex i hangs from a uniform earlier one."""
+    return Graph(n + 1, tuple((rng.randrange(i), i) for i in range(1, n + 1)))
+
+
+def random_cactus(rng, k):
+    """k triangles and four-cycles, each at a uniformly chosen existing vertex."""
+    edges, vertex_count = [], 1
+    for _ in range(k):
+        cycle = [rng.randrange(vertex_count)] + list(range(vertex_count, vertex_count + rng.choice((2, 3))))
+        vertex_count = cycle[-1] + 1
+        edges += zip(cycle, cycle[1:] + cycle[:1])
+    return Graph(vertex_count, tuple(edges))
+
+
+WEIGHTS = {
+    "signed": lambda rng: Fraction(rng.randint(-12, 12), rng.randint(1, 6)),
+    "ties": lambda rng: rng.randint(-1, 1),
+}
+
+# graph, mode (None for block weights), weight kind
+OPTIMIZE_DIGESTS = {
+    ("random-12", None, "signed"): "2bc9a3482ce50be82bdeec09681facd6f068295604b31a56878d33fca9fcefed",
+    ("random-12", None, "ties"): "bce058c917d2a04593a18c4adfa2958a28b6f3b7e7c5be8e24c7a7517945d902",
+    ("random-128", None, "signed"): "c13fab9ac0dfa57023a42d7df47d06474785e44e69af7a22e8d06364fa4f80d7",
+    ("random-128", None, "ties"): "1eefac9df39cf20e98fea2f50529ad5fccedb257e120ae9d1a3835451f5253b1",
+    ("tree-96", "tree", "signed"): "8c0a0b41a0c54fbdbfe3e39a76678df94be402a877a85106db76e20be5979e44",
+    ("tree-96", "tree", "ties"): "0340913cc1cd95b979c7de8dbad1c2323113003d9729900d37e6afa40caccc60",
+    ("cactus-40", "eulerian", "signed"): "d3c540df96b11c4746c699d4ead5dcbc97d39cd5abb0c31475ae237fc0468752",
+    ("cactus-40", "eulerian", "ties"): "0fc6406bc1498a7911af85c29f3eb285fb5bab22af8915b6405df2d19bad419a",
+}
+
+
 def write_graph(name, tmp_path) -> str:
     g = GRAPHS[name]()
     path = tmp_path / "graph.txt"
@@ -106,6 +146,20 @@ def test_stdout_digest(graph, command, tmp_path, capsys):
     assert main([COMMANDS[command][0], "--graph", path, *COMMANDS[command][1:]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[graph, command]
+
+
+@pytest.mark.parametrize("graph, mode, kind", sorted(OPTIMIZE_DIGESTS, key=str))
+def test_optimize_stdout_digest(graph, mode, kind, tmp_path, capsys):
+    path = write_graph(graph, tmp_path)
+    g = GRAPHS[graph]()
+    count = len(g.edges) if mode else len(block_decomposition(g).blocks)
+    rng = random.Random(f"{graph}:{kind}")
+    weights = tmp_path / "weights.txt"
+    weights.write_text("".join(f"{WEIGHTS[kind](rng)}\n" for _ in range(count)))
+    flags = ["--edge-weights", str(weights), "--mode", mode] if mode else ["--weights", str(weights)]
+    assert main(["optimize", "--graph", path, *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == OPTIMIZE_DIGESTS[graph, mode, kind]
 
 
 @pytest.mark.parametrize("command", ["groebner", "triangulate"])

@@ -57,6 +57,13 @@ def dp_wrong_argmax(result, d, w):
     return blockset[:-1], value
 
 
+def rerooted_keep_first_maximum(full, d, w):
+    # every block but the first of largest rerooted value loses 1, so the
+    # optimum and its first block stay
+    first = full.index(max(full))
+    return [v if b == first else v - 1 for b, v in enumerate(full)]
+
+
 def integers_drop_denominators(m):
     m.setattr(optimize, "_integers", lambda values: ([Fraction(x).numerator for x in values], 1))
 
@@ -133,6 +140,11 @@ FAULTS = [
     ),
     ("diameter-minus-one", wrapped(skeleton, "diameter", lambda diam, pg: diam - 1), {"diameter"}),
     ("diameter-is-zero", wrapped(skeleton, "diameter", lambda diam, pg: 0), {"diameter"}),
+    (
+        "rerooted-values-keep-only-the-first-maximum",
+        wrapped(optimize, "_rerooted_values", rerooted_keep_first_maximum),
+        {"optimizer"},
+    ),
 ]
 
 

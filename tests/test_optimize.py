@@ -187,15 +187,51 @@ def scaling_weight_vectors(rng, n):
 
 
 def test_integer_dp_matches_fraction_solver(oracle_graphs):
-    rng = random.Random(20261019)
+    # the 128-block trees also take tie-heavy vectors, from their own stream
+    rng, ties = random.Random(20261019), random.Random(20261025)
     trees = [block_decomposition(random_block_tree(rng, rng.randint(20, 40))) for _ in range(20)]
     trees += [block_decomposition(random_block_tree(rng, 128)) for _ in range(3)]
     cases = list(oracle_graphs) + [(f"random-{len(d.blocks)}", d) for d in trees]
     for name, d in cases:
-        for w in scaling_weight_vectors(rng, len(d.blocks)):
+        n = len(d.blocks)
+        tie_heavy = [tie_heavy_weights(ties, n) for _ in range(3)] if n == 128 else []
+        for w in scaling_weight_vectors(rng, n) + tie_heavy:
             sol = max_weight_connected_blockset(d, w)
             assert sol == oracles.fraction_max_weight_connected_blockset(d, w), (name, w)
             assert type(sol.value) is Fraction, name
+
+
+def test_tie_break_queries_only_optimal_blocks_once(monkeypatch):
+    # a query with block e forced is at most e's rerooted value, so the
+    # reconstruction asks only about blocks whose value is the optimum,
+    # and about each block at most once per solve
+    real = optimize._best_containing
+    queried = []
+
+    def recording(d, w, forced, banned):
+        value = real(d, w, forced, banned)
+        queried.append((forced[-1], value))
+        return value
+
+    monkeypatch.setattr(optimize, "_best_containing", recording)
+    # the path 0-2-4-3-1 has blocks 0-2, 1-3, 2-4 and 3-4: block 1 is
+    # optimal alone, but block 3 cuts it off from block 0
+    path = block_decomposition(Graph(5, ((0, 2), (2, 4), (4, 3), (3, 1))))
+    assert max_weight_connected_blockset(path, (0, 1, 1, -5)) == Solution((0, 2), 1)
+    assert queried == [(1, -3), (2, 1)]
+
+    rng = random.Random(20261026)
+    for _ in range(40):
+        d = block_decomposition(random_block_tree(rng, rng.randint(10, 128)))
+        n = len(d.blocks)
+        signed = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(n)]
+        for w in (signed, tie_heavy_weights(rng, n)):
+            queried.clear()
+            max_weight_connected_blockset(d, w)
+            full = optimize._rerooted_values(d, optimize._scaled_weights(d, w)[0])
+            blocks = [b for b, _ in queried]
+            assert len(set(blocks)) == len(blocks), (w, blocks)
+            assert all(full[b] == max(full) for b in blocks), (w, blocks)
 
 
 def test_scaled_weights_match_the_fraction_conversion():
