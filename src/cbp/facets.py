@@ -24,7 +24,7 @@ import itertools
 
 from .errors import AssertionFailure, CountOverflow, RowInvalid
 from .graphs import BlockDecomposition, blockset_closure, graph_to_json, split_components_at
-from .hull import Certificate, RationalPolyhedron, _bareiss
+from .hull import RationalPolyhedron, _bareiss
 from .vertices import _bits, _row_masks
 
 MAX_IBI_BLOCKS = 14
@@ -235,14 +235,18 @@ def h_representation(d: BlockDecomposition, ibis: tuple[tuple[int, ...], ...]) -
     return RationalPolyhedron(dim=n, rows=tuple(sorted(rows, key=lambda r: (r[1], r[0]))))
 
 
-def facet_certificates(d: BlockDecomposition, rows, verts, incidence) -> tuple[Certificate, ...]:
-    """Tightness certificates of the integer rows against the vertex list
-    `enumerate_vertices(d)`, from one pass over the vertices' block masks.
+def facet_certificates(d: BlockDecomposition, rows, verts, incidence) -> tuple[tuple[int, int], ...]:
+    """One (tight mask, affine rank) pair per integer row, against the
+    vertex list `enumerate_vertices(d)`, from one pass over the vertices'
+    block masks.
 
-    incidence holds the vertices' 0/1 incidence vectors, in the same order,
-    as GraphContext.incidence does.  The affine rank of a row's tight
-    vertices is the rank of their integer rows (1, x), by the fraction-free
-    elimination hull._bareiss, less one.  Raises RowInvalid at the first
+    Bit k of the tight mask marks that the row holds with equality at the
+    k-th vertex.  incidence holds the vertices' 0/1 incidence vectors, in
+    the same order, as GraphContext.incidence does.  The affine rank of a
+    row's tight vertices is the rank of their integer rows (1, x), by the
+    fraction-free elimination hull._bareiss, less one, and -1 when no
+    vertex is tight.  The row is facet-defining exactly when the rank is
+    dim - 1 and some vertex is not tight.  Raises RowInvalid at the first
     row that some vertex violates.
     """
     out = []
@@ -250,10 +254,6 @@ def facet_certificates(d: BlockDecomposition, rows, verts, incidence) -> tuple[C
         if violator is not None:
             subset = verts[violator]
             raise RowInvalid(f"vertex {subset} violates the row: {sum(a[k] for k in subset)} > {b}")
-        indices = tuple(_bits(tight))
-        # the lowest clear bit of the tight mask, if it is a vertex
-        slack = ((tight + 1) & ~tight).bit_length() - 1
-        slack = slack if slack < len(verts) else None
-        rank = _bareiss([[1, *incidence[k]] for k in indices])[0] - 1 if indices else -1
-        out.append(Certificate(tight_vertex_indices=indices, affine_rank=rank, slack_witness=slack))
+        rank = _bareiss([[1, *incidence[k]] for k in _bits(tight)])[0] - 1 if tight else -1
+        out.append((tight, rank))
     return tuple(out)

@@ -43,22 +43,6 @@ class RationalPolyhedron:
     rows: tuple[Row, ...]
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Tightness data of one inequality against a vertex list.
-
-    The inequality is facet-defining exactly when the tight vertices have
-    affine rank dim-1 and at least one vertex is strictly slack.
-    """
-
-    tight_vertex_indices: tuple[int, ...]
-    affine_rank: int
-    slack_witness: int | None
-
-    def confirms_facet(self, ambient_dim: int) -> bool:
-        return self.affine_rank == ambient_dim - 1 and self.slack_witness is not None
-
-
 def _bareiss(rows: list[list[int]], width: int | None = None) -> tuple[int, int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in place.
 
@@ -192,10 +176,6 @@ def brute_force_facets(points) -> RationalPolyhedron:
         for ray, z in rays.items():
             v = sum(c * r for c, r in zip(row, ray))
             (plus if v > 0 else minus if v < 0 else zero).append((ray, z, v))
-        if not minus:
-            for ray, z, _ in zero:
-                rays[ray] = z | bit
-            continue
         zero_sets = list(rays.values())
         new_rays = {ray: z for ray, z, _ in plus}
         new_rays.update((ray, z | bit) for ray, z, _ in zero)

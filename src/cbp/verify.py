@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -266,7 +265,12 @@ def _cutoff_point(h: RationalPolyhedron, idx: int, tight) -> tuple | None:
 
 
 def check_facets(ctx: GraphContext) -> dict | None:
-    """H-description equals the hull oracle; every row is a needed facet."""
+    """H-description equals the hull oracle; every row is a needed facet.
+
+    A row is facet-defining when its tight vertices, read off the tight
+    mask of facet_certificates, have affine rank n - 1 and leave some
+    vertex slack; it is needed when a point cut off by it alone exists.
+    """
     d = ctx.decomposition
     n = len(d.blocks)
     oracle = brute_force_facets(ctx.incidence)
@@ -278,12 +282,12 @@ def check_facets(ctx: GraphContext) -> dict | None:
             "extra_rows": sorted(ours - theirs),
         }
     certs = facet_certificates(d, ctx.hrep.rows, ctx.vertices, ctx.incidence)
-    for row, cert in zip(ctx.hrep.rows, certs):
-        if not cert.confirms_facet(n):
+    full = (1 << len(ctx.vertices)) - 1
+    for row, (tight, rank) in zip(ctx.hrep.rows, certs):
+        if rank != n - 1 or tight == full:
             return {"reason": "row is not facet-defining", "row": row}
-    for idx, cert in enumerate(certs):
-        tight = [ctx.incidence[k] for k in cert.tight_vertex_indices]
-        if _cutoff_point(ctx.hrep, idx, tight) is None:
+    for idx, (tight, _) in enumerate(certs):
+        if _cutoff_point(ctx.hrep, idx, [ctx.incidence[k] for k in _bits(tight)]) is None:
             return {"reason": "no cut-off point for row", "row": ctx.hrep.rows[idx]}
     return None
 
@@ -528,6 +532,10 @@ def run_verification(options: VerifyOptions) -> VerificationReport:
     if workers <= 1 or len(entries) <= 1:
         reports = [verify_graph(e, options) for e in entries]
     else:
+        # imported here: the pool's modules weigh on every process that
+        # imports this one, and only a parallel sweep starts a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(verify_graph, entries, repeat(options)))
     return VerificationReport(options=options, reports=tuple(reports))

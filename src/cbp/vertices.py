@@ -36,32 +36,30 @@ def is_connected_blockset(d: BlockDecomposition, a) -> bool:
 def enumerate_vertices(d: BlockDecomposition) -> tuple[BlockSubset, ...]:
     """All connected blocksets, one tuple each, in (cardinality, lex) order.
 
-    Raises CountOverflow before enumerating when count_connected_blocksets
-    predicts more than DEFAULT_VERTEX_CAP of them.
+    The sets are grown as block masks over the `_near_blocks` table: a set
+    whose least block is r gains one block of its frontier at a time, the
+    blocks above r outside it that share a graph vertex with it, minus the
+    blocks its earlier siblings gained.  Raises CountOverflow before
+    enumerating when count_connected_blocksets predicts more than
+    DEFAULT_VERTEX_CAP of them.
     """
     if count_connected_blocksets(d) > DEFAULT_VERTEX_CAP:
         raise CountOverflow(f"more than {DEFAULT_VERTEX_CAP} connected blocksets")
-    nb: list[set[int]] = [set() for _ in d.blocks]
-    for v in d.cut_vertices:
-        ix = d.blocks_at_vertex[v]
-        for i in ix:
-            nb[i].update(j for j in ix if j != i)
+    near = _near_blocks(d)
     out: list[BlockSubset] = [()]
     for r in range(len(d.blocks)):
-        base = frozenset([r])
-        out.append((r,))
-        # grow connected supersets whose minimum element is r; each branch
-        # bans the candidates already tried so every subset appears once
-        stack = [(base, frozenset(w for w in nb[r] if w > r), frozenset())]
+        above = -2 << r
+        # grow connected supersets whose minimum element is r, as (set,
+        # frontier, banned) masks; each branch bans the candidates already
+        # tried so every subset appears once
+        stack = [(1 << r, near[r] & above, 0)]
         while stack:
             cur, frontier, banned = stack.pop()
-            local_ban = set(banned)
-            for v in sorted(frontier - banned):
-                new = cur | {v}
-                out.append(tuple(sorted(new)))
-                new_frontier = (frontier | frozenset(w for w in nb[v] if w > r)) - new
-                stack.append((new, new_frontier, frozenset(local_ban)))
-                local_ban.add(v)
+            out.append(tuple(_bits(cur)))
+            for v in _bits(frontier & ~banned):
+                new = cur | 1 << v
+                stack.append((new, (frontier | near[v]) & above & ~new, banned))
+                banned |= 1 << v
     out.sort(key=lambda t: (len(t), t))
     return tuple(out)
 

@@ -229,6 +229,17 @@ def test_hstar_lists_no_blocksets(graph_file, capsys, monkeypatch):
     assert code == 0
 
 
+def test_hstar_dilation_mismatch_is_a_failed_check(graph_file, capsys, monkeypatch):
+    real = cli.count_lattice_points
+    monkeypatch.setattr(cli, "count_lattice_points", lambda h, n: real(h, n) + 1)
+    code, out, err = run(capsys, ["hstar", "--graph", graph_file(PATH3), "--max-dilation", "5"])
+    assert (code, out) == (1, "")
+    head, _, body = err.partition("\n")
+    assert head == "check failed: lattice count at dilation 5 disagrees with the polynomial"
+    payload = json.loads(body)
+    assert (payload["dilation"], payload["measured"], payload["predicted"]) == (5, 182, "181")
+
+
 def test_hstar_rejects_small_dilation(graph_file, capsys):
     code, _, err = run(
         capsys, ["hstar", "--graph", graph_file(PATH3), "--max-dilation", "2"]

@@ -145,10 +145,9 @@ def test_ibi_alpha_invariants(small_corpus):
 def test_facet_certificate(path3_d):
     verts = enumerate_vertices(path3_d)
     (cert,) = certificates(path3_d, [((1, -1, 1), 1)], verts)
-    assert cert.confirms_facet(3)
-    # x0 - x1 + x2 hits 1 exactly at (0,), (2,), and (0, 1, 2)
-    assert cert.tight_vertex_indices == (1, 3, 6)
-    assert cert.slack_witness == 0
+    # x0 - x1 + x2 hits 1 exactly at (0,), (2,), and (0, 1, 2), which span
+    # a plane; the empty set is slack
+    assert cert == (1 << 1 | 1 << 3 | 1 << 6, 2)
     assert certificates(path3_d, [((2, -2, 2), 2)], verts) == (cert,)
 
 
@@ -161,7 +160,8 @@ def test_facet_certificate_rejects_violated_row(path3_d):
 
 def test_facet_certificate_on_valid_nonfacet(path3_d):
     (cert,) = certificates(path3_d, [((1, 0, 1), 2)], enumerate_vertices(path3_d))
-    assert not cert.confirms_facet(3)
+    # x0 + x2 hits 2 only at (0, 1, 2)
+    assert cert == (1 << 6, 0)
 
 
 def test_facet_certificates_match_one_row_at_a_time(small_corpus, path3_d):
@@ -182,5 +182,6 @@ def test_all_rows_certified(small_corpus):
         d = block_decomposition(g)
         h = h_representation(d, enumerate_ibis(d))
         verts = enumerate_vertices(d)
-        for row, cert in zip(h.rows, certificates(d, h.rows, verts)):
-            assert cert.confirms_facet(h.dim), (name, row)
+        full = (1 << len(verts)) - 1
+        for row, (tight, rank) in zip(h.rows, certificates(d, h.rows, verts)):
+            assert rank == h.dim - 1 and tight != full, (name, row)

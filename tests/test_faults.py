@@ -81,8 +81,19 @@ def lift_first_edge(m):
 
 def rank_n_minus_2(certs, d, *args):
     # the last row's tight vertices claim affine rank n - 2
-    last = dataclasses.replace(certs[-1], affine_rank=len(d.blocks) - 2)
-    return certs[:-1] + (last,)
+    return certs[:-1] + ((certs[-1][0], len(d.blocks) - 2),)
+
+
+def every_vertex_tight(certs, d, rows, verts, incidence):
+    # the last row claims every vertex tight and keeps its rank
+    return certs[:-1] + (((1 << len(verts)) - 1, certs[-1][1]),)
+
+
+def gain_a_bad_row(ibis, d):
+    # (2, -1, 0, ..., 0) sums to 1 but weighs 2 on the side of block 0 at
+    # the cut vertices between blocks 0 and 1
+    n = len(d.blocks)
+    return ibis + ((2, -1) + (0,) * (n - 2),) if n >= 2 else ibis
 
 
 def block_loses_an_edge(d, *args):
@@ -105,6 +116,11 @@ def skeleton_drops_an_edge(nb, *args):
 def ibis_drop_last(m):
     wrapped(verify, "enumerate_ibis", lambda ibis, d: ibis[:-1])(m)
     wrapped(verify, "construct_ibis", lambda ibis, d: ibis[:-1])(m)
+
+
+def ibis_gain_a_bad_row(m):
+    wrapped(verify, "enumerate_ibis", gain_a_bad_row)(m)
+    wrapped(verify, "construct_ibis", gain_a_bad_row)(m)
 
 
 # name, patch, the checks that must fail
@@ -145,6 +161,18 @@ FAULTS = [
         wrapped(optimize, "_rerooted_values", rerooted_keep_first_maximum),
         {"optimizer"},
     ),
+    ("certificate-every-vertex-tight", wrapped(verify, "facet_certificates", every_vertex_tight), {"facets"}),
+    ("no-cutoff-point", wrapped(verify, "_cutoff_point", lambda point, *a: None), {"facets"}),
+    ("both-ibi-generators-gain-a-bad-row", ibis_gain_a_bad_row, {"ibis"}),
+]
+
+# name of a fault, a check it fails, the reason every failure of that
+# check gives under the fault
+REASONS = [
+    ("certificate-rank-n-2", "facets", "row is not facet-defining"),
+    ("certificate-every-vertex-tight", "facets", "row is not facet-defining"),
+    ("no-cutoff-point", "facets", "no cut-off point for row"),
+    ("both-ibi-generators-gain-a-bad-row", "ibis", "component weights are not one 1 and rest 0"),
 ]
 
 
@@ -180,6 +208,17 @@ def test_fault_is_caught(caught, name, expected):
 def test_every_check_catches_some_fault(caught):
     assert {check for _, _, expected in FAULTS for check in expected} == set(CHECKS)
     assert set().union(*map(failing_checks, caught.values())) == set(CHECKS)
+
+
+@pytest.mark.parametrize("name, check, reason", REASONS, ids=[name for name, _, _ in REASONS])
+def test_fault_fails_for_its_reason(caught, name, check, reason):
+    reasons = [
+        c["detail"].get("reason")
+        for g in caught[name]["graphs"]
+        for c in g["checks"]
+        if c["name"] == check and c["status"] == "fail"
+    ]
+    assert reasons and set(reasons) == {reason}, (name, reasons)
 
 
 @pytest.mark.parametrize("name, patch", [(name, patch) for name, patch, _ in FAULTS])

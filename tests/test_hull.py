@@ -13,7 +13,6 @@ from cbp.corpus import corpus, triangle_chain
 from cbp.errors import DimensionCap, DimensionMismatch, NotFullDimensional
 from cbp.graphs import block_decomposition
 from cbp.hull import (
-    Certificate,
     _bareiss,
     affine_rank,
     brute_force_facets,
@@ -169,11 +168,3 @@ def test_brute_force_facets_dimension_cap(monkeypatch):
     monkeypatch.setattr(hull, "MAX_BRUTE_FORCE_DIM", 2)
     with pytest.raises(DimensionCap, match="^ambient dimension 3 exceeds cap 2$"):
         brute_force_facets(points)
-
-
-def test_certificate_confirms_facet():
-    good = Certificate(tight_vertex_indices=(0, 1), affine_rank=1, slack_witness=3)
-    assert good.confirms_facet(2)
-    assert not good.confirms_facet(3)
-    no_slack = Certificate(tight_vertex_indices=(0, 1), affine_rank=1, slack_witness=None)
-    assert not no_slack.confirms_facet(2)

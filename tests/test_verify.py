@@ -26,6 +26,7 @@ from cbp.verify import (
     run_verification,
     verify_graph,
 )
+from cbp.vertices import _bits
 
 
 def test_option_defaults():
@@ -71,14 +72,20 @@ def test_adjacency_reports_the_first_differing_pair():
     assert (detail["combinatorial"], detail["geometric"]) == (not geometric, geometric)
 
 
+def test_bfs_diameter():
+    # the path 0 - 1 - 2, then the two components 0 - 1 and 2 - 3
+    assert verify._bfs_diameter((0b010, 0b101, 0b010)) == 2
+    assert verify._bfs_diameter((0b0010, 0b0001, 0b1000, 0b0100)) is None
+
+
 def test_cutoff_point_matches_fraction_oracle():
     # every row of the sweep corpus and of the seven-block corpus, the facet gate
     rows = 0
     for entry in corpus(5, 7, 26) + corpus(7, 7):
         ctx = GraphContext(entry.graph)
         certs = facet_certificates(ctx.decomposition, ctx.hrep.rows, ctx.vertices, ctx.incidence)
-        for idx, (row, cert) in enumerate(zip(ctx.hrep.rows, certs)):
-            tight = [ctx.incidence[k] for k in cert.tight_vertex_indices]
+        for idx, (row, (mask, _)) in enumerate(zip(ctx.hrep.rows, certs)):
+            tight = [ctx.incidence[k] for k in _bits(mask)]
             point = verify._cutoff_point(ctx.hrep, idx, tight)
             assert point is not None, (entry.name, row)
             assert point == oracles.fraction_cutoff_point(ctx.hrep.rows, idx, tight), (entry.name, row)
