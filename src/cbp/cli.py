@@ -174,7 +174,7 @@ def cmd_diameter(args) -> int:
     h = ctx.hrep  # before the skeleton: its block cap fires first
     pg = ctx.skeleton
     hirsch = hirsch_check(ctx.decomposition, pg, h)
-    simplicity = simplicity_report(ctx.decomposition, pg, h)
+    simplicity = simplicity_report(ctx.decomposition, pg, ctx.tight_rows)
     _emit({**asdict(hirsch), **asdict(simplicity)})
     return 0
 

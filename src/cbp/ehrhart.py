@@ -36,6 +36,56 @@ def _key_packer(widest: int):
     return bytes if widest <= 255 else tuple
 
 
+def _lattice_plan(h: RationalPolyhedron) -> list[tuple[list, list, list]] | None:
+    """The dilation-independent part of count_lattice_points for h, one
+    entry per coordinate i, or None when a row without support has a
+    negative right-hand side, so that no dilation n >= 1 has a point.
+
+    An entry holds, for n = 1, the finishing members, the bounds of the
+    rows that start and finish at i, and the slots after i with their tail
+    widths and members.  A member is (position in the current key, or -1
+    for a row that starts at i; a shift; the coefficient c at i), a bound
+    is (base, c).  At dilation n every shift, base and width is n times
+    the stored one, and the slots, members and key positions are the same.
+    `RationalPolyhedron.lattice_plan` keeps it with the rows it was read
+    from.
+    """
+    d = h.dim
+    starting: list[list] = [[] for _ in range(d)]  # rows by their first nonzero coordinate
+    for a, b in h.rows:
+        support = [j for j, c in enumerate(a) if c]
+        if support:
+            starting[support[0]].append((a, b))
+        elif b < 0:
+            return None
+    levels = []
+    slots: dict[tuple, int] = {}  # coefficients from the current coordinate on -> key position
+    for i in range(d):
+        # The slots after i, by the coefficients after i.  The offset of a
+        # member after i is base - c * v, where base is its current offset
+        # plus the shift, or the shift alone for a starting row.
+        groups: dict[tuple, list] = {}
+        finishing = []
+        for rest, k in slots.items():
+            member = (k, min(0, rest[0]), rest[0])
+            if any(rest[1:]):
+                groups.setdefault(rest[1:], []).append(member)
+            else:
+                finishing.append(member)
+        # the rows that start and finish at i bound every state's values alike
+        bounds = []
+        for a, b in starting[i]:
+            c, rest = a[i], a[i + 1 :]
+            base = b - sum(x for x in rest if x < 0)
+            if any(rest):
+                groups.setdefault(rest, []).append((-1, base, c))
+            else:
+                bounds.append((base, c))
+        levels.append((finishing, bounds, [(sum(map(abs, rest)), members) for rest, members in groups.items()]))
+        slots = {rest: k for k, rest in enumerate(groups)}
+    return levels
+
+
 def count_lattice_points(h: RationalPolyhedron, n: int) -> int:
     """Number of integer points in the n-th dilation of the polyhedron.
 
@@ -54,55 +104,36 @@ def count_lattice_points(h: RationalPolyhedron, n: int) -> int:
     pass 255.  Equal keys merge with a multiplicity, and only two levels
     are alive at a time.
 
+    Which rows share a slot, and where each slot sits in the key, does not
+    depend on n, and every shift, width and right-hand side is linear in
+    n.  So that plan (`_lattice_plan`) is built once per H-description
+    object, on its first count, and each count scales it by n.
+
     Along the values v of coordinate i the offset of a row falls with v
     when its coefficient is positive and rises when it is negative, so
     each state's feasible values form one interval, cut from above by the
     positive rows and from below by the negative ones.  DEFAULT_COUNT_BUDGET
-    caps the number of (state, value) transitions.
+    caps the number of (state, value) transitions of each count.
     """
     if n < 0:
         raise ValueError("dilation must be nonnegative")
-    d = h.dim
-    if d == 0 or n == 0:
+    if h.dim == 0 or n == 0:
         return 1
-    starting: list[list] = [[] for _ in range(d)]  # rows by their first nonzero coordinate
-    for a, b in h.rows:
-        support = [j for j, c in enumerate(a) if c]
-        if support:
-            starting[support[0]].append((a, b * n))
-        elif b < 0:
-            return 0
-    slots: dict[tuple, int] = {}  # coefficients from the current coordinate on -> key position
+    levels = h.lattice_plan
+    if levels is None:
+        return 0
     level: dict = {b"": 1}
     explored = 0
-    for i in range(d):
-        # The slots after i, by the coefficients after i.  A member of a slot
-        # is (position in the current key, or -1 for a row that starts at i;
-        # a shift; the coefficient c at i), and its offset after i is
-        # base - c * v, where base is its current offset plus the shift, or
-        # the shift alone for a starting row.
-        groups: dict[tuple, list] = {}
-        finishing = []
-        for rest, k in slots.items():
-            member = (k, min(0, rest[0] * n), rest[0])
-            if any(rest[1:]):
-                groups.setdefault(rest[1:], []).append(member)
-            else:
-                finishing.append(member)
-        # the rows that start at i bound every state's values alike
+    for unit_finishing, bounds, slots in levels:
+        finishing = [(k, n * shift, c) for k, shift, c in unit_finishing]
         lo0, hi0 = 0, n
-        for a, rhs in starting[i]:
-            c, rest = a[i], a[i + 1 :]
-            base = rhs - n * sum(x for x in rest if x < 0)
-            if any(rest):
-                groups.setdefault(rest, []).append((-1, base, c))
-            elif c > 0:
-                hi0 = min(hi0, base // c)
+        for base, c in bounds:
+            if c > 0:
+                hi0 = min(hi0, n * base // c)
             else:
-                lo0 = max(lo0, -(base // -c))
-        widths = [n * sum(map(abs, rest)) for rest in groups]
-        pack = _key_packer(max(widths, default=0))
-        plan = list(zip(widths, groups.values()))
+                lo0 = max(lo0, -(n * base // -c))
+        plan = [(n * width, [(k, n * shift, c) for k, shift, c in members]) for width, members in slots]
+        pack = _key_packer(max((width for width, _ in plan), default=0))
         nxt: dict = {}
         get = nxt.get
         for key, mult in level.items():
@@ -156,7 +187,6 @@ def count_lattice_points(h: RationalPolyhedron, n: int) -> int:
                 k = pack(offsets)
                 nxt[k] = get(k, 0) + mult
         level = nxt
-        slots = {rest: k for k, rest in enumerate(groups)}
     return sum(level.values())
 
 

@@ -25,7 +25,7 @@ import itertools
 from .errors import AssertionFailure, CountOverflow, RowInvalid
 from .graphs import BlockDecomposition, blockset_closure, graph_to_json, split_components_at
 from .hull import RationalPolyhedron, _bareiss
-from .vertices import _bits, _row_masks
+from .vertices import _bits
 
 MAX_IBI_BLOCKS = 14
 
@@ -235,25 +235,31 @@ def h_representation(d: BlockDecomposition, ibis: tuple[tuple[int, ...], ...]) -
     return RationalPolyhedron(dim=n, rows=tuple(sorted(rows, key=lambda r: (r[1], r[0]))))
 
 
-def facet_certificates(d: BlockDecomposition, rows, verts, incidence) -> tuple[tuple[int, int], ...]:
+def facet_certificates(d: BlockDecomposition, rows, verts, tight_rows) -> tuple[tuple[int, int], ...]:
     """One (tight mask, affine rank) pair per integer row, against the
-    vertex list `enumerate_vertices(d)`, from one pass over the vertices'
-    block masks.
+    vertex list `enumerate_vertices(d)`, read off the tight-row table
+    `tight_rows = vertices._row_masks(d, rows, verts)` (for the graph's own
+    rows and vertices, GraphContext.tight_rows).
 
     Bit k of the tight mask marks that the row holds with equality at the
-    k-th vertex.  incidence holds the vertices' 0/1 incidence vectors, in
-    the same order, as GraphContext.incidence does.  The affine rank of a
-    row's tight vertices is the rank of their integer rows (1, x), by the
+    k-th vertex.  The affine rank of a row's tight vertices is the rank of
+    their integer rows (1, x), x the 0/1 incidence vector, by the
     fraction-free elimination hull._bareiss, less one, and -1 when no
     vertex is tight.  The row is facet-defining exactly when the rank is
     dim - 1 and some vertex is not tight.  Raises RowInvalid at the first
     row that some vertex violates.
     """
+    n = len(d.blocks)
     out = []
-    for (a, b), (tight, violator) in zip(rows, _row_masks(d, rows, verts)):
+    for (a, b), (tight, violator) in zip(rows, tight_rows):
         if violator is not None:
             subset = verts[violator]
             raise RowInvalid(f"vertex {subset} violates the row: {sum(a[k] for k in subset)} > {b}")
-        rank = _bareiss([[1, *incidence[k]] for k in _bits(tight)])[0] - 1 if tight else -1
-        out.append((tight, rank))
+        points = []
+        for k in _bits(tight):
+            point = [1] + [0] * n
+            for blk in verts[k]:
+                point[blk + 1] = 1
+            points.append(point)
+        out.append((tight, _bareiss(points)[0] - 1 if tight else -1))
     return tuple(out)

@@ -7,15 +7,17 @@ vertex is a cut vertex of the graph.  The block-cut tree has one node per
 block and one node per cut vertex, with a block node adjacent to a cut
 node exactly when the cut vertex lies in the block.  The decomposition
 stores that tree once, as the blocks at each vertex, and `_walk` is its one
-traversal: closures, connectivity tests, the components at a cut vertex and
-the optimizer's passes all read the tree through it.  Everything downstream
-(vertex enumeration, facets, the optimizer) works on this decomposition.
+traversal: closures, the components at a cut vertex and the optimizer's
+passes all read the tree through it, and the walk from block 0 is made
+once and kept on the decomposition.  Everything downstream (vertex
+enumeration, facets, the optimizer) works on this decomposition.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import AbstractSet
 
 from .errors import EmptyGraph, InvalidGraph, NotConnected, NotCutVertex, ParseError
@@ -145,12 +147,21 @@ class BlockDecomposition:
     block-cut tree is stored once, as blocks_at_vertex: the sorted indices
     of the blocks holding each vertex.  A cut vertex v is adjacent in the
     tree to exactly the blocks blocks_at_vertex[v].
+
+    root_walk is the `_walk` from block 0 with nothing banned, built on
+    first use and kept for the decomposition's lifetime: the vertex count,
+    the optimizer's rerooting pass and its queries and closures rooted at
+    block 0 all read it.  It is shared, so no caller may change it.
     """
 
     graph: Graph
     blocks: tuple[Block, ...]
     cut_vertices: frozenset[int]
     blocks_at_vertex: dict[int, tuple[int, ...]]
+
+    @cached_property
+    def root_walk(self) -> tuple[list[int], dict[int, int], dict[int, int]]:
+        return _walk(self, 0)
 
 
 def _biconnected_components(
@@ -293,7 +304,7 @@ def blockset_closure(d: BlockDecomposition, a) -> frozenset[int]:
     if len(s) <= 1:
         return s
     root = min(s)
-    _, entry, owner = _walk(d, root)
+    _, entry, owner = d.root_walk if root == 0 else _walk(d, root)
     marked = {root}
     for b in s:
         while b not in marked:

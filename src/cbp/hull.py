@@ -16,17 +16,22 @@ its zero set as a bitmask over the rows processed so far, so the
 combinatorial adjacency test of two rays is a handful of integer ANDs.
 
 All exact linear algebra of the package runs through one fraction-free
-Gauss-Jordan elimination (Bareiss) on integer rows, whose divisions are
-exact: affine ranks (of the homogenized rows (1, p), scaled to integers),
-the seed and the seed rays of the facet oracle, and the simplex
-determinants of the triangulation check in cbp.toric.
+elimination (Bareiss) on integer rows, whose divisions are exact, in two
+modes.  Forward elimination gives ranks and determinants: affine ranks
+(of the homogenized rows (1, p), scaled to integers), the facet
+certificates' ranks in cbp.facets and the simplex determinants of the
+triangulation check in cbp.toric.  Gauss-Jordan elimination, which also
+clears above each pivot, gives the seed and the seed rays of the facet
+oracle, read off the inverse block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionCap, DimensionMismatch, NotFullDimensional
 
@@ -37,26 +42,43 @@ MAX_BRUTE_FORCE_DIM = 10
 
 @dataclass(frozen=True)
 class RationalPolyhedron:
-    """An intersection of halfspaces a . x <= b with coprime integer rows."""
+    """An intersection of halfspaces a . x <= b with coprime integer rows.
+
+    lattice_plan is the dilation-independent plan of the lattice counter
+    `cbp.ehrhart.count_lattice_points`, built on the first count and kept
+    with this object, so every dilation of the same H-description reuses
+    it and it goes when the object does.
+    """
 
     dim: int
     rows: tuple[Row, ...]
 
+    @cached_property
+    def lattice_plan(self):
+        from .ehrhart import _lattice_plan  # cbp.ehrhart imports this module
+
+        return _lattice_plan(self)
+
 
 def _bareiss(rows: list[list[int]], width: int | None = None) -> tuple[int, int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows, in place.
+    """Fraction-free elimination (Bareiss) of integer rows, in place.
 
-    Pivots are taken column by column from the first `width` columns (all by
-    default), and each pivot clears its column in every other row.  After k
+    Pivots are taken column by column.  Without a width the elimination
+    runs forward only, over every column: each pivot clears its column in
+    the rows below it, which is all a rank or a determinant needs.  With a
+    width it is Gauss-Jordan on the first `width` columns: each pivot
+    clears its column in every other row, so every pivot column ends
+    holding the last pivot p on its own row and zero elsewhere.  After k
     pivots every entry is a k x k minor of the input, so each division by
-    the previous pivot is exact; every pivot column holds the last pivot p
-    on its own row and zero elsewhere, and each pivot row is zero left of
-    its pivot.  A row swap negates the row moved down, which keeps the sign
-    of every minor: for a square matrix of full rank p is its determinant,
-    and eliminating [M | I] leaves p * M^-1 in the right block.  Returns the
-    rank and p (1 when the rank is 0).
+    the previous pivot is exact, and each pivot row is zero left of its
+    pivot.  A row swap negates the row moved down, which keeps the sign of
+    every minor: for a square matrix of full rank p is its determinant,
+    and Gauss-Jordan on [M | I] with width the columns of M leaves
+    p * M^-1 in the right block.  Returns the rank and p (1 when the rank
+    is 0).
     """
-    if width is None:
+    jordan = width is not None
+    if not jordan:
         width = len(rows[0]) if rows else 0
     prev = 1
     rank = 0
@@ -70,8 +92,9 @@ def _bareiss(rows: list[list[int]], width: int | None = None) -> tuple[int, int]
             rows[rank], rows[pivot] = rows[pivot], [-x for x in rows[rank]]
         top = rows[rank]
         p = top[c]
-        for i, row in enumerate(rows):
+        for i in range(0 if jordan else rank + 1, len(rows)):
             if i != rank:
+                row = rows[i]
                 f = row[c]
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
@@ -174,7 +197,7 @@ def brute_force_facets(points) -> RationalPolyhedron:
         bit = 1 << k
         plus, zero, minus = [], [], []
         for ray, z in rays.items():
-            v = sum(c * r for c, r in zip(row, ray))
+            v = sum(map(mul, row, ray))
             (plus if v > 0 else minus if v < 0 else zero).append((ray, z, v))
         zero_sets = list(rays.values())
         new_rays = {ray: z for ray, z, _ in plus}
@@ -197,6 +220,6 @@ def brute_force_facets(points) -> RationalPolyhedron:
     # sanity: every input point satisfies every output row
     for a, b in rows:
         for denom, *q in cons:
-            if sum(c * v for c, v in zip(a, q)) > b * denom:
+            if sum(map(mul, a, q)) > b * denom:
                 raise AssertionError("facet computation produced a violated row")
     return RationalPolyhedron(dim=dim, rows=tuple(rows))

@@ -1,14 +1,15 @@
 """Max-weight connected blockset via dynamic programming on the block-cut tree.
 
 The empty blockset (value 0) is always admissible.  The optimum comes
-from one rerooting pass: one walk of the block-cut tree from block 0, an
-up pass for the best value inside each block's subtree and a down pass
-for the best value over blocksets containing each block.  Ties are
-broken by the lexicographically smallest blockset under sorted-tuple
-comparison, where a prefix precedes its extensions; only this greedy
-left-to-right reconstruction uses constrained value queries (best value
-containing a forced set, avoiding a banned set), each one walk of the
-tree from a forced block and one pass back up it.  A query with block e
+from one rerooting pass: the walk of the block-cut tree from block 0,
+made once per decomposition (`BlockDecomposition.root_walk`), an up pass
+for the best value inside each block's subtree and a down pass for the
+best value over blocksets containing each block.  Ties are broken by the
+lexicographically smallest blockset under sorted-tuple comparison, where
+a prefix precedes its extensions; only this greedy left-to-right
+reconstruction uses constrained value queries (best value containing a
+forced set, avoiding a banned set), each one walk of the tree from a
+forced block and one pass back up it.  A query with block e
 forced is at most e's rerooted value, so only blocks whose rerooted value
 is the optimum are queried, each at most once per solve.  Decompositions
 of more than MAX_OPTIMIZE_BLOCKS blocks are refused before any work.
@@ -100,15 +101,16 @@ def _best_containing(
     """Best value over connected blocksets containing forced and avoiding
     banned, or None when no such blockset exists.
 
-    One walk of the block-cut tree from forced[0] around the banned blocks,
-    then one pass back up it: a block takes a child's best value whenever
+    One walk of the block-cut tree from forced[0] around the banned blocks
+    (the cached root walk when that is block 0 and nothing is banned), then
+    one pass back up it: a block takes a child's best value whenever
     the child's subtree holds a forced block (the path to it is needed),
     and otherwise only when that value is positive.
     """
     root = forced[0]
     if root in banned:
         return None
-    order, entry, owner = _walk(d, root, banned)
+    order, entry, owner = d.root_walk if root == 0 and not banned else _walk(d, root, banned)
     best = {b: w[b] for b in order}
     if any(f not in best for f in forced):
         return None
@@ -126,13 +128,14 @@ def _best_containing(
 def _rerooted_values(d: BlockDecomposition, w: Sequence[int]) -> list[int]:
     """For every block b, the best value over connected blocksets containing b.
 
-    One walk from block 0, then two passes.  Up: down[b] is w[b] plus the
-    positive down values of b's children, and downc[v] sums the positive
-    down values of the blocks entered through cut vertex v.  Down: a block
-    b entered through v adds to down[b] its positive siblings at v and,
-    when positive, the best value at v's owner without the blocks below v.
+    The decomposition's walk from block 0, then two passes.  Up: down[b] is
+    w[b] plus the positive down values of b's children, and downc[v] sums
+    the positive down values of the blocks entered through cut vertex v.
+    Down: a block b entered through v adds to down[b] its positive siblings
+    at v and, when positive, the best value at v's owner without the
+    blocks below v.
     """
-    order, entry, owner = _walk(d, 0)
+    order, entry, owner = d.root_walk
     down = list(w)
     downc = dict.fromkeys(owner, 0)
     for b in reversed(order[1:]):

@@ -20,9 +20,12 @@ The geometric test is kept as an independent implementation for
 cross-checking: two vertices are adjacent when the smallest face
 containing both is the segment between them, that is, when no third
 vertex is tight on every row tight at both.  It runs on one integer mask
-of tight rows per vertex, built once per vertex list.  With D_k the rows
-tight at both vertex i and vertex k, the neighbors of i are the vertices
-j whose D_j is inclusion-maximal among the D_k and belongs to j alone.
+of tight rows per vertex, transposed from the graph's tight-row table
+(`GraphContext.tight_rows`, one mask of tight vertices per row), which
+the facet certificates and the simpliciality test read too.  With D_k
+the rows tight at both vertex i and vertex k, the neighbors of i are the
+vertices j whose D_j is inclusion-maximal among the D_k and belongs to j
+alone.
 
 The diameter is found by a breadth-first search from every vertex at
 once on int masks: each level ORs, for every vertex, the masks of the
@@ -39,7 +42,7 @@ from fractions import Fraction
 from .errors import AssertionFailure, BudgetExceeded, DimensionMismatch, NotAVertex
 from .graphs import BlockDecomposition, graph_to_json
 from .hull import RationalPolyhedron, _clear_denominators
-from .vertices import BlockSubset, _bits, _columns, _near_blocks, _pair_masks, _row_masks
+from .vertices import BlockSubset, _bits, _columns, _near_blocks, _pair_masks
 
 MAX_DIAMETER_VERTICES = 2**14
 MAX_GEOMETRIC_VERTICES = 2**12
@@ -158,30 +161,25 @@ def _combinatorial_neighbors(d: BlockDecomposition, verts) -> list[int]:
     return nb
 
 
-def _row_vertex_masks(d: BlockDecomposition, h: RationalPolyhedron, verts) -> list[int]:
-    """Mask of the vertices tight at each row of the H-description."""
-    if h.dim != len(d.blocks):
-        raise DimensionMismatch(f"point has dimension {len(d.blocks)}, polyhedron {h.dim}")
-    return [tight for tight, _ in _row_masks(d, h.rows, verts)]
-
-
 def build_polytope_graph(
     d: BlockDecomposition,
-    h: RationalPolyhedron | None = None,
+    tight_rows=None,
     method: str = "combinatorial",
     *,
     vertices: tuple[BlockSubset, ...],
 ) -> PolytopeGraph:
     """Assemble the full skeleton on the vertices `enumerate_vertices(d)`
-    with either adjacency test.
+    with either adjacency test.  The geometric test reads the tight masks
+    of the tight-row table `vertices._row_masks(d, h.rows, vertices)` of an
+    H-description h (GraphContext.tight_rows).
     """
     if method == "combinatorial":
         nb = _combinatorial_neighbors(d, vertices)
     elif method == "geometric":
-        if h is None:
-            raise ValueError("geometric method needs the H-description")
+        if tight_rows is None:
+            raise ValueError("geometric method needs the tight-row table")
         vertex_rows = [0] * len(vertices)
-        for r, tight in enumerate(_row_vertex_masks(d, h, vertices)):
+        for r, (tight, _) in enumerate(tight_rows):
             for k in _bits(tight):
                 vertex_rows[k] |= 1 << r
         nb = [_face_neighbors(vertex_rows, i) for i in range(len(vertices))]
@@ -266,17 +264,18 @@ class SimplicityReport:
     predicted_simplicial: bool
 
 
-def simplicity_report(
-    d: BlockDecomposition, pg: PolytopeGraph, h: RationalPolyhedron
-) -> SimplicityReport:
+def simplicity_report(d: BlockDecomposition, pg: PolytopeGraph, tight_rows) -> SimplicityReport:
     """Geometric simplicity and simpliciality next to the structural predictions.
 
+    Simpliciality is read off the tight masks of the tight-row table
+    `vertices._row_masks(d, h.rows, pg.vertices)` of the H-description h
+    (GraphContext.tight_rows): every facet must hold exactly dim vertices.
     The polytope is simple exactly when the graph has at most one cut
     vertex, and simplicial exactly when there are at most two blocks.
     """
     dim = len(d.blocks)
     is_simple = all(pg.degree(i) == dim for i in range(len(pg.vertices)))
-    is_simplicial = all(mask.bit_count() == dim for mask in _row_vertex_masks(d, h, pg.vertices))
+    is_simplicial = all(tight.bit_count() == dim for tight, _ in tight_rows)
     return SimplicityReport(
         is_simple=is_simple,
         is_simplicial=is_simplicial,

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
+from operator import mul
 
 from .corpus import CorpusEntry, corpus
 from .ehrhart import hstar_checks, hstar_profile
@@ -51,7 +52,7 @@ from .toric import (
     triangulation,
     triangulation_checks,
 )
-from .vertices import _bits, count_connected_blocksets, enumerate_vertices, to_incidence
+from .vertices import _bits, _row_masks, count_connected_blocksets, enumerate_vertices, to_incidence
 
 
 # Block-count gates of the sweep, read at call time: a graph with more
@@ -137,10 +138,14 @@ class GraphContext:
     inequalities, which feed the H-description; the vertices feed their
     incidence vectors, the combinatorial skeleton and the term order; the
     H-description feeds the h* profile and, with the vertices, the
-    geometric skeleton; the order and the vertices feed the basis.  The
+    tight-row table: per row, the mask of the vertices tight at it and the
+    first vertex violating it (`vertices._row_masks`).  The facet
+    certificates, the geometric skeleton and the simplicity report all
+    read that one table.  The order and the vertices feed the basis.  The
     library functions take these artifacts as arguments and build none of
     them; the sweep's checks, the graph commands of the CLI and the tests
-    read them from here.
+    read them from here.  Each artifact lives as long as the context, so
+    nothing carries over from one graph to the next.
     """
 
     def __init__(self, graph: Graph):
@@ -167,6 +172,10 @@ class GraphContext:
         return h_representation(self.decomposition, self.ibis)
 
     @cached_property
+    def tight_rows(self) -> list[tuple[int, int | None]]:
+        return _row_masks(self.decomposition, self.hrep.rows, self.vertices)
+
+    @cached_property
     def hstar(self):
         return hstar_profile(self.decomposition, self.hrep)
 
@@ -181,7 +190,7 @@ class GraphContext:
     def geometric_skeleton(self) -> PolytopeGraph:
         # the face test's cap, checked before the H-description is built
         _check_geometric_cap(count_connected_blocksets(self.decomposition))
-        return build_polytope_graph(self.decomposition, self.hrep, method="geometric", vertices=self.vertices)
+        return build_polytope_graph(self.decomposition, self.tight_rows, method="geometric", vertices=self.vertices)
 
     @cached_property
     def order(self) -> TermOrder:
@@ -231,37 +240,34 @@ def _cutoff_point(h: RationalPolyhedron, idx: int, tight) -> tuple | None:
     another row puts on the step along a (1 when no row bounds it).  The
     arithmetic is on integers: the centroid is carried as the sum s of the
     k tight points, each bound on eps as a numerator/denominator pair, and
-    the point as a vector p over a common denominator.
+    the point as a vector p = eps_den * s + k * eps_num * a over the common
+    denominator k * eps_den.  Each row's two dot products, with a and with
+    s, are taken once; its value at p is a combination of them.
     """
     a, b = h.rows[idx]
     if not tight:
         return None
     k = len(tight)
     s = [sum(col) for col in zip(*tight)]
+    products = [(sum(map(mul, a2, a)), sum(map(mul, a2, s))) for a2, _ in h.rows]
     eps = None
-    for j, (a2, b2) in enumerate(h.rows):
-        if j == idx:
-            continue
-        direction = sum(x * y for x, y in zip(a2, a))
-        if direction <= 0:
+    for j, ((_, b2), (direction, at_s)) in enumerate(zip(h.rows, products)):
+        if j == idx or direction <= 0:
             continue
         # the slack of row j at the centroid, times k
-        slack = k * b2 - sum(c * x for c, x in zip(a2, s))
+        slack = k * b2 - at_s
         if slack <= 0:
             return None
         # the bound slack / (k * direction), compared by cross-multiplication
         if eps is None or slack * eps[1] < eps[0] * k * direction:
             eps = (slack, k * direction)
     eps_num, eps_den = (1, 1) if eps is None else (eps[0], 2 * eps[1])
-    # point = s / k + eps * a = p / den
     den = k * eps_den
-    p = [eps_den * x + k * eps_num * ai for x, ai in zip(s, a)]
-    if sum(c * x for c, x in zip(a, p)) <= b * den:
-        return None
-    for j, (a2, b2) in enumerate(h.rows):
-        if j != idx and sum(c * x for c, x in zip(a2, p)) > b2 * den:
+    for j, ((_, b2), (direction, at_s)) in enumerate(zip(h.rows, products)):
+        value = eps_den * at_s + k * eps_num * direction
+        if (value <= b * den) if j == idx else (value > b2 * den):
             return None
-    return tuple(Fraction(x, den) for x in p)
+    return tuple(Fraction(eps_den * x + k * eps_num * ai, den) for x, ai in zip(s, a))
 
 
 def check_facets(ctx: GraphContext) -> dict | None:
@@ -281,7 +287,7 @@ def check_facets(ctx: GraphContext) -> dict | None:
             "missing_rows": sorted(theirs - ours),
             "extra_rows": sorted(ours - theirs),
         }
-    certs = facet_certificates(d, ctx.hrep.rows, ctx.vertices, ctx.incidence)
+    certs = facet_certificates(d, ctx.hrep.rows, ctx.vertices, ctx.tight_rows)
     full = (1 << len(ctx.vertices)) - 1
     for row, (tight, rank) in zip(ctx.hrep.rows, certs):
         if rank != n - 1 or tight == full:
@@ -370,7 +376,7 @@ def check_diameter(ctx: GraphContext) -> dict | None:
 
 def check_simplicity(ctx: GraphContext) -> dict | None:
     """Measured simplicity flags match the cut-vertex and dimension predictions."""
-    rep = simplicity_report(ctx.decomposition, ctx.skeleton, ctx.hrep)
+    rep = simplicity_report(ctx.decomposition, ctx.skeleton, ctx.tight_rows)
     if rep.is_simple != rep.predicted_simple or rep.is_simplicial != rep.predicted_simplicial:
         return {
             "is_simple": rep.is_simple,

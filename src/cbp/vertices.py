@@ -11,7 +11,7 @@ smallest element, instead of filtering all 2^b subsets.
 from __future__ import annotations
 
 from .errors import CountOverflow
-from .graphs import BlockDecomposition, _check_block_indices, _walk
+from .graphs import BlockDecomposition, _check_block_indices
 
 BlockSubset = tuple[int, ...]
 
@@ -21,16 +21,25 @@ DEFAULT_VERTEX_CAP = 2**24
 def is_connected_blockset(d: BlockDecomposition, a) -> bool:
     """True when the union of the given blocks induces a connected subgraph.
 
-    The empty blockset counts as connected.  The union is connected exactly
-    when a walk of the block-cut tree from one chosen block, never entering
-    a block outside the set, reaches them all, because two blocks meet only
-    in single (cut) vertices.
+    The empty blockset counts as connected.  Two blocks meet only in single
+    cut vertices, so the union is connected exactly when the blocks of S
+    and the cut vertices they hold span a subtree of the block-cut tree.
+    That forest has one edge per (block of S, cut vertex in it) incidence
+    and one node per block of S and per cut vertex touched, so it is one
+    tree exactly when the incidences outnumber the touched cut vertices by
+    |S| - 1.  No walk is needed.
     """
     s = _check_block_indices(d, a)
     if len(s) <= 1:
         return True
-    outside = frozenset(range(len(d.blocks))) - s
-    return len(_walk(d, min(s), outside)[0]) == len(s)
+    cuts, blocks = d.cut_vertices, d.blocks
+    incidences = 0
+    touched: set[int] = set()
+    for b in s:
+        held = blocks[b].vertices & cuts
+        incidences += len(held)
+        touched |= held
+    return incidences - len(touched) == len(s) - 1
 
 
 def enumerate_vertices(d: BlockDecomposition) -> tuple[BlockSubset, ...]:
@@ -67,17 +76,18 @@ def enumerate_vertices(d: BlockDecomposition) -> tuple[BlockSubset, ...]:
 def count_connected_blocksets(d: BlockDecomposition) -> int:
     """Number of connected blocksets, the empty one included, in linear time.
 
-    Root the block-cut tree at block 0.  g[b] counts the connected blocksets
-    whose block nearest the root is b: every child block b' of every child
-    cut vertex of b is either left out or joins with one of its g[b'] sets,
-    so g[b] is the product of (1 + g[b']).  A nonempty set whose nearest
-    node to the root is a cut vertex c instead holds two or more child
-    blocks of c and not its parent block: P_c - 1 - sum(g[b']) sets, where
-    P_c is the product of (1 + g[b']) over the child blocks of c.  Every
-    block but the root is a child of exactly one cut vertex, so the total
-    is 1 + g[root] + the sum over the cut vertices of (P_c - 1).
+    Root the block-cut tree at block 0 (the decomposition's root_walk).
+    g[b] counts the connected blocksets whose block nearest the root is b:
+    every child block b' of every child cut vertex of b is either left out
+    or joins with one of its g[b'] sets, so g[b] is the product of
+    (1 + g[b']).  A nonempty set whose nearest node to the root is a cut
+    vertex c instead holds two or more child blocks of c and not its parent
+    block: P_c - 1 - sum(g[b']) sets, where P_c is the product of
+    (1 + g[b']) over the child blocks of c.  Every block but the root is a
+    child of exactly one cut vertex, so the total is 1 + g[root] + the sum
+    over the cut vertices of (P_c - 1).
     """
-    order, entry, owner = _walk(d, 0)
+    order, entry, owner = d.root_walk
     g = [1] * len(d.blocks)
     at_cut = dict.fromkeys(owner, 1)
     for b in reversed(order[1:]):

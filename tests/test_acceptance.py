@@ -126,7 +126,7 @@ def test_criterion_05_dimension_and_simplicity(battery):
     for name, ctx in battery:
         if affine_rank(ctx.incidence) != dim(ctx):
             failures.append((name, "affine rank"))
-        report = simplicity_report(ctx.decomposition, ctx.skeleton, ctx.hrep)
+        report = simplicity_report(ctx.decomposition, ctx.skeleton, ctx.tight_rows)
         cut_count = len(ctx.decomposition.cut_vertices)
         if report.is_simple != (cut_count <= 1):
             failures.append((name, "simple"))

@@ -215,6 +215,24 @@ def test_count_budget(path3_d, monkeypatch):
         count_lattice_points(h, 2)
 
 
+def test_shared_plan_counts_match_fresh_copies(oracle_graphs, monkeypatch):
+    # one H-description counts every dilation through the plan its first
+    # count built; a fresh copy of it per dilation builds its own
+    for name, d in oracle_graphs:
+        h = GraphContext(d.graph).hrep
+        shared = [count_lattice_points(h, n) for n in range(h.dim + 3)]
+        plan = h.lattice_plan
+        fresh = [count_lattice_points(RationalPolyhedron(h.dim, h.rows), n) for n in range(h.dim + 3)]
+        assert shared == fresh, name
+        assert h.lattice_plan is plan, name
+    # the budget still binds each count made through a plan already built
+    monkeypatch.setattr(ehrhart, "DEFAULT_COUNT_BUDGET", 3)
+    with pytest.raises(BudgetExceeded, match="^more than 3 prefixes explored$"):
+        count_lattice_points(h, 2)
+    monkeypatch.undo()
+    assert count_lattice_points(h, 2) == shared[2]
+
+
 def test_checks_over_corpus(small_corpus):
     for name, g in small_corpus:
         d = block_decomposition(g)

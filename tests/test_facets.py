@@ -17,12 +17,12 @@ from cbp.facets import (
 )
 from cbp.graphs import Graph, block_decomposition, split_components_at
 from cbp.hull import brute_force_facets
-from cbp.vertices import enumerate_vertices, to_incidence
+from cbp.vertices import _row_masks, enumerate_vertices, to_incidence
 
 
 def certificates(d, rows, verts):
-    """facet_certificates with the vertices' incidence vectors built here."""
-    return facet_certificates(d, rows, verts, [to_incidence(d, a) for a in verts])
+    """facet_certificates with the tight-row table of the rows built here."""
+    return facet_certificates(d, rows, verts, _row_masks(d, rows, verts))
 
 
 def tripod_d():

@@ -18,7 +18,7 @@ import cbp.ehrhart as ehrhart
 import cbp.optimize as optimize
 import cbp.skeleton as skeleton
 import cbp.verify as verify
-from cbp.corpus import CorpusEntry
+from cbp.corpus import CorpusEntry, path_graph
 from cbp.graphs import graph_from_json
 from cbp.hull import RationalPolyhedron
 from cbp.verify import VerificationReport, VerifyOptions, run_verification, verify_graph
@@ -166,6 +166,25 @@ FAULTS = [
     ("both-ibi-generators-gain-a-bad-row", ibis_gain_a_bad_row, {"ibis"}),
 ]
 
+# Known misses past the gates: a fault of FAULTS, a graph above the gate of
+# the check that catches it elsewhere, and that check.  The graph passes
+# every check under the fault.  Each miss names the ROADMAP items that
+# turn it into a catch; the one that lands deletes its entry here.
+MISSES = [
+    # items 3 and 5: a row count from the block-cut tree as a clause of the
+    # IBI check, and a facet completeness certificate past the double
+    # description oracle's dimension cap
+    ("both-ibi-generators-drop-their-last-row", ibis_drop_last, "path-8", path_graph(8), "facets"),
+    # item 4: the closed-form diameter of block paths, min(k, 2)
+    (
+        "diameter-minus-one",
+        wrapped(skeleton, "diameter", lambda diam, pg: diam - 1),
+        "path-6",
+        path_graph(6),
+        "adjacency",
+    ),
+]
+
 # name of a fault, a check it fails, the reason every failure of that
 # check gives under the fault
 REASONS = [
@@ -232,3 +251,12 @@ def test_failure_replays_from_its_payload(caught, monkeypatch, name, patch):
     report = verify_graph(CorpusEntry(entry["id"], graph_from_json(entry["graph"])), options)
     replayed = VerificationReport(options, (report,)).to_json()["graphs"][0]
     assert strip_seconds(replayed) == strip_seconds(entry)
+
+
+@pytest.mark.parametrize("name, patch, graph_id, graph, gate", MISSES, ids=[m[0] for m in MISSES])
+def test_known_miss_past_the_gates(monkeypatch, name, patch, graph_id, graph, gate):
+    patch(monkeypatch)
+    report = verify_graph(CorpusEntry(graph_id, graph), OPTIONS)
+    statuses = {c.name: c.status for c in report.checks}
+    assert statuses[gate] == "skip", statuses
+    assert report.passed(), statuses

@@ -50,7 +50,10 @@ def test_bareiss_matches_oracles():
     entries = (0, 0, 0, 1, -1, 2, -2, 3)
 
     # determinants of square integer matrices, some made singular by a row
-    # that is a multiple of another; zero entries force row swaps
+    # that is a multiple of another; zero entries force row swaps.  Both
+    # modes give the rank and the determinant: forward elimination (no
+    # width) and Gauss-Jordan (a width), which on [M | I] also leaves
+    # det(M) * M^-1 in the right block
     dets = []
     for _ in range(1500):
         n = rng.randint(1, 6)
@@ -59,10 +62,18 @@ def test_bareiss_matches_oracles():
             i, j = rng.sample(range(n), 2)
             k = rng.randint(-2, 2)
             m[i] = [k * x for x in m[j]]
-        rank, pivot = _bareiss([row[:] for row in m])
-        det = pivot if rank == n else 0
-        assert det == oracles.determinant(m), m
-        dets.append(det)
+        expected = oracles.determinant(m)
+        forward = _bareiss([row[:] for row in m])
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+        jordan = _bareiss(aug, n)
+        for rank, pivot in (forward, jordan):
+            assert (pivot if rank == n else 0) == expected, m
+        assert forward[0] == jordan[0] == _sympy_affine_rank([(0,) * n] + [tuple(row) for row in m]), m
+        if expected:
+            inverse = [row[n:] for row in aug]
+            product = [[sum(m[i][k] * inverse[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+            assert product == [[expected * (i == j) for j in range(n)] for i in range(n)], m
+        dets.append(expected)
     assert 0 in dets and max(abs(x) for x in dets) > 1
 
     # affine ranks of rational point sets drawn from affine subspaces of

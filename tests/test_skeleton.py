@@ -24,7 +24,7 @@ from cbp.skeleton import (
 )
 from cbp.toric import _leading_masks
 from cbp.verify import GraphContext
-from cbp.vertices import enumerate_vertices, to_incidence
+from cbp.vertices import _row_masks, enumerate_vertices, to_incidence
 
 
 def skeleton_of(d):
@@ -149,7 +149,8 @@ def test_geometric_skeleton_matches_face_oracle(small_corpus):
     for name, g in graphs:
         d = block_decomposition(g)
         h = GraphContext(d.graph).hrep
-        pg = build_polytope_graph(d, h, method="geometric", vertices=enumerate_vertices(d))
+        verts = enumerate_vertices(d)
+        pg = build_polytope_graph(d, _row_masks(d, h.rows, verts), method="geometric", vertices=verts)
         points = [to_incidence(d, a) for a in pg.vertices]
         for i, j in itertools.combinations(range(len(points)), 2):
             expected = oracles.face_adjacent(h.rows, points, i, j)
@@ -162,7 +163,7 @@ def test_build_polytope_graph_methods_agree(path3_d):
     h = GraphContext(path3_d.graph).hrep
     verts = enumerate_vertices(path3_d)
     a = build_polytope_graph(path3_d, method="combinatorial", vertices=verts)
-    b = build_polytope_graph(path3_d, h, method="geometric", vertices=verts)
+    b = build_polytope_graph(path3_d, _row_masks(path3_d, h.rows, verts), method="geometric", vertices=verts)
     assert a.vertices == b.vertices
     assert a.neighbors == b.neighbors
     with pytest.raises(ValueError):
@@ -196,7 +197,7 @@ def test_given_vertices_build_the_same_skeleton(oracle_graphs):
         verts = enumerate_vertices(d)
         own = skeleton_of(d)
         for method in ("combinatorial", "geometric"):
-            given = build_polytope_graph(d, h, method=method, vertices=verts)
+            given = build_polytope_graph(d, _row_masks(d, h.rows, verts), method=method, vertices=verts)
             assert given.vertices is verts
             assert given.neighbors == own.neighbors, (name, method)
 
@@ -234,32 +235,26 @@ def test_hirsch_over_corpus(small_corpus):
 
 
 def test_simplicity_square(path2_d):
-    report = simplicity_report(
-        path2_d, skeleton_of(path2_d), GraphContext(path2_d.graph).hrep
-    )
+    report = simplicity_report(path2_d, skeleton_of(path2_d), GraphContext(path2_d.graph).tight_rows)
     assert report.is_simple and report.is_simplicial
     assert report.predicted_simple and report.predicted_simplicial
 
 
 def test_simplicity_cube(star3_d):
-    report = simplicity_report(
-        star3_d, skeleton_of(star3_d), GraphContext(star3_d.graph).hrep
-    )
+    report = simplicity_report(star3_d, skeleton_of(star3_d), GraphContext(star3_d.graph).tight_rows)
     assert report.is_simple and not report.is_simplicial
     assert report.predicted_simple and not report.predicted_simplicial
 
 
 def test_simplicity_path3(path3_d):
-    report = simplicity_report(
-        path3_d, skeleton_of(path3_d), GraphContext(path3_d.graph).hrep
-    )
+    report = simplicity_report(path3_d, skeleton_of(path3_d), GraphContext(path3_d.graph).tight_rows)
     assert not report.is_simple and not report.is_simplicial
 
 
 def test_predictions_match_measurements(small_corpus):
     for name, g in small_corpus:
         ctx = GraphContext(g)
-        report = simplicity_report(ctx.decomposition, ctx.skeleton, ctx.hrep)
+        report = simplicity_report(ctx.decomposition, ctx.skeleton, ctx.tight_rows)
         assert report.is_simple == report.predicted_simple, name
         assert report.is_simplicial == report.predicted_simplicial, name
 

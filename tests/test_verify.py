@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import sys
 import types
 from fractions import Fraction
 
@@ -11,10 +12,12 @@ import pytest
 import oracles
 import cbp.errors as errors
 import cbp.facets as facets
+import cbp.graphs as graphs
 import cbp.optimize as optimize
 import cbp.skeleton as skeleton
 import cbp.toric as toric
 import cbp.verify as verify
+import cbp.vertices as vertices
 from cbp.corpus import CorpusEntry, corpus, path_graph
 from cbp.errors import AssertionFailure
 from cbp.facets import facet_certificates
@@ -83,7 +86,7 @@ def test_cutoff_point_matches_fraction_oracle():
     rows = 0
     for entry in corpus(5, 7, 26) + corpus(7, 7):
         ctx = GraphContext(entry.graph)
-        certs = facet_certificates(ctx.decomposition, ctx.hrep.rows, ctx.vertices, ctx.incidence)
+        certs = facet_certificates(ctx.decomposition, ctx.hrep.rows, ctx.vertices, ctx.tight_rows)
         for idx, (row, (mask, _)) in enumerate(zip(ctx.hrep.rows, certs)):
             tight = [ctx.incidence[k] for k in _bits(mask)]
             point = verify._cutoff_point(ctx.hrep, idx, tight)
@@ -167,6 +170,40 @@ def test_verify_graph_enumerates_the_ibis_once(monkeypatch):
     checks = {c.name: c.status for c in report.checks}
     assert checks["facets"] == checks["ibis"] == "pass"
     assert len(calls) == 1
+
+
+def _spy_everywhere(monkeypatch, module, name, record):
+    """Route every binding of module.name in the cbp modules through record,
+    which is called with the arguments before the real function runs."""
+    real = getattr(module, name)
+
+    def spy(*args):
+        record(*args)
+        return real(*args)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("cbp") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, spy)
+
+
+def test_verify_graph_builds_the_tight_rows_and_the_root_walk_once(monkeypatch):
+    # the facet certificates, the geometric skeleton and the simplicity
+    # check read one tight-row table; the vertex count, the rerooting pass
+    # and the queries and closures rooted at block 0 read one walk
+    tables, root_walks = [], []
+    _spy_everywhere(monkeypatch, vertices, "_row_masks", lambda d, rows, verts: tables.append(d))
+
+    def walk(d, root, banned=frozenset()):
+        if root == 0 and not banned:
+            root_walks.append(d)
+
+    _spy_everywhere(monkeypatch, graphs, "_walk", walk)
+    report = verify_graph(CorpusEntry("path-5", path_graph(5)), VerifyOptions())
+    checks = {c.name: c.status for c in report.checks}
+    assert checks["facets"] == checks["adjacency"] == checks["simplicity"] == checks["optimizer"] == "pass"
+    assert report.passed()
+    assert len(tables) == 1
+    assert len(root_walks) == len({id(d) for d in root_walks}) == 1
 
 
 def test_sweep_passes_and_reports_deterministically():

@@ -89,6 +89,23 @@ def test_is_connected_blockset_matches_closure(small_corpus):
                 assert connected == (blockset_closure(d, a) == set(a)), (name, a)
 
 
+def test_is_connected_blockset_matches_closure_on_large_trees():
+    # closures of random sets are connected, and a closure with one block
+    # taken out or a random set mostly is not: 200 subsets of 128 blocks
+    rng = random.Random(128)
+    trees = [block_decomposition(random_block_tree(rng, 128)) for _ in range(4)]
+    kinds = {True: 0, False: 0}
+    for i in range(200):
+        d = trees[i % len(trees)]
+        picked = frozenset(rng.sample(range(128), rng.randint(1, 6)))
+        closure = blockset_closure(d, picked)
+        a = rng.choice([picked, closure, closure - {rng.choice(sorted(closure))}])
+        connected = is_connected_blockset(d, a)
+        assert connected == (blockset_closure(d, a) == a), (i, sorted(a))
+        kinds[connected] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
 def test_is_connected_blockset_index_error(path3_d):
     with pytest.raises(IndexError):
         is_connected_blockset(path3_d, (5,))
