@@ -34,6 +34,7 @@ from .graphs import (
     parse_edge_list,
 )
 from .corpus import corpus
+from .facets import _check_ibi_cap
 from .optimize import (
     EdgeSolution,
     Solution,
@@ -257,7 +258,9 @@ def cmd_groebner(args) -> int:
 def cmd_triangulate(args) -> int:
     ctx = GraphContext(_load_graph(args.graph))
     d = ctx.decomposition
-    ctx.hrep  # before the basis: its block cap fires before the variable cap
+    # the H-description's block cap first; then ctx.basis checks the
+    # predicted variable count, before any artifact is built
+    _check_ibi_cap(len(d.blocks))
     complex_ = triangulation(d, ctx.basis, ctx.order)
     report = triangulation_checks(d, complex_, ctx.hstar.hstar)
     _emit(

@@ -112,6 +112,11 @@ def _distributions(slots: int, total: int, bound: int):
     yield from rec(0, total)
 
 
+def _check_ibi_cap(n: int) -> None:
+    if n > MAX_IBI_BLOCKS:
+        raise CountOverflow(f"{n} blocks exceed the enumeration cap {MAX_IBI_BLOCKS}")
+
+
 def enumerate_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
     """Every valid inequality's alpha, by exhausting coefficient distributions.
 
@@ -120,8 +125,7 @@ def enumerate_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
     -(|I| - 1); every distribution is screened through ibi_violations.
     """
     n = len(d.blocks)
-    if n > MAX_IBI_BLOCKS:
-        raise CountOverflow(f"{n} blocks exceed the enumeration cap {MAX_IBI_BLOCKS}")
+    _check_ibi_cap(n)
     found = []
     for iset in _independent_sets(d):
         k = len(iset)

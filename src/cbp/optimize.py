@@ -71,9 +71,11 @@ def _integers(values: Sequence) -> tuple[list[int], int]:
     """Rational values as integers over one common denominator, and that
     denominator: the lcm of the values' denominators.  int and Fraction
     entries are read as they are; any other entry goes through Fraction."""
-    w = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in values]
-    scale = lcm(*(x.denominator for x in w))
-    return [x.numerator * (scale // x.denominator) for x in w], scale
+    ratios = [
+        (x if type(x) is int or type(x) is Fraction else Fraction(x)).as_integer_ratio() for x in values
+    ]
+    scale = lcm(*[q for _, q in ratios])
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def _scaled_weights(d: BlockDecomposition, weights: Sequence) -> tuple[list[int], int]:
@@ -146,7 +148,8 @@ def _rerooted_values(d: BlockDecomposition, w: Sequence[int]) -> list[int]:
     full = down[:]
     for b in order[1:]:
         v = entry[b]
-        full[b] += downc[v] - max(0, down[b]) + max(0, full[owner[v]] - downc[v])
+        above = full[owner[v]] - downc[v]
+        full[b] += downc[v] - (down[b] if down[b] > 0 else 0) + (above if above > 0 else 0)
     return full
 
 
@@ -201,13 +204,13 @@ def max_weight_connected_blockset(d: BlockDecomposition, weights: Sequence) -> S
 
 def _brute_force(w: list[int], vertices: Iterable[BlockSubset]) -> tuple[BlockSubset, int]:
     """The lexicographically smallest blockset of largest integer weight
-    among the given ones, the empty set included, and its weight."""
-    best_value, best_set = 0, ()
-    for a in vertices:
-        val = sum(map(w.__getitem__, a))
-        if val > best_value or (val == best_value and a < best_set):
-            best_value, best_set = val, a
-    return best_set, best_value
+    among the given ones, the empty set included, and its weight.
+
+    The smallest (negated weight, blockset) pair is the largest weight's
+    smallest blockset; below weight 1 the empty set, which precedes every
+    other blockset, wins."""
+    neg, best = min([(-sum(map(w.__getitem__, a)), a) for a in vertices], default=(0, ()))
+    return ((), 0) if neg >= 0 else (best, -neg)
 
 
 def _check_brute_force_cap(d: BlockDecomposition) -> None:

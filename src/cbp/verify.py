@@ -410,34 +410,66 @@ def check_triangulation(ctx: GraphContext) -> dict | None:
     return None
 
 
-def _integer_pairs(pairs) -> tuple[list[int], int]:
-    """The rationals p/q of the (p, q) pairs, q > 0, as integers over their
-    least common denominator, and that denominator: the vector that
-    optimize._scaled_weights gives for the pairs' Fractions."""
-    reduced = [(p // g, q // g) for p, q in pairs for g in (gcd(p, q),)]
-    scale = lcm(*(q for _, q in reduced))
-    return [p * (scale // q) for p, q in reduced], scale
+def _reduced_pairs(numerators: range, denominators: range) -> tuple[tuple[int, int], ...]:
+    """One (p, q) per numerator and denominator of the ranges, numerator
+    major, each reduced to lowest terms."""
+    return tuple((p // g, q // g) for p in numerators for q in denominators for g in (gcd(p, q),))
+
+
+# The optimizer trials' draw tables, one entry per pair of the ranges: the
+# block weights p/q (p in -12..12, q in 1..6) and the adapter trials' edge
+# weights (p in -6..6, q in 1..4) in lowest terms, and the scaling trial's
+# positive rational a/b (a and b in 1..9).
+BLOCK_WEIGHTS = _reduced_pairs(range(-12, 13), range(1, 7))
+EDGE_WEIGHTS = _reduced_pairs(range(-6, 7), range(1, 5))
+SCALES = tuple((a, b) for a in range(1, 10) for b in range(1, 10))
+
+
+def _draw(rng: random.Random, table: tuple, n: int) -> list:
+    """n independent uniform entries of table from one draw: a number below
+    len(table) ** n, read as n base-len(table) digits, lowest first."""
+    base = len(table)
+    x = rng.randrange(base**n)
+    out = []
+    for _ in range(n):
+        x, k = divmod(x, base)
+        out.append(table[k])
+    return out
+
+
+def _integer_pairs(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """The rationals p/q of the (p, q) pairs, q > 0 and in lowest terms, as
+    integers over their least common denominator, and that denominator: the
+    vector that optimize._scaled_weights gives for the pairs' Fractions."""
+    scale = lcm(*[q for _, q in pairs])
+    return [p * (scale // q) for p, q in pairs], scale
 
 
 def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
     """DP equals brute force, with tie-break, on random rational weights.
 
     Both caps are checked once, before the first draw.  Each trial draws
-    its weights as (numerator, denominator) pairs, and the DP core and the
-    brute-force core run on one integer vector, the pairs over their least
-    common denominator.  The scaling trial multiplies the weights by a
-    positive rational and goes through max_weight_connected_blockset.  The
-    adapter trials run the adapters' shared lift on ctx.decomposition and
-    compare its blockset and value with the DP core on the blocks' edge
-    sums.  Fractions are built only for the public solver, the lift's input
-    and failure payloads.
+    its weight vector with one integer draw (`_draw`): a number below
+    150 ** blocks whose base-150 digits index BLOCK_WEIGHTS, the 150
+    (numerator, denominator) pairs of the ranges in lowest terms.  The DP
+    core and the brute-force core run on one integer vector, the pairs
+    over their least common denominator.  The scaling trial draws its
+    positive rational a/b with one more draw, passes the scaled weights
+    through max_weight_connected_blockset and compares its value with the
+    DP's by cross-multiplication.  The adapter trials draw their edge
+    weights from EDGE_WEIGHTS the same way, run the adapters' shared lift
+    on ctx.decomposition and compare its blockset and value with the DP
+    core on the blocks' edge sums.  Every draw is exactly uniform over its
+    ranges and float-free; Fractions are built only for the public
+    solver, the lift's input and failure payloads.
     """
     d = ctx.decomposition
     optimize._check_optimize_cap(d)
     optimize._check_brute_force_cap(d)
+    n = len(d.blocks)
     rng = random.Random(seed_tag)
     for t in range(OPTIMIZER_TRIALS):
-        pairs = [(rng.randint(-12, 12), rng.randint(1, 6)) for _ in d.blocks]
+        pairs = _draw(rng, BLOCK_WEIGHTS, n)
         w, den = _integer_pairs(pairs)
         dp, bf = optimize._optimum(d, w), optimize._brute_force(w, ctx.vertices)
         if dp != bf:
@@ -447,22 +479,26 @@ def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
                 "dp": {"blockset": dp[0], "value": Fraction(dp[1], den)},
                 "brute": {"blockset": bf[0], "value": Fraction(bf[1], den)},
             }
-        a, b = rng.randint(1, 9), rng.randint(1, 9)
+        a, b = SCALES[rng.randrange(len(SCALES))]
         scaled = max_weight_connected_blockset(d, [Fraction(p * a, q * b) for p, q in pairs])
-        if scaled.blockset != dp[0] or scaled.value != Fraction(dp[1] * a, den * b):
+        # the scaled value against dp[1] / den * a / b, cross-multiplied
+        num, dnm = scaled.value.as_integer_ratio()
+        if scaled.blockset != dp[0] or num * den * b != dp[1] * a * dnm:
             return {"trial": t, "reason": "positive scaling moved the argmax"}
     cls = classify(ctx.graph, d)
     edges = ctx.graph.sorted_edges()
+    index = {e: i for i, e in enumerate(edges)}
+    block_edges = [[index[e] for e in blk.edges] for blk in d.blocks]
     for applies, eulerian, name in ((cls.is_eulerian_cactus, True, "Eulerian"), (cls.is_tree, False, "tree")):
         if not applies:
             continue
         for t in range(min(OPTIMIZER_TRIALS, 20)):
-            pairs = [(rng.randint(-6, 6), rng.randint(1, 4)) for _ in edges]
+            pairs = _draw(rng, EDGE_WEIGHTS, len(edges))
             ew, den = _integer_pairs(pairs)
-            wmap = dict(zip(edges, ew))
-            blockset, value = optimize._optimum(d, [sum(wmap[e] for e in blk.edges) for blk in d.blocks])
+            blockset, value = optimize._optimum(d, [sum(map(ew.__getitem__, ix)) for ix in block_edges])
             sol = _lift(ctx.graph, d, [Fraction(p, q) for p, q in pairs], eulerian=eulerian)
-            if sol.blockset != blockset or sol.value != Fraction(value, den):
+            num, dnm = sol.value.as_integer_ratio()
+            if sol.blockset != blockset or num * den != value * dnm:
                 return {"trial": t, "reason": f"{name} adapter disagrees with the DP"}
     return None
 

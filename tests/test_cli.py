@@ -11,6 +11,7 @@ import pytest
 import oracles
 from cbp import cli, ehrhart, skeleton, verify
 from cbp.cli import main
+from cbp.corpus import triangle_chain
 
 PATH3 = "0 1\n1 2\n2 3\n"
 BOWTIE = "0 1\n0 2\n1 2\n0 3\n0 4\n3 4\n"
@@ -397,6 +398,88 @@ def test_optimize_refuses_over_the_block_cap(graph_file, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "failed: BudgetExceeded: 1025 blocks exceed the optimizer cap 1024\n"
+
+
+def path_text(k):
+    return "".join(f"{i} {i + 1}\n" for i in range(k))
+
+
+def star_text(k):
+    return "".join(f"0 {i}\n" for i in range(1, k + 1))
+
+
+BLOCK_CAP = "CountOverflow: 15 blocks exceed the enumeration cap 14"
+OPTIMIZER_CAP = "BudgetExceeded: 1025 blocks exceed the optimizer cap 1024"
+CACTUS1025 = "".join(f"{u} {v}\n" for u, v in triangle_chain(1025).sorted_edges())
+
+# command, its flags, the graph, its weight files by flag, a cap patched
+# down (None when the graph is a natural input just past the cap), and the
+# refusal on stderr.  `blocks`, `corpus` and `verify` hit none of the caps.
+REFUSALS = [
+    ("vertices", [], star_text(25), {}, None, "CountOverflow: more than 16777216 connected blocksets"),
+    ("facets", [], path_text(15), {}, None, BLOCK_CAP),
+    (
+        "edges",
+        ["--method", "combinatorial"],
+        star_text(15),
+        {},
+        None,
+        "BudgetExceeded: 32768 vertices exceed the diameter cap 16384",
+    ),
+    (
+        "edges",
+        ["--method", "geometric"],
+        star_text(13),
+        {},
+        None,
+        "BudgetExceeded: 8192 vertices exceed the geometric skeleton cap 4096",
+    ),
+    ("edges", ["--method", "geometric"], path_text(15), {}, None, BLOCK_CAP),
+    ("diameter", [], path_text(15), {}, None, BLOCK_CAP),
+    # star-14, the largest skeleton within the block cap, has exactly 2^14
+    # vertices, so no natural input is just past the diameter cap
+    (
+        "diameter",
+        [],
+        PATH3,
+        {},
+        (skeleton, "MAX_DIAMETER_VERTICES", 6),
+        "BudgetExceeded: 7 vertices exceed the diameter cap 6",
+    ),
+    ("hstar", [], path_text(15), {}, None, BLOCK_CAP),
+    ("hstar", ["--max-dilation", "33"], PATH3, {}, None, "BudgetExceeded: --max-dilation 33 exceeds the cap 32"),
+    ("groebner", [], star_text(6), {}, None, "BudgetExceeded: 64 variables exceed the cap 60"),
+    ("triangulate", [], path_text(15), {}, None, BLOCK_CAP),
+    ("triangulate", [], path_text(14), {}, None, "BudgetExceeded: 106 variables exceed the cap 60"),
+    ("optimize", [], path_text(1025), {"--weights": "1\n" * 1025}, None, OPTIMIZER_CAP),
+    ("optimize", ["--mode", "tree"], path_text(1025), {"--edge-weights": "1\n" * 1025}, None, OPTIMIZER_CAP),
+    ("optimize", ["--mode", "eulerian"], CACTUS1025, {"--edge-weights": "1\n" * 3075}, None, OPTIMIZER_CAP),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, graph, weights, patch, refusal",
+    REFUSALS,
+    ids=[f"{r[0]}-{r[5].split(':')[0]}-{i}" for i, r in enumerate(REFUSALS)],
+)
+def test_every_command_refuses_just_past_each_cap(
+    graph_file, tmp_path, capsys, monkeypatch, command, flags, graph, weights, patch, refusal
+):
+    if patch:
+        monkeypatch.setattr(*patch)
+    argv = [command, "--graph", graph_file(graph), *flags]
+    for flag, text in weights.items():
+        path = tmp_path / "weights.txt"
+        path.write_text(text)
+        argv += [flag, str(path)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (1, "", f"failed: {refusal}\n")
+
+
+def test_refusal_table_covers_every_command_with_a_cap():
+    assert {r[0] for r in REFUSALS} == set(cli.COMMANDS) - {"blocks", "corpus", "verify"}
 
 
 def test_optimize_tree_mode(graph_file, tmp_path, capsys):

@@ -172,6 +172,22 @@ def test_brute_force_matches_oracle_on_ties(oracle_graphs):
             assert max_weight_connected_blockset(d, w) == expected, (name, w)
 
 
+def test_brute_force_core_matches_oracle_on_zero_and_tie_heavy_weights(oracle_graphs):
+    # the integer core on the scaled weights, over the vertices in their
+    # order, reversed and without the empty set: the Fraction scan's
+    # smallest optimal tuple, the empty set at value 0
+    rng = random.Random(20261026)
+    for name, d in oracle_graphs:
+        n = len(d.blocks)
+        verts = enumerate_vertices(d)
+        orders = (verts, verts[::-1], [a for a in verts if a])
+        for w in [[0] * n] + [tie_heavy_weights(rng, n) for _ in range(8)]:
+            ints, scale = optimize._scaled_weights(d, w)
+            blockset, value = oracles.best_blockset(d.graph, d.blocks, w)
+            for order in orders:
+                assert optimize._brute_force(ints, order) == (blockset, value * scale), (name, w)
+
+
 PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
 
 

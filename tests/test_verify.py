@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 import sys
 import types
@@ -258,13 +259,64 @@ def test_failure_is_reported_with_context(monkeypatch):
 
 def optimizer_draws(ctx, seed_tag):
     """The optimizer check's draws: per trial, the block weights and the
-    positive scale of the scaling trial."""
+    positive scale of the scaling trial.  The weights are one number below
+    150 ** blocks whose base-150 digits, lowest first, each pick a
+    numerator in -12..12 and a denominator in 1..6; the scale a/b is one
+    number below 81 that picks a and b in 1..9."""
     rng = random.Random(seed_tag)
+    n = len(ctx.decomposition.blocks)
     draws = []
     for _ in range(verify.OPTIMIZER_TRIALS):
-        weights = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in ctx.decomposition.blocks]
-        draws.append((weights, Fraction(rng.randint(1, 9), rng.randint(1, 9))))
+        x = rng.randrange(150**n)
+        weights = [Fraction(k // 6 - 12, k % 6 + 1) for k in (x // 150**i % 150 for i in range(n))]
+        k = rng.randrange(81)
+        draws.append((weights, Fraction(k // 9 + 1, k % 9 + 1)))
     return draws
+
+
+@pytest.mark.parametrize(
+    "table, numerators, denominators, size",
+    [
+        (verify.BLOCK_WEIGHTS, range(-12, 13), range(1, 7), 150),
+        (verify.EDGE_WEIGHTS, range(-6, 7), range(1, 5), 52),
+    ],
+)
+def test_weight_tables_hold_every_pair_reduced(table, numerators, denominators, size):
+    # one entry per (numerator, denominator), numerator major, in lowest terms
+    assert len(table) == size
+    assert [Fraction(p, q) for p, q in table] == [Fraction(p, q) for p in numerators for q in denominators]
+    assert all(q > 0 and math.gcd(p, q) == 1 for p, q in table)
+
+
+def test_scale_table_holds_every_pair():
+    # a and b in 1..9, one entry each, a major: optimizer_draws reads k as
+    # a = k // 9 + 1 and b = k % 9 + 1
+    assert verify.SCALES == tuple((a, b) for a in range(1, 10) for b in range(1, 10))
+
+
+def test_draw_reads_one_number_as_digits():
+    # every number below 3 ** 2 gives a different pair of entries, so the
+    # draw is exactly uniform over the pairs; the digits are read lowest first
+    class Fixed:
+        def __init__(self, x):
+            self.x, self.bounds = x, []
+
+        def randrange(self, bound):
+            self.bounds.append(bound)
+            return self.x
+
+    table = ("a", "b", "c")
+    seen = set()
+    for x in range(9):
+        rng = Fixed(x)
+        entries = verify._draw(rng, table, 2)
+        assert rng.bounds == [9]
+        assert entries == [table[x % 3], table[x // 3]]
+        seen.add(tuple(entries))
+    assert len(seen) == 9
+    rng = Fixed(1 + 2 * 150 + 3 * 150**2)
+    assert verify._draw(rng, verify.BLOCK_WEIGHTS, 3) == [verify.BLOCK_WEIGHTS[k] for k in (1, 2, 3)]
+    assert rng.bounds == [150**3]
 
 
 def test_optimizer_trials_share_one_scaling(monkeypatch):
@@ -328,32 +380,39 @@ def wrong_on(monkeypatch, target):
 
 
 def test_optimizer_reports_a_wrong_blockset(monkeypatch):
-    # trial 6 on path-4: optimum 47/15 at (1, 2, 3); the DP core claims
-    # the full set at the same value
+    # trial 5 on path-4, the first whose optimum has three blocks: 7/3 at
+    # (1, 2, 3); the DP core claims the full set at the same value
     ctx = GraphContext(path_graph(4))
-    weights, _ = optimizer_draws(ctx, PATH4_TAG)[6]
+    draws = optimizer_draws(ctx, PATH4_TAG)
+    sizes = [len(optimize.brute_force_optimum(ctx.decomposition, w).blockset) for w, _ in draws]
+    assert sizes.index(3) == 5
+    weights, _ = draws[5]
     right = optimize.brute_force_optimum(ctx.decomposition, weights)
-    assert right == optimize.Solution((1, 2, 3), Fraction(47, 15))
+    assert right == optimize.Solution((1, 2, 3), Fraction(7, 3))
     wrong_on(monkeypatch, optimize._scaled_weights(ctx.decomposition, weights)[0])
     payload = verify.check_optimizer(ctx, PATH4_TAG)
     assert payload == {
-        "trial": 6,
+        "trial": 5,
         "weights": weights,
-        "dp": {"blockset": (0, 1, 2, 3), "value": Fraction(47, 15)},
-        "brute": {"blockset": (1, 2, 3), "value": Fraction(47, 15)},
+        "dp": {"blockset": (0, 1, 2, 3), "value": Fraction(7, 3)},
+        "brute": {"blockset": (1, 2, 3), "value": Fraction(7, 3)},
     }
     assert all(type(x) is Fraction for x in payload["weights"])
     assert type(payload["dp"]["value"]) is type(payload["brute"]["value"]) is Fraction
 
 
 def test_optimizer_reports_broken_scaling(monkeypatch):
-    # at trial 1 on path-4 (scale 2) the DP core moves the argmax on the
-    # scaled weights only
+    # at trial 1 on path-4 (scale 7/2), the first whose scaled vector is no
+    # trial's unscaled one, the DP core moves the argmax on the scaled
+    # weights only
     ctx = GraphContext(path_graph(4))
     draws = optimizer_draws(ctx, PATH4_TAG)
+    unscaled = [optimize._scaled_weights(ctx.decomposition, w)[0] for w, _ in draws]
+    scaled = [optimize._scaled_weights(ctx.decomposition, [x * s for x in w])[0] for w, s in draws]
+    assert [v not in unscaled for v in scaled].index(True) == 1
     weights, scale = draws[1]
-    target = optimize._scaled_weights(ctx.decomposition, [w * scale for w in weights])[0]
-    assert all(optimize._scaled_weights(ctx.decomposition, w)[0] != target for w, _ in draws)
+    assert scale == Fraction(7, 2)
+    target = scaled[1]
     assert optimize.max_weight_connected_blockset(ctx.decomposition, weights).blockset != (0, 1, 2, 3)
     wrong_on(monkeypatch, target)
     assert verify.check_optimizer(ctx, PATH4_TAG) == {"trial": 1, "reason": "positive scaling moved the argmax"}
