@@ -291,6 +291,8 @@ def _solution_json(d, sol: Solution | EdgeSolution) -> dict:
 
 
 def cmd_optimize(args) -> int:
+    if args.weights and args.mode:
+        raise ValueError("--mode applies to --edge-weights only")
     ctx = GraphContext(_load_graph(args.graph))
     if args.weights:
         d = ctx.decomposition
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--weights", help="file with one rational block weight per line")
     group.add_argument("--edge-weights", help="file with one rational edge weight per line")
-    p.add_argument("--mode", choices=("eulerian", "tree"), default=None)
+    p.add_argument("--mode", choices=("eulerian", "tree"), default=None, help="adapter for --edge-weights")
 
     p = sub.add_parser("corpus", help="deterministic graph corpus")
     p.add_argument("--max-blocks", type=int, default=5)

@@ -24,8 +24,8 @@ import itertools
 
 from .errors import AssertionFailure, CountOverflow, RowInvalid
 from .graphs import BlockDecomposition, blockset_closure, graph_to_json, split_components_at
-from .hull import RationalPolyhedron, _bareiss
-from .vertices import _bits
+from .hull import RationalPolyhedron, affine_rank
+from .vertices import _bits, to_incidence
 
 MAX_IBI_BLOCKS = 14
 
@@ -154,8 +154,7 @@ def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
     construction is supposed to preserve validity.
     """
     n = len(d.blocks)
-    if n > MAX_IBI_BLOCKS:
-        raise CountOverflow(f"{n} blocks exceed the construction cap {MAX_IBI_BLOCKS}")
+    _check_ibi_cap(n)
 
     def block_vertices(ix) -> frozenset[int]:
         out: set[int] = set()
@@ -246,24 +245,17 @@ def facet_certificates(d: BlockDecomposition, rows, verts, tight_rows) -> tuple[
     rows and vertices, GraphContext.tight_rows).
 
     Bit k of the tight mask marks that the row holds with equality at the
-    k-th vertex.  The affine rank of a row's tight vertices is the rank of
-    their integer rows (1, x), x the 0/1 incidence vector, by the
-    fraction-free elimination hull._bareiss, less one, and -1 when no
-    vertex is tight.  The row is facet-defining exactly when the rank is
+    k-th vertex.  The affine rank of a row's tight vertices is
+    hull.affine_rank of their 0/1 incidence vectors, and -1 when no vertex
+    is tight.  The row is facet-defining exactly when the rank is
     dim - 1 and some vertex is not tight.  Raises RowInvalid at the first
     row that some vertex violates.
     """
-    n = len(d.blocks)
     out = []
     for (a, b), (tight, violator) in zip(rows, tight_rows):
         if violator is not None:
             subset = verts[violator]
             raise RowInvalid(f"vertex {subset} violates the row: {sum(a[k] for k in subset)} > {b}")
-        points = []
-        for k in _bits(tight):
-            point = [1] + [0] * n
-            for blk in verts[k]:
-                point[blk + 1] = 1
-            points.append(point)
-        out.append((tight, _bareiss(points)[0] - 1 if tight else -1))
+        rank = affine_rank([to_incidence(d, verts[k]) for k in _bits(tight)]) if tight else -1
+        out.append((tight, rank))
     return tuple(out)

@@ -1,36 +1,37 @@
 """Exact rational polyhedra and a brute-force facet oracle.
 
-Everything here runs on fractions.Fraction or int; no floats ever enter
-the geometry.  Inequality rows are stored as (a, b) meaning a . x <= b,
-with coprime integer entries, so two rows describe the same halfspace
-exactly when they are equal.  The rows are built that way: the
-independent-blocks rows have rhs 1 and the unit rows -x_B <= 0 one entry
--1, and every row of the facet oracle is read off a primitive ray.
+Everything here runs on int; no floats or fractions ever enter the
+geometry.  Points are tuples of int coordinates, such as the 0/1 vertices
+of the polytope; a rational point set is scaled by a common denominator
+first.  Inequality rows are stored as (a, b) meaning a . x <= b, with
+coprime integer entries, so two rows describe the same halfspace exactly
+when they are equal.  The rows are built that way: the independent-blocks
+rows have rhs 1 and the unit rows -x_B <= 0 one entry -1, and every row of
+the facet oracle is read off a primitive ray.
 
 The facet oracle converts a full-dimensional point set V into its
 irredundant facet list by the double description method on the dual cone
 {y in R^(d+1) : y0 + y . v >= 0 for all v in V}: extreme rays of that cone
-correspond one-to-one to facets of conv(V).  The constraint rows are scaled
-to integers once, rays are primitive integer vectors, and each ray carries
-its zero set as a bitmask over the rows processed so far, so the
+correspond one-to-one to facets of conv(V).  The constraint rows are the
+integer rows (1, v), rays are primitive integer vectors, and each ray
+carries its zero set as a bitmask over the rows processed so far, so the
 combinatorial adjacency test of two rays is a handful of integer ANDs.
 
 All exact linear algebra of the package runs through one fraction-free
 elimination (Bareiss) on integer rows, whose divisions are exact, in two
 modes.  Forward elimination gives ranks and determinants: affine ranks
-(of the homogenized rows (1, p), scaled to integers), the facet
-certificates' ranks in cbp.facets and the simplex determinants of the
-triangulation check in cbp.toric.  Gauss-Jordan elimination, which also
-clears above each pivot, gives the seed and the seed rays of the facet
-oracle, read off the inverse block.
+(of the homogenized rows (1, p)), among them the facet certificates'
+ranks in cbp.facets, and the simplex determinants of the triangulation
+check in cbp.toric.  Gauss-Jordan elimination, which also clears above
+each pivot, gives the seed and the seed rays of the facet oracle, read off
+the inverse block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .errors import DimensionCap, DimensionMismatch, NotFullDimensional
@@ -102,17 +103,27 @@ def _bareiss(rows: list[list[int]], width: int | None = None) -> tuple[int, int]
     return rank, prev
 
 
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of points with int or Fraction coordinates
-    (0 for a single point): the rank of the rows (1, p), less one."""
-    pts = list(points)
+def _integer_points(points) -> tuple[list[tuple[int, ...]], int]:
+    """The points as tuples, and their common dimension; TypeError on a
+    coordinate that is not an int (a bool included)."""
+    pts = [tuple(p) for p in points]
     if not pts:
-        raise ValueError("affine_rank requires at least one point")
+        raise ValueError("need at least one point")
     dim = len(pts[0])
     for p in pts:
         if len(p) != dim:
             raise DimensionMismatch("points of different dimensions")
-    rank, _ = _bareiss([_clear_denominators((1, *p)) for p in pts])
+        for x in p:
+            if type(x) is not int:
+                raise TypeError(f"point coordinate {x!r} is not an int")
+    return pts, dim
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of integer points (0 for a single
+    point): the rank of the rows (1, p), less one."""
+    pts, _ = _integer_points(points)
+    rank, _ = _bareiss([[1, *p] for p in pts])
     return rank - 1
 
 
@@ -123,15 +134,6 @@ def _primitive(vec: list[int]) -> tuple[int, ...]:
     if g == 0:
         raise ValueError("zero ray")
     return tuple(x // g for x in vec)
-
-
-def _clear_denominators(vec) -> list[int]:
-    """The rational vector scaled by the least common multiple of its
-    denominators; an all-int vector is returned as it is, as a list."""
-    if all(type(x) is int for x in vec):
-        return list(vec)
-    denom = lcm(*(x.denominator for x in vec))
-    return [x.numerator * (denom // x.denominator) for x in vec]
 
 
 def _adjacent_rays(common: int, zero_sets: list[int]) -> bool:
@@ -151,25 +153,18 @@ def brute_force_facets(points) -> RationalPolyhedron:
 
     The points must affinely span the ambient space.  Intended as the
     trusted oracle for small dimensions; the cap keeps runtimes sane.
-    int coordinates, such as those of 0/1 vertices, are kept as they are;
-    any other coordinate goes through Fraction.
+    The coordinates must be ints.
     """
-    pts = [tuple(x if type(x) is int else Fraction(x) for x in p) for p in points]
-    if not pts:
-        raise ValueError("need at least one point")
-    dim = len(pts[0])
-    for p in pts:
-        if len(p) != dim:
-            raise DimensionMismatch("points of different dimensions")
+    pts, dim = _integer_points(points)
     if dim < 1:
         raise NotFullDimensional("ambient dimension must be at least 1")
     if dim > MAX_BRUTE_FORCE_DIM:
         raise DimensionCap(f"ambient dimension {dim} exceeds cap {MAX_BRUTE_FORCE_DIM}")
     pts = sorted(set(pts))
 
-    # dual-cone constraint rows (1, v) scaled to integers; every valid
-    # inequality a.x <= b maps to the cone point y = (b, -a).
-    cons = [_clear_denominators((1,) + p) for p in pts]
+    # dual-cone constraint rows (1, v); every valid inequality a.x <= b
+    # maps to the cone point y = (b, -a).
+    cons = [[1, *p] for p in pts]
     n = len(cons)
 
     # the seed is the first dim + 1 independent rows: the pivot columns of
@@ -219,7 +214,7 @@ def brute_force_facets(points) -> RationalPolyhedron:
 
     # sanity: every input point satisfies every output row
     for a, b in rows:
-        for denom, *q in cons:
-            if sum(map(mul, a, q)) > b * denom:
+        for q in pts:
+            if sum(map(mul, a, q)) > b:
                 raise AssertionError("facet computation produced a violated row")
     return RationalPolyhedron(dim=dim, rows=tuple(rows))

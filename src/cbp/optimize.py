@@ -67,15 +67,20 @@ class EdgeSolution:
     blockset: BlockSubset
 
 
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """The rationals p/q of the (p, q) pairs, q > 0, as integers over the
+    lcm of the q, and that lcm."""
+    scale = lcm(*[q for _, q in pairs])
+    return [p * (scale // q) for p, q in pairs], scale
+
+
 def _integers(values: Sequence) -> tuple[list[int], int]:
     """Rational values as integers over one common denominator, and that
     denominator: the lcm of the values' denominators.  int and Fraction
     entries are read as they are; any other entry goes through Fraction."""
-    ratios = [
-        (x if type(x) is int or type(x) is Fraction else Fraction(x)).as_integer_ratio() for x in values
-    ]
-    scale = lcm(*[q for _, q in ratios])
-    return [p * (scale // q) for p, q in ratios], scale
+    return _over_lcm(
+        [(x if type(x) is int or type(x) is Fraction else Fraction(x)).as_integer_ratio() for x in values]
+    )
 
 
 def _scaled_weights(d: BlockDecomposition, weights: Sequence) -> tuple[list[int], int]:

@@ -19,13 +19,14 @@ is the reference in `tests/oracles.py`.
 The geometric test is kept as an independent implementation for
 cross-checking: two vertices are adjacent when the smallest face
 containing both is the segment between them, that is, when no third
-vertex is tight on every row tight at both.  It runs on one integer mask
-of tight rows per vertex, transposed from the graph's tight-row table
-(`GraphContext.tight_rows`, one mask of tight vertices per row), which
-the facet certificates and the simpliciality test read too.  With D_k
-the rows tight at both vertex i and vertex k, the neighbors of i are the
-vertices j whose D_j is inclusion-maximal among the D_k and belongs to j
-alone.
+vertex is tight on every row tight at both.  It reads no coordinates,
+only the graph's tight-row table (`GraphContext.tight_rows`, one mask of
+tight vertices per row), which the facet certificates and the
+simpliciality test read too, transposed into one mask of tight rows per
+vertex.  With D_k the rows tight at both vertex i and vertex k, the
+neighbors of i are the vertices j whose D_j is inclusion-maximal among
+the D_k and belongs to j alone.  `adjacent_geometric` is the per-pair
+view of the same test.
 
 The diameter is found by a breadth-first search from every vertex at
 once on int masks: each level ORs, for every vertex, the masks of the
@@ -37,32 +38,23 @@ diameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import AssertionFailure, BudgetExceeded, DimensionMismatch, NotAVertex
+from .errors import AssertionFailure, BudgetExceeded, NotAVertex
 from .graphs import BlockDecomposition, graph_to_json
-from .hull import RationalPolyhedron, _clear_denominators
+from .hull import RationalPolyhedron
 from .vertices import BlockSubset, _bits, _columns, _near_blocks, _pair_masks
 
 MAX_DIAMETER_VERTICES = 2**14
 MAX_GEOMETRIC_VERTICES = 2**12
 
 
-def _tight_masks(h: RationalPolyhedron, verts) -> list[int]:
-    """Validate a vertex list of rational points and return its tight-set
-    masks: bit r of the k-th mask marks row r tight at vertex k."""
-    points = [tuple(Fraction(x) for x in p) for p in verts]
-    for p in points:
-        if len(p) != h.dim:
-            raise DimensionMismatch(f"point has dimension {len(p)}, polyhedron {h.dim}")
-    if len(set(points)) != len(points):
-        raise NotAVertex("vertex list contains duplicates")
-    vertex_rows = [0] * len(points)
-    for k, p in enumerate(points):
-        denom, *q = _clear_denominators((1,) + p)
-        for r, (a, b) in enumerate(h.rows):
-            if sum(c * v for c, v in zip(a, q)) == b * denom:
-                vertex_rows[k] |= 1 << r
+def _vertex_rows(tight_rows, n: int) -> list[int]:
+    """The tight-row table of n vertices transposed: bit r of the k-th mask
+    marks row r tight at vertex k."""
+    vertex_rows = [0] * n
+    for r, (tight, _) in enumerate(tight_rows):
+        for k in _bits(tight):
+            vertex_rows[k] |= 1 << r
     return vertex_rows
 
 
@@ -94,18 +86,16 @@ def _face_neighbors(vertex_rows: list[int], i: int) -> int:
     return nb
 
 
-def adjacent_geometric(h: RationalPolyhedron, verts, i: int, j: int) -> bool:
-    """Edge test via the face spanned by the rows tight at both vertices.
-
-    The vertex list holds distinct rational points of the polyhedron's
-    dimension.
-    """
-    vertex_rows = _tight_masks(h, verts)
-    if not (0 <= i < len(vertex_rows)) or not (0 <= j < len(vertex_rows)):
+def adjacent_geometric(tight_rows, n: int, i: int, j: int) -> bool:
+    """Edge test via the face spanned by the rows tight at both vertices,
+    on the tight-row table of a vertex list of n vertices."""
+    if not (0 <= i < n) or not (0 <= j < n):
         raise NotAVertex(f"vertex index out of range: {i}, {j}")
     if i == j:
         raise ValueError("adjacency needs two distinct vertex indices")
-    return bool(_face_neighbors(vertex_rows, i) >> j & 1)
+    if any(tight >> n for tight, _ in tight_rows):
+        raise NotAVertex(f"tight-row table names a vertex past the {n} given")
+    return bool(_face_neighbors(_vertex_rows(tight_rows, n), i) >> j & 1)
 
 
 @dataclass(eq=False)
@@ -178,10 +168,7 @@ def build_polytope_graph(
     elif method == "geometric":
         if tight_rows is None:
             raise ValueError("geometric method needs the tight-row table")
-        vertex_rows = [0] * len(vertices)
-        for r, (tight, _) in enumerate(tight_rows):
-            for k in _bits(tight):
-                vertex_rows[k] |= 1 << r
+        vertex_rows = _vertex_rows(tight_rows, len(vertices))
         nb = [_face_neighbors(vertex_rows, i) for i in range(len(vertices))]
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .graphs import BlockDecomposition, graph_to_json
 from .hull import _bareiss
-from .vertices import BlockSubset, _bits, _columns, _pair_masks
+from .vertices import BlockSubset, _bits, _columns, _pair_masks, to_incidence
 
 MAX_GROEBNER_VARIABLES = 60
 MAX_REDUCTION_STEPS = 10**6
@@ -319,18 +319,15 @@ def triangulation(
     extend([], full, 0)
     maximal.sort()
 
+    points = [to_incidence(d, a) for a in ground]
     for face in maximal:
         if len(face) != dim + 1:
             raise AssertionFailure(
                 f"maximal face has {len(face)} vertices, expected {dim + 1}",
                 payload={"graph": graph_to_json(d.graph), "face": [list(ground[i]) for i in face]},
             )
-        base = ground[face[0]]
-        base_vec = [1 if b in base else 0 for b in range(dim)]
-        rows = []
-        for i in face[1:]:
-            vec = [1 if b in ground[i] else 0 for b in range(dim)]
-            rows.append([vec[c] - base_vec[c] for c in range(dim)])
+        base = points[face[0]]
+        rows = [[x - y for x, y in zip(points[i], base)] for i in face[1:]]
         rank, pivot = _bareiss(rows)
         det = pivot if rank == dim else 0
         if det not in (1, -1):

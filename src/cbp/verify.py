@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .corpus import CorpusEntry, corpus
@@ -232,8 +232,9 @@ def check_dimension(ctx: GraphContext) -> dict | None:
     return None
 
 
-def _cutoff_point(h: RationalPolyhedron, idx: int, tight) -> tuple | None:
-    """A point violating only row idx, certifying the row irredundant.
+def _cutoff_point(h: RationalPolyhedron, idx: int, tight) -> tuple[tuple[int, ...], int] | None:
+    """A point violating only row idx, certifying the row irredundant, as
+    its integer numerators and their one positive denominator.
 
     The tight points are the vertices on which row idx holds with equality.
     The point is centroid + eps * a, with eps half the smallest bound
@@ -267,7 +268,7 @@ def _cutoff_point(h: RationalPolyhedron, idx: int, tight) -> tuple | None:
         value = eps_den * at_s + k * eps_num * direction
         if (value <= b * den) if j == idx else (value > b2 * den):
             return None
-    return tuple(Fraction(eps_den * x + k * eps_num * ai, den) for x, ai in zip(s, a))
+    return tuple(eps_den * x + k * eps_num * ai for x, ai in zip(s, a)), den
 
 
 def check_facets(ctx: GraphContext) -> dict | None:
@@ -437,14 +438,6 @@ def _draw(rng: random.Random, table: tuple, n: int) -> list:
     return out
 
 
-def _integer_pairs(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """The rationals p/q of the (p, q) pairs, q > 0 and in lowest terms, as
-    integers over their least common denominator, and that denominator: the
-    vector that optimize._scaled_weights gives for the pairs' Fractions."""
-    scale = lcm(*[q for _, q in pairs])
-    return [p * (scale // q) for p, q in pairs], scale
-
-
 def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
     """DP equals brute force, with tie-break, on random rational weights.
 
@@ -470,7 +463,7 @@ def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
     rng = random.Random(seed_tag)
     for t in range(OPTIMIZER_TRIALS):
         pairs = _draw(rng, BLOCK_WEIGHTS, n)
-        w, den = _integer_pairs(pairs)
+        w, den = optimize._over_lcm(pairs)
         dp, bf = optimize._optimum(d, w), optimize._brute_force(w, ctx.vertices)
         if dp != bf:
             return {
@@ -494,7 +487,7 @@ def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
             continue
         for t in range(min(OPTIMIZER_TRIALS, 20)):
             pairs = _draw(rng, EDGE_WEIGHTS, len(edges))
-            ew, den = _integer_pairs(pairs)
+            ew, den = optimize._over_lcm(pairs)
             blockset, value = optimize._optimum(d, [sum(map(ew.__getitem__, ix)) for ix in block_edges])
             sol = _lift(ctx.graph, d, [Fraction(p, q) for p, q in pairs], eulerian=eulerian)
             num, dnm = sol.value.as_integer_ratio()

@@ -528,6 +528,17 @@ def test_optimize_edge_weights_need_mode(graph_file, tmp_path, capsys):
     assert "requires --mode" in err
 
 
+def test_optimize_block_weights_refuse_a_mode(graph_file, tmp_path, capsys):
+    weights = tmp_path / "w.txt"
+    weights.write_text("1\n1\n1\n")
+    code, out, err = run(
+        capsys,
+        ["optimize", "--graph", graph_file(PATH3), "--weights", str(weights), "--mode", "tree"],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --mode applies to --edge-weights only\n"
+
+
 def test_optimize_weight_flags_exclusive(graph_file, tmp_path):
     weights = tmp_path / "w.txt"
     weights.write_text("1\n")

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from cbp.corpus import path_graph, star_graph
-from cbp.errors import RowInvalid
+from cbp.errors import CountOverflow, RowInvalid
 from cbp.facets import (
     construct_ibis,
     enumerate_ibis,
@@ -29,6 +29,13 @@ def tripod_d():
     """Triangle with a pendant edge at each corner; blocks: triangle first."""
     g = Graph(6, ((0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)))
     return block_decomposition(g)
+
+
+def test_both_generators_share_the_block_cap():
+    d = block_decomposition(path_graph(15))
+    for generate in (enumerate_ibis, construct_ibis):
+        with pytest.raises(CountOverflow, match="^15 blocks exceed the enumeration cap 14$"):
+            generate(d)
 
 
 def test_is_independent(path3_d):

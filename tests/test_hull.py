@@ -1,7 +1,11 @@
 """Exact hull primitives on hand-checkable polytopes."""
 
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +24,17 @@ from cbp.hull import (
 from cbp.vertices import enumerate_vertices, to_incidence
 
 
+def test_geometry_modules_load_no_fractions():
+    # the geometry layers run on ints only: a fresh interpreter importing
+    # all of them has no fractions module loaded
+    modules = ("graphs", "vertices", "hull", "facets", "skeleton", "toric")
+    code = "import sys; " + "; ".join(f"import cbp.{m}" for m in modules) + "; print('fractions' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(hull.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")
+
+
 def test_same_hyperplane():
     assert oracles.same_hyperplane(((1, 1), 2), ((2, 2), 4))
     assert oracles.same_hyperplane(((Fraction(1, 2), 0), 1), ((1, 0), 2))
@@ -32,7 +47,8 @@ def test_affine_rank():
     assert affine_rank([(0, 0)]) == 0
     assert affine_rank([(0, 0), (2, 0)]) == 1
     assert affine_rank([(0, 0), (1, 0), (0, 1), (1, 1)]) == 2
-    assert affine_rank([(Fraction(1, 3),), (Fraction(2, 3),)]) == 1
+    # the points 1/3 and 2/3, scaled by their denominator
+    assert affine_rank([(1,), (2,)]) == 1
     with pytest.raises(ValueError):
         affine_rank([])
     with pytest.raises(DimensionMismatch):
@@ -76,30 +92,30 @@ def test_bareiss_matches_oracles():
         dets.append(expected)
     assert 0 in dets and max(abs(x) for x in dets) > 1
 
-    # affine ranks of rational point sets drawn from affine subspaces of
+    # affine ranks of integer point sets drawn from affine subspaces of
     # every dimension, so most sets are affinely dependent
-    def rational():
-        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    def integer():
+        return rng.randint(-12, 12)
 
     for _ in range(300):
         dim = rng.randint(1, 5)
         span = rng.randint(0, dim)
-        base = [rational() for _ in range(dim)]
-        dirs = [[rational() for _ in range(dim)] for _ in range(span)]
+        base = [integer() for _ in range(dim)]
+        dirs = [[integer() for _ in range(dim)] for _ in range(span)]
         points = []
         for _ in range(rng.randint(1, 7)):
-            lam = [rational() for _ in dirs]
+            lam = [integer() for _ in dirs]
             points.append(tuple(b + sum(l * v[c] for l, v in zip(lam, dirs)) for c, b in enumerate(base)))
         assert affine_rank(points) == _sympy_affine_rank(points), points
 
-    # facet descriptions of rational point sets in 1-4 dimensions; a set
+    # facet descriptions of integer point sets in 1-4 dimensions; a set
     # pushed into a hyperplane must be refused
     flat = 0
     for _ in range(150):
         dim = rng.randint(1, 4)
-        points = [tuple(rational() for _ in range(dim)) for _ in range(rng.randint(dim + 1, dim + 6))]
+        points = [tuple(integer() for _ in range(dim)) for _ in range(rng.randint(dim + 1, dim + 6))]
         if rng.random() < 0.25:
-            points = [p[:-1] + (sum(p[:-1]) / 2,) for p in points]
+            points = [p[:-1] + (sum(p[:-1]),) for p in points]
         if _sympy_affine_rank(points) < dim:
             flat += 1
             with pytest.raises(NotFullDimensional):
@@ -122,7 +138,8 @@ def test_brute_force_facets_square():
 
 
 def test_brute_force_facets_ignores_interior_points():
-    points = [(0, 0), (1, 0), (0, 1), (1, 1), (Fraction(1, 2), Fraction(1, 2))]
+    # the unit square and its center, scaled by 2
+    points = [(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]
     assert set(brute_force_facets(points).rows) == set(
         brute_force_facets(points[:4]).rows
     )
@@ -152,19 +169,37 @@ def test_brute_force_facets_matches_frozenset_oracle():
 
 @pytest.mark.parametrize("scale", [Fraction(1, 3), Fraction(5, 2)])
 def test_brute_force_facets_rational_simplex(scale):
-    points = [tuple(scale * x for x in p) for p in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    # the unit simplex scaled by a rational, then by that rational's
+    # denominator: the unit simplex scaled by its numerator
+    den = scale.denominator
+    points = [tuple(int(scale * den * x) for x in p) for p in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]]
     h = brute_force_facets(points)
-    top = {Fraction(1, 3): ((3, 3, 3), 1), Fraction(5, 2): ((2, 2, 2), 5)}[scale]
-    assert set(h.rows) == {((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), top}
+    assert set(h.rows) == {((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 1, 1), scale.numerator)}
     assert list(h.rows) == oracles.double_description_facets(points)
+    # a . x <= b on the scaled points is (den * a) . x <= b on the rational
+    # simplex, whose top row is then read off in lowest terms
+    (a, b), = (row for row in h.rows if row[1])
+    g = math.gcd(den, b)
+    top = {Fraction(1, 3): ((3, 3, 3), 1), Fraction(5, 2): ((2, 2, 2), 5)}[scale]
+    assert (tuple(den * x // g for x in a), b // g) == top
 
 
 def test_brute_force_facets_duplicate_points():
     points = list(itertools.product((0, 1), repeat=3))
-    doubled = points + points[::2] + [(Fraction(1), Fraction(0), Fraction(1))]
+    doubled = points + points[::2] + [tuple([1, 0, 1])]
     h = brute_force_facets(doubled)
     assert h == brute_force_facets(points)
     assert list(h.rows) == oracles.double_description_facets(doubled)
+
+
+def test_points_must_have_int_coordinates():
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    for bad in (Fraction(1), True):
+        points = square + [(bad, 0)]
+        with pytest.raises(TypeError, match="is not an int"):
+            affine_rank(points)
+        with pytest.raises(TypeError, match="is not an int"):
+            brute_force_facets(points)
 
 
 def test_brute_force_facets_rejects_flat_input():

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -11,7 +10,7 @@ import oracles
 from oracles import adjacent_combinatorial
 from cbp import verify
 from cbp.corpus import flower, path_graph, random_block_tree, star_graph, triangle_chain
-from cbp.errors import AssertionFailure, BudgetExceeded, DimensionMismatch, NotAVertex
+from cbp.errors import AssertionFailure, BudgetExceeded, NotAVertex
 from cbp.graphs import Graph, block_decomposition
 from cbp.skeleton import (
     PolytopeGraph,
@@ -150,13 +149,14 @@ def test_geometric_skeleton_matches_face_oracle(small_corpus):
         d = block_decomposition(g)
         h = GraphContext(d.graph).hrep
         verts = enumerate_vertices(d)
-        pg = build_polytope_graph(d, _row_masks(d, h.rows, verts), method="geometric", vertices=verts)
+        tight = _row_masks(d, h.rows, verts)
+        pg = build_polytope_graph(d, tight, method="geometric", vertices=verts)
         points = [to_incidence(d, a) for a in pg.vertices]
         for i, j in itertools.combinations(range(len(points)), 2):
             expected = oracles.face_adjacent(h.rows, points, i, j)
             assert (j in frozenset(_bits(pg.neighbors[i]))) == expected, (name, i, j)
             if name == "flower-4":
-                assert adjacent_geometric(h, points, i, j) == expected, (name, i, j)
+                assert adjacent_geometric(tight, len(verts), i, j) == expected, (name, i, j)
 
 
 def test_build_polytope_graph_methods_agree(path3_d):
@@ -287,15 +287,15 @@ def test_nonadjacency_midpoint_witness(small_corpus):
 
 
 def test_adjacent_geometric_rejects_bad_points(path3_d):
-    h = GraphContext(path3_d.graph).hrep
-    with pytest.raises(DimensionMismatch):
-        adjacent_geometric(h, [(Fraction(0),), (Fraction(1),)], 0, 1)
-    points = [to_incidence(path3_d, a) for a in enumerate_vertices(path3_d)]
+    tight = GraphContext(path3_d.graph).tight_rows
+    n = len(enumerate_vertices(path3_d))
+    assert adjacent_geometric(tight, n, 0, 1)
+    # a table of more vertices than given
     with pytest.raises(NotAVertex):
-        adjacent_geometric(h, points + [points[2]], 0, 1)
+        adjacent_geometric(tight, n - 1, 0, 1)
     with pytest.raises(NotAVertex):
-        adjacent_geometric(h, points, 0, len(points))
+        adjacent_geometric(tight, n, 0, n)
     with pytest.raises(NotAVertex):
-        adjacent_geometric(h, points, -1, 0)
+        adjacent_geometric(tight, n, -1, 0)
     with pytest.raises(ValueError):
-        adjacent_geometric(h, points, 1, 1)
+        adjacent_geometric(tight, n, 1, 1)

@@ -82,6 +82,12 @@ def test_bfs_diameter():
     assert verify._bfs_diameter((0b0010, 0b0001, 0b1000, 0b0100)) is None
 
 
+def _as_fractions(point):
+    """The (numerators, denominator) point of verify._cutoff_point as Fractions."""
+    numerators, den = point
+    return tuple(Fraction(x, den) for x in numerators)
+
+
 def test_cutoff_point_matches_fraction_oracle():
     # every row of the sweep corpus and of the seven-block corpus, the facet gate
     rows = 0
@@ -92,7 +98,7 @@ def test_cutoff_point_matches_fraction_oracle():
             tight = [ctx.incidence[k] for k in _bits(mask)]
             point = verify._cutoff_point(ctx.hrep, idx, tight)
             assert point is not None, (entry.name, row)
-            assert point == oracles.fraction_cutoff_point(ctx.hrep.rows, idx, tight), (entry.name, row)
+            assert _as_fractions(point) == oracles.fraction_cutoff_point(ctx.hrep.rows, idx, tight), (entry.name, row)
             rows += 1
     assert rows == 1131 + 1973
 
@@ -106,7 +112,7 @@ def test_cutoff_point_refuses_a_redundant_row():
     # the facet x1 <= 1 is still cut off, with eps bounded by the redundant row
     tight = [(1, 0), (1, 1)]
     point = verify._cutoff_point(h, 2, tight)
-    assert point == oracles.fraction_cutoff_point(h.rows, 2, tight) == (Fraction(5, 4), Fraction(1, 2))
+    assert _as_fractions(point) == oracles.fraction_cutoff_point(h.rows, 2, tight) == (Fraction(5, 4), Fraction(1, 2))
 
 
 def test_block_count_gates_skip_expensive_checks():
