@@ -12,7 +12,10 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
+from .errors import BudgetExceeded
 from .graphs import Edge, Graph
+
+MAX_CORPUS_ENTRIES = 10_000
 
 
 class CorpusEntry(NamedTuple):
@@ -133,10 +136,44 @@ def _leg_partitions(max_total: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda t: (sum(t), t))
 
 
+def _entry_count(max_blocks: int, random_per_size: int) -> int:
+    """The number of entries of corpus(max_blocks, seed, random_per_size),
+    counted without building any; once the count passes MAX_CORPUS_ENTRIES
+    it stops, at some number past the cap.
+
+    Every family but the spiders grows linearly.  The spider legs of total
+    t are the partitions of t with three or more parts and a part of 2 or
+    more: all p(t) partitions but the t // 2 + 1 with at most two parts and
+    the all-ones one.  p(t) comes from a DP over the largest part: row t
+    holds the partitions of t with every part at most m, for m = 0..t.
+    """
+    n = max_blocks
+    # paths and triangle chains from 1 block, flowers from 2, stars,
+    # flower-pendants and random trees from 3, the showcase from 8
+    count = 2 * n + max(n - 1, 0) + (2 + random_per_size) * max(n - 2, 0) + (n >= 8)
+    rows = [[1]]
+    for t in range(1, n + 1):
+        if count > MAX_CORPUS_ENTRIES:
+            break
+        row = [0]
+        for m in range(1, t + 1):
+            row.append(row[m - 1] + rows[t - m][min(m, t - m)])
+        rows.append(row)
+        if t >= 3:
+            count += row[t] - (t // 2 + 1) - 1
+    return count
+
+
 def corpus(max_blocks: int, seed: int, random_per_size: int = 8) -> tuple[CorpusEntry, ...]:
-    """Deterministic corpus of connected graphs with at most max_blocks blocks."""
+    """Deterministic corpus of connected graphs with at most max_blocks blocks.
+
+    Raises BudgetExceeded before building anything when the predicted
+    entry count passes MAX_CORPUS_ENTRIES.
+    """
     if max_blocks < 1:
         raise ValueError("max_blocks must be positive")
+    if _entry_count(max_blocks, random_per_size) > MAX_CORPUS_ENTRIES:
+        raise BudgetExceeded(f"more than {MAX_CORPUS_ENTRIES} corpus entries")
     entries: list[CorpusEntry] = []
     for k in range(1, max_blocks + 1):
         entries.append(CorpusEntry(f"path-{k}", path_graph(k)))

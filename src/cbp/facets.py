@@ -24,8 +24,8 @@ import itertools
 
 from .errors import AssertionFailure, CountOverflow, RowInvalid
 from .graphs import BlockDecomposition, blockset_closure, graph_to_json, split_components_at
-from .hull import RationalPolyhedron, affine_rank
-from .vertices import _bits, to_incidence
+from .hull import RationalPolyhedron, _bareiss
+from .vertices import _moments
 
 MAX_IBI_BLOCKS = 14
 
@@ -238,24 +238,25 @@ def h_representation(d: BlockDecomposition, ibis: tuple[tuple[int, ...], ...]) -
     return RationalPolyhedron(dim=n, rows=tuple(sorted(rows, key=lambda r: (r[1], r[0]))))
 
 
-def facet_certificates(d: BlockDecomposition, rows, verts, tight_rows) -> tuple[tuple[int, int], ...]:
+def facet_certificates(rows, verts, tight_rows, cols) -> tuple[tuple[int, int], ...]:
     """One (tight mask, affine rank) pair per integer row, against the
     vertex list `enumerate_vertices(d)`, read off the tight-row table
-    `tight_rows = vertices._row_masks(d, rows, verts)` (for the graph's own
-    rows and vertices, GraphContext.tight_rows).
+    `tight_rows = vertices._row_masks(d, rows, verts)` and the block
+    columns `cols = vertices._columns(d, verts)` (for the graph's own rows
+    and vertices, GraphContext.tight_rows and GraphContext.columns).
 
     Bit k of the tight mask marks that the row holds with equality at the
-    k-th vertex.  The affine rank of a row's tight vertices is
-    hull.affine_rank of their 0/1 incidence vectors, and -1 when no vertex
-    is tight.  The row is facet-defining exactly when the rank is
-    dim - 1 and some vertex is not tight.  Raises RowInvalid at the first
-    row that some vertex violates.
+    k-th vertex.  The affine rank of a row's tight vertices is the rank of
+    their moment matrix `vertices._moments(cols, tight)` less one, by one
+    (n + 1) x (n + 1) elimination whatever the number of tight vertices,
+    and -1 when no vertex is tight.  The row is facet-defining exactly
+    when the rank is dim - 1 and some vertex is not tight.  Raises
+    RowInvalid at the first row that some vertex violates.
     """
     out = []
     for (a, b), (tight, violator) in zip(rows, tight_rows):
         if violator is not None:
             subset = verts[violator]
             raise RowInvalid(f"vertex {subset} violates the row: {sum(a[k] for k in subset)} > {b}")
-        rank = affine_rank([to_incidence(d, verts[k]) for k in _bits(tight)]) if tight else -1
-        out.append((tight, rank))
+        out.append((tight, _bareiss(_moments(cols, tight))[0] - 1))
     return tuple(out)

@@ -19,12 +19,13 @@ combinatorial adjacency test of two rays is a handful of integer ANDs.
 
 All exact linear algebra of the package runs through one fraction-free
 elimination (Bareiss) on integer rows, whose divisions are exact, in two
-modes.  Forward elimination gives ranks and determinants: affine ranks
-(of the homogenized rows (1, p)), among them the facet certificates'
-ranks in cbp.facets, and the simplex determinants of the triangulation
-check in cbp.toric.  Gauss-Jordan elimination, which also clears above
-each pivot, gives the seed and the seed rays of the facet oracle, read off
-the inverse block.
+modes.  Forward elimination gives ranks and determinants: the affine
+ranks of vertex sets, each the rank of an (n + 1) x (n + 1) moment matrix
+`cbp.vertices._moments` less one (the facet certificates of cbp.facets
+and the dimension check of cbp.verify), and the simplex determinants of
+the triangulation check in cbp.toric.  Gauss-Jordan elimination, which
+also clears above each pivot, gives the seed and the seed rays of the
+facet oracle, read off the inverse block.
 """
 
 from __future__ import annotations
@@ -86,8 +87,10 @@ def _bareiss(rows: list[list[int]], width: int | None = None) -> tuple[int, int]
     for c in range(width):
         if rank == len(rows):
             break
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
+        for pivot in range(rank, len(rows)):
+            if rows[pivot][c]:
+                break
+        else:
             continue
         if pivot != rank:
             rows[rank], rows[pivot] = rows[pivot], [-x for x in rows[rank]]
@@ -117,14 +120,6 @@ def _integer_points(points) -> tuple[list[tuple[int, ...]], int]:
             if type(x) is not int:
                 raise TypeError(f"point coordinate {x!r} is not an int")
     return pts, dim
-
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of integer points (0 for a single
-    point): the rank of the rows (1, p), less one."""
-    pts, _ = _integer_points(points)
-    rank, _ = _bareiss([[1, *p] for p in pts])
-    return rank - 1
 
 
 def _primitive(vec: list[int]) -> tuple[int, ...]:

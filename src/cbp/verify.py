@@ -22,7 +22,7 @@ from operator import mul
 from .corpus import CorpusEntry, corpus
 from .ehrhart import hstar_checks, hstar_profile
 from .errors import AssertionFailure, CBPError
-from .facets import construct_ibis, enumerate_ibis, facet_certificates, h_representation
+from .facets import _check_ibi_cap, construct_ibis, enumerate_ibis, facet_certificates, h_representation
 from .graphs import (
     Graph,
     block_decomposition,
@@ -30,7 +30,7 @@ from .graphs import (
     graph_to_json,
     split_components_at,
 )
-from .hull import RationalPolyhedron, affine_rank, brute_force_facets
+from .hull import RationalPolyhedron, _bareiss, brute_force_facets
 from . import optimize
 from .optimize import _lift, max_weight_connected_blockset
 from .serialize import jsonable
@@ -52,7 +52,15 @@ from .toric import (
     triangulation,
     triangulation_checks,
 )
-from .vertices import _bits, _row_masks, count_connected_blocksets, enumerate_vertices, to_incidence
+from .vertices import (
+    _bits,
+    _columns,
+    _moments,
+    _row_masks,
+    count_connected_blocksets,
+    enumerate_vertices,
+    to_incidence,
+)
 
 
 # Block-count gates of the sweep, read at call time: a graph with more
@@ -136,12 +144,16 @@ class GraphContext:
 
     The decomposition feeds the vertices and the independent-blocks
     inequalities, which feed the H-description; the vertices feed their
-    incidence vectors, the combinatorial skeleton and the term order; the
-    H-description feeds the h* profile and, with the vertices, the
-    tight-row table: per row, the mask of the vertices tight at it and the
-    first vertex violating it (`vertices._row_masks`).  The facet
-    certificates, the geometric skeleton and the simplicity report all
-    read that one table.  The order and the vertices feed the basis.  The
+    incidence vectors, their block columns (`vertices._columns`, bit k of
+    column b marks that the k-th vertex holds block b), the combinatorial
+    skeleton and the term order; the H-description feeds the h* profile
+    and, with the vertices, the tight-row table: per row, the mask of the
+    vertices tight at it and the first vertex violating it
+    (`vertices._row_masks`).  The facet certificates, the geometric
+    skeleton and the simplicity report all read that one table.  Every
+    affine rank the facets and dimension checks need, and the tight sums
+    of the cut-off points, are popcount moments of the block columns
+    (`vertices._moments`).  The order and the vertices feed the basis.  The
     library functions take these artifacts as arguments and build none of
     them; the sweep's checks, the graph commands of the CLI and the tests
     read them from here.  Each artifact lives as long as the context, so
@@ -162,6 +174,10 @@ class GraphContext:
     @cached_property
     def incidence(self):
         return [to_incidence(self.decomposition, a) for a in self.vertices]
+
+    @cached_property
+    def columns(self) -> list[int]:
+        return _columns(self.decomposition, self.vertices)
 
     @cached_property
     def ibis(self):
@@ -225,38 +241,42 @@ def check_blocks(ctx: GraphContext) -> dict | None:
 
 
 def check_dimension(ctx: GraphContext) -> dict | None:
-    """The polytope is full-dimensional: affine rank equals the block count."""
-    rank = affine_rank(ctx.incidence)
+    """The polytope is full-dimensional: affine rank equals the block count.
+
+    The rank is read off the moment matrix of all the vertices.
+    """
+    rank = _bareiss(_moments(ctx.columns, (1 << len(ctx.vertices)) - 1))[0] - 1
     if rank != len(ctx.decomposition.blocks):
         return {"rank": rank, "expected": len(ctx.decomposition.blocks)}
     return None
 
 
-def _cutoff_point(h: RationalPolyhedron, idx: int, tight) -> tuple[tuple[int, ...], int] | None:
+def _cutoff_point(rows, idx: int, k: int, s, directions) -> tuple[tuple[int, ...], int] | None:
     """A point violating only row idx, certifying the row irredundant, as
     its integer numerators and their one positive denominator.
 
-    The tight points are the vertices on which row idx holds with equality.
-    The point is centroid + eps * a, with eps half the smallest bound
-    another row puts on the step along a (1 when no row bounds it).  The
-    arithmetic is on integers: the centroid is carried as the sum s of the
-    k tight points, each bound on eps as a numerator/denominator pair, and
-    the point as a vector p = eps_den * s + k * eps_num * a over the common
-    denominator k * eps_den.  Each row's two dot products, with a and with
-    s, are taken once; its value at p is a combination of them.
+    k is the number of vertices on which row idx holds with equality and s
+    their sum, the first row of their moment matrix (`vertices._moments`);
+    directions[j] is a_j . a, for a the normal of row idx and a_j that of
+    row j, the idx-th row of the rows' Gram table.  The point is centroid
+    + eps * a, with eps half the smallest bound another row puts on the
+    step along a (1 when no row bounds it).  The arithmetic is on
+    integers: the centroid is carried as s and k, each bound on eps as a
+    numerator/denominator pair, and the point as a vector p = eps_den * s
+    + k * eps_num * a over the common denominator k * eps_den.  Each row's
+    value at p is a combination of its direction and its dot product with
+    s, taken once.
     """
-    a, b = h.rows[idx]
-    if not tight:
+    a, b = rows[idx]
+    if not k:
         return None
-    k = len(tight)
-    s = [sum(col) for col in zip(*tight)]
-    products = [(sum(map(mul, a2, a)), sum(map(mul, a2, s))) for a2, _ in h.rows]
+    at_s = [sum(map(mul, a2, s)) for a2, _ in rows]
     eps = None
-    for j, ((_, b2), (direction, at_s)) in enumerate(zip(h.rows, products)):
+    for j, ((_, b2), direction, s_j) in enumerate(zip(rows, directions, at_s)):
         if j == idx or direction <= 0:
             continue
         # the slack of row j at the centroid, times k
-        slack = k * b2 - at_s
+        slack = k * b2 - s_j
         if slack <= 0:
             return None
         # the bound slack / (k * direction), compared by cross-multiplication
@@ -264,8 +284,8 @@ def _cutoff_point(h: RationalPolyhedron, idx: int, tight) -> tuple[tuple[int, ..
             eps = (slack, k * direction)
     eps_num, eps_den = (1, 1) if eps is None else (eps[0], 2 * eps[1])
     den = k * eps_den
-    for j, ((_, b2), (direction, at_s)) in enumerate(zip(h.rows, products)):
-        value = eps_den * at_s + k * eps_num * direction
+    for j, ((_, b2), direction, s_j) in enumerate(zip(rows, directions, at_s)):
+        value = eps_den * s_j + k * eps_num * direction
         if (value <= b * den) if j == idx else (value > b2 * den):
             return None
     return tuple(eps_den * x + k * eps_num * ai for x, ai in zip(s, a)), den
@@ -277,25 +297,31 @@ def check_facets(ctx: GraphContext) -> dict | None:
     A row is facet-defining when its tight vertices, read off the tight
     mask of facet_certificates, have affine rank n - 1 and leave some
     vertex slack; it is needed when a point cut off by it alone exists.
+    The count and the sum of the tight vertices come from the block
+    columns, the directions from one Gram table of the rows.
     """
     d = ctx.decomposition
     n = len(d.blocks)
     oracle = brute_force_facets(ctx.incidence)
-    ours = set(ctx.hrep.rows)
+    rows = ctx.hrep.rows
+    ours = set(rows)
     theirs = set(oracle.rows)
     if ours != theirs:
         return {
             "missing_rows": sorted(theirs - ours),
             "extra_rows": sorted(ours - theirs),
         }
-    certs = facet_certificates(d, ctx.hrep.rows, ctx.vertices, ctx.tight_rows)
+    cols = ctx.columns
+    certs = facet_certificates(rows, ctx.vertices, ctx.tight_rows, cols)
     full = (1 << len(ctx.vertices)) - 1
-    for row, (tight, rank) in zip(ctx.hrep.rows, certs):
+    for row, (tight, rank) in zip(rows, certs):
         if rank != n - 1 or tight == full:
             return {"reason": "row is not facet-defining", "row": row}
+    gram = [[sum(map(mul, a2, a)) for a2, _ in rows] for a, _ in rows]
     for idx, (tight, _) in enumerate(certs):
-        if _cutoff_point(ctx.hrep, idx, [ctx.incidence[k] for k in _bits(tight)]) is None:
-            return {"reason": "no cut-off point for row", "row": ctx.hrep.rows[idx]}
+        s = [(tight & col).bit_count() for col in cols]
+        if _cutoff_point(rows, idx, tight.bit_count(), s, gram[idx]) is None:
+            return {"reason": "no cut-off point for row", "row": rows[idx]}
     return None
 
 
@@ -561,7 +587,14 @@ def default_workers() -> int:
 
 
 def run_verification(options: VerifyOptions) -> VerificationReport:
-    """Sweep the seeded corpus, in parallel when more than one worker."""
+    """Sweep the seeded corpus, in parallel when more than one worker.
+
+    A corpus past the inequality enumeration's block cap could only fail,
+    since the ungated IBI check refuses every graph over it, so such a
+    sweep is refused with that cap's CountOverflow before the corpus is
+    built.
+    """
+    _check_ibi_cap(options.max_blocks)
     entries = corpus(options.max_blocks, options.seed, options.random_per_size)
     workers = options.workers if options.workers is not None else default_workers()
     if workers <= 1 or len(entries) <= 1:

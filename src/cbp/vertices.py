@@ -127,6 +127,22 @@ def _columns(d: BlockDecomposition, verts) -> list[int]:
     return [int(col, 2) for col in digits]
 
 
+def _moments(cols: list[int], mask: int) -> list[list[int]]:
+    """The moment matrix of the blocksets in a vertex mask, over the block
+    columns `cols = _columns(d, verts)`: the sum over those blocksets x of
+    (1, x)(1, x)^T.
+
+    With the mask itself standing for the constant column, entry (i, j) is
+    the popcount of mask & col_i & col_j, so the matrix costs (n + 1)^2
+    big-int ANDs whatever the number of blocksets in the mask.  Its
+    first row is their count and their sum.  Over the rationals X^T X has
+    the kernel of X, so its rank is the rank of the rows (1, x): the
+    affine rank of the blocksets plus one, and 0 for an empty mask.
+    """
+    t = [mask, *(mask & col for col in cols)]
+    return [[(x & y).bit_count() for y in t] for x in t]
+
+
 def _near_blocks(d: BlockDecomposition) -> list[int]:
     """Bit c of the b-th mask marks that blocks b and c share a graph vertex,
     b itself included."""

@@ -23,6 +23,7 @@ from typing import Sequence
 
 from cbp.errors import AssertionFailure, ReductionDiverges
 from cbp.graphs import BlockDecomposition, graph_to_json
+from cbp.hull import _bareiss, _integer_points
 from cbp.optimize import Solution
 
 
@@ -359,6 +360,19 @@ def fraction_max_weight_connected_blockset(d: BlockDecomposition, weights: Seque
             )
         banned.update(range(start, chosen))
         prefix.append(chosen)
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of integer points (0 for a single
+    point): the rank of the rows (1, p), less one, one row per point.
+
+    The row-by-row reference for the moment ranks of `vertices._moments`,
+    on the same elimination `hull._bareiss`; that elimination is pinned
+    against sympy and Fraction determinants in test_hull.
+    """
+    pts, _ = _integer_points(points)
+    rank, _ = _bareiss([[1, *p] for p in pts])
+    return rank - 1
 
 
 def fraction_cutoff_point(rows, idx: int, tight) -> tuple | None:

@@ -17,7 +17,7 @@ from cbp.corpus import corpus, path_graph
 from cbp.errors import AssertionFailure
 from cbp.facets import construct_ibis, enumerate_ibis
 from cbp.graphs import classify
-from cbp.hull import RationalPolyhedron, affine_rank, brute_force_facets
+from cbp.hull import RationalPolyhedron, brute_force_facets
 from cbp.optimize import (
     brute_force_optimum,
     eulerian_adapter,
@@ -124,7 +124,7 @@ def test_criterion_05_dimension_and_simplicity(battery):
     start = time.perf_counter()
     failures = []
     for name, ctx in battery:
-        if affine_rank(ctx.incidence) != dim(ctx):
+        if oracles.affine_rank(ctx.incidence) != dim(ctx):
             failures.append((name, "affine rank"))
         report = simplicity_report(ctx.decomposition, ctx.skeleton, ctx.tight_rows)
         cut_count = len(ctx.decomposition.cut_vertices)

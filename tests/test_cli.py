@@ -412,9 +412,12 @@ BLOCK_CAP = "CountOverflow: 15 blocks exceed the enumeration cap 14"
 OPTIMIZER_CAP = "BudgetExceeded: 1025 blocks exceed the optimizer cap 1024"
 CACTUS1025 = "".join(f"{u} {v}\n" for u, v in triangle_chain(1025).sorted_edges())
 
-# command, its flags, the graph, its weight files by flag, a cap patched
-# down (None when the graph is a natural input just past the cap), and the
-# refusal on stderr.  `blocks`, `corpus` and `verify` hit none of the caps.
+# command, its flags, the graph (None for the corpus commands, which read
+# none), its weight files by flag, a cap patched down (None when the input
+# is a natural one just past the cap), and the refusal on stderr.  `blocks`
+# hits none of the caps.  `verify` past 14 blocks would fail on the IBI
+# check's block cap at every graph over it, so it refuses up front, and
+# `corpus` refuses on its predicted entry count: 11,830 at 26 blocks.
 REFUSALS = [
     ("vertices", [], star_text(25), {}, None, "CountOverflow: more than 16777216 connected blocksets"),
     ("facets", [], path_text(15), {}, None, BLOCK_CAP),
@@ -454,6 +457,8 @@ REFUSALS = [
     ("optimize", [], path_text(1025), {"--weights": "1\n" * 1025}, None, OPTIMIZER_CAP),
     ("optimize", ["--mode", "tree"], path_text(1025), {"--edge-weights": "1\n" * 1025}, None, OPTIMIZER_CAP),
     ("optimize", ["--mode", "eulerian"], CACTUS1025, {"--edge-weights": "1\n" * 3075}, None, OPTIMIZER_CAP),
+    ("verify", ["--max-blocks", "15"], None, {}, None, BLOCK_CAP),
+    ("corpus", ["--max-blocks", "26"], None, {}, None, "BudgetExceeded: more than 10000 corpus entries"),
 ]
 
 
@@ -467,7 +472,7 @@ def test_every_command_refuses_just_past_each_cap(
 ):
     if patch:
         monkeypatch.setattr(*patch)
-    argv = [command, "--graph", graph_file(graph), *flags]
+    argv = [command, *(["--graph", graph_file(graph)] if graph is not None else []), *flags]
     for flag, text in weights.items():
         path = tmp_path / "weights.txt"
         path.write_text(text)
@@ -479,7 +484,7 @@ def test_every_command_refuses_just_past_each_cap(
 
 
 def test_refusal_table_covers_every_command_with_a_cap():
-    assert {r[0] for r in REFUSALS} == set(cli.COMMANDS) - {"blocks", "corpus", "verify"}
+    assert {r[0] for r in REFUSALS} == set(cli.COMMANDS) - {"blocks"}
 
 
 def test_optimize_tree_mode(graph_file, tmp_path, capsys):

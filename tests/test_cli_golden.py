@@ -17,18 +17,24 @@ same output (apart from `blocks`).  The refusal of `groebner` and
 `triangulate` on star-6 is the variable cap's, checked on the predicted
 vertex count.  The `optimize` digests were recorded while the tie-break
 reconstruction still queried every block after the prefix, whatever its
-rerooted value, and rebuilt the banned set for each query.
+rerooted value, and rebuilt the banned set for each query.  The `verify`
+digest, of the five-block report with every `seconds` set to 0, was
+recorded while the facet certificates still ranked the incidence rows of
+each row's tight vertices and the cut-off points still summed them.
 """
 
+import contextlib
 import hashlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
-from cbp.cli import main
+from cbp.cli import _emit, main
 from cbp.corpus import flower, path_graph, random_block_tree, spider, star_graph, triangle_chain
 from cbp.graphs import Graph, block_decomposition
+from cbp.verify import VerifyOptions, run_verification
 
 GRAPHS = {
     "path-6": lambda: path_graph(6),
@@ -100,6 +106,9 @@ DIGESTS = {
 }
 
 
+VERIFY_DIGEST = "dbf70e58fd7b080a892ecf70d6330437d2a45968ba364448dc7bad8412f39405"
+
+
 def random_tree(rng, n):
     """A tree on n + 1 vertices: vertex i hangs from a uniform earlier one."""
     return Graph(n + 1, tuple((rng.randrange(i), i) for i in range(1, n + 1)))
@@ -169,3 +178,15 @@ def test_groebner_refusal_output(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "failed: BudgetExceeded: 64 variables exceed the cap 60\n"
+
+
+def test_verify_report_digest():
+    # the report `cbp verify --max-blocks 5` emits, timings zeroed
+    payload = run_verification(VerifyOptions(max_blocks=5, workers=1)).to_json()
+    for graph in payload["graphs"]:
+        for check in graph["checks"]:
+            check["seconds"] = 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(payload)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == VERIFY_DIGEST

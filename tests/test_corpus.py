@@ -1,9 +1,13 @@
 """Deterministic test-graph corpus."""
 
+import time
+
 import pytest
 
 import oracles
 from cbp.corpus import (
+    _entry_count,
+    _leg_partitions,
     corpus,
     flower,
     flower_pendant,
@@ -13,6 +17,7 @@ from cbp.corpus import (
     star_graph,
     triangle_chain,
 )
+from cbp.errors import BudgetExceeded
 from cbp.graphs import block_decomposition
 
 
@@ -116,3 +121,24 @@ def test_showcase_graph_shape():
     assert tuple(oracles.brute_blocks(g)) == tuple(
         (b.vertices, b.edges) for b in d.blocks
     )
+
+
+def test_entry_count_predicts_the_corpus_size():
+    # the spiders' count, the partition DP, against the listed leg
+    # partitions, which grow from 0 at 3 blocks to 1,481 at 18
+    for max_blocks in range(1, 19):
+        for per_size in (0, 1, 8, 26):
+            size = len(corpus(max_blocks, 7, per_size))
+            assert _entry_count(max_blocks, per_size) == size, (max_blocks, per_size)
+    assert len(_leg_partitions(18)) == 1481
+
+
+def test_corpus_refuses_past_its_entry_cap():
+    # 9,396 entries at 25 blocks, 11,830 at 26; a huge input is refused as
+    # fast, since the count stops once it passes the cap
+    assert len(corpus(25, 7)) == 9396
+    for args in ((26, 7), (100, 7), (10**9, 7), (5, 7, 10**4)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="^more than 10000 corpus entries$"):
+            corpus(*args)
+        assert time.perf_counter() - start < 0.5, args

@@ -1,11 +1,12 @@
 """Inequality enumeration and construction against the brute hull oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from cbp.corpus import path_graph, star_graph
+from cbp.corpus import corpus, flower, path_graph, random_block_tree, star_graph
 from cbp.errors import CountOverflow, RowInvalid
 from cbp.facets import (
     construct_ibis,
@@ -17,12 +18,14 @@ from cbp.facets import (
 )
 from cbp.graphs import Graph, block_decomposition, split_components_at
 from cbp.hull import brute_force_facets
-from cbp.vertices import _row_masks, enumerate_vertices, to_incidence
+from cbp.verify import GraphContext
+from cbp.vertices import _bits, _columns, _row_masks, enumerate_vertices, to_incidence
 
 
 def certificates(d, rows, verts):
-    """facet_certificates with the tight-row table of the rows built here."""
-    return facet_certificates(d, rows, verts, _row_masks(d, rows, verts))
+    """facet_certificates with the tight-row table and the block columns of
+    the rows and vertices given here."""
+    return facet_certificates(rows, verts, _row_masks(d, rows, verts), _columns(d, verts))
 
 
 def tripod_d():
@@ -192,3 +195,23 @@ def test_all_rows_certified(small_corpus):
         full = (1 << len(verts)) - 1
         for row, (tight, rank) in zip(h.rows, certificates(d, h.rows, verts)):
             assert rank == h.dim - 1 and tight != full, (name, row)
+
+
+def test_certificate_ranks_match_the_row_reference():
+    # the moment rank of every row's tight vertices against the rank of
+    # their incidence rows, one row per tight vertex, over the facet gate's
+    # corpus and four graphs past it
+    graphs = list(corpus(7, 7, 8)) + [
+        ("star-10", star_graph(10)),
+        ("flower-9", flower(9)),
+        ("path-9", path_graph(9)),
+        ("random-10", random_block_tree(random.Random(7), 10)),
+    ]
+    rows = 0
+    for name, g in graphs:
+        ctx = GraphContext(g)
+        certs = facet_certificates(ctx.hrep.rows, ctx.vertices, ctx.tight_rows, ctx.columns)
+        for row, (tight, rank) in zip(ctx.hrep.rows, certs):
+            assert rank == oracles.affine_rank([ctx.incidence[k] for k in _bits(tight)]), (name, row)
+            rows += 1
+    assert rows == 1973 + 20 + 18 + 265 + 266

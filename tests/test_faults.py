@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import cbp.ehrhart as ehrhart
+import cbp.facets as facets
 import cbp.optimize as optimize
 import cbp.skeleton as skeleton
 import cbp.verify as verify
@@ -79,14 +80,20 @@ def lift_first_edge(m):
     m.setattr(verify, "_lift", lift)
 
 
-def rank_n_minus_2(certs, d, *args):
+def rank_n_minus_2(certs, rows, *args):
     # the last row's tight vertices claim affine rank n - 2
-    return certs[:-1] + ((certs[-1][0], len(d.blocks) - 2),)
+    return certs[:-1] + ((certs[-1][0], len(rows[0][0]) - 2),)
 
 
-def every_vertex_tight(certs, d, rows, verts, incidence):
+def every_vertex_tight(certs, rows, verts, tight_rows, cols):
     # the last row claims every vertex tight and keeps its rank
     return certs[:-1] + (((1 << len(verts)) - 1, certs[-1][1]),)
+
+
+def moments_drop_the_constant(m, cols, mask):
+    # the moments of x x^T alone: a row through the origin, such as
+    # -x_B <= 0 whose tight vertices hold the empty blockset, loses one rank
+    return [row[1:] for row in m[1:]]
 
 
 def gain_a_bad_row(ibis, d):
@@ -139,7 +146,7 @@ FAULTS = [
     ("block-loses-an-edge", wrapped(verify, "block_decomposition", block_loses_an_edge), {"blocks"}),
     (
         "incidence-loses-the-last-block",
-        wrapped(verify, "to_incidence", lambda x, d, a: x[:-1] + (0,)),
+        wrapped(verify, "_columns", lambda cols, d, verts: cols[:-1] + [0]),
         {"dimension"},
     ),
     (
@@ -164,6 +171,7 @@ FAULTS = [
     ("certificate-every-vertex-tight", wrapped(verify, "facet_certificates", every_vertex_tight), {"facets"}),
     ("no-cutoff-point", wrapped(verify, "_cutoff_point", lambda point, *a: None), {"facets"}),
     ("both-ibi-generators-gain-a-bad-row", ibis_gain_a_bad_row, {"ibis"}),
+    ("moments-drop-the-constant", wrapped(facets, "_moments", moments_drop_the_constant), {"facets"}),
 ]
 
 # Known misses past the gates: a fault of FAULTS, a graph above the gate of
@@ -192,6 +200,7 @@ REASONS = [
     ("certificate-every-vertex-tight", "facets", "row is not facet-defining"),
     ("no-cutoff-point", "facets", "no cut-off point for row"),
     ("both-ibi-generators-gain-a-bad-row", "ibis", "component weights are not one 1 and rest 0"),
+    ("moments-drop-the-constant", "facets", "row is not facet-defining"),
 ]
 
 

@@ -12,8 +12,9 @@ from cbp.corpus import corpus, path_graph, random_block_tree, star_graph
 from cbp.errors import CountOverflow
 from cbp.facets import enumerate_ibis, h_representation
 from cbp.graphs import block_decomposition, blockset_closure
-from cbp.hull import affine_rank
+from cbp.hull import _bareiss
 from cbp.vertices import (
+    _moments,
     _row_masks,
     count_connected_blocksets,
     enumerate_vertices,
@@ -144,7 +145,7 @@ def test_dimension_equals_block_count(small_corpus):
     for name, g in small_corpus:
         d = block_decomposition(g)
         points = [to_incidence(d, a) for a in enumerate_vertices(d)]
-        assert affine_rank(points) == len(d.blocks), name
+        assert oracles.affine_rank(points) == len(d.blocks), name
 
 
 def test_row_masks_match_dot_products(oracle_graphs):
@@ -190,3 +191,51 @@ def test_row_masks_report_violations(path3_d):
         (0b0001110, 4),
         (0b1000001, 1),
     ]
+
+
+def test_moments_count_and_sum_the_masked_blocksets(path3_d):
+    verts = enumerate_vertices(path3_d)
+    cols = vertices._columns(path3_d, verts)
+    # (0,), (2,) and (0, 1, 2): three blocksets, block sums 2, 1, 2
+    m = _moments(cols, 1 << 1 | 1 << 3 | 1 << 6)
+    assert m == [[3, 2, 1, 2], [2, 2, 1, 1], [1, 1, 1, 1], [2, 1, 1, 2]]
+    assert _bareiss(m)[0] - 1 == 2
+    assert _moments(cols, 0) == [[0] * 4] * 4
+    assert _bareiss(_moments(cols, 0))[0] - 1 == -1
+
+
+def test_moment_rank_matches_the_row_reference_on_random_point_sets():
+    # 2,000 seeded sets of 0/1 points, the points the block columns hold,
+    # each masked by a random nonempty subset; a third of them get a
+    # coordinate that copies, complements or fixes another, so many are
+    # rank-deficient.  Then 2,000 sets of integer points in -3..3 with
+    # their moment matrix summed directly: the rank identity itself
+    rng = random.Random(2028)
+    deficient = 0
+    for _ in range(2000):
+        dim = rng.randint(1, 8)
+        points = [[rng.randint(0, 1) for _ in range(dim)] for _ in range(rng.randint(1, 12))]
+        if dim > 1 and rng.random() < 1 / 3:
+            i, j = rng.sample(range(dim), 2)
+            plant = rng.choice((lambda x: x, lambda x: 1 - x, lambda x: 1))
+            for p in points:
+                p[j] = plant(p[i])
+        cols = [sum(p[b] << k for k, p in enumerate(points)) for b in range(dim)]
+        mask = rng.randrange(1, 1 << len(points))
+        subset = [tuple(p) for k, p in enumerate(points) if mask >> k & 1]
+        expected = oracles.affine_rank(subset)
+        assert _bareiss(_moments(cols, mask))[0] - 1 == expected, (points, mask)
+        deficient += expected < min(dim, len(subset) - 1)
+    assert deficient > 300
+    deficient = 0
+    for _ in range(2000):
+        dim = rng.randint(1, 6)
+        points = [(1, *(rng.randint(-3, 3) for _ in range(dim))) for _ in range(rng.randint(1, 9))]
+        if dim > 1 and rng.random() < 1 / 3:
+            k = rng.randint(-2, 2)
+            points = [p[:-1] + (k * p[-2] + p[1],) for p in points]
+        m = [[sum(p[i] * p[j] for p in points) for j in range(dim + 1)] for i in range(dim + 1)]
+        expected = oracles.affine_rank([p[1:] for p in points])
+        assert _bareiss(m)[0] - 1 == expected, points
+        deficient += expected < min(dim, len(points) - 1)
+    assert deficient > 300
