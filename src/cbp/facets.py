@@ -240,10 +240,11 @@ def h_representation(d: BlockDecomposition, ibis: tuple[tuple[int, ...], ...]) -
 
 def facet_certificates(rows, verts, tight_rows, cols) -> tuple[tuple[int, int], ...]:
     """One (tight mask, affine rank) pair per integer row, against the
-    vertex list `enumerate_vertices(d)`, read off the tight-row table
-    `tight_rows = vertices._row_masks(d, rows, verts)` and the block
-    columns `cols = vertices._columns(d, verts)` (for the graph's own rows
-    and vertices, GraphContext.tight_rows and GraphContext.columns).
+    vertex list `enumerate_vertices(d)`, read off the vertices' block
+    columns `cols` and the rows' tight-row table
+    `tight_rows = vertices._row_masks(rows, cols, len(verts))` (for the
+    graph's own rows and vertices, GraphContext.columns and
+    GraphContext.tight_rows).
 
     Bit k of the tight mask marks that the row holds with equality at the
     k-th vertex.  The affine rank of a row's tight vertices is the rank of

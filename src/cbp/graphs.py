@@ -151,7 +151,10 @@ class BlockDecomposition:
     root_walk is the `_walk` from block 0 with nothing banned, built on
     first use and kept for the decomposition's lifetime: the vertex count,
     the optimizer's rerooting pass and its queries and closures rooted at
-    block 0 all read it.  It is shared, so no caller may change it.
+    block 0 all read it.  near is kept the same way: bit c of its b-th
+    mask marks that blocks b and c share a graph vertex, b itself
+    included; the vertex enumeration and the block-column kernels read
+    it.  Both are shared, so no caller may change them.
     """
 
     graph: Graph
@@ -162,6 +165,15 @@ class BlockDecomposition:
     @cached_property
     def root_walk(self) -> tuple[list[int], dict[int, int], dict[int, int]]:
         return _walk(self, 0)
+
+    @cached_property
+    def near(self) -> list[int]:
+        near = [1 << b for b in range(len(self.blocks))]
+        for v in self.cut_vertices:
+            at = sum(1 << b for b in self.blocks_at_vertex[v])
+            for b in self.blocks_at_vertex[v]:
+                near[b] |= at
+        return near
 
 
 def _biconnected_components(

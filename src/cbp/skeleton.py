@@ -4,15 +4,15 @@ Two vertices given by nonempty blocksets are adjacent exactly when their
 union induces a disconnected subgraph, or one contains the other and
 exactly one block of the difference touches the smaller set.  The empty
 blockset is adjacent precisely to the singletons.  The skeleton applies
-this rule to the whole vertex list at once, on the block columns of
-`vertices._columns` (bit k of column b marks that vertex k contains block
-b).  For each nonempty vertex S, with near(S) the blocks sharing a graph
-vertex with S, `vertices._pair_masks` gives the vertices whose union meets
-S's (meet), those containing S (sup) and those contained in S (sub), each
-from O(blocks) big-int operations.  The neighbors of S are every nonempty
-vertex outside meet, the supersets with exactly one block in
-near(S) minus S, and the subsets T for which exactly one block b of S is
-missing from T and touches it; both "exactly one" masks are ones/twos
+this rule to the whole vertex list at once, on the graph's block columns
+(`GraphContext.columns`: bit k of column b marks that vertex k contains
+block b).  For each nonempty vertex S, with near(S) the blocks sharing a
+graph vertex with S, `vertices._pair_masks` gives the vertices whose
+union meets S's (meet), those containing S (sup) and those contained in
+S (sub), each from O(blocks) big-int operations.  The neighbors of S are
+every nonempty vertex outside meet, the supersets with exactly one block
+in near(S) minus S, and the subsets T for which exactly one block b of S
+is missing from T and touches it; both "exactly one" masks are ones/twos
 counters over the columns.  The per-pair form of the rule on frozensets
 is the reference in `tests/oracles.py`.
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from .errors import AssertionFailure, BudgetExceeded, NotAVertex
 from .graphs import BlockDecomposition, graph_to_json
 from .hull import RationalPolyhedron
-from .vertices import BlockSubset, _bits, _columns, _near_blocks, _pair_masks
+from .vertices import BlockSubset, _bits, _pair_masks
 
 MAX_DIAMETER_VERTICES = 2**14
 MAX_GEOMETRIC_VERTICES = 2**12
@@ -119,15 +119,15 @@ def _exactly_one(masks) -> int:
     return ones & ~twos
 
 
-def _combinatorial_neighbors(d: BlockDecomposition, verts) -> list[int]:
-    """Neighbor mask of every vertex by the block rule on block columns.
+def _combinatorial_neighbors(d: BlockDecomposition, verts, cols: list[int]) -> list[int]:
+    """Neighbor mask of every vertex by the block rule on the block columns
+    `cols` of the vertex list.
 
     A block b of S is missing from a subset T and touches it exactly when
     T's bit is set in touch[b] & ~cols[b], touch[b] being the OR of the
     columns of the blocks sharing a graph vertex with b.
     """
-    cols = _columns(d, verts)
-    near = _near_blocks(d)
+    near = d.near
     missing = []
     for b, col in enumerate(cols):
         touch = 0
@@ -152,23 +152,18 @@ def _combinatorial_neighbors(d: BlockDecomposition, verts) -> list[int]:
 
 
 def build_polytope_graph(
-    d: BlockDecomposition,
-    tight_rows=None,
-    method: str = "combinatorial",
-    *,
-    vertices: tuple[BlockSubset, ...],
+    d: BlockDecomposition, table, method: str, *, vertices: tuple[BlockSubset, ...]
 ) -> PolytopeGraph:
     """Assemble the full skeleton on the vertices `enumerate_vertices(d)`
-    with either adjacency test.  The geometric test reads the tight masks
-    of the tight-row table `vertices._row_masks(d, h.rows, vertices)` of an
-    H-description h (GraphContext.tight_rows).
+    with either adjacency test, from the per-vertex table that the method
+    reads: for "combinatorial" the block columns of the vertices
+    (GraphContext.columns), for "geometric" the tight-row table of an
+    H-description (GraphContext.tight_rows).
     """
     if method == "combinatorial":
-        nb = _combinatorial_neighbors(d, vertices)
+        nb = _combinatorial_neighbors(d, vertices, table)
     elif method == "geometric":
-        if tight_rows is None:
-            raise ValueError("geometric method needs the tight-row table")
-        vertex_rows = _vertex_rows(tight_rows, len(vertices))
+        vertex_rows = _vertex_rows(table, len(vertices))
         nb = [_face_neighbors(vertex_rows, i) for i in range(len(vertices))]
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -254,11 +249,11 @@ class SimplicityReport:
 def simplicity_report(d: BlockDecomposition, pg: PolytopeGraph, tight_rows) -> SimplicityReport:
     """Geometric simplicity and simpliciality next to the structural predictions.
 
-    Simpliciality is read off the tight masks of the tight-row table
-    `vertices._row_masks(d, h.rows, pg.vertices)` of the H-description h
-    (GraphContext.tight_rows): every facet must hold exactly dim vertices.
-    The polytope is simple exactly when the graph has at most one cut
-    vertex, and simplicial exactly when there are at most two blocks.
+    Simpliciality is read off the tight masks of the tight-row table of
+    the H-description on pg's vertices (GraphContext.tight_rows): every
+    facet must hold exactly dim vertices.  The polytope is simple exactly
+    when the graph has at most one cut vertex, and simplicial exactly when
+    there are at most two blocks.
     """
     dim = len(d.blocks)
     is_simple = all(pg.degree(i) == dim for i in range(len(pg.vertices)))

@@ -78,23 +78,25 @@ def _term_key(t: Term) -> tuple[int, Term]:
     return len(t), t
 
 
-def _leading_masks(d: BlockDecomposition, verts) -> list[int]:
-    """Bit j of the i-th mask marks the blocksets i and j as the leading
-    term of a binomial: incomparable, with a connected union.
+def _leading_masks(d: BlockDecomposition, verts, cols: list[int]) -> list[int]:
+    """Bit j of the i-th mask marks the blocksets i and j of the list as the
+    leading term of a binomial: incomparable, with a connected union, read
+    off the list's block columns `cols`.
 
     Incomparable sets are nonempty, so their union is connected exactly
     when their unions meet: the mask is meet & ~(sup | sub) of
     `vertices._pair_masks`, O(blocks) big-int operations per blockset.
     The empty set is comparable to every set, and its meet is empty.
     """
-    return [meet & ~(sup | sub) for _, _, meet, sup, sub in _pair_masks(d, verts, _columns(d, verts))]
+    return [meet & ~(sup | sub) for _, _, meet, sup, sub in _pair_masks(d, verts, cols)]
 
 
 def groebner_candidates(
-    d: BlockDecomposition, order: TermOrder, verts: tuple[BlockSubset, ...]
+    d: BlockDecomposition, order: TermOrder, verts: tuple[BlockSubset, ...], cols: list[int]
 ) -> tuple[tuple[Term, Term], ...]:
     """One (leading, trailing) pair of rank terms per unordered incomparable
-    pair with connected union, sorted by leading term.
+    pair with connected union, sorted by leading term, from the block
+    columns `cols` of verts (GraphContext.columns).
 
     The leading term is the pair's product, the trailing term the product
     of its meet and join, looked up by their block masks.  Raises
@@ -104,7 +106,7 @@ def groebner_candidates(
     masks = [sum(1 << b for b in a) for a in verts]
     rank = {m: order.rank[a] for m, a in zip(masks, verts)}
     out = []
-    for i, lead in enumerate(_leading_masks(d, verts)):
+    for i, lead in enumerate(_leading_masks(d, verts, cols)):
         m1 = masks[i]
         for j in _bits(lead >> (i + 1) << (i + 1)):
             m2 = masks[j]
@@ -273,7 +275,9 @@ def triangulation(
     the leading terms are exactly the incomparable pairs with connected
     union, that every maximal face has exactly dim+1 vertices, and that
     each maximal simplex is unimodular; a bad determinant raises
-    NonUnimodalSimplex.
+    NonUnimodalSimplex.  The second check is a route of its own: it reads
+    the leading pairs off block columns of the ground set in term order,
+    built here, not off the table the basis was built from.
     """
     ground = order.variables
     dim = len(d.blocks)
@@ -293,7 +297,7 @@ def triangulation(
     # full ^ compat[i] is the nonface mask of i plus bit i, which the shift
     # drops along with the pairs below i, found at the smaller vertex already
     full = (1 << m) - 1
-    for i, lead in enumerate(_leading_masks(d, ground)):
+    for i, lead in enumerate(_leading_masks(d, ground, _columns(d, ground))):
         differ = (full ^ compat[i] ^ lead) >> (i + 1)
         if differ:
             j = i + (differ & -differ).bit_length()

@@ -144,20 +144,21 @@ class GraphContext:
 
     The decomposition feeds the vertices and the independent-blocks
     inequalities, which feed the H-description; the vertices feed their
-    incidence vectors, their block columns (`vertices._columns`, bit k of
-    column b marks that the k-th vertex holds block b), the combinatorial
-    skeleton and the term order; the H-description feeds the h* profile
-    and, with the vertices, the tight-row table: per row, the mask of the
-    vertices tight at it and the first vertex violating it
-    (`vertices._row_masks`).  The facet certificates, the geometric
-    skeleton and the simplicity report all read that one table.  Every
-    affine rank the facets and dimension checks need, and the tight sums
-    of the cut-off points, are popcount moments of the block columns
-    (`vertices._moments`).  The order and the vertices feed the basis.  The
-    library functions take these artifacts as arguments and build none of
-    them; the sweep's checks, the graph commands of the CLI and the tests
-    read them from here.  Each artifact lives as long as the context, so
-    nothing carries over from one graph to the next.
+    incidence vectors, the term order and their block columns, the one
+    transpose of the vertex list (`vertices._columns`: bit k of column b
+    marks that the k-th vertex holds block b).  The columns feed the
+    combinatorial skeleton, the basis (with the order) and, with the
+    H-description, the tight-row table: per row, the mask of the vertices
+    tight at it and the first vertex violating it (`vertices._row_masks`).
+    The facet certificates, the geometric skeleton and the simplicity
+    report all read that one table.  Every affine rank the facets and
+    dimension checks need, and the tight sums of the cut-off points, are
+    popcount moments of the columns (`vertices._moments`).  The library
+    functions take these artifacts as arguments and build none of them,
+    save the triangulation's term-order columns, its second route to the
+    leading pairs; the sweep's checks, the graph commands of the CLI and
+    the tests read them from here.  Each artifact lives as long as the
+    context, so nothing carries over from one graph to the next.
     """
 
     def __init__(self, graph: Graph):
@@ -189,7 +190,7 @@ class GraphContext:
 
     @cached_property
     def tight_rows(self) -> list[tuple[int, int | None]]:
-        return _row_masks(self.decomposition, self.hrep.rows, self.vertices)
+        return _row_masks(self.hrep.rows, self.columns, len(self.vertices))
 
     @cached_property
     def hstar(self):
@@ -200,13 +201,13 @@ class GraphContext:
         # the vertex cap, checked against the predicted count before the
         # vertices are enumerated
         _check_vertex_cap(count_connected_blocksets(self.decomposition))
-        return build_polytope_graph(self.decomposition, vertices=self.vertices)
+        return build_polytope_graph(self.decomposition, self.columns, "combinatorial", vertices=self.vertices)
 
     @cached_property
     def geometric_skeleton(self) -> PolytopeGraph:
         # the face test's cap, checked before the H-description is built
         _check_geometric_cap(count_connected_blocksets(self.decomposition))
-        return build_polytope_graph(self.decomposition, self.tight_rows, method="geometric", vertices=self.vertices)
+        return build_polytope_graph(self.decomposition, self.tight_rows, "geometric", vertices=self.vertices)
 
     @cached_property
     def order(self) -> TermOrder:
@@ -217,7 +218,7 @@ class GraphContext:
         # the variable cap of buchberger_verify and triangulation, checked
         # against the predicted count before the vertices are enumerated
         _check_variable_cap(count_connected_blocksets(self.decomposition))
-        return groebner_candidates(self.decomposition, self.order, self.vertices)
+        return groebner_candidates(self.decomposition, self.order, self.vertices, self.columns)
 
 
 def check_blocks(ctx: GraphContext) -> dict | None:
@@ -523,32 +524,26 @@ def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
 
 
 def verify_graph(entry: CorpusEntry, options: VerifyOptions) -> GraphReport:
-    """Run the gated check battery on one graph."""
+    """Run the gated check battery on one graph: each row names a check,
+    whether the graph passes its gate, and the check."""
     ctx = GraphContext(entry.graph)
     n = len(ctx.decomposition.blocks)
-    gates = {
-        "facets": n <= FACET_MAX_BLOCKS,
-        "adjacency": n <= ADJACENCY_MAX_BLOCKS,
-        "hstar": n <= HSTAR_MAX_BLOCKS,
-        "groebner": n <= GROEBNER_MAX_BLOCKS,
-        "triangulation": n <= GROEBNER_MAX_BLOCKS and n <= HSTAR_MAX_BLOCKS,
-    }
     battery = [
-        ("blocks", lambda: check_blocks(ctx)),
-        ("dimension", lambda: check_dimension(ctx)),
-        ("facets", lambda: check_facets(ctx)),
-        ("ibis", lambda: check_ibis(ctx)),
-        ("adjacency", lambda: check_adjacency(ctx)),
-        ("diameter", lambda: check_diameter(ctx)),
-        ("simplicity", lambda: check_simplicity(ctx)),
-        ("hstar", lambda: check_hstar(ctx)),
-        ("groebner", lambda: check_groebner(ctx)),
-        ("triangulation", lambda: check_triangulation(ctx)),
-        ("optimizer", lambda: check_optimizer(ctx, f"{options.seed}:{entry.name}")),
+        ("blocks", True, lambda: check_blocks(ctx)),
+        ("dimension", True, lambda: check_dimension(ctx)),
+        ("facets", n <= FACET_MAX_BLOCKS, lambda: check_facets(ctx)),
+        ("ibis", True, lambda: check_ibis(ctx)),
+        ("adjacency", n <= ADJACENCY_MAX_BLOCKS, lambda: check_adjacency(ctx)),
+        ("diameter", True, lambda: check_diameter(ctx)),
+        ("simplicity", True, lambda: check_simplicity(ctx)),
+        ("hstar", n <= HSTAR_MAX_BLOCKS, lambda: check_hstar(ctx)),
+        ("groebner", n <= GROEBNER_MAX_BLOCKS, lambda: check_groebner(ctx)),
+        ("triangulation", n <= min(GROEBNER_MAX_BLOCKS, HSTAR_MAX_BLOCKS), lambda: check_triangulation(ctx)),
+        ("optimizer", True, lambda: check_optimizer(ctx, f"{options.seed}:{entry.name}")),
     ]
     results = []
-    for name, fn in battery:
-        if not gates.get(name, True):
+    for name, gated_in, fn in battery:
+        if not gated_in:
             results.append(CheckResult(name, "skip", 0.0, None))
             continue
         start = time.perf_counter()

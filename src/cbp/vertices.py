@@ -45,16 +45,16 @@ def is_connected_blockset(d: BlockDecomposition, a) -> bool:
 def enumerate_vertices(d: BlockDecomposition) -> tuple[BlockSubset, ...]:
     """All connected blocksets, one tuple each, in (cardinality, lex) order.
 
-    The sets are grown as block masks over the `_near_blocks` table: a set
-    whose least block is r gains one block of its frontier at a time, the
-    blocks above r outside it that share a graph vertex with it, minus the
-    blocks its earlier siblings gained.  Raises CountOverflow before
-    enumerating when count_connected_blocksets predicts more than
+    The sets are grown as block masks over the near-block table `d.near`:
+    a set whose least block is r gains one block of its frontier at a
+    time, the blocks above r outside it that share a graph vertex with it,
+    minus the blocks its earlier siblings gained.  Raises CountOverflow
+    before enumerating when count_connected_blocksets predicts more than
     DEFAULT_VERTEX_CAP of them.
     """
     if count_connected_blocksets(d) > DEFAULT_VERTEX_CAP:
         raise CountOverflow(f"more than {DEFAULT_VERTEX_CAP} connected blocksets")
-    near = _near_blocks(d)
+    near = d.near
     out: list[BlockSubset] = [()]
     for r in range(len(d.blocks)):
         above = -2 << r
@@ -143,21 +143,11 @@ def _moments(cols: list[int], mask: int) -> list[list[int]]:
     return [[(x & y).bit_count() for y in t] for x in t]
 
 
-def _near_blocks(d: BlockDecomposition) -> list[int]:
-    """Bit c of the b-th mask marks that blocks b and c share a graph vertex,
-    b itself included."""
-    near = [1 << b for b in range(len(d.blocks))]
-    for v in d.cut_vertices:
-        at = sum(1 << b for b in d.blocks_at_vertex[v])
-        for b in d.blocks_at_vertex[v]:
-            near[b] |= at
-    return near
-
-
 def _pair_masks(d: BlockDecomposition, verts, cols: list[int]):
     """For each blockset S of the list, in order, yield the block mask of
-    S, the mask near(S) of the blocks sharing a graph vertex with S, and
-    three vertex masks over the columns `cols = _columns(d, verts)`:
+    S, the mask near(S) of the blocks sharing a graph vertex with S (from
+    `d.near`), and three vertex masks over the columns
+    `cols = _columns(d, verts)`:
 
     - meet: the blocksets T whose union meets the union of S, the OR of the
       columns of near(S).  Two nonempty connected blocksets have a
@@ -171,7 +161,7 @@ def _pair_masks(d: BlockDecomposition, verts, cols: list[int]):
     the other blocksets.
     """
     full = (1 << len(verts)) - 1
-    near = _near_blocks(d)
+    near = d.near
     for a in verts:
         s = reach = 0
         sup = full
@@ -200,21 +190,21 @@ def _add_shifted(planes: list[int], x: int, j: int) -> None:
         j += 1
 
 
-def _row_masks(d: BlockDecomposition, rows, verts) -> list[tuple[int, int | None]]:
-    """Tight-vertex mask and first violating vertex of each integer row.
+def _row_masks(rows, cols: list[int], count: int) -> list[tuple[int, int | None]]:
+    """Tight-vertex mask and first violating vertex of each integer row, over
+    the block columns `cols = _columns(d, verts)` of count blocksets.
 
     The values of a row (a, b) at all blocksets at once are a bit-sliced
-    counter over the block columns of `_columns`: a coefficient c > 0 adds
-    c times the column of its block, and c < 0 adds |c| times the
-    complement column and |c| to the right-hand side, since
-    c * x = |c| * (1 - x) - |c|.  The counts are then compared with the
-    shifted right-hand side plane by plane from the top.  Bit k of the
-    tight mask marks value == b at the k-th blockset; the violating vertex
-    is the least k with value > b, or None.  A row costs O(nonzeros *
-    counter width) big-int operations instead of one step per vertex.
+    counter over the columns: a coefficient c > 0 adds c times the column
+    of its block, and c < 0 adds |c| times the complement column and |c|
+    to the right-hand side, since c * x = |c| * (1 - x) - |c|.  The
+    counts are then compared with the shifted right-hand side plane by
+    plane from the top.  Bit k of the tight mask marks value == b at the
+    k-th blockset; the violating vertex is the least k with value > b, or
+    None.  A row costs O(nonzeros * counter width) big-int operations
+    instead of one step per vertex.
     """
-    cols = _columns(d, verts)
-    full = (1 << len(verts)) - 1
+    full = (1 << count) - 1
     out = []
     for a, b in rows:
         planes: list[int] = []

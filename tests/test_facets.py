@@ -25,7 +25,8 @@ from cbp.vertices import _bits, _columns, _row_masks, enumerate_vertices, to_inc
 def certificates(d, rows, verts):
     """facet_certificates with the tight-row table and the block columns of
     the rows and vertices given here."""
-    return facet_certificates(rows, verts, _row_masks(d, rows, verts), _columns(d, verts))
+    cols = _columns(d, verts)
+    return facet_certificates(rows, verts, _row_masks(rows, cols, len(verts)), cols)
 
 
 def tripod_d():

@@ -90,6 +90,13 @@ def every_vertex_tight(certs, rows, verts, tight_rows, cols):
     return certs[:-1] + (((1 << len(verts)) - 1, certs[-1][1]),)
 
 
+def columns_swap_the_first_two(cols, d, verts):
+    # the first two blocks trade columns: a coordinate swap keeps the rank,
+    # so the dimension check passes, but the tight-row table, the
+    # combinatorial skeleton and the basis read the wrong blocks from it
+    return [cols[1], cols[0], *cols[2:]] if len(cols) >= 2 else cols
+
+
 def moments_drop_the_constant(m, cols, mask):
     # the moments of x x^T alone: a row through the origin, such as
     # -x_B <= 0 whose tight vertices hold the empty blockset, loses one rank
@@ -172,6 +179,11 @@ FAULTS = [
     ("no-cutoff-point", wrapped(verify, "_cutoff_point", lambda point, *a: None), {"facets"}),
     ("both-ibi-generators-gain-a-bad-row", ibis_gain_a_bad_row, {"ibis"}),
     ("moments-drop-the-constant", wrapped(facets, "_moments", moments_drop_the_constant), {"facets"}),
+    (
+        "columns-swap-the-first-two-blocks",
+        wrapped(verify, "_columns", columns_swap_the_first_two),
+        {"facets", "adjacency", "groebner", "triangulation"},
+    ),
 ]
 
 # Known misses past the gates: a fault of FAULTS, a graph above the gate of

@@ -23,7 +23,7 @@ from cbp.skeleton import (
 )
 from cbp.toric import _leading_masks
 from cbp.verify import GraphContext
-from cbp.vertices import _row_masks, enumerate_vertices, to_incidence
+from cbp.vertices import _columns, _row_masks, enumerate_vertices, to_incidence
 
 
 def skeleton_of(d):
@@ -86,7 +86,8 @@ def test_combinatorial_skeleton_matches_pairwise_oracle(oracle_graphs):
         expected = oracles.pairwise_neighbors(pg.vertices, partial(adjacent_combinatorial, d, connected=connected))
         assert tuple(frozenset(_bits(m)) for m in pg.neighbors) == expected, name
         expected = oracles.pairwise_neighbors(pg.vertices, partial(oracles.leading_pair, d, connected=connected))
-        assert tuple(frozenset(_bits(m)) for m in _leading_masks(d, pg.vertices)) == expected, name
+        leading = _leading_masks(d, pg.vertices, _columns(d, pg.vertices))
+        assert tuple(frozenset(_bits(m)) for m in leading) == expected, name
 
 
 def test_diameter_matches_bfs_oracle(oracle_graphs):
@@ -149,8 +150,8 @@ def test_geometric_skeleton_matches_face_oracle(small_corpus):
         d = block_decomposition(g)
         h = GraphContext(d.graph).hrep
         verts = enumerate_vertices(d)
-        tight = _row_masks(d, h.rows, verts)
-        pg = build_polytope_graph(d, tight, method="geometric", vertices=verts)
+        tight = _row_masks(h.rows, _columns(d, verts), len(verts))
+        pg = build_polytope_graph(d, tight, "geometric", vertices=verts)
         points = [to_incidence(d, a) for a in pg.vertices]
         for i, j in itertools.combinations(range(len(points)), 2):
             expected = oracles.face_adjacent(h.rows, points, i, j)
@@ -162,13 +163,15 @@ def test_geometric_skeleton_matches_face_oracle(small_corpus):
 def test_build_polytope_graph_methods_agree(path3_d):
     h = GraphContext(path3_d.graph).hrep
     verts = enumerate_vertices(path3_d)
-    a = build_polytope_graph(path3_d, method="combinatorial", vertices=verts)
-    b = build_polytope_graph(path3_d, _row_masks(path3_d, h.rows, verts), method="geometric", vertices=verts)
+    cols = _columns(path3_d, verts)
+    a = build_polytope_graph(path3_d, cols, "combinatorial", vertices=verts)
+    b = build_polytope_graph(path3_d, _row_masks(h.rows, cols, len(verts)), "geometric", vertices=verts)
     assert a.vertices == b.vertices
     assert a.neighbors == b.neighbors
     with pytest.raises(ValueError):
-        build_polytope_graph(path3_d, method="nonsense", vertices=verts)
-    with pytest.raises(ValueError):
+        build_polytope_graph(path3_d, cols, "nonsense", vertices=verts)
+    # the table is required: no method builds one of its own
+    with pytest.raises(TypeError):
         build_polytope_graph(path3_d, method="geometric", vertices=verts)
 
 
@@ -196,8 +199,10 @@ def test_given_vertices_build_the_same_skeleton(oracle_graphs):
         h = GraphContext(d.graph).hrep
         verts = enumerate_vertices(d)
         own = skeleton_of(d)
-        for method in ("combinatorial", "geometric"):
-            given = build_polytope_graph(d, _row_masks(d, h.rows, verts), method=method, vertices=verts)
+        cols = _columns(d, verts)
+        tables = {"combinatorial": cols, "geometric": _row_masks(h.rows, cols, len(verts))}
+        for method, table in tables.items():
+            given = build_polytope_graph(d, table, method, vertices=verts)
             assert given.vertices is verts
             assert given.neighbors == own.neighbors, (name, method)
 

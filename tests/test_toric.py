@@ -24,7 +24,7 @@ from cbp.errors import (
 )
 from cbp.graphs import block_decomposition
 from cbp.verify import GraphContext
-from cbp.vertices import enumerate_vertices
+from cbp.vertices import _columns, enumerate_vertices
 from cbp.toric import (
     SimplicialComplex,
     TermOrder,
@@ -387,7 +387,8 @@ def test_candidates_refuse_an_order_that_ranks_the_product_below(path2_d):
     variables = ((0,), (1,), (), (0, 1))
     order = TermOrder(variables=variables, rank={a: i for i, a in enumerate(variables)})
     with pytest.raises(LeadingTermMismatch, match=r"^pair \(0,\), \(1,\) does not lead with the product$"):
-        groebner_candidates(path2_d, order, enumerate_vertices(path2_d))
+        verts = enumerate_vertices(path2_d)
+        groebner_candidates(path2_d, order, verts, _columns(path2_d, verts))
 
 
 def test_triangulation_rejects_a_non_unimodular_simplex(path2_d, monkeypatch):
@@ -406,7 +407,7 @@ def test_triangulation_rejects_a_non_unimodular_simplex(path2_d, monkeypatch):
 def test_triangulation_rejects_an_oversized_maximal_face(path2_d, monkeypatch):
     # no leading pair and no binomial: the whole ground is one clique
     order = GraphContext(path2_d.graph).order
-    monkeypatch.setattr(toric, "_leading_masks", lambda d, verts: [0] * len(verts))
+    monkeypatch.setattr(toric, "_leading_masks", lambda d, verts, cols: [0] * len(verts))
     with pytest.raises(AssertionFailure, match="^maximal face has 4 vertices, expected 3$"):
         triangulation(path2_d, (), order)
 
@@ -437,7 +438,8 @@ def test_leading_pairs_match_the_blockset_relation(oracle_graphs):
         verts = enumerate_vertices(d)
         order = make_term_order(verts)
         leading = {
-            frozenset(order.variables[r] for r in lt) for lt, _ in groebner_candidates(d, order, verts)
+            frozenset(order.variables[r] for r in lt)
+            for lt, _ in groebner_candidates(d, order, verts, _columns(d, verts))
         }
         connected = oracles.blockset_connectivity(d)
         for a1, a2 in itertools.combinations(verts, 2):

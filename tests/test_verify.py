@@ -1,6 +1,7 @@
 """Corpus sweep wiring: gating, report shape, failure plumbing."""
 
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -233,7 +234,7 @@ def test_verify_graph_builds_the_tight_rows_and_the_root_walk_once(monkeypatch):
     # check read one tight-row table; the vertex count, the rerooting pass
     # and the queries and closures rooted at block 0 read one walk
     tables, root_walks = [], []
-    _spy_everywhere(monkeypatch, vertices, "_row_masks", lambda d, rows, verts: tables.append(d))
+    _spy_everywhere(monkeypatch, vertices, "_row_masks", lambda rows, cols, count: tables.append(cols))
 
     def walk(d, root, banned=frozenset()):
         if root == 0 and not banned:
@@ -246,6 +247,39 @@ def test_verify_graph_builds_the_tight_rows_and_the_root_walk_once(monkeypatch):
     assert report.passed()
     assert len(tables) == 1
     assert len(root_walks) == len({id(d) for d in root_walks}) == 1
+
+
+@pytest.mark.parametrize(
+    "graph, orders",
+    [(path_graph(5), ("vertex",)), (star_graph(4), ("vertex", "term"))],
+    ids=["path-5", "star-4"],
+)
+def test_verify_graph_builds_one_column_table_and_one_near_table(monkeypatch, graph, orders):
+    # the tight-row table (and through it the geometric skeleton), the
+    # combinatorial skeleton, the basis and the moments read the context's
+    # block columns, and every kernel reads the near-block table cached on
+    # the decomposition; only the triangulation, on the 4-block star under
+    # the Groebner gate, transposes its ground set again in term order, as
+    # its second route to the leading pairs
+    verts = vertices.enumerate_vertices(graphs.block_decomposition(graph))
+    by_order = {"vertex": verts, "term": toric.make_term_order(verts).variables}
+    columns, nears = [], []
+    _spy_everywhere(monkeypatch, vertices, "_columns", lambda d, verts: columns.append(verts))
+    real = graphs.BlockDecomposition.near.func
+
+    def near(d):
+        nears.append(d)
+        return real(d)
+
+    spy = functools.cached_property(near)
+    spy.__set_name__(graphs.BlockDecomposition, "near")
+    monkeypatch.setattr(graphs.BlockDecomposition, "near", spy)
+    report = verify_graph(CorpusEntry("graph", graph), VerifyOptions())
+    assert report.passed()
+    statuses = {c.name: c.status for c in report.checks}
+    assert statuses["triangulation"] == ("pass" if "term" in orders else "skip")
+    assert [tuple(v) for v in columns] == [by_order[o] for o in orders]
+    assert len(nears) == 1
 
 
 def test_sweep_passes_and_reports_deterministically():

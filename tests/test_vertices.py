@@ -180,14 +180,15 @@ def test_row_masks_match_dot_products(oracle_graphs):
                 rows.append((a, rhs))
                 tight = sum(1 << k for k, v in enumerate(values) if v == rhs)
                 expected.append((tight, next((k for k, v in enumerate(values) if v > rhs), None)))
-        assert _row_masks(d, rows, verts) == expected, name
+        assert _row_masks(rows, vertices._columns(d, verts), len(verts)) == expected, name
     assert min(c for a, _ in facet_rows for c in a) == -2
 
 
 def test_row_masks_report_violations(path3_d):
     verts = enumerate_vertices(path3_d)
     # values 0, 1, 1, 1, 2, 2, 3 and 0, 1, -2, 1, -1, -1, 0 over the vertices
-    assert _row_masks(path3_d, [((1, 1, 1), 1), ((1, -2, 1), 0)], verts) == [
+    cols = vertices._columns(path3_d, verts)
+    assert _row_masks([((1, 1, 1), 1), ((1, -2, 1), 0)], cols, len(verts)) == [
         (0b0001110, 4),
         (0b1000001, 1),
     ]
