@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import gcd
-from operator import mul
 
 from .corpus import CorpusEntry, corpus
 from .ehrhart import hstar_checks, hstar_profile
@@ -30,7 +29,7 @@ from .graphs import (
     graph_to_json,
     split_components_at,
 )
-from .hull import RationalPolyhedron, _bareiss, brute_force_facets
+from .hull import RationalPolyhedron, _bareiss, _primitive, brute_force_facets
 from . import optimize
 from .optimize import _lift, max_weight_connected_blockset
 from .serialize import jsonable
@@ -152,13 +151,14 @@ class GraphContext:
     tight at it and the first vertex violating it (`vertices._row_masks`).
     The facet certificates, the geometric skeleton and the simplicity
     report all read that one table.  Every affine rank the facets and
-    dimension checks need, and the tight sums of the cut-off points, are
-    popcount moments of the columns (`vertices._moments`).  The library
-    functions take these artifacts as arguments and build none of them,
-    save the triangulation's term-order columns, its second route to the
-    leading pairs; the sweep's checks, the graph commands of the CLI and
-    the tests read them from here.  Each artifact lives as long as the
-    context, so nothing carries over from one graph to the next.
+    dimension checks need is read off popcount moments of the columns
+    (`vertices._moments`); the incidence vectors feed only the double
+    description oracle.  The library functions take these artifacts as
+    arguments and build none of them, save the triangulation's term-order
+    columns, its second route to the leading pairs; the sweep's checks,
+    the graph commands of the CLI and the tests read them from here.  Each
+    artifact lives as long as the context, so nothing carries over from
+    one graph to the next.
     """
 
     def __init__(self, graph: Graph):
@@ -252,77 +252,41 @@ def check_dimension(ctx: GraphContext) -> dict | None:
     return None
 
 
-def _cutoff_point(rows, idx: int, k: int, s, directions) -> tuple[tuple[int, ...], int] | None:
-    """A point violating only row idx, certifying the row irredundant, as
-    its integer numerators and their one positive denominator.
-
-    k is the number of vertices on which row idx holds with equality and s
-    their sum, the first row of their moment matrix (`vertices._moments`);
-    directions[j] is a_j . a, for a the normal of row idx and a_j that of
-    row j, the idx-th row of the rows' Gram table.  The point is centroid
-    + eps * a, with eps half the smallest bound another row puts on the
-    step along a (1 when no row bounds it).  The arithmetic is on
-    integers: the centroid is carried as s and k, each bound on eps as a
-    numerator/denominator pair, and the point as a vector p = eps_den * s
-    + k * eps_num * a over the common denominator k * eps_den.  Each row's
-    value at p is a combination of its direction and its dot product with
-    s, taken once.
-    """
-    a, b = rows[idx]
-    if not k:
-        return None
-    at_s = [sum(map(mul, a2, s)) for a2, _ in rows]
-    eps = None
-    for j, ((_, b2), direction, s_j) in enumerate(zip(rows, directions, at_s)):
-        if j == idx or direction <= 0:
-            continue
-        # the slack of row j at the centroid, times k
-        slack = k * b2 - s_j
-        if slack <= 0:
-            return None
-        # the bound slack / (k * direction), compared by cross-multiplication
-        if eps is None or slack * eps[1] < eps[0] * k * direction:
-            eps = (slack, k * direction)
-    eps_num, eps_den = (1, 1) if eps is None else (eps[0], 2 * eps[1])
-    den = k * eps_den
-    for j, ((_, b2), direction, s_j) in enumerate(zip(rows, directions, at_s)):
-        value = eps_den * s_j + k * eps_num * direction
-        if (value <= b * den) if j == idx else (value > b2 * den):
-            return None
-    return tuple(eps_den * x + k * eps_num * ai for x, ai in zip(s, a)), den
-
-
 def check_facets(ctx: GraphContext) -> dict | None:
     """H-description equals the hull oracle; every row is a needed facet.
 
     A row is facet-defining when its tight vertices, read off the tight
     mask of facet_certificates, have affine rank n - 1 and leave some
-    vertex slack; it is needed when a point cut off by it alone exists.
-    The count and the sum of the tight vertices come from the block
-    columns, the directions from one Gram table of the rows.
+    vertex slack.  It is then needed unless another row is a positive
+    multiple of it, as their primitive integer vectors show.  Proof: let
+    the other rows imply a facet-defining row a . x <= b.  Their
+    polyhedron Q contains conv(V), so it is full-dimensional, and lies in
+    {a . x <= b}; so the hyperplane a . x = b, which holds n affinely
+    independent vertices, cuts out a facet of Q.  A system describing a
+    full-dimensional polyhedron has a row defining each of its facets,
+    unique up to a positive factor (Schrijver 1986, section 8.4), so one
+    of the other rows is a positive multiple of a . x <= b.
     """
-    d = ctx.decomposition
-    n = len(d.blocks)
-    oracle = brute_force_facets(ctx.incidence)
+    n = len(ctx.decomposition.blocks)
+    theirs = set(brute_force_facets(ctx.incidence).rows)
     rows = ctx.hrep.rows
     ours = set(rows)
-    theirs = set(oracle.rows)
     if ours != theirs:
         return {
             "missing_rows": sorted(theirs - ours),
             "extra_rows": sorted(ours - theirs),
         }
-    cols = ctx.columns
-    certs = facet_certificates(rows, ctx.vertices, ctx.tight_rows, cols)
+    certs = facet_certificates(rows, ctx.vertices, ctx.tight_rows, ctx.columns)
     full = (1 << len(ctx.vertices)) - 1
     for row, (tight, rank) in zip(rows, certs):
         if rank != n - 1 or tight == full:
             return {"reason": "row is not facet-defining", "row": row}
-    gram = [[sum(map(mul, a2, a)) for a2, _ in rows] for a, _ in rows]
-    for idx, (tight, _) in enumerate(certs):
-        s = [(tight & col).bit_count() for col in cols]
-        if _cutoff_point(rows, idx, tight.bit_count(), s, gram[idx]) is None:
-            return {"reason": "no cut-off point for row", "row": rows[idx]}
+    seen = {}
+    for row in rows:
+        key = _primitive([*row[0], row[1]])
+        if key in seen:
+            return {"reason": "two rows define one facet", "rows": [seen[key], row]}
+        seen[key] = row
     return None
 
 
@@ -391,14 +355,24 @@ def _bfs_diameter(neighbors) -> int | None:
 
 
 def check_diameter(ctx: GraphContext) -> dict | None:
-    """Diameter bounded by the dimension and by the Hirsch bound; under the
+    """Diameter bounded by the dimension n and by the Hirsch bound, and
+    equal to n when the graph has at most one cut vertex; under the
     adjacency gate it also equals the largest eccentricity found by a
-    per-source breadth-first search of the skeleton."""
-    report = hirsch_check(ctx.decomposition, ctx.skeleton, ctx.hrep)
-    if len(ctx.decomposition.blocks) <= ADJACENCY_MAX_BLOCKS:
+    per-source breadth-first search of the skeleton.
+
+    With at most one cut vertex, every block of the connected graph holds
+    it, so every blockset, the empty one too, is connected: P is the cube
+    [0,1]^n, whose graph has diameter n.
+    """
+    d = ctx.decomposition
+    n = len(d.blocks)
+    report = hirsch_check(d, ctx.skeleton, ctx.hrep)
+    if n <= ADJACENCY_MAX_BLOCKS:
         bfs = _bfs_diameter(ctx.skeleton.neighbors)
         if bfs != report.diameter:
             return {"diameter": report.diameter, "bfs_diameter": bfs}
+    if len(d.cut_vertices) <= 1 and report.diameter != n:
+        return {"reason": "cube diameter is not the dimension", "diameter": report.diameter, "expected": n}
     return None
 
 

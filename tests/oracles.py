@@ -375,38 +375,6 @@ def affine_rank(points) -> int:
     return rank - 1
 
 
-def fraction_cutoff_point(rows, idx: int, tight) -> tuple | None:
-    """A point violating only row idx, in Fraction arithmetic: the centroid
-    of the tight points plus eps times the row normal, eps half the
-    smallest bound another row puts on the step (1 when none bounds it).
-    Rows are (a, b) meaning a . x <= b."""
-    a, b = rows[idx]
-    if not tight:
-        return None
-    k = len(tight)
-    centroid = tuple(sum(col, Fraction(0)) / k for col in zip(*tight))
-    eps = None
-    for j, (a2, b2) in enumerate(rows):
-        if j == idx:
-            continue
-        direction = sum(x * y for x, y in zip(a2, a))
-        if direction <= 0:
-            continue
-        slack = b2 - sum(c * x for c, x in zip(a2, centroid))
-        if slack <= 0:
-            return None
-        bound = Fraction(slack, direction)
-        eps = bound if eps is None else min(eps, bound)
-    eps = Fraction(1) if eps is None else eps / 2
-    point = tuple(c + eps * ai for c, ai in zip(centroid, a))
-    if sum(c * x for c, x in zip(a, point)) <= b:
-        return None
-    for j, (a2, b2) in enumerate(rows):
-        if j != idx and sum(c * x for c, x in zip(a2, point)) > b2:
-            return None
-    return point
-
-
 def face_adjacent(rows, points, i: int, j: int) -> bool:
     """Vertices i and j span an edge: the points tight on every row tight at
     both are exactly i and j.  Rows are (a, b) meaning a . x <= b."""

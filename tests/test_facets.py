@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+import cbp.verify as verify
 from cbp.corpus import corpus, flower, path_graph, random_block_tree, star_graph
 from cbp.errors import CountOverflow, RowInvalid
 from cbp.facets import (
@@ -17,8 +18,8 @@ from cbp.facets import (
     is_independent,
 )
 from cbp.graphs import Graph, block_decomposition, split_components_at
-from cbp.hull import brute_force_facets
-from cbp.verify import GraphContext
+from cbp.hull import RationalPolyhedron, _primitive, brute_force_facets
+from cbp.verify import GraphContext, check_facets
 from cbp.vertices import _bits, _columns, _row_masks, enumerate_vertices, to_incidence
 
 
@@ -216,3 +217,40 @@ def test_certificate_ranks_match_the_row_reference():
             assert rank == oracles.affine_rank([ctx.incidence[k] for k in _bits(tight)]), (name, row)
             rows += 1
     assert rows == 1973 + 20 + 18 + 265 + 266
+
+
+def test_facets_check_refuses_a_redundant_row(monkeypatch):
+    # path-2's polytope is the unit square; x1 + x2 <= 2 holds on it but is
+    # tight at (1, 1) alone.  The hull oracle is given the same rows, so the
+    # certificate is what refuses the row
+    ctx = GraphContext(path_graph(2))
+    ctx.hrep = RationalPolyhedron(2, ctx.hrep.rows + (((1, 1), 2),))
+    monkeypatch.setattr(verify, "brute_force_facets", lambda points: ctx.hrep)
+    certs = facet_certificates(ctx.hrep.rows, ctx.vertices, ctx.tight_rows, ctx.columns)
+    assert certs[-1] == (1 << 3, 0)
+    assert check_facets(ctx) == {"reason": "row is not facet-defining", "row": ((1, 1), 2)}
+
+
+def test_repeated_facet_clause_matches_the_fraction_oracle(monkeypatch):
+    # over the sweep corpus, with twice and minus the first row added: the
+    # primitive vectors check_facets keys the rows by meet exactly on the
+    # pairs of positive multiples of oracles.same_hyperplane, and
+    # check_facets reports the first row and its double
+    pairs = same = 0
+    for name, g in corpus(5, 7, 26):
+        ctx = GraphContext(g)
+        rows = ctx.hrep.rows
+        a, b = rows[0]
+        twice, minus = (tuple(2 * x for x in a), 2 * b), (tuple(-x for x in a), -b)
+        extended = rows + (twice, minus)
+        keys = [_primitive([*row[0], row[1]]) for row in extended]
+        for i in range(len(extended)):
+            for j in range(i + 1, len(extended)):
+                agree = keys[i] == keys[j]
+                assert agree == oracles.same_hyperplane(extended[i], extended[j]), (name, i, j)
+                pairs += 1
+                same += agree
+        ctx.hrep = RationalPolyhedron(ctx.hrep.dim, rows + (twice,))
+        monkeypatch.setattr(verify, "brute_force_facets", lambda points: ctx.hrep)
+        assert check_facets(ctx) == {"reason": "two rows define one facet", "rows": [rows[0], twice]}, name
+    assert (pairs, same) == (9273, 102)

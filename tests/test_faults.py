@@ -19,7 +19,7 @@ import cbp.facets as facets
 import cbp.optimize as optimize
 import cbp.skeleton as skeleton
 import cbp.verify as verify
-from cbp.corpus import CorpusEntry, path_graph
+from cbp.corpus import CorpusEntry, flower, path_graph, star_graph
 from cbp.graphs import graph_from_json
 from cbp.hull import RationalPolyhedron
 from cbp.verify import VerificationReport, VerifyOptions, run_verification, verify_graph
@@ -127,6 +127,9 @@ def skeleton_drops_an_edge(nb, *args):
     return nb
 
 
+diameter_minus_one = wrapped(skeleton, "diameter", lambda diam, pg: diam - 1)
+
+
 def ibis_drop_last(m):
     wrapped(verify, "enumerate_ibis", lambda ibis, d: ibis[:-1])(m)
     wrapped(verify, "construct_ibis", lambda ibis, d: ibis[:-1])(m)
@@ -168,7 +171,7 @@ FAULTS = [
         wrapped(verify, "groebner_candidates", lambda basis, *a: basis[:-1]),
         {"groebner", "triangulation"},
     ),
-    ("diameter-minus-one", wrapped(skeleton, "diameter", lambda diam, pg: diam - 1), {"diameter"}),
+    ("diameter-minus-one", diameter_minus_one, {"diameter"}),
     ("diameter-is-zero", wrapped(skeleton, "diameter", lambda diam, pg: 0), {"diameter"}),
     (
         "rerooted-values-keep-only-the-first-maximum",
@@ -176,7 +179,11 @@ FAULTS = [
         {"optimizer"},
     ),
     ("certificate-every-vertex-tight", wrapped(verify, "facet_certificates", every_vertex_tight), {"facets"}),
-    ("no-cutoff-point", wrapped(verify, "_cutoff_point", lambda point, *a: None), {"facets"}),
+    (
+        "hrep-repeats-a-row",
+        wrapped(verify, "h_representation", lambda h, *a: RationalPolyhedron(h.dim, h.rows + h.rows[-1:])),
+        {"facets"},
+    ),
     ("both-ibi-generators-gain-a-bad-row", ibis_gain_a_bad_row, {"ibis"}),
     ("moments-drop-the-constant", wrapped(facets, "_moments", moments_drop_the_constant), {"facets"}),
     (
@@ -195,14 +202,8 @@ MISSES = [
     # IBI check, and a facet completeness certificate past the double
     # description oracle's dimension cap
     ("both-ibi-generators-drop-their-last-row", ibis_drop_last, "path-8", path_graph(8), "facets"),
-    # item 4: the closed-form diameter of block paths, min(k, 2)
-    (
-        "diameter-minus-one",
-        wrapped(skeleton, "diameter", lambda diam, pg: diam - 1),
-        "path-6",
-        path_graph(6),
-        "adjacency",
-    ),
+    # item 16: the closed-form diameter of block paths, min(k, 2)
+    ("diameter-minus-one", diameter_minus_one, "path-6", path_graph(6), "adjacency"),
 ]
 
 # name of a fault, a check it fails, the reason every failure of that
@@ -210,7 +211,7 @@ MISSES = [
 REASONS = [
     ("certificate-rank-n-2", "facets", "row is not facet-defining"),
     ("certificate-every-vertex-tight", "facets", "row is not facet-defining"),
-    ("no-cutoff-point", "facets", "no cut-off point for row"),
+    ("hrep-repeats-a-row", "facets", "two rows define one facet"),
     ("both-ibi-generators-gain-a-bad-row", "ibis", "component weights are not one 1 and rest 0"),
     ("moments-drop-the-constant", "facets", "row is not facet-defining"),
 ]
@@ -281,3 +282,19 @@ def test_known_miss_past_the_gates(monkeypatch, name, patch, graph_id, graph, ga
     statuses = {c.name: c.status for c in report.checks}
     assert statuses[gate] == "skip", statuses
     assert report.passed(), statuses
+
+
+@pytest.mark.parametrize(
+    "graph_id, graph, n", [("star-6", star_graph(6), 6), ("flower-7", flower(7), 7)], ids=["star-6", "flower-7"]
+)
+def test_cube_diameter_catches_a_miss_past_the_adjacency_gate(monkeypatch, graph_id, graph, n):
+    # one cut vertex: the polytope is the cube, so the diameter is the block
+    # count; the breadth-first search that would catch the fault is gated
+    diameter_minus_one(monkeypatch)
+    report = verify_graph(CorpusEntry(graph_id, graph), OPTIONS)
+    statuses = {c.name: c.status for c in report.checks}
+    assert statuses["adjacency"] == "skip", statuses
+    assert {name for name, status in statuses.items() if status == "fail"} == {"diameter"}, statuses
+    (detail,) = [c.detail for c in report.checks if c.name == "diameter"]
+    assert detail["reason"] == "cube diameter is not the dimension"
+    assert (detail["diameter"], detail["expected"]) == (n - 1, n)

@@ -8,11 +8,9 @@ import random
 import sys
 import types
 from fractions import Fraction
-from operator import mul
 
 import pytest
 
-import oracles
 import cbp.errors as errors
 import cbp.facets as facets
 import cbp.graphs as graphs
@@ -21,9 +19,8 @@ import cbp.skeleton as skeleton
 import cbp.toric as toric
 import cbp.verify as verify
 import cbp.vertices as vertices
-from cbp.corpus import CorpusEntry, corpus, flower, path_graph, random_block_tree, star_graph
+from cbp.corpus import CorpusEntry, corpus, path_graph, star_graph
 from cbp.errors import AssertionFailure
-from cbp.facets import facet_certificates
 from cbp.verify import (
     GraphContext,
     VerifyOptions,
@@ -31,7 +28,6 @@ from cbp.verify import (
     run_verification,
     verify_graph,
 )
-from cbp.vertices import _bits
 
 
 def test_option_defaults():
@@ -88,67 +84,6 @@ def test_bfs_diameter():
     # the path 0 - 1 - 2, then the two components 0 - 1 and 2 - 3
     assert verify._bfs_diameter((0b010, 0b101, 0b010)) == 2
     assert verify._bfs_diameter((0b0010, 0b0001, 0b1000, 0b0100)) is None
-
-
-def _as_fractions(point):
-    """The (numerators, denominator) point of verify._cutoff_point as Fractions."""
-    numerators, den = point
-    return tuple(Fraction(x, den) for x in numerators)
-
-
-def _directions(rows, idx):
-    """The idx-th row of the rows' Gram table: a_j . a_idx for every row j."""
-    return [sum(map(mul, a2, rows[idx][0])) for a2, _ in rows]
-
-
-def _cutoff_of_points(rows, idx, tight):
-    """verify._cutoff_point for tight points given as vectors."""
-    s = [sum(col) for col in zip(*tight)] if tight else [0] * len(rows[0][0])
-    return verify._cutoff_point(rows, idx, len(tight), s, _directions(rows, idx))
-
-
-def test_cutoff_point_matches_fraction_oracle():
-    # every row of the sweep corpus, of the seven-block corpus (the facet
-    # gate) and of four graphs past the gate, but only every 16th row of a
-    # graph with 100 rows or more (path-9 and random-10): the Fraction
-    # oracle costs about 6 s on each of those two in full.  The count and
-    # the sum of the tight vertices are read off the block columns, as
-    # check_facets reads them, and equal those of the tight incidence rows
-    named = [
-        ("star-10", star_graph(10)),
-        ("flower-9", flower(9)),
-        ("path-9", path_graph(9)),
-        ("random-10", random_block_tree(random.Random(7), 10)),
-    ]
-    rows = 0
-    for name, g in corpus(5, 7, 26) + corpus(7, 7) + tuple(named):
-        ctx = GraphContext(g)
-        h = ctx.hrep.rows
-        certs = facet_certificates(h, ctx.vertices, ctx.tight_rows, ctx.columns)
-        stride = 16 if len(h) >= 100 else 1
-        for idx, (row, (mask, _)) in list(enumerate(zip(h, certs)))[::stride]:
-            tight = [ctx.incidence[k] for k in _bits(mask)]
-            k, s = mask.bit_count(), [(mask & col).bit_count() for col in ctx.columns]
-            assert (k, s) == (len(tight), [sum(col) for col in zip(*tight)]), (name, row)
-            point = verify._cutoff_point(h, idx, k, s, _directions(h, idx))
-            assert point is not None, (name, row)
-            assert _as_fractions(point) == oracles.fraction_cutoff_point(h, idx, tight), (name, row)
-            rows += 1
-    assert rows == 1131 + 1973 + 20 + 18 + 17 + 17
-
-
-def test_cutoff_point_refuses_a_redundant_row():
-    square = ((-1, 0), 0), ((0, -1), 0), ((1, 0), 1), ((0, 1), 1)
-    rows = square + (((1, 1), 2),)
-    tight = [(1, 1)]  # the only point of the square on x1 + x2 = 2
-    assert _cutoff_of_points(rows, 4, tight) is None
-    assert oracles.fraction_cutoff_point(rows, 4, tight) is None
-    # the facet x1 <= 1 is still cut off, with eps bounded by the redundant row
-    tight = [(1, 0), (1, 1)]
-    point = _cutoff_of_points(rows, 2, tight)
-    assert _as_fractions(point) == oracles.fraction_cutoff_point(rows, 2, tight) == (Fraction(5, 4), Fraction(1, 2))
-    # no tight point, no centroid
-    assert _cutoff_of_points(rows, 2, []) is None
 
 
 def test_block_count_gates_skip_expensive_checks():
