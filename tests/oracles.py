@@ -5,7 +5,8 @@ enumeration, generic brute force) without touching the routines under
 test, so a disagreement always points at the implementation.  The Groebner
 oracles work on dict monomials with their own primitives, which
 `test_toric.test_mono_primitives` pins on their own; the memoized route
-over dict monomials is the tuple normal form's predecessor.  The Fraction
+over dict monomials is the tuple normal form's predecessor, and the fiber
+test by tuple normal forms is the standard-monomial walk's.  The Fraction
 optimizer is the integer DP's predecessor, kept to pin its arithmetic; it
 rebuilds the block-cut tree from the blocks' vertex sets, finds closures
 by its own search of that tree and tests connectivity by a flood fill, so
@@ -25,6 +26,7 @@ from cbp.errors import AssertionFailure, ReductionDiverges
 from cbp.graphs import BlockDecomposition, graph_to_json
 from cbp.hull import _bareiss, _integer_points
 from cbp.optimize import Solution
+from cbp.toric import _NormalForms
 
 
 def subgraph_connected(vertices, edges) -> bool:
@@ -807,5 +809,24 @@ def memo_fiber_test(nblocks: int, g, order, maxdeg: int = 3) -> bool:
             if rest:
                 target = normal_form(first)
                 if any(normal_form(m) != target for m in rest):
+                    return False
+    return True
+
+
+def normal_form_fiber_test(g, order, maxdeg: int = 3) -> bool:
+    """Equal tuple normal forms within every image class of degree
+    2..maxdeg, images keyed by packed per-block counts: one normal form per
+    monomial, all C(n + k - 1, k) monomials of each degree k enumerated."""
+    normal_form = _NormalForms(g)
+    width = maxdeg.bit_length()
+    packed = [sum(1 << (width * b) for b in a) for a in order.variables]
+    for deg in range(2, maxdeg + 1):
+        groups: dict[int, list[tuple[int, ...]]] = {}
+        for m in itertools.combinations_with_replacement(range(len(order.variables)), deg):
+            groups.setdefault(sum(map(packed.__getitem__, m)), []).append(m)
+        for first, *rest in groups.values():
+            if rest:
+                target = normal_form[first]
+                if any(normal_form[m] != target for m in rest):
                     return False
     return True

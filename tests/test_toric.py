@@ -235,12 +235,137 @@ def test_fiber_budget_fires_before_enumerating(path3_d, monkeypatch):
     def refuse(*args):
         raise AssertionError("fiber monomials enumerated past the budget")
 
-    monkeypatch.setattr(itertools, "combinations_with_replacement", refuse)
+    # the walk of the standard monomials starts from the compatibility
+    # masks and steps through their bits; under a cap that admits the
+    # graph the patches fire, so the refusals below come before the walk
+    monkeypatch.setattr(toric, "_compatibility_masks", refuse)
+    monkeypatch.setattr(toric, "_bits", refuse)
+    with monkeypatch.context() as m:
+        m.setattr(toric, "DEFAULT_FIBER_CAP", 112)
+        with pytest.raises(AssertionError, match="past the budget$"):
+            fiber_reduction_test(path3_d, ctx.basis, ctx.order)
     with pytest.raises(BudgetExceeded, match="^more than 200000 fiber monomials$"):
         fiber_reduction_test(star.decomposition, (), star.order)
     monkeypatch.setattr(toric, "DEFAULT_FIBER_CAP", 111)
     with pytest.raises(BudgetExceeded, match="^more than 111 fiber monomials$"):
         fiber_reduction_test(path3_d, ctx.basis, ctx.order)
+
+
+def test_fiber_test_matches_normal_form_route(groebner_battery):
+    # the standard-monomial walk against the normal forms it replaced, on
+    # every basis of the Groebner gate and five larger graphs, each basis
+    # also with one binomial dropped: at every position up to
+    # ORACLE_MAX_BINOMIALS binomials, at three positions past it
+    graphs = groebner_battery + [
+        ("path-6", GraphContext(path_graph(6))),
+        ("triangle-chain-6", GraphContext(triangle_chain(6))),
+        ("spider-3-2-1", GraphContext(spider((3, 2, 1)))),
+        ("path-10", GraphContext(path_graph(10))),
+        ("star-5", GraphContext(star_graph(5))),
+    ]
+    verdicts = collections.Counter()
+    for name, ctx in graphs:
+        basis, order = ctx.basis, ctx.order
+        if len(basis) <= ORACLE_MAX_BINOMIALS:
+            dropped = [basis[:p] + basis[p + 1 :] for p in range(len(basis))]
+        else:
+            dropped = dropped_bases(basis)
+        for g in [basis] + dropped:
+            verdict = fiber_reduction_test(ctx.decomposition, g, order)
+            assert verdict == oracles.normal_form_fiber_test(g, order), (name, len(g))
+            verdicts[verdict] += 1
+    assert verdicts[True] >= len(graphs) and verdicts[False] >= 800, verdicts
+
+
+def equal_image_classes(order, deg):
+    """The monomials of degree deg grouped by image, classes of two or more."""
+    classes = collections.defaultdict(list)
+    for m in itertools.combinations_with_replacement(range(order.variable_count()), deg):
+        classes[tuple(sorted(b for r in m for b in order.variables[r]))].append(m)
+    return [members for members in classes.values() if len(members) >= 2]
+
+
+def random_binomial(rng, classes):
+    """Two monomials of one random class, the larger one leading."""
+    smaller, larger = sorted(rng.sample(rng.choice(classes), 2), key=_term_key)
+    return larger, smaller
+
+
+def test_fiber_test_matches_normal_form_route_on_random_bases():
+    # bases over the term order of path-4: part of its Groebner basis plus
+    # random pairs of equal-image degree-2 monomials, so that every
+    # binomial lies in the toric ideal and leads with its larger term
+    rng = random.Random(3)
+    ctx = GraphContext(path_graph(4))
+    d, order = ctx.decomposition, ctx.order
+    classes = equal_image_classes(order, 2)
+    verdicts = collections.Counter()
+    for _ in range(600):
+        g = [f for f in ctx.basis if rng.random() < 0.9]
+        g += [random_binomial(rng, classes) for _ in range(rng.randint(0, 6))]
+        g = tuple(g)
+        verdict = fiber_reduction_test(d, g, order)
+        assert verdict == oracles.normal_form_fiber_test(g, order), g
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_fiber_test_matches_normal_form_route_with_repeated_blocksets(path2_d):
+    # two variables per blockset, so that a variable, a square or a cube
+    # can lead a binomial of equal images: the walk drops the variable,
+    # the square's diagonal bit or the cubic triple; the test reads no ranks
+    variables = ((0,), (0,), (), ())
+    order = TermOrder(variables=variables, rank={})
+    classes = {k: equal_image_classes(order, k) for k in (1, 2, 3)}
+    rng = random.Random(5)
+    verdicts = collections.Counter()
+    for _ in range(300):
+        g = tuple(random_binomial(rng, classes[rng.choice((1, 2, 3))]) for _ in range(rng.randint(1, 8)))
+        verdict = fiber_reduction_test(path2_d, g, order)
+        assert verdict == oracles.normal_form_fiber_test(g, order), g
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 60, verdicts
+
+
+def test_fiber_test_reads_a_cubic_leading_term(path2_d):
+    # the edges of a hexagon, whose toric ideal is generated by the one
+    # cubic x01 x23 x45 - x12 x34 x05: its two sides are the only
+    # monomials of degree 2 or 3 that share an image
+    variables = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5))
+    order = TermOrder(variables=variables, rank={})
+    cubic = ((1, 3, 5), (0, 2, 4))
+    assert equal_image_classes(order, 2) == []
+    assert equal_image_classes(order, 3) == [[cubic[1], cubic[0]]]
+    for g in [(), (cubic,)]:
+        assert fiber_reduction_test(path2_d, g, order) == bool(g)
+        assert oracles.normal_form_fiber_test(g, order) == bool(g)
+
+
+def test_fiber_test_refuses_a_tail_outside_the_ideal(path3_d):
+    # the last binomial takes the first one's tail, so its two sides
+    # differ in image
+    ctx = GraphContext(path3_d.graph)
+    basis, order = ctx.basis, ctx.order
+    bad = basis[:-1] + ((basis[-1][0], basis[0][1]),)
+    assert not oracles.binomial_is_homogeneous(path3_d, order, bad[-1])
+    assert not fiber_reduction_test(path3_d, bad, order)
+    # a tail of another degree is refused as well
+    assert not fiber_reduction_test(path3_d, basis[:-1] + ((basis[-1][0], (6,)),), order)
+
+
+def test_fiber_test_refuses_a_tail_that_leads(path3_d, monkeypatch):
+    ctx = GraphContext(path3_d.graph)
+    basis, order = ctx.basis, ctx.order
+    (lt, tail), rest = basis[0], basis[1:]
+    assert not fiber_reduction_test(path3_d, ((tail, lt),) + rest, order)
+    assert not fiber_reduction_test(path3_d, ((lt, lt),) + rest, order)
+    # with both orientations of one binomial, or the two-binomial cycle of
+    # test_reduction_divergence_guard, the normal forms never settle
+    monkeypatch.setattr(toric, "MAX_REDUCTION_STEPS", 10)
+    for cycle in [basis + ((tail, lt),), (((0,), (1,)), ((1,), (0,)))]:
+        assert not fiber_reduction_test(path3_d, cycle, order)
+        with pytest.raises(ReductionDiverges, match="^no termination after 10 reduction steps$"):
+            oracles.normal_form_fiber_test(cycle, order)
 
 
 def test_checks_match_memoized_route(groebner_battery):
