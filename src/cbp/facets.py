@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import AssertionFailure, CountOverflow, RowInvalid
-from .graphs import BlockDecomposition, blockset_closure, graph_to_json, split_components_at
+from .graphs import BlockDecomposition, _walk, blockset_closure, graph_to_json, split_components_at
 from .hull import RationalPolyhedron, _bareiss
 from .vertices import _moments
 
@@ -31,11 +31,13 @@ MAX_IBI_BLOCKS = 14
 
 
 def is_independent(d: BlockDecomposition, blocks) -> bool:
-    """True when the given blocks are pairwise vertex-disjoint."""
-    ix = sorted(frozenset(blocks))
-    for i, j in itertools.combinations(ix, 2):
-        if d.blocks[i].vertices & d.blocks[j].vertices:
+    """True when the given blocks are pairwise vertex-disjoint, read off
+    the near-block masks `d.near`."""
+    seen = 0
+    for b in set(blocks):
+        if d.near[b] & seen:
             return False
+        seen |= 1 << b
     return True
 
 
@@ -79,37 +81,18 @@ def ibi_violations(d: BlockDecomposition, alpha) -> tuple[str, ...]:
 
 
 def _independent_sets(d: BlockDecomposition):
-    """All nonempty pairwise vertex-disjoint block sets, ascending indices."""
-    n = len(d.blocks)
+    """All nonempty pairwise vertex-disjoint block sets, ascending indices;
+    `blocked` marks the blocks sharing a vertex with the prefix."""
+    near = d.near
 
-    def grow(prefix: tuple[int, ...], start: int):
-        for b in range(start, n):
-            if all(not (d.blocks[b].vertices & d.blocks[i].vertices) for i in prefix):
+    def grow(prefix: tuple[int, ...], start: int, blocked: int):
+        for b in range(start, len(near)):
+            if not blocked >> b & 1:
                 cur = prefix + (b,)
                 yield cur
-                yield from grow(cur, b + 1)
+                yield from grow(cur, b + 1, blocked | near[b])
 
-    yield from grow((), 0)
-
-
-def _distributions(slots: int, total: int, bound: int):
-    """Integer vectors of the given length, entries in [-bound, 0], summing to -total."""
-
-    def rec(i: int, remaining: int):
-        if i == slots - 1:
-            if 0 <= remaining <= bound:
-                yield (-remaining,)
-            return
-        lo = max(0, remaining - bound * (slots - 1 - i))
-        for take in range(lo, min(bound, remaining) + 1):
-            for rest in rec(i + 1, remaining - take):
-                yield (-take,) + rest
-
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(0, total)
+    yield from grow((), 0, 0)
 
 
 def _check_ibi_cap(n: int) -> None:
@@ -121,21 +104,21 @@ def enumerate_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
     """Every valid inequality's alpha, by exhausting coefficient distributions.
 
     For each independent set I the nonpositive coefficients live on the
-    closure interior, are bounded below by -(|I| - 1), and sum to
-    -(|I| - 1); every distribution is screened through ibi_violations.
+    closure interior and sum to -(|I| - 1), so each distribution is a
+    multiset of |I| - 1 interior blocks, an entry minus its block's
+    multiplicity; every distribution is screened through ibi_violations.
     """
     n = len(d.blocks)
     _check_ibi_cap(n)
     found = []
     for iset in _independent_sets(d):
-        k = len(iset)
         inner = sorted(blockset_closure(d, iset) - set(iset))
-        for dist in _distributions(len(inner), k - 1, k - 1):
+        for dist in itertools.combinations_with_replacement(inner, len(iset) - 1):
             alpha = [0] * n
             for b in iset:
                 alpha[b] = 1
-            for b, val in zip(inner, dist):
-                alpha[b] = val
+            for b in dist:
+                alpha[b] -= 1
             if not ibi_violations(d, alpha):
                 found.append(tuple(alpha))
     return tuple(sorted(found))
@@ -152,15 +135,19 @@ def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
     block.  All orderings are explored via memoized breadth-first closure.
     A state failing validation raises AssertionFailure, because the
     construction is supposed to preserve validity.
+
+    Each state walks the block-cut tree once, from a block of its closure;
+    a new block's path to the closure is then its chase up the walk's
+    parent blocks, and the graph vertices of a blockset are an OR of the
+    blocks' vertex masks.
     """
     n = len(d.blocks)
     _check_ibi_cap(n)
-
-    def block_vertices(ix) -> frozenset[int]:
-        out: set[int] = set()
-        for i in ix:
-            out |= d.blocks[i].vertices
-        return frozenset(out)
+    near = d.near
+    vmask = [sum(1 << v for v in block.vertices) for block in d.blocks]
+    # the parts at each attachment vertex, filled on first use, so that a
+    # vertex that is no cut vertex still raises NotCutVertex
+    parts_at: dict[int, tuple[frozenset[int], ...]] = {}
 
     def check(alpha: tuple[int, ...], context: str):
         problems = ibi_violations(d, alpha)
@@ -181,23 +168,32 @@ def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
 
     # the loop also visits the states appended to the queue as it runs
     for alpha in queue:
-        iset = {b for b, x in enumerate(alpha) if x == 1}
+        iset = [b for b, x in enumerate(alpha) if x == 1]
         closure = blockset_closure(d, iset)
+        _, entry, owner = d.root_walk if iset[0] == 0 else _walk(d, iset[0])
+        held = blocked = 0
+        for b in closure:
+            held |= vmask[b]
+        for b in iset:
+            blocked |= near[b]
         for bn in range(n):
-            if bn in closure:
+            if bn in closure or blocked >> bn & 1:
                 continue
-            if any(d.blocks[bn].vertices & d.blocks[i].vertices for i in iset):
-                continue
-            new_closure = blockset_closure(d, iset | {bn})
-            path_blocks = sorted(new_closure - closure - {bn})
-            meet = block_vertices(closure) & block_vertices(new_closure - closure)
-            if len(meet) != 1:
+            path_blocks, reach, b = [], vmask[bn], owner[entry[bn]]
+            while b not in closure:
+                path_blocks.append(b)
+                reach |= vmask[b]
+                b = owner[entry[b]]
+            meet = held & reach
+            if not meet or meet & (meet - 1):
                 raise AssertionFailure(
                     "branch attachment is not a single vertex",
                     payload={"graph": graph_to_json(d.graph), "state": list(alpha), "new_block": bn},
                 )
-            v = next(iter(meet))
-            parts = split_components_at(d, v)
+            v = meet.bit_length() - 1
+            if v not in parts_at:
+                parts_at[v] = split_components_at(d, v)
+            parts = parts_at[v]
             sums = [sum(alpha[b] for b in part) for part in parts]
             ones = [i for i, s in enumerate(sums) if s == 1]
             if len(ones) != 1 or any(s != 0 for i, s in enumerate(sums) if i != ones[0]):
@@ -205,15 +201,13 @@ def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
                     "component weights at the attachment vertex are not one 1 and rest 0",
                     payload={"graph": graph_to_json(d.graph), "state": list(alpha), "vertex": v},
                 )
-            hpart = parts[ones[0]]
-            at_v = [b for b in hpart if v in d.blocks[b].vertices]
+            at_v = [b for b in parts[ones[0]] if vmask[b] >> v & 1]
             if len(at_v) != 1:
                 raise AssertionFailure(
                     "weight-1 component has no unique block at the attachment vertex",
                     payload={"graph": graph_to_json(d.graph), "state": list(alpha), "vertex": v},
                 )
-            bprime = at_v[0]
-            for a in sorted(set(path_blocks) | {bprime}):
+            for a in sorted({*path_blocks, at_v[0]}):
                 new_alpha = list(alpha)
                 new_alpha[bn] += 1
                 new_alpha[a] -= 1

@@ -65,11 +65,16 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
+    """The graph of `graph_to_json`'s form; InvalidGraph unless the vertex
+    count and every endpoint is an int (a bool is not)."""
     try:
-        n = int(data["n"])
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
+        n = data["n"]
+        edges = [(u, v) for u, v in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraph(f"bad graph JSON: {exc}") from exc
+    for x in (n, *(w for e in edges for w in e)):
+        if type(x) is not int:
+            raise InvalidGraph(f"bad graph JSON: {x!r} is not an int")
     if len(edges) != len({_norm_edge(u, v) for u, v in edges}):
         raise InvalidGraph("duplicate edge in graph JSON")
     return Graph(n, frozenset(edges))

@@ -1,14 +1,16 @@
 """Inequality enumeration and construction against the brute hull oracle."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
+import cbp.facets as facets
 import cbp.verify as verify
 from cbp.corpus import corpus, flower, path_graph, random_block_tree, star_graph
-from cbp.errors import CountOverflow, RowInvalid
+from cbp.errors import AssertionFailure, CountOverflow, RowInvalid
 from cbp.facets import (
     construct_ibis,
     enumerate_ibis,
@@ -17,7 +19,7 @@ from cbp.facets import (
     ibi_violations,
     is_independent,
 )
-from cbp.graphs import Graph, block_decomposition, split_components_at
+from cbp.graphs import Block, Graph, block_decomposition, split_components_at
 from cbp.hull import RationalPolyhedron, _primitive, brute_force_facets
 from cbp.verify import GraphContext, check_facets
 from cbp.vertices import _bits, _columns, _row_masks, enumerate_vertices, to_incidence
@@ -124,10 +126,65 @@ def test_h_representation_matches_brute_hull():
         assert set(h_representation(d, enumerate_ibis(d)).rows) == set(brute.rows)
 
 
-def test_construction_matches_enumeration(small_corpus):
-    for name, g in small_corpus:
-        d = block_decomposition(g)
+def test_construction_matches_enumeration(oracle_graphs):
+    for name, d in oracle_graphs:
         assert construct_ibis(d) == enumerate_ibis(d), name
+
+
+def test_construction_refuses_an_invalid_state(path3_d, monkeypatch):
+    # the seeds pass; the first expansion, block 2 through block 1 from
+    # state (1, 0, 0), is flagged
+    def flag(d, alpha):
+        return ("planted",) if tuple(alpha) == (1, -1, 1) else ()
+
+    monkeypatch.setattr(facets, "ibi_violations", flag)
+    with pytest.raises(AssertionFailure) as err:
+        construct_ibis(path3_d)
+    assert str(err.value) == "construction produced an invalid inequality (expansion by block 2 branch 1)"
+    assert err.value.payload == {
+        "graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+        "alpha": [1, -1, 1],
+        "violations": ["planted"],
+    }
+    monkeypatch.setattr(facets, "ibi_violations", lambda d, alpha: ("planted",))
+    with pytest.raises(AssertionFailure, match=r"^construction produced an invalid inequality \(seed\)$"):
+        construct_ibis(path3_d)
+
+
+def test_construction_refuses_a_wide_attachment(path3_d):
+    # block 1 of path-3 corrupted to hold vertex 0 as well: the branch to
+    # block 2 then meets block 0 in vertices 0 and 1
+    blocks = list(path3_d.blocks)
+    blocks[1] = Block(blocks[1].vertices | {0}, blocks[1].edges)
+    d = dataclasses.replace(path3_d, blocks=tuple(blocks))
+    with pytest.raises(AssertionFailure, match="^branch attachment is not a single vertex$") as err:
+        construct_ibis(d)
+    assert err.value.payload == {
+        "graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+        "state": [1, 0, 0],
+        "new_block": 2,
+    }
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ((frozenset(), frozenset()), "component weights at the attachment vertex are not one 1 and rest 0"),
+        ((frozenset({0, 1, 2}),), "weight-1 component has no unique block at the attachment vertex"),
+    ],
+)
+def test_construction_refuses_bad_components(path3_d, monkeypatch, parts, message):
+    # from state (1, 0, 0) block 2 attaches at vertex 1; no part weighs 1
+    # in the first case, and the one part holds both blocks at vertex 1 in
+    # the second
+    monkeypatch.setattr(facets, "split_components_at", lambda d, v: parts)
+    with pytest.raises(AssertionFailure, match=f"^{message}$") as err:
+        construct_ibis(path3_d)
+    assert err.value.payload == {
+        "graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+        "state": [1, 0, 0],
+        "vertex": 1,
+    }
 
 
 def test_every_row_is_reflexively_shifted(small_corpus):

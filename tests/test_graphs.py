@@ -49,6 +49,19 @@ def test_graph_json_roundtrip():
         graph_from_json({"n": 2, "edges": [[0, 1], [1, 0]]})
     with pytest.raises(InvalidGraph):
         graph_from_json({"edges": []})
+    # every value must be an int, not a bool: int() would turn these into
+    # other graphs
+    for data in (
+        {"n": 2.9, "edges": [[0, 1.5]]},
+        {"n": 2.0, "edges": [[0, 1]]},
+        {"n": "2", "edges": [[0, 1]]},
+        {"n": True, "edges": [[0, 1]]},
+        {"n": 2, "edges": [[0, 1.0]]},
+        {"n": 2, "edges": [["0", 1]]},
+        {"n": 2, "edges": [[False, True]]},
+    ):
+        with pytest.raises(InvalidGraph, match="is not an int$"):
+            graph_from_json(data)
 
 
 def test_parse_edge_list():
