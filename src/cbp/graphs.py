@@ -6,11 +6,13 @@ endpoints.  Two distinct blocks share at most one vertex, and every shared
 vertex is a cut vertex of the graph.  The block-cut tree has one node per
 block and one node per cut vertex, with a block node adjacent to a cut
 node exactly when the cut vertex lies in the block.  The decomposition
-stores that tree once, as the blocks at each vertex, and `_walk` is its one
-traversal: closures, the components at a cut vertex and the optimizer's
-passes all read the tree through it, and the walk from block 0 is made
-once and kept on the decomposition.  Everything downstream (vertex
-enumeration, facets, the optimizer) works on this decomposition.
+stores that tree once, from both sides and read-only: the blocks at each
+vertex, and the cut vertices of each block.  `_walk` is its one traversal,
+and it steps along the tree's own edges only: closures, the components at
+a cut vertex and the optimizer's passes all read the tree through it, and
+the walk from block 0 is made once and kept on the decomposition.
+Everything downstream (vertex enumeration, facets, the optimizer) works on
+this decomposition.
 """
 
 from __future__ import annotations
@@ -31,12 +33,20 @@ def _norm_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """A finite simple undirected graph on vertices 0..vertex_count-1."""
+    """A finite simple undirected graph on vertices 0..vertex_count-1.
+
+    InvalidGraph unless the vertex count and every endpoint is an int (a
+    bool is not), checked before any of them is compared: a float or a
+    bool would compare as some int and name another graph.
+    """
 
     vertex_count: int
     edges: frozenset[Edge]
 
     def __post_init__(self):
+        for x in (self.vertex_count, *(w for e in self.edges for w in e)):
+            if type(x) is not int:
+                raise InvalidGraph(f"vertex count or endpoint {x!r} is not an int")
         if self.vertex_count < 0:
             raise InvalidGraph("vertex_count must be nonnegative")
         norm = set()
@@ -65,19 +75,17 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(data: dict) -> Graph:
-    """The graph of `graph_to_json`'s form; InvalidGraph unless the vertex
-    count and every endpoint is an int (a bool is not)."""
+    """The graph of `graph_to_json`'s form; InvalidGraph on a malformed
+    form, a duplicate edge, or whatever `Graph` rejects."""
     try:
         n = data["n"]
         edges = [(u, v) for u, v in data["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidGraph(f"bad graph JSON: {exc}") from exc
-    for x in (n, *(w for e in edges for w in e)):
-        if type(x) is not int:
-            raise InvalidGraph(f"bad graph JSON: {x!r} is not an int")
-    if len(edges) != len({_norm_edge(u, v) for u, v in edges}):
+    g = Graph(n, frozenset(edges))
+    if len(edges) != len(g.edges):
         raise InvalidGraph("duplicate edge in graph JSON")
-    return Graph(n, frozenset(edges))
+    return g
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -149,9 +157,13 @@ class BlockDecomposition:
 
     Blocks are sorted by (smallest vertex id, then the sorted vertex id
     sequence), so block indices are reproducible across runs.  The
-    block-cut tree is stored once, as blocks_at_vertex: the sorted indices
-    of the blocks holding each vertex.  A cut vertex v is adjacent in the
-    tree to exactly the blocks blocks_at_vertex[v].
+    block-cut tree is stored once, as its edges seen from both ends.
+    blocks_at_vertex holds the sorted indices of the blocks holding each
+    vertex, so a cut vertex v is adjacent in the tree to exactly the blocks
+    blocks_at_vertex[v].  block_cuts[b] holds the cut vertices of block b,
+    in the order its vertex set iterates, so block b is adjacent to
+    exactly those; the table has one entry per tree edge, built on first
+    use.
 
     root_walk is the `_walk` from block 0 with nothing banned, built on
     first use and kept for the decomposition's lifetime: the vertex count,
@@ -159,7 +171,7 @@ class BlockDecomposition:
     block 0 all read it.  near is kept the same way: bit c of its b-th
     mask marks that blocks b and c share a graph vertex, b itself
     included; the vertex enumeration and the block-column kernels read
-    it.  Both are shared, so no caller may change them.
+    it.  All of them are shared, so no caller may change them.
     """
 
     graph: Graph
@@ -170,6 +182,11 @@ class BlockDecomposition:
     @cached_property
     def root_walk(self) -> tuple[list[int], dict[int, int], dict[int, int]]:
         return _walk(self, 0)
+
+    @cached_property
+    def block_cuts(self) -> tuple[tuple[int, ...], ...]:
+        cuts = self.cut_vertices
+        return tuple(tuple(v for v in blk.vertices if v in cuts) for blk in self.blocks)
 
     @cached_property
     def near(self) -> list[int]:
@@ -287,7 +304,9 @@ def _walk(
     d: BlockDecomposition, root: int, banned: AbstractSet[int] = frozenset()
 ) -> tuple[list[int], dict[int, int], dict[int, int]]:
     """Breadth-first walk of the block-cut tree from block root, never
-    entering a banned block (root itself is not checked).
+    entering a banned block (root itself is not checked).  It steps from a
+    block to its cut vertices (block_cuts) and from a cut vertex to its
+    blocks (blocks_at_vertex), so each step is a tree edge.
 
     Returns the reached blocks in walk order, the cut vertex through which
     each block but the root was entered, and the block that owns each
@@ -297,10 +316,10 @@ def _walk(
     order = [root]
     entry: dict[int, int] = {}
     owner: dict[int, int] = {}
-    cuts, at_vertex = d.cut_vertices, d.blocks_at_vertex
+    block_cuts, at_vertex = d.block_cuts, d.blocks_at_vertex
     for b in order:
-        for v in d.blocks[b].vertices:
-            if v in cuts and v not in owner:
+        for v in block_cuts[b]:
+            if v not in owner:
                 owner[v] = b
                 for b2 in at_vertex[v]:
                     if b2 != b and b2 not in banned:
@@ -364,7 +383,7 @@ def classify(g: Graph, d: BlockDecomposition) -> GraphClass:
     eulerian = cactus and all(len(b.edges) >= 3 for b in d.blocks)
     cuts = d.cut_vertices
     block_path = all(len(d.blocks_at_vertex[v]) <= 2 for v in cuts) and all(
-        len(b.vertices & cuts) <= 2 for b in d.blocks
+        len(held) <= 2 for held in d.block_cuts
     )
     return GraphClass(
         is_tree=is_tree,

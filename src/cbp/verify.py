@@ -222,7 +222,8 @@ class GraphContext:
 
 
 def check_blocks(ctx: GraphContext) -> dict | None:
-    """Blocks partition the edges; pairwise meets are single cut vertices."""
+    """Blocks partition the edges; pairwise meets are single cut vertices;
+    each block's entry of the cut-vertex table holds its cut vertices."""
     d = ctx.decomposition
     block_edges = [e for blk in d.blocks for e in blk.edges]
     if sorted(block_edges) != sorted(d.graph.sorted_edges()):
@@ -238,6 +239,9 @@ def check_blocks(ctx: GraphContext) -> dict | None:
         touching = sum(1 for blk in d.blocks if v in blk.vertices)
         if (v in d.cut_vertices) != (touching >= 2):
             return {"reason": "cut vertex flag disagrees with block incidence", "vertex": v}
+    for b, blk in enumerate(d.blocks):
+        if sorted(d.block_cuts[b]) != sorted(blk.vertices & d.cut_vertices):
+            return {"reason": "cut-vertex table disagrees with the block", "block": b}
     return None
 
 
@@ -529,6 +533,16 @@ def verify_graph(entry: CorpusEntry, options: VerifyOptions) -> GraphReport:
             status = "fail"
         except CBPError as exc:
             detail = {"error": type(exc).__name__, "message": str(exc)}
+            status = "fail"
+        except Exception as exc:
+            # a crash fails its check, not the sweep: the entry keeps the
+            # graph and seed that replay it, and the frame that raised
+            tb = exc.__traceback__
+            while tb.tb_next:
+                tb = tb.tb_next
+            code = tb.tb_frame.f_code
+            where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
+            detail = {"error": type(exc).__name__, "message": str(exc), "where": where}
             status = "fail"
         elapsed = time.perf_counter() - start
         if detail is not None:

@@ -24,21 +24,21 @@ def is_connected_blockset(d: BlockDecomposition, a) -> bool:
     The empty blockset counts as connected.  Two blocks meet only in single
     cut vertices, so the union is connected exactly when the blocks of S
     and the cut vertices they hold span a subtree of the block-cut tree.
-    That forest has one edge per (block of S, cut vertex in it) incidence
-    and one node per block of S and per cut vertex touched, so it is one
-    tree exactly when the incidences outnumber the touched cut vertices by
-    |S| - 1.  No walk is needed.
+    That forest has one edge per (block of S, cut vertex in it) incidence,
+    read off `d.block_cuts`, and one node per block of S and per cut
+    vertex touched, so it is one tree exactly when the incidences
+    outnumber the touched cut vertices by |S| - 1.  No walk is needed.
     """
     s = _check_block_indices(d, a)
     if len(s) <= 1:
         return True
-    cuts, blocks = d.cut_vertices, d.blocks
+    block_cuts = d.block_cuts
     incidences = 0
     touched: set[int] = set()
     for b in s:
-        held = blocks[b].vertices & cuts
+        held = block_cuts[b]
         incidences += len(held)
-        touched |= held
+        touched.update(held)
     return incidences - len(touched) == len(s) - 1
 
 

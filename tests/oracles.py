@@ -10,7 +10,10 @@ test by tuple normal forms is the standard-monomial walk's.  The Fraction
 optimizer is the integer DP's predecessor, kept to pin its arithmetic; it
 rebuilds the block-cut tree from the blocks' vertex sets, finds closures
 by its own search of that tree and tests connectivity by a flood fill, so
-it reads neither the decomposition's stored tree nor its walk.
+it reads neither the decomposition's stored tree nor its walk.  The
+vertex-scanning walk is the block-cut tree walk's predecessor: it finds a
+block's cut vertices among all of the block's vertices, so it does not
+read the per-block cut-vertex table.
 """
 
 from __future__ import annotations
@@ -95,6 +98,25 @@ def brute_blocks(g) -> list[tuple[frozenset, frozenset]]:
     out = [(s, frozenset(induced_edges(s))) for s in maximal]
     out.sort(key=lambda blk: (min(blk[0]), tuple(sorted(blk[0]))))
     return out
+
+
+def vertex_scan_walk(d: BlockDecomposition, root: int, banned=frozenset()):
+    """`graphs._walk`'s predecessor: the same breadth-first walk of the
+    block-cut tree, finding each block's tree edges by testing every vertex
+    of the block against the cut vertices instead of reading
+    `d.block_cuts`.  Returns (order, entry, owner) as `_walk` does."""
+    order = [root]
+    entry: dict[int, int] = {}
+    owner: dict[int, int] = {}
+    for b in order:
+        for v in d.blocks[b].vertices:
+            if v in d.cut_vertices and v not in owner:
+                owner[v] = b
+                for b2 in d.blocks_at_vertex[v]:
+                    if b2 != b and b2 not in banned:
+                        entry[b2] = v
+                        order.append(b2)
+    return order, entry, owner
 
 
 def connected_blocksets(g, blocks) -> set[tuple[int, ...]]:

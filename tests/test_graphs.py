@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import networkx
 import pytest
@@ -14,6 +15,7 @@ from cbp.corpus import corpus, flower, path_graph, showcase_graph, spider, star_
 from cbp.errors import EmptyGraph, InvalidGraph, NotConnected, NotCutVertex, ParseError
 from cbp.graphs import (
     Graph,
+    _walk,
     block_decomposition,
     blockset_closure,
     classify,
@@ -39,6 +41,18 @@ def test_graph_rejects_bad_input():
         Graph(2, ((0, 2),))
     with pytest.raises(InvalidGraph):
         Graph(-1, ())
+    # the same int check as graph_from_json, ahead of any comparison: a
+    # float endpoint would reach the decomposition, and bool endpoints
+    # would serialize as false and true
+    for n, edges in (
+        (3, ((0.5, 1), (1, 2))),
+        (3, ((0, 1.0), (1, 2))),
+        (3, ((False, True), (1, 2))),
+        (3.0, ((0, 1), (1, 2))),
+        (True, ()),
+    ):
+        with pytest.raises(InvalidGraph, match="is not an int$"):
+            Graph(n, edges)
 
 
 def test_graph_json_roundtrip():
@@ -306,6 +320,22 @@ def networkx_block_cut_tree(d):
         for v in cuts & {w for e in edges for w in e}:
             tree.add_edge(node, ("C", v))
     return nxg, tree
+
+
+def test_walk_matches_the_vertex_scanning_walk(walk_cases):
+    # block_cuts holds each block's cut vertices, one entry per tree edge,
+    # and the walk over it visits, enters and owns as the vertex scan does
+    rng = random.Random(33)
+    for name, d in walk_cases:
+        cuts = oracles.brute_cut_vertices(d.graph)
+        assert [set(held) for held in d.block_cuts] == [b.vertices & cuts for b in d.blocks], name
+        assert sum(map(len, d.block_cuts)) == len(d.blocks) + len(d.cut_vertices) - 1, name
+        n = len(d.blocks)
+        for root in range(n):
+            bans = [frozenset()] + [frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(4)]
+            for banned in bans:
+                expected = oracles.vertex_scan_walk(d, root, banned)
+                assert _walk(d, root, banned) == expected, (name, root, sorted(banned))
 
 
 def test_closure_matches_networkx_paths(walk_cases):

@@ -267,6 +267,22 @@ def test_failure_is_reported_with_context(monkeypatch):
     assert detail["seed"] == 7
 
 
+def test_a_crashing_check_fails_and_the_rest_still_run(monkeypatch):
+    # a check that raises outside the package's errors has failed; the
+    # battery goes on, and the entry keeps the graph and seed
+    def crash(ctx):
+        return {}[0]
+
+    monkeypatch.setattr(verify, "check_ibis", crash)
+    report = verify_graph(CorpusEntry("path-2", path_graph(2)), VerifyOptions())
+    status = {c.name: c for c in report.checks}
+    assert [name for name, c in status.items() if c.status == "fail"] == ["ibis"]
+    detail = status["ibis"].detail
+    assert (detail["error"], detail["message"], detail["seed"]) == ("KeyError", "0", 7)
+    assert detail["where"].startswith("test_verify.py:") and detail["where"].endswith(" in crash")
+    assert detail["graph"] == {"n": 3, "edges": [[0, 1], [1, 2]]}
+
+
 def optimizer_draws(ctx, seed_tag):
     """The optimizer check's draws: per trial, the block weights and the
     positive scale of the scaling trial.  The weights are one number below
