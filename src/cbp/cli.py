@@ -66,18 +66,113 @@ USAGE_ERRORS = (
 )
 
 
-def _emit(payload) -> None:
-    """Print the payload as indented JSON with sorted keys.
+# items per slice of a long int list or int-list list that _emit writes
+_SLICE = 1024
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
-    The encoder walks the payload itself and hands jsonable only the values
-    it cannot write, Fractions and sets.  Its chunks go out joined in
-    batches, so the text of a large payload is never held as one list of
-    small strings.
+
+class _IntList:
+    """A nonempty list or tuple of ints, or of int lists when `rows`, in
+    the payload `_emit` hands the indenting encoder; `depth` is the indent
+    level of the line the list opens on."""
+
+    __slots__ = ("items", "rows", "depth")
+
+    def __init__(self, items, rows: bool, depth: int):
+        self.items, self.rows, self.depth = items, rows, depth
+
+
+_NESTED = frozenset((dict, list, tuple))
+
+
+def _swap_int_lists(x, depth: int):
+    """x, a dict, list or tuple, with each nonempty list or tuple of ints
+    (not bools) or of int lists that it and its dicts and lists hold
+    replaced by an `_IntList`."""
+    if type(x) is dict:
+        if _NESTED.isdisjoint(map(type, x.values())):
+            return x
+        return {k: _swap_int_lists(v, depth + 1) if type(v) in _NESTED else v for k, v in x.items()}
+    kinds = set(map(type, x))
+    if kinds == {int}:
+        return _IntList(x, False, depth)
+    if kinds.isdisjoint(_NESTED):
+        return x
+    if kinds <= {list, tuple} and set(map(type, itertools.chain.from_iterable(x))) <= {int}:
+        return _IntList(x, True, depth)
+    return [_swap_int_lists(v, depth + 1) if type(v) in _NESTED else v for v in x]
+
+
+def _layout(items, rows: bool, item: str) -> str:
+    """The indent=2 text of the items of an int list, or of an int-list
+    list when rows, whose items open with `item` (a newline and the
+    indent), brackets left out, in one C-level pass.
+
+    The ints of a flat list are joined by the separator.  A list of int
+    lists is one compact encoding, laid out by replacing its commas and
+    brackets: it holds only digits, signs, commas and brackets, so a NUL
+    and a SOH are free to mark the row separators and the empty rows while
+    the rest is replaced.
     """
-    chunks = json.JSONEncoder(indent=2, sort_keys=True, default=jsonable).iterencode(payload)
-    while batch := "".join(itertools.islice(chunks, 4096)):
-        sys.stdout.write(batch)
-    sys.stdout.write("\n")
+    if not rows:
+        return ("," + item).join(map(str, items))
+    text = _compact(items)[1:-1]
+    row_item = item + "  "
+    return (
+        text.replace("],[", "]\0[")
+        .replace(",", "," + row_item)
+        .replace("[]", "\1")
+        .replace("[", "[" + row_item)
+        .replace("]", item + "]")
+        .replace("\1", "[]")
+        .replace("\0", "," + item)
+    )
+
+
+def _emit(payload) -> None:
+    """Print the payload as indented JSON with sorted keys, byte for byte
+    `json.dumps(payload, indent=2, sort_keys=True, default=jsonable)` and a
+    newline.
+
+    Every nonempty list of ints or of int lists in the payload's dicts and
+    lists is written by `_layout`, in slices of at most _SLICE items.  The
+    indenting encoder writes the rest, bools, strings, dicts and all, and
+    hands jsonable only the values it cannot write, Fractions and sets.  It
+    meets each int list as an object it cannot write either: `default`
+    notes the list and returns an empty string, and the chunk the encoder
+    yields next, that string's encoding, is where the list's text goes.
+    The chunks go out joined in batches and a long list slice by slice, so
+    the text of a large payload is never held whole.
+    """
+    pending: list[_IntList] = []
+
+    def default(x):
+        if type(x) is _IntList:
+            pending.append(x)
+            return ""
+        return jsonable(x)
+
+    write = sys.stdout.write
+    batch: list[str] = []
+    if type(payload) in _NESTED:
+        payload = _swap_int_lists(payload, 0)
+    for chunk in json.JSONEncoder(indent=2, sort_keys=True, default=default).iterencode(payload):
+        if pending:
+            x = pending.pop()
+            close = "\n" + "  " * x.depth
+            item = close + "  "
+            for start in range(0, len(x.items), _SLICE):
+                if start:  # a long list goes out a slice at a time
+                    write("".join(batch))
+                    batch.clear()
+                batch += ("," if start else "[") + item, _layout(x.items[start : start + _SLICE], x.rows, item)
+            chunk = close + "]"
+        batch.append(chunk)
+        if len(batch) >= 4096:
+            write("".join(batch))
+            batch.clear()
+    batch.append("\n")
+    write("".join(batch))
 
 
 def _load_graph(path: str) -> Graph:

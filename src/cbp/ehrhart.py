@@ -49,6 +49,15 @@ def _lattice_plan(h: RationalPolyhedron) -> list[tuple[list, list, list]] | None
     the stored one, and the slots, members and key positions are the same.
     `RationalPolyhedron.lattice_plan` keeps it with the rows it was read
     from.
+
+    Two slots of a level with the same tail width and the same members
+    hold the same offset in every state, so they share one key position.
+    Members name positions of the level before, so the slots are merged
+    level by level from the first: a member read through a merged
+    position is the same member, and duplicate members of a slot and
+    duplicate finishing members are dropped.  Each tail of coefficients
+    keeps its own entry in the map to key positions, so the rows of merged
+    slots still move on to the slots their next coefficients pick.
     """
     d = h.dim
     starting: list[list] = [[] for _ in range(d)]  # rows by their first nonzero coordinate
@@ -61,28 +70,37 @@ def _lattice_plan(h: RationalPolyhedron) -> list[tuple[list, list, list]] | None
     levels = []
     slots: dict[tuple, int] = {}  # coefficients from the current coordinate on -> key position
     for i in range(d):
-        # The slots after i, by the coefficients after i.  The offset of a
-        # member after i is base - c * v, where base is its current offset
-        # plus the shift, or the shift alone for a starting row.
-        groups: dict[tuple, list] = {}
-        finishing = []
+        # The slots after i, by the coefficients after i, each with its
+        # members as dict keys.  The offset of a member after i is
+        # base - c * v, where base is its current offset plus the shift,
+        # or the shift alone for a starting row.
+        groups: dict[tuple, dict] = {}
+        finishing: dict[tuple, None] = {}
         for rest, k in slots.items():
             member = (k, min(0, rest[0]), rest[0])
             if any(rest[1:]):
-                groups.setdefault(rest[1:], []).append(member)
+                groups.setdefault(rest[1:], {})[member] = None
             else:
-                finishing.append(member)
+                finishing[member] = None
         # the rows that start and finish at i bound every state's values alike
         bounds = []
         for a, b in starting[i]:
             c, rest = a[i], a[i + 1 :]
             base = b - sum(x for x in rest if x < 0)
             if any(rest):
-                groups.setdefault(rest, []).append((-1, base, c))
+                groups.setdefault(rest, {})[(-1, base, c)] = None
             else:
                 bounds.append((base, c))
-        levels.append((finishing, bounds, [(sum(map(abs, rest)), members) for rest, members in groups.items()]))
-        slots = {rest: k for k, rest in enumerate(groups)}
+        merged: dict[tuple, int] = {}  # (width, members) -> key position after i
+        plan = []
+        slots = {}
+        for rest, members in groups.items():
+            width = sum(map(abs, rest))
+            k = merged.setdefault((width, frozenset(members)), len(plan))
+            if k == len(plan):
+                plan.append((width, list(members)))
+            slots[rest] = k
+        levels.append((list(finishing), bounds, plan))
     return levels
 
 
@@ -96,7 +114,9 @@ def count_lattice_points(h: RationalPolyhedron, n: int) -> int:
     i; rows not yet started or already finished are constants and stay out
     of the key.  Frontier rows whose coefficients after i agree evolve alike
     from there on, so only the least of their slacks matters, and they
-    share one slot that holds it.  A slack is stored as its offset above
+    share one slot that holds it; slots with the same tail width that take
+    their least from the same members hold the same offset, and share one
+    key position.  A slack is stored as its offset above
     tail_min, the least contribution of the coordinates after i, so a row
     admits a completion exactly when the offset is nonnegative, and it is
     clamped at the width of that tail, past which the row can no longer

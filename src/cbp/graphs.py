@@ -35,15 +35,19 @@ def _norm_edge(u: int, v: int) -> Edge:
 class Graph:
     """A finite simple undirected graph on vertices 0..vertex_count-1.
 
-    InvalidGraph unless the vertex count and every endpoint is an int (a
-    bool is not), checked before any of them is compared: a float or a
-    bool would compare as some int and name another graph.
+    InvalidGraph unless every edge is a pair (a tuple or list of two) and
+    the vertex count and every endpoint is an int (a bool is not), checked
+    before any of them is compared: a float or a bool would compare as some
+    int and name another graph.
     """
 
     vertex_count: int
     edges: frozenset[Edge]
 
     def __post_init__(self):
+        for e in self.edges:
+            if type(e) not in (tuple, list) or len(e) != 2:
+                raise InvalidGraph(f"edge {e!r} is not a pair of endpoints")
         for x in (self.vertex_count, *(w for e in self.edges for w in e)):
             if type(x) is not int:
                 raise InvalidGraph(f"vertex count or endpoint {x!r} is not an int")

@@ -13,7 +13,9 @@ by its own search of that tree and tests connectivity by a flood fill, so
 it reads neither the decomposition's stored tree nor its walk.  The
 vertex-scanning walk is the block-cut tree walk's predecessor: it finds a
 block's cut vertices among all of the block's vertices, so it does not
-read the per-block cut-vertex table.
+read the per-block cut-vertex table.  The unmerged lattice plan is the
+merged plan's predecessor: it gives every frontier row pattern a key
+position of its own, so it does not read which slots hold the same offset.
 """
 
 from __future__ import annotations
@@ -117,6 +119,44 @@ def vertex_scan_walk(d: BlockDecomposition, root: int, banned=frozenset()):
                         entry[b2] = v
                         order.append(b2)
     return order, entry, owner
+
+
+def unmerged_lattice_plan(h):
+    """`ehrhart._lattice_plan`'s predecessor: the same plan with one slot
+    per distinct tail of coefficients, so slots with the same width and the
+    same members, and the members and finishing entries read through them,
+    are all kept apart.  Counts through it equal counts through the merged
+    plan."""
+    d = h.dim
+    starting = [[] for _ in range(d)]
+    for a, b in h.rows:
+        support = [j for j, c in enumerate(a) if c]
+        if support:
+            starting[support[0]].append((a, b))
+        elif b < 0:
+            return None
+    levels = []
+    slots = {}
+    for i in range(d):
+        groups = {}
+        finishing = []
+        for rest, k in slots.items():
+            member = (k, min(0, rest[0]), rest[0])
+            if any(rest[1:]):
+                groups.setdefault(rest[1:], []).append(member)
+            else:
+                finishing.append(member)
+        bounds = []
+        for a, b in starting[i]:
+            c, rest = a[i], a[i + 1 :]
+            base = b - sum(x for x in rest if x < 0)
+            if any(rest):
+                groups.setdefault(rest, []).append((-1, base, c))
+            else:
+                bounds.append((base, c))
+        levels.append((finishing, bounds, [(sum(map(abs, rest)), members) for rest, members in groups.items()]))
+        slots = {rest: k for k, rest in enumerate(groups)}
+    return levels
 
 
 def connected_blocksets(g, blocks) -> set[tuple[int, ...]]:

@@ -1,9 +1,12 @@
 """End-to-end CLI runs through main(argv)."""
 
+import contextlib
+import io
 import json
 import re
 import sys
 import time
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -11,7 +14,8 @@ import pytest
 import oracles
 from cbp import cli, ehrhart, skeleton, verify
 from cbp.cli import main
-from cbp.corpus import triangle_chain
+from cbp.corpus import corpus, triangle_chain
+from cbp.serialize import jsonable
 
 PATH3 = "0 1\n1 2\n2 3\n"
 BOWTIE = "0 1\n0 2\n1 2\n0 3\n0 4\n3 4\n"
@@ -615,3 +619,78 @@ def test_unknown_command():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def emitted(payload) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload)
+    return out.getvalue()
+
+
+def reference_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=jsonable) + "\n"
+
+
+def test_emit_matches_the_indenting_encoder_on_every_command(tmp_path, monkeypatch):
+    # every payload a command hands _emit, over the corpus up to 4 blocks
+    payloads = []
+    monkeypatch.setattr(cli, "_emit", payloads.append)
+    for entry in corpus(4, 7, 8):
+        g = entry.graph
+        path = tmp_path / f"{entry.name}.txt"
+        path.write_text(f"n {g.vertex_count}\n" + "".join(f"{u} {v}\n" for u, v in g.sorted_edges()))
+        blocks = len(verify.GraphContext(g).decomposition.blocks)
+        block_weights = tmp_path / f"{entry.name}-blocks.txt"
+        block_weights.write_text("".join(f"{Fraction(i - 2, i + 1)}\n" for i in range(blocks)))
+        weights = tmp_path / f"{entry.name}-edges.txt"
+        weights.write_text("".join(f"{Fraction(i % 5 - 2, i % 3 + 1)}\n" for i in range(len(g.edges))))
+        for argv in (
+            ["blocks"],
+            ["vertices"],
+            ["facets"],
+            ["edges", "--method", "combinatorial"],
+            ["edges", "--method", "geometric"],
+            ["diameter"],
+            ["hstar", "--max-dilation", "6"],
+            ["groebner"],
+            ["triangulate"],
+            ["optimize", "--weights", str(block_weights)],
+            ["optimize", "--edge-weights", str(weights), "--mode", "tree"],
+            ["optimize", "--edge-weights", str(weights), "--mode", "eulerian"],
+        ):
+            main(argv[:1] + ["--graph", str(path)] + argv[1:])
+    main(["corpus", "--max-blocks", "4"])
+    main(["verify", "--max-blocks", "2"])
+    monkeypatch.undo()
+    assert len(payloads) > 300
+    for payload in payloads:
+        assert emitted(payload) == reference_text(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, True, 2],
+        {"rows": [[0, 1], [False, 1]], "flags": [True, False]},
+        [[], [1, 2], []],
+        [[], []],
+        {"a": [[[]], []], "b": [[[1]], [[], [2, 3]]], "c": []},
+        [-7, 10**30, -(10**29), 0],
+        [[-(10**30)], [10**29, -1]],
+        ((1, 2), (3,), ()),
+        {"t": (4, 5), "u": [(6,), [7, 8]]},
+        {"s": {3, 1, 2}, "f": Fraction(-3, 4), "mixed": [Fraction(1, 2), 1, [2]]},
+        {"deep": {"deeper": [{"x": [1, 2]}, [[3]]]}},
+        {2: [1], 1: [[0]]},
+        list(range(-3000, 3000)),
+        [[i, -i, i * i] for i in range(2500)],
+        [],
+        {},
+        7,
+        "text",
+        None,
+    ],
+)
+def test_emit_matches_the_indenting_encoder_on_crafted_payloads(payload):
+    assert emitted(payload) == reference_text(payload)

@@ -324,3 +324,44 @@ def test_empty_polyhedron_counts_zero():
         for n in range(1, 5):
             assert count_lattice_points(h, n) == 0
             assert oracles.count_dilation_points(rows, 2, n) == 0
+
+
+def _counts_through(h, plan, top):
+    """Counts at dilations 0..top of a fresh copy of h that counts through
+    the given plan."""
+    q = RationalPolyhedron(h.dim, h.rows)
+    q.__dict__["lattice_plan"] = plan  # what the cached property would build
+    return [count_lattice_points(q, n) for n in range(top + 1)]
+
+
+def test_merged_plan_counts_match_unmerged_plan():
+    # slots merged by width and members count what one slot per tail of
+    # coefficients counts, on the corpus up to 6 blocks and at scale
+    cases = [(e.name, e.graph, None) for e in corpus(6, 7, 8)]
+    cases += [
+        ("path-10", path_graph(10), 12),
+        ("path-11", path_graph(11), 12),
+        ("star-8", star_graph(8), 8),
+        ("triangle-chain-8", triangle_chain(8), 8),
+    ]
+    shrunk = False
+    for name, g, top in cases:
+        h = GraphContext(g).hrep
+        top = h.dim + 1 if top is None else top
+        merged, unmerged = h.lattice_plan, oracles.unmerged_lattice_plan(h)
+        assert _counts_through(h, merged, top) == _counts_through(h, unmerged, top), name
+        if merged is not None:
+            widths = [(len(m[2]), len(u[2])) for m, u in zip(merged, unmerged)]
+            assert all(a <= b for a, b in widths), name
+            shrunk |= any(a < b for a, b in widths)
+    assert shrunk
+
+
+@pytest.mark.parametrize("k", [10, 11])
+def test_path_hstar_is_narayana_at_scale(k):
+    # h* of the k-block path is N(k, 1..k) and a zero, the Narayana numbers
+    # by their closed form C(k, i) C(k, i - 1) / k
+    d = block_decomposition(path_graph(k))
+    h = GraphContext(d.graph).hrep
+    expected = tuple(sympy.binomial(k, i) * sympy.binomial(k, i - 1) // k for i in range(1, k + 1)) + (0,)
+    assert hstar_profile(d, h).hstar == expected

@@ -53,6 +53,11 @@ def test_graph_rejects_bad_input():
     ):
         with pytest.raises(InvalidGraph, match="is not an int$"):
             Graph(n, edges)
+    # an edge that is not a pair is refused before its endpoints are read:
+    # a triple would fail to unpack, and an int cannot be iterated
+    for edges in (((0, 1, 2),), (5,), ((0,),), ("01",)):
+        with pytest.raises(InvalidGraph, match="is not a pair of endpoints$"):
+            Graph(3, edges)
 
 
 def test_graph_json_roundtrip():
