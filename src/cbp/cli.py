@@ -66,41 +66,24 @@ USAGE_ERRORS = (
 )
 
 
-# items per slice of a long int list or int-list list that _emit writes
+# items per slice of a long int list or int-list list that _emit writes,
+# and encoder chunks per batch of everything else
 _SLICE = 1024
+_BATCH = 4096
 _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
-class _IntList:
-    """A nonempty list or tuple of ints, or of int lists when `rows`, in
-    the payload `_emit` hands the indenting encoder; `depth` is the indent
-    level of the line the list opens on."""
-
-    __slots__ = ("items", "rows", "depth")
-
-    def __init__(self, items, rows: bool, depth: int):
-        self.items, self.rows, self.depth = items, rows, depth
-
-
-_NESTED = frozenset((dict, list, tuple))
-
-
-def _swap_int_lists(x, depth: int):
-    """x, a dict, list or tuple, with each nonempty list or tuple of ints
-    (not bools) or of int lists that it and its dicts and lists hold
-    replaced by an `_IntList`."""
-    if type(x) is dict:
-        if _NESTED.isdisjoint(map(type, x.values())):
-            return x
-        return {k: _swap_int_lists(v, depth + 1) if type(v) in _NESTED else v for k, v in x.items()}
+def _int_rows(x) -> bool | None:
+    """False for a nonempty list or tuple of ints (not bools), True for one
+    of lists or tuples of ints, None for anything else."""
+    if type(x) not in (list, tuple) or not x:
+        return None
     kinds = set(map(type, x))
     if kinds == {int}:
-        return _IntList(x, False, depth)
-    if kinds.isdisjoint(_NESTED):
-        return x
+        return False
     if kinds <= {list, tuple} and set(map(type, itertools.chain.from_iterable(x))) <= {int}:
-        return _IntList(x, True, depth)
-    return [_swap_int_lists(v, depth + 1) if type(v) in _NESTED else v for v in x]
+        return True
+    return None
 
 
 def _layout(items, rows: bool, item: str) -> str:
@@ -129,50 +112,49 @@ def _layout(items, rows: bool, item: str) -> str:
     )
 
 
+def _batches(chunks):
+    """The encoder's chunks joined _BATCH at a time."""
+    for first in chunks:
+        yield first + "".join(itertools.islice(chunks, _BATCH - 1))
+
+
 def _emit(payload) -> None:
     """Print the payload as indented JSON with sorted keys, byte for byte
     `json.dumps(payload, indent=2, sort_keys=True, default=jsonable)` and a
     newline.
 
-    Every nonempty list of ints or of int lists in the payload's dicts and
-    lists is written by `_layout`, in slices of at most _SLICE items.  The
-    indenting encoder writes the rest, bools, strings, dicts and all, and
-    hands jsonable only the values it cannot write, Fractions and sets.  It
-    meets each int list as an object it cannot write either: `default`
-    notes the list and returns an empty string, and the chunk the encoder
-    yields next, that string's encoding, is where the list's text goes.
-    The chunks go out joined in batches and a long list slice by slice, so
-    the text of a large payload is never held whole.
+    A dict with str keys that holds a value `_int_rows` accepts, as most
+    commands hand over, is written key by key: those values by `_layout`,
+    in slices of at most _SLICE items, and the others by the indenting
+    encoder, whose text then sits one level in.  Encoded strings hold no
+    raw newline, so that shift gives each newline of the text two more
+    spaces.  Any other payload goes to the encoder whole.  The encoder's
+    chunks go out in `_batches`, so neither a long list nor a large
+    payload is ever held as one string.
     """
-    pending: list[_IntList] = []
-
-    def default(x):
-        if type(x) is _IntList:
-            pending.append(x)
-            return ""
-        return jsonable(x)
-
     write = sys.stdout.write
-    batch: list[str] = []
-    if type(payload) in _NESTED:
-        payload = _swap_int_lists(payload, 0)
-    for chunk in json.JSONEncoder(indent=2, sort_keys=True, default=default).iterencode(payload):
-        if pending:
-            x = pending.pop()
-            close = "\n" + "  " * x.depth
-            item = close + "  "
-            for start in range(0, len(x.items), _SLICE):
-                if start:  # a long list goes out a slice at a time
-                    write("".join(batch))
-                    batch.clear()
-                batch += ("," if start else "[") + item, _layout(x.items[start : start + _SLICE], x.rows, item)
-            chunk = close + "]"
-        batch.append(chunk)
-        if len(batch) >= 4096:
-            write("".join(batch))
-            batch.clear()
-    batch.append("\n")
-    write("".join(batch))
+    encode = json.JSONEncoder(indent=2, sort_keys=True, default=jsonable).iterencode
+    rows = {}  # `_int_rows` of each value, by key
+    if type(payload) is dict and all(type(k) is str for k in payload):
+        rows = {k: _int_rows(v) for k, v in payload.items()}
+    if all(r is None for r in rows.values()):
+        for text in _batches(encode(payload)):
+            write(text)
+        write("\n")
+        return
+    opening = "{"
+    for key in sorted(payload):
+        value = payload[key]
+        write(f"{opening}\n  {_compact(key)}: ")
+        opening = ","
+        if rows[key] is None:
+            for text in _batches(encode(value)):
+                write(text.replace("\n", "\n  "))
+            continue
+        for start in range(0, len(value), _SLICE):
+            write(("," if start else "[") + "\n    " + _layout(value[start : start + _SLICE], rows[key], "\n    "))
+        write("\n  ]")
+    write("\n}\n")
 
 
 def _load_graph(path: str) -> Graph:

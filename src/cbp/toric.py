@@ -14,7 +14,10 @@ carries a binomial as its (leading, trailing) pair of rank terms.  All
 leading terms being squarefree quadratics, the initial complex is the
 flag complex of the compatibility relation (comparable, or union
 disconnected), and it is a regular unimodular triangulation of the
-polytope whose h-polynomial must reproduce the h* vector.
+polytope whose h-polynomial must reproduce the h* vector.  Compatible
+blocksets are nested or share no block, so every maximal face is a
+laminar family of block masks, and its unimodularity is read off those
+masks (`_laminar_determinant`) with no elimination.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ from .errors import (
     ReductionDiverges,
 )
 from .graphs import BlockDecomposition, graph_to_json
-from .hull import _bareiss
-from .vertices import BlockSubset, _bits, _columns, _pair_masks, to_incidence
+from .vertices import BlockSubset, _bits, _columns, _pair_masks
 
 MAX_GROEBNER_VARIABLES = 60
 MAX_REDUCTION_STEPS = 10**6
@@ -312,6 +314,54 @@ def _compatibility_masks(m: int, nonfaces) -> list[int]:
     return compat
 
 
+def _laminar_determinant(members: list[int]) -> int | None:
+    """|det(v_i - v_0)| over a face of dim + 1 blocksets on dim blocks,
+    given by their block masks in ascending order, with v_0 the empty set:
+    1 or 0, or None when the face is not a laminar family holding the
+    empty set.
+
+    The rows v_i - v_0 are the indicator vectors of the dim nonempty
+    members.  The family is laminar when every two members are nested or
+    disjoint, and a private block of a member A is one that no smaller
+    member inside A holds.  A proper subset has the smaller mask, so the
+    empty set comes first, every member comes after the members inside
+    it, and in a laminar family the earlier members that meet A lie
+    inside it: A's private blocks are A minus the union of the earlier
+    members.
+
+    If every member has a private block, the private blocks of distinct
+    members are distinct, so each of the dim members holds exactly one of
+    the dim blocks privately.  On the private column p(B) of a member B,
+    the row of A reads 1 exactly when B lies inside A: a disjoint A misses
+    p(B), and an A inside B misses it by privacy.  So the matrix is, up
+    to a permutation of its columns, the containment matrix of the
+    family, triangular with a unit diagonal in this order, and the
+    determinant is +-1.  If some A has no private block, A is the union
+    of the earlier members inside it, the maximal ones among them are
+    disjoint, so the row of A is the sum of theirs and the determinant
+    is 0.
+
+    Laminarity is checked against the maximal members so far, which are
+    pairwise disjoint: each must lie inside the new member or miss it,
+    and then so does every member below it.
+    """
+    if not members or members[0]:
+        return None
+    det, seen, roots = 1, 0, []
+    for a in members[1:]:
+        kept = [a]
+        for r in roots:
+            if not r & a:
+                kept.append(r)
+            elif r & ~a:
+                return None
+        roots = kept
+        if not a & ~seen:
+            det = 0
+        seen |= a
+    return det
+
+
 def triangulation(
     d: BlockDecomposition, g: tuple[tuple[Term, Term], ...], order: TermOrder
 ) -> SimplicialComplex:
@@ -320,10 +370,22 @@ def triangulation(
     Verifies flagness (every leading term is a squarefree quadratic), that
     the leading terms are exactly the incomparable pairs with connected
     union, that every maximal face has exactly dim+1 vertices, and that
-    each maximal simplex is unimodular; a bad determinant raises
-    NonUnimodalSimplex.  The second check is a route of its own: it reads
-    the leading pairs off block columns of the ground set in term order,
-    built here, not off the table the basis was built from.
+    each maximal simplex is unimodular.  The second check is a route of
+    its own: it reads the leading pairs off block columns of the ground
+    set in term order, built here, not off the table the basis was built
+    from.
+
+    Unimodularity is certified on the faces' block masks, one per ground
+    blockset, by `_laminar_determinant`: a face must hold the empty set,
+    be laminar (every two members nested or disjoint, as
+    compatible blocksets are) and give every nonempty member a private
+    block, one no smaller member inside it holds; then |det| = 1, since on
+    the private columns the matrix is the containment matrix, triangular
+    with a unit diagonal.  A member without a private block is the
+    disjoint sum of the members inside it, so the determinant is 0 and
+    NonUnimodalSimplex is raised.  A face that is not laminar or lacks the
+    empty set contradicts the compatibility relation checked before, and
+    raises AssertionFailure with the face in its payload.
     """
     ground = order.variables
     dim = len(d.blocks)
@@ -369,18 +431,20 @@ def triangulation(
     extend([], full, 0)
     maximal.sort()
 
-    points = [to_incidence(d, a) for a in ground]
+    masks = [sum(1 << b for b in a) for a in ground]
     for face in maximal:
         if len(face) != dim + 1:
             raise AssertionFailure(
                 f"maximal face has {len(face)} vertices, expected {dim + 1}",
                 payload={"graph": graph_to_json(d.graph), "face": [list(ground[i]) for i in face]},
             )
-        base = points[face[0]]
-        rows = [[x - y for x, y in zip(points[i], base)] for i in face[1:]]
-        rank, pivot = _bareiss(rows)
-        det = pivot if rank == dim else 0
-        if det not in (1, -1):
+        det = _laminar_determinant(sorted(map(masks.__getitem__, face)))
+        if det is None:
+            raise AssertionFailure(
+                "maximal face is not a laminar family holding the empty blockset",
+                payload={"graph": graph_to_json(d.graph), "face": [list(ground[i]) for i in face]},
+            )
+        if det != 1:
             raise NonUnimodalSimplex(
                 f"simplex {[list(ground[i]) for i in face]} has determinant {det}"
             )
@@ -403,8 +467,11 @@ def triangulation_checks(
 ) -> TriangulationReport:
     """Assert h(triangulation) = h* and #maximal faces = sum(h*).
 
-    The f-vector counts cliques of every size (the empty face included);
-    the h-vector solves f(t) = sum_i h_i t^i (t+1)^(dim+1-i).
+    The f-vector counts cliques of every size (the empty face included) a
+    level at a time: a clique whose extensions form the mask `allowed`
+    adds allowed.bit_count() cliques one size up, and the search descends
+    only into extensions that extend further.  The h-vector solves
+    f(t) = sum_i h_i t^i (t+1)^(dim+1-i).
     """
     dim = len(d.blocks)
     compat = _compatibility_masks(len(c.ground), c.minimal_nonfaces)
@@ -412,11 +479,17 @@ def triangulation_checks(
     counts[0] = 1
 
     def count_cliques(allowed: int, size: int):
-        # allowed: the vertices past the last member compatible with every member
-        for v in _bits(allowed):
-            counts[size + 1] += 1
-            if size + 1 <= dim:
-                count_cliques(allowed & (compat[v] >> (v + 1) << (v + 1)), size + 1)
+        # allowed: the vertices past the last member compatible with every
+        # member, each of which extends the clique by one; each lowest one
+        # in turn is the next member
+        counts[size + 1] += allowed.bit_count()
+        if size < dim:
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                nxt = allowed & compat[low.bit_length() - 1]
+                if nxt:
+                    count_cliques(nxt, size + 1)
 
     count_cliques((1 << len(c.ground)) - 1, 0)
 

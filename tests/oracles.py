@@ -16,6 +16,8 @@ block's cut vertices among all of the block's vertices, so it does not
 read the per-block cut-vertex table.  The unmerged lattice plan is the
 merged plan's predecessor: it gives every frontier row pattern a key
 position of its own, so it does not read which slots hold the same offset.
+The clique counter is the level-at-a-time f-vector's predecessor: it
+visits every clique of the flag complex once.
 """
 
 from __future__ import annotations
@@ -248,6 +250,32 @@ def eulerian_numbers(d: int) -> list[int]:
     for n in range(2, d + 1):
         row = [(k + 1) * (row[k] if k < len(row) else 0) + (n - k) * (row[k - 1] if k else 0) for k in range(n)]
     return row
+
+
+def clique_counts(m: int, nonfaces, dim: int) -> list[int]:
+    """Cliques of each size 0 .. dim + 1 of the graph on m vertices whose
+    non-edges are `nonfaces`, the empty clique included: the f-vector of
+    the flag complex, counted one clique at a time."""
+    full = (1 << m) - 1
+    compat = [full ^ (1 << i) for i in range(m)]
+    for i, j in nonfaces:
+        compat[i] &= ~(1 << j)
+        compat[j] &= ~(1 << i)
+    counts = [0] * (dim + 2)
+    counts[0] = 1
+
+    def count(allowed: int, size: int):
+        # allowed: the vertices past the last member compatible with every
+        # member; each lowest one in turn is the next member
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            counts[size + 1] += 1
+            if size + 1 <= dim:
+                count(allowed & compat[low.bit_length() - 1], size + 1)
+
+    count(full, 0)
+    return counts
 
 
 def best_blockset(g, blocks, weights) -> tuple[tuple[int, ...], Fraction]:

@@ -6,6 +6,7 @@ import json
 import re
 import sys
 import time
+import types
 from fractions import Fraction
 from math import comb
 
@@ -683,6 +684,9 @@ def test_emit_matches_the_indenting_encoder_on_every_command(tmp_path, monkeypat
         {"s": {3, 1, 2}, "f": Fraction(-3, 4), "mixed": [Fraction(1, 2), 1, [2]]},
         {"deep": {"deeper": [{"x": [1, 2]}, [[3]]]}},
         {2: [1], 1: [[0]]},
+        {"ints": [3, 1], "s": {2, 1}, "f": Fraction(1, 3), "rows": [[1], []], "": True, "t": None, "e": []},
+        {"rows": [[1, 2]], "nested": {"x": [[1, 2]], "y": "a\nb", "z": [{"w": [0]}, []]}, "text": "\n"},
+        {"long": list(range(3000)), "rows": [[i] for i in range(2500)], "dicts": [{"k": i} for i in range(3000)]},
         list(range(-3000, 3000)),
         [[i, -i, i * i] for i in range(2500)],
         [],
@@ -694,3 +698,14 @@ def test_emit_matches_the_indenting_encoder_on_every_command(tmp_path, monkeypat
 )
 def test_emit_matches_the_indenting_encoder_on_crafted_payloads(payload):
     assert emitted(payload) == reference_text(payload)
+
+
+def test_emit_writes_a_large_payload_in_pieces(monkeypatch):
+    # neither a long int list nor a long list of dicts goes out as one string
+    payload = {"edges": [[i, i + 1] for i in range(20000)], "rows": [{"k": [i]} for i in range(20000)]}
+    writes = []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+    cli._emit(payload)
+    text = "".join(writes)
+    assert text == reference_text(payload)
+    assert max(map(len, writes)) < len(text) / 8

@@ -19,6 +19,7 @@ import cbp.facets as facets
 import cbp.graphs as graphs
 import cbp.optimize as optimize
 import cbp.skeleton as skeleton
+import cbp.toric as toric
 import cbp.verify as verify
 from cbp.corpus import CorpusEntry, flower, path_graph, star_graph
 from cbp.graphs import graph_from_json
@@ -219,6 +220,11 @@ FAULTS = [
     ),
     ("fiber-basis-outside-ideal", fiber_basis_outside_ideal, {"groebner"}),
     ("block-cuts-lose-a-cut-vertex", block_cuts_lose_a_cut_vertex, {"blocks", "ibis", "hstar", "optimizer"}),
+    (
+        "laminar-determinant-reports-2",
+        wrapped(toric, "_laminar_determinant", lambda det, members: 2),
+        {"triangulation"},
+    ),
 ]
 
 # Known misses past the gates: a fault of FAULTS, a graph above the gate of

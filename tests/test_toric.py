@@ -518,14 +518,9 @@ def test_candidates_refuse_an_order_that_ranks_the_product_below(path2_d):
 
 def test_triangulation_rejects_a_non_unimodular_simplex(path2_d, monkeypatch):
     ctx = GraphContext(path2_d.graph)
-    bareiss = toric._bareiss
-
-    def doubled(rows):
-        rank, pivot = bareiss(rows)
-        return rank, 2 * pivot
-
-    monkeypatch.setattr(toric, "_bareiss", doubled)
-    with pytest.raises(NonUnimodalSimplex, match="has determinant -2$"):
+    laminar_determinant = toric._laminar_determinant
+    monkeypatch.setattr(toric, "_laminar_determinant", lambda members: 2 * laminar_determinant(members))
+    with pytest.raises(NonUnimodalSimplex, match="has determinant 2$"):
         triangulation(path2_d, ctx.basis, ctx.order)
 
 
@@ -570,3 +565,100 @@ def test_leading_pairs_match_the_blockset_relation(oracle_graphs):
         for a1, a2 in itertools.combinations(verts, 2):
             expected = oracles.leading_pair(d, a1, a2, connected)
             assert (frozenset((a1, a2)) in leading) == expected, (name, a1, a2)
+
+
+@pytest.fixture(scope="module")
+def laminar_battery():
+    """(name, decomposition, initial complex, h*) of every graph of
+    corpus(7, 7, 8) within the variable cap, of path-10, and of star-7
+    with the cap lifted (128 variables)."""
+    out = []
+
+    def add(name, g):
+        ctx = GraphContext(g)
+        try:
+            basis = ctx.basis
+        except BudgetExceeded:
+            return
+        d = ctx.decomposition
+        out.append((name, d, triangulation(d, basis, ctx.order), ctx.hstar.hstar))
+
+    for e in corpus(7, 7, 8):
+        add(e.name, e.graph)
+    add("path-10", path_graph(10))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(toric, "MAX_GROEBNER_VARIABLES", 128)
+        add("star-7", star_graph(7))
+    return out
+
+
+def test_laminar_certificate_matches_the_determinant(laminar_battery):
+    # every maximal face against the exact determinant of its rows v - v_()
+    counts = collections.Counter()
+    dets = {}  # |det| by the sorted rows, which many graphs share
+    for name, d, c, _ in laminar_battery:
+        dim = len(d.blocks)
+        masks = [sum(1 << b for b in a) for a in c.ground]
+        for face in c.maximal_faces:
+            rows = tuple(sorted(tuple(1 if b in c.ground[i] else 0 for b in range(dim)) for i in face if c.ground[i]))
+            assert len(rows) == dim, (name, face)
+            if rows not in dets:
+                dets[rows] = abs(oracles.determinant(rows))
+            det = toric._laminar_determinant(sorted(masks[i] for i in face))
+            assert det == dets[rows] == 1, (name, face)
+        counts[name if name in ("path-10", "star-7") else "corpus"] += len(c.maximal_faces)
+    assert len(laminar_battery) == 81
+    assert counts == {"corpus": 18672, "path-10": 16796, "star-7": 5040}
+
+
+def test_level_f_vector_matches_the_clique_counter(laminar_battery):
+    for name, d, c, hstar in laminar_battery:
+        report = triangulation_checks(d, c, hstar)
+        expected = oracles.clique_counts(len(c.ground), c.minimal_nonfaces, len(d.blocks))
+        assert list(report.f_vector) == expected, name
+
+
+def test_laminar_certificate_on_hand_built_faces():
+    # blocks 0, 1 and the pair {0, 1}: laminar, but the pair is the sum of
+    # its two singletons, so it has no private block
+    dependent = [0, 0b001, 0b010, 0b011]
+    assert toric._laminar_determinant(dependent) == 0
+    assert oracles.determinant([[1, 0, 0], [0, 1, 0], [1, 1, 0]]) == 0
+    # one private block each: the containment matrix of a chain and a leaf
+    assert toric._laminar_determinant([0, 0b001, 0b011, 0b100]) == 1
+    assert abs(oracles.determinant([[1, 0, 0], [1, 1, 0], [0, 0, 1]])) == 1
+    # {0, 1} and {1, 2} overlap; a face without the empty set
+    assert toric._laminar_determinant([0, 0b001, 0b011, 0b110]) is None
+    assert toric._laminar_determinant([0b001, 0b010, 0b100, 0b111]) is None
+
+
+def triangulate_faces(d, faces, monkeypatch):
+    """`triangulation` of d on the flag complex whose maximal faces are the
+    given sets of ground indices: every pair inside no face leads a
+    binomial (its own tail, which the triangulation never reads), and the
+    leading masks are patched to agree."""
+    order = make_term_order(enumerate_vertices(d))
+    m = len(order.variables)
+    inside = {p for f in faces for p in itertools.combinations(sorted(f), 2)}
+    nonfaces = [p for p in itertools.combinations(range(m), 2) if p not in inside]
+    lead = [0] * m
+    for i, j in nonfaces:
+        lead[i] |= 1 << j
+        lead[j] |= 1 << i
+    monkeypatch.setattr(toric, "_leading_masks", lambda d, verts, cols: lead)
+    return triangulation(d, tuple((p, p) for p in nonfaces), order)
+
+
+def test_triangulation_rejects_hand_built_faces(path3_d, monkeypatch):
+    # ground of path-3 in term order: 0 (0,1,2), 1 (0,1), 2 (1,2), 3 (0,),
+    # 4 (1,), 5 (2,), 6 (); the first face of each pair passes
+    good = (0, 3, 5, 6)
+    assert make_term_order(enumerate_vertices(path3_d)).variables[6] == ()
+    with pytest.raises(NonUnimodalSimplex, match=r"^simplex \[\[0, 1\], \[0\], \[1\], \[\]\] has determinant 0$"):
+        triangulate_faces(path3_d, [good, (1, 3, 4, 6)], monkeypatch)
+    with pytest.raises(AssertionFailure, match="^maximal face is not a laminar family") as info:
+        triangulate_faces(path3_d, [good, (1, 2, 4, 6)], monkeypatch)
+    assert info.value.payload["face"] == [[0, 1], [1, 2], [1], []]
+    with pytest.raises(AssertionFailure, match="^maximal face is not a laminar family") as info:
+        triangulate_faces(path3_d, [(0, 1, 3, 5), (0, 2, 5, 6)], monkeypatch)
+    assert info.value.payload["face"] == [[0, 1, 2], [0, 1], [0], [2]]
