@@ -13,6 +13,13 @@ is reflexive, which forces hstar_i = hstar_{d-1-i}.  The first entry past
 the leading 1 counts vertices: hstar_1 = #vertices - (d + 1), at least
 d - 1 with equality exactly for at most two blocks.  Block paths realize
 Narayana numbers.
+
+The counts fix one coordinate at a time, in the order the H-description
+carries: for a graph's own H-description a depth-first preorder of the
+block-cut tree (`cbp.graphs.tree_order`), else the identity.  Renaming
+the coordinates maps the integer points of nP one-to-one onto those of
+the renamed polytope, so every order gives the same counts; the order
+only sets how many rows are open at once, and with them the states.
 """
 
 from __future__ import annotations
@@ -41,6 +48,12 @@ def _lattice_plan(h: RationalPolyhedron) -> list[tuple[list, list, list]] | None
     entry per coordinate i, or None when a row without support has a
     negative right-hand side, so that no dilation n >= 1 has a point.
 
+    Entry i fixes coordinate h.order[i] (coordinate i when h.order is
+    None): the columns of every row are permuted into that order first.
+    Permuting the coordinates of every row and every point together keeps
+    each point's membership, so the plan counts the same points in any
+    order; the order sets only which rows share each level's frontier.
+
     An entry holds, for n = 1, the finishing members, the bounds of the
     rows that start and finish at i, and the slots after i with their tail
     widths and members.  A member is (position in the current key, or -1
@@ -60,8 +73,12 @@ def _lattice_plan(h: RationalPolyhedron) -> list[tuple[list, list, list]] | None
     slots still move on to the slots their next coefficients pick.
     """
     d = h.dim
+    rows = h.rows
+    if h.order is not None:
+        # level i fixes coordinate order[i]
+        rows = [(tuple(a[j] for j in h.order), b) for a, b in rows]
     starting: list[list] = [[] for _ in range(d)]  # rows by their first nonzero coordinate
-    for a, b in h.rows:
+    for a, b in rows:
         support = [j for j, c in enumerate(a) if c]
         if support:
             starting[support[0]].append((a, b))
@@ -109,11 +126,18 @@ def count_lattice_points(h: RationalPolyhedron, n: int) -> int:
 
     The polyhedron is assumed to lie in the unit box, so candidates range
     over {0..n}^d.  A forward dynamic program fixes one coordinate per
-    level.  A state after coordinate i holds the slacks of the frontier
-    rows, the rows with a nonzero coefficient both at or before i and after
-    i; rows not yet started or already finished are constants and stay out
-    of the key.  Frontier rows whose coefficients after i agree evolve alike
-    from there on, so only the least of their slacks matters, and they
+    level, in the order h.order (the identity when it is None).  Any
+    permutation of the coordinates gives the same count, since it maps the
+    integer points of nP one-to-one onto those of the permuted polytope.
+    The order only changes the frontier, and with it the states: a state
+    after level i holds the slacks of the frontier rows, the rows with a
+    nonzero coefficient both at or before level i and after it; rows not
+    yet started or already finished are constants and stay out of the key.
+    A graph's H-description counts in the block-cut tree order
+    `cbp.graphs.tree_order`: every row's support is a connected blockset,
+    and a depth-first order keeps few of them open at a time.  Frontier
+    rows whose coefficients after level i agree evolve alike from there
+    on, so only the least of their slacks matters, and they
     share one slot that holds it; slots with the same tail width that take
     their least from the same members hold the same offset, and share one
     key position.  A slack is stored as its offset above

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import AssertionFailure, CountOverflow, RowInvalid
-from .graphs import BlockDecomposition, _walk, blockset_closure, graph_to_json, split_components_at
+from .graphs import BlockDecomposition, _walk, blockset_closure, graph_to_json, split_components_at, tree_order
 from .hull import RationalPolyhedron, _bareiss
 from .vertices import _moments
 
@@ -224,12 +224,15 @@ def h_representation(d: BlockDecomposition, ibis: tuple[tuple[int, ...], ...]) -
     """Nonnegativity rows plus one row alpha . x <= 1 per inequality, sorted.
 
     Every row is primitive as built: a unit row has one entry -1, and an
-    inequality row has rhs 1.
+    inequality row has rhs 1.  The rows stay in block order; the lattice
+    counter takes the blocks in the block-cut tree order `tree_order`.
     """
     n = len(d.blocks)
     rows = {(tuple(-1 if i == b else 0 for i in range(n)), 0) for b in range(n)}
     rows.update((alpha, 1) for alpha in ibis)
-    return RationalPolyhedron(dim=n, rows=tuple(sorted(rows, key=lambda r: (r[1], r[0]))))
+    return RationalPolyhedron(
+        dim=n, rows=tuple(sorted(rows, key=lambda r: (r[1], r[0]))), order=tree_order(d)
+    )
 
 
 def facet_certificates(rows, verts, tight_rows, cols) -> tuple[tuple[int, int], ...]:

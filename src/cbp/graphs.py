@@ -332,6 +332,45 @@ def _walk(
     return order, entry, owner
 
 
+def tree_order(d: BlockDecomposition) -> tuple[int, ...]:
+    """The blocks in a depth-first preorder of the block-cut tree, the
+    coordinate order of the lattice counter `cbp.ehrhart.count_lattice_points`.
+
+    The walk starts at an end of a longest block path, found by two
+    sweeps: the block farthest from block 0, then the block farthest from
+    that one, the smaller index among equally far blocks.  Below a block,
+    its child subtrees (the blocks entered through its cut vertices) come
+    smallest first, ties by block index, so the largest branch is left for
+    last.  Every prefix of the order is a connected blockset, and a block
+    path keeps its own order 0..k-1.
+    """
+
+    def walk(root: int):
+        return d.root_walk if root == 0 else _walk(d, root)
+
+    def farthest(root: int) -> int:
+        order, entry, owner = walk(root)
+        depth = {root: 0}
+        for b in order[1:]:
+            depth[b] = depth[owner[entry[b]]] + 1
+        return min(order, key=lambda b: (-depth[b], b))
+
+    root = farthest(farthest(0))
+    order, entry, owner = walk(root)
+    size = dict.fromkeys(order, 1)
+    children: dict[int, list[int]] = {b: [] for b in order}
+    for b in reversed(order[1:]):
+        parent = owner[entry[b]]
+        size[parent] += size[b]
+        children[parent].append(b)
+    out, stack = [], [root]
+    while stack:
+        b = stack.pop()
+        out.append(b)
+        stack.extend(sorted(children[b], key=lambda c: (size[c], c), reverse=True))
+    return tuple(out)
+
+
 def blockset_closure(d: BlockDecomposition, a) -> frozenset[int]:
     """Block nodes of the smallest block-cut subtree containing the given blocks.
 

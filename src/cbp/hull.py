@@ -30,7 +30,7 @@ facet oracle, read off the inverse block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from operator import mul
@@ -46,14 +46,21 @@ MAX_BRUTE_FORCE_DIM = 10
 class RationalPolyhedron:
     """An intersection of halfspaces a . x <= b with coprime integer rows.
 
-    lattice_plan is the dilation-independent plan of the lattice counter
-    `cbp.ehrhart.count_lattice_points`, built on the first count and kept
-    with this object, so every dilation of the same H-description reuses
-    it and it goes when the object does.
+    order, when set, is the order in which the lattice counter
+    `cbp.ehrhart.count_lattice_points` fixes the coordinates, a
+    permutation of 0..dim-1; None is the identity.  Any permutation gives
+    the same counts, so equality and hashing ignore it.  The
+    H-description of a graph carries the block-cut tree order
+    `cbp.graphs.tree_order`.
+
+    lattice_plan is the dilation-independent plan of the lattice counter,
+    built on the first count and kept with this object, so every dilation
+    of the same H-description reuses it and it goes when the object does.
     """
 
     dim: int
     rows: tuple[Row, ...]
+    order: tuple[int, ...] | None = field(default=None, compare=False)
 
     @cached_property
     def lattice_plan(self):

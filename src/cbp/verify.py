@@ -67,7 +67,7 @@ from .vertices import (
 # Groebner and the h* gate.  Last, the optimizer's trials per graph.
 FACET_MAX_BLOCKS = 7
 ADJACENCY_MAX_BLOCKS = 5
-HSTAR_MAX_BLOCKS = 6
+HSTAR_MAX_BLOCKS = 8
 GROEBNER_MAX_BLOCKS = 4
 OPTIMIZER_TRIALS = 50
 

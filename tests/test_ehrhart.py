@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cbp import ehrhart
-from cbp.corpus import corpus, path_graph, star_graph, triangle_chain
+from cbp.corpus import corpus, path_graph, random_block_tree, spider, star_graph, triangle_chain
 from cbp.errors import AssertionFailure, BudgetExceeded
 from cbp.ehrhart import (
     HStarProfile,
@@ -23,8 +23,8 @@ from cbp.ehrhart import (
     hstar_vector,
     narayana_vector,
 )
-from cbp.graphs import block_decomposition
-from cbp.hull import RationalPolyhedron
+from cbp.graphs import Graph, block_decomposition, tree_order
+from cbp.hull import RationalPolyhedron, brute_force_facets
 from cbp.verify import GraphContext
 
 
@@ -270,6 +270,53 @@ def test_counts_under_coordinate_permutations(corpus_counts):
             rows = tuple((tuple(a[p] for p in perm), b) for a, b in h.rows)
             permuted = RationalPolyhedron(h.dim, rows)
             assert [count_lattice_points(permuted, n) for n in range(h.dim + 2)] == counts, (name, perm)
+
+
+def test_tree_order_counts_match_identity_order():
+    # the H-description counts in block-cut tree order; the same rows in
+    # the identity order count the same points, through wider keys
+    cases = [(e.name, e.graph, None) for e in corpus(7, 7, 8) if len(block_decomposition(e.graph).blocks) >= 6]
+    cases += [("spider-3-3-3", spider((3, 3, 3)), None), ("random-12", random_block_tree(random.Random(12), 12), 4)]
+    reordered = 0
+    widest = {"tree": 0, "identity": 0}  # summed over the cases, the widest key of each plan
+    for name, g, top in cases:
+        h = GraphContext(g).hrep
+        identity = RationalPolyhedron(h.dim, h.rows)
+        assert identity == h and hash(identity) == hash(h) and identity.order is None, name
+        reordered += h.order != tuple(range(h.dim))
+        top = h.dim + 1 if top is None else top
+        assert [count_lattice_points(h, n) for n in range(top + 1)] == [
+            count_lattice_points(identity, n) for n in range(top + 1)
+        ], name
+        widest["tree"] += max(len(slots) for _, _, slots in h.lattice_plan)
+        widest["identity"] += max(len(slots) for _, _, slots in identity.lattice_plan)
+    assert reordered > len(cases) // 2
+    assert widest["tree"] < widest["identity"], widest
+
+
+def test_tree_order_is_a_connected_permutation():
+    # every prefix of the order is a blockset whose union is connected, by
+    # a flood fill over the blocks' own vertices and edges
+    cases = [(e.name, e.graph) for e in corpus(8, 7, 8)]
+    cases += [("random-12", random_block_tree(random.Random(12), 12))]
+    for name, g in cases:
+        d = block_decomposition(g)
+        order = tree_order(d)
+        assert sorted(order) == list(range(len(d.blocks))), name
+        assert GraphContext(g).hrep.order == order, name
+        for k in range(1, len(order) + 1):
+            prefix = [d.blocks[b] for b in order[:k]]
+            vertices = set().union(*(b.vertices for b in prefix))
+            edges = set().union(*(b.edges for b in prefix))
+            assert oracles.subgraph_connected(vertices, edges), (name, order[:k])
+    for k in range(1, 13):
+        assert tree_order(block_decomposition(path_graph(k))) == tuple(range(k)), k
+    # the path 0-1-2-3 with the pendant edge 1-4 has the blocks 01, 12, 14
+    # and 23; 01 and 14 both end a longest block path and 01 has the
+    # smaller index, and below it the pendant 14 comes before 12-23
+    assert tree_order(block_decomposition(Graph(5, ((0, 1), (1, 2), (2, 3), (1, 4))))) == (0, 2, 1, 3)
+    # the double description oracle's polyhedra keep the identity order
+    assert brute_force_facets([(0, 0), (1, 0), (0, 1), (1, 1)]).order is None
 
 
 @settings(max_examples=150, deadline=None)

@@ -44,7 +44,7 @@ def test_option_defaults():
     ]
     assert verify.FACET_MAX_BLOCKS == 7
     assert verify.ADJACENCY_MAX_BLOCKS == 5
-    assert verify.HSTAR_MAX_BLOCKS == 6
+    assert verify.HSTAR_MAX_BLOCKS == 8
     assert verify.GROEBNER_MAX_BLOCKS == 4
     assert verify.OPTIMIZER_TRIALS == 50
 
@@ -96,7 +96,7 @@ def test_block_count_gates_skip_expensive_checks():
     assert status["triangulation"] == "skip"
     assert status["optimizer"] == "pass"
     assert report.passed()
-    report = verify_graph(CorpusEntry("path-7", path_graph(7)), VerifyOptions())
+    report = verify_graph(CorpusEntry("path-9", path_graph(9)), VerifyOptions())
     status = {c.name: c.status for c in report.checks}
     assert status["hstar"] == "skip"
     assert report.passed()
