@@ -20,7 +20,9 @@ reconstruction still queried every block after the prefix, whatever its
 rerooted value, and rebuilt the banned set for each query.  The `verify`
 digest, of the five-block report with every `seconds` set to 0, was
 recorded while the facet certificates still ranked the incidence rows of
-each row's tight vertices and the cut-off points still summed them.
+each row's tight vertices and the cut-off points still summed them.  The
+`triangulate` digests were recorded while the f-vector was still counted
+one clique at a time, before it was derived from the descent h-vector.
 """
 
 import contextlib

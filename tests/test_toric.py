@@ -8,6 +8,7 @@ degrevlex basis with the candidate binomials.
 import collections
 import itertools
 import random
+import time
 
 import pytest
 import sympy
@@ -612,10 +613,43 @@ def test_laminar_certificate_matches_the_determinant(laminar_battery):
 
 
 def test_level_f_vector_matches_the_clique_counter(laminar_battery):
+    # the checks assert the descent h-vector is h*; the f-vector derived
+    # from it against the flag complex's cliques, counted one at a time
     for name, d, c, hstar in laminar_battery:
         report = triangulation_checks(d, c, hstar)
         expected = oracles.clique_counts(len(c.ground), c.minimal_nonfaces, len(d.blocks))
         assert list(report.f_vector) == expected, name
+
+
+def test_descents_on_hand_built_faces(path2_d):
+    # path-2's faces {(), (0,), (0, 1)} and {(), (1,), (0, 1)}: (0,) holds
+    # block 0 privately below the pair's block 1, a descent; (1,) does not
+    assert toric._descents([0, 0b01, 0b11]) == 1
+    assert toric._descents([0, 0b10, 0b11]) == 0
+    c = initial_complex(path2_d)
+    masks = [sum(1 << b for b in a) for a in c.ground]
+    assert sorted(toric._descents(sorted(masks[i] for i in face)) for face in c.maximal_faces) == [0, 1]
+    # one block: the full blockset has no parent
+    assert toric._descents([0, 0b1]) == 0
+    # (0,) and (2,) below (0, 1, 2), whose private block is 1: one descent
+    assert toric._descents([0, 0b001, 0b100, 0b111]) == 1
+    # the chain (2,) < (1, 2) < (0, 1, 2): private blocks 2, 1, 0, no descent
+    assert toric._descents([0, 0b100, 0b110, 0b111]) == 0
+
+
+def test_star8_h_vector_is_eulerian(monkeypatch):
+    # the Eulerian numbers A(8, k) at 8 blocks, 256 variables past the cap
+    monkeypatch.setattr(toric, "MAX_GROEBNER_VARIABLES", 256)
+    ctx = GraphContext(star_graph(8))
+    d = ctx.decomposition
+    c = triangulation(d, ctx.basis, ctx.order)
+    hstar = tuple(oracles.eulerian_numbers(8)) + (0,)
+    start = time.perf_counter()
+    report = triangulation_checks(d, c, hstar)
+    assert time.perf_counter() - start < 2
+    assert len(c.maximal_faces) == 40320
+    assert report.h_vector == hstar + (0,)
+    assert report.f_vector[:2] == (1, 256) and report.f_vector[-1] == 40320
 
 
 def test_laminar_certificate_on_hand_built_faces():
