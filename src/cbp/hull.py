@@ -19,11 +19,10 @@ combinatorial adjacency test of two rays is a handful of integer ANDs.
 
 All exact linear algebra of the package runs through one fraction-free
 elimination (Bareiss) on integer rows, whose divisions are exact, in two
-modes.  Forward elimination gives ranks and determinants: the affine
-ranks of vertex sets, each the rank of an (n + 1) x (n + 1) moment matrix
+modes.  Forward elimination gives ranks: the affine ranks of vertex
+sets, each the rank of an (n + 1) x (n + 1) moment matrix
 `cbp.vertices._moments` less one (the facet certificates of cbp.facets
-and the dimension check of cbp.verify), and the simplex determinants of
-the triangulation check in cbp.toric.  Gauss-Jordan elimination, which
+and the dimension check of cbp.verify).  Gauss-Jordan elimination, which
 also clears above each pivot, gives the seed and the seed rays of the
 facet oracle, read off the inverse block.
 """

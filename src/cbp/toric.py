@@ -16,10 +16,11 @@ flag complex of the compatibility relation (comparable, or union
 disconnected), and it is a regular unimodular triangulation of the
 polytope whose h-polynomial must reproduce the h* vector.  Compatible
 blocksets are nested or share no block, so every maximal face is a
-laminar family of block masks, and its unimodularity is read off those
-masks (`_laminar_determinant`) with no elimination.  So is its h-vector:
-each face counts toward h_k by its k descents (`_descents`), and the
-f-vector is derived from h rather than counted clique by clique.
+laminar family of block masks.  One walk over each face's sorted masks
+(`_certify_face`) certifies its unimodularity with no elimination and
+counts its descents; the triangulation carries the histogram of those
+counts as its h-vector, and the f-vector is derived from h rather than
+counted clique by clique.
 """
 
 from __future__ import annotations
@@ -299,11 +300,14 @@ def fiber_reduction_test(
 
 @dataclass(eq=False)
 class SimplicialComplex:
-    """Flag complex on the connected blocksets, as non-faces plus facets."""
+    """Flag complex on the connected blocksets, as non-faces plus facets,
+    with its h-vector (dim + 2 entries): h_k counts the maximal faces with
+    k descents, as `_certify_face` reads them in `triangulation`."""
 
     ground: tuple[BlockSubset, ...]
     minimal_nonfaces: tuple[tuple[int, int], ...]
     maximal_faces: tuple[tuple[int, ...], ...]
+    h_vector: tuple[int, ...]
 
 
 def _compatibility_masks(m: int, nonfaces) -> list[int]:
@@ -316,11 +320,11 @@ def _compatibility_masks(m: int, nonfaces) -> list[int]:
     return compat
 
 
-def _laminar_determinant(members: list[int]) -> int | None:
-    """|det(v_i - v_0)| over a face of dim + 1 blocksets on dim blocks,
-    given by their block masks in ascending order, with v_0 the empty set:
-    1 or 0, or None when the face is not a laminar family holding the
-    empty set.
+def _certify_face(members: list[int]) -> tuple[int, int] | None:
+    """(|det(v_i - v_0)|, descents) of a face of dim + 1 blocksets on dim
+    blocks, given by their block masks in ascending order, with v_0 the
+    empty set: the determinant 1 or 0, or None when the face is not a
+    laminar family holding the empty set.
 
     The rows v_i - v_0 are the indicator vectors of the dim nonempty
     members.  The family is laminar when every two members are nested or
@@ -329,64 +333,57 @@ def _laminar_determinant(members: list[int]) -> int | None:
     empty set comes first, every member comes after the members inside
     it, and in a laminar family the earlier members that meet A lie
     inside it: A's private blocks are A minus the union of the earlier
-    members.
+    members.  Laminarity is checked against the maximal members so far
+    (the roots), which are pairwise disjoint: each must lie inside the new
+    member or miss it, and then so does every member below it.  The roots
+    inside A are its children, A their parent: the smallest member
+    strictly holding them.
 
     If every member has a private block, the private blocks of distinct
     members are distinct, so each of the dim members holds exactly one of
-    the dim blocks privately.  On the private column p(B) of a member B,
-    the row of A reads 1 exactly when B lies inside A: a disjoint A misses
-    p(B), and an A inside B misses it by privacy.  So the matrix is, up
-    to a permutation of its columns, the containment matrix of the
-    family, triangular with a unit diagonal in this order, and the
-    determinant is +-1.  If some A has no private block, A is the union
-    of the earlier members inside it, the maximal ones among them are
-    disjoint, so the row of A is the sum of theirs and the determinant
-    is 0.
+    the dim blocks privately, p(A).  On the private column p(B) of a
+    member B, the row of A reads 1 exactly when B lies inside A: a
+    disjoint A misses p(B), and an A inside B misses it by privacy.  So
+    the matrix is, up to a permutation of its columns, the containment
+    matrix of the family, triangular with a unit diagonal in this order,
+    and the determinant is +-1.  If some A has no private block, A is the
+    union of the earlier members inside it, the maximal ones among them
+    are disjoint, so the row of A is the sum of theirs and the
+    determinant is 0.
 
-    Laminarity is checked against the maximal members so far, which are
-    pairwise disjoint: each must lie inside the new member or miss it,
-    and then so does every member below it.
+    The descents are the members A with p(A) < p(parent A), read only off
+    a unimodular face.  Such faces decompose the polytope into
+    disjoint half-open unimodular simplices (Koeppe and Verdoolaege,
+    Electron. J. Combin. 15 (2008) R16; Beck and Robins, Computing the
+    Continuous Discretely, ch. 3): take the generic point q with
+    q_b = eps * (b + 1) for a small eps > 0, and drop from each face the
+    facets opposite the vertices where q has a negative barycentric
+    coordinate.  A face with k dropped facets has Ehrhart series
+    t^k / (1 - t)^(dim+1), so h*_k counts the faces with k of them.  By
+    the containment matrix, q_p(B) sums the coordinates of the members
+    holding B, so the coordinate of A is eps * (p(A) - p(parent A)); for
+    the full blockset, last and without a parent, it is q_p(A) > 0, and
+    the empty set, first and without a private block, takes the rest,
+    near 1.  So a member drops its facet exactly at a descent.
     """
     if not members or members[0]:
         return None
-    det, seen, roots = 1, 0, []
+    det, k, seen, roots = 1, 0, 0, []
     for a in members[1:]:
-        kept = [a]
-        for r in roots:
-            if not r & a:
-                kept.append(r)
-            elif r & ~a:
-                return None
-        roots = kept
-        if not a & ~seen:
-            det = 0
-        seen |= a
-    return det
-
-
-def _descents(members: list[int]) -> int:
-    """The number of members A of a face with p(A) < p(parent A), given
-    the face's block masks in ascending order as `triangulation` certified
-    them: a laminar family, the empty set first, every nonempty member
-    with one private block p(A).
-
-    The parent of A is the smallest member strictly holding A.  The empty
-    set has no private block and the full blockset, last, no parent;
-    neither counts.  Each member in turn is the parent of the maximal
-    members so far that lie inside it.
-    """
-    k, seen, roots = 0, 0, []
-    for a in members[1:]:
-        p = a & ~seen  # the private block, as a one-bit mask
+        p = a & ~seen  # the private blocks, one bit on a unimodular face
         kept = [(a, p)]
         for r, q in roots:
-            if r & a:
-                k += q < p
-            else:
+            if not r & a:
                 kept.append((r, q))
+            elif r & ~a:
+                return None
+            else:
+                k += q < p
         roots = kept
+        if not p:
+            det = 0
         seen |= a
-    return k
+    return det, k
 
 
 def triangulation(
@@ -402,17 +399,21 @@ def triangulation(
     set in term order, built here, not off the table the basis was built
     from.
 
-    Unimodularity is certified on the faces' block masks, one per ground
-    blockset, by `_laminar_determinant`: a face must hold the empty set,
-    be laminar (every two members nested or disjoint, as
-    compatible blocksets are) and give every nonempty member a private
-    block, one no smaller member inside it holds; then |det| = 1, since on
-    the private columns the matrix is the containment matrix, triangular
-    with a unit diagonal.  A member without a private block is the
-    disjoint sum of the members inside it, so the determinant is 0 and
+    Each maximal face is walked once, on its block masks in ascending
+    order, by `_certify_face`: the face must hold the empty set and be
+    laminar (every two members nested or disjoint, as compatible
+    blocksets are), and every nonempty member must hold a private block,
+    one no smaller member inside it holds; then |det| = 1, since on the
+    private columns the matrix is the containment matrix, triangular with
+    a unit diagonal.  A member without a private block is the disjoint
+    sum of the members inside it, so the determinant is 0 and
     NonUnimodalSimplex is raised.  A face that is not laminar or lacks the
     empty set contradicts the compatibility relation checked before, and
-    raises AssertionFailure with the face in its payload.
+    raises AssertionFailure with the face in its payload.  The same walk
+    counts the face's descents, members whose private block is below
+    their parent's, and the complex carries their histogram over the
+    faces as its h-vector: the h-vector of the half-open decomposition
+    at q_b = eps * (b + 1), argued at `_certify_face`.
     """
     ground = order.variables
     dim = len(d.blocks)
@@ -459,27 +460,31 @@ def triangulation(
     maximal.sort()
 
     masks = [sum(1 << b for b in a) for a in ground]
+    h = [0] * (dim + 2)
     for face in maximal:
         if len(face) != dim + 1:
             raise AssertionFailure(
                 f"maximal face has {len(face)} vertices, expected {dim + 1}",
                 payload={"graph": graph_to_json(d.graph), "face": [list(ground[i]) for i in face]},
             )
-        det = _laminar_determinant(sorted(map(masks.__getitem__, face)))
-        if det is None:
+        certificate = _certify_face(sorted(map(masks.__getitem__, face)))
+        if certificate is None:
             raise AssertionFailure(
                 "maximal face is not a laminar family holding the empty blockset",
                 payload={"graph": graph_to_json(d.graph), "face": [list(ground[i]) for i in face]},
             )
+        det, descents = certificate
         if det != 1:
             raise NonUnimodalSimplex(
                 f"simplex {[list(ground[i]) for i in face]} has determinant {det}"
             )
+        h[descents] += 1
 
     return SimplicialComplex(
         ground=ground,
         minimal_nonfaces=tuple(sorted(nonfaces)),
         maximal_faces=tuple(maximal),
+        h_vector=tuple(h),
     )
 
 
@@ -494,26 +499,9 @@ class TriangulationReport:
 def triangulation_checks(
     d: BlockDecomposition, c: SimplicialComplex, hstar: tuple[int, ...]
 ) -> TriangulationReport:
-    """Assert h(triangulation) = h*, read off the maximal faces by descents.
-
-    Precondition: c comes from `triangulation`, so every maximal face is
-    a laminar family holding the empty set in which each of the dim
-    nonempty members A holds one private block p(A).  The faces then
-    decompose the polytope into disjoint half-open unimodular simplices
-    (Koeppe and Verdoolaege, Electron. J. Combin. 15 (2008) R16; Beck and
-    Robins, Computing the Continuous Discretely, ch. 3): take the generic
-    point q with q_b = eps * (b + 1) for a small eps > 0, and drop from
-    each face the facets opposite the vertices where q has a negative
-    barycentric coordinate.  A face with k dropped facets has Ehrhart
-    series t^k / (1 - t)^(dim+1), so h*_k counts the faces with k of them.
-    On the private column p(B) the row of A reads 1 exactly when B lies
-    inside A, so q_p(B) sums the coordinates of the members holding B,
-    and the coordinate of A is eps * (p(A) - p(parent A)), the parent
-    being the smallest member strictly holding A; for the full blockset,
-    which has no parent, it is q_p(A) > 0, and the empty set takes the
-    rest, near 1.  So a member drops its facet when p(A) < p(parent A), a
-    descent (`_descents`), and h is the histogram of descent counts.  As
-    a histogram over the faces, h sums to their number, which h = h*
+    """Assert that the h-vector `triangulation` read off the faces of c,
+    one descent count per maximal face, is h* padded with zeros.  As a
+    histogram over the faces, h sums to their number, which h = h*
     therefore equals sum(h*).
 
     The f-vector (the empty face first) is derived from h, not counted:
@@ -521,14 +509,11 @@ def triangulation_checks(
     C(dim+1-i, k-i).
     """
     dim = len(d.blocks)
-    masks = [sum(1 << b for b in a) for a in c.ground]
-    h = [0] * (dim + 2)
-    for face in c.maximal_faces:
-        h[_descents(sorted(map(masks.__getitem__, face)))] += 1
+    h = c.h_vector
     f = [sum(h[i] * comb(dim + 1 - i, k - i) for i in range(k + 1)) for k in range(dim + 2)]
-    if tuple(h) != tuple(hstar) + (0,) * (dim + 2 - len(hstar)):
+    if h != tuple(hstar) + (0,) * (dim + 2 - len(hstar)):
         raise AssertionFailure(
             "triangulation h-vector does not match hstar",
-            payload={"graph": graph_to_json(d.graph), "h": h, "hstar": list(hstar)},
+            payload={"graph": graph_to_json(d.graph), "h": list(h), "hstar": list(hstar)},
         )
-    return TriangulationReport(f_vector=tuple(f), h_vector=tuple(h))
+    return TriangulationReport(f_vector=tuple(f), h_vector=h)

@@ -222,7 +222,7 @@ FAULTS = [
     ("block-cuts-lose-a-cut-vertex", block_cuts_lose_a_cut_vertex, {"blocks", "ibis", "hstar", "optimizer"}),
     (
         "laminar-determinant-reports-2",
-        wrapped(toric, "_laminar_determinant", lambda det, members: 2),
+        wrapped(toric, "_certify_face", lambda certificate, members: (2, certificate[1])),
         {"triangulation"},
     ),
     # the lattice counter's coordinate order repeats the first block and
@@ -235,7 +235,7 @@ FAULTS = [
     # the face without descents counts as one with a descent
     (
         "descent-count-0-reported-as-1",
-        wrapped(toric, "_descents", lambda k, members: k or 1),
+        wrapped(toric, "_certify_face", lambda certificate, members: (certificate[0], certificate[1] or 1)),
         {"triangulation"},
     ),
 ]

@@ -519,8 +519,13 @@ def test_candidates_refuse_an_order_that_ranks_the_product_below(path2_d):
 
 def test_triangulation_rejects_a_non_unimodular_simplex(path2_d, monkeypatch):
     ctx = GraphContext(path2_d.graph)
-    laminar_determinant = toric._laminar_determinant
-    monkeypatch.setattr(toric, "_laminar_determinant", lambda members: 2 * laminar_determinant(members))
+    certify_face = toric._certify_face
+
+    def doubled(members):
+        det, descents = certify_face(members)
+        return 2 * det, descents
+
+    monkeypatch.setattr(toric, "_certify_face", doubled)
     with pytest.raises(NonUnimodalSimplex, match="has determinant 2$"):
         triangulation(path2_d, ctx.basis, ctx.order)
 
@@ -605,7 +610,7 @@ def test_laminar_certificate_matches_the_determinant(laminar_battery):
             assert len(rows) == dim, (name, face)
             if rows not in dets:
                 dets[rows] = abs(oracles.determinant(rows))
-            det = toric._laminar_determinant(sorted(masks[i] for i in face))
+            det, _ = toric._certify_face(sorted(masks[i] for i in face))
             assert det == dets[rows] == 1, (name, face)
         counts[name if name in ("path-10", "star-7") else "corpus"] += len(c.maximal_faces)
     assert len(laminar_battery) == 81
@@ -617,6 +622,8 @@ def test_level_f_vector_matches_the_clique_counter(laminar_battery):
     # from it against the flag complex's cliques, counted one at a time
     for name, d, c, hstar in laminar_battery:
         report = triangulation_checks(d, c, hstar)
+        # the complex carries the h-vector, one descent count per face
+        assert c.h_vector == report.h_vector and sum(c.h_vector) == len(c.maximal_faces), name
         expected = oracles.clique_counts(len(c.ground), c.minimal_nonfaces, len(d.blocks))
         assert list(report.f_vector) == expected, name
 
@@ -624,17 +631,19 @@ def test_level_f_vector_matches_the_clique_counter(laminar_battery):
 def test_descents_on_hand_built_faces(path2_d):
     # path-2's faces {(), (0,), (0, 1)} and {(), (1,), (0, 1)}: (0,) holds
     # block 0 privately below the pair's block 1, a descent; (1,) does not
-    assert toric._descents([0, 0b01, 0b11]) == 1
-    assert toric._descents([0, 0b10, 0b11]) == 0
+    assert toric._certify_face([0, 0b01, 0b11]) == (1, 1)
+    assert toric._certify_face([0, 0b10, 0b11]) == (1, 0)
     c = initial_complex(path2_d)
     masks = [sum(1 << b for b in a) for a in c.ground]
-    assert sorted(toric._descents(sorted(masks[i] for i in face)) for face in c.maximal_faces) == [0, 1]
+    certificates = sorted(toric._certify_face(sorted(masks[i] for i in face)) for face in c.maximal_faces)
+    assert certificates == [(1, 0), (1, 1)]
+    assert c.h_vector == (1, 1, 0, 0)
     # one block: the full blockset has no parent
-    assert toric._descents([0, 0b1]) == 0
+    assert toric._certify_face([0, 0b1]) == (1, 0)
     # (0,) and (2,) below (0, 1, 2), whose private block is 1: one descent
-    assert toric._descents([0, 0b001, 0b100, 0b111]) == 1
+    assert toric._certify_face([0, 0b001, 0b100, 0b111]) == (1, 1)
     # the chain (2,) < (1, 2) < (0, 1, 2): private blocks 2, 1, 0, no descent
-    assert toric._descents([0, 0b100, 0b110, 0b111]) == 0
+    assert toric._certify_face([0, 0b100, 0b110, 0b111]) == (1, 0)
 
 
 def test_star8_h_vector_is_eulerian(monkeypatch):
@@ -656,14 +665,14 @@ def test_laminar_certificate_on_hand_built_faces():
     # blocks 0, 1 and the pair {0, 1}: laminar, but the pair is the sum of
     # its two singletons, so it has no private block
     dependent = [0, 0b001, 0b010, 0b011]
-    assert toric._laminar_determinant(dependent) == 0
+    assert toric._certify_face(dependent)[0] == 0
     assert oracles.determinant([[1, 0, 0], [0, 1, 0], [1, 1, 0]]) == 0
     # one private block each: the containment matrix of a chain and a leaf
-    assert toric._laminar_determinant([0, 0b001, 0b011, 0b100]) == 1
+    assert toric._certify_face([0, 0b001, 0b011, 0b100])[0] == 1
     assert abs(oracles.determinant([[1, 0, 0], [1, 1, 0], [0, 0, 1]])) == 1
     # {0, 1} and {1, 2} overlap; a face without the empty set
-    assert toric._laminar_determinant([0, 0b001, 0b011, 0b110]) is None
-    assert toric._laminar_determinant([0b001, 0b010, 0b100, 0b111]) is None
+    assert toric._certify_face([0, 0b001, 0b011, 0b110]) is None
+    assert toric._certify_face([0b001, 0b010, 0b100, 0b111]) is None
 
 
 def triangulate_faces(d, faces, monkeypatch):
