@@ -44,12 +44,7 @@ from .optimize import (
 )
 from .serialize import jsonable, parse_rational
 from .skeleton import hirsch_check, simplicity_report
-from .toric import (
-    buchberger_verify,
-    fiber_reduction_test,
-    triangulation,
-    triangulation_checks,
-)
+from .toric import buchberger_verify, fiber_reduction_test
 from .verify import GraphContext, VerifyOptions, run_verification
 from .vertices import _bits
 
@@ -334,20 +329,18 @@ def cmd_groebner(args) -> int:
 
 def cmd_triangulate(args) -> int:
     ctx = GraphContext(_load_graph(args.graph))
-    d = ctx.decomposition
     # the H-description's block cap first; then ctx.basis checks the
     # predicted variable count, before any artifact is built
-    _check_ibi_cap(len(d.blocks))
-    complex_ = triangulation(d, ctx.basis, ctx.order)
-    report = triangulation_checks(d, complex_, ctx.hstar.hstar)
+    _check_ibi_cap(len(ctx.decomposition.blocks))
+    complex_ = ctx.triangulation
     _emit(
         {
             "ground": [list(a) for a in complex_.ground],
             "minimal_nonfaces": [list(p) for p in complex_.minimal_nonfaces],
             "maximal_faces": [list(f) for f in complex_.maximal_faces],
             "face_count": len(complex_.maximal_faces),
-            "f_vector": list(report.f_vector),
-            "h_vector": list(report.h_vector),
+            "f_vector": list(complex_.f_vector),
+            "h_vector": list(complex_.h_vector),
             "hstar": list(ctx.hstar.hstar),
         }
     )

@@ -347,14 +347,8 @@ def hstar_checks(
     clauses["volume"] = volume_count == ehrhart_value(hs, dim + 1)
     narayana_index: int | None = None
     if classify(d.graph, d).is_block_path:
-        expected = {
-            dim: narayana_vector(dim) + (0,),
-            dim + 1: narayana_vector(dim + 1)[:dim] + (0,),
-        }
-        for idx in (dim, dim + 1):
-            if hs == expected[idx]:
-                narayana_index = idx
-                break
+        # narayana_vector(dim) has dim entries, so the slice keeps it whole
+        narayana_index = next((i for i in (dim, dim + 1) if hs == narayana_vector(i)[:dim] + (0,)), None)
         clauses["narayana"] = narayana_index is not None
     failed = [name for name, ok in clauses.items() if not ok]
     if failed:

@@ -18,9 +18,11 @@ polytope whose h-polynomial must reproduce the h* vector.  Compatible
 blocksets are nested or share no block, so every maximal face is a
 laminar family of block masks.  One walk over each face's sorted masks
 (`_certify_face`) certifies its unimodularity with no elimination and
-counts its descents; the triangulation carries the histogram of those
-counts as its h-vector, and the f-vector is derived from h rather than
-counted clique by clique.
+counts its descents; the complex carries the histogram of those counts
+as its h-vector, and the f-vector derived from h rather than counted
+clique by clique.  `GraphContext.triangulation` builds the complex once
+per graph and certifies its h-vector against h* with
+`triangulation_checks`.
 """
 
 from __future__ import annotations
@@ -301,13 +303,16 @@ def fiber_reduction_test(
 @dataclass(eq=False)
 class SimplicialComplex:
     """Flag complex on the connected blocksets, as non-faces plus facets,
-    with its h-vector (dim + 2 entries): h_k counts the maximal faces with
-    k descents, as `_certify_face` reads them in `triangulation`."""
+    with its h-vector and f-vector (dim + 2 entries each): h_k counts the
+    maximal faces with k descents, as `_certify_face` reads them in
+    `triangulation`, and f_k the faces of k vertices, the empty face
+    first."""
 
     ground: tuple[BlockSubset, ...]
     minimal_nonfaces: tuple[tuple[int, int], ...]
     maximal_faces: tuple[tuple[int, ...], ...]
     h_vector: tuple[int, ...]
+    f_vector: tuple[int, ...]
 
 
 def _compatibility_masks(m: int, nonfaces) -> list[int]:
@@ -413,7 +418,12 @@ def triangulation(
     counts the face's descents, members whose private block is below
     their parent's, and the complex carries their histogram over the
     faces as its h-vector: the h-vector of the half-open decomposition
-    at q_b = eps * (b + 1), argued at `_certify_face`.
+    at q_b = eps * (b + 1), argued at `_certify_face`.  The f-vector is
+    derived from h, not counted: f(t) = sum_i h_i t^i (t+1)^(dim+1-i), so
+    f_k = sum_(i<=k) h_i C(dim+1-i, k-i).
+
+    Each face lists its members in the order the clique search branched
+    on them, not ascending; `cbp triangulate` prints them in that order.
     """
     ground = order.variables
     dim = len(d.blocks)
@@ -485,35 +495,23 @@ def triangulation(
         minimal_nonfaces=tuple(sorted(nonfaces)),
         maximal_faces=tuple(maximal),
         h_vector=tuple(h),
+        f_vector=tuple(
+            sum(h[i] * comb(dim + 1 - i, k - i) for i in range(k + 1)) for k in range(dim + 2)
+        ),
     )
-
-
-@dataclass(frozen=True)
-class TriangulationReport:
-    """The f-vector (empty face first) and h-vector of a triangulation."""
-
-    f_vector: tuple[int, ...]
-    h_vector: tuple[int, ...]
 
 
 def triangulation_checks(
     d: BlockDecomposition, c: SimplicialComplex, hstar: tuple[int, ...]
-) -> TriangulationReport:
+) -> None:
     """Assert that the h-vector `triangulation` read off the faces of c,
     one descent count per maximal face, is h* padded with zeros.  As a
     histogram over the faces, h sums to their number, which h = h*
     therefore equals sum(h*).
-
-    The f-vector (the empty face first) is derived from h, not counted:
-    f(t) = sum_i h_i t^i (t+1)^(dim+1-i), so f_k = sum_(i<=k) h_i
-    C(dim+1-i, k-i).
     """
-    dim = len(d.blocks)
     h = c.h_vector
-    f = [sum(h[i] * comb(dim + 1 - i, k - i) for i in range(k + 1)) for k in range(dim + 2)]
-    if h != tuple(hstar) + (0,) * (dim + 2 - len(hstar)):
+    if h != tuple(hstar) + (0,) * (len(d.blocks) + 2 - len(hstar)):
         raise AssertionFailure(
             "triangulation h-vector does not match hstar",
             payload={"graph": graph_to_json(d.graph), "h": list(h), "hstar": list(hstar)},
         )
-    return TriangulationReport(f_vector=tuple(f), h_vector=h)

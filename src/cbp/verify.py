@@ -42,6 +42,7 @@ from .skeleton import (
     simplicity_report,
 )
 from .toric import (
+    SimplicialComplex,
     TermOrder,
     _check_variable_cap,
     buchberger_verify,
@@ -153,12 +154,14 @@ class GraphContext:
     report all read that one table.  Every affine rank the facets and
     dimension checks need is read off popcount moments of the columns
     (`vertices._moments`); the incidence vectors feed only the double
-    description oracle.  The library functions take these artifacts as
-    arguments and build none of them, save the triangulation's term-order
-    columns, its second route to the leading pairs; the sweep's checks,
-    the graph commands of the CLI and the tests read them from here.  Each
-    artifact lives as long as the context, so nothing carries over from
-    one graph to the next.
+    description oracle.  The basis and order feed the triangulation,
+    certified once against h* when it is built: a failed certificate
+    raises, so a context never holds an uncertified complex.  The library
+    functions take these artifacts as arguments and build none of them,
+    save the triangulation's term-order columns, its second route to the
+    leading pairs; the sweep's checks, the graph commands of the CLI and
+    the tests read them from here.  Each artifact lives as long as the
+    context, so nothing carries over from one graph to the next.
     """
 
     def __init__(self, graph: Graph):
@@ -219,6 +222,12 @@ class GraphContext:
         # against the predicted count before the vertices are enumerated
         _check_variable_cap(count_connected_blocksets(self.decomposition))
         return groebner_candidates(self.decomposition, self.order, self.vertices, self.columns)
+
+    @cached_property
+    def triangulation(self) -> SimplicialComplex:
+        complex_ = triangulation(self.decomposition, self.basis, self.order)
+        triangulation_checks(self.decomposition, complex_, self.hstar.hstar)
+        return complex_
 
 
 def check_blocks(ctx: GraphContext) -> dict | None:
@@ -409,10 +418,9 @@ def check_groebner(ctx: GraphContext) -> dict | None:
 
 
 def check_triangulation(ctx: GraphContext) -> dict | None:
-    """The initial complex triangulates the polytope with h-vector h*."""
-    d = ctx.decomposition
-    complex_ = triangulation(d, ctx.basis, ctx.order)
-    triangulation_checks(d, complex_, ctx.hstar.hstar)
+    """The initial complex triangulates the polytope with h-vector h*:
+    building `ctx.triangulation` raises otherwise."""
+    ctx.triangulation
     return None
 
 

@@ -278,6 +278,31 @@ def clique_counts(m: int, nonfaces, dim: int) -> list[int]:
     return counts
 
 
+def search_face_order(face, compat) -> tuple[int, ...]:
+    """The members of a maximal face in the order `toric.triangulation`'s
+    clique search branches on them, from the compatibility masks (bit j of
+    compat[i]: ground vertices i != j form no nonface).
+
+    The candidates start as every ground vertex.  Each level takes the
+    lowest candidate u, branches on the candidates incompatible with it
+    (u included) in ascending order, and drops each branch vertex it has
+    tried before the next.  So the face's member at that level is its
+    lowest member v in the branch, and the level below keeps the
+    candidates compatible with v, less the branch vertices below v.
+    """
+    members = sum(1 << v for v in face)
+    cand = (1 << len(compat)) - 1
+    order = []
+    while cand:
+        u = (cand & -cand).bit_length() - 1
+        branch = cand & ~compat[u]
+        hit = branch & members
+        v = (hit & -hit).bit_length() - 1
+        order.append(v)
+        cand &= ~(branch & ((1 << v) - 1)) & compat[v]
+    return tuple(order)
+
+
 def best_blockset(g, blocks, weights) -> tuple[tuple[int, ...], Fraction]:
     """Exhaustive optimum over connected blocksets, smallest-tuple tie-break."""
     w = [Fraction(x) for x in weights]

@@ -28,12 +28,7 @@ from cbp.skeleton import (
     hirsch_check,
     simplicity_report,
 )
-from cbp.toric import (
-    buchberger_verify,
-    fiber_reduction_test,
-    triangulation,
-    triangulation_checks,
-)
+from cbp.toric import buchberger_verify, fiber_reduction_test
 from cbp.verify import GraphContext
 from cbp.vertices import to_incidence
 
@@ -215,9 +210,8 @@ def test_criterion_09_triangulation(battery):
         if dim(ctx) > GROEBNER_MAX_BLOCKS:
             continue
         checked += 1
-        complex_ = triangulation(ctx.decomposition, ctx.basis, ctx.order)
         try:
-            triangulation_checks(ctx.decomposition, complex_, ctx.hstar.hstar)
+            complex_ = ctx.triangulation
         except AssertionFailure as exc:
             failures.append((name, str(exc)))
             continue

@@ -41,9 +41,8 @@ from cbp.toric import (
 
 
 def initial_complex(d):
-    """The triangulation of d from the basis and order of its context."""
-    ctx = GraphContext(d.graph)
-    return triangulation(ctx.decomposition, ctx.basis, ctx.order)
+    """The triangulation of d, built and certified against h* by its context."""
+    return GraphContext(d.graph).triangulation
 
 
 def test_term_order_variables(path3_d):
@@ -457,9 +456,8 @@ def test_triangulation_path2(path2_d):
     assert c.ground == ((0, 1), (0,), (1,), ())
     assert c.minimal_nonfaces == ((1, 2),)
     assert len(c.maximal_faces) == 2
-    report = triangulation_checks(path2_d, c, (1, 1, 0))
-    assert report.f_vector == (1, 4, 5, 2)
-    assert report.h_vector == (1, 1, 0, 0)
+    assert c.f_vector == (1, 4, 5, 2)
+    assert c.h_vector == (1, 1, 0, 0)
 
 
 def test_triangulation_path3(path3_d):
@@ -467,9 +465,8 @@ def test_triangulation_path3(path3_d):
     assert len(c.maximal_faces) == 5
     assert all(len(f) == 4 for f in c.maximal_faces)
     hstar = GraphContext(path3_d.graph).hstar.hstar
-    report = triangulation_checks(path3_d, c, hstar)
-    assert report.f_vector == (1, 7, 16, 15, 5)
-    assert report.h_vector == (1, 3, 1, 0, 0)
+    assert c.f_vector == (1, 7, 16, 15, 5)
+    assert c.h_vector == (1, 3, 1, 0, 0)
     assert len(c.maximal_faces) == sum(hstar)
 
 
@@ -477,16 +474,14 @@ def test_triangulation_cube(star3_d):
     c = initial_complex(star3_d)
     assert len(c.minimal_nonfaces) == 9
     assert len(c.maximal_faces) == 6
-    report = triangulation_checks(star3_d, c, (1, 4, 1, 0))
-    assert report.h_vector == (1, 4, 1, 0, 0)
+    assert c.h_vector == (1, 4, 1, 0, 0)
 
 
 def test_triangulation_single_block(triangle_d):
     c = initial_complex(triangle_d)
     assert c.minimal_nonfaces == ()
     assert c.maximal_faces == ((0, 1),)
-    report = triangulation_checks(triangle_d, c, (1, 0))
-    assert report.f_vector == (1, 2, 1)
+    assert c.f_vector == (1, 2, 1)
 
 
 def test_triangulation_rejects_non_quadratic_basis(path2_d):
@@ -547,13 +542,9 @@ def test_triangulation_checks_reject_wrong_hstar(path2_d):
 def test_triangulation_over_corpus(small_corpus):
     for name, g in small_corpus:
         ctx = GraphContext(g)
-        d = ctx.decomposition
-        if len(d.blocks) > 4:
+        if len(ctx.decomposition.blocks) > 4:
             continue
-        c = triangulation(d, ctx.basis, ctx.order)
-        hstar = ctx.hstar.hstar
-        triangulation_checks(d, c, hstar)
-        assert len(c.maximal_faces) == sum(hstar), name
+        assert len(ctx.triangulation.maximal_faces) == sum(ctx.hstar.hstar), name
 
 
 def test_leading_pairs_match_the_blockset_relation(oracle_graphs):
@@ -577,17 +568,17 @@ def test_leading_pairs_match_the_blockset_relation(oracle_graphs):
 def laminar_battery():
     """(name, decomposition, initial complex, h*) of every graph of
     corpus(7, 7, 8) within the variable cap, of path-10, and of star-7
-    with the cap lifted (128 variables)."""
+    with the cap lifted (128 variables); each context certified its
+    complex's h-vector against h* when it built it."""
     out = []
 
     def add(name, g):
         ctx = GraphContext(g)
         try:
-            basis = ctx.basis
+            ctx.basis
         except BudgetExceeded:
             return
-        d = ctx.decomposition
-        out.append((name, d, triangulation(d, basis, ctx.order), ctx.hstar.hstar))
+        out.append((name, ctx.decomposition, ctx.triangulation, ctx.hstar.hstar))
 
     for e in corpus(7, 7, 8):
         add(e.name, e.graph)
@@ -618,14 +609,25 @@ def test_laminar_certificate_matches_the_determinant(laminar_battery):
 
 
 def test_level_f_vector_matches_the_clique_counter(laminar_battery):
-    # the checks assert the descent h-vector is h*; the f-vector derived
-    # from it against the flag complex's cliques, counted one at a time
+    # the complex carries the descent h-vector, h* padded with a zero, and
+    # the f-vector derived from it, checked against the flag complex's
+    # cliques, counted one at a time
     for name, d, c, hstar in laminar_battery:
-        report = triangulation_checks(d, c, hstar)
-        # the complex carries the h-vector, one descent count per face
-        assert c.h_vector == report.h_vector and sum(c.h_vector) == len(c.maximal_faces), name
+        assert c.h_vector == hstar + (0,) and sum(c.h_vector) == len(c.maximal_faces), name
         expected = oracles.clique_counts(len(c.ground), c.minimal_nonfaces, len(d.blocks))
-        assert list(report.f_vector) == expected, name
+        assert list(c.f_vector) == expected, name
+
+
+def test_faces_list_their_members_in_search_order(laminar_battery):
+    # `cbp triangulate` prints each face's members in the order the clique
+    # search branched on them, ascending on only some of the faces
+    unsorted = collections.Counter()
+    for name, _, c, _ in laminar_battery:
+        compat = toric._compatibility_masks(len(c.ground), c.minimal_nonfaces)
+        for face in c.maximal_faces:
+            assert oracles.search_face_order(face, compat) == face, (name, face)
+            unsorted[name] += list(face) != sorted(face)
+    assert unsorted["path-10"] == 13090
 
 
 def test_descents_on_hand_built_faces(path2_d):
@@ -654,11 +656,11 @@ def test_star8_h_vector_is_eulerian(monkeypatch):
     c = triangulation(d, ctx.basis, ctx.order)
     hstar = tuple(oracles.eulerian_numbers(8)) + (0,)
     start = time.perf_counter()
-    report = triangulation_checks(d, c, hstar)
+    triangulation_checks(d, c, hstar)
     assert time.perf_counter() - start < 2
     assert len(c.maximal_faces) == 40320
-    assert report.h_vector == hstar + (0,)
-    assert report.f_vector[:2] == (1, 256) and report.f_vector[-1] == 40320
+    assert c.h_vector == hstar + (0,)
+    assert c.f_vector[:2] == (1, 256) and c.f_vector[-1] == 40320
 
 
 def test_laminar_certificate_on_hand_built_faces():
