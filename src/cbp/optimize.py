@@ -9,9 +9,11 @@ lexicographically smallest blockset under sorted-tuple comparison, where
 a prefix precedes its extensions; only this greedy left-to-right
 reconstruction uses constrained value queries (best value containing a
 forced set, avoiding a banned set), each one walk of the tree from a
-forced block and one pass back up it.  A query with block e
-forced is at most e's rerooted value, so only blocks whose rerooted value
-is the optimum are queried, each at most once per solve.  Decompositions
+forced block and one pass back up it over two lists indexed by block:
+the best values and the marks of the blocks whose subtree holds a forced
+block.  A query with block e forced is at most e's rerooted value, so
+only blocks whose rerooted value is the optimum are queried, each at
+most once per solve.  Decompositions
 of more than MAX_OPTIMIZE_BLOCKS blocks are refused before any work.
 
 Each public solver is a front over a private core on integer weights: the
@@ -109,26 +111,32 @@ def _best_containing(
     banned, or None when no such blockset exists.
 
     One walk of the block-cut tree from forced[0] around the banned blocks
-    (the cached root walk when that is block 0 and nothing is banned), then
-    one pass back up it: a block takes a child's best value whenever
-    the child's subtree holds a forced block (the path to it is needed),
-    and otherwise only when that value is positive.
+    (the cached root walk when that is block 0 and nothing is banned); a
+    forced block other than forced[0] the walk did not enter is cut off,
+    and the answer is None.  Then one pass back up the walk over two lists
+    indexed by block, the best values (a copy of w) and the needed marks:
+    a block takes a child's best value whenever the child is needed (its
+    subtree holds a forced block, so the path to it is), marking itself
+    needed too, and otherwise only when that value is positive.  Blocks
+    the walk did not reach keep their weight and are never read.
     """
     root = forced[0]
     if root in banned:
         return None
     order, entry, owner = d.root_walk if root == 0 and not banned else _walk(d, root, banned)
-    best = {b: w[b] for b in order}
-    if any(f not in best for f in forced):
-        return None
-    needed = set(forced)
+    needed = [False] * len(w)
+    for f in forced:
+        if f != root and f not in entry:
+            return None
+        needed[f] = True
+    best = list(w)
     for b in reversed(order[1:]):
-        parent = owner[entry[b]]
-        if b in needed:
-            needed.add(parent)
+        if needed[b]:
+            parent = owner[entry[b]]
+            needed[parent] = True
             best[parent] += best[b]
         elif best[b] > 0:
-            best[parent] += best[b]
+            best[owner[entry[b]]] += best[b]
     return best[root]
 
 

@@ -82,6 +82,28 @@ def lift_first_edge(m):
     m.setattr(verify, "_lift", lift)
 
 
+def best_values_overwrite_the_weights(m):
+    # the constrained query's up pass sums into the caller's weight list
+    # instead of a copy, so every later query, the prefix weight and the
+    # brute force read the sums of earlier passes
+    def best_containing(d, w, forced, banned):
+        root = forced[0]
+        if root in banned:
+            return None
+        order, entry, owner = d.root_walk if root == 0 and not banned else graphs._walk(d, root, banned)
+        if any(f != root and f not in entry for f in forced):
+            return None
+        needed, best = [b in forced for b in range(len(w))], w
+        for b in reversed(order[1:]):
+            if needed[b]:
+                needed[owner[entry[b]]] = True
+            if needed[b] or best[b] > 0:
+                best[owner[entry[b]]] += best[b]
+        return best[root]
+
+    m.setattr(optimize, "_best_containing", best_containing)
+
+
 def rank_n_minus_2(certs, rows, *args):
     # the last row's tight vertices claim affine rank n - 2
     return certs[:-1] + ((certs[-1][0], len(rows[0][0]) - 2),)
@@ -172,6 +194,7 @@ FAULTS = [
     ("dp-wrong-argmax", wrapped(optimize, "_optimum", dp_wrong_argmax), {"optimizer"}),
     ("integers-drop-denominators", integers_drop_denominators, {"optimizer"}),
     ("lift-first-edge", lift_first_edge, {"optimizer"}),
+    ("best-values-overwrite-the-weights", best_values_overwrite_the_weights, {"optimizer"}),
     ("certificate-rank-n-2", wrapped(verify, "facet_certificates", rank_n_minus_2), {"facets"}),
     (
         "dd-oracle-drops-a-row",

