@@ -138,8 +138,9 @@ def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
 
     Each state walks the block-cut tree once, from a block of its closure;
     a new block's path to the closure is then its chase up the walk's
-    parent blocks, and the graph vertices of a blockset are an OR of the
-    blocks' vertex masks.
+    parent list (None at a block the walk did not reach, where the chase
+    raises TypeError), and the graph vertices of a blockset are an OR of
+    the blocks' vertex masks.
     """
     n = len(d.blocks)
     _check_ibi_cap(n)
@@ -170,7 +171,7 @@ def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
     for alpha in queue:
         iset = [b for b, x in enumerate(alpha) if x == 1]
         closure = blockset_closure(d, iset)
-        _, entry, owner = d.root_walk if iset[0] == 0 else _walk(d, iset[0])
+        _, _, parent = d.root_walk if iset[0] == 0 else _walk(d, iset[0])
         held = blocked = 0
         for b in closure:
             held |= vmask[b]
@@ -179,11 +180,11 @@ def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
         for bn in range(n):
             if bn in closure or blocked >> bn & 1:
                 continue
-            path_blocks, reach, b = [], vmask[bn], owner[entry[bn]]
+            path_blocks, reach, b = [], vmask[bn], parent[bn]
             while b not in closure:
                 path_blocks.append(b)
                 reach |= vmask[b]
-                b = owner[entry[b]]
+                b = parent[b]
             meet = held & reach
             if not meet or meet & (meet - 1):
                 raise AssertionFailure(

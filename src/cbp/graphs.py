@@ -10,9 +10,12 @@ stores that tree once, from both sides and read-only: the blocks at each
 vertex, and the cut vertices of each block.  `_walk` is its one traversal,
 and it steps along the tree's own edges only: closures, the components at
 a cut vertex and the optimizer's passes all read the tree through it, and
-the walk from block 0 is made once and kept on the decomposition.
-Everything downstream (vertex enumeration, facets, the optimizer) works on
-this decomposition.
+the walk from block 0 is made once and kept on the decomposition.  A walk
+is one representation for every reader: the reached blocks in walk order
+and two lists indexed by block, the cut vertex each block was entered
+through and the block it was entered from (its parent), both None at the
+root and at every block the walk did not reach.  Everything downstream
+(vertex enumeration, facets, the optimizer) works on this decomposition.
 """
 
 from __future__ import annotations
@@ -170,8 +173,10 @@ class BlockDecomposition:
     use.
 
     root_walk is the `_walk` from block 0 with nothing banned, built on
-    first use and kept for the decomposition's lifetime: the vertex count,
-    the optimizer's rerooting pass and its queries and closures rooted at
+    first use and kept for the decomposition's lifetime: the blocks in
+    walk order, and the entry cut vertex and the parent of each block in
+    two lists indexed by block, None at block 0.  The vertex count, the
+    optimizer's rerooting pass and its queries and closures rooted at
     block 0 all read it.  near is kept the same way: bit c of its b-th
     mask marks that blocks b and c share a graph vertex, b itself
     included; the vertex enumeration and the block-column kernels read
@@ -184,7 +189,7 @@ class BlockDecomposition:
     blocks_at_vertex: dict[int, tuple[int, ...]]
 
     @cached_property
-    def root_walk(self) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    def root_walk(self) -> tuple[list[int], list[int | None], list[int | None]]:
         return _walk(self, 0)
 
     @cached_property
@@ -306,30 +311,36 @@ def _check_block_indices(d: BlockDecomposition, a) -> frozenset[int]:
 
 def _walk(
     d: BlockDecomposition, root: int, banned: AbstractSet[int] = frozenset()
-) -> tuple[list[int], dict[int, int], dict[int, int]]:
+) -> tuple[list[int], list[int | None], list[int | None]]:
     """Breadth-first walk of the block-cut tree from block root, never
     entering a banned block (root itself is not checked).  It steps from a
     block to its cut vertices (block_cuts) and from a cut vertex to its
-    blocks (blocks_at_vertex), so each step is a tree edge.
+    blocks (blocks_at_vertex), so each step is a tree edge, and it expands
+    each cut vertex once, from the block it first reaches that vertex in.
 
-    Returns the reached blocks in walk order, the cut vertex through which
-    each block but the root was entered, and the block that owns each
-    reached cut vertex: the block the walk reached it from.  The parent of
-    block b is owner[entry[b]], and every block comes after its parent.
+    Returns the reached blocks in walk order, then two lists indexed by
+    block: entry[b], the cut vertex through which block b was entered, and
+    parent[b], the block it was entered from.  Both hold None at the root
+    and at every block the walk did not reach, so a chase up the parents
+    that leaves the reached blocks fails at once, where an int sentinel
+    such as -1 would index from the end.  Every block comes after its
+    parent.
     """
     order = [root]
-    entry: dict[int, int] = {}
-    owner: dict[int, int] = {}
+    entry: list[int | None] = [None] * len(d.blocks)
+    parent: list[int | None] = [None] * len(d.blocks)
+    owned: set[int] = set()
     block_cuts, at_vertex = d.block_cuts, d.blocks_at_vertex
     for b in order:
         for v in block_cuts[b]:
-            if v not in owner:
-                owner[v] = b
+            if v not in owned:
+                owned.add(v)
                 for b2 in at_vertex[v]:
                     if b2 != b and b2 not in banned:
                         entry[b2] = v
+                        parent[b2] = b
                         order.append(b2)
-    return order, entry, owner
+    return order, entry, parent
 
 
 def tree_order(d: BlockDecomposition) -> tuple[int, ...]:
@@ -349,20 +360,19 @@ def tree_order(d: BlockDecomposition) -> tuple[int, ...]:
         return d.root_walk if root == 0 else _walk(d, root)
 
     def farthest(root: int) -> int:
-        order, entry, owner = walk(root)
-        depth = {root: 0}
+        order, _, parent = walk(root)
+        depth = [0] * len(d.blocks)
         for b in order[1:]:
-            depth[b] = depth[owner[entry[b]]] + 1
+            depth[b] = depth[parent[b]] + 1
         return min(order, key=lambda b: (-depth[b], b))
 
     root = farthest(farthest(0))
-    order, entry, owner = walk(root)
-    size = dict.fromkeys(order, 1)
-    children: dict[int, list[int]] = {b: [] for b in order}
+    order, _, parent = walk(root)
+    size = [1] * len(d.blocks)
+    children: list[list[int]] = [[] for _ in d.blocks]
     for b in reversed(order[1:]):
-        parent = owner[entry[b]]
-        size[parent] += size[b]
-        children[parent].append(b)
+        size[parent[b]] += size[b]
+        children[parent[b]].append(b)
     out, stack = [], [root]
     while stack:
         b = stack.pop()
@@ -377,18 +387,20 @@ def blockset_closure(d: BlockDecomposition, a) -> frozenset[int]:
     The closure of a blockset is the unique smallest connected blockset
     containing it; a blockset induces a connected subgraph exactly when it
     equals its own closure.  It is found by a walk from the smallest given
-    block and a chase up the parent blocks from each of the others.
+    block and a chase up the walk's parent list from each of the others.
+    A block the walk did not reach has parent None, which ends the chase
+    in a TypeError rather than a wrong closure.
     """
     s = _check_block_indices(d, a)
     if len(s) <= 1:
         return s
     root = min(s)
-    _, entry, owner = d.root_walk if root == 0 else _walk(d, root)
+    _, _, parent = d.root_walk if root == 0 else _walk(d, root)
     marked = {root}
     for b in s:
         while b not in marked:
             marked.add(b)
-            b = owner[entry[b]]
+            b = parent[b]
     return frozenset(marked)
 
 

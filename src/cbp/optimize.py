@@ -11,7 +11,10 @@ reconstruction uses constrained value queries (best value containing a
 forced set, avoiding a banned set), each one walk of the tree from a
 forced block and one pass back up it over two lists indexed by block:
 the best values and the marks of the blocks whose subtree holds a forced
-block.  A query with block e forced is at most e's rerooted value, so
+block.  Every pass reads a walk as `graphs._walk` returns it: the blocks
+in walk order and, indexed by block, the cut vertex each was entered
+through and its parent block, None at the root and at every block the
+walk did not reach.  A query with block e forced is at most e's rerooted value, so
 only blocks whose rerooted value is the optimum are queried, each at
 most once per solve.  Decompositions
 of more than MAX_OPTIMIZE_BLOCKS blocks are refused before any work.
@@ -112,56 +115,72 @@ def _best_containing(
 
     One walk of the block-cut tree from forced[0] around the banned blocks
     (the cached root walk when that is block 0 and nothing is banned); a
-    forced block other than forced[0] the walk did not enter is cut off,
-    and the answer is None.  Then one pass back up the walk over two lists
-    indexed by block, the best values (a copy of w) and the needed marks:
-    a block takes a child's best value whenever the child is needed (its
-    subtree holds a forced block, so the path to it is), marking itself
-    needed too, and otherwise only when that value is positive.  Blocks
-    the walk did not reach keep their weight and are never read.
+    forced block other than forced[0] whose parent in the walk is None was
+    not entered, so it is cut off and the answer is None.  Then one pass
+    back up the walk's parent list over two lists indexed by block, the
+    best values (a copy of w) and the needed marks: a block takes a
+    child's best value whenever the child is needed (its subtree holds a
+    forced block, so the path to it is), marking itself needed too, and
+    otherwise only when that value is positive.  Blocks the walk did not
+    reach keep their weight and are never read.
+
+    Passing the needed mark up keeps each forced block's path.  Without it
+    the answer would be the best value over connected blocksets avoiding
+    banned that hold forced[0] and every forced block whose parent they
+    hold: at least the true answer, at most the optimum.  _optimum forces
+    only blocks of optimal rerooted value and asks only whether the answer
+    is the optimum, so that fault changes one of its decisions only on a
+    tie of two optimal blocksets, one holding forced[0] but not some forced
+    block, the other holding that block; and it does bite there.  Example:
+    the triangle 0 4 5 with pendant edges 2-4, 5-1 and 1-3.  Its blocks are
+    {0, 4, 5}, {1, 3}, {1, 5} and {2, 4}, on the tree path 1-2-0-3.  Under
+    weights (1, 2, -3, 1) both (0, 3) and (1,) weigh 2, and every block
+    but 2 has rerooted value 2.  The query forcing (0, 1) would
+    return 2 instead of its true 1, so block 1 would be committed and the
+    prefix (0, 1) would have no extension.
     """
     root = forced[0]
     if root in banned:
         return None
-    order, entry, owner = d.root_walk if root == 0 and not banned else _walk(d, root, banned)
+    order, _, parent = d.root_walk if root == 0 and not banned else _walk(d, root, banned)
     needed = [False] * len(w)
     for f in forced:
-        if f != root and f not in entry:
+        if f != root and parent[f] is None:
             return None
         needed[f] = True
     best = list(w)
     for b in reversed(order[1:]):
         if needed[b]:
-            parent = owner[entry[b]]
-            needed[parent] = True
-            best[parent] += best[b]
+            needed[parent[b]] = True
+            best[parent[b]] += best[b]
         elif best[b] > 0:
-            best[owner[entry[b]]] += best[b]
+            best[parent[b]] += best[b]
     return best[root]
 
 
 def _rerooted_values(d: BlockDecomposition, w: Sequence[int]) -> list[int]:
     """For every block b, the best value over connected blocksets containing b.
 
-    The decomposition's walk from block 0, then two passes.  Up: down[b] is
-    w[b] plus the positive down values of b's children, and downc[v] sums
-    the positive down values of the blocks entered through cut vertex v.
-    Down: a block b entered through v adds to down[b] its positive siblings
-    at v and, when positive, the best value at v's owner without the
-    blocks below v.
+    The decomposition's walk from block 0, then two passes over its order,
+    reading each block's entry cut vertex and parent from the walk's lists
+    indexed by block (None at block 0, which neither pass reads).  Up:
+    down[b] is w[b] plus the positive down values of b's children, and
+    downc[v], kept for every cut vertex v, sums the positive down values
+    of the blocks entered through v.  Down: a block b entered through v
+    adds to down[b] its positive siblings at v and, when positive, the
+    best value at its parent without the blocks below v.
     """
-    order, entry, owner = d.root_walk
+    order, entry, parent = d.root_walk
     down = list(w)
-    downc = dict.fromkeys(owner, 0)
+    downc = dict.fromkeys(d.cut_vertices, 0)
     for b in reversed(order[1:]):
         if down[b] > 0:
-            v = entry[b]
-            downc[v] += down[b]
-            down[owner[v]] += down[b]
+            downc[entry[b]] += down[b]
+            down[parent[b]] += down[b]
     full = down[:]
     for b in order[1:]:
         v = entry[b]
-        above = full[owner[v]] - downc[v]
+        above = full[parent[b]] - downc[v]
         full[b] += downc[v] - (down[b] if down[b] > 0 else 0) + (above if above > 0 else 0)
     return full
 

@@ -76,7 +76,9 @@ def enumerate_vertices(d: BlockDecomposition) -> tuple[BlockSubset, ...]:
 def count_connected_blocksets(d: BlockDecomposition) -> int:
     """Number of connected blocksets, the empty one included, in linear time.
 
-    Root the block-cut tree at block 0 (the decomposition's root_walk).
+    Root the block-cut tree at block 0 (the decomposition's root_walk,
+    whose entry and parent lists give each block but the root its cut
+    vertex and block above it).
     g[b] counts the connected blocksets whose block nearest the root is b:
     every child block b' of every child cut vertex of b is either left out
     or joins with one of its g[b'] sets, so g[b] is the product of
@@ -85,15 +87,15 @@ def count_connected_blocksets(d: BlockDecomposition) -> int:
     block: P_c - 1 - sum(g[b']) sets, where P_c is the product of
     (1 + g[b']) over the child blocks of c.  Every block but the root is a
     child of exactly one cut vertex, so the total is 1 + g[root] + the sum
-    over the cut vertices of (P_c - 1).
+    over the cut vertices of (P_c - 1); a cut vertex that no block was
+    entered through keeps P_c = 1 and adds 0.
     """
-    order, entry, owner = d.root_walk
+    order, entry, parent = d.root_walk
     g = [1] * len(d.blocks)
-    at_cut = dict.fromkeys(owner, 1)
+    at_cut = dict.fromkeys(d.cut_vertices, 1)
     for b in reversed(order[1:]):
-        v = entry[b]
-        at_cut[v] *= 1 + g[b]
-        g[owner[v]] *= 1 + g[b]
+        at_cut[entry[b]] *= 1 + g[b]
+        g[parent[b]] *= 1 + g[b]
     return 1 + g[0] + sum(at_cut.values()) - len(at_cut)
 
 

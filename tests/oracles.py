@@ -108,19 +108,23 @@ def vertex_scan_walk(d: BlockDecomposition, root: int, banned=frozenset()):
     """`graphs._walk`'s predecessor: the same breadth-first walk of the
     block-cut tree, finding each block's tree edges by testing every vertex
     of the block against the cut vertices instead of reading
-    `d.block_cuts`.  Returns (order, entry, owner) as `_walk` does."""
+    `d.block_cuts`.  Returns (order, entry, parent) as `_walk` does, entry
+    and parent indexed by block and None where a block is the root or
+    unreached."""
     order = [root]
-    entry: dict[int, int] = {}
-    owner: dict[int, int] = {}
+    entry = [None] * len(d.blocks)
+    parent = [None] * len(d.blocks)
+    owned = set()
     for b in order:
         for v in d.blocks[b].vertices:
-            if v in d.cut_vertices and v not in owner:
-                owner[v] = b
+            if v in d.cut_vertices and v not in owned:
+                owned.add(v)
                 for b2 in d.blocks_at_vertex[v]:
                     if b2 != b and b2 not in banned:
                         entry[b2] = v
+                        parent[b2] = b
                         order.append(b2)
-    return order, entry, owner
+    return order, entry, parent
 
 
 def unmerged_lattice_plan(h):

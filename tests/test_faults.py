@@ -21,7 +21,7 @@ import cbp.optimize as optimize
 import cbp.skeleton as skeleton
 import cbp.toric as toric
 import cbp.verify as verify
-from cbp.corpus import CorpusEntry, flower, path_graph, star_graph
+from cbp.corpus import CorpusEntry, corpus, flower, path_graph, star_graph
 from cbp.graphs import graph_from_json
 from cbp.hull import RationalPolyhedron
 from cbp.verify import VerificationReport, VerifyOptions, run_verification, verify_graph
@@ -90,15 +90,15 @@ def best_values_overwrite_the_weights(m):
         root = forced[0]
         if root in banned:
             return None
-        order, entry, owner = d.root_walk if root == 0 and not banned else graphs._walk(d, root, banned)
-        if any(f != root and f not in entry for f in forced):
+        order, _, parent = d.root_walk if root == 0 and not banned else graphs._walk(d, root, banned)
+        if any(f != root and parent[f] is None for f in forced):
             return None
         needed, best = [b in forced for b in range(len(w))], w
         for b in reversed(order[1:]):
             if needed[b]:
-                needed[owner[entry[b]]] = True
+                needed[parent[b]] = True
             if needed[b] or best[b] > 0:
-                best[owner[entry[b]]] += best[b]
+                best[parent[b]] += best[b]
         return best[root]
 
     m.setattr(optimize, "_best_containing", best_containing)
@@ -177,8 +177,8 @@ def ibis_gain_a_bad_row(m):
 
 def block_cuts_lose_a_cut_vertex(m):
     # the first block holding two cut vertices loses the first of them
-    # from the cut-vertex table, so walks stop short of, or re-enter, the
-    # blocks behind it
+    # from the cut-vertex table, so walks from its side of that vertex stop
+    # short of the blocks behind it
     real = graphs.BlockDecomposition.block_cuts.func
 
     def lose(d):
@@ -373,3 +373,30 @@ def test_cube_diameter_catches_a_miss_past_the_adjacency_gate(monkeypatch, graph
     (detail,) = [c.detail for c in report.checks if c.name == "diameter"]
     assert detail["reason"] == "cube diameter is not the dimension"
     assert (detail["diameter"], detail["expected"]) == (n - 1, n)
+
+
+def test_walks_end_under_a_lost_cut_vertex(monkeypatch):
+    # with a cut vertex lost from the table every walk still expands each
+    # cut vertex once, so it ends within the tree's incidences; a block it
+    # did not reach has parent None, so the closure's and the
+    # construction's chases up the parents raise instead of running on
+    block_cuts_lose_a_cut_vertex(monkeypatch)
+    short = 0
+    for entry in corpus(5, 7, 26):
+        d = graphs.block_decomposition(entry.graph)
+        n = len(d.blocks)
+        bound = 1 + sum(len(d.blocks_at_vertex[v]) for v in d.cut_vertices)
+        walks = [graphs._walk(d, root) for root in range(n)]
+        for root, (order, entry_at, parent) in enumerate(walks):
+            assert len(order) <= bound and len(set(order)) == len(order), (entry.name, root)
+            unreached = set(range(n)) - set(order)
+            assert all(entry_at[b] is parent[b] is None for b in unreached), (entry.name, root)
+            if unreached and max(unreached) > root:
+                with pytest.raises(TypeError):
+                    graphs.blockset_closure(d, (root, max(unreached)))
+        if any(len(order) < n for order, _, _ in walks):
+            short += 1
+            with pytest.raises(TypeError) as excinfo:
+                facets.construct_ibis(d)
+            assert excinfo.traceback[-1].name in {"construct_ibis", "blockset_closure"}, entry.name
+    assert short > 0

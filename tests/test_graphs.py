@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 
 import oracles
 from cbp.cli import main
-from cbp.corpus import corpus, flower, path_graph, showcase_graph, spider, star_graph, triangle_chain
+from cbp.corpus import (
+    corpus,
+    flower,
+    path_graph,
+    random_block_tree,
+    showcase_graph,
+    spider,
+    star_graph,
+    triangle_chain,
+)
 from cbp.errors import EmptyGraph, InvalidGraph, NotConnected, NotCutVertex, ParseError
 from cbp.graphs import (
     Graph,
@@ -329,7 +338,9 @@ def networkx_block_cut_tree(d):
 
 def test_walk_matches_the_vertex_scanning_walk(walk_cases):
     # block_cuts holds each block's cut vertices, one entry per tree edge,
-    # and the walk over it visits, enters and owns as the vertex scan does
+    # and the walk over it visits, enters and sets parents as the vertex
+    # scan does: on the small graphs from every root, and on seeded random
+    # block trees of 64-256 blocks from a few roots
     rng = random.Random(33)
     for name, d in walk_cases:
         cuts = oracles.brute_cut_vertices(d.graph)
@@ -341,6 +352,18 @@ def test_walk_matches_the_vertex_scanning_walk(walk_cases):
             for banned in bans:
                 expected = oracles.vertex_scan_walk(d, root, banned)
                 assert _walk(d, root, banned) == expected, (name, root, sorted(banned))
+    for n in (64, 128, 256):
+        d = block_decomposition(random_block_tree(rng, n))
+        assert sum(map(len, d.block_cuts)) == n + len(d.cut_vertices) - 1, n
+        for root in [0, n - 1, *rng.sample(range(1, n - 1), 3)]:
+            bans = [frozenset()] + [frozenset(rng.sample(range(n), rng.randint(1, n // 8))) for _ in range(3)]
+            for banned in bans:
+                order, entry, parent = walk = _walk(d, root, banned)
+                assert walk == oracles.vertex_scan_walk(d, root, banned), (n, root, sorted(banned))
+                assert entry[root] is parent[root] is None
+                assert all(parent[b] is None for b in set(range(n)) - set(order))
+                if not banned:
+                    assert len(order) == n, (n, root)
 
 
 def test_closure_matches_networkx_paths(walk_cases):

@@ -147,22 +147,29 @@ def test_tie_breaks_match_brute_force_and_oracle(path3_d):
     # first, so block 1 hangs below block 2
     hook = block_decomposition(Graph(4, ((0, 3), (1, 2), (1, 3))))
     spider_d = block_decomposition(spider((2, 1, 1)))  # blocks 0-1, 0-3 and 0-4 at vertex 0
+    # blocks {0,4,5}, {1,3}, {1,5}, {2,4}: the tree path 1 - 2 - 0 - 3
+    kite = block_decomposition(Graph(6, ((0, 4), (4, 5), (0, 5), (1, 3), (1, 5), (2, 4))))
     pinned = [
         (path3_d, (-1, 0, -2), ()),  # all nonpositive: the empty set
         (path3_d, (0, 0, 0), ()),
         (path3_d, (-1, 2, 0), (1,)),  # smallest optimal block 1, a zero branch at it
         (path3_d, (-3, 2, -1), (1,)),
-        (hook, (-5, 1, 1), (1, 2)),  # block 1 needs its owner, block 2
+        (hook, (-5, 1, 1), (1, 2)),  # block 1 needs its parent, block 2
         (hook, (-5, 1, 0), (1,)),
         (hook, (-5, 0, 1), (1, 2)),  # the zero block 1 sorts first
         (spider_d, (-4, 1, 1, 0), (1, 2)),  # siblings at vertex 0 join block 1
         (spider_d, (-4, 0, 1, 0), (1, 2)),
+        (kite, (1, 2, -3, 1), (0, 3)),  # ties (1,), which neither meets nor touches it
     ]
     for d, w, blockset in pinned:
         sol = max_weight_connected_blockset(d, w)
         assert sol == Solution(blockset, sum(w[b] for b in blockset)), (w, sol)
         assert sol == brute_force_optimum(d, w), w
         assert sol == oracles.fraction_max_weight_connected_blockset(d, w), w
+    # forcing blocks 0 and 1, both of optimal rerooted value, takes the
+    # path through block 2: the tie-break query must not report the optimum
+    assert optimize._rerooted_values(kite, [1, 2, -3, 1]) == [2, 2, 1, 2]
+    assert optimize._best_containing(kite, [1, 2, -3, 1], (0, 1), frozenset()) == 1
 
     rng = random.Random(20261023)
     seen = set()
