@@ -22,7 +22,6 @@ from .errors import (
     EmptyGraph,
     InvalidGraph,
     NotConnected,
-    NotCutVertex,
     NotEulerianCactus,
     NotTree,
     ParseError,
@@ -53,7 +52,6 @@ USAGE_ERRORS = (
     InvalidGraph,
     NotConnected,
     EmptyGraph,
-    NotCutVertex,
     NotEulerianCactus,
     NotTree,
     OSError,

@@ -27,10 +27,6 @@ class EmptyGraph(CBPError):
     """The operation requires at least one edge."""
 
 
-class NotCutVertex(CBPError):
-    """The given vertex is not a cut vertex of the graph."""
-
-
 class CountOverflow(CBPError):
     """An enumeration exceeded its configured cap."""
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import AssertionFailure, CountOverflow, RowInvalid
-from .graphs import BlockDecomposition, _walk, blockset_closure, graph_to_json, split_components_at, tree_order
+from .graphs import BlockDecomposition, _walk, blockset_closure, graph_to_json, tree_order
 from .hull import RationalPolyhedron, _bareiss
 from .vertices import _moments
 
@@ -124,6 +124,26 @@ def enumerate_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found))
 
 
+def _part_sums(d: BlockDecomposition, walk, sub, v: int) -> dict[int, int]:
+    """The alpha sum of each part of the graph minus the cut vertex v,
+    keyed by the part's block at v, read off a walk of the block-cut tree
+    and sub, the alpha sum of each reached block's subtree over it.
+
+    A block entered through v holds its subtree; the block v was reached
+    from holds the rest, the root's subtree less those.
+    """
+    order, entry, _ = walk
+    sums, rest = {}, sub[order[0]]
+    for b in d.blocks_at_vertex[v]:
+        if entry[b] == v:
+            sums[b] = sub[b]
+            rest -= sub[b]
+        else:
+            owner = b
+    sums[owner] = rest
+    return sums
+
+
 def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
     """Every valid inequality's alpha, by closing the inductive construction.
 
@@ -136,19 +156,20 @@ def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
     A state failing validation raises AssertionFailure, because the
     construction is supposed to preserve validity.
 
-    Each state walks the block-cut tree once, from a block of its closure;
-    a new block's path to the closure is then its chase up the walk's
-    parent list (None at a block the walk did not reach, where the chase
-    raises TypeError), and the graph vertices of a blockset are an OR of
-    the blocks' vertex masks.
+    Each state walks the block-cut tree once, from a block of its
+    independent set I, and passes back up the walk once: the closure of I
+    is the blocks whose subtree holds a block of I, and the subtree alpha
+    sums give the components' weights (`_part_sums`).  A new block's path
+    to the closure is its chase up the walk's parent list, and v is the
+    entry vertex of the last block chased.  A block the walk did not
+    reach has parent None, where the chase raises TypeError.  The sweep's
+    `verify.check_ibis` compares the rows with `enumerate_ibis` and also
+    checks the component clause on each of them, through the same
+    `_part_sums` over the root walk.
     """
     n = len(d.blocks)
     _check_ibi_cap(n)
     near = d.near
-    vmask = [sum(1 << v for v in block.vertices) for block in d.blocks]
-    # the parts at each attachment vertex, filled on first use, so that a
-    # vertex that is no cut vertex still raises NotCutVertex
-    parts_at: dict[int, tuple[frozenset[int], ...]] = {}
 
     def check(alpha: tuple[int, ...], context: str):
         problems = ibi_violations(d, alpha)
@@ -170,45 +191,29 @@ def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
     # the loop also visits the states appended to the queue as it runs
     for alpha in queue:
         iset = [b for b, x in enumerate(alpha) if x == 1]
-        closure = blockset_closure(d, iset)
-        _, _, parent = d.root_walk if iset[0] == 0 else _walk(d, iset[0])
-        held = blocked = 0
-        for b in closure:
-            held |= vmask[b]
+        walk = order, entry, parent = d.root_walk if iset[0] == 0 else _walk(d, iset[0])
+        sub, closure = list(alpha), [x == 1 for x in alpha]
+        for b in reversed(order[1:]):
+            sub[parent[b]] += sub[b]
+            closure[parent[b]] |= closure[b]
+        blocked = 0
         for b in iset:
             blocked |= near[b]
         for bn in range(n):
-            if bn in closure or blocked >> bn & 1:
+            if closure[bn] or blocked >> bn & 1:
                 continue
-            path_blocks, reach, b = [], vmask[bn], parent[bn]
-            while b not in closure:
-                path_blocks.append(b)
-                reach |= vmask[b]
-                b = parent[b]
-            meet = held & reach
-            if not meet or meet & (meet - 1):
-                raise AssertionFailure(
-                    "branch attachment is not a single vertex",
-                    payload={"graph": graph_to_json(d.graph), "state": list(alpha), "new_block": bn},
-                )
-            v = meet.bit_length() - 1
-            if v not in parts_at:
-                parts_at[v] = split_components_at(d, v)
-            parts = parts_at[v]
-            sums = [sum(alpha[b] for b in part) for part in parts]
-            ones = [i for i, s in enumerate(sums) if s == 1]
-            if len(ones) != 1 or any(s != 0 for i, s in enumerate(sums) if i != ones[0]):
+            path_blocks, x = [], bn
+            while not closure[parent[x]]:
+                x = parent[x]
+                path_blocks.append(x)
+            v = entry[x]
+            sums = _part_sums(d, walk, sub, v)
+            if sorted(sums.values()) != [0] * (len(sums) - 1) + [1]:
                 raise AssertionFailure(
                     "component weights at the attachment vertex are not one 1 and rest 0",
                     payload={"graph": graph_to_json(d.graph), "state": list(alpha), "vertex": v},
                 )
-            at_v = [b for b in parts[ones[0]] if vmask[b] >> v & 1]
-            if len(at_v) != 1:
-                raise AssertionFailure(
-                    "weight-1 component has no unique block at the attachment vertex",
-                    payload={"graph": graph_to_json(d.graph), "state": list(alpha), "vertex": v},
-                )
-            for a in sorted({*path_blocks, at_v[0]}):
+            for a in sorted({*path_blocks, max(sums, key=sums.get)}):
                 new_alpha = list(alpha)
                 new_alpha[bn] += 1
                 new_alpha[a] -= 1

@@ -9,7 +9,8 @@ node exactly when the cut vertex lies in the block.  The decomposition
 stores that tree once, from both sides and read-only: the blocks at each
 vertex, and the cut vertices of each block.  `_walk` is its one traversal,
 and it steps along the tree's own edges only: closures, the components at
-a cut vertex and the optimizer's passes all read the tree through it, and
+a cut vertex (as alpha sums over a walk's subtrees) and the optimizer's
+passes all read the tree through it, and
 the walk from block 0 is made once and kept on the decomposition.  A walk
 is one representation for every reader: the reached blocks in walk order
 and two lists indexed by block, the cut vertex each block was entered
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet
 
-from .errors import EmptyGraph, InvalidGraph, NotConnected, NotCutVertex, ParseError
+from .errors import EmptyGraph, InvalidGraph, NotConnected, ParseError
 
 Edge = tuple[int, int]
 
@@ -402,22 +403,6 @@ def blockset_closure(d: BlockDecomposition, a) -> frozenset[int]:
             marked.add(b)
             b = parent[b]
     return frozenset(marked)
-
-
-def split_components_at(d: BlockDecomposition, v: int) -> tuple[frozenset[int], ...]:
-    """Partition the block indices by the component of the graph minus a cut vertex.
-
-    Two blocks fall in the same part exactly when they stay connected after
-    the cut vertex is removed; equivalently the parts are the components of
-    the block-cut tree minus the cut node, one per block at v.  Parts are
-    sorted by smallest block index.
-    """
-    if v not in d.cut_vertices:
-        raise NotCutVertex(f"vertex {v} is not a cut vertex")
-    at_v = frozenset(d.blocks_at_vertex[v])
-    parts = [frozenset(_walk(d, b, at_v)[0]) for b in at_v]
-    parts.sort(key=min)
-    return tuple(parts)
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,8 @@ from math import gcd
 from .corpus import CorpusEntry, corpus
 from .ehrhart import hstar_checks, hstar_profile
 from .errors import AssertionFailure, CBPError
-from .facets import _check_ibi_cap, construct_ibis, enumerate_ibis, facet_certificates, h_representation
-from .graphs import (
-    Graph,
-    block_decomposition,
-    classify,
-    graph_to_json,
-    split_components_at,
-)
+from .facets import _check_ibi_cap, _part_sums, construct_ibis, enumerate_ibis, facet_certificates, h_representation
+from .graphs import Graph, block_decomposition, classify, graph_to_json
 from .hull import RationalPolyhedron, _bareiss, _primitive, brute_force_facets
 from . import optimize
 from .optimize import _lift, max_weight_connected_blockset
@@ -304,7 +298,11 @@ def check_facets(ctx: GraphContext) -> dict | None:
 
 
 def check_ibis(ctx: GraphContext) -> dict | None:
-    """Inductive construction reaches exactly the enumerated inequalities."""
+    """Inductive construction reaches exactly the enumerated inequalities,
+    and each of them passes the component clause: alpha sums to 1, and at
+    every cut vertex v one part of the graph minus v weighs 1 and the rest
+    0.  The parts' weights are read off the alpha sums of the subtrees of
+    the decomposition's root walk (`facets._part_sums`)."""
     d = ctx.decomposition
     enumerated = set(ctx.ibis)
     constructed = set(construct_ibis(d))
@@ -313,13 +311,17 @@ def check_ibis(ctx: GraphContext) -> dict | None:
             "enumerated_only": sorted(enumerated - constructed),
             "constructed_only": sorted(constructed - enumerated),
         }
-    parts_at = [(v, split_components_at(d, v)) for v in sorted(d.cut_vertices)]
+    walk = order, _, parent = d.root_walk
+    cuts = sorted(d.cut_vertices)
     for alpha in enumerated:
         if sum(alpha) != 1:
             return {"reason": "alpha sum is not 1", "alpha": list(alpha)}
-        for v, parts in parts_at:
-            sums = [sum(alpha[b] for b in part) for part in parts]
-            if sorted(sums) != [0] * (len(sums) - 1) + [1]:
+        sub = list(alpha)
+        for b in reversed(order[1:]):
+            sub[parent[b]] += sub[b]
+        for v in cuts:
+            sums = sorted(_part_sums(d, walk, sub, v).values())
+            if sums != [0] * (len(sums) - 1) + [1]:
                 return {
                     "reason": "component weights are not one 1 and rest 0",
                     "alpha": list(alpha),
@@ -368,14 +370,23 @@ def _bfs_diameter(neighbors) -> int | None:
 
 
 def check_diameter(ctx: GraphContext) -> dict | None:
-    """Diameter bounded by the dimension n and by the Hirsch bound, and
-    equal to n when the graph has at most one cut vertex; under the
-    adjacency gate it also equals the largest eccentricity found by a
-    per-source breadth-first search of the skeleton.
+    """Diameter bounded by the dimension n and by the Hirsch bound, equal
+    to n when the graph has at most one cut vertex, and to min(n, 2) on a
+    block path; under the adjacency gate it also equals the largest
+    eccentricity found by a per-source breadth-first search of the
+    skeleton.
 
     With at most one cut vertex, every block of the connected graph holds
     it, so every blockset, the empty one too, is connected: P is the cube
     [0,1]^n, whose graph has diameter n.
+
+    On a block path the vertices are the empty set and the intervals of
+    the path, and an interval is adjacent to each of its prefixes and
+    suffixes.  For S = [a..b] and T = [c..d] with a <= c, either c > b + 1
+    and S and T are adjacent, or [a..d] is a common neighbour; the empty
+    set reaches any T through {c}.  So the diameter is at most 2, and for
+    n >= 2 it is 2: the empty set and the whole path are not adjacent,
+    since their midpoint is also the midpoint of {0} and [1..n-1].
     """
     d = ctx.decomposition
     n = len(d.blocks)
@@ -386,6 +397,8 @@ def check_diameter(ctx: GraphContext) -> dict | None:
             return {"diameter": report.diameter, "bfs_diameter": bfs}
     if len(d.cut_vertices) <= 1 and report.diameter != n:
         return {"reason": "cube diameter is not the dimension", "diameter": report.diameter, "expected": n}
+    if classify(ctx.graph, d).is_block_path and report.diameter != min(n, 2):
+        return {"reason": "block path diameter is not min(n, 2)", "diameter": report.diameter, "expected": min(n, 2)}
     return None
 
 

@@ -13,9 +13,12 @@ by its own search of that tree and tests connectivity by a flood fill, so
 it reads neither the decomposition's stored tree nor its walk.  The
 vertex-scanning walk is the block-cut tree walk's predecessor: it finds a
 block's cut vertices among all of the block's vertices, so it does not
-read the per-block cut-vertex table.  The unmerged lattice plan is the
-merged plan's predecessor: it gives every frontier row pattern a key
-position of its own, so it does not read which slots hold the same offset.
+read the per-block cut-vertex table.  The components at a vertex are a
+breadth-first search of the graph minus that vertex over the graph's
+edges, so they read neither the block-cut tree nor its walk.  The
+unmerged lattice plan is the merged plan's predecessor: it gives every
+frontier row pattern a key position of its own, so it does not read
+which slots hold the same offset.
 The clique counter is the level-at-a-time f-vector's predecessor: it
 visits every clique of the flag complex once.
 """
@@ -125,6 +128,34 @@ def vertex_scan_walk(d: BlockDecomposition, root: int, banned=frozenset()):
                         parent[b2] = b
                         order.append(b2)
     return order, entry, parent
+
+
+def split_components_at(d: BlockDecomposition, v: int) -> tuple[frozenset[int], ...]:
+    """The block indices grouped by the component of the graph minus the
+    vertex v that holds each block's other vertices, found by a
+    breadth-first search of G - v over the graph's edges.  Parts are
+    sorted by smallest block index; a vertex that is no cut vertex leaves
+    one part."""
+    adj = {u: [] for u in range(d.graph.vertex_count)}
+    for a, b in d.graph.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    label = {v: None}
+    for s in adj:
+        if s in label:
+            continue
+        label[s] = s
+        queue = [s]
+        for u in queue:
+            for w in adj[u]:
+                if w not in label:
+                    label[w] = s
+                    queue.append(w)
+    parts: dict[int, set[int]] = {}
+    for i, blk in enumerate(d.blocks):
+        (comp,) = {label[u] for u in blk.vertices if u != v}
+        parts.setdefault(comp, set()).add(i)
+    return tuple(sorted((frozenset(p) for p in parts.values()), key=min))
 
 
 def unmerged_lattice_plan(h):

@@ -1,6 +1,6 @@
 """Inequality enumeration and construction against the brute hull oracle."""
 
-import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +19,7 @@ from cbp.facets import (
     ibi_violations,
     is_independent,
 )
-from cbp.graphs import Block, Graph, block_decomposition, split_components_at
+from cbp.graphs import Graph, _walk, block_decomposition
 from cbp.hull import RationalPolyhedron, _primitive, brute_force_facets
 from cbp.verify import GraphContext, check_facets
 from cbp.vertices import _bits, _columns, _row_masks, enumerate_vertices, to_incidence
@@ -151,33 +151,12 @@ def test_construction_refuses_an_invalid_state(path3_d, monkeypatch):
         construct_ibis(path3_d)
 
 
-def test_construction_refuses_a_wide_attachment(path3_d):
-    # block 1 of path-3 corrupted to hold vertex 0 as well: the branch to
-    # block 2 then meets block 0 in vertices 0 and 1
-    blocks = list(path3_d.blocks)
-    blocks[1] = Block(blocks[1].vertices | {0}, blocks[1].edges)
-    d = dataclasses.replace(path3_d, blocks=tuple(blocks))
-    with pytest.raises(AssertionFailure, match="^branch attachment is not a single vertex$") as err:
-        construct_ibis(d)
-    assert err.value.payload == {
-        "graph": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
-        "state": [1, 0, 0],
-        "new_block": 2,
-    }
-
-
-@pytest.mark.parametrize(
-    "parts, message",
-    [
-        ((frozenset(), frozenset()), "component weights at the attachment vertex are not one 1 and rest 0"),
-        ((frozenset({0, 1, 2}),), "weight-1 component has no unique block at the attachment vertex"),
-    ],
-)
-def test_construction_refuses_bad_components(path3_d, monkeypatch, parts, message):
-    # from state (1, 0, 0) block 2 attaches at vertex 1; no part weighs 1
-    # in the first case, and the one part holds both blocks at vertex 1 in
-    # the second
-    monkeypatch.setattr(facets, "split_components_at", lambda d, v: parts)
+def test_construction_refuses_bad_components(path3_d, monkeypatch):
+    # from state (1, 0, 0) block 2 attaches at vertex 1, where no part
+    # weighs 1 once every part's sum reads 0
+    real = facets._part_sums
+    monkeypatch.setattr(facets, "_part_sums", lambda *args: dict.fromkeys(real(*args), 0))
+    message = "component weights at the attachment vertex are not one 1 and rest 0"
     with pytest.raises(AssertionFailure, match=f"^{message}$") as err:
         construct_ibis(path3_d)
     assert err.value.payload == {
@@ -185,6 +164,42 @@ def test_construction_refuses_bad_components(path3_d, monkeypatch, parts, messag
         "state": [1, 0, 0],
         "vertex": 1,
     }
+
+
+def test_part_sums_match_the_components_oracle(oracle_graphs):
+    # every row, and every +-1 perturbation of it that keeps the sum at 1,
+    # weighs each part of the graph minus a cut vertex as the breadth-first
+    # oracle's parts do, keyed by the part's block at the vertex; the walk
+    # is the one the construction makes, from the row's first block
+    graphs = list(oracle_graphs) + [(e.name, block_decomposition(e.graph)) for e in corpus(8, 7, 8)]
+    for name, d in graphs:
+        n = len(d.blocks)
+        walks = [_walk(d, root) for root in range(n)]
+        # per cut vertex, the key of the part holding each block: the
+        # part's block at the vertex
+        key_of = {}
+        for v in d.cut_vertices:
+            for part in oracles.split_components_at(d, v):
+                (key,) = [b for b in part if v in d.blocks[b].vertices]
+                key_of[v] = {**key_of.get(v, {}), **dict.fromkeys(part, key)}
+        for row in construct_ibis(d):
+            walk = order, _, parent = walks[row.index(1)]
+            base = {v: dict.fromkeys(d.blocks_at_vertex[v], 0) for v in key_of}
+            for v, key in key_of.items():
+                for b, x in enumerate(row):
+                    base[v][key[b]] += x
+            for i, j in [(0, 0), *itertools.permutations(range(n), 2)]:
+                alpha = list(row)
+                alpha[i] += 1
+                alpha[j] -= 1
+                sub = list(alpha)
+                for b in reversed(order[1:]):
+                    sub[parent[b]] += sub[b]
+                for v, key in key_of.items():
+                    expected = dict(base[v])
+                    expected[key[i]] += 1
+                    expected[key[j]] -= 1
+                    assert facets._part_sums(d, walk, sub, v) == expected, (name, row, i, j, v)
 
 
 def test_every_row_is_reflexively_shifted(small_corpus):
@@ -204,7 +219,7 @@ def test_ibi_alpha_invariants(small_corpus):
             for v in sorted(d.cut_vertices):
                 sums = [
                     sum(alpha[b] for b in part)
-                    for part in split_components_at(d, v)
+                    for part in oracles.split_components_at(d, v)
                 ]
                 assert sorted(sums)[-1] in (0, 1), (name, v)
                 assert all(s in (0, 1) for s in sums), (name, v)

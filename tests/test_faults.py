@@ -189,6 +189,13 @@ def block_cuts_lose_a_cut_vertex(m):
     m.setattr(graphs.BlockDecomposition, "block_cuts", property(lose))
 
 
+def part_sums_owner_side_plus_one(sums, d, walk, sub, v):
+    # the part of the graph minus v on the side of the block v was reached
+    # from weighs one more than its blocks' alpha sum
+    entry = walk[1]
+    return {b: s + (entry[b] != v) for b, s in sums.items()}
+
+
 # name, patch, the checks that must fail
 FAULTS = [
     ("dp-wrong-argmax", wrapped(optimize, "_optimum", dp_wrong_argmax), {"optimizer"}),
@@ -262,6 +269,8 @@ FAULTS = [
     ),
     # the constrained query's up pass writes into the caller's weights
     ("best-values-overwrite-the-weights", best_values_overwrite_the_weights, {"optimizer"}),
+    # the construction reads two parts of weight 1 at an attachment vertex
+    ("part-sums-owner-side-plus-one", wrapped(facets, "_part_sums", part_sums_owner_side_plus_one), {"ibis"}),
 ]
 
 # Known misses past the gates: a fault of FAULTS, a graph above the gate of
@@ -273,8 +282,6 @@ MISSES = [
     # IBI check, and a facet completeness certificate past the double
     # description oracle's dimension cap
     ("both-ibi-generators-drop-their-last-row", ibis_drop_last, "path-8", path_graph(8), "facets"),
-    # item 16: the closed-form diameter of block paths, min(k, 2)
-    ("diameter-minus-one", diameter_minus_one, "path-6", path_graph(6), "adjacency"),
 ]
 
 # name of a fault, a check it fails, the reason every failure of that
@@ -289,6 +296,11 @@ REASONS = [
     ("fiber-basis-outside-ideal", "groebner", "a fiber difference does not reduce to zero"),
     ("block-cuts-lose-a-cut-vertex", "blocks", "cut-vertex table disagrees with the block"),
     ("descent-count-0-reported-as-1", "triangulation", "triangulation h-vector does not match hstar"),
+    (
+        "part-sums-owner-side-plus-one",
+        "ibis",
+        "component weights at the attachment vertex are not one 1 and rest 0",
+    ),
 ]
 
 
@@ -373,6 +385,20 @@ def test_cube_diameter_catches_a_miss_past_the_adjacency_gate(monkeypatch, graph
     (detail,) = [c.detail for c in report.checks if c.name == "diameter"]
     assert detail["reason"] == "cube diameter is not the dimension"
     assert (detail["diameter"], detail["expected"]) == (n - 1, n)
+
+
+def test_block_path_diameter_catches_a_miss_past_the_adjacency_gate(monkeypatch):
+    # a block path of k blocks has diameter min(k, 2); path-6 is past the
+    # adjacency gate and has two or more cut vertices, so neither the
+    # breadth-first search nor the cube clause sees the fault
+    diameter_minus_one(monkeypatch)
+    report = verify_graph(CorpusEntry("path-6", path_graph(6)), OPTIONS)
+    statuses = {c.name: c.status for c in report.checks}
+    assert statuses["adjacency"] == "skip", statuses
+    assert {name for name, status in statuses.items() if status == "fail"} == {"diameter"}, statuses
+    (detail,) = [c.detail for c in report.checks if c.name == "diameter"]
+    assert detail["reason"] == "block path diameter is not min(n, 2)"
+    assert (detail["diameter"], detail["expected"]) == (1, 2)
 
 
 def test_walks_end_under_a_lost_cut_vertex(monkeypatch):

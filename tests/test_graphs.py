@@ -21,7 +21,7 @@ from cbp.corpus import (
     star_graph,
     triangle_chain,
 )
-from cbp.errors import EmptyGraph, InvalidGraph, NotConnected, NotCutVertex, ParseError
+from cbp.errors import EmptyGraph, InvalidGraph, NotConnected, ParseError
 from cbp.graphs import (
     Graph,
     _walk,
@@ -31,7 +31,6 @@ from cbp.graphs import (
     graph_from_json,
     graph_to_json,
     parse_edge_list,
-    split_components_at,
 )
 from cbp.vertices import is_connected_blockset
 
@@ -217,15 +216,15 @@ def test_blockset_closure_path3(path3_d):
 
 
 def test_split_components(path3_d):
-    assert split_components_at(path3_d, 1) == (frozenset({0}), frozenset({1, 2}))
-    assert split_components_at(path3_d, 2) == (frozenset({0, 1}), frozenset({2}))
-    with pytest.raises(NotCutVertex):
-        split_components_at(path3_d, 0)
+    # the components oracle that `facets._part_sums` is checked against
+    assert oracles.split_components_at(path3_d, 1) == (frozenset({0}), frozenset({1, 2}))
+    assert oracles.split_components_at(path3_d, 2) == (frozenset({0, 1}), frozenset({2}))
+    assert oracles.split_components_at(path3_d, 0) == (frozenset({0, 1, 2}),)
 
 
 def test_split_components_showcase():
     d = block_decomposition(showcase_graph())
-    assert split_components_at(d, 4) == (
+    assert oracles.split_components_at(d, 4) == (
         frozenset({0, 1, 2}),
         frozenset({3}),
         frozenset({4, 5, 6, 7}),
@@ -409,7 +408,7 @@ def test_split_components_match_networkx(walk_cases):
                 frozenset(i for i, b in enumerate(d.blocks) if b.vertices & comp)
                 for comp in networkx.connected_components(rest)
             ]
-            assert split_components_at(d, v) == tuple(sorted(expected, key=min)), (name, v)
+            assert oracles.split_components_at(d, v) == tuple(sorted(expected, key=min)), (name, v)
 
 
 def test_is_connected_blockset_matches_networkx(walk_cases):

@@ -66,6 +66,17 @@ def test_checks_pass_on_path3():
     assert verify.check_hstar(ctx) is None
 
 
+def test_check_blocks_catches_two_blocks_sharing_two_vertices():
+    # block 1 of path-3 corrupted to hold vertex 0 as well, so that blocks
+    # 0 and 1 share vertices 0 and 1
+    ctx = GraphContext(path_graph(3))
+    d = ctx.decomposition
+    blocks = list(d.blocks)
+    blocks[1] = dataclasses.replace(blocks[1], vertices=blocks[1].vertices | {0})
+    ctx.decomposition = dataclasses.replace(d, blocks=tuple(blocks))
+    assert verify.check_blocks(ctx) == {"reason": "two blocks share more than one vertex", "pair": [0, 1]}
+
+
 def test_adjacency_reports_the_first_differing_pair():
     ctx = GraphContext(path_graph(3))
     nb = list(ctx.skeleton.neighbors)
