@@ -12,10 +12,10 @@ are passed around as their alpha tuples.
 Together with the nonnegativity rows -x_B <= 0 these inequalities are the
 complete and irredundant facet description of the polytope.  Two
 independent generators are provided: exhaustive enumeration over
-independent sets and coefficient distributions, and an inductive
-construction that grows inequalities one independent block at a time.
-Their agreement, and agreement with the brute-force hull, are the main
-verification targets of the package.
+independent sets and coefficient distributions, each screened, and an
+inductive construction that grows them one independent block at a time,
+unscreened.  Their agreement, and agreement with the brute-force hull,
+are the main verification targets of the package.
 """
 
 from __future__ import annotations
@@ -153,8 +153,13 @@ def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
     component H of the graph minus v, and the block of H at v; it then
     decrements one branch choice among the connecting-path blocks and that
     block.  All orderings are explored via memoized breadth-first closure.
-    A state failing validation raises AssertionFailure, because the
-    construction is supposed to preserve validity.
+    No state is screened: every vector enumerate_ibis's screen accepts is
+    one of its candidates (1 on an independent set I, nonpositive integers
+    summing to -(|I| - 1) on its closure interior, 0 elsewhere), so a state
+    that screen would reject is missing from enumerate_ibis and lands in
+    `verify.check_ibis`'s `constructed_only`.  The guards are the block cap
+    and the assertion that one part at the attachment vertex weighs 1 and
+    the rest 0, which checks the step's own choice of the weight-1 part.
 
     Each state walks the block-cut tree once, from a block of its
     independent set I, and passes back up the walk once: the closure of I
@@ -162,30 +167,14 @@ def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
     sums give the components' weights (`_part_sums`).  A new block's path
     to the closure is its chase up the walk's parent list, and v is the
     entry vertex of the last block chased.  A block the walk did not
-    reach has parent None, where the chase raises TypeError.  The sweep's
-    `verify.check_ibis` compares the rows with `enumerate_ibis` and also
-    checks the component clause on each of them, through the same
-    `_part_sums` over the root walk.
+    reach has parent None, where the chase raises TypeError.
+    `verify.check_ibis` also checks the component clause on each row,
+    through the same `_part_sums` over the root walk.
     """
     n = len(d.blocks)
     _check_ibi_cap(n)
     near = d.near
-
-    def check(alpha: tuple[int, ...], context: str):
-        problems = ibi_violations(d, alpha)
-        if problems:
-            raise AssertionFailure(
-                f"construction produced an invalid inequality ({context})",
-                payload={
-                    "graph": graph_to_json(d.graph),
-                    "alpha": list(alpha),
-                    "violations": list(problems),
-                },
-            )
-
     queue = [tuple(1 if i == b else 0 for i in range(n)) for b in range(n)]
-    for alpha in queue:
-        check(alpha, "seed")
     seen = set(queue)
 
     # the loop also visits the states appended to the queue as it runs
@@ -218,11 +207,9 @@ def construct_ibis(d: BlockDecomposition) -> tuple[tuple[int, ...], ...]:
                 new_alpha[bn] += 1
                 new_alpha[a] -= 1
                 cand = tuple(new_alpha)
-                if cand in seen:
-                    continue
-                check(cand, f"expansion by block {bn} branch {a}")
-                seen.add(cand)
-                queue.append(cand)
+                if cand not in seen:
+                    seen.add(cand)
+                    queue.append(cand)
     return tuple(sorted(seen))
 
 

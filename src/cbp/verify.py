@@ -4,7 +4,8 @@ Each check is a function of a per-graph context that returns None on
 success or a failure payload.  The sweep runs the battery over a seeded
 corpus, optionally in parallel worker processes, and produces a report
 whose failure entries carry the graph serialization and the seed needed
-to reproduce them.
+to reproduce them.  No check compares a computation with a rerun of the
+same code on the same input.
 """
 
 from __future__ import annotations
@@ -302,7 +303,9 @@ def check_ibis(ctx: GraphContext) -> dict | None:
     and each of them passes the component clause: alpha sums to 1, and at
     every cut vertex v one part of the graph minus v weighs 1 and the rest
     0.  The parts' weights are read off the alpha sums of the subtrees of
-    the decomposition's root walk (`facets._part_sums`)."""
+    the decomposition's root walk (`facets._part_sums`).  The construction
+    screens none of its states, so an invalid constructed row shows here,
+    in `constructed_only`."""
     d = ctx.decomposition
     enumerated = set(ctx.ibis)
     constructed = set(construct_ibis(d))
@@ -477,8 +480,9 @@ def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
     through max_weight_connected_blockset and compares its value with the
     DP's by cross-multiplication.  The adapter trials draw their edge
     weights from EDGE_WEIGHTS the same way, run the adapters' shared lift
-    on ctx.decomposition and compare its blockset and value with the DP
-    core on the blocks' edge sums.  Every draw is exactly uniform over its
+    on ctx.decomposition and compare its blockset, value and edges with
+    the brute-force core on the blocks' edge sums (the edges of its
+    blockset, sorted).  Every draw is exactly uniform over its
     ranges and float-free; Fractions are built only for the public
     solver, the lift's input and failure payloads.
     """
@@ -514,11 +518,12 @@ def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
         for t in range(min(OPTIMIZER_TRIALS, 20)):
             pairs = _draw(rng, EDGE_WEIGHTS, len(edges))
             ew, den = optimize._over_lcm(pairs)
-            blockset, value = optimize._optimum(d, [sum(map(ew.__getitem__, ix)) for ix in block_edges])
+            blockset, value = optimize._brute_force([sum(map(ew.__getitem__, ix)) for ix in block_edges], ctx.vertices)
             sol = _lift(ctx.graph, d, [Fraction(p, q) for p, q in pairs], eulerian=eulerian)
             num, dnm = sol.value.as_integer_ratio()
-            if sol.blockset != blockset or num * den != value * dnm:
-                return {"trial": t, "reason": f"{name} adapter disagrees with the DP"}
+            edges_of = tuple(sorted(e for b in blockset for e in d.blocks[b].edges))
+            if sol.blockset != blockset or num * den != value * dnm or sol.edges != edges_of:
+                return {"trial": t, "reason": f"{name} adapter disagrees with the brute force"}
     return None
 
 

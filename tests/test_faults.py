@@ -196,6 +196,13 @@ def part_sums_owner_side_plus_one(sums, d, walk, sub, v):
     return {b: s + (entry[b] != v) for b, s in sums.items()}
 
 
+def lift_drops_an_edge(sol, g, d, edge_weights):
+    # a tree's lifted edge set loses its last edge; blockset and value stay
+    if all(len(blk.edges) == 1 for blk in d.blocks):
+        return dataclasses.replace(sol, edges=sol.edges[:-1])
+    return sol
+
+
 # name, patch, the checks that must fail
 FAULTS = [
     ("dp-wrong-argmax", wrapped(optimize, "_optimum", dp_wrong_argmax), {"optimizer"}),
@@ -271,6 +278,11 @@ FAULTS = [
     ("best-values-overwrite-the-weights", best_values_overwrite_the_weights, {"optimizer"}),
     # the construction reads two parts of weight 1 at an attachment vertex
     ("part-sums-owner-side-plus-one", wrapped(facets, "_part_sums", part_sums_owner_side_plus_one), {"ibis"}),
+    # the adapters' lift drops a tree edge; only the edge comparison sees it
+    ("lift-drops-an-edge", wrapped(verify, "_lift", lift_drops_an_edge), {"optimizer"}),
+    # the construction, which screens none of its states, returns an
+    # invalid row; only the comparison with the enumeration sees it
+    ("construction-gains-a-bad-row", wrapped(verify, "construct_ibis", gain_a_bad_row), {"ibis"}),
 ]
 
 # Known misses past the gates: a fault of FAULTS, a graph above the gate of
@@ -405,7 +417,9 @@ def test_walks_end_under_a_lost_cut_vertex(monkeypatch):
     # with a cut vertex lost from the table every walk still expands each
     # cut vertex once, so it ends within the tree's incidences; a block it
     # did not reach has parent None, so the closure's and the
-    # construction's chases up the parents raise instead of running on
+    # construction's chases up the parents raise instead of running on.
+    # The construction reads its closure off its own walk, so its
+    # TypeError is raised in construct_ibis itself
     block_cuts_lose_a_cut_vertex(monkeypatch)
     short = 0
     for entry in corpus(5, 7, 26):
@@ -424,5 +438,5 @@ def test_walks_end_under_a_lost_cut_vertex(monkeypatch):
             short += 1
             with pytest.raises(TypeError) as excinfo:
                 facets.construct_ibis(d)
-            assert excinfo.traceback[-1].name in {"construct_ibis", "blockset_closure"}, entry.name
+            assert excinfo.traceback[-1].name == "construct_ibis", entry.name
     assert short > 0

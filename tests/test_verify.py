@@ -311,6 +311,25 @@ def optimizer_draws(ctx, seed_tag):
     return draws
 
 
+def adapter_draws(ctx, seed_tag):
+    """The adapter trials' edge weights, drawn after the main trials' two
+    draws each: Eulerian-cactus trials, then tree trials, 20 for each
+    class the graph is in.  The weights are one number below 52 ** edges
+    whose base-52 digits, lowest first, each pick a numerator in -6..6 and
+    a denominator in 1..4."""
+    rng = random.Random(seed_tag)
+    for _ in range(verify.OPTIMIZER_TRIALS):
+        rng.randrange(150 ** len(ctx.decomposition.blocks))
+        rng.randrange(81)
+    cls = graphs.classify(ctx.graph, ctx.decomposition)
+    m = len(ctx.graph.sorted_edges())
+    draws = []
+    for _ in range(20 * (cls.is_eulerian_cactus + cls.is_tree)):
+        x = rng.randrange(52**m)
+        draws.append([Fraction(k // 4 - 6, k % 4 + 1) for k in (x // 52**i % 52 for i in range(m))])
+    return draws
+
+
 @pytest.mark.parametrize(
     "table, numerators, denominators, size",
     [
@@ -357,8 +376,10 @@ def test_draw_reads_one_number_as_digits():
 
 
 def test_optimizer_trials_share_one_scaling(monkeypatch):
-    # per trial, the brute-force core runs on the very integer vector the
-    # DP core just ran on: _scaled_weights of that trial's weights
+    # per main trial, the brute-force core runs on the very integer vector
+    # the DP core just ran on: _scaled_weights of that trial's weights.
+    # Per adapter trial, it runs on the blocks' edge sums over the edge
+    # weights' lcm, and the only DP run is the lift's own
     calls = []
     real_optimum, real_brute = optimize._optimum, optimize._brute_force
 
@@ -377,9 +398,17 @@ def test_optimizer_trials_share_one_scaling(monkeypatch):
         calls.clear()
         assert verify.check_optimizer(ctx, f"77:{name}") is None
         brute = [i for i, (core, _) in enumerate(calls) if core == "brute"]
-        assert all(calls[i - 1][0] == "dp" and calls[i - 1][1] is calls[i][1] for i in brute), name
+        main, adapter = brute[: verify.OPTIMIZER_TRIALS], brute[verify.OPTIMIZER_TRIALS :]
+        assert all(calls[i - 1][0] == "dp" and calls[i - 1][1] is calls[i][1] for i in main), name
         expected = [optimize._scaled_weights(ctx.decomposition, w)[0] for w, _ in optimizer_draws(ctx, f"77:{name}")]
-        assert [calls[i][1] for i in brute] == expected, name
+        assert [calls[i][1] for i in main] == expected, name
+        edges = ctx.graph.sorted_edges()
+        sums = []
+        for w in adapter_draws(ctx, f"77:{name}"):
+            den = math.lcm(*[x.denominator for x in w])
+            sums.append([sum(w[edges.index(e)] * den for e in blk.edges) for blk in ctx.decomposition.blocks])
+        assert [calls[i][1] for i in adapter] == sums, name
+        assert [core for core, _ in calls[main[-1] + 2 :]] == ["brute", "dp"] * len(adapter), name
 
 
 @pytest.mark.parametrize(
