@@ -35,8 +35,7 @@ from .graphs import (
 from .corpus import corpus
 from .facets import _check_ibi_cap
 from .optimize import (
-    EdgeSolution,
-    Solution,
+    _blockset_edges,
     eulerian_adapter,
     max_weight_connected_blockset,
     tree_adapter,
@@ -345,33 +344,21 @@ def cmd_triangulate(args) -> int:
     return 0
 
 
-def _solution_json(d, sol: Solution | EdgeSolution) -> dict:
-    if isinstance(sol, EdgeSolution):
-        blocks, value, edges = sol.blockset, sol.value, sol.edges
-    else:
-        blocks, value = sol.blockset, sol.value
-        edges = tuple(sorted(e for b in blocks for e in d.blocks[b].edges))
-    return {
-        "value": value,
-        "blocks": list(blocks),
-        "edges": [list(e) for e in edges],
-    }
-
-
 def cmd_optimize(args) -> int:
-    if args.weights and args.mode:
-        raise ValueError("--mode applies to --edge-weights only")
     ctx = GraphContext(_load_graph(args.graph))
+    g = ctx.graph
     if args.weights:
         d = ctx.decomposition
         sol = max_weight_connected_blockset(d, _load_rationals(args.weights))
-        _emit(_solution_json(d, sol))
-        return 0
-    if not args.mode:
-        raise ValueError("--edge-weights requires --mode eulerian|tree")
-    weights = _load_rationals(args.edge_weights)
-    sol = eulerian_adapter(ctx.graph, weights) if args.mode == "eulerian" else tree_adapter(ctx.graph, weights)
-    _emit(_solution_json(None, sol))
+        edges = _blockset_edges(d, sol.blockset)
+    else:
+        # a connected graph is a tree exactly when |E| = |V| - 1, and no
+        # tree is an Eulerian cactus, so every other graph goes to the
+        # Eulerian adapter, which refuses it unless it is one
+        adapter = tree_adapter if len(g.edges) == g.vertex_count - 1 else eulerian_adapter
+        sol = adapter(g, _load_rationals(args.edge_weights))
+        edges = sol.edges
+    _emit({"value": sol.value, "blocks": list(sol.blockset), "edges": [list(e) for e in edges]})
     return 0
 
 
@@ -443,8 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = graph_command("optimize", "max-weight connected blockset")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--weights", help="file with one rational block weight per line")
-    group.add_argument("--edge-weights", help="file with one rational edge weight per line")
-    p.add_argument("--mode", choices=("eulerian", "tree"), default=None, help="adapter for --edge-weights")
+    group.add_argument(
+        "--edge-weights",
+        help="file with one rational edge weight per line; the graph must be "
+        "a tree (max-weight subtree) or an Eulerian cactus (max-weight Eulerian subgraph)",
+    )
 
     p = sub.add_parser("corpus", help="deterministic graph corpus")
     p.add_argument("--max-blocks", type=int, default=5)

@@ -27,9 +27,11 @@ vector, after checking both caps once.
 
 Two adapters specialize the solver: trees (blocks are edges, so the
 optimum is a max-weight subtree) and Eulerian cacti (blocks are cycles,
-so the lifted edge set is a max-weight Eulerian subgraph).  Each checks
-the graph's class; then one lift, shared by both, weighs each block by the
-sum of its edges and lifts the DP's answer to its edges.
+so the lifted edge set is a max-weight Eulerian subgraph).  No tree is an
+Eulerian cactus, so a graph's class names its adapter.  Each checks the
+class; then one lift, shared by both, scales the edge weights once to
+integers, checks the cap, runs the DP core on each block's edge sum and
+lifts the DP's answer to its edges.
 """
 
 from __future__ import annotations
@@ -265,16 +267,6 @@ def brute_force_optimum(d: BlockDecomposition, weights: Sequence) -> Solution:
     return Solution(blockset=blockset, value=Fraction(best, scale))
 
 
-def _edge_weight_map(g: Graph, edge_weights: Sequence) -> tuple[dict[Edge, int], int]:
-    """The edge weights as integers over one common denominator, keyed by
-    edge, and that denominator."""
-    edges = g.sorted_edges()
-    w, scale = _integers(edge_weights)
-    if len(w) != len(edges):
-        raise ValueError(f"expected {len(edges)} edge weights, got {len(w)}")
-    return dict(zip(edges, w)), scale
-
-
 def _check_eulerian_edges(g: Graph, edges: tuple[Edge, ...]) -> None:
     """The lifted subgraph must have even degrees and one nontrivial component."""
     if not edges:
@@ -323,16 +315,27 @@ def tree_adapter(t: Graph, edge_weights: Sequence) -> EdgeSolution:
     return _lift(t, d, edge_weights)
 
 
+def _blockset_edges(d: BlockDecomposition, blockset: BlockSubset) -> tuple[Edge, ...]:
+    """The edges of the blockset's blocks, sorted."""
+    return tuple(sorted(e for b in blockset for e in d.blocks[b].edges))
+
+
 def _lift(
     g: Graph, d: BlockDecomposition, edge_weights: Sequence, eulerian: bool = False
 ) -> EdgeSolution:
-    """The adapters' solve on the decomposition d of g: each block weighs
-    the sum of its edges' scaled weights (a tree block has one edge), and
-    the DP's blockset lifts to its edges.  With eulerian, the lifted edge
-    set is checked to be Eulerian."""
-    wmap, scale = _edge_weight_map(g, edge_weights)
-    sol = max_weight_connected_blockset(d, [sum(wmap[e] for e in blk.edges) for blk in d.blocks])
-    edges = tuple(sorted(e for b in sol.blockset for e in d.blocks[b].edges))
+    """The adapters' solve on the decomposition d of g: the edge weights,
+    scaled once to integers over their lcm and read in sorted edge order,
+    then the optimizer cap, then the DP core on the blocks' integer edge
+    sums (a tree block has one edge); the blockset lifts to its edges.
+    With eulerian, the lifted edge set is checked to be Eulerian."""
+    edges = g.sorted_edges()
+    ew, scale = _integers(edge_weights)
+    if len(ew) != len(edges):
+        raise ValueError(f"expected {len(edges)} edge weights, got {len(ew)}")
+    _check_optimize_cap(d)
+    weight = dict(zip(edges, ew))
+    blockset, best = _optimum(d, [sum(weight[e] for e in blk.edges) for blk in d.blocks])
+    lifted = _blockset_edges(d, blockset)
     if eulerian:
-        _check_eulerian_edges(g, edges)
-    return EdgeSolution(edges=edges, value=sol.value / scale, blockset=sol.blockset)
+        _check_eulerian_edges(g, lifted)
+    return EdgeSolution(edges=lifted, value=Fraction(best, scale), blockset=blockset)

@@ -478,11 +478,12 @@ def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
     over their least common denominator.  The scaling trial draws its
     positive rational a/b with one more draw, passes the scaled weights
     through max_weight_connected_blockset and compares its value with the
-    DP's by cross-multiplication.  The adapter trials draw their edge
-    weights from EDGE_WEIGHTS the same way, run the adapters' shared lift
-    on ctx.decomposition and compare its blockset, value and edges with
-    the brute-force core on the blocks' edge sums (the edges of its
-    blockset, sorted).  Every draw is exactly uniform over its
+    DP's by cross-multiplication.  On a tree or an Eulerian cactus (no
+    graph is both), the adapter trials draw their edge weights from
+    EDGE_WEIGHTS the same way, run the adapters' shared lift on
+    ctx.decomposition for the graph's class and compare its blockset,
+    value and edges with the brute-force core on the blocks' edge sums
+    (the edges of its blockset, sorted).  Every draw is exactly uniform over its
     ranges and float-free; Fractions are built only for the public
     solver, the lift's input and failure payloads.
     """
@@ -509,21 +510,20 @@ def check_optimizer(ctx: GraphContext, seed_tag: str) -> dict | None:
         if scaled.blockset != dp[0] or num * den * b != dp[1] * a * dnm:
             return {"trial": t, "reason": "positive scaling moved the argmax"}
     cls = classify(ctx.graph, d)
+    if not (cls.is_tree or cls.is_eulerian_cactus):
+        return None
+    name = "tree" if cls.is_tree else "Eulerian"
     edges = ctx.graph.sorted_edges()
     index = {e: i for i, e in enumerate(edges)}
     block_edges = [[index[e] for e in blk.edges] for blk in d.blocks]
-    for applies, eulerian, name in ((cls.is_eulerian_cactus, True, "Eulerian"), (cls.is_tree, False, "tree")):
-        if not applies:
-            continue
-        for t in range(min(OPTIMIZER_TRIALS, 20)):
-            pairs = _draw(rng, EDGE_WEIGHTS, len(edges))
-            ew, den = optimize._over_lcm(pairs)
-            blockset, value = optimize._brute_force([sum(map(ew.__getitem__, ix)) for ix in block_edges], ctx.vertices)
-            sol = _lift(ctx.graph, d, [Fraction(p, q) for p, q in pairs], eulerian=eulerian)
-            num, dnm = sol.value.as_integer_ratio()
-            edges_of = tuple(sorted(e for b in blockset for e in d.blocks[b].edges))
-            if sol.blockset != blockset or num * den != value * dnm or sol.edges != edges_of:
-                return {"trial": t, "reason": f"{name} adapter disagrees with the brute force"}
+    for t in range(min(OPTIMIZER_TRIALS, 20)):
+        pairs = _draw(rng, EDGE_WEIGHTS, len(edges))
+        ew, den = optimize._over_lcm(pairs)
+        blockset, value = optimize._brute_force([sum(map(ew.__getitem__, ix)) for ix in block_edges], ctx.vertices)
+        sol = _lift(ctx.graph, d, [Fraction(p, q) for p, q in pairs], eulerian=cls.is_eulerian_cactus)
+        num, dnm = sol.value.as_integer_ratio()
+        if sol.blockset != blockset or num * den != value * dnm or sol.edges != optimize._blockset_edges(d, blockset):
+            return {"trial": t, "reason": f"{name} adapter disagrees with the brute force"}
     return None
 
 

@@ -460,8 +460,8 @@ REFUSALS = [
     ("triangulate", [], path_text(15), {}, None, BLOCK_CAP),
     ("triangulate", [], path_text(14), {}, None, "BudgetExceeded: 106 variables exceed the cap 60"),
     ("optimize", [], path_text(1025), {"--weights": "1\n" * 1025}, None, OPTIMIZER_CAP),
-    ("optimize", ["--mode", "tree"], path_text(1025), {"--edge-weights": "1\n" * 1025}, None, OPTIMIZER_CAP),
-    ("optimize", ["--mode", "eulerian"], CACTUS1025, {"--edge-weights": "1\n" * 3075}, None, OPTIMIZER_CAP),
+    ("optimize", [], path_text(1025), {"--edge-weights": "1\n" * 1025}, None, OPTIMIZER_CAP),
+    ("optimize", [], CACTUS1025, {"--edge-weights": "1\n" * 3075}, None, OPTIMIZER_CAP),
     ("verify", ["--max-blocks", "15"], None, {}, None, BLOCK_CAP),
     ("corpus", ["--max-blocks", "26"], None, {}, None, "BudgetExceeded: more than 10000 corpus entries"),
 ]
@@ -498,7 +498,7 @@ def test_optimize_tree_mode(graph_file, tmp_path, capsys):
     star = graph_file("0 1\n0 2\n0 3\n")
     code, out, _ = run(
         capsys,
-        ["optimize", "--graph", star, "--edge-weights", str(weights), "--mode", "tree"],
+        ["optimize", "--graph", star, "--edge-weights", str(weights)],
     )
     assert code == 0
     payload = json.loads(out)
@@ -517,8 +517,6 @@ def test_optimize_eulerian_mode(graph_file, tmp_path, capsys):
             graph_file(BOWTIE),
             "--edge-weights",
             str(weights),
-            "--mode",
-            "eulerian",
         ],
     )
     assert code == 0
@@ -528,25 +526,31 @@ def test_optimize_eulerian_mode(graph_file, tmp_path, capsys):
 
 
 def test_optimize_edge_weights_need_mode(graph_file, tmp_path, capsys):
+    # the mode is the graph's class, not an argument: --mode is unknown, and
+    # a triangle with a pendant edge, neither a tree nor an Eulerian cactus,
+    # is refused with the Eulerian adapter's error
     weights = tmp_path / "w.txt"
     weights.write_text("1\n1\n1\n")
-    code, _, err = run(
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--graph", graph_file(PATH3), "--edge-weights", str(weights), "--mode", "tree"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode tree" in capsys.readouterr().err
+    weights.write_text("1\n1\n1\n1\n")
+    code, out, err = run(
         capsys,
-        ["optimize", "--graph", graph_file(PATH3), "--edge-weights", str(weights)],
+        ["optimize", "--graph", graph_file("0 1\n0 2\n1 2\n2 3\n"), "--edge-weights", str(weights)],
     )
-    assert code == 2
-    assert "requires --mode" in err
+    assert (code, out) == (2, "")
+    assert err == "error: graph is not a cactus with all blocks cycles\n"
 
 
 def test_optimize_block_weights_refuse_a_mode(graph_file, tmp_path, capsys):
     weights = tmp_path / "w.txt"
     weights.write_text("1\n1\n1\n")
-    code, out, err = run(
-        capsys,
-        ["optimize", "--graph", graph_file(PATH3), "--weights", str(weights), "--mode", "tree"],
-    )
-    assert (code, out) == (2, "")
-    assert err == "error: --mode applies to --edge-weights only\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--graph", graph_file(PATH3), "--weights", str(weights), "--mode", "tree"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode tree" in capsys.readouterr().err
 
 
 def test_optimize_weight_flags_exclusive(graph_file, tmp_path):
@@ -657,8 +661,7 @@ def test_emit_matches_the_indenting_encoder_on_every_command(tmp_path, monkeypat
             ["groebner"],
             ["triangulate"],
             ["optimize", "--weights", str(block_weights)],
-            ["optimize", "--edge-weights", str(weights), "--mode", "tree"],
-            ["optimize", "--edge-weights", str(weights), "--mode", "eulerian"],
+            ["optimize", "--edge-weights", str(weights)],
         ):
             main(argv[:1] + ["--graph", str(path)] + argv[1:])
     main(["corpus", "--max-blocks", "4"])

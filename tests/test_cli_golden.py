@@ -131,7 +131,7 @@ WEIGHTS = {
     "ties": lambda rng: rng.randint(-1, 1),
 }
 
-# graph, mode (None for block weights), weight kind
+# graph, the adapter its class picks (None for block weights), weight kind
 OPTIMIZE_DIGESTS = {
     ("random-12", None, "signed"): "2bc9a3482ce50be82bdeec09681facd6f068295604b31a56878d33fca9fcefed",
     ("random-12", None, "ties"): "bce058c917d2a04593a18c4adfa2958a28b6f3b7e7c5be8e24c7a7517945d902",
@@ -159,18 +159,18 @@ def test_stdout_digest(graph, command, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[graph, command]
 
 
-@pytest.mark.parametrize("graph, mode, kind", sorted(OPTIMIZE_DIGESTS, key=str))
-def test_optimize_stdout_digest(graph, mode, kind, tmp_path, capsys):
+@pytest.mark.parametrize("graph, adapter, kind", sorted(OPTIMIZE_DIGESTS, key=str))
+def test_optimize_stdout_digest(graph, adapter, kind, tmp_path, capsys):
     path = write_graph(graph, tmp_path)
     g = GRAPHS[graph]()
-    count = len(g.edges) if mode else len(block_decomposition(g).blocks)
+    count = len(g.edges) if adapter else len(block_decomposition(g).blocks)
     rng = random.Random(f"{graph}:{kind}")
     weights = tmp_path / "weights.txt"
     weights.write_text("".join(f"{WEIGHTS[kind](rng)}\n" for _ in range(count)))
-    flags = ["--edge-weights", str(weights), "--mode", mode] if mode else ["--weights", str(weights)]
+    flags = ["--edge-weights", str(weights)] if adapter else ["--weights", str(weights)]
     assert main(["optimize", "--graph", path, *flags]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == OPTIMIZE_DIGESTS[graph, mode, kind]
+    assert hashlib.sha256(out.encode()).hexdigest() == OPTIMIZE_DIGESTS[graph, adapter, kind]
 
 
 @pytest.mark.parametrize("command", ["groebner", "triangulate"])

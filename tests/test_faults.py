@@ -74,10 +74,11 @@ def integers_drop_denominators(m):
 def lift_first_edge(m):
     # each block weighs its first edge only, which is right on trees
     def lift(g, d, edge_weights, eulerian=False):
-        wmap, scale = optimize._edge_weight_map(g, edge_weights)
-        sol = optimize.max_weight_connected_blockset(d, [wmap[min(blk.edges)] for blk in d.blocks])
-        edges = tuple(sorted(e for b in sol.blockset for e in d.blocks[b].edges))
-        return optimize.EdgeSolution(edges=edges, value=sol.value / scale, blockset=sol.blockset)
+        ew, scale = optimize._integers(edge_weights)
+        weight = dict(zip(g.sorted_edges(), ew))
+        blockset, best = optimize._optimum(d, [weight[min(blk.edges)] for blk in d.blocks])
+        edges = optimize._blockset_edges(d, blockset)
+        return optimize.EdgeSolution(edges=edges, value=Fraction(best, scale), blockset=blockset)
 
     m.setattr(verify, "_lift", lift)
 

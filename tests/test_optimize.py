@@ -455,6 +455,37 @@ def test_adapter_edges_are_the_graphs_own():
             assert all(own[e] is e for e in sol.edges), sol
 
 
+def test_adapters_solve_on_the_core_and_match_the_brute_force(monkeypatch):
+    # the lift solves its integer block sums with the DP core, never
+    # through the public front; on seeded trees and cacti, with signed and
+    # tie-heavy edge weights, its blockset and value are the brute force's
+    # on the blocks' edge sums
+    def no_front(*args):
+        raise AssertionError("the lift called max_weight_connected_blockset")
+
+    monkeypatch.setattr(optimize, "max_weight_connected_blockset", no_front)
+    rng = random.Random(20261022)
+    for _ in range(40):
+        n = rng.randint(2, 15)
+        tree = Graph(n, tuple((rng.randrange(v), v) for v in range(1, n)))
+        rings, size = [], 1
+        for _ in range(rng.randint(1, 6)):
+            ring = [rng.randrange(size), *range(size, size + rng.randint(2, 4))]
+            size += len(ring) - 1
+            rings += zip(ring, ring[1:] + ring[:1])
+        for g, adapter in ((tree, tree_adapter), (Graph(size, tuple(rings)), eulerian_adapter)):
+            if rng.random() < 0.5:
+                ew = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in g.edges]
+            else:
+                ew = [rng.randint(-1, 1) for _ in g.edges]
+            sol = adapter(g, ew)
+            d = block_decomposition(g)
+            weight = dict(zip(g.sorted_edges(), ew))
+            w, scale = optimize._integers([sum(weight[e] for e in blk.edges) for blk in d.blocks])
+            blockset, best = optimize._brute_force(w, enumerate_vertices(d))
+            assert (sol.blockset, sol.value) == (blockset, Fraction(best, scale)), (g, ew)
+
+
 def test_tree_adapter_rejects_non_tree():
     with pytest.raises(NotTree):
         tree_adapter(flower(2), (1,) * 6)
