@@ -104,47 +104,40 @@ def _layout(items, rows: bool, item: str) -> str:
     )
 
 
-def _batches(chunks):
-    """The encoder's chunks joined _BATCH at a time."""
-    for first in chunks:
-        yield first + "".join(itertools.islice(chunks, _BATCH - 1))
+def _emit(payload: dict) -> None:
+    """Print the payload, a non-empty dict with str keys as every command
+    hands over, as indented JSON with sorted keys: byte for byte
+    `json.dumps(payload, indent=2, sort_keys=True, default=jsonable)` and
+    a newline.
 
-
-def _emit(payload) -> None:
-    """Print the payload as indented JSON with sorted keys, byte for byte
-    `json.dumps(payload, indent=2, sort_keys=True, default=jsonable)` and a
-    newline.
-
-    A dict with str keys that holds a value `_int_rows` accepts, as most
-    commands hand over, is written key by key: those values by `_layout`,
-    in slices of at most _SLICE items, and the others by the indenting
-    encoder, whose text then sits one level in.  Encoded strings hold no
-    raw newline, so that shift gives each newline of the text two more
-    spaces.  Any other payload goes to the encoder whole.  The encoder's
-    chunks go out in `_batches`, so neither a long list nor a large
-    payload is ever held as one string.
+    It is written key by key.  A value `_int_rows` accepts goes out by
+    `_layout`, in slices of at most _SLICE items; any other value goes to
+    the indenting encoder, whose text then sits one level in.  Encoded
+    strings hold no raw newline, so that shift gives each newline of the
+    text two more spaces.  The encoder's chunks are joined _BATCH at a
+    time, so neither a long list nor a large value is ever held as one
+    string.  An empty dict or a key that is not a str is refused with a
+    TypeError, since the encoder writes the one as `{}` on one line and
+    turns the other into a string key, and this writer does neither.
     """
+    if not payload or any(type(k) is not str for k in payload):
+        raise TypeError("the payload must be a non-empty dict with str keys")
     write = sys.stdout.write
     encode = json.JSONEncoder(indent=2, sort_keys=True, default=jsonable).iterencode
-    rows = {}  # `_int_rows` of each value, by key
-    if type(payload) is dict and all(type(k) is str for k in payload):
-        rows = {k: _int_rows(v) for k, v in payload.items()}
-    if all(r is None for r in rows.values()):
-        for text in _batches(encode(payload)):
-            write(text)
-        write("\n")
-        return
     opening = "{"
     for key in sorted(payload):
         value = payload[key]
         write(f"{opening}\n  {_compact(key)}: ")
         opening = ","
-        if rows[key] is None:
-            for text in _batches(encode(value)):
+        rows = _int_rows(value)
+        if rows is None:
+            chunks = encode(value)
+            for first in chunks:
+                text = first + "".join(itertools.islice(chunks, _BATCH - 1))
                 write(text.replace("\n", "\n  "))
             continue
         for start in range(0, len(value), _SLICE):
-            write(("," if start else "[") + "\n    " + _layout(value[start : start + _SLICE], rows[key], "\n    "))
+            write(("," if start else "[") + "\n    " + _layout(value[start : start + _SLICE], rows, "\n    "))
         write("\n  ]")
     write("\n}\n")
 
@@ -388,6 +381,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `cbp` parser; each subcommand carries its handler as `handler`."""
     parser = argparse.ArgumentParser(
         prog="cbp",
         description="Connected blocks polytope toolkit: exact facets, "
@@ -395,27 +389,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_command(name: str, help_text: str):
+    def command(name: str, handler, help_text: str, graph: bool = True):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--graph", required=True, help="edge-list file, one 'u v' per line")
+        p.set_defaults(handler=handler)
+        if graph:
+            p.add_argument("--graph", required=True, help="edge-list file, one 'u v' per line")
         return p
 
-    graph_command("blocks", "block decomposition, cut vertices, block-cut tree")
+    command("blocks", cmd_blocks, "block decomposition, cut vertices, block-cut tree")
 
-    graph_command("vertices", "all connected blocksets (polytope vertices)")
+    command("vertices", cmd_vertices, "all connected blocksets (polytope vertices)")
 
-    graph_command("facets", "complete irredundant facet description")
+    command("facets", cmd_facets, "complete irredundant facet description")
 
-    p = graph_command("edges", "polytope graph edges")
+    p = command("edges", cmd_edges, "polytope graph edges")
     p.add_argument(
         "--method",
         choices=("combinatorial", "geometric"),
         default="combinatorial",
     )
 
-    graph_command("diameter", "diameter, Hirsch check, simplicity flags")
+    command("diameter", cmd_diameter, "diameter, Hirsch check, simplicity flags")
 
-    p = graph_command("hstar", "Ehrhart polynomial and h* vector with checks")
+    p = command("hstar", cmd_hstar, "Ehrhart polynomial and h* vector with checks")
     p.add_argument(
         "--max-dilation",
         type=int,
@@ -423,11 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"also count and cross-check dilations beyond the dimension, up to {MAX_DILATION}",
     )
 
-    graph_command("groebner", "toric Groebner basis with Buchberger verification")
+    command("groebner", cmd_groebner, "toric Groebner basis with Buchberger verification")
 
-    graph_command("triangulate", "unimodular triangulation from the basis")
+    command("triangulate", cmd_triangulate, "unimodular triangulation from the basis")
 
-    p = graph_command("optimize", "max-weight connected blockset")
+    p = command("optimize", cmd_optimize, "max-weight connected blockset")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--weights", help="file with one rational block weight per line")
     group.add_argument(
@@ -436,37 +432,21 @@ def build_parser() -> argparse.ArgumentParser:
         "a tree (max-weight subtree) or an Eulerian cactus (max-weight Eulerian subgraph)",
     )
 
-    p = sub.add_parser("corpus", help="deterministic graph corpus")
-    p.add_argument("--max-blocks", type=int, default=5)
-    p.add_argument("--seed", type=int, default=7)
-
-    p = sub.add_parser("verify", help="run every check over the corpus")
-    p.add_argument("--max-blocks", type=int, default=5)
-    p.add_argument("--seed", type=int, default=7)
+    for name, handler, help_text in (
+        ("corpus", cmd_corpus, "deterministic graph corpus"),
+        ("verify", cmd_verify, "run every check over the corpus"),
+    ):
+        p = command(name, handler, help_text, graph=False)
+        p.add_argument("--max-blocks", type=int, default=5)
+        p.add_argument("--seed", type=int, default=7)
 
     return parser
 
 
-COMMANDS = {
-    "blocks": cmd_blocks,
-    "vertices": cmd_vertices,
-    "facets": cmd_facets,
-    "edges": cmd_edges,
-    "diameter": cmd_diameter,
-    "hstar": cmd_hstar,
-    "groebner": cmd_groebner,
-    "triangulate": cmd_triangulate,
-    "optimize": cmd_optimize,
-    "corpus": cmd_corpus,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return args.handler(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import AssertionFailure, CountOverflow, RowInvalid
-from .graphs import BlockDecomposition, _walk, blockset_closure, graph_to_json, tree_order
+from .graphs import BlockDecomposition, _check_block_indices, _walk, blockset_closure, graph_to_json, tree_order
 from .hull import RationalPolyhedron, _bareiss
 from .vertices import _moments
 
@@ -32,9 +32,10 @@ MAX_IBI_BLOCKS = 14
 
 def is_independent(d: BlockDecomposition, blocks) -> bool:
     """True when the given blocks are pairwise vertex-disjoint, read off
-    the near-block masks `d.near`."""
+    the near-block masks `d.near`.  An index that is not a block's raises
+    IndexError."""
     seen = 0
-    for b in set(blocks):
+    for b in _check_block_indices(d, blocks):
         if d.near[b] & seen:
             return False
         seen |= 1 << b

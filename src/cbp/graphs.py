@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet
 
-from .errors import EmptyGraph, InvalidGraph, NotConnected, ParseError
+from .errors import AssertionFailure, EmptyGraph, InvalidGraph, NotConnected, ParseError
 
 Edge = tuple[int, int]
 
@@ -282,7 +282,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     raw.sort(key=lambda b: (min(b.vertices), tuple(sorted(b.vertices))))
     blocks = tuple(raw)
     if sum(len(b.edges) for b in blocks) != len(g.edges):
-        raise AssertionError("blocks do not partition the edge set")
+        raise AssertionFailure("blocks do not partition the edge set", payload={"graph": graph_to_json(g)})
 
     at_vertex: dict[int, list[int]] = {v: [] for v in range(g.vertex_count)}
     for i, b in enumerate(blocks):
@@ -292,7 +292,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
 
     # the tree has one edge per (cut vertex, block holding it) incidence
     if sum(len(blocks_at_vertex[v]) for v in cuts) != len(blocks) + len(cuts) - 1:
-        raise AssertionError("block-cut incidences do not form a tree")
+        raise AssertionFailure("block-cut incidences do not form a tree", payload={"graph": graph_to_json(g)})
 
     return BlockDecomposition(
         graph=g,
@@ -303,9 +303,11 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
 
 
 def _check_block_indices(d: BlockDecomposition, a) -> frozenset[int]:
+    """The given block indices as a frozenset, each an int (not a bool,
+    which would name block 0 or 1) in range; IndexError otherwise."""
     s = frozenset(a)
     for i in s:
-        if not isinstance(i, int) or not (0 <= i < len(d.blocks)):
+        if type(i) is not int or not (0 <= i < len(d.blocks)):
             raise IndexError(f"block index {i!r} out of range")
     return s
 

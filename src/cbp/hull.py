@@ -34,7 +34,7 @@ from functools import cached_property
 from math import gcd
 from operator import mul
 
-from .errors import DimensionCap, DimensionMismatch, NotFullDimensional
+from .errors import AssertionFailure, DimensionCap, DimensionMismatch, NotFullDimensional
 
 Row = tuple[tuple[int, ...], int]
 
@@ -217,5 +217,8 @@ def brute_force_facets(points) -> RationalPolyhedron:
     for a, b in rows:
         for q in pts:
             if sum(map(mul, a, q)) > b:
-                raise AssertionError("facet computation produced a violated row")
+                raise AssertionFailure(
+                    "facet computation produced a violated row",
+                    payload={"row": {"coeffs": list(a), "rhs": b}, "point": list(q)},
+                )
     return RationalPolyhedron(dim=dim, rows=tuple(rows))

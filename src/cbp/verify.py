@@ -554,21 +554,19 @@ def verify_graph(entry: CorpusEntry, options: VerifyOptions) -> GraphReport:
         try:
             detail = fn()
             status = "pass" if detail is None else "fail"
-        except AssertionFailure as exc:
-            detail = {"error": "AssertionFailure", "message": str(exc), **exc.payload}
-            status = "fail"
-        except CBPError as exc:
-            detail = {"error": type(exc).__name__, "message": str(exc)}
-            status = "fail"
         except Exception as exc:
-            # a crash fails its check, not the sweep: the entry keeps the
-            # graph and seed that replay it, and the frame that raised
-            tb = exc.__traceback__
-            while tb.tb_next:
-                tb = tb.tb_next
-            code = tb.tb_frame.f_code
-            where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
-            detail = {"error": type(exc).__name__, "message": str(exc), "where": where}
+            # a raised check fails its check, not the sweep: the entry keeps
+            # the graph and seed that replay it, an AssertionFailure's
+            # payload, and the frame that raised anything not a CBPError
+            detail = {"error": type(exc).__name__, "message": str(exc)}
+            if isinstance(exc, AssertionFailure):
+                detail.update(exc.payload)
+            elif not isinstance(exc, CBPError):
+                tb = exc.__traceback__
+                while tb.tb_next:
+                    tb = tb.tb_next
+                code = tb.tb_frame.f_code
+                detail["where"] = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
             status = "fail"
         elapsed = time.perf_counter() - start
         if detail is not None:

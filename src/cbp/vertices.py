@@ -101,7 +101,7 @@ def count_connected_blocksets(d: BlockDecomposition) -> int:
 
 def to_incidence(d: BlockDecomposition, a) -> tuple[int, ...]:
     """Indicator vector of a blockset in block-index coordinates."""
-    s = frozenset(a)
+    s = _check_block_indices(d, a)
     return tuple(1 if i in s else 0 for i in range(len(d.blocks)))
 
 

@@ -13,7 +13,7 @@ from math import comb
 import pytest
 
 import oracles
-from cbp import cli, ehrhart, skeleton, verify
+from cbp import cli, ehrhart, graphs, skeleton, verify
 from cbp.cli import main
 from cbp.corpus import corpus, triangle_chain
 from cbp.serialize import jsonable
@@ -244,6 +244,23 @@ def test_hstar_dilation_mismatch_is_a_failed_check(graph_file, capsys, monkeypat
     assert head == "check failed: lattice count at dilation 5 disagrees with the polynomial"
     payload = json.loads(body)
     assert (payload["dilation"], payload["measured"], payload["predicted"]) == (5, 182, "181")
+
+
+def test_a_broken_decomposition_is_a_failed_check(graph_file, capsys, monkeypatch):
+    # a block of two or more edges loses one, which breaks an internal
+    # invariant: exit 1 with the graph, not a traceback
+    real = graphs._biconnected_components
+
+    def lossy(n, adjacency):
+        comps, cuts, roots = real(n, adjacency)
+        return [comp[1:] if len(comp) > 1 else comp for comp in comps], cuts, roots
+
+    monkeypatch.setattr(graphs, "_biconnected_components", lossy)
+    code, out, err = run(capsys, ["blocks", "--graph", graph_file("0 1\n0 2\n1 2\n2 3\n")])
+    assert (code, out) == (1, "")
+    head, _, body = err.partition("\n")
+    assert head == "check failed: blocks do not partition the edge set"
+    assert json.loads(body) == {"graph": {"n": 4, "edges": [[0, 1], [0, 2], [1, 2], [2, 3]]}}
 
 
 def test_hstar_rejects_small_dilation(graph_file, capsys):
@@ -489,7 +506,10 @@ def test_every_command_refuses_just_past_each_cap(
 
 
 def test_refusal_table_covers_every_command_with_a_cap():
-    assert {r[0] for r in REFUSALS} == set(cli.COMMANDS) - {"blocks"}
+    # the parser's subcommands, read off its usage line, are the cmd_* handlers
+    commands = {name.removeprefix("cmd_") for name in vars(cli) if name.startswith("cmd_")}
+    assert set(re.search(r"\{(.*)\}", cli.build_parser().format_usage()).group(1).split(",")) == commands
+    assert {r[0] for r in REFUSALS} == commands - {"blocks"}
 
 
 def test_optimize_tree_mode(graph_file, tmp_path, capsys):
@@ -669,38 +689,45 @@ def test_emit_matches_the_indenting_encoder_on_every_command(tmp_path, monkeypat
     monkeypatch.undo()
     assert len(payloads) > 300
     for payload in payloads:
+        assert type(payload) is dict and payload and all(type(k) is str for k in payload)
         assert emitted(payload) == reference_text(payload)
 
 
 @pytest.mark.parametrize(
     "payload",
     [
-        [1, True, 2],
+        {"v": [1, True, 2]},
         {"rows": [[0, 1], [False, 1]], "flags": [True, False]},
-        [[], [1, 2], []],
-        [[], []],
+        {"v": [[], [1, 2], []]},
+        {"v": [[], []]},
         {"a": [[[]], []], "b": [[[1]], [[], [2, 3]]], "c": []},
-        [-7, 10**30, -(10**29), 0],
-        [[-(10**30)], [10**29, -1]],
-        ((1, 2), (3,), ()),
+        {"v": [-7, 10**30, -(10**29), 0]},
+        {"v": [[-(10**30)], [10**29, -1]]},
+        {"v": ((1, 2), (3,), ())},
         {"t": (4, 5), "u": [(6,), [7, 8]]},
         {"s": {3, 1, 2}, "f": Fraction(-3, 4), "mixed": [Fraction(1, 2), 1, [2]]},
         {"deep": {"deeper": [{"x": [1, 2]}, [[3]]]}},
-        {2: [1], 1: [[0]]},
+        {"2": [1], "10": [[0]]},
         {"ints": [3, 1], "s": {2, 1}, "f": Fraction(1, 3), "rows": [[1], []], "": True, "t": None, "e": []},
         {"rows": [[1, 2]], "nested": {"x": [[1, 2]], "y": "a\nb", "z": [{"w": [0]}, []]}, "text": "\n"},
         {"long": list(range(3000)), "rows": [[i] for i in range(2500)], "dicts": [{"k": i} for i in range(3000)]},
-        list(range(-3000, 3000)),
-        [[i, -i, i * i] for i in range(2500)],
-        [],
-        {},
-        7,
-        "text",
-        None,
+        {"v": list(range(-3000, 3000))},
+        {"v": [[i, -i, i * i] for i in range(2500)]},
+        {"v": []},
+        {"v": 7},
+        {"v": "text"},
+        {"v": None},
     ],
 )
 def test_emit_matches_the_indenting_encoder_on_crafted_payloads(payload):
     assert emitted(payload) == reference_text(payload)
+
+
+@pytest.mark.parametrize("payload", [{}, {"a": 1, 2: [3]}], ids=["empty", "int-key"])
+def test_emit_refuses_what_it_would_write_wrong(payload):
+    # the encoder writes {} on one line and the key 2 as "2"
+    with pytest.raises(TypeError, match="non-empty dict with str keys"):
+        emitted(payload)
 
 
 def test_emit_writes_a_large_payload_in_pieces(monkeypatch):

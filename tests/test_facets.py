@@ -51,6 +51,13 @@ def test_is_independent(path3_d):
     assert is_independent(path3_d, (1,))
 
 
+def test_is_independent_refuses_an_index_that_names_no_block(path3_d):
+    # past the end, negative (-3 would name block 0), and bools
+    for a in ([5], [-1], [True], [0, -3], [True, 2]):
+        with pytest.raises(IndexError):
+            is_independent(path3_d, a)
+
+
 def test_path3_ibis(path3_d):
     got = enumerate_ibis(path3_d)
     assert got == ((0, 0, 1), (0, 1, 0), (1, -1, 1), (1, 0, 0))

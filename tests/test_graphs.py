@@ -215,6 +215,13 @@ def test_blockset_closure_path3(path3_d):
         blockset_closure(path3_d, (9,))
 
 
+def test_blockset_closure_refuses_an_index_that_names_no_block(path3_d):
+    # past the end, negative, and bools, which would name block 0 or 1
+    for a in ([5], [-1], [True], [0, -3], [True, 2]):
+        with pytest.raises(IndexError):
+            blockset_closure(path3_d, a)
+
+
 def test_split_components(path3_d):
     # the components oracle that `facets._part_sums` is checked against
     assert oracles.split_components_at(path3_d, 1) == (frozenset({0}), frozenset({1, 2}))

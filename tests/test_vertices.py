@@ -124,6 +124,13 @@ def test_to_incidence(path3_d):
     assert to_incidence(path3_d, ()) == (0, 0, 0)
 
 
+def test_to_incidence_refuses_an_index_that_names_no_block(path3_d):
+    # past the end, negative, and bools, which would name block 0 or 1
+    for a in ([5], [-1], [True], [0, -3], [True, 2]):
+        with pytest.raises(IndexError):
+            to_incidence(path3_d, a)
+
+
 def test_count_overflow(path3_d, monkeypatch):
     monkeypatch.setattr(vertices, "DEFAULT_VERTEX_CAP", 7)
     assert len(enumerate_vertices(path3_d)) == 7
