@@ -714,9 +714,9 @@ def test_emit_matches_the_indenting_encoder_on_every_command(tmp_path, monkeypat
         {"v": list(range(-3000, 3000))},
         {"v": [[i, -i, i * i] for i in range(2500)]},
         {"v": []},
-        {"v": 7},
-        {"v": "text"},
-        {"v": None},
+        pytest.param({"v": 7}, id="7"),
+        pytest.param({"v": "text"}, id="text"),
+        pytest.param({"v": None}, id="None"),
     ],
 )
 def test_emit_matches_the_indenting_encoder_on_crafted_payloads(payload):
